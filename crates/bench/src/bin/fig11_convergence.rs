@@ -7,7 +7,7 @@
 //! given error level first because its batches stay in memory.
 
 use toc_bench::{arg, Table};
-use toc_data::store::{MiniBatchStore, StoreConfig};
+use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{MatrixBatch, Scheme};
 use toc_ml::mgd::{MgdConfig, ModelSpec, Trainer};
@@ -62,10 +62,13 @@ fn main() {
         println!("## workload: {wl_name}");
         let mut table = Table::new(vec!["scheme", "epoch", "time", "error%"]);
         for scheme in [Scheme::Den, Scheme::Csr, Scheme::Toc] {
-            let store = MiniBatchStore::build(
+            // One shard: `mbps` models the paper's single spill disk.
+            let store = ShardedSpillStore::build(
                 &ds.x,
                 &ds.labels,
-                &StoreConfig::new(scheme, 250, budget).with_disk_mbps(arg("mbps", 150.0)),
+                &StoreConfig::new(scheme, 250, budget)
+                    .with_shards(1)
+                    .with_disk_mbps(arg("mbps", 150.0)),
             )
             .expect("store");
             let trainer = Trainer::new(MgdConfig {

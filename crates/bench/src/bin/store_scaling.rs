@@ -1,16 +1,15 @@
-//! Out-of-core read-path scaling: the mutexed-era single-file store vs.
-//! the sharded store vs. sharded + prefetch (sync, async pool, async
-//! ring), across schemes.
+//! Out-of-core read-path scaling: one shard vs. N shards vs. sharded +
+//! prefetch (sync workers, async ring), across schemes.
 //!
 //! Everything spills (budget 0) and reads go through the simulated
 //! bandwidth model, so the numbers isolate how the read paths behave
-//! when IO is the wall: the single-file store serializes readers on one
-//! device clock, sharding gives each of N devices its own clock
-//! (aggregate bandwidth scales with N), prefetch overlaps the decode+IO
-//! of upcoming batches with the visitor's work, and the async engines
-//! additionally split submission from completion so read latency no
-//! longer serializes with decode inside each prefetch worker — the ring
-//! engine also coalesces file-adjacent reads into one request.
+//! when IO is the wall: one shard serializes readers on one device
+//! clock, sharding gives each of N devices its own clock (aggregate
+//! bandwidth scales with N), prefetch overlaps the decode+IO of upcoming
+//! batches with the visitor's work, and the ring engine additionally
+//! splits submission from completion so read latency no longer
+//! serializes with decode inside each prefetch worker — and coalesces
+//! file-adjacent reads into one request.
 //!
 //! The binary ends with two acceptance gates (both assert, so CI fails
 //! loudly on a regression): the ring engine must beat single-worker
@@ -26,9 +25,7 @@
 //! ```
 
 use toc_bench::{arg, fmt_duration, mb_per_s, sweep_store, Table};
-use toc_data::store::{
-    IoEngineKind, MiniBatchStore, ShardPlacement, ShardedSpillStore, StoreConfig,
-};
+use toc_data::store::{IoEngineKind, ShardPlacement, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::Scheme;
 
@@ -60,46 +57,30 @@ fn main() {
     for scheme in [Scheme::Den, Scheme::Csr, Scheme::Gzip, Scheme::Toc] {
         let base = StoreConfig::new(scheme, batch_rows, 0).with_disk_mbps(mbps);
 
-        // (a) single-file store: one device clock for every reader.
-        let store = MiniBatchStore::build(&ds.x, &ds.labels, &base).expect("store build");
-        let spill_mb = store.spilled_bytes() as f64 / 1e6;
-        let seq = sweep_store(&store, 1);
-        let par = sweep_store(&store, threads);
-        table.row(vec![
-            scheme.name().to_string(),
-            "1-file".into(),
-            format!("{spill_mb:.1}"),
-            fmt_duration(seq),
-            fmt_duration(par),
-            format!("{:.1}x", seq.as_secs_f64() / par.as_secs_f64()),
-            "-".into(),
-            "-".into(),
-        ]);
-        drop(store);
+        // (a) one shard: one device clock for every reader; (b) sharded:
+        // N independent device clocks, lock-free reads.
+        for n_shards in [1, shards] {
+            let cfg = base.clone().with_shards(n_shards);
+            let store = ShardedSpillStore::build(&ds.x, &ds.labels, &cfg).expect("store build");
+            let seq = sweep_store(&store, 1);
+            let par = sweep_store(&store, threads);
+            table.row(vec![
+                scheme.name().to_string(),
+                format!("sharded({})", store.num_shards()),
+                format!("{:.1}", store.spilled_bytes() as f64 / 1e6),
+                fmt_duration(seq),
+                fmt_duration(par),
+                format!("{:.1}x", seq.as_secs_f64() / par.as_secs_f64()),
+                "-".into(),
+                "-".into(),
+            ]);
+        }
 
-        // (b) sharded: N independent device clocks, lock-free reads.
-        let cfg = base.clone().with_shards(shards);
-        let store = ShardedSpillStore::build(&ds.x, &ds.labels, &cfg).expect("store build");
-        let seq = sweep_store(&store, 1);
-        let par = sweep_store(&store, threads);
-        table.row(vec![
-            scheme.name().to_string(),
-            format!("sharded({})", store.num_shards()),
-            format!("{:.1}", store.spilled_bytes() as f64 / 1e6),
-            fmt_duration(seq),
-            fmt_duration(par),
-            format!("{:.1}x", seq.as_secs_f64() / par.as_secs_f64()),
-            "-".into(),
-            "-".into(),
-        ]);
-        drop(store);
-
-        // (c) sharded + prefetch, each IO path: sync workers, async pool,
-        // async ring (ring rides the pack placement so adjacent reads
-        // exist to coalesce).
+        // (c) sharded + prefetch, each IO path: sync workers, async ring
+        // (ring rides the pack placement so adjacent reads exist to
+        // coalesce).
         for (engine, placement) in [
             (IoEngineKind::Sync, ShardPlacement::Stripe),
-            (IoEngineKind::Pool, ShardPlacement::Stripe),
             (io, ShardPlacement::Pack),
         ] {
             let cfg = base
@@ -150,7 +131,7 @@ fn main() {
 /// asymmetric-bandwidth workload — shard 0 at 400 MB/s, shards 1–3 at
 /// 25 MB/s — adaptive placement must reach ≥ 1.15× the steady-state
 /// epoch throughput of static pack placement. Both stores run the same
-/// pool-engine prefetch pipeline; the only difference is where the bytes
+/// ring-engine prefetch pipeline; the only difference is where the bytes
 /// live. Static pack spreads them evenly, so every epoch waits on the
 /// slow devices; adaptive profiles the shards during the warm-up epochs
 /// and re-packs hot bytes onto the fast device in proportion to measured
@@ -163,7 +144,7 @@ fn adaptive_acceptance_gate() {
     let base = StoreConfig::new(Scheme::Den, batch_rows, 0)
         .with_shards(4)
         .with_prefetch(8)
-        .with_io(IoEngineKind::Pool)
+        .with_io(IoEngineKind::Ring)
         .with_shard_mbps(shard_mbps.clone());
 
     // Steady-state epoch time: warm epochs first (the adaptive store

@@ -1,87 +1,16 @@
-//! Minimal CSV reader/writer for numeric matrices.
-//!
-//! Deliberately small: comma-separated `f64` cells, optional header line
-//! (auto-detected: a first line with any non-numeric field is treated as a
-//! header), one matrix row per line.
+//! CSV at the CLI boundary: numeric matrices in through the one reader
+//! in [`toc_data::csv`] (comma-separated `f64` cells, auto-detected
+//! header line, one matrix row per line), and the matrix writer.
 
-use std::io::{BufRead, BufWriter, Write};
+use std::io::{BufWriter, Write};
 use std::path::Path;
 use toc_linalg::DenseMatrix;
 
-/// Stream a numeric CSV row by row without materializing the matrix:
-/// `f(row_index, values)` is called once per data row with a reused
-/// buffer, so peak memory is one row — the `toc ingest` path. Returns
-/// `(rows, cols, header)` with the same header auto-detection and the
-/// same structured errors ("row N has X fields, expected C", "row N:
-/// bad number ...", "empty CSV") as [`read_matrix`], which is built on
-/// top of this.
-///
-/// Returns `(rows, cols, header)`.
-pub type StreamSummary = (usize, usize, Option<Vec<String>>);
-
-/// Per-row callback: `(row_index, fields)`; an `Err` aborts the stream.
-pub type RowSink<'a> = &'a mut dyn FnMut(usize, &[f64]) -> Result<(), String>;
-
-pub fn stream_rows(path: &Path, f: RowSink<'_>) -> Result<StreamSummary, String> {
-    let file = std::fs::File::open(path).map_err(|e| format!("open {}: {e}", path.display()))?;
-    let mut reader = std::io::BufReader::new(file);
-    let mut line = String::new();
-    let mut row: Vec<f64> = Vec::new();
-    let mut cols = 0usize;
-    let mut n_rows = 0usize;
-    let mut header: Option<Vec<String>> = None;
-    let mut first = true;
-    loop {
-        line.clear();
-        let n = reader
-            .read_line(&mut line)
-            .map_err(|e| format!("read: {e}"))?;
-        if n == 0 {
-            break;
-        }
-        let trimmed = line.trim_end_matches(['\n', '\r']);
-        if trimmed.is_empty() {
-            continue;
-        }
-        let fields: Vec<&str> = trimmed.split(',').map(str::trim).collect();
-        if first {
-            first = false;
-            if fields.iter().any(|f| f.parse::<f64>().is_err()) {
-                header = Some(fields.iter().map(|s| s.to_string()).collect());
-                cols = fields.len();
-                continue;
-            }
-            cols = fields.len();
-        }
-        if fields.len() != cols {
-            return Err(format!(
-                "row {} has {} fields, expected {cols}",
-                n_rows + 1,
-                fields.len()
-            ));
-        }
-        row.clear();
-        for fld in &fields {
-            row.push(
-                fld.parse::<f64>()
-                    .map_err(|e| format!("row {}: bad number {fld:?}: {e}", n_rows + 1))?,
-            );
-        }
-        f(n_rows, &row)?;
-        n_rows += 1;
-    }
-    if n_rows == 0 {
-        return Err("empty CSV".into());
-    }
-    Ok((n_rows, cols, header))
-}
-
 /// Read a numeric CSV into a dense matrix. Returns `(matrix, header)`.
 pub fn read_matrix(path: &Path) -> Result<(DenseMatrix, Option<Vec<String>>), String> {
-    let mut data: Vec<f64> = Vec::new();
-    let (rows, cols, header) = stream_rows(path, &mut |_, row| {
-        data.extend_from_slice(row);
-        Ok(())
+    let (rows, cols, data, header) = toc_data::csv::read_all(path).map_err(|e| match e {
+        toc_data::CsvError::Io(e) => format!("open {}: {e}", path.display()),
+        parse => parse.to_string(),
     })?;
     Ok((DenseMatrix::from_vec(rows, cols, data), header))
 }
@@ -142,53 +71,6 @@ mod tests {
         let (back, header) = read_matrix(&p).unwrap();
         assert_eq!(back, m);
         assert_eq!(header.unwrap(), hdr);
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn stream_rows_visits_every_row_with_shape() {
-        let p = tmp("stream.csv");
-        std::fs::write(&p, "a,b\n1,2\n3,4\n5,6\n").unwrap();
-        let mut seen = Vec::new();
-        let (rows, cols, header) = stream_rows(&p, &mut |i, row| {
-            seen.push((i, row.to_vec()));
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!((rows, cols), (3, 2));
-        assert_eq!(header.unwrap(), vec!["a", "b"]);
-        assert_eq!(
-            seen,
-            vec![
-                (0, vec![1.0, 2.0]),
-                (1, vec![3.0, 4.0]),
-                (2, vec![5.0, 6.0]),
-            ]
-        );
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn ragged_rows_rejected() {
-        let p = tmp("ragged.csv");
-        std::fs::write(&p, "1,2,3\n4,5\n").unwrap();
-        assert!(read_matrix(&p).is_err());
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn bad_number_rejected() {
-        let p = tmp("bad.csv");
-        std::fs::write(&p, "1,2\n3,x\n").unwrap();
-        assert!(read_matrix(&p).is_err());
-        std::fs::remove_file(&p).ok();
-    }
-
-    #[test]
-    fn empty_rejected() {
-        let p = tmp("empty.csv");
-        std::fs::write(&p, "").unwrap();
-        assert!(read_matrix(&p).is_err());
         std::fs::remove_file(&p).ok();
     }
 }

@@ -81,7 +81,7 @@ USAGE:
   toc bench <in.csv> [--batch-rows <n>]
   toc train <in.csv|in.tocz> [--model <lr|svm|linreg>] [--epochs <n>] [--lr <f>] [--scheme <s>] [--batch-rows <n>]
             [--budget <bytes>] [--shards <n>] [--prefetch <k>] [--mbps <f>]
-            [--io <sync|pool|ring>] [--placement <stripe|pack|adaptive>] [--adaptive]
+            [--io <sync|ring>] [--placement <stripe|pack|adaptive>] [--adaptive]
             [--pin] [--pin-map <t0,t1,...>] [--io-threads <n>] [--decode-workers <n>]
             [--follow] [--window <batches>] [--max-pending <chunks>]
             [--poll-ms <n>] [--idle-ms <n>]
@@ -90,8 +90,8 @@ USAGE:
              spill to --shards files and are read back through a
              --prefetch-deep background decode pipeline, optionally under
              an --mbps bandwidth model. --io picks the spill-IO engine:
-             sync reads inside each prefetch worker, an async worker pool,
-             or the batched ring engine that coalesces adjacent reads;
+             sync reads inside each prefetch worker, or the batched async
+             ring engine that coalesces adjacent reads;
              --placement pack lays consecutive spilled batches out
              file-adjacent so ring submissions merge, and adaptive
              (shorthand: --adaptive) profiles per-shard bandwidth at
@@ -122,7 +122,7 @@ USAGE:
   toc serve <in.csv|in.tocz> [--jobs <n>] [--script <file>] [--max-concurrent <n>]
             [--cache-budget <bytes>] [--model <lr|svm|linreg>] [--epochs <n>] [--lr <f>]
             [--seed <n>] [--shares <s0,s1,...>] [--scheme <s>] [--batch-rows <n>]
-            [--budget <bytes>] [--shards <n>] [--mbps <f>] [--io <sync|pool|ring>]
+            [--budget <bytes>] [--shards <n>] [--mbps <f>] [--io <sync|ring>]
             [--placement <stripe|pack|adaptive>] [--adaptive]
             (multi-tenant mode: run --jobs concurrent training jobs over ONE
              shared spill store (--budget defaults to 0: everything spills)
@@ -157,6 +157,31 @@ fn opt(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// Parse `--name <value>` into any `FromStr` type (numbers, engine and
+/// placement names), `default` when the flag is absent. A value that
+/// does not parse is an error naming the flag, never a silent default.
+fn num_opt<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String>
+where
+    T::Err: std::fmt::Display,
+{
+    match opt(args, name) {
+        Some(s) => s.parse().map_err(|e| format!("{name}: {e}")),
+        None => Ok(default),
+    }
+}
+
+/// `--mbps <f>`: the simulated disk bandwidth, finite and positive.
+fn mbps_opt(args: &[String]) -> Result<Option<f64>, String> {
+    let Some(s) = opt(args, "--mbps") else {
+        return Ok(None);
+    };
+    let v: f64 = s.parse().map_err(|e| format!("--mbps: {e}"))?;
+    if !(v.is_finite() && v > 0.0) {
+        return Err(format!("--mbps must be > 0, got {v}"));
+    }
+    Ok(Some(v))
+}
+
 /// Whether the boolean flag `name` (a [`BOOL_FLAGS`] member) was passed.
 fn has_flag(args: &[String], name: &str) -> bool {
     debug_assert!(BOOL_FLAGS.contains(&name));
@@ -187,13 +212,11 @@ fn encode_options(args: &[String]) -> Result<EncodeOptions, String> {
     if let Some(p) = opt(args, "--cla-planner") {
         cla.planner = p.parse()?;
     }
-    if let Some(s) = opt(args, "--cla-sample") {
-        cla.sample_rows = s.parse().map_err(|e| format!("--cla-sample: {e}"))?;
-        if cla.sample_rows == 0 {
-            // An empty sample estimates every column as incompressible and
-            // silently produces an uncompressed CLA plan; reject it.
-            return Err("--cla-sample must be >= 1".into());
-        }
+    cla.sample_rows = num_opt(args, "--cla-sample", cla.sample_rows)?;
+    if cla.sample_rows == 0 {
+        // An empty sample estimates every column as incompressible and
+        // silently produces an uncompressed CLA plan; reject it.
+        return Err("--cla-sample must be >= 1".into());
     }
     Ok(EncodeOptions { cla })
 }
@@ -225,9 +248,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
         .ok_or("--rows required")?
         .parse()
         .map_err(|e| format!("{e}"))?;
-    let seed: u64 = opt(args, "--seed")
-        .map(|s| s.parse().unwrap_or(42))
-        .unwrap_or(42);
+    let seed: u64 = num_opt(args, "--seed", 42)?;
     let out = positional(args);
     let out: &Path = Path::new(out.first().ok_or("output path required")?);
     let ds = generate_preset(preset, rows, seed);
@@ -255,10 +276,7 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
             "usage: toc ingest <in.csv> <out.tocz> [--resume] [--checkpoint-every <chunks>]".into(),
         );
     };
-    let chunk_rows: usize = opt(args, "--chunk-rows")
-        .map(|s| s.parse().map_err(|e| format!("--chunk-rows: {e}")))
-        .transpose()?
-        .unwrap_or(250);
+    let chunk_rows: usize = num_opt(args, "--chunk-rows", 250)?;
     if chunk_rows == 0 {
         return Err("--chunk-rows must be >= 1".into());
     }
@@ -272,10 +290,7 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
     let resume = has_flag(args, "--resume");
     // --resume implies periodic checkpointing (a resumed run must stay
     // resumable); --checkpoint-every alone makes a fresh run resumable.
-    let checkpoint_every: u64 = opt(args, "--checkpoint-every")
-        .map(|s| s.parse().map_err(|e| format!("--checkpoint-every: {e}")))
-        .transpose()?
-        .unwrap_or(if resume { 8 } else { 0 });
+    let checkpoint_every: u64 = num_opt(args, "--checkpoint-every", if resume { 8 } else { 0 })?;
     if resume && checkpoint_every == 0 {
         return Err("--resume needs checkpointing; --checkpoint-every must be >= 1".into());
     }
@@ -351,10 +366,7 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| "toc".into());
     // `--segment-rows` is the v2 name (segments are the seekable unit);
     // `--batch-rows` stays as an alias for older scripts.
-    let batch_rows: usize = opt(args, "--segment-rows")
-        .or_else(|| opt(args, "--batch-rows"))
-        .map(|s| s.parse().unwrap_or(250))
-        .unwrap_or(250);
+    let batch_rows: usize = num_opt(args, "--segment-rows", num_opt(args, "--batch-rows", 250)?)?;
     let version: u8 = match opt(args, "--container-version").as_deref() {
         None | Some("2") => 2,
         Some("1") => 1,
@@ -436,10 +448,7 @@ fn cmd_decompress(args: &[String]) -> Result<(), String> {
     let rows = opt(args, "--rows")
         .map(|s| parse_row_range(&s))
         .transpose()?;
-    let parallel: usize = match opt(args, "--parallel") {
-        Some(s) => s.parse().map_err(|e| format!("--parallel: {e}"))?,
-        None => 1,
-    };
+    let parallel: usize = num_opt(args, "--parallel", 1)?;
     let path = Path::new(input);
     let m = match rows {
         Some((r0, r1)) if container_version(path)? == 2 => {
@@ -574,9 +583,7 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     let [input] = pos[..] else {
         return Err("usage: toc bench <in.csv>".into());
     };
-    let batch_rows: usize = opt(args, "--batch-rows")
-        .map(|s| s.parse().unwrap_or(250))
-        .unwrap_or(250);
+    let batch_rows: usize = num_opt(args, "--batch-rows", 250)?;
     let opts = encode_options(args)?;
     let (m, _) = csv::read_matrix(Path::new(input))?;
     let batch = m.slice_rows(0, m.rows().min(batch_rows));
@@ -626,16 +633,10 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         return Err("usage: toc train <in.csv>".into());
     };
     let scheme = parse_scheme(&opt(args, "--scheme").unwrap_or_else(|| "toc".into()))?;
-    let batch_rows: usize = opt(args, "--batch-rows")
-        .map(|s| s.parse().unwrap_or(250))
-        .unwrap_or(250);
+    let batch_rows: usize = num_opt(args, "--batch-rows", 250)?;
     let encode_opts = encode_options(args)?;
-    let epochs: usize = opt(args, "--epochs")
-        .map(|s| s.parse().unwrap_or(10))
-        .unwrap_or(10);
-    let lr: f64 = opt(args, "--lr")
-        .map(|s| s.parse().unwrap_or(0.05))
-        .unwrap_or(0.05);
+    let epochs: usize = num_opt(args, "--epochs", 10)?;
+    let lr: f64 = num_opt(args, "--lr", 0.05)?;
     let model = opt(args, "--model").unwrap_or_else(|| "lr".into());
     let loss = match model.as_str() {
         "lr" => LossKind::Logistic,
@@ -658,32 +659,11 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         Some(b) => Some(b.parse::<usize>().map_err(|e| format!("--budget: {e}"))?),
         None => None,
     };
-    let shards: usize = match opt(args, "--shards") {
-        Some(s) => s.parse().map_err(|e| format!("--shards: {e}"))?,
-        None => 0,
-    };
-    let prefetch: usize = match opt(args, "--prefetch") {
-        Some(s) => s.parse().map_err(|e| format!("--prefetch: {e}"))?,
-        None => 0,
-    };
-    let mbps: Option<f64> = match opt(args, "--mbps") {
-        Some(s) => {
-            let v: f64 = s.parse().map_err(|e| format!("--mbps: {e}"))?;
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("--mbps must be > 0, got {v}"));
-            }
-            Some(v)
-        }
-        None => None,
-    };
-    let io: toc_data::IoEngineKind = match opt(args, "--io") {
-        Some(s) => s.parse()?,
-        None => toc_data::IoEngineKind::Sync,
-    };
-    let mut placement: toc_data::ShardPlacement = match opt(args, "--placement") {
-        Some(s) => s.parse()?,
-        None => toc_data::ShardPlacement::Stripe,
-    };
+    let shards: usize = num_opt(args, "--shards", 0)?;
+    let prefetch: usize = num_opt(args, "--prefetch", 0)?;
+    let mbps = mbps_opt(args)?;
+    let io = num_opt(args, "--io", toc_data::IoEngineKind::Sync)?;
+    let mut placement = num_opt(args, "--placement", toc_data::ShardPlacement::Stripe)?;
     if has_flag(args, "--adaptive") {
         if opt(args, "--placement").is_some_and(|p| !p.eq_ignore_ascii_case("adaptive")) {
             return Err("--adaptive conflicts with the explicit --placement".into());
@@ -705,14 +685,8 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
         (false, None) => toc_data::Pinning::Off,
     };
     let scheduler = toc_data::SchedulerConfig {
-        io_threads: match opt(args, "--io-threads") {
-            Some(s) => s.parse().map_err(|e| format!("--io-threads: {e}"))?,
-            None => 0,
-        },
-        decode_workers: match opt(args, "--decode-workers") {
-            Some(s) => s.parse().map_err(|e| format!("--decode-workers: {e}"))?,
-            None => 0,
-        },
+        io_threads: num_opt(args, "--io-threads", 0)?,
+        decode_workers: num_opt(args, "--decode-workers", 0)?,
         pinning,
     };
     if budget.is_none()
@@ -752,25 +726,13 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
                 "--follow tails a growing CSV; a .tocz container is already finished".into(),
             );
         }
-        let window: usize = opt(args, "--window")
-            .map(|s| s.parse().map_err(|e| format!("--window: {e}")))
-            .transpose()?
-            .unwrap_or(8);
+        let window: usize = num_opt(args, "--window", 8)?;
         if window == 0 {
             return Err("--window must be >= 1".into());
         }
-        let max_pending: usize = opt(args, "--max-pending")
-            .map(|s| s.parse().map_err(|e| format!("--max-pending: {e}")))
-            .transpose()?
-            .unwrap_or(0);
-        let poll_ms: u64 = opt(args, "--poll-ms")
-            .map(|s| s.parse().map_err(|e| format!("--poll-ms: {e}")))
-            .transpose()?
-            .unwrap_or(10);
-        let idle_ms: u64 = opt(args, "--idle-ms")
-            .map(|s| s.parse().map_err(|e| format!("--idle-ms: {e}")))
-            .transpose()?
-            .unwrap_or(400);
+        let max_pending: usize = num_opt(args, "--max-pending", 0)?;
+        let poll_ms: u64 = num_opt(args, "--poll-ms", 10)?;
+        let idle_ms: u64 = num_opt(args, "--idle-ms", 400)?;
         if idle_ms == 0 {
             return Err("--idle-ms must be >= 1".into());
         }
@@ -1140,58 +1102,25 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         return Err("usage: toc serve <in.csv|in.tocz> [--jobs <n>] ...".into());
     };
     let scheme = parse_scheme(&opt(args, "--scheme").unwrap_or_else(|| "toc".into()))?;
-    let batch_rows: usize = opt(args, "--batch-rows")
-        .map(|s| s.parse().unwrap_or(250))
-        .unwrap_or(250);
+    let batch_rows: usize = num_opt(args, "--batch-rows", 250)?;
     let encode_opts = encode_options(args)?;
     // Serve is the out-of-core mode: the budget defaults to 0, so every
     // batch spills and the shared cache is what keeps hot ones close.
-    let budget: usize = match opt(args, "--budget") {
-        Some(b) => b.parse().map_err(|e| format!("--budget: {e}"))?,
-        None => 0,
-    };
-    let shards: usize = match opt(args, "--shards") {
-        Some(s) => s.parse().map_err(|e| format!("--shards: {e}"))?,
-        None => 0,
-    };
-    let mbps: Option<f64> = match opt(args, "--mbps") {
-        Some(s) => {
-            let v: f64 = s.parse().map_err(|e| format!("--mbps: {e}"))?;
-            if !(v.is_finite() && v > 0.0) {
-                return Err(format!("--mbps must be > 0, got {v}"));
-            }
-            Some(v)
-        }
-        None => None,
-    };
-    let io: toc_data::IoEngineKind = match opt(args, "--io") {
-        Some(s) => s.parse()?,
-        None => toc_data::IoEngineKind::Sync,
-    };
-    let mut placement: toc_data::ShardPlacement = match opt(args, "--placement") {
-        Some(s) => s.parse()?,
-        None => toc_data::ShardPlacement::Stripe,
-    };
+    let budget: usize = num_opt(args, "--budget", 0)?;
+    let shards: usize = num_opt(args, "--shards", 0)?;
+    let mbps = mbps_opt(args)?;
+    let io = num_opt(args, "--io", toc_data::IoEngineKind::Sync)?;
+    let mut placement = num_opt(args, "--placement", toc_data::ShardPlacement::Stripe)?;
     if has_flag(args, "--adaptive") {
         if opt(args, "--placement").is_some_and(|p| !p.eq_ignore_ascii_case("adaptive")) {
             return Err("--adaptive conflicts with the explicit --placement".into());
         }
         placement = toc_data::ShardPlacement::Adaptive;
     }
-    let max_concurrent: usize = match opt(args, "--max-concurrent") {
-        Some(s) => s.parse().map_err(|e| format!("--max-concurrent: {e}"))?,
-        None => 0,
-    };
-    let epochs: usize = opt(args, "--epochs")
-        .map(|s| s.parse().unwrap_or(3))
-        .unwrap_or(3);
-    let lr: f64 = opt(args, "--lr")
-        .map(|s| s.parse().unwrap_or(0.05))
-        .unwrap_or(0.05);
-    let base_seed: u64 = match opt(args, "--seed") {
-        Some(s) => s.parse().map_err(|e| format!("--seed: {e}"))?,
-        None => 42,
-    };
+    let max_concurrent: usize = num_opt(args, "--max-concurrent", 0)?;
+    let epochs: usize = num_opt(args, "--epochs", 3)?;
+    let lr: f64 = num_opt(args, "--lr", 0.05)?;
+    let base_seed: u64 = num_opt(args, "--seed", 42)?;
     let shares: Vec<f64> = match opt(args, "--shares") {
         Some(s) => s
             .split(',')
@@ -1237,9 +1166,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .collect::<Result<_, String>>()?
         }
         None => {
-            let jobs: usize = opt(args, "--jobs")
-                .map(|s| s.parse().unwrap_or(4))
-                .unwrap_or(4);
+            let jobs: usize = num_opt(args, "--jobs", 4)?;
             if jobs == 0 {
                 return Err("--jobs must be >= 1".into());
             }
@@ -1294,10 +1221,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         store.spilled_bytes() / 1024,
     );
 
-    let cache_bytes: usize = match opt(args, "--cache-budget") {
-        Some(s) => s.parse().map_err(|e| format!("--cache-budget: {e}"))?,
-        None => store.spilled_bytes() / 4,
-    };
+    let cache_bytes: usize = num_opt(args, "--cache-budget", store.spilled_bytes() / 4)?;
     let server = JobServer::new(
         std::sync::Arc::clone(&store),
         ServeConfig {

@@ -103,7 +103,7 @@ fn compress_roundtrip_with_planner_flags() {
 #[test]
 fn train_over_async_engines_prints_parseable_io_stats() {
     let csv = gen_csv(400);
-    for (io, placement) in [("pool", "stripe"), ("ring", "pack"), ("sync", "stripe")] {
+    for (io, placement) in [("ring", "stripe"), ("ring", "pack"), ("sync", "stripe")] {
         let out = toc(&[
             "train",
             csv.to_str().unwrap(),
@@ -162,7 +162,7 @@ fn train_over_async_engines_prints_parseable_io_stats() {
             assert!(submitted >= 1, "async engine unused: {engine_line}");
             assert!(max_in_flight >= 1, "{engine_line}");
         }
-        let _ = coalesced; // may legitimately be 0 under pool/stripe
+        let _ = coalesced; // may legitimately be 0 under stripe
     }
     std::fs::remove_file(csv).ok();
 }
@@ -174,7 +174,7 @@ fn adaptive_and_pinned_training_print_parseable_placement_stats() {
     // --placement adaptive with a fixed pin map on the ring engine, and a
     // pinned non-adaptive run (placement line must still appear).
     let legs: [(&str, Vec<&str>); 3] = [
-        ("adaptive+pin", vec!["--adaptive", "--pin", "--io", "pool"]),
+        ("adaptive+pin", vec!["--adaptive", "--pin", "--io", "ring"]),
         (
             "adaptive+pin-map",
             vec![
@@ -493,6 +493,27 @@ fn out_of_core_flags_require_budget_and_reject_bad_values() {
         ]),
         "zero planner sample",
     );
+    // The worker-pool engine is gone; the error names what remains.
+    let out = toc(&[
+        "train",
+        csv.to_str().unwrap(),
+        "--budget",
+        "0",
+        "--io",
+        "pool",
+    ]);
+    assert_fails(&out, "removed io engine");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown io engine \"pool\" (sync|ring)"),
+        "{stderr}"
+    );
+    // A malformed number is an error naming its flag, not a silent default.
+    let out = toc(&["train", csv.to_str().unwrap(), "--epochs", "abc"]);
+    assert_fails(&out, "unparseable epochs");
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("--epochs"), "{stderr}");
     assert_fails(&toc(&["frobnicate"]), "unknown subcommand");
     std::fs::remove_file(csv).ok();
 }

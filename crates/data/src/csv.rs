@@ -507,6 +507,40 @@ mod tests {
     }
 
     #[test]
+    fn read_all_detects_header_and_rejects_malformed_input() {
+        let p = tmp("read-all.csv");
+        std::fs::write(&p, "a,b\n1,2\n3,4\n5,6\n").unwrap();
+        let mut seen = Vec::new();
+        let summary = stream_rows(&p, &mut |i, row| {
+            seen.push((i, row.to_vec()));
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(summary, (3, 2, Some(vec!["a".into(), "b".into()])));
+        assert_eq!(seen[2], (2, vec![5.0, 6.0]));
+        let (rows, cols, data, header) = read_all(&p).unwrap();
+        assert_eq!((rows, cols), (3, 2));
+        assert_eq!(data, vec![1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
+        assert_eq!(header.unwrap(), vec!["a", "b"]);
+        // An all-numeric first line is data, not a header.
+        std::fs::write(&p, "1.5,0,-2.25\n0,3,0.125\n").unwrap();
+        let (rows, cols, _, header) = read_all(&p).unwrap();
+        assert_eq!((rows, cols, header), (2, 3, None));
+        for (text, want) in [
+            ("1,2,3\n4,5\n", "row 2 has 2 fields, expected 3"),
+            ("1,2\n3,x\n", "row 2: bad number \"x\""),
+            ("", "empty CSV"),
+        ] {
+            std::fs::write(&p, text).unwrap();
+            match read_all(&p) {
+                Err(CsvError::Parse(msg)) => assert!(msg.starts_with(want), "{msg}"),
+                other => panic!("{text:?}: expected a parse error, got {other:?}"),
+            }
+        }
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
     fn io_parse_and_sink_errors_are_distinct() {
         let missing = tmp("missing.csv");
         assert!(matches!(

@@ -1,16 +1,15 @@
-//! Async spill IO engines behind the [`SpillFile`] seam.
+//! The async spill IO engine behind the [`SpillFile`] seam.
 //!
-//! PR 2 made spill reads positional and striped them across shard files,
-//! but every reader (prefetch worker or visitor) still blocked on a
-//! synchronous `read_exact_at`, so read latency serialized with decode
-//! inside each worker. This module splits submission from completion —
-//! the io_uring idiom, portable — so the prefetch pipeline can keep many
-//! reads in flight per shard while decode proceeds on completed buffers:
+//! Spill reads are positional and striped across shard files, but a
+//! reader (prefetch worker or visitor) that blocks on a synchronous
+//! `read_exact_at` serializes read latency with decode. This module
+//! splits submission from completion — the io_uring idiom, portable — so
+//! the prefetch pipeline can keep many reads in flight per shard while
+//! decode proceeds on completed buffers:
 //!
 //! ```text
 //!             submit(shard, offset, len, buf) -> Ticket
 //!   visitor ──────────────────────────────────────────▶ SpillIo engine
-//!                                                        │  pool: N IO workers
 //!                                                        │  ring: per-shard queues,
 //!                                                        │        adjacent reads
 //!                                                        │        coalesced
@@ -18,20 +17,18 @@
 //!   workers   complete() -> Completion {ticket, buf, result}   (out of order)
 //! ```
 //!
-//! Two backends implement [`SpillIo`]:
+//! [`RingIo`] is the production [`SpillIo`] backend (the fault-injecting
+//! test double in [`crate::testing`] is the other implementation):
+//! submissions route to per-shard queues; each ring thread drains its
+//! shards' queues in bursts, sorts the burst by file offset, **coalesces
+//! adjacent ranges into one physical read**, and completes the members
+//! out of order. With compression-aware shard placement
+//! ([`crate::store::ShardPlacement::Pack`]) one submission burst over
+//! small encoded batches collapses into a handful of large reads.
+//! Without an engine ([`IoEngineKind::Sync`]) the prefetch workers read
+//! synchronously.
 //!
-//! * [`PoolIo`] — a portable worker pool: submissions queue centrally,
-//!   N IO threads serve them with positional reads, completions surface
-//!   in whatever order the reads finish.
-//! * [`RingIo`] — a batched, ring-style backend: submissions route to
-//!   per-shard queues; each ring thread drains its shards' queues in
-//!   bursts, sorts the burst by file offset, **coalesces adjacent
-//!   ranges into one physical read**, and completes the members out of
-//!   order. With compression-aware shard placement
-//!   ([`crate::store::ShardPlacement::Pack`]) one submission burst over
-//!   small encoded batches collapses into a handful of large reads.
-//!
-//! Both backends charge the same per-shard [`BandwidthClock`] the
+//! The engine charges the same per-shard [`BandwidthClock`] the
 //! synchronous path uses, so the `disk_mbps` model extends to overlapped
 //! requests: concurrent reads of one shard still share that device's
 //! bandwidth (the clock serializes their reservations), while the
@@ -137,7 +134,7 @@ impl SpillFile {
 /// completes, so concurrent readers of one device share its bandwidth
 /// (the aggregate never exceeds `mbps`) while readers of other devices
 /// are unaffected. The delay is accounted per-shard with no lock held.
-/// Under the async engines the *IO thread* holds the reservation, so the
+/// Under the async engine the *IO thread* holds the reservation, so the
 /// visitor's compute overlaps the simulated device time.
 #[derive(Debug, Default)]
 pub(crate) struct BandwidthClock {
@@ -219,10 +216,6 @@ pub(crate) struct SpillDevice {
 }
 
 impl SpillDevice {
-    pub(crate) fn new(file: File) -> Self {
-        Self::with_profile(file, None)
-    }
-
     pub(crate) fn with_profile(file: File, profile: Option<DeviceProfile>) -> Self {
         Self {
             file: SpillFile::new(file),
@@ -631,11 +624,9 @@ impl IoSnapshot {
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IoEngineKind {
     /// No engine: prefetch workers read synchronously (read latency
-    /// serializes with decode inside each worker — the PR 2 behavior).
+    /// serializes with decode inside each worker).
     #[default]
     Sync,
-    /// Portable worker-pool backend ([`PoolIo`]).
-    Pool,
     /// Batched per-shard backend with adjacent-read coalescing ([`RingIo`]).
     Ring,
 }
@@ -644,7 +635,6 @@ impl IoEngineKind {
     pub fn name(self) -> &'static str {
         match self {
             IoEngineKind::Sync => "sync",
-            IoEngineKind::Pool => "pool",
             IoEngineKind::Ring => "ring",
         }
     }
@@ -661,9 +651,8 @@ impl std::str::FromStr for IoEngineKind {
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s.to_ascii_lowercase().as_str() {
             "sync" => Ok(IoEngineKind::Sync),
-            "pool" => Ok(IoEngineKind::Pool),
             "ring" => Ok(IoEngineKind::Ring),
-            other => Err(format!("unknown io engine {other:?} (sync|pool|ring)")),
+            other => Err(format!("unknown io engine {other:?} (sync|ring)")),
         }
     }
 }
@@ -707,8 +696,7 @@ impl Pinning {
 /// --io-threads/--decode-workers/--pin/--pin-map`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// IO threads for the async engines (`0` = auto: the prefetch depth
-    /// for the pool engine, one per shard for the ring engine; both
+    /// IO threads for the ring engine (`0` = auto: one per shard,
     /// clamped to [`MAX_IO_THREADS`]).
     pub io_threads: usize,
     /// Decode workers draining completions (`0` = auto: the prefetch
@@ -729,7 +717,7 @@ impl SchedulerConfig {
     ) -> usize {
         let auto = match kind {
             IoEngineKind::Ring => shards,
-            _ => depth,
+            IoEngineKind::Sync => depth,
         };
         let chosen = if self.io_threads > 0 {
             self.io_threads
@@ -929,10 +917,10 @@ pub(crate) struct Submission {
     pub(crate) at: Instant,
 }
 
-/// Central submission queue shared by the pool engine and the
-/// fault-injection double: ticket assignment, `IoStats` accounting, and
-/// condvar wakeup live in exactly one place, so the test double can never
-/// drift from the production submission contract.
+/// Central submission queue of the fault-injection double
+/// ([`crate::testing::FaultyIo`]): ticket assignment, `IoStats`
+/// accounting through the same [`IoStats::record_submit`] the ring engine
+/// uses, and condvar wakeup.
 pub(crate) struct SubmissionQueue {
     q: Mutex<VecDeque<Submission>>,
     cv: Condvar,
@@ -967,20 +955,6 @@ impl SubmissionQueue {
         lock(&self.q).pop_front()
     }
 
-    /// Block until a submission arrives or `shut_down()` returns true.
-    pub(crate) fn pop_wait(&self, shut_down: impl Fn() -> bool) -> Option<Submission> {
-        let mut g = lock(&self.q);
-        loop {
-            if shut_down() {
-                return None;
-            }
-            if let Some(s) = g.pop_front() {
-                return Some(s);
-            }
-            g = wait(&self.cv, g);
-        }
-    }
-
     /// Sleep until new work arrives or `timeout` elapses (spurious wakeups
     /// allowed; callers loop).
     pub(crate) fn wait_briefly(&self, timeout: Duration) {
@@ -993,105 +967,16 @@ impl SubmissionQueue {
         }
     }
 
-    /// Wake every blocked `pop_wait` caller (shutdown path).
+    /// Wake every `wait_briefly` sleeper (shutdown path).
     pub(crate) fn notify_all(&self) {
         self.cv.notify_all();
     }
 }
 
 // ---------------------------------------------------------------------------
-// PoolIo: the portable worker-pool backend.
-
-struct PoolShared {
-    io: Arc<IoShards>,
-    subq: SubmissionQueue,
-    comp: CompletionLanes,
-}
-
-/// Portable worker-pool [`SpillIo`] backend: N threads pull submissions
-/// off a central queue and serve them with positional reads. Reads of
-/// different shards proceed fully in parallel; reads of one shard share
-/// its bandwidth clock. Completion order is read-finish order; with
-/// `lanes > 1` completions stripe into per-decode-worker lanes by shard.
-pub struct PoolIo {
-    shared: Arc<PoolShared>,
-    threads: Vec<JoinHandle<()>>,
-}
+// RingIo: batched per-shard queues with adjacent-read coalescing.
 
 pub(crate) const MAX_IO_THREADS: usize = 8;
-
-impl PoolIo {
-    pub(crate) fn start(io: Arc<IoShards>, workers: usize, lanes: usize) -> Self {
-        let shared = Arc::new(PoolShared {
-            io,
-            subq: SubmissionQueue::new(),
-            comp: CompletionLanes::new(lanes),
-        });
-        let threads = (0..workers.clamp(1, MAX_IO_THREADS))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Self::worker(&shared))
-            })
-            .collect();
-        Self { shared, threads }
-    }
-
-    fn worker(shared: &PoolShared) {
-        while let Some(sub) = shared.subq.pop_wait(|| shared.comp.is_shut_down()) {
-            let Submission {
-                ticket,
-                req,
-                mut buf,
-                at,
-            } = sub;
-            let result = shared
-                .io
-                .read_range(req.shard, req.offset, req.len, &mut buf);
-            shared.io.stats.record_complete(at);
-            shared.comp.push(Completion {
-                ticket,
-                shard: req.shard,
-                buf,
-                result,
-            });
-        }
-    }
-}
-
-impl SpillIo for PoolIo {
-    fn submit(&self, req: SpillRequest, buf: Vec<u8>) -> Ticket {
-        self.shared.subq.submit(&self.shared.io, req, buf)
-    }
-
-    fn complete(&self) -> Option<Completion> {
-        self.shared.comp.pop_lane(0)
-    }
-
-    fn complete_on(&self, lane: usize) -> Option<Completion> {
-        self.shared.comp.pop_lane(lane)
-    }
-
-    fn shutdown(&self) {
-        self.shared.comp.shut_down();
-        self.shared.subq.notify_all();
-    }
-
-    fn in_flight(&self) -> usize {
-        self.shared.io.stats.in_flight.load(Ordering::Relaxed) as usize
-    }
-}
-
-impl Drop for PoolIo {
-    fn drop(&mut self) {
-        self.shutdown();
-        for h in self.threads.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// RingIo: batched per-shard queues with adjacent-read coalescing.
 
 struct RingShared {
     io: Arc<IoShards>,
@@ -1567,7 +1452,10 @@ mod tests {
             ));
             offsets[*shard] += bytes.len() as u64;
         }
-        let devices = files.into_iter().map(SpillDevice::new).collect();
+        let devices = files
+            .into_iter()
+            .map(|f| SpillDevice::with_profile(f, None))
+            .collect();
         (Arc::new(IoShards::new(devices, None)), layout, paths)
     }
 
@@ -1582,31 +1470,6 @@ mod tests {
             assert_eq!(&c.buf, &expected[&c.ticket], "ticket {}", c.ticket);
         }
         assert_eq!(engine.in_flight(), 0);
-    }
-
-    #[test]
-    fn pool_engine_completes_all_requests_out_of_order_safe() {
-        let chunks: Vec<_> = (0..10u8)
-            .map(|i| chunk(i as usize % 3, i, 64 + i as usize))
-            .collect();
-        let (io, layout, paths) = test_shards(3, &chunks);
-        let engine = PoolIo::start(Arc::clone(&io), 4, 1);
-        let mut expected = HashMap::new();
-        for (req, bytes) in &layout {
-            let t = engine.submit(*req, Vec::new());
-            expected.insert(t, bytes.clone());
-        }
-        drain_and_check(&engine, &expected);
-        let s = io.stats.snapshot_stable();
-        assert_eq!(s.submitted, 10);
-        assert_eq!(s.completed, 10);
-        assert_eq!(s.disk_reads, 10);
-        assert!(s.max_in_flight >= 1);
-        assert_eq!(s.latency_us.iter().sum::<u64>(), 10);
-        drop(engine);
-        for p in paths {
-            std::fs::remove_file(p).ok();
-        }
     }
 
     #[test]
@@ -1681,7 +1544,13 @@ mod tests {
             expected.insert(t, bytes.clone());
         }
         drain_and_check(&engine, &expected);
-        io.stats.snapshot_stable().assert_consistent();
+        let s = io.stats.snapshot_stable();
+        s.assert_consistent();
+        assert_eq!(s.submitted, 12);
+        assert_eq!(s.completed, 12);
+        assert_eq!(s.disk_reads + s.coalesced_reads, 12, "{s:?}");
+        assert!(s.max_in_flight >= 1);
+        assert_eq!(s.latency_us.iter().sum::<u64>(), 12);
         drop(engine);
         for p in paths {
             std::fs::remove_file(p).ok();
@@ -1691,7 +1560,7 @@ mod tests {
     #[test]
     fn engines_surface_read_errors_per_request() {
         let (io, layout, paths) = test_shards(1, &[chunk(0, 7, 64)]);
-        let engine = PoolIo::start(Arc::clone(&io), 2, 1);
+        let engine = RingIo::start_default(Arc::clone(&io));
         // Past-EOF read must complete with an error, not hang or panic.
         let t_bad = engine.submit(
             SpillRequest {
@@ -1718,21 +1587,14 @@ mod tests {
     #[test]
     fn shutdown_wakes_blocked_completers() {
         let (io, _, paths) = test_shards(1, &[chunk(0, 1, 8)]);
-        for engine in [
-            Box::new(PoolIo::start(Arc::clone(&io), 2, 1)) as Box<dyn SpillIo>,
-            Box::new(RingIo::start_default(Arc::clone(&io))) as Box<dyn SpillIo>,
-        ] {
-            let waiter = {
-                let engine: &dyn SpillIo = &*engine;
-                std::thread::scope(|s| {
-                    let h = s.spawn(|| engine.complete().is_none());
-                    std::thread::sleep(Duration::from_millis(10));
-                    engine.shutdown();
-                    h.join().unwrap()
-                })
-            };
-            assert!(waiter, "complete() must return None after shutdown");
-        }
+        let engine = RingIo::start_default(Arc::clone(&io));
+        let waiter = std::thread::scope(|s| {
+            let h = s.spawn(|| engine.complete().is_none());
+            std::thread::sleep(Duration::from_millis(10));
+            engine.shutdown();
+            h.join().unwrap()
+        });
+        assert!(waiter, "complete() must return None after shutdown");
         for p in paths {
             std::fs::remove_file(p).ok();
         }
@@ -1740,15 +1602,15 @@ mod tests {
 
     #[test]
     fn engine_kind_parses_and_prints() {
-        for (s, k) in [
-            ("sync", IoEngineKind::Sync),
-            ("POOL", IoEngineKind::Pool),
-            ("Ring", IoEngineKind::Ring),
-        ] {
+        for (s, k) in [("SYNC", IoEngineKind::Sync), ("Ring", IoEngineKind::Ring)] {
             assert_eq!(s.parse::<IoEngineKind>().unwrap(), k);
             assert_eq!(k.name().parse::<IoEngineKind>().unwrap(), k);
         }
         assert!("uring".parse::<IoEngineKind>().is_err());
+        assert_eq!(
+            "pool".parse::<IoEngineKind>().unwrap_err(),
+            "unknown io engine \"pool\" (sync|ring)"
+        );
     }
 
     #[test]
@@ -1903,7 +1765,7 @@ mod tests {
             .read(true)
             .open(&path)
             .unwrap();
-        let stable = SpillDevice::new(f2);
+        let stable = SpillDevice::with_profile(f2, None);
         assert_eq!(stable.current_mbps(Some(42.0)), Some(42.0));
         stable.degrade_after_read();
         assert_eq!(stable.current_mbps(None), None);
@@ -1914,8 +1776,8 @@ mod tests {
     #[test]
     fn scheduler_config_resolution_and_pin_validation() {
         let auto = SchedulerConfig::default();
-        // Auto: pool follows depth, ring follows shard count, both capped.
-        assert_eq!(auto.resolved_io_threads(IoEngineKind::Pool, 4, 3), 3);
+        // Auto: sync follows depth, ring follows shard count, both capped.
+        assert_eq!(auto.resolved_io_threads(IoEngineKind::Sync, 4, 3), 3);
         assert_eq!(auto.resolved_io_threads(IoEngineKind::Ring, 4, 3), 4);
         assert_eq!(
             auto.resolved_io_threads(IoEngineKind::Ring, 99, 3),
@@ -1963,7 +1825,7 @@ mod tests {
         let (io, layout, paths) = test_shards(2, &chunks);
         // Two lanes over two shards: every completion for shard s must
         // surface on lane s.
-        let engine = PoolIo::start(Arc::clone(&io), 2, 2);
+        let engine = RingIo::start(Arc::clone(&io), 2, vec![0, 1], 2);
         let mut expected = HashMap::new();
         for (req, bytes) in &layout {
             let t = engine.submit(*req, Vec::new());

@@ -3,14 +3,14 @@
 //!
 //! [`synth`] generates datasets whose sparsity, distinct-value counts and
 //! cross-row redundancy match the profiles of the paper's six evaluation
-//! datasets (Table 5). [`store`] holds the memory-budgeted batch stores
-//! with real disk spill that reproduce the in-memory/out-of-core regimes
+//! datasets (Table 5). [`store`] holds the memory-budgeted batch store
+//! with real disk spill that reproduces the in-memory/out-of-core regimes
 //! of the end-to-end experiments (Tables 6–7, Figures 9–11): the
-//! single-file [`MiniBatchStore`] and the sharded, prefetching
-//! [`ShardedSpillStore`]. [`io`] is the async spill-IO seam underneath —
-//! a submission/completion [`SpillIo`] trait with a portable worker-pool
-//! backend and a coalescing ring backend — and [`testing`] provides a
-//! fault-injecting engine double for adversarial scheduling tests.
+//! sharded, prefetching [`ShardedSpillStore`] (one shard = the paper's
+//! single disk). [`io`] is the async spill-IO seam underneath — a
+//! submission/completion [`SpillIo`] trait with a coalescing ring
+//! backend — and [`testing`] provides a fault-injecting engine double
+//! for adversarial scheduling tests.
 //! [`serve`] layers the multi-tenant job server on top: many concurrent
 //! training jobs over one shared store and one heat-aware compressed
 //! batch cache.
@@ -35,8 +35,7 @@ pub use io::{
 };
 pub use serve::{BatchCache, JobOutcome, JobServer, JobSpec, ServeConfig, TenantProvider};
 pub use store::{
-    place_spilled, plan_adaptive, MiniBatchStore, PlacementReport, ShardPlacement,
-    ShardedSpillStore, StoreConfig,
+    place_spilled, plan_adaptive, PlacementReport, ShardPlacement, ShardedSpillStore, StoreConfig,
 };
 pub use synth::{
     drifting_matrix, generate, generate_preset, Dataset, DatasetPreset, SynthConfig, TaskKind,

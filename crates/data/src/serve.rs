@@ -43,7 +43,7 @@ use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, TrainedModel, Trainer};
 use toc_ml::train_nn_parallel_report;
 
 use crate::io::{lock, wait};
-use crate::store::ShardedSpillStore;
+use crate::store::{DiskLoc, ShardedSpillStore};
 
 // ---------------------------------------------------------------------------
 // BatchCache: shared compressed-batch pool with heat-based eviction.
@@ -58,8 +58,8 @@ struct CacheInner {
     bytes: usize,
 }
 
-/// Byte-budgeted pool of encoded spilled batches, keyed by spill id and
-/// shared by every tenant of a store. Eviction is strictly by heat: an
+/// Byte-budgeted pool of encoded spilled batches, keyed by batch index
+/// and shared by every tenant of a store. Eviction is strictly by heat: an
 /// insert evicts the coldest resident entries until it fits, and is
 /// refused outright when the incoming batch is colder than everything it
 /// would displace — the hottest batches survive, and the pool never
@@ -105,7 +105,7 @@ impl BatchCache {
         self.len() == 0
     }
 
-    /// Whether spill id `id` is resident.
+    /// Whether batch `id` is resident.
     pub fn contains(&self, id: usize) -> bool {
         lock(&self.inner).map.contains_key(&id)
     }
@@ -126,7 +126,7 @@ impl BatchCache {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Look up spill id `id`, refreshing its heat on a hit.
+    /// Look up batch `id`, refreshing its heat on a hit.
     pub fn get(&self, id: usize, heat: f64) -> Option<Arc<Vec<u8>>> {
         let mut st = lock(&self.inner);
         let e = st.map.get_mut(&id)?;
@@ -134,7 +134,7 @@ impl BatchCache {
         Some(Arc::clone(&e.bytes))
     }
 
-    /// Offer encoded bytes for spill id `id` at the given heat. Returns
+    /// Offer encoded bytes for batch `id` at the given heat. Returns
     /// whether the bytes are resident afterwards. The coldest entries are
     /// evicted to make room, but never ones hotter than the newcomer.
     pub fn insert(&self, id: usize, bytes: Vec<u8>, heat: f64) -> bool {
@@ -373,30 +373,26 @@ impl BatchProvider for TenantProvider {
 
     fn visit(&self, idx: usize, f: &mut dyn FnMut(&AnyBatch, &[f64])) {
         self.batches_visited.fetch_add(1, Ordering::Relaxed);
-        let Some(id) = self.store.spill_id(idx) else {
-            // In-memory entry: the store serves it with no IO accounting.
-            return self.store.visit(idx, f);
+        // In-memory entries never reach the fetch: the store serves them
+        // with no IO accounting.
+        let fetch = |loc: DiskLoc, visits: u64| {
+            let heat = self.heat(visits, loc.shard, loc.len);
+            let stats = self.store.stats();
+            if let Some(bytes) = self.cache.get(idx, heat) {
+                self.cache_hits.fetch_add(1, Ordering::Relaxed);
+                stats.cache_hits.fetch_add(1, Ordering::Relaxed);
+                return self.store.decode_spill(&bytes);
+            }
+            self.cache_misses.fetch_add(1, Ordering::Relaxed);
+            stats.cache_misses.fetch_add(1, Ordering::Relaxed);
+            self.throttle(loc.shard, loc.len);
+            let mut buf = Vec::with_capacity(loc.len);
+            self.store.read_spill_bytes(loc, &mut buf);
+            let b = self.store.decode_spill(&buf);
+            self.cache.insert(idx, buf, heat);
+            b
         };
-        let labels = self.store.entry_labels(idx);
-        let visits = self.store.record_spill_visit(id);
-        let (shard, len) = self.store.spill_shard_len(id);
-        let heat = self.heat(visits, shard, len);
-        let stats = self.store.stats();
-        if let Some(bytes) = self.cache.get(id, heat) {
-            self.cache_hits.fetch_add(1, Ordering::Relaxed);
-            stats.cache_hits.fetch_add(1, Ordering::Relaxed);
-            let b = self.store.decode_spill(&bytes);
-            f(&b, labels);
-            return;
-        }
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-        stats.cache_misses.fetch_add(1, Ordering::Relaxed);
-        self.throttle(shard, len);
-        let mut buf = Vec::with_capacity(len);
-        self.store.read_spill_bytes(id, &mut buf);
-        let b = self.store.decode_spill(&buf);
-        f(&b, labels);
-        self.cache.insert(id, buf, heat);
+        self.store.visit_with(idx, fetch, f);
     }
 
     fn end_epoch(&self) {

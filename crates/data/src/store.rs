@@ -1,4 +1,4 @@
-//! Memory-budgeted mini-batch stores with real disk spill.
+//! The memory-budgeted mini-batch store with real disk spill.
 //!
 //! Reproduces the system regime behind the paper's end-to-end results
 //! (Figure 1A/D, §5.3): encoded mini-batches live in memory until a
@@ -7,20 +7,23 @@
 //! format's batches fit in the budget is exactly what separates TOC from
 //! the baselines on the large-scale runs.
 //!
-//! Two providers implement the regime:
+//! [`ShardedSpillStore`] is the one provider of that regime. It lays
+//! spilled batches out across N shard files ([`StoreConfig::with_shards`];
+//! one shard models the paper's single disk), reads them with lock-free
+//! positional IO ([`crate::io::SpillFile`]), and optionally runs a
+//! background prefetch pipeline ([`StoreConfig::with_prefetch`]) that
+//! keeps upcoming batches decoded while the trainer computes on the
+//! current one. With [`StoreConfig::with_io`] set to
+//! [`IoEngineKind::Ring`] the pipeline runs on the async [`SpillIo`]
+//! engine — submissions and completions split, so K reads stay in flight
+//! per shard while decode workers parse completed buffers; with the
+//! default [`IoEngineKind::Sync`] each prefetch worker reads synchronously
+//! (read latency serializes with decode per worker).
 //!
-//! * [`MiniBatchStore`] — single spill file. The read path is positional
-//!   ([`crate::io::SpillFile`]): concurrent visitors never serialize on a
-//!   shared file cursor.
-//! * [`ShardedSpillStore`] — stripes spilled batches across N shard files
-//!   ([`StoreConfig::with_shards`]), reads them lock-free, and optionally
-//!   runs a background prefetch pipeline ([`StoreConfig::with_prefetch`])
-//!   that keeps upcoming batches decoded while the trainer computes on
-//!   the current one. With [`StoreConfig::with_io`] the pipeline runs on
-//!   an async [`SpillIo`] engine — submissions and completions split, so
-//!   K reads stay in flight per shard while decode workers parse
-//!   completed buffers; without it each prefetch worker reads
-//!   synchronously (read latency serializes with decode per worker).
+//! Build-time batches, batches the adaptive planner migrated, and
+//! segments appended to a live store by streaming ingest
+//! ([`ShardedSpillStore::open_streaming`]) all sit in one entry table and
+//! share one visit / rebalance / checkpoint / tenant-read path.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::{self, OpenOptions};
@@ -36,8 +39,7 @@ use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
 
 use crate::io::{
-    lock, rlock, wait, wlock, IoShards, PoolIo, RingIo, SpillDevice, SpillRequest, Ticket,
-    MAX_IO_THREADS,
+    lock, rlock, wait, wlock, IoShards, RingIo, SpillDevice, SpillRequest, Ticket, MAX_IO_THREADS,
 };
 pub use crate::io::{
     DeviceProfile, IoEngineKind, IoSnapshot, IoStats, Pinning, SchedulerConfig, SpillIo,
@@ -122,12 +124,13 @@ pub struct StoreConfig {
     /// parallel. Under an async engine the engine's IO threads absorb the
     /// sleep, overlapping it with decode. `None` performs raw IO only.
     pub disk_mbps: Option<f64>,
-    /// Number of shard files for [`ShardedSpillStore`]; `0` means one
-    /// shard per available hardware thread.
+    /// Number of shard files; `0` means one shard per available hardware
+    /// thread. Each shard is its own simulated device, so pin `1` to
+    /// model the paper's single disk under `disk_mbps`.
     pub shards: usize,
-    /// Prefetch pipeline depth for [`ShardedSpillStore`]: how many
-    /// upcoming spilled batches the pipeline keeps decoded (or in
-    /// flight) ahead of the visitors. `0` disables prefetch.
+    /// Prefetch pipeline depth: how many upcoming spilled batches the
+    /// pipeline keeps decoded (or in flight) ahead of the visitors. `0`
+    /// disables prefetch.
     pub prefetch: usize,
     /// Spill-IO engine for the prefetch pipeline (see [`IoEngineKind`]).
     pub io: IoEngineKind,
@@ -153,7 +156,7 @@ pub struct StoreConfig {
     /// many appended segments are sealed but not yet consumed by any
     /// visitor, accumulating the stall in
     /// [`IoStats::ingest_stall_ns`]. `0` (default) never blocks — the
-    /// ext-entry table grows as fast as the producer can encode.
+    /// entry table grows as fast as the producer can encode.
     pub max_pending: usize,
 }
 
@@ -299,221 +302,64 @@ fn resolve_spill_dir(config: &StoreConfig) -> (PathBuf, Option<PathBuf>) {
     }
 }
 
-/// First pass shared by both stores: encode every batch and decide memory
-/// vs. disk, preserving the original batch order (shuffle-once semantics).
+/// A batch staged by the first build pass, before shard layout.
 enum Pending {
     Mem(AnyBatch),
     Disk(Vec<u8>),
 }
 
-#[allow(clippy::type_complexity)]
-fn encode_batches(
-    x: &DenseMatrix,
-    labels: &[f64],
-    config: &StoreConfig,
-) -> (Vec<(Pending, Vec<f64>)>, usize, bool) {
-    assert_eq!(x.rows(), labels.len());
-    let mut pending: Vec<(Pending, Vec<f64>)> = Vec::new();
-    let mut memory_bytes = 0usize;
-    let mut any_spilled = false;
-    let mut start = 0usize;
-    while start < x.rows() {
-        let end = (start + config.batch_rows).min(x.rows());
-        let dense = x.slice_rows(start, end);
-        let batch = config.scheme.encode_with(&dense, &config.encode);
-        let y = labels[start..end].to_vec();
-        let size = batch.size_bytes();
-        if memory_bytes + size <= config.memory_budget {
-            memory_bytes += size;
-            pending.push((Pending::Mem(batch), y));
-        } else {
-            any_spilled = true;
-            pending.push((Pending::Disk(batch.to_bytes()), y));
-        }
-        start = end;
+/// The memory-vs-disk budget decision every build path shares: a batch
+/// stays resident while it fits in what is left of `budget`, anything
+/// beyond is serialized for the spill. Original batch order is preserved
+/// (shuffle-once semantics).
+fn stage_batch(
+    pending: &mut Vec<(Pending, Vec<f64>)>,
+    memory_bytes: &mut usize,
+    budget: usize,
+    batch: AnyBatch,
+    labels: Vec<f64>,
+) {
+    let size = batch.size_bytes();
+    if *memory_bytes + size <= budget {
+        *memory_bytes += size;
+        pending.push((Pending::Mem(batch), labels));
+    } else {
+        pending.push((Pending::Disk(batch.to_bytes()), labels));
     }
-    (pending, memory_bytes, any_spilled)
 }
 
-/// Read one spilled batch through the shared device context and parse it.
-/// Panics on IO failure or corrupt bytes — the synchronous visit path
-/// surfaces spill corruption loudly instead of training on garbage.
-fn read_parse(io: &IoShards, shard: usize, offset: u64, len: usize, buf: &mut Vec<u8>) -> AnyBatch {
-    io.read_range(shard, offset, len, buf)
-        .expect("read spill file");
-    Scheme::from_bytes(buf).expect("spill data corrupted")
-}
-
-// ---------------------------------------------------------------------------
-// MiniBatchStore: the single-file store.
-
-enum Location {
-    Memory(AnyBatch),
-    Disk { offset: u64, len: usize },
-}
-
-/// The single-file out-of-core mini-batch store. Implements
-/// [`toc_ml::mgd::BatchProvider`], so it plugs directly into the trainer.
-/// The read path is positional: concurrent visitors never contend on a
-/// file cursor or lock (unix; see [`crate::io::SpillFile`]).
-pub struct MiniBatchStore {
+/// Create (truncating) `n` shard files for a new store under `dir`. The
+/// per-store id in the names keeps two stores sharing an explicit
+/// `spill_dir` (and scheme) from truncating or unlinking each other's
+/// live shards.
+fn create_shard_files(
+    dir: &Path,
     scheme: Scheme,
-    features: usize,
-    entries: Vec<(Location, Vec<f64>)>,
-    io: Arc<IoShards>,
-    spill_path: Option<PathBuf>,
-    owns_dir: Option<PathBuf>,
-    memory_bytes: usize,
-    spilled_bytes: usize,
-}
-
-impl MiniBatchStore {
-    /// Encode `x` into mini-batches under `config`, spilling past the
-    /// memory budget. `labels` follow the `toc-ml` convention.
-    pub fn build(x: &DenseMatrix, labels: &[f64], config: &StoreConfig) -> std::io::Result<Self> {
-        let (pending, memory_bytes, any_spilled) = encode_batches(x, labels, config);
-
-        // Second pass: lay spilled batches out in the spill file, keeping
-        // entry order aligned with batch order.
-        let mut entries = Vec::with_capacity(pending.len());
-        let (devices, spill_path, owns_dir, spilled_bytes) = if !any_spilled {
-            for (p, y) in pending {
-                match p {
-                    Pending::Mem(b) => entries.push((Location::Memory(b), y)),
-                    Pending::Disk(_) => unreachable!(),
-                }
-            }
-            (Vec::new(), None, None, 0)
-        } else {
-            let (dir, owns) = resolve_spill_dir(config);
-            fs::create_dir_all(&dir)?;
-            // Per-store id in the name: two stores sharing an explicit
-            // spill_dir (and scheme) must not truncate or unlink each
-            // other's live spill file.
-            let path = dir.join(format!(
-                "spill-{}-{}.bin",
-                config.scheme.tag(),
-                NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
-            ));
-            let mut f = OpenOptions::new()
+    n: usize,
+) -> std::io::Result<Vec<(fs::File, PathBuf)>> {
+    fs::create_dir_all(dir)?;
+    let store_id = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
+    (0..n)
+        .map(|s| {
+            let path = dir.join(format!("spill-{}-{store_id}-s{s}.bin", scheme.tag()));
+            let file = OpenOptions::new()
                 .create(true)
                 .write(true)
                 .read(true)
                 .truncate(true)
                 .open(&path)?;
-            let mut offset = 0u64;
-            let mut total = 0usize;
-            for (p, y) in pending {
-                match p {
-                    Pending::Mem(b) => entries.push((Location::Memory(b), y)),
-                    Pending::Disk(bytes) => {
-                        f.write_all(&bytes)?;
-                        entries.push((
-                            Location::Disk {
-                                offset,
-                                len: bytes.len(),
-                            },
-                            y,
-                        ));
-                        offset += bytes.len() as u64;
-                        total += bytes.len();
-                    }
-                }
-            }
-            f.sync_all()?;
-            (vec![SpillDevice::new(f)], Some(path), owns, total)
-        };
-
-        Ok(Self {
-            scheme: config.scheme,
-            features: x.cols(),
-            entries,
-            io: Arc::new(IoShards::new(devices, config.disk_mbps)),
-            spill_path,
-            owns_dir,
-            memory_bytes,
-            spilled_bytes,
+            Ok((file, path))
         })
-    }
-
-    /// Number of batches kept in memory.
-    pub fn in_memory_batches(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|(l, _)| matches!(l, Location::Memory(_)))
-            .count()
-    }
-
-    /// Number of batches on disk.
-    pub fn spilled_batches(&self) -> usize {
-        self.entries.len() - self.in_memory_batches()
-    }
-
-    /// Bytes of encoded batches resident in memory.
-    pub fn memory_bytes(&self) -> usize {
-        self.memory_bytes
-    }
-
-    /// Bytes of encoded batches on disk.
-    pub fn spilled_bytes(&self) -> usize {
-        self.spilled_bytes
-    }
-
-    /// Total encoded footprint.
-    pub fn total_bytes(&self) -> usize {
-        self.memory_bytes + self.spilled_bytes
-    }
-
-    /// The scheme this store encodes with.
-    pub fn scheme(&self) -> Scheme {
-        self.scheme
-    }
-
-    /// Cumulative IO statistics.
-    pub fn stats(&self) -> &IoStats {
-        &self.io.stats
-    }
-
-    fn read_disk(&self, offset: u64, len: usize) -> AnyBatch {
-        SYNC_SPILL_BUF.with(|cell| read_parse(&self.io, 0, offset, len, &mut cell.borrow_mut()))
-    }
+        .collect()
 }
 
-impl BatchProvider for MiniBatchStore {
-    fn num_batches(&self) -> usize {
-        self.entries.len()
-    }
-
-    fn num_features(&self) -> usize {
-        self.features
-    }
-
-    fn visit(&self, idx: usize, f: &mut dyn FnMut(&AnyBatch, &[f64])) {
-        let (loc, labels) = &self.entries[idx];
-        match loc {
-            Location::Memory(b) => f(b, labels),
-            Location::Disk { offset, len } => {
-                let b = self.read_disk(*offset, *len);
-                f(&b, labels);
-            }
-        }
-    }
-}
-
-impl Drop for MiniBatchStore {
-    fn drop(&mut self) {
-        // Best-effort cleanup of the spill artifacts we created. Close
-        // the spill file first: fields drop only after this body, and the
-        // portable (non-unix) path cannot unlink a file that is still
-        // open.
-        self.io = Arc::new(IoShards::new(Vec::new(), None));
-        if let Some(p) = &self.spill_path {
-            let _ = fs::remove_file(p);
-        }
-        if let Some(d) = &self.owns_dir {
-            let _ = fs::remove_dir(d);
-        }
-    }
+/// Read one spilled batch through the shared device context and parse it.
+/// Panics on IO failure or corrupt bytes — the synchronous visit path
+/// surfaces spill corruption loudly instead of training on garbage.
+fn read_parse(io: &IoShards, loc: DiskLoc, buf: &mut Vec<u8>) -> AnyBatch {
+    io.read_range(loc.shard, loc.offset, loc.len, buf)
+        .expect("read spill file");
+    Scheme::from_bytes(buf).expect("spill data corrupted")
 }
 
 // ---------------------------------------------------------------------------
@@ -521,19 +367,53 @@ impl Drop for MiniBatchStore {
 
 /// Where a spilled batch lives.
 #[derive(Clone, Copy, Debug)]
-struct DiskLoc {
-    shard: usize,
-    offset: u64,
-    len: usize,
+pub(crate) struct DiskLoc {
+    pub(crate) shard: usize,
+    pub(crate) offset: u64,
+    pub(crate) len: usize,
 }
 
 enum Slot {
     Memory(AnyBatch),
-    /// Spilled: the index into `Inner::locs`/`Inner::visits` (spill ids
-    /// are assigned in entry order, so `Inner::spilled_order[id]` is this
-    /// entry's index). The location itself lives behind a lock because
-    /// adaptive placement repoints it between epochs.
-    Disk(usize),
+    /// Spilled. The location sits behind a lock because adaptive
+    /// placement repoints it between epochs; every reader takes a brief
+    /// read lock (cheap next to the file IO it precedes).
+    Disk(RwLock<DiskLoc>),
+}
+
+/// One batch of the store — resident or spilled at build time, or
+/// appended to a live store by streaming ingest
+/// ([`ShardedSpillStore::append_sealed`]). Entries are `Arc`-shared so a
+/// visitor clones one out of a brief table read lock and decodes without
+/// holding any lock.
+struct Entry {
+    slot: Slot,
+    labels: Vec<f64>,
+    /// Visit count of a spilled entry — the hotness signal the adaptive
+    /// planner and the tenant cache rank batches by.
+    visits: AtomicU64,
+}
+
+impl Entry {
+    fn new(slot: Slot, labels: Vec<f64>) -> Arc<Self> {
+        Arc::new(Self {
+            slot,
+            labels,
+            visits: AtomicU64::new(0),
+        })
+    }
+
+    fn spilled(loc: DiskLoc, labels: Vec<f64>) -> Arc<Self> {
+        Self::new(Slot::Disk(RwLock::new(loc)), labels)
+    }
+
+    /// Current location, when the entry is disk-resident.
+    fn loc(&self) -> Option<DiskLoc> {
+        match &self.slot {
+            Slot::Disk(loc) => Some(*rlock(loc)),
+            Slot::Memory(_) => None,
+        }
+    }
 }
 
 /// Per-shard bookkeeping that is not part of the read path.
@@ -553,54 +433,36 @@ struct PlacementStats {
     migrated_bytes: AtomicU64,
 }
 
-/// A segment appended to a *live* store by the streaming-ingest path
-/// ([`ShardedSpillStore::append_sealed`]). Appended entries live outside
-/// the immutable build-time tables (`Inner::entries` / `Inner::visits` /
-/// `Inner::spilled_order`), which are read lock-free by the prefetch
-/// pipeline and must never reallocate under a reader. Each ext entry is
-/// `Arc`-shared so a visitor clones it out of a brief table read lock and
-/// decodes without holding any lock; the location sits behind its own
-/// lock because the adaptive migrator repoints appended segments too.
-struct ExtEntry {
-    loc: RwLock<DiskLoc>,
-    labels: Vec<f64>,
-    /// Hotness signal for the adaptive planner, parallel to
-    /// `Inner::visits` for build-time entries.
-    visits: AtomicU64,
-}
-
 /// State shared between the store handle and the prefetch workers.
 struct Inner {
     scheme: Scheme,
     features: usize,
-    entries: Vec<(Slot, Vec<f64>)>,
-    /// Indices of the disk-resident entries, ascending — the cyclic orbit
-    /// the prefetch lookahead walks (a store can hold arbitrarily many
-    /// in-memory batches between spilled ones; scanning `entries` for the
-    /// next spilled index under the prefetch lock would be O(n)).
-    spilled_order: Vec<usize>,
-    /// Current location of each spilled batch, by spill id. Written only
-    /// by [`ShardedSpillStore::rebalance`]; every reader takes a brief
-    /// read lock (cheap next to the file IO it precedes).
-    locs: RwLock<Vec<DiskLoc>>,
-    /// Per-spill-id visit counts — the hotness signal the adaptive
-    /// planner ranks batches by.
-    visits: Vec<AtomicU64>,
-    /// Segments appended after build by streaming ingest, in append
-    /// order. Readers may only index below the `sealed` watermark.
-    ext: RwLock<Vec<Arc<ExtEntry>>>,
-    /// Visibility watermark for `ext`: bumped with `Release` only after a
-    /// segment's bytes are fully in its shard file *and* its entry is
-    /// pushed, so any index below the watermark (loaded with `Acquire`)
-    /// resolves to completely-written, decodable bytes.
+    /// The one entry table, in visit order: build-time batches first,
+    /// then every segment streaming ingest appended. It only grows, and
+    /// only under the `append` mutex; readers may index below the
+    /// `sealed` watermark.
+    entries: RwLock<Vec<Arc<Entry>>>,
+    /// Visibility watermark for `entries`: stored with `Release` only
+    /// after a segment's bytes are fully in its shard file *and* its
+    /// entry is pushed, so any index below the watermark (loaded with
+    /// `Acquire`) resolves to completely-written, decodable bytes.
     sealed: AtomicUsize,
+    /// Entries present when the store was built (everything after them
+    /// was appended).
+    built: usize,
+    /// Indices of the build-time disk-resident entries, ascending — the
+    /// cyclic orbit the prefetch lookahead walks (a store can hold
+    /// arbitrarily many in-memory batches between spilled ones; scanning
+    /// the table for the next spilled index under the prefetch lock
+    /// would be O(n)).
+    spilled_order: Vec<usize>,
     shard_meta: Vec<ShardMeta>,
     /// Streaming-append state (cursors, sequence, byte total). Doubles as
     /// the placement mutation lock: rebalance and streaming-ingest
     /// appends hold it end to end, so plans and cursor bumps never
     /// interleave — and because the sequence number lives *inside* the
     /// mutex, two racing appenders serialize instead of interleaving
-    /// sequence numbers (the old unsynchronized `sealed` pre-read).
+    /// sequence numbers.
     append: Mutex<AppendState>,
     /// Exclusive [`crate::StoreIngest`] registration: one structured
     /// ingest driver at a time (raw `append_sealed` calls stay legal and
@@ -608,9 +470,9 @@ struct Inner {
     appender_active: std::sync::atomic::AtomicBool,
     /// Bounded sealed-chunk budget (`0` = unbounded).
     max_pending: usize,
-    /// Consumed watermark for backpressure: the highest appended index
-    /// any visitor has finished reading, plus one. `append_sealed` blocks
-    /// while `sealed - consumed >= max_pending`.
+    /// Consumed watermark for backpressure: the highest spilled index any
+    /// visitor has finished reading, plus one (never below `built`).
+    /// `append_sealed` blocks while `sealed - consumed >= max_pending`.
     consumed: Mutex<usize>,
     /// Wakes a blocked producer when a visitor advances `consumed`.
     consumed_cv: Condvar,
@@ -780,22 +642,13 @@ struct AppendState {
 
 impl Inner {
     fn disk_loc(&self, idx: usize) -> Option<DiskLoc> {
-        match &self.entries[idx].0 {
-            Slot::Disk(id) => Some(rlock(&self.locs)[*id]),
-            Slot::Memory(_) => None,
-        }
+        rlock(&self.entries)[idx].loc()
     }
 
-    /// Read and parse one spilled batch into the caller's reusable
-    /// staging slot.
-    fn read_disk(&self, loc: DiskLoc, buf: &mut Vec<u8>) -> AnyBatch {
-        read_parse(&self.io, loc.shard, loc.offset, loc.len, buf)
-    }
-
-    /// [`Self::read_disk`] staged through the visitor thread's reusable
-    /// buffer (plain visits and prefetch misses).
+    /// Read and parse one spilled batch, staged through the visitor
+    /// thread's reusable buffer (plain visits and prefetch misses).
     fn read_disk_sync(&self, loc: DiskLoc) -> AnyBatch {
-        SYNC_SPILL_BUF.with(|cell| self.read_disk(loc, &mut cell.borrow_mut()))
+        SYNC_SPILL_BUF.with(|cell| read_parse(&self.io, loc, &mut cell.borrow_mut()))
     }
 }
 
@@ -860,6 +713,8 @@ fn submit_lookahead(
     if order.is_empty() {
         return;
     }
+    // One table read lock for the whole walk, not one per candidate.
+    let entries = rlock(&inner.entries);
     let start = match after {
         Some(idx) => order.partition_point(|&i| i <= idx),
         None => 0,
@@ -876,8 +731,8 @@ fn submit_lookahead(
         if st.pending.contains(&i) || st.ready.contains_key(&i) {
             continue;
         }
-        let loc = inner
-            .disk_loc(i)
+        let loc = entries[i]
+            .loc()
             .expect("spilled_order holds a memory entry");
         if st.in_flight_shard[loc.shard] >= depth {
             continue;
@@ -977,7 +832,7 @@ impl Prefetcher {
             // simply no longer tracked — the visitor falls through to the
             // synchronous path and surfaces the underlying error itself.
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                inner.read_disk(loc, &mut scratch.spill_bytes)
+                read_parse(&inner.io, loc, &mut scratch.spill_bytes)
             }));
             let mut st = lock(&shared.state);
             st.pending.remove(&idx);
@@ -1082,9 +937,27 @@ const PACK_RUNS_PER_SHARD: usize = 4;
 impl ShardedSpillStore {
     /// Encode `x` into mini-batches under `config`, laying everything
     /// past the memory budget out across `config.shards` shard files.
+    /// `labels` follow the `toc-ml` convention.
     pub fn build(x: &DenseMatrix, labels: &[f64], config: &StoreConfig) -> std::io::Result<Self> {
-        let (pending, memory_bytes, any_spilled) = encode_batches(x, labels, config);
-        Self::from_pending(pending, memory_bytes, any_spilled, x.cols(), config)
+        assert_eq!(x.rows(), labels.len());
+        let mut pending = Vec::new();
+        let mut memory_bytes = 0usize;
+        let mut start = 0usize;
+        while start < x.rows() {
+            let end = (start + config.batch_rows).min(x.rows());
+            let batch = config
+                .scheme
+                .encode_with(&x.slice_rows(start, end), &config.encode);
+            stage_batch(
+                &mut pending,
+                &mut memory_bytes,
+                config.memory_budget,
+                batch,
+                labels[start..end].to_vec(),
+            );
+            start = end;
+        }
+        Self::from_pending(pending, memory_bytes, x.cols(), config)
     }
 
     /// Build the store by streaming a v2 `.tocz` container instead of a
@@ -1106,30 +979,23 @@ impl ShardedSpillStore {
             )));
         }
         let d = cols - 1;
-        let mut pending: Vec<(Pending, Vec<f64>)> = Vec::new();
+        let mut pending = Vec::new();
         let mut memory_bytes = 0usize;
-        let mut any_spilled = false;
         let mut stage: Vec<f64> = Vec::with_capacity(config.batch_rows * d);
         let mut stage_y: Vec<f64> = Vec::with_capacity(config.batch_rows);
-        let flush = |stage: &mut Vec<f64>,
-                     stage_y: &mut Vec<f64>,
-                     pending: &mut Vec<(Pending, Vec<f64>)>,
-                     memory_bytes: &mut usize,
-                     any_spilled: &mut bool| {
+        let mut flush = |stage: &mut Vec<f64>, stage_y: &mut Vec<f64>| {
             if stage_y.is_empty() {
                 return;
             }
             let dense = DenseMatrix::from_vec(stage_y.len(), d, std::mem::take(stage));
             let batch = config.scheme.encode_with(&dense, &config.encode);
-            let y = std::mem::take(stage_y);
-            let size = batch.size_bytes();
-            if *memory_bytes + size <= config.memory_budget {
-                *memory_bytes += size;
-                pending.push((Pending::Mem(batch), y));
-            } else {
-                *any_spilled = true;
-                pending.push((Pending::Disk(batch.to_bytes()), y));
-            }
+            stage_batch(
+                &mut pending,
+                &mut memory_bytes,
+                config.memory_budget,
+                batch,
+                std::mem::take(stage_y),
+            );
         };
         for seg in 0..sc.num_segments() {
             let dense = sc.decode_segment(seg).map_err(inval)?.decode();
@@ -1138,34 +1004,21 @@ impl ShardedSpillStore {
                 stage.extend_from_slice(&row[..d]);
                 stage_y.push(if row[d] >= 0.0 { 1.0 } else { -1.0 });
                 if stage_y.len() == config.batch_rows {
-                    flush(
-                        &mut stage,
-                        &mut stage_y,
-                        &mut pending,
-                        &mut memory_bytes,
-                        &mut any_spilled,
-                    );
+                    flush(&mut stage, &mut stage_y);
                 }
             }
         }
-        flush(
-            &mut stage,
-            &mut stage_y,
-            &mut pending,
-            &mut memory_bytes,
-            &mut any_spilled,
-        );
-        Self::from_pending(pending, memory_bytes, any_spilled, d, config)
+        flush(&mut stage, &mut stage_y);
+        Self::from_pending(pending, memory_bytes, d, config)
     }
 
     /// Second phase shared by [`ShardedSpillStore::build`] and
-    /// [`ShardedSpillStore::build_from_container`]: lay spilled batches
-    /// out across shard files, resolve placement/scheduling, and start
-    /// the prefetch pipeline.
+    /// [`ShardedSpillStore::build_from_container`]: lay the spilled
+    /// batches out across shard files (none when everything fit in
+    /// memory).
     fn from_pending(
         pending: Vec<(Pending, Vec<f64>)>,
         memory_bytes: usize,
-        any_spilled: bool,
         features: usize,
         config: &StoreConfig,
     ) -> std::io::Result<Self> {
@@ -1176,113 +1029,107 @@ impl ShardedSpillStore {
                 Pending::Mem(_) => None,
             })
             .collect();
-        let spilled_count = spill_sizes.len();
-
-        let mut entries = Vec::with_capacity(pending.len());
-        let mut locs: Vec<DiskLoc> = Vec::with_capacity(spilled_count);
-        let (devices, shard_meta, append, owns_dir, spilled_bytes) = if !any_spilled {
-            for (p, y) in pending {
-                match p {
-                    Pending::Mem(b) => entries.push((Slot::Memory(b), y)),
-                    Pending::Disk(_) => unreachable!(),
-                }
-            }
-            (Vec::new(), Vec::new(), Vec::new(), None, 0)
+        let (mut shards, owns_dir) = if spill_sizes.is_empty() {
+            (Vec::new(), None)
         } else {
-            let (dir, owns) = resolve_spill_dir(config);
-            fs::create_dir_all(&dir)?;
-            let n_shards = config.resolved_shards().clamp(1, spilled_count);
-            let assignment = place_spilled(&spill_sizes, n_shards, config.placement);
-            let store_id = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
-            let mut files = Vec::with_capacity(n_shards);
-            let mut paths = Vec::with_capacity(n_shards);
-            for s in 0..n_shards {
-                let path = dir.join(format!(
-                    "spill-{}-{}-s{}.bin",
-                    config.scheme.tag(),
-                    store_id,
-                    s
-                ));
-                files.push(
-                    OpenOptions::new()
-                        .create(true)
-                        .write(true)
-                        .read(true)
-                        .truncate(true)
-                        .open(&path)?,
-                );
-                paths.push(path);
-            }
-            let mut offsets = vec![0u64; n_shards];
-            let mut spill_idx = 0usize;
-            let mut total = 0usize;
-            for (p, y) in pending {
-                match p {
-                    Pending::Mem(b) => entries.push((Slot::Memory(b), y)),
-                    Pending::Disk(bytes) => {
-                        let s = assignment[spill_idx];
-                        files[s].write_all(&bytes)?;
-                        entries.push((Slot::Disk(spill_idx), y));
-                        locs.push(DiskLoc {
-                            shard: s,
-                            offset: offsets[s],
-                            len: bytes.len(),
-                        });
-                        spill_idx += 1;
-                        offsets[s] += bytes.len() as u64;
-                        total += bytes.len();
-                    }
-                }
-            }
-            // Per-shard device profiles: the fault plan's (test harness)
-            // win over the config's; both cycle when shorter than the
-            // shard count.
-            let profiles: &[DeviceProfile] = config
-                .fault
-                .as_ref()
-                .map(|f| f.device_profiles.as_slice())
-                .filter(|p| !p.is_empty())
-                .unwrap_or(&config.shard_profiles);
-            let shards: Vec<(SpillDevice, ShardMeta)> = files
-                .into_iter()
-                .zip(paths)
-                .enumerate()
-                .map(|(s, (f, path))| {
-                    let profile = (!profiles.is_empty()).then(|| profiles[s % profiles.len()]);
-                    f.sync_all()
-                        .map(|_| (SpillDevice::with_profile(f, profile), ShardMeta { path }))
-                })
-                .collect::<std::io::Result<_>>()?;
-            let (devices, meta) = shards.into_iter().unzip();
-            (devices, meta, offsets, owns, total)
+            let (dir, owns_dir) = resolve_spill_dir(config);
+            let n_shards = config.resolved_shards().clamp(1, spill_sizes.len());
+            (create_shard_files(&dir, config.scheme, n_shards)?, owns_dir)
         };
+        let assignment = place_spilled(&spill_sizes, shards.len().max(1), config.placement);
+        let mut cursors = vec![0u64; shards.len()];
+        let mut spill_idx = 0usize;
+        let mut entries = Vec::with_capacity(pending.len());
+        for (p, y) in pending {
+            entries.push(match p {
+                Pending::Mem(b) => Entry::new(Slot::Memory(b), y),
+                Pending::Disk(bytes) => {
+                    let shard = assignment[spill_idx];
+                    spill_idx += 1;
+                    shards[shard].0.write_all(&bytes)?;
+                    let loc = DiskLoc {
+                        shard,
+                        offset: cursors[shard],
+                        len: bytes.len(),
+                    };
+                    cursors[shard] += bytes.len() as u64;
+                    Entry::spilled(loc, y)
+                }
+            });
+        }
+        for (file, _) in &shards {
+            file.sync_all()?;
+        }
+        Self::assemble(config, features, entries, 0, shards, owns_dir, memory_bytes)
+    }
 
-        let spilled_order: Vec<usize> = entries
+    /// The one place a store comes together, whatever produced its
+    /// entries and shard files (a build, an empty streaming open, or a
+    /// checkpoint resume): device profiles, the shared [`Inner`],
+    /// scheduler resolution + pin-map validation, and the prefetch
+    /// pipeline. The last `appended` entries count as stream-appended;
+    /// the prefetcher covers the build-time spilled entries before them.
+    /// Appends continue at each shard file's current length.
+    fn assemble(
+        config: &StoreConfig,
+        features: usize,
+        entries: Vec<Arc<Entry>>,
+        appended: usize,
+        shards: Vec<(fs::File, PathBuf)>,
+        owns_dir: Option<PathBuf>,
+        memory_bytes: usize,
+    ) -> std::io::Result<Self> {
+        let cursors = shards
             .iter()
+            .map(|(file, _)| Ok(file.metadata()?.len()))
+            .collect::<std::io::Result<Vec<u64>>>()?;
+        // Per-shard device profiles: the fault plan's (test harness) win
+        // over the config's; both cycle when shorter than the shard count.
+        let profiles: &[DeviceProfile] = config
+            .fault
+            .as_ref()
+            .map(|f| f.device_profiles.as_slice())
+            .filter(|p| !p.is_empty())
+            .unwrap_or(&config.shard_profiles);
+        let (devices, shard_meta): (Vec<_>, Vec<_>) = shards
+            .into_iter()
             .enumerate()
-            .filter_map(|(i, (s, _))| matches!(s, Slot::Disk(_)).then_some(i))
-            .collect();
+            .map(|(s, (file, path))| {
+                let profile = (!profiles.is_empty()).then(|| profiles[s % profiles.len()]);
+                (SpillDevice::with_profile(file, profile), ShardMeta { path })
+            })
+            .unzip();
         let n_shards = devices.len();
         let io = Arc::new(IoShards::new(devices, config.disk_mbps));
-        let visits = (0..locs.len()).map(|_| AtomicU64::new(0)).collect();
+
+        let built = entries.len() - appended;
+        let spilled_len = |es: &[Arc<Entry>]| -> u64 {
+            es.iter()
+                .filter_map(|e| e.loc())
+                .map(|l| l.len as u64)
+                .sum()
+        };
+        let spilled_bytes = spilled_len(&entries[..built]) as usize;
+        let appended_bytes = spilled_len(&entries[built..]);
+        let spilled_order: Vec<usize> = (0..built)
+            .filter(|&i| matches!(entries[i].slot, Slot::Disk(_)))
+            .collect();
         let inner = Arc::new(Inner {
             scheme: config.scheme,
             features,
-            entries,
+            sealed: AtomicUsize::new(entries.len()),
+            entries: RwLock::new(entries),
+            built,
             spilled_order,
-            locs: RwLock::new(locs),
-            visits,
-            ext: RwLock::new(Vec::new()),
-            sealed: AtomicUsize::new(0),
             shard_meta,
             append: Mutex::new(AppendState {
-                cursors: append,
-                seq: 0,
-                bytes: 0,
+                cursors,
+                seq: appended,
+                bytes: appended_bytes,
             }),
             appender_active: std::sync::atomic::AtomicBool::new(false),
             max_pending: config.max_pending,
-            consumed: Mutex::new(0),
+            consumed: Mutex::new(built),
             consumed_cv: Condvar::new(),
             peak_pending: AtomicUsize::new(0),
             placement_stats: PlacementStats::default(),
@@ -1294,20 +1141,21 @@ impl ShardedSpillStore {
         let sched = &config.scheduler;
         let decode_workers = sched.resolved_decode_workers(config.prefetch, MAX_PREFETCH_WORKERS);
         let io_threads = sched.resolved_io_threads(config.io, n_shards.max(1), config.prefetch);
-        // A fault plan replaces the configured engine with FaultyIo, whose
-        // worker count comes from the plan — report what actually runs.
-        let engine_io_threads = match &config.fault {
-            Some(plan) => plan.resolved_workers(),
-            None => io_threads,
-        };
-        if n_shards > 0 {
+        let ring_assign = if n_shards > 0 {
             sched
                 .ring_assignment(n_shards, io_threads)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        }
-        let prefetcher = if config.prefetch > 0 && spilled_count > 0 {
-            let lanes = sched.completion_lanes(decode_workers, n_shards);
+                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?
+        } else {
+            Vec::new()
+        };
+        let mut engine_io_threads = 0;
+        let prefetcher = (config.prefetch > 0 && !inner.spilled_order.is_empty()).then(|| {
+            // A fault plan replaces the configured engine with FaultyIo,
+            // whose worker count comes from the plan. IO threads are
+            // reported only when an async engine actually runs them; the
+            // sync pipeline's reads happen inside the decode workers.
             let engine: Option<Arc<dyn SpillIo>> = if let Some(plan) = &config.fault {
+                engine_io_threads = plan.resolved_workers();
                 Some(Arc::new(crate::testing::FaultyIo::start(
                     Arc::clone(&io),
                     plan.clone(),
@@ -1315,34 +1163,20 @@ impl ShardedSpillStore {
             } else {
                 match config.io {
                     IoEngineKind::Sync => None,
-                    IoEngineKind::Pool => {
-                        Some(Arc::new(PoolIo::start(Arc::clone(&io), io_threads, lanes)))
-                    }
                     IoEngineKind::Ring => {
-                        let assign = sched
-                            .ring_assignment(n_shards, io_threads)
-                            .expect("pin map validated above");
+                        engine_io_threads = io_threads;
+                        let lanes = sched.completion_lanes(decode_workers, n_shards);
                         Some(Arc::new(RingIo::start(
                             Arc::clone(&io),
                             io_threads,
-                            assign,
+                            ring_assign,
                             lanes,
                         )))
                     }
                 }
             };
-            Some(Prefetcher::start(
-                Arc::clone(&inner),
-                config.prefetch,
-                engine,
-                decode_workers,
-            ))
-        } else {
-            None
-        };
-        // Report IO threads only when an async engine actually runs them;
-        // the sync pipeline's reads happen inside the decode workers.
-        let engine_running = prefetcher.as_ref().is_some_and(|p| p.engine.is_some());
+            Prefetcher::start(Arc::clone(&inner), config.prefetch, engine, decode_workers)
+        });
         Ok(Self {
             inner,
             prefetcher,
@@ -1351,97 +1185,28 @@ impl ShardedSpillStore {
             spilled_bytes,
             placement: config.placement,
             scheduler: config.scheduler.clone(),
-            io_threads: if engine_running { engine_io_threads } else { 0 },
+            io_threads: engine_io_threads,
             decode_workers,
             ingest_fault: config.fault.clone(),
         })
     }
 
-    /// Open an *empty* live store for streaming ingestion: the shard
-    /// files are created up front and every segment subsequently landed
-    /// via [`ShardedSpillStore::append_sealed`] goes straight to disk, so
-    /// ingest memory stays bounded by the encoder workspace no matter how
-    /// many rows arrive. Trainers, tenant readers and the adaptive
-    /// migrator may run concurrently from the first append: each segment
-    /// becomes visible atomically once sealed. The prefetch pipeline does
-    /// not cover appended segments — their reads take the same charged
-    /// synchronous path plain visits use — and a fault plan contributes
+    /// Open an *empty* live store for streaming ingestion — a store built
+    /// from zero batches whose shard files exist up front: every segment
+    /// subsequently landed via [`ShardedSpillStore::append_sealed`] goes
+    /// straight to disk, so ingest memory stays bounded by the encoder
+    /// workspace no matter how many rows arrive. Trainers, tenant readers
+    /// and the adaptive migrator may run concurrently from the first
+    /// append: each segment becomes visible atomically once sealed. The
+    /// prefetch pipeline does not cover appended segments — their reads
+    /// take the charged synchronous path — and a fault plan contributes
     /// its `device_profiles` to the shard devices and its write faults to
     /// the append path.
     pub fn open_streaming(features: usize, config: &StoreConfig) -> std::io::Result<Self> {
         let (dir, owns_dir) = resolve_spill_dir(config);
-        fs::create_dir_all(&dir)?;
         let n_shards = config.resolved_shards().max(1);
-        let store_id = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
-        let profiles: &[DeviceProfile] = config
-            .fault
-            .as_ref()
-            .map(|f| f.device_profiles.as_slice())
-            .filter(|p| !p.is_empty())
-            .unwrap_or(&config.shard_profiles);
-        let mut devices = Vec::with_capacity(n_shards);
-        let mut shard_meta = Vec::with_capacity(n_shards);
-        for s in 0..n_shards {
-            let path = dir.join(format!(
-                "spill-{}-{}-s{}.bin",
-                config.scheme.tag(),
-                store_id,
-                s
-            ));
-            let f = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .read(true)
-                .truncate(true)
-                .open(&path)?;
-            let profile = (!profiles.is_empty()).then(|| profiles[s % profiles.len()]);
-            devices.push(SpillDevice::with_profile(f, profile));
-            shard_meta.push(ShardMeta { path });
-        }
-        let io = Arc::new(IoShards::new(devices, config.disk_mbps));
-        let inner = Arc::new(Inner {
-            scheme: config.scheme,
-            features,
-            entries: Vec::new(),
-            spilled_order: Vec::new(),
-            locs: RwLock::new(Vec::new()),
-            visits: Vec::new(),
-            ext: RwLock::new(Vec::new()),
-            sealed: AtomicUsize::new(0),
-            shard_meta,
-            append: Mutex::new(AppendState {
-                cursors: vec![0u64; n_shards],
-                seq: 0,
-                bytes: 0,
-            }),
-            appender_active: std::sync::atomic::AtomicBool::new(false),
-            max_pending: config.max_pending,
-            consumed: Mutex::new(0),
-            consumed_cv: Condvar::new(),
-            peak_pending: AtomicUsize::new(0),
-            placement_stats: PlacementStats::default(),
-            io,
-        });
-        // Same scheduling resolution as `from_pending`, so the report and
-        // an invalid pin map behave identically for streaming stores.
-        let sched = &config.scheduler;
-        let decode_workers = sched.resolved_decode_workers(config.prefetch, MAX_PREFETCH_WORKERS);
-        let io_threads = sched.resolved_io_threads(config.io, n_shards, config.prefetch);
-        sched
-            .ring_assignment(n_shards, io_threads)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?;
-        Ok(Self {
-            inner,
-            prefetcher: None,
-            owns_dir,
-            memory_bytes: 0,
-            spilled_bytes: 0,
-            placement: config.placement,
-            scheduler: config.scheduler.clone(),
-            io_threads: 0,
-            decode_workers,
-            ingest_fault: config.fault.clone(),
-        })
+        let shards = create_shard_files(&dir, config.scheme, n_shards)?;
+        Self::assemble(config, features, Vec::new(), 0, shards, owns_dir, 0)
     }
 
     /// Append one sealed (already encoded) segment and its labels to the
@@ -1498,31 +1263,31 @@ impl ShardedSpillStore {
             None => inner.io.devices[shard].file.write_all_at(bytes, offset)?,
         }
         append.cursors[shard] = offset + bytes.len() as u64;
-        wlock(&inner.ext).push(Arc::new(ExtEntry {
-            loc: RwLock::new(DiskLoc {
-                shard,
-                offset,
-                len: bytes.len(),
-            }),
-            labels,
-            visits: AtomicU64::new(0),
-        }));
+        let loc = DiskLoc {
+            shard,
+            offset,
+            len: bytes.len(),
+        };
+        let visible = {
+            let mut entries = wlock(&inner.entries);
+            entries.push(Entry::spilled(loc, labels));
+            entries.len()
+        };
         append.bytes += bytes.len() as u64;
         append.seq += 1;
-        let idx = inner.entries.len() + seq;
         // Publish visibility last: an index below the watermark always
-        // resolves to fully-written bytes and a registered ext entry.
-        inner.sealed.store(append.seq, Ordering::Release);
-        let pending = append.seq.saturating_sub(*lock(&inner.consumed));
+        // resolves to fully-written bytes and a registered entry.
+        inner.sealed.store(visible, Ordering::Release);
+        let pending = visible.saturating_sub(*lock(&inner.consumed));
         inner.peak_pending.fetch_max(pending, Ordering::Relaxed);
         drop(append);
-        Ok(idx)
+        Ok(visible - 1)
     }
 
     /// Segments landed through [`ShardedSpillStore::append_sealed`] so
     /// far (they count toward [`BatchProvider::num_batches`] too).
     pub fn appended_batches(&self) -> usize {
-        self.inner.sealed.load(Ordering::Acquire)
+        self.inner.sealed.load(Ordering::Acquire) - self.inner.built
     }
 
     /// Encoded bytes landed through
@@ -1584,16 +1349,15 @@ impl ShardedSpillStore {
     pub fn streaming_checkpoint(&self) -> StoreCheckpoint {
         let inner = &self.inner;
         assert!(
-            inner.entries.is_empty() && !inner.shard_meta.is_empty(),
+            inner.built == 0 && !inner.shard_meta.is_empty(),
             "streaming_checkpoint needs a store opened with open_streaming"
         );
         let append = lock(&inner.append);
-        let ext = rlock(&inner.ext);
-        let entries = ext
+        let entries = rlock(&inner.entries)
             .iter()
             .take(append.seq)
             .map(|e| {
-                let loc = *rlock(&e.loc);
+                let loc = e.loc().expect("appended segments are disk-resident");
                 CheckpointEntry {
                     shard: loc.shard as u32,
                     offset: loc.offset,
@@ -1629,7 +1393,6 @@ impl ShardedSpillStore {
                 "checkpoint has no shards or mismatched cursor count",
             ));
         }
-        let mut total = 0u64;
         for (i, e) in ckpt.entries.iter().enumerate() {
             let s = e.shard as usize;
             if s >= n_shards || e.offset + e.len > ckpt.cursors[s] {
@@ -1638,16 +1401,8 @@ impl ShardedSpillStore {
                     format!("checkpoint entry {i} extends past its shard cursor"),
                 ));
             }
-            total += e.len;
         }
-        let profiles: &[DeviceProfile] = config
-            .fault
-            .as_ref()
-            .map(|f| f.device_profiles.as_slice())
-            .filter(|p| !p.is_empty())
-            .unwrap_or(&config.shard_profiles);
-        let mut devices = Vec::with_capacity(n_shards);
-        let mut shard_meta = Vec::with_capacity(n_shards);
+        let mut shards = Vec::with_capacity(n_shards);
         for (s, (path, &cursor)) in ckpt.shard_paths.iter().zip(&ckpt.cursors).enumerate() {
             let f = OpenOptions::new().write(true).read(true).open(path)?;
             let len = f.metadata()?.len();
@@ -1664,82 +1419,32 @@ impl ShardedSpillStore {
             if len > cursor {
                 f.set_len(cursor)?;
             }
-            let profile = (!profiles.is_empty()).then(|| profiles[s % profiles.len()]);
-            devices.push(SpillDevice::with_profile(f, profile));
-            shard_meta.push(ShardMeta { path: path.clone() });
+            shards.push((f, path.clone()));
         }
-        let ext: Vec<Arc<ExtEntry>> = ckpt
+        let entries: Vec<Arc<Entry>> = ckpt
             .entries
             .iter()
             .map(|e| {
-                Arc::new(ExtEntry {
-                    loc: RwLock::new(DiskLoc {
-                        shard: e.shard as usize,
-                        offset: e.offset,
-                        len: e.len as usize,
-                    }),
-                    labels: e.labels.clone(),
-                    visits: AtomicU64::new(0),
-                })
+                let loc = DiskLoc {
+                    shard: e.shard as usize,
+                    offset: e.offset,
+                    len: e.len as usize,
+                };
+                Entry::spilled(loc, e.labels.clone())
             })
             .collect();
-        let sealed = ext.len();
-        let io = Arc::new(IoShards::new(devices, config.disk_mbps));
-        let inner = Arc::new(Inner {
-            scheme: config.scheme,
-            features,
-            entries: Vec::new(),
-            spilled_order: Vec::new(),
-            locs: RwLock::new(Vec::new()),
-            visits: Vec::new(),
-            ext: RwLock::new(ext),
-            sealed: AtomicUsize::new(sealed),
-            shard_meta,
-            append: Mutex::new(AppendState {
-                cursors: ckpt.cursors.clone(),
-                seq: sealed,
-                bytes: total,
-            }),
-            appender_active: std::sync::atomic::AtomicBool::new(false),
-            max_pending: config.max_pending,
-            consumed: Mutex::new(0),
-            consumed_cv: Condvar::new(),
-            peak_pending: AtomicUsize::new(0),
-            placement_stats: PlacementStats::default(),
-            io,
-        });
-        let sched = &config.scheduler;
-        let decode_workers = sched.resolved_decode_workers(config.prefetch, MAX_PREFETCH_WORKERS);
-        let io_threads = sched.resolved_io_threads(config.io, n_shards, config.prefetch);
-        sched
-            .ring_assignment(n_shards, io_threads)
-            .map_err(|e| Error::new(ErrorKind::InvalidInput, e))?;
-        Ok(Self {
-            inner,
-            prefetcher: None,
-            owns_dir: None,
-            memory_bytes: 0,
-            spilled_bytes: 0,
-            placement: config.placement,
-            scheduler: config.scheduler.clone(),
-            io_threads: 0,
-            decode_workers,
-            ingest_fault: config.fault.clone(),
-        })
+        let appended = entries.len();
+        Self::assemble(config, features, entries, appended, shards, None, 0)
     }
 
-    /// Number of batches kept in memory.
+    /// Number of batches kept in memory (only a build leaves any there).
     pub fn in_memory_batches(&self) -> usize {
-        self.inner
-            .entries
-            .iter()
-            .filter(|(s, _)| matches!(s, Slot::Memory(_)))
-            .count()
+        self.inner.built - self.inner.spilled_order.len()
     }
 
-    /// Number of batches on disk.
+    /// Number of batches on disk (spilled at build time or appended).
     pub fn spilled_batches(&self) -> usize {
-        self.inner.entries.len() - self.in_memory_batches()
+        self.num_batches() - self.in_memory_batches()
     }
 
     /// Number of shard files backing the spill.
@@ -1752,11 +1457,7 @@ impl ShardedSpillStore {
     /// append-and-repoint are not counted).
     pub fn shard_bytes(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.inner.shard_meta.len()];
-        for loc in rlock(&self.inner.locs).iter() {
-            out[loc.shard] += loc.len as u64;
-        }
-        for e in rlock(&self.inner.ext).iter() {
-            let loc = *rlock(&e.loc);
+        for loc in rlock(&self.inner.entries).iter().filter_map(|e| e.loc()) {
             out[loc.shard] += loc.len as u64;
         }
         out
@@ -1793,47 +1494,52 @@ impl ShardedSpillStore {
     }
 
     // -- Crate-private seam for the multi-tenant layer ([`crate::serve`]).
-    // Tenant providers read spilled batches directly (cache-miss path)
-    // instead of through the prefetch pipeline, so they need the raw
-    // pieces `visit` composes: slot inspection, the shared visit/heat
-    // counters, the charged device read, and the bandwidth profile.
+    // Tenant providers materialize spilled batches through the shared
+    // cache (one direct charged read per miss) instead of the prefetch
+    // pipeline, so they plug their own fetch into the one visit path and
+    // need the charged device read, the parser and the bandwidth profile.
 
-    /// Spill id of entry `idx`, when the entry is disk-resident.
-    pub(crate) fn spill_id(&self, idx: usize) -> Option<usize> {
-        match &self.inner.entries[idx].0 {
-            Slot::Disk(id) => Some(*id),
-            Slot::Memory(_) => None,
+    /// The one visit path: serve entry `idx` to `f`, materializing a
+    /// spilled batch through `fetch`, which gets the batch's current
+    /// location (it may change across adaptive rebalances; the bytes
+    /// never do) and its visit count including this visit — the adaptive
+    /// planner's and the tenant cache's heat signal.
+    pub(crate) fn visit_with(
+        &self,
+        idx: usize,
+        fetch: impl FnOnce(DiskLoc, u64) -> AnyBatch,
+        f: &mut dyn FnMut(&AnyBatch, &[f64]),
+    ) {
+        // Clone the entry out of a brief table lock so the IO and decode
+        // run lock-free.
+        let e = Arc::clone(&rlock(&self.inner.entries)[idx]);
+        match &e.slot {
+            Slot::Memory(b) => f(b, &e.labels),
+            Slot::Disk(loc) => {
+                let visits = e.visits.fetch_add(1, Ordering::Relaxed) + 1;
+                let loc = *rlock(loc);
+                let b = fetch(loc, visits);
+                f(&b, &e.labels);
+                // Advance the consumed watermark *after* the visitor is
+                // done with the batch and release any producer blocked on
+                // the sealed-chunk budget.
+                let mut consumed = lock(&self.inner.consumed);
+                if idx + 1 > *consumed {
+                    *consumed = idx + 1;
+                    drop(consumed);
+                    self.inner.consumed_cv.notify_all();
+                }
+            }
         }
     }
 
-    /// Labels of entry `idx`.
-    pub(crate) fn entry_labels(&self, idx: usize) -> &[f64] {
-        &self.inner.entries[idx].1
-    }
-
-    /// Bump the shared per-batch visit counter (the adaptive planner's
-    /// and the tenant cache's heat signal) and return the new count.
-    pub(crate) fn record_spill_visit(&self, id: usize) -> u64 {
-        self.inner.visits[id].fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Current `(shard, len)` of spill id `id` (may change across
-    /// adaptive rebalances; the bytes themselves never do).
-    pub(crate) fn spill_shard_len(&self, id: usize) -> (usize, usize) {
-        let loc = rlock(&self.inner.locs)[id];
-        (loc.shard, loc.len)
-    }
-
-    /// Read the current encoded bytes of spill id `id` through the
-    /// charged device model (counts `disk_reads`/`bytes_read`, feeds the
-    /// bandwidth profiler). Returns the shard that served the read.
-    pub(crate) fn read_spill_bytes(&self, id: usize, buf: &mut Vec<u8>) -> usize {
-        let loc = rlock(&self.inner.locs)[id];
+    /// Read the encoded bytes at `loc` through the charged device model
+    /// (counts `disk_reads`/`bytes_read`, feeds the bandwidth profiler).
+    pub(crate) fn read_spill_bytes(&self, loc: DiskLoc, buf: &mut Vec<u8>) {
         self.inner
             .io
             .read_range(loc.shard, loc.offset, loc.len, buf)
             .expect("read spill file");
-        loc.shard
     }
 
     /// Parse encoded spill bytes (tenant cache hits and miss reads).
@@ -1968,30 +1674,24 @@ impl ShardedSpillStore {
         let bw: Vec<f64> = (0..n_shards)
             .map(|s| inner.io.profile.estimate_mbps(s).unwrap_or(1.0))
             .collect();
-        let current: Vec<DiskLoc> = rlock(&inner.locs).clone();
-        // Streaming-appended segments participate in the plan too: with
-        // the append mutex held no new entry can seal mid-pass, so the
-        // snapshot is consistent. Their ids follow the build-time spill
-        // ids in plan order.
-        let ext: Vec<Arc<ExtEntry>> = rlock(&inner.ext).clone();
-        let all_locs: Vec<DiskLoc> = current
+        // With the append mutex held no new entry can seal mid-pass, so
+        // the snapshot is consistent. Plan ids are the spilled entries in
+        // table order.
+        let spilled: Vec<(Arc<Entry>, DiskLoc)> = rlock(&inner.entries)
             .iter()
-            .copied()
-            .chain(ext.iter().map(|e| *rlock(&e.loc)))
+            .filter_map(|e| e.loc().map(|loc| (Arc::clone(e), loc)))
             .collect();
-        let sizes: Vec<usize> = all_locs.iter().map(|l| l.len).collect();
-        let hot: Vec<u64> = inner
-            .visits
+        let sizes: Vec<usize> = spilled.iter().map(|(_, loc)| loc.len).collect();
+        let hot: Vec<u64> = spilled
             .iter()
-            .chain(ext.iter().map(|e| &e.visits))
-            .map(|v| v.load(Ordering::Relaxed))
+            .map(|(e, _)| e.visits.load(Ordering::Relaxed))
             .collect();
         let capacity = vec![u64::MAX; n_shards];
         let plan = plan_adaptive(&sizes, &hot, &bw, &capacity);
         let mut moved = 0usize;
         let mut moved_bytes = 0u64;
         let mut buf = Vec::new();
-        for (id, (&target, loc)) in plan.iter().zip(&all_locs).enumerate() {
+        for (&target, (entry, loc)) in plan.iter().zip(&spilled) {
             if target == loc.shard || bw[target] < REBALANCE_HYSTERESIS * bw[loc.shard] {
                 continue;
             }
@@ -2014,15 +1714,12 @@ impl ShardedSpillStore {
                 continue;
             }
             append.cursors[target] += loc.len as u64;
-            let new_loc = DiskLoc {
-                shard: target,
-                offset,
-                len: loc.len,
-            };
-            if id < current.len() {
-                wlock(&inner.locs)[id] = new_loc;
-            } else {
-                *wlock(&ext[id - current.len()].loc) = new_loc;
+            if let Slot::Disk(current) = &entry.slot {
+                *wlock(current) = DiskLoc {
+                    shard: target,
+                    offset,
+                    len: loc.len,
+                };
             }
             moved += 1;
             moved_bytes += loc.len as u64;
@@ -2169,10 +1866,10 @@ pub fn plan_adaptive(
 
 impl BatchProvider for ShardedSpillStore {
     fn num_batches(&self) -> usize {
-        // Grows while streaming ingest appends: build-time entries plus
-        // the sealed watermark. `Acquire` pairs with the seal's `Release`
-        // so an index this returns always resolves to fully-written bytes.
-        self.inner.entries.len() + self.inner.sealed.load(Ordering::Acquire)
+        // Grows while streaming ingest appends. `Acquire` pairs with the
+        // seal's `Release` so an index this returns always resolves to
+        // fully-written bytes.
+        self.inner.sealed.load(Ordering::Acquire)
     }
 
     fn num_features(&self) -> usize {
@@ -2180,39 +1877,7 @@ impl BatchProvider for ShardedSpillStore {
     }
 
     fn visit(&self, idx: usize, f: &mut dyn FnMut(&AnyBatch, &[f64])) {
-        let base = self.inner.entries.len();
-        if idx >= base {
-            // Streaming-appended segment: same charged synchronous read
-            // path plain visits use. Clone the entry out of a brief table
-            // lock so the IO and decode run lock-free.
-            let e = Arc::clone(&rlock(&self.inner.ext)[idx - base]);
-            e.visits.fetch_add(1, Ordering::Relaxed);
-            let loc = *rlock(&e.loc);
-            let b = self.inner.read_disk_sync(loc);
-            f(&b, &e.labels);
-            // Advance the consumed watermark *after* the visitor is done
-            // with the batch and release any producer blocked on the
-            // sealed-chunk budget.
-            let ext_i = idx - base;
-            let mut consumed = lock(&self.inner.consumed);
-            if ext_i + 1 > *consumed {
-                *consumed = ext_i + 1;
-                drop(consumed);
-                self.inner.consumed_cv.notify_all();
-            }
-            return;
-        }
-        let (slot, labels) = &self.inner.entries[idx];
-        match slot {
-            Slot::Memory(b) => f(b, labels),
-            Slot::Disk(id) => {
-                // Hotness signal for the adaptive planner.
-                self.inner.visits[*id].fetch_add(1, Ordering::Relaxed);
-                let loc = rlock(&self.inner.locs)[*id];
-                let b = self.fetch(idx, loc);
-                f(&b, labels);
-            }
-        }
+        self.visit_with(idx, |loc, _| self.fetch(idx, loc), f)
     }
 
     /// Epoch-boundary feedback from the trainer: the adaptive planner
@@ -2261,7 +1926,8 @@ mod tests {
     fn everything_fits_with_big_budget() {
         let (x, y) = dataset();
         let store =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Toc, 100, usize::MAX)).unwrap();
+            ShardedSpillStore::build(&x, &y, &StoreConfig::new(Scheme::Toc, 100, usize::MAX))
+                .unwrap();
         assert_eq!(store.num_batches(), 6);
         assert_eq!(store.spilled_batches(), 0);
         assert_eq!(store.stats().disk_reads.load(Ordering::Relaxed), 0);
@@ -2271,7 +1937,8 @@ mod tests {
     fn zero_budget_spills_everything_and_roundtrips() {
         let (x, y) = dataset();
         for scheme in [Scheme::Toc, Scheme::Den, Scheme::Gzip, Scheme::Cla] {
-            let store = MiniBatchStore::build(&x, &y, &StoreConfig::new(scheme, 150, 0)).unwrap();
+            let store =
+                ShardedSpillStore::build(&x, &y, &StoreConfig::new(scheme, 150, 0)).unwrap();
             assert_eq!(store.spilled_batches(), 4, "{}", scheme.name());
             // Visiting a spilled batch does real IO and returns the exact
             // batch content.
@@ -2287,10 +1954,11 @@ mod tests {
     fn partial_budget_splits_memory_and_disk() {
         let (x, y) = dataset();
         let probe =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Csr, 100, usize::MAX)).unwrap();
+            ShardedSpillStore::build(&x, &y, &StoreConfig::new(Scheme::Csr, 100, usize::MAX))
+                .unwrap();
         let half = probe.memory_bytes() / 2;
         let store =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Csr, 100, half)).unwrap();
+            ShardedSpillStore::build(&x, &y, &StoreConfig::new(Scheme::Csr, 100, half)).unwrap();
         assert!(store.in_memory_batches() >= 1);
         assert!(store.spilled_batches() >= 1);
         assert_eq!(store.in_memory_batches() + store.spilled_batches(), 6);
@@ -2308,14 +1976,14 @@ mod tests {
         // the DEN footprint.
         let (x, y) = dataset();
         let toc_total =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Toc, 250, usize::MAX))
+            ShardedSpillStore::build(&x, &y, &StoreConfig::new(Scheme::Toc, 250, usize::MAX))
                 .unwrap()
                 .total_bytes();
         let budget = toc_total * 2;
         let toc =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Toc, 250, budget)).unwrap();
+            ShardedSpillStore::build(&x, &y, &StoreConfig::new(Scheme::Toc, 250, budget)).unwrap();
         let den =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Den, 250, budget)).unwrap();
+            ShardedSpillStore::build(&x, &y, &StoreConfig::new(Scheme::Den, 250, budget)).unwrap();
         assert_eq!(toc.spilled_batches(), 0);
         assert!(den.spilled_batches() > 0);
     }
@@ -2325,7 +1993,8 @@ mod tests {
         use toc_ml::mgd::{MgdConfig, ModelSpec, Trainer};
         use toc_ml::LossKind;
         let (x, y) = dataset();
-        let store = MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Toc, 100, 0)).unwrap();
+        let store =
+            ShardedSpillStore::build(&x, &y, &StoreConfig::new(Scheme::Toc, 100, 0)).unwrap();
         let trainer = Trainer::new(MgdConfig {
             epochs: 8,
             lr: 0.3,
@@ -2336,16 +2005,6 @@ mod tests {
         let err = report.model.error_rate(&eval, &y);
         assert!(err < 0.25, "error {err}");
         assert!(store.stats().disk_reads.load(Ordering::Relaxed) >= 8 * 6);
-    }
-
-    #[test]
-    fn spill_file_removed_on_drop() {
-        let (x, y) = dataset();
-        let store = MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Den, 200, 0)).unwrap();
-        let path = store.spill_path.clone().unwrap();
-        assert!(path.exists());
-        drop(store);
-        assert!(!path.exists());
     }
 
     #[test]
@@ -2416,18 +2075,19 @@ mod tests {
     }
 
     #[test]
-    fn sharded_partial_budget_matches_flat_layout() {
+    fn partial_budget_split_is_independent_of_shard_count() {
         let (x, y) = dataset();
         let probe =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Csr, 100, usize::MAX)).unwrap();
+            ShardedSpillStore::build(&x, &y, &StoreConfig::new(Scheme::Csr, 100, usize::MAX))
+                .unwrap();
         let budget = probe.memory_bytes() / 2;
-        let config = StoreConfig::new(Scheme::Csr, 100, budget).with_shards(2);
-        let flat =
-            MiniBatchStore::build(&x, &y, &StoreConfig::new(Scheme::Csr, 100, budget)).unwrap();
-        let sharded = ShardedSpillStore::build(&x, &y, &config).unwrap();
-        assert_eq!(flat.in_memory_batches(), sharded.in_memory_batches());
-        assert_eq!(flat.spilled_batches(), sharded.spilled_batches());
-        assert_eq!(flat.total_bytes(), sharded.total_bytes());
+        let config = StoreConfig::new(Scheme::Csr, 100, budget);
+        let one = ShardedSpillStore::build(&x, &y, &config.clone().with_shards(1)).unwrap();
+        let two = ShardedSpillStore::build(&x, &y, &config.with_shards(2)).unwrap();
+        assert_eq!((one.num_shards(), two.num_shards()), (1, 2));
+        assert_eq!(one.in_memory_batches(), two.in_memory_batches());
+        assert_eq!(one.spilled_batches(), two.spilled_batches());
+        assert_eq!(one.total_bytes(), two.total_bytes());
     }
 
     #[test]
@@ -2493,7 +2153,6 @@ mod tests {
     fn async_engines_serve_byte_exact_batches() {
         let (x, y) = dataset();
         for (io, placement) in [
-            (IoEngineKind::Pool, ShardPlacement::Stripe),
             (IoEngineKind::Ring, ShardPlacement::Stripe),
             (IoEngineKind::Ring, ShardPlacement::Pack),
         ] {
@@ -2566,7 +2225,7 @@ mod tests {
     #[test]
     fn truncated_shard_fails_loudly_instead_of_hanging() {
         let (x, y) = dataset();
-        for io in [IoEngineKind::Sync, IoEngineKind::Pool, IoEngineKind::Ring] {
+        for io in [IoEngineKind::Sync, IoEngineKind::Ring] {
             let config = StoreConfig::new(Scheme::Den, 100, 0)
                 .with_shards(2)
                 .with_prefetch(2)

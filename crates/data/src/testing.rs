@@ -1,7 +1,7 @@
 //! Test support: a fault-injecting [`SpillIo`] engine.
 //!
 //! [`FaultyIo`] implements the same submission/completion contract as the
-//! production engines, but serves every request through a gauntlet of
+//! production ring engine, but serves every request through a gauntlet of
 //! injectable faults — per-request latency, chunked short reads,
 //! `EINTR`-style retry spins, and out-of-order completion release — all
 //! driven by a seeded RNG. The point is adversarial scheduling: the
@@ -167,9 +167,7 @@ impl FaultPlan {
 struct FaultShared {
     io: Arc<IoShards>,
     plan: FaultPlan,
-    /// The production submission plumbing ([`SubmissionQueue`]) — shared
-    /// with `PoolIo`, so the double's ticket/accounting contract cannot
-    /// drift from the real engines'.
+    /// Ticket assignment + `IoStats` submission accounting.
     subq: SubmissionQueue,
     /// Finished-but-unreleased completions, in arrival order.
     pen: Mutex<Vec<Completion>>,

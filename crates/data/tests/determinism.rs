@@ -1,9 +1,9 @@
 //! End-to-end determinism: the same seed must produce a **bit-identical**
 //! training run regardless of where the batches physically live or which
 //! IO path serves them. Eight store configurations — in-memory, single
-//! spill file, sharded, sharded+sync-prefetch, async pool, async ring,
-//! adaptive placement over asymmetric shards, and adaptive+ring with a
-//! fixed pin map — feed the identical batch stream, so the final weights
+//! spill file, sharded, sharded+sync-prefetch, async ring over striped
+//! and packed layouts, adaptive placement over asymmetric shards, and
+//! adaptive+ring with a fixed pin map — feed the identical batch stream, so the final weights
 //! *and* the per-epoch error trajectory must agree with `==`, not a
 //! tolerance. The adaptive legs migrate batches between shards mid-run
 //! (the trainer fires `end_epoch` after every pass), which must never
@@ -13,7 +13,7 @@ use toc_data::store::{
     IoEngineKind, Pinning, SchedulerConfig, ShardPlacement, ShardedSpillStore, StoreConfig,
 };
 use toc_data::synth::{generate_preset, DatasetPreset};
-use toc_data::{DeviceProfile, MiniBatchStore};
+use toc_data::DeviceProfile;
 use toc_formats::Scheme;
 use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, Trainer};
 use toc_ml::LossKind;
@@ -72,9 +72,8 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
 
     // (2) Single spill file, everything on disk.
     {
-        let store =
-            MiniBatchStore::build(&ds.x, &ds.labels, &StoreConfig::new(scheme, batch_rows, 0))
-                .unwrap();
+        let config = StoreConfig::new(scheme, batch_rows, 0).with_shards(1);
+        let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).unwrap();
         assert_eq!(store.spilled_batches(), 8);
         runs.push(train("single-file", &store, eval));
     }
@@ -92,11 +91,11 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
                 .with_prefetch(3),
         ),
         (
-            "async-pool",
+            "async-ring-stripe",
             StoreConfig::new(scheme, batch_rows, 0)
                 .with_shards(3)
                 .with_prefetch(3)
-                .with_io(IoEngineKind::Pool),
+                .with_io(IoEngineKind::Ring),
         ),
         (
             "async-ring",
@@ -110,11 +109,11 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
         // skew forces real migrations at every epoch boundary while the
         // trainer is mid-run.
         (
-            "adaptive-pool",
+            "adaptive-ring-auto",
             StoreConfig::new(scheme, batch_rows, 0)
                 .with_shards(3)
                 .with_prefetch(3)
-                .with_io(IoEngineKind::Pool)
+                .with_io(IoEngineKind::Ring)
                 .with_placement(ShardPlacement::Adaptive)
                 .with_shard_mbps(vec![900.0, 90.0, 90.0])
                 .with_scheduler(SchedulerConfig {

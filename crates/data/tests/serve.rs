@@ -158,6 +158,67 @@ fn tenant_cache_accounting_pins_io_invariants() {
     assert_eq!(cache.len() as u64, spilled);
 }
 
+/// Tenants read stream-appended segments through the same entry table
+/// as everything else: over a store with no build-time batches at all, a
+/// tenant's cache miss, its cache hit, and a fresh tenant's re-read after
+/// the adaptive planner migrated segments all deliver exactly the bytes
+/// and labels a plain `store.visit` does.
+#[test]
+fn tenant_reads_appended_segments_across_cache_and_rebalance() {
+    let ds = generate_preset(DatasetPreset::CensusLike, 360, 9);
+    let config = StoreConfig::new(Scheme::Den, 60, 0)
+        .with_shards(2)
+        .with_placement(toc_data::ShardPlacement::Adaptive)
+        .with_shard_mbps(vec![2000.0, 10.0]);
+    let store = Arc::new(ShardedSpillStore::open_streaming(ds.x.cols(), &config).unwrap());
+    for i in 0..6 {
+        let (r0, r1) = (i * 60, (i + 1) * 60);
+        let bytes = Scheme::Den.encode(&ds.x.slice_rows(r0, r1)).to_bytes();
+        store
+            .append_sealed(&bytes, ds.labels[r0..r1].to_vec())
+            .unwrap();
+    }
+    let collect = |p: &dyn BatchProvider| -> Vec<(Vec<u8>, Vec<f64>)> {
+        (0..p.num_batches())
+            .map(|idx| {
+                let mut got = None;
+                p.visit(idx, &mut |b, y| got = Some((b.to_bytes(), y.to_vec())));
+                got.expect("visit must call back")
+            })
+            .collect()
+    };
+    let plain = collect(&*store);
+    assert_eq!(plain.len(), 6);
+
+    let cache = Arc::new(BatchCache::new(usize::MAX));
+    let tenant = TenantProvider::new(Arc::clone(&store), Arc::clone(&cache), 1.0);
+    assert_eq!(collect(&tenant), plain, "cache-miss pass");
+    assert_eq!((tenant.cache_misses(), tenant.cache_hits()), (6, 0));
+    assert_eq!(collect(&tenant), plain, "cache-hit pass");
+    assert_eq!((tenant.cache_misses(), tenant.cache_hits()), (6, 6));
+
+    // Both shards are profiled now; the 200x skew must move segments.
+    assert!(store.rebalance() >= 1, "{:?}", store.placement_report());
+    assert_eq!(
+        collect(&tenant),
+        plain,
+        "resident bytes survive a rebalance"
+    );
+    let fresh = TenantProvider::new(
+        Arc::clone(&store),
+        Arc::new(BatchCache::new(usize::MAX)),
+        1.0,
+    );
+    assert_eq!(
+        collect(&fresh),
+        plain,
+        "re-read from the migrated locations"
+    );
+    assert_eq!(fresh.cache_misses(), 6);
+    assert_eq!(collect(&*store), plain);
+    store.stats().snapshot_stable().assert_consistent();
+}
+
 /// QoS shares are real: with the cache disabled and a slow simulated
 /// device, a share-1 tenant racing a share-4 tenant must spend more time
 /// throttled — its allowance is a quarter of its rival's.

@@ -29,7 +29,6 @@ fn eight_concurrent_visitors_get_byte_identical_batches() {
     for (prefetch, io, placement) in [
         (0usize, IoEngineKind::Sync, ShardPlacement::Stripe),
         (6, IoEngineKind::Sync, ShardPlacement::Stripe),
-        (6, IoEngineKind::Pool, ShardPlacement::Stripe),
         (6, IoEngineKind::Ring, ShardPlacement::Stripe),
         (6, IoEngineKind::Ring, ShardPlacement::Pack),
     ] {

@@ -1,7 +1,7 @@
 //! Property tests for the out-of-core path: arbitrary (scheme ×
 //! batch_rows × budget × shards × prefetch × io engine) configurations
 //! round-trip through spill with decode-equality against the source
-//! matrix, for both the single-file and the sharded store — plus the
+//! matrix, for both the single-shard and the sharded layout — plus the
 //! placement-plan laws every policy (build-time stripe/pack/adaptive and
 //! the runtime adaptive planner) must satisfy: cover every batch exactly
 //! once, stay inside the shard range, respect capacity when feasible,
@@ -9,8 +9,7 @@
 
 use proptest::prelude::*;
 use toc_data::store::{
-    place_spilled, plan_adaptive, IoEngineKind, MiniBatchStore, ShardPlacement, ShardedSpillStore,
-    StoreConfig,
+    place_spilled, plan_adaptive, IoEngineKind, ShardPlacement, ShardedSpillStore, StoreConfig,
 };
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{MatrixBatch, Scheme};
@@ -48,16 +47,16 @@ proptest! {
         budget_pct in 0usize..=120,
         shards in 1usize..5,
         prefetch in 0usize..4,
-        io_idx in 0usize..3,
+        io_idx in 0usize..2,
     ) {
         let scheme = Scheme::PAPER_SET[scheme_idx];
-        let io = [IoEngineKind::Sync, IoEngineKind::Pool, IoEngineKind::Ring][io_idx];
+        let io = [IoEngineKind::Sync, IoEngineKind::Ring][io_idx];
         let ds = generate_preset(DatasetPreset::CensusLike, rows, 17);
         let n_batches = rows.div_ceil(batch_rows);
 
         // Scale the budget off the true footprint so every case exercises
         // a meaningful memory/disk split (0% = all spilled, >100% = none).
-        let probe = MiniBatchStore::build(
+        let probe = ShardedSpillStore::build(
             &ds.x,
             &ds.labels,
             &StoreConfig::new(scheme, batch_rows, usize::MAX),
@@ -65,18 +64,41 @@ proptest! {
         .unwrap();
         let budget = probe.total_bytes() * budget_pct / 100;
 
+        // The split the budget rule dictates, by arithmetic over the
+        // batch sizes: a batch stays resident while it fits in what is
+        // left of the budget, anything beyond spills in serialized form.
+        let (mut want_memory, mut want_spilled_bytes, mut want_spilled) = (0usize, 0usize, 0usize);
+        for i in 0..probe.num_batches() {
+            probe.visit(i, &mut |b, _| {
+                if want_memory + b.size_bytes() <= budget {
+                    want_memory += b.size_bytes();
+                } else {
+                    want_spilled_bytes += b.to_bytes().len();
+                    want_spilled += 1;
+                }
+            });
+        }
+
         let config = StoreConfig::new(scheme, batch_rows, budget)
             .with_shards(shards)
             .with_prefetch(prefetch)
             .with_io(io);
-        let flat = MiniBatchStore::build(&ds.x, &ds.labels, &config).unwrap();
+        let flat = ShardedSpillStore::build(
+            &ds.x,
+            &ds.labels,
+            &StoreConfig::new(scheme, batch_rows, budget).with_shards(1),
+        )
+        .unwrap();
         let sharded = ShardedSpillStore::build(&ds.x, &ds.labels, &config).unwrap();
 
         prop_assert_eq!(flat.num_batches(), n_batches);
         prop_assert_eq!(sharded.num_batches(), n_batches);
-        // Both stores make the same memory/disk split decision.
-        prop_assert_eq!(flat.spilled_batches(), sharded.spilled_batches());
-        prop_assert_eq!(flat.total_bytes(), sharded.total_bytes());
+        // Every layout makes the memory/disk split the budget dictates.
+        for store in [&flat, &sharded] {
+            prop_assert_eq!(store.spilled_batches(), want_spilled);
+            prop_assert_eq!(store.memory_bytes(), want_memory);
+            prop_assert_eq!(store.spilled_bytes(), want_spilled_bytes);
+        }
         if budget_pct == 0 {
             prop_assert_eq!(flat.spilled_batches(), n_batches);
         }

@@ -37,9 +37,9 @@ fn main() {
 
     let eval = Scheme::Den.encode(&ds.x);
     for scheme in [Scheme::Den, Scheme::Csr, Scheme::Toc] {
-        let store =
-            MiniBatchStore::build(&ds.x, &ds.labels, &StoreConfig::new(scheme, 250, budget))
-                .expect("store build");
+        // One shard: the spill goes to a single disk, as in the paper.
+        let config = StoreConfig::new(scheme, 250, budget).with_shards(1);
+        let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("store build");
         let trainer = Trainer::new(MgdConfig {
             epochs: 5,
             lr: 0.05,

@@ -20,7 +20,7 @@ pub use toc_ml as ml;
 /// Convenience re-exports of the most commonly used items.
 pub mod prelude {
     pub use toc_core::TocBatch;
-    pub use toc_data::store::MiniBatchStore;
+    pub use toc_data::store::ShardedSpillStore;
     pub use toc_data::synth::{DatasetPreset, SynthConfig};
     pub use toc_formats::{AnyBatch, MatrixBatch, Scheme};
     pub use toc_linalg::DenseMatrix;

@@ -49,7 +49,7 @@ fn spilled_training_is_bit_identical_to_resident_training() {
 }
 
 fn train_weights(ds: &toc_repro::data::synth::Dataset, scheme: Scheme, budget: usize) -> Vec<f64> {
-    let store = MiniBatchStore::build(&ds.x, &ds.labels, &StoreConfig::new(scheme, 100, budget))
+    let store = ShardedSpillStore::build(&ds.x, &ds.labels, &StoreConfig::new(scheme, 100, budget))
         .expect("store");
     let trainer = Trainer::new(MgdConfig {
         epochs: 3,
@@ -63,6 +63,43 @@ fn train_weights(ds: &toc_repro::data::synth::Dataset, scheme: Scheme, budget: u
     }
 }
 
+/// The streaming path shares the store's one entry table: rows ingested
+/// chunk by chunk into a live store train to exactly the weights of a
+/// store built in one shot, and a tenant view over the appended segments
+/// serves every batch.
+#[test]
+fn streamed_store_trains_bit_identically_to_built_store() {
+    use std::sync::Arc;
+    use toc_repro::data::{BatchCache, StoreIngest, TenantProvider};
+    let ds = generate_preset(DatasetPreset::CensusLike, 450, 11);
+    let config = StoreConfig::new(Scheme::Toc, 100, usize::MAX).with_shards(2);
+    let weights = |provider: &dyn BatchProvider| {
+        let trainer = Trainer::new(MgdConfig {
+            epochs: 3,
+            lr: 0.1,
+            ..Default::default()
+        });
+        trainer
+            .train(&ModelSpec::Linear(LossKind::Logistic), provider, None)
+            .model
+            .weights()
+    };
+    let built = ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("store");
+
+    let live = Arc::new(ShardedSpillStore::open_streaming(ds.x.cols(), &config).expect("store"));
+    let mut ingest = StoreIngest::new(&live, 100, Some(Scheme::Toc), Default::default());
+    for r in 0..ds.x.rows() {
+        ingest.push_row(ds.x.row(r), ds.labels[r]).expect("append");
+    }
+    assert_eq!(ingest.finish().expect("seal").chunks, 5);
+    assert_eq!(live.num_batches(), built.num_batches());
+    assert_eq!(weights(&*live), weights(&built));
+
+    let tenant = TenantProvider::new(Arc::clone(&live), Arc::new(BatchCache::new(1 << 20)), 1.0);
+    assert_eq!(weights(&tenant), weights(&built));
+    assert_eq!(tenant.cache_misses(), 5);
+}
+
 /// Every preset's batches survive store spill bit-exactly for every scheme.
 #[test]
 fn store_roundtrip_is_bit_exact_for_all_presets() {
@@ -71,8 +108,9 @@ fn store_roundtrip_is_bit_exact_for_all_presets() {
         let rows = 300;
         let ds = generate_preset(preset, rows, 17);
         for scheme in [Scheme::Toc, Scheme::Gzip, Scheme::Cla] {
-            let store = MiniBatchStore::build(&ds.x, &ds.labels, &StoreConfig::new(scheme, 100, 0))
-                .expect("store");
+            let store =
+                ShardedSpillStore::build(&ds.x, &ds.labels, &StoreConfig::new(scheme, 100, 0))
+                    .expect("store");
             for i in 0..store.num_batches() {
                 store.visit(i, &mut |b, _| {
                     let want = ds.x.slice_rows(i * 100, ((i + 1) * 100).min(rows));
@@ -88,7 +126,7 @@ fn store_roundtrip_is_bit_exact_for_all_presets() {
 #[test]
 fn nn_multiclass_end_to_end() {
     let ds = generate_preset(DatasetPreset::MnistLike, 600, 5);
-    let store = MiniBatchStore::build(
+    let store = ShardedSpillStore::build(
         &ds.x,
         &ds.labels,
         &StoreConfig::new(Scheme::Toc, 100, usize::MAX),
@@ -115,7 +153,7 @@ fn nn_multiclass_end_to_end() {
 #[test]
 fn error_curve_improves() {
     let ds = generate_preset(DatasetPreset::ImagenetLike, 500, 21);
-    let store = MiniBatchStore::build(
+    let store = ShardedSpillStore::build(
         &ds.x,
         &ds.labels,
         &StoreConfig::new(Scheme::Toc, 125, usize::MAX),
