@@ -1,4 +1,4 @@
-//! Allocating vs. workspace (`*_into`) kernel API comparison.
+//! Allocating vs. workspace (`*_into_ws`) kernel API comparison.
 //!
 //! Two levels:
 //!
@@ -40,7 +40,7 @@ fn bench_kernels(c: &mut Criterion) {
         });
         let mut out = Vec::new();
         let mut ws = ExecScratch::default();
-        group.bench_function(BenchmarkId::new("matvec_into", scheme.name()), |b| {
+        group.bench_function(BenchmarkId::new("matvec_into_ws", scheme.name()), |b| {
             b.iter(|| {
                 batch.matvec_into_ws(&v, &mut out, &mut ws);
                 out.len()
@@ -50,7 +50,7 @@ fn bench_kernels(c: &mut Criterion) {
             b.iter(|| batch.matmat(&mr))
         });
         let mut mout = DenseMatrix::default();
-        group.bench_function(BenchmarkId::new("matmat_into", scheme.name()), |b| {
+        group.bench_function(BenchmarkId::new("matmat_into_ws", scheme.name()), |b| {
             b.iter(|| {
                 batch.matmat_into_ws(&mr, &mut mout, &mut ws);
                 mout.rows()

@@ -18,7 +18,7 @@ use std::time::Duration;
 use toc_bench::{arg, fmt_duration, mb_per_s, time_avg, Table};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::cvi::{CviBatch, DviBatch};
-use toc_formats::{MatrixBatch, Scheme};
+use toc_formats::{ExecScratch, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 
 fn main() {
@@ -113,30 +113,31 @@ fn decode_gate(rows: usize, iters: usize, seed: u64, gate: f64) {
         let v: Vec<f64> = (0..ds.x.cols()).map(|i| (i % 7) as f64 - 3.0).collect();
         let mut m = DenseMatrix::default();
         let mut mv = Vec::new();
+        let mut ws = ExecScratch::default();
         let den_bytes = ds.x.den_size_bytes();
         let checks: [(&str, usize, Duration, Duration); 4] = [
             (
                 "cvi-decode",
                 den_bytes,
-                time_avg(iters, || cvi.decode_into(&mut m)),
+                time_avg(iters, || cvi.decode_into_ws(&mut m, &mut ws)),
                 time_avg(iters, || cvi.decode_into_scalar(&mut m)),
             ),
             (
                 "cvi-matvec",
                 den_bytes,
-                time_avg(iters, || cvi.matvec_into(&v, &mut mv)),
+                time_avg(iters, || cvi.matvec_into_ws(&v, &mut mv, &mut ws)),
                 time_avg(iters, || cvi.matvec_into_scalar(&v, &mut mv)),
             ),
             (
                 "dvi-decode",
                 den_bytes,
-                time_avg(iters, || dvi.decode_into(&mut m)),
+                time_avg(iters, || dvi.decode_into_ws(&mut m, &mut ws)),
                 time_avg(iters, || dvi.decode_into_scalar(&mut m)),
             ),
             (
                 "dvi-matvec",
                 den_bytes,
-                time_avg(iters, || dvi.matvec_into(&v, &mut mv)),
+                time_avg(iters, || dvi.matvec_into_ws(&v, &mut mv, &mut ws)),
                 time_avg(iters, || dvi.matvec_into_scalar(&v, &mut mv)),
             ),
         ];

@@ -9,37 +9,32 @@
 //! toc bench data.csv                               compare all schemes
 //! toc train data.csv --model lr --epochs 10        MGD training (last column = label)
 //! ```
+//!
+//! Every command is one entry of [`COMMANDS`]: its positionals and exactly
+//! the flags it honours. [`args::parse`] checks argv against that entry
+//! and `toc help` / `toc <cmd> --help` are generated from it.
 
+mod args;
+#[cfg(test)]
 mod container;
 mod csv;
 #[cfg(test)]
 mod testutil;
 
-use container::Container;
+use args::{Args, Command, Flag, Group};
 use std::path::Path;
 use std::process::ExitCode;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+use toc_data::store::{ShardedSpillStore, StoreConfig};
+use toc_formats::container::Container;
 use toc_formats::{ClaOptions, EncodeOptions, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
+use toc_ml::mgd::{MgdConfig, ModelSpec, Trainer};
+use toc_ml::LossKind;
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let result = match args.first().map(String::as_str) {
-        Some("gen") => cmd_gen(&args[1..]),
-        Some("ingest") => cmd_ingest(&args[1..]),
-        Some("compress") => cmd_compress(&args[1..]),
-        Some("decompress") => cmd_decompress(&args[1..]),
-        Some("inspect") => cmd_inspect(&args[1..]),
-        Some("bench") => cmd_bench(&args[1..]),
-        Some("train") => cmd_train(&args[1..]),
-        Some("serve") => cmd_serve(&args[1..]),
-        Some("help") | Some("--help") | Some("-h") | None => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        Some(other) => Err(format!("unknown command {other:?}; see `toc help`")),
-    };
-    match result {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    match run(&argv) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -48,177 +43,145 @@ fn main() -> ExitCode {
     }
 }
 
-const USAGE: &str = "\
-toc — tuple-oriented compression for mini-batch SGD
-
-USAGE:
-  toc gen --preset <census|imagenet|mnist|kdd99|rcv1|deep1b> --rows <n> <out.csv>
-  toc ingest <in.csv> <out.tocz>   [--chunk-rows <n>] [--scheme <s|auto>]
-                                   [--checkpoint-every <chunks>] [--resume]
-                                   (bounded-memory streaming encode: rows stream through a
-                                    reusable chunk workspace — peak memory is one chunk, never
-                                    the dataset — each sealed chunk becomes one v2 container
-                                    segment with its scheme picked per chunk when --scheme auto
-                                    (the default), and the finished stream is a valid seekable
-                                    .tocz. Prints a machine-parseable \"ingest:\" stats line.
-                                    --checkpoint-every persists a checksummed <out>.tocz.ckpt
-                                    sidecar after every N sealed chunks; --resume validates the
-                                    sidecar against the partial output, truncates any torn tail
-                                    past the checkpointed watermark, and continues the ingest to
-                                    a byte-identical container — never re-encoding a sealed
-                                    chunk. The sidecar is removed once the footer is written)
-  toc compress <in.csv> <out.tocz> [--scheme <den|csr|cvi|dvi|cla|snappy|gzip|ans|toc|auto>] [--segment-rows <n>]
-                                   [--container-version <1|2>]
-                                   (--codec is accepted as an alias of --scheme, --batch-rows of
-                                    --segment-rows; v2 containers carry a seekable layout-tree
-                                    footer with per-segment zone maps, v1 is the legacy
-                                    decode-everything blob)
-  toc decompress <in.tocz> <out.csv> [--rows <a..b>] [--parallel <n>]
-                                   (--rows decodes only the segments overlapping rows a..b —
-                                    on a v2 container this reads just those segments' bytes;
-                                    --parallel decodes touched segments on n threads)
-  toc inspect <in.tocz>            (v2: prints the footer's layout tree and zone maps)
-  toc bench <in.csv> [--batch-rows <n>]
-  toc train <in.csv|in.tocz> [--model <lr|svm|linreg>] [--epochs <n>] [--lr <f>] [--scheme <s>] [--batch-rows <n>]
-            [--budget <bytes>] [--shards <n>] [--prefetch <k>] [--mbps <f>]
-            [--io <sync|ring>] [--placement <stripe|pack|adaptive>] [--adaptive]
-            [--pin] [--pin-map <t0,t1,...>] [--io-threads <n>] [--decode-workers <n>]
-            [--follow] [--window <batches>] [--max-pending <chunks>]
-            [--poll-ms <n>] [--idle-ms <n>]
-            (the last CSV column is the ±1 label; --budget trains over the
-             out-of-core sharded spill store: batches beyond the budget
-             spill to --shards files and are read back through a
-             --prefetch-deep background decode pipeline, optionally under
-             an --mbps bandwidth model. --io picks the spill-IO engine:
-             sync reads inside each prefetch worker, or the batched async
-             ring engine that coalesces adjacent reads;
-             --placement pack lays consecutive spilled batches out
-             file-adjacent so ring submissions merge, and adaptive
-             (shorthand: --adaptive) profiles per-shard bandwidth at
-             runtime and re-packs hot batches onto the fastest shards
-             between epochs. --pin gives ring threads a stable automatic
-             shard assignment and stripes completions into per-decode-
-             worker lanes; --pin-map pins shard i to IO thread t_i
-             explicitly (exactly one entry per shard, each < --io-threads);
-             --io-threads/--decode-workers size the engine (0 = auto).
-             A .tocz input trains straight off the container: with
-             --budget the sharded store streams v2 segments through the
-             seekable reader, one decoded segment in memory at a time.
-             --follow (requires --budget) tails the CSV *file itself* —
-             even while another process is still appending to it —
-             through the bounded-memory ingest pipeline into a *live*
-             store while a single online-SGD pass trains concurrently
-             over segments as they seal, reporting prequential error once
-             per --window batches (default 8) on machine-parseable
-             \"window:\" lines. Only newline-terminated lines commit (a
-             torn tail mid-write is retried, never half-parsed); a
-             truncated/rotated file is re-followed from the top; the
-             stream ends after --idle-ms (default 400) with no growth,
-             polling every --poll-ms (default 10). --max-pending bounds
-             the sealed-chunks-ahead gap between ingest and trainer:
-             the producer blocks (reported on the \"backpressure:\" line)
-             instead of growing the store unboundedly)
-
-  toc serve <in.csv|in.tocz> [--jobs <n>] [--script <file>] [--max-concurrent <n>]
-            [--cache-budget <bytes>] [--model <lr|svm|linreg>] [--epochs <n>] [--lr <f>]
-            [--seed <n>] [--shares <s0,s1,...>] [--scheme <s>] [--batch-rows <n>]
-            [--budget <bytes>] [--shards <n>] [--mbps <f>] [--io <sync|ring>]
-            [--placement <stripe|pack|adaptive>] [--adaptive]
-            (multi-tenant mode: run --jobs concurrent training jobs over ONE
-             shared spill store (--budget defaults to 0: everything spills)
-             and one shared compressed-batch cache of --cache-budget bytes
-             (default: a quarter of the spilled bytes) with heat-based
-             eviction. --max-concurrent gates admission (0 = unlimited);
-             queued jobs wait their turn. Job i trains with seed --seed+i
-             and QoS share --shares[i mod len] (default 1): a job's misses
-             are throttled to share/mean-share of each shard's measured
-             EWMA bandwidth. --script <file> instead defines one job per
-             line as key=value tokens (name= model= epochs= lr= seed=
-             share=; '#' comments). Prints one machine-parseable
-             \"job: key=value ...\" line per job and a \"serve: ...\"
-             aggregate line)
-
-  compress/bench/train also accept the CLA co-coding knobs:
-    --cla-planner <greedy|sample>   column grouping algorithm (default sample)
-    --cla-sample <rows>             planner sample size (default 256)
-  `--scheme auto` (compress) picks the smallest-estimate scheme per dataset,
-  judging CLA by its planner estimate instead of a full encode probe.
-";
-
-/// Options that are plain flags (no value follows them). Everything else
-/// starting with `--` consumes the next token as its value.
-const BOOL_FLAGS: &[&str] = &["--adaptive", "--pin", "--follow", "--resume"];
-
-/// Fetch `--name value` from an argument list.
-fn opt(args: &[String], name: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Parse `--name <value>` into any `FromStr` type (numbers, engine and
-/// placement names), `default` when the flag is absent. A value that
-/// does not parse is an error naming the flag, never a silent default.
-fn num_opt<T: std::str::FromStr>(args: &[String], name: &str, default: T) -> Result<T, String>
-where
-    T::Err: std::fmt::Display,
-{
-    match opt(args, name) {
-        Some(s) => s.parse().map_err(|e| format!("{name}: {e}")),
-        None => Ok(default),
-    }
-}
-
-/// `--mbps <f>`: the simulated disk bandwidth, finite and positive.
-fn mbps_opt(args: &[String]) -> Result<Option<f64>, String> {
-    let Some(s) = opt(args, "--mbps") else {
-        return Ok(None);
+/// Dispatch `toc <command> ...` through the command table.
+fn run(argv: &[String]) -> Result<(), String> {
+    let name = match argv.first().map(String::as_str) {
+        Some("help" | "--help" | "-h") | None => {
+            print!("{}", args::overview(COMMANDS));
+            return Ok(());
+        }
+        Some(name) => name,
     };
-    let v: f64 = s.parse().map_err(|e| format!("--mbps: {e}"))?;
-    if !(v.is_finite() && v > 0.0) {
-        return Err(format!("--mbps must be > 0, got {v}"));
-    }
-    Ok(Some(v))
-}
-
-/// Whether the boolean flag `name` (a [`BOOL_FLAGS`] member) was passed.
-fn has_flag(args: &[String], name: &str) -> bool {
-    debug_assert!(BOOL_FLAGS.contains(&name));
-    args.iter().any(|a| a == name)
-}
-
-fn positional(args: &[String]) -> Vec<&String> {
-    let mut out = Vec::new();
-    let mut skip = false;
-    for a in args.iter() {
-        if skip {
-            skip = false;
-            continue;
+    let cmd = COMMANDS
+        .iter()
+        .find(|c| c.name == name)
+        .ok_or_else(|| format!("unknown command {name:?}; see `toc help`"))?;
+    match args::parse(cmd, &argv[1..])? {
+        Some(parsed) => (cmd.run)(&parsed),
+        None => {
+            print!("{}", cmd.help());
+            Ok(())
         }
-        if a.starts_with("--") {
-            // Value-less flags don't consume the next token.
-            skip = !BOOL_FLAGS.contains(&a.as_str());
-            continue;
-        }
-        out.push(a);
     }
-    out
 }
 
-/// Parse the CLA planner knobs shared by compress/bench/train.
-fn encode_options(args: &[String]) -> Result<EncodeOptions, String> {
-    let mut cla = ClaOptions::default();
-    if let Some(p) = opt(args, "--cla-planner") {
-        cla.planner = p.parse()?;
-    }
-    cla.sample_rows = num_opt(args, "--cla-sample", cla.sample_rows)?;
-    if cla.sample_rows == 0 {
-        // An empty sample estimates every column as incompressible and
-        // silently produces an uncompressed CLA plan; reject it.
-        return Err("--cla-sample must be >= 1".into());
-    }
-    Ok(EncodeOptions { cla })
+// ---------------------------------------------------------------------------
+// The flag table: every flag is declared here once and read through its
+// entry; a command accepts exactly the flags its `COMMANDS` row lists.
+// An empty metavar makes a flag boolean.
+
+macro_rules! flags {
+    ($($id:ident = $name:literal $metavar:literal $help:literal;)*) => {
+        $(static $id: Flag = Flag { name: $name, metavar: $metavar, help: $help };)*
+    };
+}
+
+flags! {
+    PRESET = "--preset" "<name>" "census|imagenet|mnist|kdd99|rcv1|deep1b (required)";
+    GEN_ROWS = "--rows" "<n>" "rows to generate (required)";
+    SEED = "--seed" "<n>" "RNG seed (default 42); serve: job i trains with seed+i";
+    ROW_RANGE = "--rows" "<a..b>" "decode only rows a..b (v2 reads just the overlapping segments)";
+    PARALLEL = "--parallel" "<n>" "decode touched segments on n threads (default 1)";
+    SEGMENT_ROWS = "--segment-rows" "<n>" "rows per seekable segment (default 250)";
+    CHUNK_ROWS = "--chunk-rows" "<n>" "rows per streamed chunk = segment, >= 1 (default 250)";
+    CHECKPOINT_EVERY = "--checkpoint-every" "<chunks>"
+        "write a resumable <out>.ckpt sidecar every N sealed chunks (default 0; resuming: 8)";
+    RESUME = "--resume" "" "continue a checkpointed ingest to a byte-identical container";
+    SCHEME = "--scheme" "<s>"
+        "den|csr|cvi|dvi|cla|snappy|gzip|ans|toc|toc-varint (default toc); ingest/compress: + auto";
+    BATCH_ROWS = "--batch-rows" "<n>" "rows per mini-batch (default 250)";
+    CLA_PLANNER = "--cla-planner" "<greedy|sample>" "CLA column-grouping planner (default sample)";
+    CLA_SAMPLE = "--cla-sample" "<rows>" "CLA planner sample size, >= 1 (default 256)";
+    MODEL = "--model" "<lr|svm|linreg>" "linear model (default lr)";
+    EPOCHS = "--epochs" "<n>" "training epochs (default 10; serve: 3)";
+    LR = "--lr" "<f>" "learning rate (default 0.05)";
+    BUDGET = "--budget" "<bytes>"
+        "in-memory budget, the rest spills (train: turns the spill store on; serve: default 0)";
+    SHARDS = "--shards" "<n>" "spill files (default 0 = auto)";
+    MBPS = "--mbps" "<f>" "simulated per-shard disk bandwidth, finite and > 0";
+    PLACEMENT = "--placement" "<stripe|pack|adaptive>"
+        "spill layout; adaptive re-packs hot batches onto fast shards per epoch (default stripe)";
+    PREFETCH = "--prefetch" "<k>" "prefetch depth (default 0 = off)";
+    IO = "--io" "<sync|ring>" "spill-IO engine; ring coalesces adjacent reads (default sync)";
+    PIN = "--pin" "" "stable automatic shard -> IO-thread assignment, per-worker completion lanes";
+    PIN_MAP = "--pin-map" "<t0,t1,...>" "pin shard i to IO thread t_i (one entry per shard)";
+    IO_THREADS = "--io-threads" "<n>" "ring IO threads (default 0 = auto)";
+    DECODE_WORKERS = "--decode-workers" "<n>" "decode workers (default 0 = auto)";
+    FOLLOW = "--follow" "" "tail the CSV as it grows; an online-SGD pass trains as segments seal";
+    WINDOW = "--window" "<batches>" "prequential-error window, >= 1 (default 8)";
+    MAX_PENDING = "--max-pending" "<chunks>"
+        "block ingest this many sealed chunks ahead of the trainer (default 0 = unbounded)";
+    POLL_MS = "--poll-ms" "<n>" "file poll interval (default 10)";
+    IDLE_MS = "--idle-ms" "<n>" "end the stream after this long without growth, >= 1 (default 400)";
+    JOBS = "--jobs" "<n>" "concurrent jobs, >= 1 (default 4)";
+    SCRIPT = "--script" "<file>"
+        "one job per line: name= model= epochs= lr= seed= share= tokens ('#' comments)";
+    MAX_CONCURRENT = "--max-concurrent" "<n>" "admission gate (default 0 = unlimited)";
+    CACHE_BUDGET = "--cache-budget" "<bytes>"
+        "shared compressed-batch cache (default: a quarter of the spilled bytes)";
+    SHARES = "--shares" "<s0,s1,...>" "QoS share of job i is s[i mod len] (default 1)";
+}
+
+/// Encode knobs of every command that encodes.
+static CLA: Group = &[&CLA_PLANNER, &CLA_SAMPLE];
+/// How `train` and `serve` encode their mini-batches.
+static ENCODE: Group = &[&SCHEME, &BATCH_ROWS, &CLA_PLANNER, &CLA_SAMPLE];
+/// The model trained by `train` and by each `serve` job.
+static MODEL_GROUP: Group = &[&MODEL, &EPOCHS, &LR];
+/// Layout of the out-of-core sharded spill store.
+static STORE: Group = &[&SHARDS, &MBPS, &PLACEMENT];
+/// The background prefetch/decode pipeline over the spilled batches.
+static PIPELINE: Group = &[&PREFETCH, &IO, &PIN, &PIN_MAP, &IO_THREADS, &DECODE_WORKERS];
+/// Knobs of `train --follow`, which tails a growing CSV into a live store.
+static FOLLOW_KNOBS: Group = &[&WINDOW, &MAX_PENDING, &POLL_MS, &IDLE_MS];
+/// `serve`: the job list and what the jobs share (besides the seed).
+static SERVE: Group = &[&JOBS, &SCRIPT, &MAX_CONCURRENT, &CACHE_BUDGET, &SHARES];
+
+/// One row per command: name, positionals, handler, flag groups, summary.
+macro_rules! commands {
+    ($($name:literal $pos:tt $run:ident $groups:tt $about:literal;)*) => {
+        static COMMANDS: &[Command] = &[$(Command {
+            name: $name, positionals: &$pos, about: $about, groups: &$groups, run: $run,
+        }),*];
+    };
+}
+
+commands! {
+    "gen" ["<out.csv>"] cmd_gen [&[&PRESET, &GEN_ROWS, &SEED]]
+        "generate a synthetic dataset (features, then the label as the last column)";
+    "ingest" ["<in.csv>", "<out.tocz>"] cmd_ingest
+        [&[&CHUNK_ROWS, &SCHEME, &CHECKPOINT_EVERY, &RESUME], CLA]
+        "bounded-memory streaming encode, one v2 segment per sealed chunk (default: auto)";
+    "compress" ["<in.csv>", "<out.tocz>"] cmd_compress [&[&SCHEME, &SEGMENT_ROWS], CLA]
+        "encode a CSV into a seekable v2 container";
+    "decompress" ["<in.tocz>", "<out.csv>"] cmd_decompress [&[&ROW_RANGE, &PARALLEL]]
+        "decode a container (v1 or v2) back to CSV";
+    "inspect" ["<in.tocz>"] cmd_inspect []
+        "per-batch statistics; v2: the footer's layout tree and zone maps";
+    "bench" ["<in.csv>"] cmd_bench [&[&BATCH_ROWS], CLA]
+        "size, encode time and A*v time of every scheme on the first batch";
+    "train" ["<in.csv|in.tocz>"] cmd_train
+        [ENCODE, MODEL_GROUP, &[&BUDGET], STORE, PIPELINE, &[&FOLLOW], FOLLOW_KNOBS]
+        "MGD training; the last column is the +-1 label";
+    "serve" ["<in.csv|in.tocz>"] cmd_serve
+        [ENCODE, MODEL_GROUP, &[&BUDGET], STORE, SERVE, &[&SEED]]
+        "concurrent training jobs over one shared spill store and compressed-batch cache";
+}
+
+// ---------------------------------------------------------------------------
+// Readers shared by the commands.
+
+/// The CLA planner knobs.
+fn encode_options(a: &Args) -> Result<EncodeOptions, String> {
+    let defaults = ClaOptions::default();
+    Ok(EncodeOptions {
+        cla: ClaOptions {
+            planner: a.get(&CLA_PLANNER, defaults.planner)?,
+            // An empty sample estimates every column as incompressible and
+            // silently produces an uncompressed CLA plan; reject it.
+            sample_rows: a.at_least_one(&CLA_SAMPLE, defaults.sample_rows)?,
+        },
+    })
 }
 
 fn parse_scheme(s: &str) -> Result<Scheme, String> {
@@ -237,20 +200,112 @@ fn parse_scheme(s: &str) -> Result<Scheme, String> {
     })
 }
 
-fn cmd_gen(args: &[String]) -> Result<(), String> {
+/// `--scheme`, where `auto` (`None`) is also allowed.
+fn scheme_or_auto(a: &Args, default: &str) -> Result<Option<Scheme>, String> {
+    let s = a.raw(&SCHEME).unwrap_or(default);
+    if s.eq_ignore_ascii_case("auto") {
+        return Ok(None);
+    }
+    parse_scheme(s).map(Some)
+}
+
+fn loss_kind(model: &str) -> Result<LossKind, String> {
+    match model {
+        "lr" => Ok(LossKind::Logistic),
+        "svm" => Ok(LossKind::Hinge),
+        "linreg" => Ok(LossKind::Squared),
+        other => Err(format!("unknown model {other:?}")),
+    }
+}
+
+/// The ±1 label a last-column value stands for.
+fn label(v: f64) -> f64 {
+    if v >= 0.0 {
+        1.0
+    } else {
+        -1.0
+    }
+}
+
+/// Load `(x, y)` from a `.csv` or a `.tocz`: the last column is the label.
+fn load_xy(input: &str) -> Result<(DenseMatrix, Vec<f64>), String> {
+    let full = if input.ends_with(".tocz") {
+        Container::read(Path::new(input))?.decode()?
+    } else {
+        csv::read_matrix(Path::new(input))?.0
+    };
+    if full.cols() < 2 {
+        return Err("need at least one feature column plus the label column".into());
+    }
+    let d = full.cols() - 1;
+    let mut x = DenseMatrix::zeros(full.rows(), d);
+    let mut y = Vec::with_capacity(full.rows());
+    for r in 0..full.rows() {
+        x.row_mut(r).copy_from_slice(&full.row(r)[..d]);
+        y.push(label(full.get(r, d)));
+    }
+    Ok((x, y))
+}
+
+/// The one store configuration of `train` and `serve`, from the encode,
+/// store-layout, pipeline and follow groups (a group the command does not
+/// declare reads as its defaults).
+fn store_config(a: &Args, budget: usize) -> Result<StoreConfig, String> {
+    use toc_data::{IoEngineKind, Pinning, SchedulerConfig, ShardPlacement};
+    let pinning = match (a.has(&PIN), a.list(&PIN_MAP)?) {
+        (true, Some(_)) => {
+            let map = PIN_MAP.name;
+            return Err(format!(
+                "{PIN} (automatic) and {map} (explicit) are mutually exclusive"
+            ));
+        }
+        (true, None) => Pinning::Auto,
+        (false, Some(map)) => Pinning::Fixed(map),
+        (false, None) => Pinning::Off,
+    };
+    let scheme = parse_scheme(a.raw(&SCHEME).unwrap_or("toc"))?;
+    let mut config = StoreConfig::new(scheme, a.get(&BATCH_ROWS, 250)?, budget)
+        .with_shards(a.get(&SHARDS, 0)?)
+        .with_prefetch(a.get(&PREFETCH, 0)?)
+        .with_io(a.get(&IO, IoEngineKind::Sync)?)
+        .with_placement(a.get(&PLACEMENT, ShardPlacement::Stripe)?)
+        .with_scheduler(SchedulerConfig {
+            io_threads: a.get(&IO_THREADS, 0)?,
+            decode_workers: a.get(&DECODE_WORKERS, 0)?,
+            pinning,
+        })
+        .with_encode_options(encode_options(a)?)
+        .with_max_pending(a.get(&MAX_PENDING, 0)?);
+    if let Some(mbps) = a.value::<f64>(&MBPS)? {
+        if !(mbps.is_finite() && mbps > 0.0) {
+            return Err(format!("{} must be > 0, got {mbps}", MBPS.name));
+        }
+        config = config.with_disk_mbps(mbps);
+    }
+    Ok(config)
+}
+
+fn print_store_line(store: &ShardedSpillStore) {
+    println!(
+        "store: {} in-memory + {} spilled batches across {} shards ({} KB spilled)",
+        store.in_memory_batches(),
+        store.spilled_batches(),
+        store.num_shards(),
+        store.spilled_bytes() / 1024,
+    );
+}
+
+fn cmd_gen(a: &Args) -> Result<(), String> {
     use toc_data::synth::{generate_preset, DatasetPreset};
-    let preset_name = opt(args, "--preset").ok_or("--preset required")?;
+    let missing = |f: &Flag| format!("{} required", f.name);
+    let preset_name = a.raw(&PRESET).ok_or_else(|| missing(&PRESET))?;
     let preset = DatasetPreset::ALL
         .into_iter()
         .find(|p| p.name() == preset_name)
         .ok_or_else(|| format!("unknown preset {preset_name:?}"))?;
-    let rows: usize = opt(args, "--rows")
-        .ok_or("--rows required")?
-        .parse()
-        .map_err(|e| format!("{e}"))?;
-    let seed: u64 = num_opt(args, "--seed", 42)?;
-    let out = positional(args);
-    let out: &Path = Path::new(out.first().ok_or("output path required")?);
+    let rows: usize = a.value(&GEN_ROWS)?.ok_or_else(|| missing(&GEN_ROWS))?;
+    let seed: u64 = a.get(&SEED, 42)?;
+    let out = Path::new(a.pos(0));
     let ds = generate_preset(preset, rows, seed);
     // Emit features plus the label as the last column.
     let mut m = DenseMatrix::zeros(ds.x.rows(), ds.x.cols() + 1);
@@ -268,33 +323,28 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_ingest(args: &[String]) -> Result<(), String> {
+fn cmd_ingest(a: &Args) -> Result<(), String> {
     use toc_data::{ingest_csv_container, CsvContainerJob};
-    let pos = positional(args);
-    let [input, output] = pos[..] else {
-        return Err(
-            "usage: toc ingest <in.csv> <out.tocz> [--resume] [--checkpoint-every <chunks>]".into(),
-        );
-    };
-    let chunk_rows: usize = num_opt(args, "--chunk-rows", 250)?;
-    if chunk_rows == 0 {
-        return Err("--chunk-rows must be >= 1".into());
-    }
-    let scheme_arg = opt(args, "--scheme").unwrap_or_else(|| "auto".into());
-    let scheme = if scheme_arg.eq_ignore_ascii_case("auto") {
-        None // per-chunk pick over Scheme::AUTO_SET
-    } else {
-        Some(parse_scheme(&scheme_arg)?)
-    };
-    let opts = encode_options(args)?;
-    let resume = has_flag(args, "--resume");
+    let chunk_rows: usize = a.at_least_one(&CHUNK_ROWS, 250)?;
+    let resume = a.has(&RESUME);
     // --resume implies periodic checkpointing (a resumed run must stay
     // resumable); --checkpoint-every alone makes a fresh run resumable.
-    let checkpoint_every: u64 = num_opt(args, "--checkpoint-every", if resume { 8 } else { 0 })?;
+    let checkpoint_every: u64 = a.get(&CHECKPOINT_EVERY, if resume { 8 } else { 0 })?;
     if resume && checkpoint_every == 0 {
-        return Err("--resume needs checkpointing; --checkpoint-every must be >= 1".into());
+        let every = CHECKPOINT_EVERY.name;
+        return Err(format!(
+            "{RESUME} needs checkpointing; {every} must be >= 1"
+        ));
     }
-    let out_path = Path::new(output);
+    let out_path = Path::new(a.pos(1));
+    let job = CsvContainerJob {
+        csv: Path::new(a.pos(0)).to_path_buf(),
+        out: out_path.to_path_buf(),
+        chunk_rows,
+        scheme: scheme_or_auto(a, "auto")?, // None = per-chunk pick over Scheme::AUTO_SET
+        encode: encode_options(a)?,
+        checkpoint_every,
+    };
     let t0 = Instant::now();
 
     // Without checkpointing, never leave a truncated container behind —
@@ -316,14 +366,6 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
         armed: checkpoint_every == 0,
     };
 
-    let job = CsvContainerJob {
-        csv: Path::new(input).to_path_buf(),
-        out: out_path.to_path_buf(),
-        chunk_rows,
-        scheme,
-        encode: opts,
-        checkpoint_every,
-    };
     let outcome = ingest_csv_container(&job, resume).map_err(|e| e.to_string())?;
     guard.armed = false;
     let elapsed = t0.elapsed();
@@ -354,44 +396,22 @@ fn cmd_ingest(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_compress(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [input, output] = pos[..] else {
-        return Err("usage: toc compress <in.csv> <out.tocz>".into());
-    };
-    // `--codec` is accepted as an alias of `--scheme` (the byte-codec
-    // schemes like ans/gzip/snappy read naturally as codecs).
-    let scheme_arg = opt(args, "--scheme")
-        .or_else(|| opt(args, "--codec"))
-        .unwrap_or_else(|| "toc".into());
-    // `--segment-rows` is the v2 name (segments are the seekable unit);
-    // `--batch-rows` stays as an alias for older scripts.
-    let batch_rows: usize = num_opt(args, "--segment-rows", num_opt(args, "--batch-rows", 250)?)?;
-    let version: u8 = match opt(args, "--container-version").as_deref() {
-        None | Some("2") => 2,
-        Some("1") => 1,
-        Some(v) => return Err(format!("--container-version must be 1 or 2, got {v:?}")),
-    };
-    let opts = encode_options(args)?;
-    let (m, _) = csv::read_matrix(Path::new(input))?;
-    let scheme = if scheme_arg.eq_ignore_ascii_case("auto") {
+fn cmd_compress(a: &Args) -> Result<(), String> {
+    let segment_rows: usize = a.get(&SEGMENT_ROWS, 250)?;
+    let opts = encode_options(a)?;
+    let (m, _) = csv::read_matrix(Path::new(a.pos(0)))?;
+    let scheme = scheme_or_auto(a, "toc")?.unwrap_or_else(|| {
         // Pick on the first batch: CLA is judged by its planner estimate,
         // the others by an encode probe of one batch.
-        let probe = m.slice_rows(0, m.rows().min(batch_rows));
+        let probe = m.slice_rows(0, m.rows().min(segment_rows));
         let picked = toc_formats::pick_scheme(&probe, &Scheme::AUTO_SET, &opts);
         println!("auto: picked {}", picked.name());
         picked
-    } else {
-        parse_scheme(&scheme_arg)?
-    };
+    });
     let t0 = Instant::now();
-    let container = Container::encode_with(&m, scheme, batch_rows, &opts);
+    let container = Container::encode_with(&m, scheme, segment_rows, &opts);
     let elapsed = t0.elapsed();
-    if version == 1 {
-        container.write_v1(Path::new(output))?;
-    } else {
-        container.write(Path::new(output))?;
-    }
+    container.write(Path::new(a.pos(1)))?;
     let den = m.den_size_bytes();
     let enc = container.payload_bytes();
     println!(
@@ -408,19 +428,19 @@ fn cmd_compress(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse `--rows a..b` (start may be omitted: `..b` means `0..b`).
+/// Parse a row range `a..b` (start may be omitted: `..b` means `0..b`).
 fn parse_row_range(s: &str) -> Result<(usize, usize), String> {
     let (a, b) = s
         .split_once("..")
-        .ok_or_else(|| format!("--rows expects <start>..<end>, got {s:?}"))?;
+        .ok_or_else(|| format!("expected <start>..<end>, got {s:?}"))?;
     let a: usize = if a.is_empty() {
         0
     } else {
-        a.parse().map_err(|e| format!("--rows start: {e}"))?
+        a.parse().map_err(|e| format!("start: {e}"))?
     };
-    let b: usize = b.parse().map_err(|e| format!("--rows end: {e}"))?;
+    let b: usize = b.parse().map_err(|e| format!("end: {e}"))?;
     if a > b {
-        return Err(format!("--rows start {a} exceeds end {b}"));
+        return Err(format!("start {a} exceeds end {b}"));
     }
     Ok((a, b))
 }
@@ -440,15 +460,11 @@ fn container_version(path: &Path) -> Result<u8, String> {
     Ok(head[4])
 }
 
-fn cmd_decompress(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [input, output] = pos[..] else {
-        return Err("usage: toc decompress <in.tocz> <out.csv>".into());
-    };
-    let rows = opt(args, "--rows")
-        .map(|s| parse_row_range(&s))
-        .transpose()?;
-    let parallel: usize = num_opt(args, "--parallel", 1)?;
+fn cmd_decompress(a: &Args) -> Result<(), String> {
+    let (input, output) = (a.pos(0), a.pos(1));
+    let rows = a.raw(&ROW_RANGE).map(parse_row_range).transpose();
+    let rows = rows.map_err(|e| format!("{}: {e}", ROW_RANGE.name))?;
+    let parallel: usize = a.get(&PARALLEL, 1)?;
     let path = Path::new(input);
     let m = match rows {
         Some((r0, r1)) if container_version(path)? == 2 => {
@@ -517,11 +533,8 @@ fn print_layout_node(node: &toc_formats::container::LayoutNode, depth: usize, bu
     }
 }
 
-fn cmd_inspect(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [input] = pos[..] else {
-        return Err("usage: toc inspect <in.tocz>".into());
-    };
+fn cmd_inspect(a: &Args) -> Result<(), String> {
+    let input = a.pos(0);
     let version = container_version(Path::new(input))?;
     if version == 2 {
         let bytes = std::fs::read(Path::new(input)).map_err(|e| format!("read {input}: {e}"))?;
@@ -578,13 +591,10 @@ fn cmd_inspect(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_bench(args: &[String]) -> Result<(), String> {
-    let pos = positional(args);
-    let [input] = pos[..] else {
-        return Err("usage: toc bench <in.csv>".into());
-    };
-    let batch_rows: usize = num_opt(args, "--batch-rows", 250)?;
-    let opts = encode_options(args)?;
+fn cmd_bench(a: &Args) -> Result<(), String> {
+    let input = a.pos(0);
+    let batch_rows: usize = a.get(&BATCH_ROWS, 250)?;
+    let opts = encode_options(a)?;
     let (m, _) = csv::read_matrix(Path::new(input))?;
     let batch = m.slice_rows(0, m.rows().min(batch_rows));
     let den = batch.den_size_bytes();
@@ -625,193 +635,74 @@ fn cmd_bench(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_train(args: &[String]) -> Result<(), String> {
-    use toc_ml::mgd::{MemoryProvider, MgdConfig, ModelSpec, Trainer};
-    use toc_ml::LossKind;
-    let pos = positional(args);
-    let [input] = pos[..] else {
-        return Err("usage: toc train <in.csv>".into());
-    };
-    let scheme = parse_scheme(&opt(args, "--scheme").unwrap_or_else(|| "toc".into()))?;
-    let batch_rows: usize = num_opt(args, "--batch-rows", 250)?;
-    let encode_opts = encode_options(args)?;
-    let epochs: usize = num_opt(args, "--epochs", 10)?;
-    let lr: f64 = num_opt(args, "--lr", 0.05)?;
-    let model = opt(args, "--model").unwrap_or_else(|| "lr".into());
-    let loss = match model.as_str() {
-        "lr" => LossKind::Logistic,
-        "svm" => LossKind::Hinge,
-        "linreg" => LossKind::Squared,
-        other => return Err(format!("unknown model {other:?}")),
-    };
-
-    // A `.tocz` input trains straight off a compressed container.
-    let from_container = input.ends_with(".tocz");
-
+fn cmd_train(a: &Args) -> Result<(), String> {
+    let input = a.pos(0);
+    let model = a.raw(&MODEL).unwrap_or("lr");
+    let spec = ModelSpec::Linear(loss_kind(model)?);
+    let epochs: usize = a.get(&EPOCHS, 10)?;
     let trainer = Trainer::new(MgdConfig {
         epochs,
-        lr,
+        lr: a.get(&LR, 0.05)?,
         ..Default::default()
     });
-    let spec = ModelSpec::Linear(loss);
+    // A `.tocz` input trains straight off a compressed container.
+    let from_container = input.ends_with(".tocz");
+    let budget: Option<usize> = a.value(&BUDGET)?;
+    let follow = a.has(&FOLLOW);
 
-    let budget = match opt(args, "--budget") {
-        Some(b) => Some(b.parse::<usize>().map_err(|e| format!("--budget: {e}"))?),
-        None => None,
-    };
-    let shards: usize = num_opt(args, "--shards", 0)?;
-    let prefetch: usize = num_opt(args, "--prefetch", 0)?;
-    let mbps = mbps_opt(args)?;
-    let io = num_opt(args, "--io", toc_data::IoEngineKind::Sync)?;
-    let mut placement = num_opt(args, "--placement", toc_data::ShardPlacement::Stripe)?;
-    if has_flag(args, "--adaptive") {
-        if opt(args, "--placement").is_some_and(|p| !p.eq_ignore_ascii_case("adaptive")) {
-            return Err("--adaptive conflicts with the explicit --placement".into());
+    let given = |group: Group| group.iter().find(|f| a.has(f)).map(|f| f.name);
+    if budget.is_none() {
+        if let Some(f) = given(STORE).or_else(|| given(PIPELINE)) {
+            return Err(format!(
+                "{f} configures the out-of-core store; pass {BUDGET} to enable it"
+            ));
         }
-        placement = toc_data::ShardPlacement::Adaptive;
-    }
-    let pinning = match (has_flag(args, "--pin"), opt(args, "--pin-map")) {
-        (true, Some(_)) => {
-            return Err("--pin (automatic) and --pin-map (explicit) are mutually exclusive".into())
-        }
-        (true, None) => toc_data::Pinning::Auto,
-        (false, Some(map)) => {
-            let map: Vec<usize> = map
-                .split(',')
-                .map(|t| t.trim().parse().map_err(|e| format!("--pin-map: {e}")))
-                .collect::<Result<_, String>>()?;
-            toc_data::Pinning::Fixed(map)
-        }
-        (false, None) => toc_data::Pinning::Off,
-    };
-    let scheduler = toc_data::SchedulerConfig {
-        io_threads: num_opt(args, "--io-threads", 0)?,
-        decode_workers: num_opt(args, "--decode-workers", 0)?,
-        pinning,
-    };
-    if budget.is_none()
-        && (shards > 0
-            || prefetch > 0
-            || mbps.is_some()
-            || opt(args, "--io").is_some()
-            || opt(args, "--placement").is_some()
-            || has_flag(args, "--adaptive")
-            || scheduler != toc_data::SchedulerConfig::default())
-    {
-        return Err(
-            "--shards/--prefetch/--mbps/--io/--placement/--adaptive/--pin/--pin-map/\
-             --io-threads/--decode-workers configure the out-of-core store; \
-             pass --budget <bytes> to enable it"
-                .into(),
-        );
-    }
-    if has_flag(args, "--follow") && budget.is_none() {
-        return Err(
-            "--follow streams rows into the live out-of-core store; pass --budget <bytes>".into(),
-        );
-    }
-    if opt(args, "--window").is_some() && !has_flag(args, "--follow") {
-        return Err("--window only applies with --follow".into());
-    }
-    for f in ["--max-pending", "--poll-ms", "--idle-ms"] {
-        if opt(args, f).is_some() && !has_flag(args, "--follow") {
-            return Err(format!("{f} only applies with --follow"));
+        if follow {
+            return Err(format!(
+                "{FOLLOW} streams rows into the live out-of-core store; pass {BUDGET}"
+            ));
         }
     }
-    if has_flag(args, "--follow") {
-        // Follow mode tails the file itself (it may still be growing
-        // under a concurrent writer), so nothing is pre-read here.
+    if !follow {
+        if let Some(f) = given(FOLLOW_KNOBS) {
+            return Err(format!("{f} only applies with {FOLLOW}"));
+        }
+    }
+    let config = store_config(a, budget.unwrap_or(usize::MAX))?;
+    if follow {
+        // A streaming store has no build-time spilled entries, so the
+        // prefetch pipeline never starts over it.
+        if let Some(f) = given(PIPELINE) {
+            return Err(format!("{f} has no effect with {FOLLOW}"));
+        }
         if from_container {
-            return Err(
-                "--follow tails a growing CSV; a .tocz container is already finished".into(),
-            );
+            return Err(format!(
+                "{FOLLOW} tails a growing CSV; a .tocz container is already finished"
+            ));
         }
-        let window: usize = num_opt(args, "--window", 8)?;
-        if window == 0 {
-            return Err("--window must be >= 1".into());
-        }
-        let max_pending: usize = num_opt(args, "--max-pending", 0)?;
-        let poll_ms: u64 = num_opt(args, "--poll-ms", 10)?;
-        let idle_ms: u64 = num_opt(args, "--idle-ms", 400)?;
-        if idle_ms == 0 {
-            return Err("--idle-ms must be >= 1".into());
-        }
-        use toc_data::store::StoreConfig;
-        let mut config = StoreConfig::new(scheme, batch_rows, budget.expect("validated above"))
-            .with_shards(shards)
-            .with_prefetch(prefetch)
-            .with_io(io)
-            .with_placement(placement)
-            .with_scheduler(scheduler)
-            .with_encode_options(encode_opts)
-            .with_max_pending(max_pending);
-        if let Some(mbps) = mbps {
-            config = config.with_disk_mbps(mbps);
-        }
-        return train_follow(
-            Path::new(input),
-            &trainer,
-            &spec,
-            &config,
-            scheme,
-            batch_rows,
-            encode_opts,
-            window,
-            &model,
-            std::time::Duration::from_millis(poll_ms),
-            std::time::Duration::from_millis(idle_ms),
-        );
+        return train_follow(a, &trainer, &spec, &config, model);
     }
 
-    let full = if from_container {
-        Container::read(Path::new(input))?.decode()?
+    let (x, y) = load_xy(input)?;
+    // Without --budget everything stays in memory: the same store, no
+    // spill files and no IO report.
+    let out_of_core = budget.is_some();
+    let t0 = Instant::now();
+    // Container inputs stream v2 segments through the seekable reader
+    // (one decoded segment in memory at a time); batch boundaries
+    // match `build` on the decoded matrix exactly.
+    let store = if out_of_core && from_container && container_version(Path::new(input))? == 2 {
+        ShardedSpillStore::build_from_container(Path::new(input), &config)
     } else {
-        csv::read_matrix(Path::new(input))?.0
-    };
-    if full.cols() < 2 {
-        return Err("need at least one feature column plus the label column".into());
+        ShardedSpillStore::build(&x, &y, &config)
     }
-    let d = full.cols() - 1;
-    let mut x = DenseMatrix::zeros(full.rows(), d);
-    let mut y = Vec::with_capacity(full.rows());
-    for r in 0..full.rows() {
-        x.row_mut(r).copy_from_slice(&full.row(r)[..d]);
-        y.push(if full.get(r, d) >= 0.0 { 1.0 } else { -1.0 });
+    .map_err(|e| format!("{e}"))?;
+    let encode_time = t0.elapsed();
+    if out_of_core {
+        print_store_line(&store);
     }
-
-    let (mut report, encode_time, encoded_bytes) = if let Some(budget) = budget {
-        // Out-of-core path: build the sharded spill store and train over
-        // it, reporting spill layout and IO statistics.
-        use toc_data::store::{ShardedSpillStore, StoreConfig};
-        let mut config = StoreConfig::new(scheme, batch_rows, budget)
-            .with_shards(shards)
-            .with_prefetch(prefetch)
-            .with_io(io)
-            .with_placement(placement)
-            .with_scheduler(scheduler)
-            .with_encode_options(encode_opts);
-        if let Some(mbps) = mbps {
-            config = config.with_disk_mbps(mbps);
-        }
-        let t0 = Instant::now();
-        // Container inputs stream v2 segments through the seekable reader
-        // (one decoded segment in memory at a time); batch boundaries
-        // match `build` on the decoded matrix exactly.
-        let store = if from_container && container_version(Path::new(input))? == 2 {
-            ShardedSpillStore::build_from_container(Path::new(input), &config)
-        } else {
-            ShardedSpillStore::build(&x, &y, &config)
-        }
-        .map_err(|e| format!("{e}"))?;
-        let encode_time = t0.elapsed();
-        println!(
-            "store: {} in-memory + {} spilled batches across {} shards ({} KB spilled)",
-            store.in_memory_batches(),
-            store.spilled_batches(),
-            store.num_shards(),
-            store.spilled_bytes() / 1024,
-        );
-        let report = trainer.train(&spec, &store, None);
+    let mut report = trainer.train(&spec, &store, None);
+    if out_of_core {
         let s = store.stats().snapshot_stable();
         println!(
             "io: {} reads ({} KB), prefetch {} hits / {} misses, simulated delay {:.1?}",
@@ -819,13 +710,15 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
             s.bytes_read / 1024,
             s.prefetch_hits,
             s.prefetch_misses,
-            std::time::Duration::from_nanos(s.throttle_ns),
+            Duration::from_nanos(s.throttle_ns),
         );
         // Machine-parseable engine stats (the CLI smoke tests parse this
         // line): key=value pairs only, one per field.
         println!(
-            "io-engine: kind={io} placement={placement} submitted={} completed={} \
+            "io-engine: kind={} placement={} submitted={} completed={} \
              coalesced={} max-in-flight={} lat-p50-us={} lat-p99-us={}",
+            config.io,
+            config.placement,
             s.submitted,
             s.completed,
             s.coalesced_reads,
@@ -867,40 +760,16 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
                     .collect()
             ),
         );
-        let bytes = store.total_bytes();
-        (report, encode_time, bytes)
-    } else {
-        let mut batches = Vec::new();
-        let mut start = 0;
-        let t0 = Instant::now();
-        while start < x.rows() {
-            let end = (start + batch_rows).min(x.rows());
-            batches.push((
-                scheme.encode_with(&x.slice_rows(start, end), &encode_opts),
-                y[start..end].to_vec(),
-            ));
-            start = end;
-        }
-        let encode_time = t0.elapsed();
-        let encoded_bytes: usize = batches.iter().map(|(b, _)| b.size_bytes()).sum();
-        let provider = MemoryProvider {
-            batches,
-            features: d,
-        };
-        (
-            trainer.train(&spec, &provider, None),
-            encode_time,
-            encoded_bytes,
-        )
-    };
+    }
     let eval = Scheme::Den.encode(&x);
     let err = report.model.error_rate(&eval, &y);
     println!(
-        "{model} on {} rows x {d} features [{}]: encode {:.1?} ({} KB), train {:.1?} ({epochs} epochs), training error {:.2}%",
+        "{model} on {} rows x {} features [{}]: encode {:.1?} ({} KB), train {:.1?} ({epochs} epochs), training error {:.2}%",
         x.rows(),
-        scheme.name(),
+        x.cols(),
+        config.scheme.name(),
         encode_time,
-        encoded_bytes / 1024,
+        store.total_bytes() / 1024,
         report.train_time,
         err * 100.0,
     );
@@ -916,24 +785,23 @@ fn cmd_train(args: &[String]) -> Result<(), String> {
 /// follower only commits newline-terminated lines (a torn tail mid-write
 /// is retried, never half-parsed), re-opens from the top if the file is
 /// truncated beneath it, and ends the stream once no new bytes appear
-/// for `idle`. The trainer consumes batches in index order, so the loss
+/// for `--idle-ms`. The trainer consumes batches in index order, so the loss
 /// curve is deterministic in the seed regardless of ingest timing.
-#[allow(clippy::too_many_arguments)]
 fn train_follow(
-    input: &Path,
-    trainer: &toc_ml::mgd::Trainer,
-    spec: &toc_ml::mgd::ModelSpec,
-    config: &toc_data::StoreConfig,
-    scheme: Scheme,
-    batch_rows: usize,
-    encode_opts: EncodeOptions,
-    window: usize,
+    a: &Args,
+    trainer: &Trainer,
+    spec: &ModelSpec,
+    config: &StoreConfig,
     model: &str,
-    poll: std::time::Duration,
-    idle: std::time::Duration,
 ) -> Result<(), String> {
     use std::sync::atomic::{AtomicBool, Ordering};
-    use toc_data::{follow_rows, CsvStream, FollowOptions, ShardedSpillStore, StoreIngest};
+    use toc_data::{follow_rows, CsvStream, FollowOptions, StoreIngest};
+
+    let input = Path::new(a.pos(0));
+    let window: usize = a.at_least_one(&WINDOW, 8)?;
+    let poll = Duration::from_millis(a.get(&POLL_MS, 10)?);
+    let idle = Duration::from_millis(a.at_least_one(&IDLE_MS, 400)?);
+    let (scheme, batch_rows, encode_opts) = (config.scheme, config.batch_rows, config.encode);
 
     // The store needs the feature count up front, so wait (up to the
     // idle timeout) for the first complete row to pin the width.
@@ -977,8 +845,8 @@ fn train_follow(
                     idle_timeout: idle,
                 };
                 follow_rows(input, &opts, &mut || false, &mut |_, row| {
-                    let label = if row[d] >= 0.0 { 1.0 } else { -1.0 };
-                    ing.push_row(&row[..d], label).map_err(|e| e.to_string())
+                    ing.push_row(&row[..d], label(row[d]))
+                        .map_err(|e| e.to_string())
                 })
                 .map_err(|e| e.to_string())?;
                 ing.finish().map_err(|e| e.to_string())
@@ -1035,13 +903,7 @@ fn train_follow(
     );
     // The follower saw the file go idle, so it is complete now: re-read
     // it for the final training-error evaluation over every row.
-    let (full, _) = csv::read_matrix(input)?;
-    let mut x = DenseMatrix::zeros(full.rows(), d);
-    let mut y = Vec::with_capacity(full.rows());
-    for r in 0..full.rows() {
-        x.row_mut(r).copy_from_slice(&full.row(r)[..d]);
-        y.push(if full.get(r, d) >= 0.0 { 1.0 } else { -1.0 });
-    }
+    let (x, y) = load_xy(a.pos(0))?;
     let eval = Scheme::Den.encode(&x);
     let err = report.model.error_rate(&eval, &y);
     println!(
@@ -1091,56 +953,19 @@ fn parse_script_job(
     Ok((name, model, config, share))
 }
 
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(a: &Args) -> Result<(), String> {
     use toc_data::serve::{JobServer, JobSpec, ServeConfig};
-    use toc_data::store::{ShardedSpillStore, StoreConfig};
-    use toc_ml::mgd::{MgdConfig, ModelSpec};
-    use toc_ml::LossKind;
 
-    let pos = positional(args);
-    let [input] = pos[..] else {
-        return Err("usage: toc serve <in.csv|in.tocz> [--jobs <n>] ...".into());
-    };
-    let scheme = parse_scheme(&opt(args, "--scheme").unwrap_or_else(|| "toc".into()))?;
-    let batch_rows: usize = num_opt(args, "--batch-rows", 250)?;
-    let encode_opts = encode_options(args)?;
-    // Serve is the out-of-core mode: the budget defaults to 0, so every
-    // batch spills and the shared cache is what keeps hot ones close.
-    let budget: usize = num_opt(args, "--budget", 0)?;
-    let shards: usize = num_opt(args, "--shards", 0)?;
-    let mbps = mbps_opt(args)?;
-    let io = num_opt(args, "--io", toc_data::IoEngineKind::Sync)?;
-    let mut placement = num_opt(args, "--placement", toc_data::ShardPlacement::Stripe)?;
-    if has_flag(args, "--adaptive") {
-        if opt(args, "--placement").is_some_and(|p| !p.eq_ignore_ascii_case("adaptive")) {
-            return Err("--adaptive conflicts with the explicit --placement".into());
-        }
-        placement = toc_data::ShardPlacement::Adaptive;
-    }
-    let max_concurrent: usize = num_opt(args, "--max-concurrent", 0)?;
-    let epochs: usize = num_opt(args, "--epochs", 3)?;
-    let lr: f64 = num_opt(args, "--lr", 0.05)?;
-    let base_seed: u64 = num_opt(args, "--seed", 42)?;
-    let shares: Vec<f64> = match opt(args, "--shares") {
-        Some(s) => s
-            .split(',')
-            .map(|t| t.trim().parse().map_err(|e| format!("--shares: {e}")))
-            .collect::<Result<_, String>>()?,
-        None => vec![1.0],
-    };
+    let input = a.pos(0);
+    let max_concurrent: usize = a.get(&MAX_CONCURRENT, 0)?;
+    let base_seed: u64 = a.get(&SEED, 42)?;
+    let shares: Vec<f64> = a.list(&SHARES)?.unwrap_or_else(|| vec![1.0]);
     if shares.is_empty() || shares.iter().any(|&s| !(s.is_finite() && s > 0.0)) {
-        return Err("--shares entries must be finite and > 0".into());
+        return Err(format!("{} entries must be finite and > 0", SHARES.name));
     }
-
-    let loss_for = |model: &str| match model {
-        "lr" => Ok(LossKind::Logistic),
-        "svm" => Ok(LossKind::Hinge),
-        "linreg" => Ok(LossKind::Squared),
-        other => Err(format!("unknown model {other:?}")),
-    };
     let defaults = MgdConfig {
-        epochs,
-        lr,
+        epochs: a.get(&EPOCHS, 3)?,
+        lr: a.get(&LR, 0.05)?,
         seed: base_seed,
         record_curve: true,
         ..Default::default()
@@ -1148,9 +973,9 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // (name, model-name, config, share) per job: either --jobs clones of
     // the command-line job with consecutive seeds, or one job per
     // non-comment script line.
-    let protos: Vec<(String, String, MgdConfig, f64)> = match opt(args, "--script") {
+    let protos: Vec<(String, String, MgdConfig, f64)> = match a.raw(&SCRIPT) {
         Some(path) => {
-            let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
+            let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
             let lines: Vec<&str> = text
                 .lines()
                 .map(str::trim)
@@ -1166,18 +991,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 .collect::<Result<_, String>>()?
         }
         None => {
-            let jobs: usize = num_opt(args, "--jobs", 4)?;
-            if jobs == 0 {
-                return Err("--jobs must be >= 1".into());
-            }
-            let model = opt(args, "--model").unwrap_or_else(|| "lr".into());
+            let jobs: usize = a.at_least_one(&JOBS, 4)?;
+            let model = a.raw(&MODEL).unwrap_or("lr");
             (0..jobs)
                 .map(|i| {
                     let mut config = defaults.clone();
                     config.seed = base_seed + i as u64;
                     (
                         format!("j{i}"),
-                        model.clone(),
+                        model.to_string(),
                         config,
                         shares[i % shares.len()],
                     )
@@ -1186,42 +1008,15 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         }
     };
 
-    let from_container = input.ends_with(".tocz");
-    let full = if from_container {
-        Container::read(Path::new(input))?.decode()?
-    } else {
-        csv::read_matrix(Path::new(input))?.0
-    };
-    if full.cols() < 2 {
-        return Err("need at least one feature column plus the label column".into());
-    }
-    let d = full.cols() - 1;
-    let mut x = DenseMatrix::zeros(full.rows(), d);
-    let mut y = Vec::with_capacity(full.rows());
-    for r in 0..full.rows() {
-        x.row_mut(r).copy_from_slice(&full.row(r)[..d]);
-        y.push(if full.get(r, d) >= 0.0 { 1.0 } else { -1.0 });
-    }
-
-    let mut config = StoreConfig::new(scheme, batch_rows, budget)
-        .with_shards(shards)
-        .with_io(io)
-        .with_placement(placement)
-        .with_encode_options(encode_opts);
-    if let Some(mbps) = mbps {
-        config = config.with_disk_mbps(mbps);
-    }
+    let (x, y) = load_xy(input)?;
+    // Serve is the out-of-core mode: the budget defaults to 0, so every
+    // batch spills and the shared cache is what keeps hot ones close.
+    let config = store_config(a, a.get(&BUDGET, 0)?)?;
     let store =
         std::sync::Arc::new(ShardedSpillStore::build(&x, &y, &config).map_err(|e| format!("{e}"))?);
-    println!(
-        "store: {} in-memory + {} spilled batches across {} shards ({} KB spilled)",
-        store.in_memory_batches(),
-        store.spilled_batches(),
-        store.num_shards(),
-        store.spilled_bytes() / 1024,
-    );
+    print_store_line(&store);
 
-    let cache_bytes: usize = num_opt(args, "--cache-budget", store.spilled_bytes() / 4)?;
+    let cache_bytes: usize = a.get(&CACHE_BUDGET, store.spilled_bytes() / 4)?;
     let server = JobServer::new(
         std::sync::Arc::clone(&store),
         ServeConfig {
@@ -1236,7 +1031,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .map(|(name, model, config, share)| {
             Ok(JobSpec::new(
                 name.clone(),
-                ModelSpec::Linear(loss_for(model)?),
+                ModelSpec::Linear(loss_kind(model)?),
                 config.clone(),
             )
             .with_share(*share)
@@ -1291,6 +1086,35 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{TempPath, GOLDEN_V1};
+
+    /// `toc <argv>` through the parser and the real command table.
+    fn toc(argv: &[&str]) -> Result<(), String> {
+        run(&strings(argv))
+    }
+
+    fn command(name: &str) -> &'static Command {
+        COMMANDS.iter().find(|c| c.name == name).unwrap()
+    }
+
+    /// Parse `argv` against the real table of `cmd`, expecting a runnable
+    /// command line.
+    fn parsed<'a>(cmd: &str, argv: &'a [String]) -> Args<'a> {
+        args::parse(command(cmd), argv)
+            .unwrap()
+            .expect("not a help request")
+    }
+
+    fn strings(argv: &[&str]) -> Vec<String> {
+        argv.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn gen_census(label: &str, rows: usize) -> TempPath {
+        let csv = TempPath::new(label, "csv");
+        let rows = rows.to_string();
+        toc(&["gen", "--preset", "census", "--rows", &rows, &csv.arg()]).unwrap();
+        csv
+    }
 
     #[test]
     fn scheme_parsing() {
@@ -1301,65 +1125,95 @@ mod tests {
     }
 
     #[test]
-    fn opt_and_positional() {
-        let args: Vec<String> = ["a.csv", "--scheme", "toc", "b.tocz"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(opt(&args, "--scheme").as_deref(), Some("toc"));
-        assert_eq!(positional(&args), vec!["a.csv", "b.tocz"]);
+    fn parser_reads_flags_and_positionals_in_any_order() {
+        let argv = strings(&["a.csv", "--scheme", "toc", "b.tocz"]);
+        let a = parsed("compress", &argv);
+        assert_eq!(a.raw(&SCHEME), Some("toc"));
+        assert_eq!((a.pos(0), a.pos(1)), ("a.csv", "b.tocz"));
+        assert!(!a.has(&SEGMENT_ROWS));
+        assert_eq!(a.get(&SEGMENT_ROWS, 250usize).unwrap(), 250);
     }
 
     #[test]
-    fn boolean_flags_do_not_swallow_positionals() {
-        // `--adaptive` and `--pin` take no value: the token after them is
+    fn a_boolean_flag_never_swallows_a_positional() {
+        // `--pin` and `--follow` take no value: the token after them is
         // still positional.
-        let args: Vec<String> = ["--adaptive", "a.csv", "--pin", "--epochs", "3"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert!(has_flag(&args, "--adaptive"));
-        assert!(has_flag(&args, "--pin"));
-        assert_eq!(positional(&args), vec!["a.csv"]);
-        assert_eq!(opt(&args, "--epochs").as_deref(), Some("3"));
-        let none: Vec<String> = vec!["a.csv".into()];
-        assert!(!has_flag(&none, "--adaptive"));
+        let argv = strings(&["--pin", "a.csv", "--follow", "--epochs", "3"]);
+        let a = parsed("train", &argv);
+        assert!(a.has(&PIN) && a.has(&FOLLOW));
+        assert_eq!(a.pos(0), "a.csv");
+        assert_eq!(a.get(&EPOCHS, 10usize).unwrap(), 3);
+        assert!(!parsed("train", &strings(&["a.csv"])).has(&PIN));
     }
 
     #[test]
-    fn adaptive_and_pin_flag_combinations() {
-        let csv = crate::testutil::TempPath::new("cli-adaptive", "csv");
-        cmd_gen(&[
-            "--preset".into(),
-            "census".into(),
-            "--rows".into(),
-            "300".into(),
-            csv.arg(),
-        ])
-        .unwrap();
-        let base = |extra: &[&str]| {
-            let mut args: Vec<String> = vec![
-                csv.arg(),
-                "--epochs".into(),
-                "2".into(),
-                "--budget".into(),
-                "0".into(),
-                "--shards".into(),
-                "2".into(),
-            ];
-            args.extend(extra.iter().map(|s| s.to_string()));
-            args
+    fn parser_rejects_what_the_table_does_not_declare() {
+        let err = |cmd: &str, argv: &[&str]| match args::parse(command(cmd), &strings(argv)) {
+            Err(e) => e,
+            Ok(_) => panic!("toc {cmd} {argv:?} was accepted"),
         };
-        // --adaptive shorthand == --placement adaptive; both together OK.
-        cmd_train(&base(&["--adaptive"])).unwrap();
-        cmd_train(&base(&["--placement", "adaptive", "--adaptive"])).unwrap();
-        // Conflicting explicit placement rejected.
-        assert!(cmd_train(&base(&["--placement", "pack", "--adaptive"])).is_err());
+        // Unknown flag (a typo of --epochs), named with its command.
+        let e = err("train", &["d.csv", "--epoch", "1"]);
+        assert!(
+            e.contains("toc train") && e.contains("unknown flag --epoch"),
+            "{e}"
+        );
+        // A flag another command owns is unknown here.
+        assert!(err("ingest", &["a", "b", "--epochs", "3"]).contains("--epochs"));
+        assert!(err("serve", &["d.csv", "--io", "ring"]).contains("unknown flag --io"));
+        // Value flag at the end, or followed by another flag.
+        assert!(err("train", &["d.csv", "--epochs"]).contains("--epochs needs a value"));
+        assert!(err("train", &["d.csv", "--epochs", "--pin"]).contains("needs a value"));
+        // Repeated flag.
+        let e = err("train", &["d.csv", "--epochs", "1", "--epochs", "7"]);
+        assert!(e.contains("--epochs given more than once"), "{e}");
+        // Wrong positional count, both ways.
+        assert!(err("train", &[]).contains("expected 1 positional"));
+        assert!(err("inspect", &["a.tocz", "b.tocz"]).contains("got 2"));
+        // A value that does not parse names its flag.
+        let argv = strings(&["d.csv", "--epochs", "abc"]);
+        let e = parsed("train", &argv).get(&EPOCHS, 10usize).unwrap_err();
+        assert!(e.starts_with("--epochs:"), "{e}");
+    }
+
+    #[test]
+    fn help_is_generated_from_the_table() {
+        for cmd in COMMANDS {
+            let help = cmd.help();
+            let mut names: Vec<&str> = cmd.flags().map(|f| f.name).collect();
+            for name in &names {
+                assert!(help.contains(name), "toc {} --help lacks {name}", cmd.name);
+            }
+            names.sort_unstable();
+            let declared = names.len();
+            names.dedup();
+            assert_eq!(names.len(), declared, "toc {} repeats a flag", cmd.name);
+            assert!(matches!(args::parse(cmd, &strings(&["-h"])), Ok(None)));
+            assert!(args::overview(COMMANDS).contains(&cmd.usage()));
+        }
+        let count = |name: &str| command(name).flags().count();
+        assert_eq!(
+            (count("compress"), count("serve"), count("train")),
+            (4, 17, 22)
+        );
+    }
+
+    #[test]
+    fn placement_and_pin_flag_combinations() {
+        let csv = gen_census("cli-adaptive", 300);
+        let train = |extra: &[&str]| {
+            let path = csv.arg();
+            let mut argv = vec!["train", &path, "--epochs", "2", "--budget", "0"];
+            argv.extend(["--shards", "2"]);
+            argv.extend(extra);
+            toc(&argv)
+        };
+        train(&["--placement", "adaptive"]).unwrap();
         // --pin and --pin-map are mutually exclusive; a fixed map must
         // validate against the shard/thread shape.
-        assert!(cmd_train(&base(&["--pin", "--pin-map", "0,1"])).is_err());
-        assert!(cmd_train(&base(&["--pin-map", "0,x"])).is_err());
-        cmd_train(&base(&[
+        assert!(train(&["--pin", "--pin-map", "0,1"]).is_err());
+        assert!(train(&["--pin-map", "0,x"]).is_err());
+        train(&[
             "--prefetch",
             "2",
             "--io",
@@ -1370,18 +1224,29 @@ mod tests {
             "2",
             "--decode-workers",
             "2",
-        ]))
+        ])
         .unwrap();
-        // Out-of-core flags still demand --budget.
-        assert!(cmd_train(&[csv.arg(), "--adaptive".into()]).is_err());
-        assert!(cmd_train(&[csv.arg(), "--pin".into()]).is_err());
+        // Out-of-core flags still demand --budget, and the error names
+        // the flag that needs it.
+        let e = toc(&["train", "d.csv", "--pin"]).unwrap_err();
+        assert!(
+            e.contains("--pin configures") && e.contains("--budget <bytes>"),
+            "{e}"
+        );
+        let e = toc(&["train", "d.csv", "--shards", "2"]).unwrap_err();
+        assert!(e.contains("--shards configures"), "{e}");
+        // Follow-only and pipeline-only flags name themselves too.
+        let e = train(&["--window", "4"]).unwrap_err();
+        assert!(e.contains("--window only applies with --follow"), "{e}");
+        let e = train(&["--follow", "--prefetch", "4"]).unwrap_err();
+        assert!(e.contains("--prefetch has no effect with --follow"), "{e}");
     }
 
     #[test]
     fn end_to_end_compress_decompress() {
-        let csv_in = crate::testutil::TempPath::new("cli-e2e", "csv");
-        let tocz = crate::testutil::TempPath::new("cli-e2e", "tocz");
-        let csv_out = crate::testutil::TempPath::new("cli-e2e-out", "csv");
+        let csv_in = TempPath::new("cli-e2e", "csv");
+        let tocz = TempPath::new("cli-e2e", "tocz");
+        let csv_out = TempPath::new("cli-e2e-out", "csv");
         let m = DenseMatrix::from_rows(
             (0..80)
                 .map(|r| {
@@ -1392,86 +1257,48 @@ mod tests {
                 .collect(),
         );
         crate::csv::write_matrix(csv_in.path(), &m, None).unwrap();
-        cmd_compress(&[csv_in.arg(), tocz.arg(), "--batch-rows".into(), "32".into()]).unwrap();
-        cmd_inspect(&[tocz.arg()]).unwrap();
-        cmd_decompress(&[tocz.arg(), csv_out.arg()]).unwrap();
+        let (csv_in, tocz_arg, out_arg) = (csv_in.arg(), tocz.arg(), csv_out.arg());
+        toc(&["compress", &csv_in, &tocz_arg, "--segment-rows", "32"]).unwrap();
+        toc(&["inspect", &tocz_arg]).unwrap();
+        toc(&["decompress", &tocz_arg, &out_arg]).unwrap();
         let (back, _) = crate::csv::read_matrix(csv_out.path()).unwrap();
         assert_eq!(back, m);
     }
 
     #[test]
-    fn segment_rows_flag_and_v1_container() {
-        let csv_in = crate::testutil::TempPath::new("cli-v1", "csv");
-        let tocz = crate::testutil::TempPath::new("cli-v1", "tocz");
-        let csv_out = crate::testutil::TempPath::new("cli-v1-out", "csv");
-        let m = DenseMatrix::from_rows(
-            (0..70)
-                .map(|r| (0..5).map(|c| ((r * c) % 7) as f64).collect())
-                .collect(),
-        );
-        crate::csv::write_matrix(csv_in.path(), &m, None).unwrap();
-        // --segment-rows is the preferred spelling of --batch-rows.
-        cmd_compress(&[
-            csv_in.arg(),
-            tocz.arg(),
-            "--segment-rows".into(),
-            "16".into(),
-        ])
-        .unwrap();
-        cmd_decompress(&[tocz.arg(), csv_out.arg()]).unwrap();
-        assert_eq!(crate::csv::read_matrix(csv_out.path()).unwrap().0, m);
-        // Legacy v1 output still round-trips (inspect + decompress).
-        cmd_compress(&[
-            csv_in.arg(),
-            tocz.arg(),
-            "--segment-rows".into(),
-            "16".into(),
-            "--container-version".into(),
-            "1".into(),
-        ])
-        .unwrap();
-        cmd_inspect(&[tocz.arg()]).unwrap();
-        cmd_decompress(&[tocz.arg(), csv_out.arg()]).unwrap();
-        assert_eq!(crate::csv::read_matrix(csv_out.path()).unwrap().0, m);
-        assert!(cmd_compress(&[
-            csv_in.arg(),
-            tocz.arg(),
-            "--container-version".into(),
-            "3".into()
-        ])
-        .is_err());
-    }
-
-    #[test]
     fn row_range_projection_matches_full_decode() {
-        let csv_in = crate::testutil::TempPath::new("cli-rows", "csv");
-        let tocz = crate::testutil::TempPath::new("cli-rows", "tocz");
-        let full_out = crate::testutil::TempPath::new("cli-rows-full", "csv");
-        let part_out = crate::testutil::TempPath::new("cli-rows-part", "csv");
+        let csv_in = TempPath::new("cli-rows", "csv");
+        let tocz = TempPath::new("cli-rows", "tocz");
+        let full_out = TempPath::new("cli-rows-full", "csv");
+        let part_out = TempPath::new("cli-rows-part", "csv");
         let m = DenseMatrix::from_rows(
             (0..90)
                 .map(|r| (0..4).map(|c| ((r + c) % 5) as f64).collect())
                 .collect(),
         );
         crate::csv::write_matrix(csv_in.path(), &m, None).unwrap();
-        for version in ["1", "2"] {
-            cmd_compress(&[
-                csv_in.arg(),
-                tocz.arg(),
-                "--segment-rows".into(),
-                "16".into(),
-                "--container-version".into(),
-                version.into(),
-            ])
-            .unwrap();
-            cmd_decompress(&[tocz.arg(), full_out.arg()]).unwrap();
-            cmd_decompress(&[
-                tocz.arg(),
-                part_out.arg(),
-                "--rows".into(),
-                "20..53".into(),
-                "--parallel".into(),
-                "3".into(),
+        toc(&[
+            "compress",
+            &csv_in.arg(),
+            &tocz.arg(),
+            "--segment-rows",
+            "16",
+        ])
+        .unwrap();
+        // The seekable v2 path, and the committed legacy v1 container
+        // (57 rows in 16-row segments) through the decode-everything path.
+        for (version, input) in [("2", tocz.arg()), ("1", GOLDEN_V1.to_string())] {
+            toc(&["inspect", &input]).unwrap();
+            toc(&["decompress", &input, &full_out.arg()]).unwrap();
+            let part = part_out.arg();
+            toc(&[
+                "decompress",
+                &input,
+                &part,
+                "--rows",
+                "20..53",
+                "--parallel",
+                "3",
             ])
             .unwrap();
             let (full, _) = crate::csv::read_matrix(full_out.path()).unwrap();
@@ -1488,100 +1315,80 @@ mod tests {
 
     #[test]
     fn gen_then_train() {
-        let csv = crate::testutil::TempPath::new("cli-train", "csv");
-        cmd_gen(&[
-            "--preset".into(),
-            "census".into(),
-            "--rows".into(),
-            "400".into(),
-            csv.arg(),
-        ])
-        .unwrap();
-        cmd_train(&[
-            csv.arg(),
-            "--epochs".into(),
-            "4".into(),
-            "--lr".into(),
-            "0.1".into(),
-        ])
-        .unwrap();
+        let csv = gen_census("cli-train", 400);
+        toc(&["train", &csv.arg(), "--epochs", "4", "--lr", "0.1"]).unwrap();
         // Out-of-core path: zero budget spills every batch across two
         // shards with the prefetch pipeline on.
-        cmd_train(&[
-            csv.arg(),
-            "--epochs".into(),
-            "2".into(),
-            "--budget".into(),
-            "0".into(),
-            "--shards".into(),
-            "2".into(),
-            "--prefetch".into(),
-            "2".into(),
+        toc(&[
+            "train",
+            &csv.arg(),
+            "--epochs",
+            "2",
+            "--budget",
+            "0",
+            "--shards",
+            "2",
+            "--prefetch",
+            "2",
         ])
         .unwrap();
-        cmd_bench(&[csv.arg()]).unwrap();
+        toc(&["bench", &csv.arg()]).unwrap();
     }
 
     #[test]
     fn train_from_container() {
-        let csv = crate::testutil::TempPath::new("cli-train-cz", "csv");
-        let tocz = crate::testutil::TempPath::new("cli-train-cz", "tocz");
-        cmd_gen(&[
-            "--preset".into(),
-            "census".into(),
-            "--rows".into(),
-            "300".into(),
-            csv.arg(),
-        ])
-        .unwrap();
-        cmd_compress(&[csv.arg(), tocz.arg(), "--segment-rows".into(), "64".into()]).unwrap();
+        let csv = gen_census("cli-train-cz", 300);
+        let tocz = TempPath::new("cli-train-cz", "tocz");
+        toc(&["compress", &csv.arg(), &tocz.arg(), "--segment-rows", "64"]).unwrap();
         // In-memory and out-of-core (streaming build) paths both accept
         // the container directly.
-        cmd_train(&[tocz.arg(), "--epochs".into(), "2".into()]).unwrap();
-        cmd_train(&[
-            tocz.arg(),
-            "--epochs".into(),
-            "2".into(),
-            "--budget".into(),
-            "0".into(),
-            "--shards".into(),
-            "2".into(),
+        toc(&["train", &tocz.arg(), "--epochs", "2"]).unwrap();
+        toc(&[
+            "train",
+            &tocz.arg(),
+            "--epochs",
+            "2",
+            "--budget",
+            "0",
+            "--shards",
+            "2",
         ])
         .unwrap();
     }
 
     #[test]
     fn cla_planner_flags_and_auto_scheme() {
-        let csv_in = crate::testutil::TempPath::new("cli-cla", "csv");
-        let tocz = crate::testutil::TempPath::new("cli-cla", "tocz");
-        let csv_out = crate::testutil::TempPath::new("cli-cla-out", "csv");
+        let csv_in = TempPath::new("cli-cla", "csv");
+        let tocz = TempPath::new("cli-cla", "tocz");
+        let csv_out = TempPath::new("cli-cla-out", "csv");
         let m = toc_data::synth::correlated_matrix(120, 8, 4, 3);
         crate::csv::write_matrix(csv_in.path(), &m, None).unwrap();
-        for extra in [
-            vec!["--scheme".into(), "cla".into()],
-            vec![
-                "--scheme".into(),
-                "cla".into(),
-                "--cla-planner".into(),
-                "greedy".into(),
+        let compress = |extra: &[&str]| {
+            let (csv_in, tocz) = (csv_in.arg(), tocz.arg());
+            let mut argv = vec!["compress", &csv_in, &tocz];
+            argv.extend(extra);
+            toc(&argv)
+        };
+        let legs: [&[&str]; 4] = [
+            &["--scheme", "cla"],
+            &["--scheme", "cla", "--cla-planner", "greedy"],
+            &[
+                "--scheme",
+                "cla",
+                "--cla-planner",
+                "sample",
+                "--cla-sample",
+                "32",
             ],
-            vec![
-                "--scheme".into(),
-                "cla".into(),
-                "--cla-planner".into(),
-                "sample".into(),
-                "--cla-sample".into(),
-                "32".into(),
-            ],
-            vec!["--scheme".into(), "auto".into()],
-        ] {
-            let mut args = vec![csv_in.arg(), tocz.arg()];
-            args.extend(extra);
-            cmd_compress(&args).unwrap();
-            cmd_decompress(&[tocz.arg(), csv_out.arg()]).unwrap();
+            &["--scheme", "auto"],
+        ];
+        for extra in legs {
+            compress(extra).unwrap();
+            toc(&["decompress", &tocz.arg(), &csv_out.arg()]).unwrap();
             let (back, _) = crate::csv::read_matrix(csv_out.path()).unwrap();
             assert_eq!(back, m);
         }
-        assert!(encode_options(&["--cla-planner".into(), "nope".into()]).is_err());
+        assert!(compress(&["--cla-planner", "nope"]).is_err());
+        assert!(compress(&["--cla-sample", "0"]).is_err());
     }
 }

@@ -3,6 +3,13 @@
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 
+/// The committed legacy v1 container (57 rows x 6 cols in 16-row TOC
+/// segments). Nothing writes v1 any more, so the v1 read legs use it.
+pub const GOLDEN_V1: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../formats/tests/golden/container_v1.tocz"
+);
+
 static NEXT_TEMP_ID: AtomicU32 = AtomicU32::new(0);
 
 /// A uniquely named temp file path that removes itself on drop.

@@ -8,6 +8,12 @@ use std::path::PathBuf;
 use std::process::Output;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// The committed legacy v1 container fixture.
+const GOLDEN_V1: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../formats/tests/golden/container_v1.tocz"
+);
+
 fn toc(args: &[&str]) -> Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_toc"))
         .args(args)
@@ -85,7 +91,7 @@ fn compress_roundtrip_with_planner_flags() {
         "sample",
         "--cla-sample",
         "64",
-        "--batch-rows",
+        "--segment-rows",
         "100",
     ]);
     let stdout = assert_ok(&out, "toc compress");
@@ -170,11 +176,14 @@ fn train_over_async_engines_prints_parseable_io_stats() {
 #[test]
 fn adaptive_and_pinned_training_print_parseable_placement_stats() {
     let csv = gen_csv(400);
-    // Legs: the --adaptive shorthand with automatic pinning, the explicit
-    // --placement adaptive with a fixed pin map on the ring engine, and a
-    // pinned non-adaptive run (placement line must still appear).
+    // Legs: adaptive placement with automatic pinning, with a fixed pin
+    // map on the ring engine, and a pinned non-adaptive run (placement
+    // line must still appear).
     let legs: [(&str, Vec<&str>); 3] = [
-        ("adaptive+pin", vec!["--adaptive", "--pin", "--io", "ring"]),
+        (
+            "adaptive+pin",
+            vec!["--placement", "adaptive", "--pin", "--io", "ring"],
+        ),
         (
             "adaptive+pin-map",
             vec![
@@ -265,7 +274,6 @@ fn adaptive_and_pinned_training_print_parseable_placement_stats() {
 fn seekable_v2_containers_project_inspect_and_train() {
     let csv = gen_csv(300);
     let v2 = temp_path("v2", "tocz");
-    let v1 = temp_path("v1", "tocz");
     let back = temp_path("projected", "csv");
 
     // v2 is the default; --segment-rows sets the seekable unit.
@@ -343,45 +351,24 @@ fn seekable_v2_containers_project_inspect_and_train() {
         "missing store line: {stdout}"
     );
 
-    // The v1 escape hatch still writes and round-trips, without a footer.
-    assert_ok(
-        &toc(&[
-            "compress",
-            csv.to_str().unwrap(),
-            v1.to_str().unwrap(),
-            "--container-version",
-            "1",
-            "--segment-rows",
-            "64",
-        ]),
-        "toc compress --container-version 1",
-    );
-    let stdout = assert_ok(&toc(&["inspect", v1.to_str().unwrap()]), "toc inspect v1");
+    // The committed legacy v1 container (57 rows in 16-row segments; the
+    // tool only reads v1) still inspects and projects, without a footer.
+    let stdout = assert_ok(&toc(&["inspect", GOLDEN_V1]), "toc inspect v1");
     assert!(!stdout.contains(": v2,"), "v1 claimed a footer: {stdout}");
     let stdout = assert_ok(
         &toc(&[
             "decompress",
-            v1.to_str().unwrap(),
+            GOLDEN_V1,
             back.to_str().unwrap(),
             "--rows",
-            "64..128",
+            "16..40",
         ]),
         "toc decompress v1 --rows",
     );
     assert!(!stdout.contains("seek:"), "v1 has no seek path: {stdout}");
-    assert!(stdout.contains("decoded 64 rows"), "{stdout}");
+    assert!(stdout.contains("decoded 24 rows"), "{stdout}");
 
     // Bad flag values exit nonzero.
-    assert_fails(
-        &toc(&[
-            "compress",
-            csv.to_str().unwrap(),
-            v2.to_str().unwrap(),
-            "--container-version",
-            "3",
-        ]),
-        "unknown container version",
-    );
     assert_fails(
         &toc(&[
             "decompress",
@@ -392,7 +379,7 @@ fn seekable_v2_containers_project_inspect_and_train() {
         ]),
         "inverted row range",
     );
-    for p in [csv, v2, v1, back] {
+    for p in [csv, v2, back] {
         std::fs::remove_file(p).ok();
     }
 }
@@ -431,19 +418,14 @@ fn invalid_pin_maps_and_flag_conflicts_exit_nonzero() {
     assert_fails(&base(&["--pin-map", "0,x"]), "unparseable pin map");
     // --pin and --pin-map together.
     assert_fails(&base(&["--pin", "--pin-map", "0,1"]), "pin + pin-map");
-    // --adaptive against a conflicting explicit placement.
-    assert_fails(
-        &base(&["--adaptive", "--placement", "stripe"]),
-        "adaptive vs placement conflict",
-    );
     // Scheduler flags without --budget.
     assert_fails(
         &toc(&["train", csv.to_str().unwrap(), "--pin"]),
         "--pin without --budget",
     );
     assert_fails(
-        &toc(&["train", csv.to_str().unwrap(), "--adaptive"]),
-        "--adaptive without --budget",
+        &toc(&["train", csv.to_str().unwrap(), "--placement", "adaptive"]),
+        "--placement adaptive without --budget",
     );
     std::fs::remove_file(csv).ok();
 }
@@ -1168,4 +1150,143 @@ fn non_container_input_reports_bad_magic() {
         !stderr.contains("unsupported"),
         "must not misreport a CSV as an unsupported container version: {stderr}"
     );
+}
+
+/// stderr of a run that must exit 1.
+fn stderr_of_failure(args: &[&str]) -> String {
+    let out = toc(args);
+    assert_fails(&out, &format!("toc {args:?}"));
+    assert_eq!(out.status.code(), Some(1), "toc {args:?}");
+    String::from_utf8_lossy(&out.stderr).into_owned()
+}
+
+/// The parser rejects what a command's flag table does not declare —
+/// where the old front end silently fell back to a default, kept the
+/// first of two values, or accepted a flag nothing read — and the error
+/// names the flag and the command.
+#[test]
+fn undeclared_misspelt_repeated_and_inert_flags_exit_1_naming_the_flag() {
+    let csv = gen_csv(120);
+    let d = csv.to_str().unwrap();
+    let err = stderr_of_failure(&["train", d, "--epoch", "1"]);
+    assert!(
+        err.contains("toc train") && err.contains("unknown flag --epoch"),
+        "{err}"
+    );
+    let err = stderr_of_failure(&["train", d, "--epochs"]);
+    assert!(err.contains("--epochs needs a value"), "{err}");
+    let err = stderr_of_failure(&["train", d, "--epochs", "1", "--epochs", "7"]);
+    assert!(err.contains("--epochs given more than once"), "{err}");
+    // Flags another command owns.
+    let err = stderr_of_failure(&["ingest", d, "/tmp/unused.tocz", "--epochs", "3"]);
+    assert!(err.contains("unknown flag --epochs"), "{err}");
+    let err = stderr_of_failure(&["serve", d, "--prefetch", "8"]);
+    assert!(err.contains("unknown flag --prefetch"), "{err}");
+    // Inert flags: serve never starts a prefetch engine, and a streaming
+    // store has nothing for the pipeline to prefetch.
+    let err = stderr_of_failure(&["serve", d, "--io", "ring"]);
+    assert!(err.contains("toc serve") && err.contains("--io"), "{err}");
+    let err = stderr_of_failure(&["train", d, "--follow", "--budget", "0", "--prefetch", "4"]);
+    assert!(
+        err.contains("--prefetch has no effect with --follow"),
+        "{err}"
+    );
+    // The removed aliases are unknown flags now.
+    let err = stderr_of_failure(&["train", d, "--budget", "0", "--adaptive"]);
+    assert!(err.contains("unknown flag --adaptive"), "{err}");
+    let err = stderr_of_failure(&["compress", d, "/tmp/unused.tocz", "--codec", "ans"]);
+    assert!(err.contains("unknown flag --codec"), "{err}");
+    // Wrong positional count.
+    let err = stderr_of_failure(&["train"]);
+    assert!(err.contains("expected 1 positional"), "{err}");
+    std::fs::remove_file(csv).ok();
+}
+
+/// `toc <cmd> --help` exits 0 for every command and lists exactly the
+/// flags that command accepts (which also pins the per-command counts).
+#[test]
+fn every_command_prints_generated_help_listing_its_flags() {
+    let cla = ["--cla-planner", "--cla-sample"];
+    let encode = ["--scheme", "--batch-rows"];
+    let model = ["--model", "--epochs", "--lr"];
+    let store = ["--budget", "--shards", "--mbps", "--placement"];
+    let pipeline = [
+        "--prefetch",
+        "--io",
+        "--pin",
+        "--pin-map",
+        "--io-threads",
+        "--decode-workers",
+    ];
+    let follow = [
+        "--follow",
+        "--window",
+        "--max-pending",
+        "--poll-ms",
+        "--idle-ms",
+    ];
+    let serve = [
+        "--jobs",
+        "--script",
+        "--max-concurrent",
+        "--cache-budget",
+        "--shares",
+        "--seed",
+    ];
+    let table: [(&str, Vec<&str>); 8] = [
+        ("gen", vec!["--preset", "--rows", "--seed"]),
+        (
+            "ingest",
+            [
+                &["--chunk-rows", "--scheme", "--checkpoint-every", "--resume"][..],
+                &cla,
+            ]
+            .concat(),
+        ),
+        (
+            "compress",
+            [&["--scheme", "--segment-rows"][..], &cla].concat(),
+        ),
+        ("decompress", vec!["--rows", "--parallel"]),
+        ("inspect", vec![]),
+        ("bench", [&["--batch-rows"][..], &cla].concat()),
+        (
+            "train",
+            [&encode[..], &cla, &model, &store, &pipeline, &follow].concat(),
+        ),
+        (
+            "serve",
+            [&encode[..], &cla, &model, &store, &serve].concat(),
+        ),
+    ];
+    for (cmd, flags) in table {
+        for help in ["--help", "-h"] {
+            let stdout = assert_ok(&toc(&[cmd, help]), &format!("toc {cmd} {help}"));
+            assert!(stdout.starts_with(&format!("toc {cmd}")), "{stdout}");
+            let listed: Vec<&str> = stdout
+                .lines()
+                .filter_map(|l| l.split_whitespace().next())
+                .filter(|t| t.starts_with("--"))
+                .collect();
+            let mut want = flags.clone();
+            let mut got = listed.clone();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "toc {cmd} {help}");
+        }
+    }
+    // `toc help` names every command.
+    let stdout = assert_ok(&toc(&["help"]), "toc help");
+    for cmd in [
+        "gen",
+        "ingest",
+        "compress",
+        "decompress",
+        "inspect",
+        "bench",
+        "train",
+        "serve",
+    ] {
+        assert!(stdout.contains(&format!("toc {cmd} ")), "{stdout}");
+    }
 }

@@ -54,6 +54,7 @@ use std::path::{Path, PathBuf};
 use toc_formats::container::{
     fnv1a64, parse_v2_footer, ContainerStreamWriter, WriterState, ZoneMap,
 };
+use toc_formats::wire::Rd;
 use toc_formats::{
     pick_scheme, AnyBatch, ClaPlanner, EncodeOptions, FormatError, MatrixBatch, Scheme,
 };
@@ -628,52 +629,47 @@ impl IngestCheckpoint {
         if fnv1a64(body) != sum {
             return Err(bad("sidecar checksum mismatch (torn or corrupt)"));
         }
-        let mut at = 0usize;
-        let take = |at: &mut usize, n: usize| -> Result<&[u8], IngestError> {
-            let s = body
-                .get(*at..*at + n)
-                .ok_or_else(|| bad("sidecar truncated"))?;
-            *at += n;
-            Ok(s)
-        };
-        let u64_at = |at: &mut usize| -> Result<u64, IngestError> {
-            Ok(u64::from_le_bytes(take(at, 8)?.try_into().unwrap()))
-        };
-        let magic = u32::from_le_bytes(take(&mut at, 4)?.try_into().unwrap());
-        if magic != SIDECAR_MAGIC {
-            return Err(bad("bad sidecar magic"));
+        Self::parse_body(body).map_err(|e| match e {
+            FormatError::Corrupt(m) => IngestError::Checkpoint(format!("sidecar {m}")),
+            other => IngestError::Checkpoint(other.to_string()),
+        })
+    }
+
+    /// The checksummed body. `Rd` bounds-checks every read against the
+    /// bytes that remain, so no length the sidecar claims (`state_len`
+    /// included) can index past the end or overflow an offset.
+    fn parse_body(body: &[u8]) -> Result<Self, FormatError> {
+        let corrupt = |m: String| FormatError::Corrupt(m);
+        let mut rd = Rd::new(body);
+        if rd.u32()? != SIDECAR_MAGIC {
+            return Err(corrupt("magic is wrong".into()));
         }
-        let version = take(&mut at, 1)?[0];
-        if version != SIDECAR_V1 {
-            return Err(bad("unsupported sidecar version"));
+        if rd.u8()? != SIDECAR_V1 {
+            return Err(corrupt("version is unsupported".into()));
         }
-        let kind = match take(&mut at, 1)?[0] {
+        let kind = match rd.u8()? {
             0 => CheckpointKind::Container,
             1 => CheckpointKind::Store,
-            k => return Err(IngestError::Checkpoint(format!("unknown sidecar kind {k}"))),
+            k => return Err(corrupt(format!("kind {k} is unknown"))),
         };
-        let config_hash = u64_at(&mut at)?;
-        let source_offset = u64_at(&mut at)?;
+        let config_hash = rd.u64()?;
+        let source_offset = rd.u64()?;
         let mut stats = IngestStats {
-            rows: u64_at(&mut at)?,
-            chunks: u64_at(&mut at)?,
-            encoded_bytes: u64_at(&mut at)?,
-            peak_workspace_bytes: u64_at(&mut at)? as usize,
+            rows: rd.u64()?,
+            chunks: rd.u64()?,
+            encoded_bytes: rd.u64()?,
+            peak_workspace_bytes: rd.u64()? as usize,
             scheme_counts: Vec::new(),
         };
-        let n_schemes = take(&mut at, 1)?[0] as usize;
-        for _ in 0..n_schemes {
-            let tag = take(&mut at, 1)?[0];
+        for _ in 0..rd.u8()? {
+            let tag = rd.u8()?;
             let scheme = scheme_from_tag(tag)
-                .ok_or_else(|| IngestError::Checkpoint(format!("unknown scheme tag {tag}")))?;
-            let count = u64_at(&mut at)?;
-            stats.scheme_counts.push((scheme, count));
+                .ok_or_else(|| corrupt(format!("names unknown scheme tag {tag}")))?;
+            stats.scheme_counts.push((scheme, rd.u64()?));
         }
-        let state_len = u64_at(&mut at)? as usize;
-        let state = take(&mut at, state_len)?.to_vec();
-        if at != body.len() {
-            return Err(bad("trailing bytes after sidecar payload"));
-        }
+        let state_len = usize::try_from(rd.u64()?).unwrap_or(usize::MAX);
+        let state = rd.take(state_len)?.to_vec();
+        rd.done()?;
         Ok(Self {
             kind,
             config_hash,
@@ -1061,7 +1057,7 @@ fn load_container_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::StoreConfig;
+    use crate::store::{StoreCheckpoint, StoreConfig};
     use crate::synth::drifting_matrix;
     use toc_formats::container::Container;
     use toc_ml::mgd::BatchProvider;
@@ -1194,6 +1190,70 @@ mod tests {
             IngestCheckpoint::from_bytes(&bytes[..bytes.len() - 3]),
             Err(IngestError::Checkpoint(_))
         ));
+    }
+
+    /// Overwrite `bytes`' FNV-1a trailer so a mutated body still passes
+    /// the checksum and reaches the field parser.
+    fn reseal(bytes: &mut [u8]) {
+        let body = bytes.len() - 8;
+        let sum = fnv1a64(&bytes[..body]);
+        bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    #[test]
+    fn hostile_state_len_is_an_error_not_an_overflow() {
+        let ck = IngestCheckpoint {
+            kind: CheckpointKind::Container,
+            config_hash: 1,
+            source_offset: 2,
+            stats: IngestStats::default(),
+            state: vec![9; 5],
+        };
+        let mut bytes = ck.to_bytes();
+        // `state_len` is the u64 right before the state payload + trailer.
+        let at = bytes.len() - 8 - ck.state.len() - 8;
+        bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
+        reseal(&mut bytes);
+        assert!(matches!(
+            IngestCheckpoint::from_bytes(&bytes),
+            Err(IngestError::Checkpoint(_))
+        ));
+    }
+
+    #[test]
+    fn sidecar_truncations_and_flips_never_panic() {
+        // A real store-kind sidecar: its `state` is a `StoreCheckpoint`.
+        let config = StoreConfig::new(Scheme::Toc, 50, 0).with_shards(2);
+        let store = ShardedSpillStore::open_streaming(4, &config).unwrap();
+        let mut ing = StoreIngest::new(&store, 8, Some(Scheme::Toc), EncodeOptions::default());
+        let m = drifting_matrix(40, 4, 3, 5);
+        for r in 0..m.rows() {
+            ing.push_row(m.row(r), 1.0).unwrap();
+        }
+        let ck = ing.checkpoint(777);
+        let inner = ck.state.clone();
+        let outer = ck.to_bytes();
+        assert!(StoreCheckpoint::from_bytes(&inner).is_ok());
+
+        for len in 0..outer.len() {
+            assert!(IngestCheckpoint::from_bytes(&outer[..len]).is_err());
+        }
+        for len in 0..inner.len() {
+            assert!(StoreCheckpoint::from_bytes(&inner[..len]).is_err());
+        }
+        for pos in 0..outer.len() {
+            for bit in 0..8 {
+                let mut b = outer.clone();
+                b[pos] ^= 1 << bit;
+                assert!(IngestCheckpoint::from_bytes(&b).is_err(), "checksum");
+                // Past the checksum the flipped field may be legitimate
+                // data (a counter, a hash); it must parse or error cleanly.
+                reseal(&mut b);
+                if let Ok(ck) = IngestCheckpoint::from_bytes(&b) {
+                    let _ = StoreCheckpoint::from_bytes(&ck.state);
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The async spill IO engine behind the [`SpillFile`] seam.
+//! The async spill IO engine behind the `SpillFile` seam.
 //!
 //! Spill reads are positional and striped across shard files, but a
 //! reader (prefetch worker or visitor) that blocks on a synchronous
@@ -28,7 +28,7 @@
 //! Without an engine ([`IoEngineKind::Sync`]) the prefetch workers read
 //! synchronously.
 //!
-//! The engine charges the same per-shard [`BandwidthClock`] the
+//! The engine charges the same per-shard `BandwidthClock` the
 //! synchronous path uses, so the `disk_mbps` model extends to overlapped
 //! requests: concurrent reads of one shard still share that device's
 //! bandwidth (the clock serializes their reservations), while the
@@ -697,7 +697,7 @@ impl Pinning {
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// IO threads for the ring engine (`0` = auto: one per shard,
-    /// clamped to [`MAX_IO_THREADS`]).
+    /// clamped to `MAX_IO_THREADS`).
     pub io_threads: usize,
     /// Decode workers draining completions (`0` = auto: the prefetch
     /// depth, clamped to the worker cap).

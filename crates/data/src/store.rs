@@ -10,7 +10,7 @@
 //! [`ShardedSpillStore`] is the one provider of that regime. It lays
 //! spilled batches out across N shard files ([`StoreConfig::with_shards`];
 //! one shard models the paper's single disk), reads them with lock-free
-//! positional IO ([`crate::io::SpillFile`]), and optionally runs a
+//! positional IO (`crate::io::SpillFile`), and optionally runs a
 //! background prefetch pipeline ([`StoreConfig::with_prefetch`]) that
 //! keeps upcoming batches decoded while the trainer computes on the
 //! current one. With [`StoreConfig::with_io`] set to
@@ -34,7 +34,8 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use toc_formats::{AnyBatch, ExecScratch, MatrixBatch, Scheme};
+use toc_formats::wire::Rd;
+use toc_formats::{AnyBatch, ExecScratch, FormatError, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
 
@@ -562,53 +563,47 @@ impl StoreCheckpoint {
     }
 
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        let mut pos = 0usize;
-        let take = |pos: &mut usize, n: usize| -> Result<&[u8], String> {
-            if n > bytes.len() - *pos {
-                return Err("store checkpoint truncated".into());
-            }
-            let s = &bytes[*pos..*pos + n];
-            *pos += n;
-            Ok(s)
-        };
-        let u32_at = |pos: &mut usize| -> Result<u32, String> {
-            Ok(u32::from_le_bytes(take(pos, 4)?.try_into().unwrap()))
-        };
-        let u64_at = |pos: &mut usize| -> Result<u64, String> {
-            Ok(u64::from_le_bytes(take(pos, 8)?.try_into().unwrap()))
-        };
-        if *take(&mut pos, 1)?.first().unwrap() != STORE_CKPT_V1 {
-            return Err("unknown store-checkpoint version".into());
+        Self::parse(bytes).map_err(|e| match e {
+            FormatError::Corrupt(m) => format!("store checkpoint {m}"),
+            other => other.to_string(),
+        })
+    }
+
+    fn parse(bytes: &[u8]) -> Result<Self, FormatError> {
+        let corrupt = |m: String| FormatError::Corrupt(m);
+        let mut rd = Rd::new(bytes);
+        if rd.u8()? != STORE_CKPT_V1 {
+            return Err(corrupt("version is unknown".into()));
         }
-        let n_shards = u32_at(&mut pos)? as usize;
+        let n_shards = rd.u32()? as usize;
         if n_shards == 0 || n_shards > 4096 {
-            return Err(format!("implausible shard count {n_shards}"));
+            return Err(corrupt(format!("has implausible shard count {n_shards}")));
         }
         let mut shard_paths = Vec::with_capacity(n_shards);
         let mut cursors = Vec::with_capacity(n_shards);
         for _ in 0..n_shards {
-            let plen = u32_at(&mut pos)? as usize;
-            let p = std::str::from_utf8(take(&mut pos, plen)?)
-                .map_err(|_| "bad shard path encoding".to_string())?;
+            let plen = rd.u32()? as usize;
+            let p = std::str::from_utf8(rd.take(plen)?)
+                .map_err(|_| corrupt("has a bad shard path encoding".into()))?;
             shard_paths.push(PathBuf::from(p));
-            cursors.push(u64_at(&mut pos)?);
+            cursors.push(rd.u64()?);
         }
-        let n_entries = u64_at(&mut pos)? as usize;
-        if n_entries > bytes.len() {
-            return Err("store checkpoint claims more entries than it carries".into());
+        let n_entries = rd.u64()?;
+        if n_entries > bytes.len() as u64 {
+            return Err(corrupt("claims more entries than it carries".into()));
         }
-        let mut entries = Vec::with_capacity(n_entries);
+        let mut entries = Vec::with_capacity(n_entries as usize);
         for _ in 0..n_entries {
-            let shard = u32_at(&mut pos)?;
-            let offset = u64_at(&mut pos)?;
-            let len = u64_at(&mut pos)?;
-            let n_labels = u64_at(&mut pos)? as usize;
-            if n_labels > bytes.len() {
-                return Err("store checkpoint claims more labels than it carries".into());
+            let shard = rd.u32()?;
+            let offset = rd.u64()?;
+            let len = rd.u64()?;
+            let n_labels = rd.u64()?;
+            if n_labels > bytes.len() as u64 {
+                return Err(corrupt("claims more labels than it carries".into()));
             }
-            let mut labels = Vec::with_capacity(n_labels);
+            let mut labels = Vec::with_capacity(n_labels as usize);
             for _ in 0..n_labels {
-                labels.push(f64::from_le_bytes(take(&mut pos, 8)?.try_into().unwrap()));
+                labels.push(rd.f64()?);
             }
             entries.push(CheckpointEntry {
                 shard,
@@ -617,9 +612,7 @@ impl StoreCheckpoint {
                 labels,
             });
         }
-        if pos != bytes.len() {
-            return Err("trailing bytes after store checkpoint".into());
-        }
+        rd.done()?;
         Ok(Self {
             shard_paths,
             cursors,

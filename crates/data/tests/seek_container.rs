@@ -184,12 +184,12 @@ fn container_build_trains_bit_identical_to_matrix_build() {
 /// message, not mis-parsed.
 #[test]
 fn v1_container_is_refused_with_guidance() {
-    let m = test_matrix(50, 4, 3);
-    let p = TempPath::new("v1");
-    Container::encode_with(&m, Scheme::Den, 16, &EncodeOptions::default())
-        .write_v1(&p.0)
-        .unwrap();
-    let err = match SeekableContainer::open(&p.0) {
+    // The library only reads v1; the committed golden fixture is one.
+    let v1 = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../formats/tests/golden/container_v1.tocz"
+    );
+    let err = match SeekableContainer::open(std::path::Path::new(v1)) {
         Ok(_) => panic!("v1 container must not open as seekable"),
         Err(e) => e,
     };

@@ -36,7 +36,7 @@
 //! pre-planner versions of this crate — decode identically.
 
 use crate::wire::{put_f64s, put_u32, put_u32s, Rd};
-use crate::{FormatError, MatrixBatch, Scheme};
+use crate::{ExecScratch, FormatError, MatrixBatch, Scheme};
 use std::collections::HashMap;
 use toc_linalg::DenseMatrix;
 
@@ -383,7 +383,7 @@ impl MatrixBatch for ClaBatch {
         }
         total
     }
-    fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
+    fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         toc_linalg::dense::reset_vec(out, self.rows);
         for g in &self.groups {
             match g {
@@ -415,7 +415,7 @@ impl MatrixBatch for ClaBatch {
             }
         }
     }
-    fn vecmat_into(&self, v: &[f64], out: &mut Vec<f64>) {
+    fn vecmat_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         toc_linalg::dense::reset_vec(out, self.cols);
         for g in &self.groups {
             match g {
@@ -445,7 +445,7 @@ impl MatrixBatch for ClaBatch {
             }
         }
     }
-    fn matmat_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+    fn matmat_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
         let p = m.cols();
         out.reset(self.rows, p);
         for g in &self.groups {
@@ -490,7 +490,7 @@ impl MatrixBatch for ClaBatch {
             }
         }
     }
-    fn matmat_left_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+    fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
         let p = m.rows();
         out.reset(p, self.cols);
         for g in &self.groups {
@@ -549,7 +549,7 @@ impl MatrixBatch for ClaBatch {
             }
         }
     }
-    fn decode_into(&self, out: &mut DenseMatrix) {
+    fn decode_into_ws(&self, out: &mut DenseMatrix, _: &mut ExecScratch) {
         out.reset(self.rows, self.cols);
         for g in &self.groups {
             match g {

@@ -1,7 +1,8 @@
 //! The `.tocz` container: whole datasets as ordered encoded mini-batch
 //! segments, seekable since v2.
 //!
-//! **v1** (legacy, still readable) is a decode-everything blob:
+//! **v1** (legacy, read-only — nothing here writes it) is a
+//! decode-everything blob:
 //!
 //! ```text
 //! magic   u32 = 0x544F435A ("TOCZ")
@@ -65,17 +66,6 @@ const V2: u8 = 2;
 
 fn corrupt(msg: impl Into<String>) -> FormatError {
     FormatError::Corrupt(msg.into())
-}
-
-/// Check a length fits a `u32` wire field ([`FormatError::TooLarge`]
-/// instead of the silent `as u32` truncation that used to corrupt > 4 GiB
-/// v1 payloads).
-fn fit_u32(what: &'static str, value: u64) -> Result<u32, FormatError> {
-    u32::try_from(value).map_err(|_| FormatError::TooLarge {
-        what,
-        value,
-        max: u32::MAX as u64,
-    })
 }
 
 /// FNV-1a 64-bit, the footer integrity checksum.
@@ -591,19 +581,6 @@ impl Container {
         self.zones.as_deref()
     }
 
-    /// Zone maps for serialization: the stored ones, or recomputed by
-    /// decoding each batch (the v1 → v2 upgrade path).
-    fn zones_or_compute(&self) -> Vec<ZoneMap> {
-        match &self.zones {
-            Some(z) => z.clone(),
-            None => self
-                .batches
-                .iter()
-                .map(|b| ZoneMap::compute(&b.decode(), crate::ClaOptions::default().sample_rows))
-                .collect(),
-        }
-    }
-
     /// Decode all batches back into one dense matrix.
     pub fn decode(&self) -> Result<DenseMatrix, String> {
         let total_rows: usize = self.batches.iter().map(|b| b.rows()).sum();
@@ -665,91 +642,29 @@ impl Container {
         std::fs::write(path, bytes).map_err(|e| format!("write {}: {e}", path.display()))
     }
 
-    /// Serialize to a legacy v1 `.tocz` file.
-    pub fn write_v1(&self, path: &Path) -> Result<(), String> {
-        let bytes = self.to_bytes_v1().map_err(|e| e.to_string())?;
-        std::fs::write(path, bytes).map_err(|e| format!("write {}: {e}", path.display()))
-    }
-
     /// Load and validate a `.tocz` file (either version).
     pub fn read(path: &Path) -> Result<Self, String> {
         let bytes = std::fs::read(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         Self::from_bytes(&bytes).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    /// Check that every batch agrees on column count: the container
-    /// header/footer records a single `cols`, so a mixed-width batch list
-    /// cannot be framed without lying about the width of every batch after
-    /// the first.
-    fn validate_uniform_cols(&self) -> Result<usize, FormatError> {
-        let cols = self.batches.first().map(|b| b.cols()).unwrap_or(0);
-        for (i, b) in self.batches.iter().enumerate() {
-            if b.cols() != cols {
-                return Err(FormatError::MixedCols {
-                    batch: i,
-                    got: b.cols(),
-                    expected: cols,
-                });
-            }
-        }
-        Ok(cols)
-    }
-
-    /// Serialize as v2: segments, footer tree with zone maps, postscript.
+    /// Serialize as v2 (segments, footer tree with zone maps, postscript)
+    /// by driving a [`ContainerStreamWriter`] over a `Vec`. A batch
+    /// without a stored zone map (a v1 parse, or one pushed onto
+    /// `batches` afterwards) gets one recomputed by decoding it — the
+    /// v1 → v2 upgrade path. Batches that disagree on column count are a
+    /// [`FormatError::MixedCols`].
     pub fn to_bytes(&self) -> Result<Vec<u8>, FormatError> {
-        let cols = self.validate_uniform_cols()?;
-        let zones = self.zones_or_compute();
         let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.push(V2);
-        let mut leaves = Vec::with_capacity(self.batches.len());
-        let mut row = 0u64;
-        for (b, zone) in self.batches.iter().zip(&zones) {
-            let begin = out.len() as u64;
-            let bytes = b.to_bytes();
-            out.extend_from_slice(&bytes);
-            leaves.push(LayoutNode {
-                scheme: Some(bytes[0]),
-                row_start: row,
-                row_end: row + b.rows() as u64,
-                begin,
-                end: out.len() as u64,
-                zone: *zone,
-                children: Vec::new(),
+        let mut w = ContainerStreamWriter::new(&mut out)?;
+        for (i, b) in self.batches.iter().enumerate() {
+            let stored = self.zones.as_ref().and_then(|z| z.get(i).copied());
+            let zone = stored.unwrap_or_else(|| {
+                ZoneMap::compute(&b.decode(), crate::ClaOptions::default().sample_rows)
             });
-            row += b.rows() as u64;
+            w.append(b, zone)?;
         }
-        let footer_offset = out.len() as u64;
-        let footer = Footer {
-            cols: cols as u64,
-            root: build_tree(leaves, footer_offset),
-        };
-        let fbytes = footer.to_bytes();
-        let ps = Postscript {
-            footer_offset,
-            footer_len: fbytes.len() as u64,
-            footer_checksum: fnv1a64(&fbytes),
-        };
-        out.extend_from_slice(&fbytes);
-        ps.write_to(&mut out);
-        Ok(out)
-    }
-
-    /// Serialize as legacy v1. Errors (instead of silently truncating)
-    /// when a batch or the batch count overflows the v1 `u32` fields.
-    pub fn to_bytes_v1(&self) -> Result<Vec<u8>, FormatError> {
-        self.validate_uniform_cols()?;
-        let mut out = Vec::new();
-        out.extend_from_slice(&MAGIC.to_le_bytes());
-        out.push(V1);
-        let n = fit_u32("v1 container batch count", self.batches.len() as u64)?;
-        out.extend_from_slice(&n.to_le_bytes());
-        for b in &self.batches {
-            let bytes = b.to_bytes();
-            let len = fit_u32("v1 container batch length", bytes.len() as u64)?;
-            out.extend_from_slice(&len.to_le_bytes());
-            out.extend_from_slice(&bytes);
-        }
+        w.finish()?;
         Ok(out)
     }
 
@@ -830,13 +745,12 @@ impl Container {
 
 /// Streaming v2 writer: segments are appended one at a time to any
 /// [`std::io::Write`] sink, and only per-segment *metadata* (one
-/// [`LayoutNode`] leaf, [`LEAF_WIRE_LEN`]-ish bytes) is retained in
+/// [`LayoutNode`] leaf, ~66 bytes) is retained in
 /// memory until [`ContainerStreamWriter::finish`] emits the layout-tree
 /// footer and postscript. A finished stream is a valid seekable v2
-/// `.tocz`, byte-identical to `Container::to_bytes` over the same batch
-/// sequence with the same zone maps — the ingest pipeline's bounded-
-/// memory claim rests on never holding more than the segment currently
-/// being written.
+/// `.tocz` — this is the one v2 serializer, [`Container::to_bytes`] drives
+/// it over a `Vec` — and the ingest pipeline's bounded-memory claim rests
+/// on never holding more than the segment currently being written.
 pub struct ContainerStreamWriter<W: std::io::Write> {
     sink: W,
     /// Column count fixed by the first segment (the v2 footer records a
@@ -885,7 +799,7 @@ impl<W: std::io::Write> ContainerStreamWriter<W> {
     /// Snapshot everything [`ContainerStreamWriter::finish`] will need —
     /// column count, byte/row watermarks and the per-segment leaf
     /// metadata — as a [`WriterState`] for a checkpoint sidecar. Cheap:
-    /// one leaf is ~[`LEAF_WIRE_LEN`] bytes.
+    /// one leaf is ~66 bytes.
     pub fn state(&self) -> WriterState {
         WriterState {
             cols: self.cols.map(|c| c as u64),
@@ -1171,7 +1085,7 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_all_schemes_both_versions() {
+    fn roundtrip_all_schemes() {
         let m = sample();
         for scheme in [Scheme::Toc, Scheme::Den, Scheme::Gzip, Scheme::Cla] {
             let c = Container::encode_with(&m, scheme, 50, &EncodeOptions::default());
@@ -1180,9 +1094,6 @@ mod tests {
             let v2 = Container::from_bytes(&c.to_bytes().unwrap()).unwrap();
             assert_eq!(v2.decode().unwrap(), m, "{} v2", scheme.name());
             assert_eq!(v2.zones().unwrap().len(), 3);
-            let v1 = Container::from_bytes(&c.to_bytes_v1().unwrap()).unwrap();
-            assert_eq!(v1.decode().unwrap(), m, "{} v1", scheme.name());
-            assert!(v1.zones().is_none());
         }
     }
 
@@ -1248,22 +1159,6 @@ mod tests {
             assert!(c.decode_rows(100, 131).is_err());
             assert!(c.decode_rows(10, 9).is_err());
         }
-    }
-
-    #[test]
-    fn oversize_wire_fields_are_structured_errors() {
-        // The v1 u32 guard, exercised without allocating 4 GiB.
-        assert_eq!(fit_u32("x", 12).unwrap(), 12);
-        let err = fit_u32("v1 container batch length", u32::MAX as u64 + 1).unwrap_err();
-        assert!(matches!(
-            err,
-            FormatError::TooLarge {
-                what: "v1 container batch length",
-                value,
-                max,
-            } if value == u32::MAX as u64 + 1 && max == u32::MAX as u64
-        ));
-        assert!(err.to_string().contains("exceeds the wire field maximum"));
     }
 
     #[test]
@@ -1404,13 +1299,12 @@ mod tests {
     fn corrupt_container_errors() {
         let m = sample();
         let c = Container::encode_with(&m, Scheme::Toc, 64, &EncodeOptions::default());
-        for bytes in [c.to_bytes().unwrap(), c.to_bytes_v1().unwrap()] {
-            let mut t = bytes.clone();
-            t.truncate(t.len() - 3);
-            assert!(Container::from_bytes(&t).is_err());
-            let mut flipped = bytes.clone();
-            flipped[0] ^= 1;
-            assert!(Container::from_bytes(&flipped).is_err());
-        }
+        let bytes = c.to_bytes().unwrap();
+        let mut t = bytes.clone();
+        t.truncate(t.len() - 3);
+        assert!(Container::from_bytes(&t).is_err());
+        let mut flipped = bytes.clone();
+        flipped[0] ^= 1;
+        assert!(Container::from_bytes(&flipped).is_err());
     }
 }

@@ -3,7 +3,7 @@
 //! `u32` column indexes, `f64` values.
 
 use crate::wire::{put_u32, put_u32s, Rd};
-use crate::{FormatError, MatrixBatch, Scheme};
+use crate::{ExecScratch, FormatError, MatrixBatch, Scheme};
 use toc_linalg::sparse::{ColVal, SparseRows};
 use toc_linalg::DenseMatrix;
 
@@ -84,19 +84,19 @@ impl MatrixBatch for CsrBatch {
     fn size_bytes(&self) -> usize {
         Self::csr_size_bytes(&self.s)
     }
-    fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
+    fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         self.s.matvec_into(v, out)
     }
-    fn vecmat_into(&self, v: &[f64], out: &mut Vec<f64>) {
+    fn vecmat_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         self.s.vecmat_into(v, out)
     }
-    fn matmat_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+    fn matmat_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
         self.s.matmat_into(m, out)
     }
-    fn matmat_left_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+    fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
         self.s.matmat_left_into(m, out)
     }
-    fn decode_into(&self, out: &mut DenseMatrix) {
+    fn decode_into_ws(&self, out: &mut DenseMatrix, _: &mut ExecScratch) {
         self.s.decode_into(out)
     }
     fn decode_rows_into(&self, r0: usize, r1: usize, out: &mut DenseMatrix) {
@@ -126,9 +126,6 @@ impl MatrixBatch for CsrBatch {
             })
             .collect();
         self.s = SparseRows::from_parts(rows, cols, pairs, offsets);
-    }
-    fn decode(&self) -> DenseMatrix {
-        self.s.decode()
     }
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(1 + self.size_bytes());

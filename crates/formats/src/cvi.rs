@@ -7,7 +7,7 @@
 //! distinct values.
 
 use crate::wire::{put_f64s, put_u32, put_u32s, Rd};
-use crate::{FormatError, MatrixBatch, Scheme};
+use crate::{ExecScratch, FormatError, MatrixBatch, Scheme};
 use std::collections::HashMap;
 use toc_linalg::DenseMatrix;
 
@@ -239,7 +239,7 @@ impl MatrixBatch for CviBatch {
             + 8 * self.dict.len()
             + 5
     }
-    fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
+    fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         toc_linalg::dense::reset_vec(out, self.rows);
         let mut lane = [0u32; IDX_CHUNK];
         for (r, o) in out.iter_mut().enumerate() {
@@ -269,7 +269,7 @@ impl MatrixBatch for CviBatch {
             *o = (a0 + a1) + (a2 + a3);
         }
     }
-    fn vecmat_into(&self, v: &[f64], out: &mut Vec<f64>) {
+    fn vecmat_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         toc_linalg::dense::reset_vec(out, self.cols);
         let mut lane = [0u32; IDX_CHUNK];
         for (r, &w) in v.iter().enumerate() {
@@ -289,7 +289,7 @@ impl MatrixBatch for CviBatch {
             }
         }
     }
-    fn matmat_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+    fn matmat_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
         out.reset(self.rows, m.cols());
         let mut lane = [0u32; IDX_CHUNK];
         for r in 0..self.rows {
@@ -311,7 +311,7 @@ impl MatrixBatch for CviBatch {
             }
         }
     }
-    fn matmat_left_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+    fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
         out.reset(m.rows(), self.cols);
         let mut lane = [0u32; IDX_CHUNK];
         for q in 0..m.rows() {
@@ -340,7 +340,7 @@ impl MatrixBatch for CviBatch {
             *v *= c;
         }
     }
-    fn decode_into(&self, out: &mut DenseMatrix) {
+    fn decode_into_ws(&self, out: &mut DenseMatrix, _: &mut ExecScratch) {
         out.reset(self.rows, self.cols);
         let mut lane = [0u32; IDX_CHUNK];
         for r in 0..self.rows {
@@ -455,7 +455,7 @@ impl MatrixBatch for DviBatch {
     fn size_bytes(&self) -> usize {
         16 + self.validx.len() * idx_width(self.dict.len()) + 8 * self.dict.len() + 5
     }
-    fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
+    fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         toc_linalg::dense::reset_vec(out, self.rows);
         let mut lane = [0u32; IDX_CHUNK];
         for (r, o) in out.iter_mut().enumerate() {
@@ -483,7 +483,7 @@ impl MatrixBatch for DviBatch {
             *o = (a0 + a1) + (a2 + a3);
         }
     }
-    fn vecmat_into(&self, v: &[f64], out: &mut Vec<f64>) {
+    fn vecmat_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         toc_linalg::dense::reset_vec(out, self.cols);
         let mut lane = [0u32; IDX_CHUNK];
         for (r, &w) in v.iter().enumerate() {
@@ -502,7 +502,7 @@ impl MatrixBatch for DviBatch {
             }
         }
     }
-    fn matmat_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+    fn matmat_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
         out.reset(self.rows, m.cols());
         let mut lane = [0u32; IDX_CHUNK];
         for r in 0..self.rows {
@@ -526,7 +526,7 @@ impl MatrixBatch for DviBatch {
             }
         }
     }
-    fn matmat_left_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+    fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
         out.reset(m.rows(), self.cols);
         let mut lane = [0u32; IDX_CHUNK];
         for q in 0..m.rows() {
@@ -554,7 +554,7 @@ impl MatrixBatch for DviBatch {
             *v *= c;
         }
     }
-    fn decode_into(&self, out: &mut DenseMatrix) {
+    fn decode_into_ws(&self, out: &mut DenseMatrix, _: &mut ExecScratch) {
         out.reset(self.rows, self.cols);
         self.validx.gather_into(&self.dict, 0, out.data_mut());
     }
@@ -663,18 +663,19 @@ mod tests {
         let (cvi, dvi) = (CviBatch::encode(&a), DviBatch::encode(&a));
         assert!(matches!(cvi.validx, IdxStore::W2(_)));
         let (mut fast, mut slow) = (DenseMatrix::default(), DenseMatrix::default());
-        cvi.decode_into(&mut fast);
+        let ws = &mut ExecScratch::default();
+        cvi.decode_into_ws(&mut fast, ws);
         cvi.decode_into_scalar(&mut slow);
         assert_eq!(fast, slow);
-        dvi.decode_into(&mut fast);
+        dvi.decode_into_ws(&mut fast, ws);
         dvi.decode_into_scalar(&mut slow);
         assert_eq!(fast, slow);
         assert_eq!(fast, a);
         let (mut fv, mut sv) = (Vec::new(), Vec::new());
-        cvi.matvec_into(&v, &mut fv);
+        cvi.matvec_into_ws(&v, &mut fv, ws);
         cvi.matvec_into_scalar(&v, &mut sv);
         assert_eq!(fv, sv);
-        dvi.matvec_into(&v, &mut fv);
+        dvi.matvec_into_ws(&v, &mut fv, ws);
         dvi.matvec_into_scalar(&v, &mut sv);
         assert_eq!(fv, sv);
     }

@@ -2,7 +2,7 @@
 //! doubles; the baseline every compression ratio is measured against.
 
 use crate::wire::{put_u32, Rd};
-use crate::{FormatError, MatrixBatch, Scheme};
+use crate::{ExecScratch, FormatError, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 
 /// An uncompressed dense mini-batch.
@@ -50,19 +50,19 @@ impl MatrixBatch for DenBatch {
     fn size_bytes(&self) -> usize {
         self.m.den_size_bytes()
     }
-    fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
+    fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         self.m.matvec_into(v, out)
     }
-    fn vecmat_into(&self, v: &[f64], out: &mut Vec<f64>) {
+    fn vecmat_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         self.m.vecmat_into(v, out)
     }
-    fn matmat_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+    fn matmat_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
         self.m.matmat_into(m, out)
     }
-    fn matmat_left_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+    fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
         self.m.matmat_left_into(m, out)
     }
-    fn decode_into(&self, out: &mut DenseMatrix) {
+    fn decode_into_ws(&self, out: &mut DenseMatrix, _: &mut ExecScratch) {
         out.reset(self.m.rows(), self.m.cols());
         out.data_mut().copy_from_slice(self.m.data());
     }
@@ -75,9 +75,6 @@ impl MatrixBatch for DenBatch {
     }
     fn scale(&mut self, c: f64) {
         self.m.scale(c);
-    }
-    fn decode(&self) -> DenseMatrix {
-        self.m.clone()
     }
     fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(9 + self.m.data().len() * 8);

@@ -110,36 +110,10 @@ impl MatrixBatch for GcBatch {
     fn size_bytes(&self) -> usize {
         16 + self.payload.len()
     }
-    fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
-        self.decode().matvec_into(v, out)
-    }
-    fn vecmat_into(&self, v: &[f64], out: &mut Vec<f64>) {
-        self.decode().vecmat_into(v, out)
-    }
-    fn matmat_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
-        self.decode().matmat_into(m, out)
-    }
-    fn matmat_left_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
-        self.decode().matmat_left_into(m, out)
-    }
-    fn decode_into(&self, out: &mut DenseMatrix) {
-        self.decode_staged(&mut Vec::new(), out)
-    }
-    fn scale(&mut self, c: f64) {
-        // Decompress, scale, recompress — GC has no in-place path.
-        let mut d = self.decode();
-        d.scale(c);
-        *self = Self::encode(&d, self.codec);
-    }
-    fn decode(&self) -> DenseMatrix {
-        self.try_decode()
-            .expect("internally built GC batch must decode")
-    }
-
-    // Workspace variants: every GC op must fully decompress first (the
-    // defining property the paper measures); with a scratch the
-    // decompression staging and the decoded matrix are caller-owned, so
-    // even GC's per-op decode allocates nothing in steady state.
+    // Every GC op must fully decompress first (the defining property the
+    // paper measures); the decompression staging and the decoded matrix
+    // live in the caller's scratch, so even GC's per-op decode allocates
+    // nothing in steady state.
     fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch) {
         self.decode_staged(&mut ws.gc_bytes, &mut ws.gc_dense);
         ws.gc_dense.matvec_into(v, out);
@@ -158,6 +132,12 @@ impl MatrixBatch for GcBatch {
     }
     fn decode_into_ws(&self, out: &mut DenseMatrix, ws: &mut ExecScratch) {
         self.decode_staged(&mut ws.gc_bytes, out)
+    }
+    fn scale(&mut self, c: f64) {
+        // Decompress, scale, recompress — GC has no in-place path.
+        let mut d = self.decode();
+        d.scale(c);
+        *self = Self::encode(&d, self.codec);
     }
     fn to_bytes(&self) -> Vec<u8> {
         let tag = match self.codec {

@@ -45,15 +45,6 @@ pub enum FormatError {
     Corrupt(String),
     /// The buffer encodes a different scheme than requested.
     WrongScheme { expected: &'static str, got: u8 },
-    /// A value does not fit the wire field that must carry it — e.g. a
-    /// batch over 4 GiB under the v1 container's `u32` length prefix.
-    /// Writing would silently truncate into a corrupt file, so the
-    /// writer refuses.
-    TooLarge {
-        what: &'static str,
-        value: u64,
-        max: u64,
-    },
     /// A container's batches disagree on column count. The header/footer
     /// carries a single `cols`, so a mixed-width container would serialize
     /// a wrong width for every batch after the first; the writer refuses.
@@ -94,9 +85,6 @@ impl std::fmt::Display for FormatError {
             FormatError::Corrupt(m) => write!(f, "corrupt batch: {m}"),
             FormatError::WrongScheme { expected, got } => {
                 write!(f, "wrong scheme tag {got}, expected {expected}")
-            }
-            FormatError::TooLarge { what, value, max } => {
-                write!(f, "{what} = {value} exceeds the wire field maximum {max}")
             }
             FormatError::MixedCols {
                 batch,
@@ -159,18 +147,17 @@ pub struct ExecScratch {
 /// A mini-batch in some (possibly compressed) encoding, supporting the core
 /// matrix operations MGD needs (paper Table 1 / §4).
 ///
-/// The trait exposes three method families:
+/// The trait exposes two kernel families:
 ///
-/// 1. **Workspace kernels** (`*_into`, required): write into caller-owned
-///    buffers, which are cleared and refilled reusing their allocations.
-///    These are the native implementations in every format module.
-/// 2. **Allocating wrappers** (provided): the historical `matvec(&self,
-///    v) -> Vec<f64>` style API, now thin wrappers over the `*_into`
-///    family.
-/// 3. **Scratch-aware kernels** (`*_into_ws`, provided): like `*_into`
-///    but additionally given an [`ExecScratch`] so formats with internal
-///    staging needs (GC decompression, TOC tree rebuilds) are
-///    allocation-free too. Formats without such needs ignore the scratch.
+/// 1. **Workspace kernels** (`*_into_ws`, required): write into
+///    caller-owned buffers, which are cleared and refilled reusing their
+///    allocations, and take an [`ExecScratch`] for the staging some
+///    formats need *inside* an operation (GC decompression, TOC tree
+///    rebuilds). These are the native implementations in every format
+///    module; formats without staging needs ignore the scratch.
+/// 2. **Allocating wrappers** (provided): `matvec(&self, v) -> Vec<f64>`
+///    style, each one call of the workspace kernel over a throwaway
+///    scratch and a fresh output.
 pub trait MatrixBatch {
     /// Matrix rows.
     fn rows(&self) -> usize;
@@ -179,16 +166,16 @@ pub trait MatrixBatch {
     /// In-memory/on-disk footprint of the encoding, in bytes.
     fn size_bytes(&self) -> usize;
     /// `A · v` into a caller-owned buffer.
-    fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>);
+    fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch);
     /// `v · A` into a caller-owned buffer.
-    fn vecmat_into(&self, v: &[f64], out: &mut Vec<f64>);
+    fn vecmat_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch);
     /// `A · M` into a caller-owned matrix.
-    fn matmat_into(&self, m: &DenseMatrix, out: &mut DenseMatrix);
+    fn matmat_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch);
     /// `M · A` into a caller-owned matrix.
-    fn matmat_left_into(&self, m: &DenseMatrix, out: &mut DenseMatrix);
+    fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch);
     /// Full decode into a caller-owned matrix (sparse-unsafe operations
     /// route through this).
-    fn decode_into(&self, out: &mut DenseMatrix);
+    fn decode_into_ws(&self, out: &mut DenseMatrix, ws: &mut ExecScratch);
     /// Decode only rows `r0..r1` into a caller-owned matrix (`out` gets
     /// `r1 - r0` rows). Row-range projection lands here so the seekable
     /// container can trim the partial segments at a query's edges; formats
@@ -212,60 +199,32 @@ pub trait MatrixBatch {
     /// `A · v`.
     fn matvec(&self, v: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();
-        self.matvec_into(v, &mut out);
+        self.matvec_into_ws(v, &mut out, &mut ExecScratch::default());
         out
     }
     /// `v · A`.
     fn vecmat(&self, v: &[f64]) -> Vec<f64> {
         let mut out = Vec::new();
-        self.vecmat_into(v, &mut out);
+        self.vecmat_into_ws(v, &mut out, &mut ExecScratch::default());
         out
     }
     /// `A · M`.
     fn matmat(&self, m: &DenseMatrix) -> DenseMatrix {
         let mut out = DenseMatrix::default();
-        self.matmat_into(m, &mut out);
+        self.matmat_into_ws(m, &mut out, &mut ExecScratch::default());
         out
     }
     /// `M · A`.
     fn matmat_left(&self, m: &DenseMatrix) -> DenseMatrix {
         let mut out = DenseMatrix::default();
-        self.matmat_left_into(m, &mut out);
+        self.matmat_left_into_ws(m, &mut out, &mut ExecScratch::default());
         out
     }
     /// Full decode to dense.
     fn decode(&self) -> DenseMatrix {
         let mut out = DenseMatrix::default();
-        self.decode_into(&mut out);
+        self.decode_into_ws(&mut out, &mut ExecScratch::default());
         out
-    }
-
-    // ---- Scratch-aware kernels ----------------------------------------
-
-    /// [`Self::matvec_into`] with format-level scratch.
-    fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch) {
-        let _ = ws;
-        self.matvec_into(v, out);
-    }
-    /// [`Self::vecmat_into`] with format-level scratch.
-    fn vecmat_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch) {
-        let _ = ws;
-        self.vecmat_into(v, out);
-    }
-    /// [`Self::matmat_into`] with format-level scratch.
-    fn matmat_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
-        let _ = ws;
-        self.matmat_into(m, out);
-    }
-    /// [`Self::matmat_left_into`] with format-level scratch.
-    fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
-        let _ = ws;
-        self.matmat_left_into(m, out);
-    }
-    /// [`Self::decode_into`] with format-level scratch.
-    fn decode_into_ws(&self, out: &mut DenseMatrix, ws: &mut ExecScratch) {
-        let _ = ws;
-        self.decode_into(out);
     }
 }
 
@@ -545,38 +504,8 @@ impl MatrixBatch for AnyBatch {
     fn size_bytes(&self) -> usize {
         dispatch!(self, b => b.size_bytes())
     }
-    fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
-        dispatch!(self, b => b.matvec_into(v, out))
-    }
-    fn vecmat_into(&self, v: &[f64], out: &mut Vec<f64>) {
-        dispatch!(self, b => b.vecmat_into(v, out))
-    }
-    fn matmat_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
-        dispatch!(self, b => b.matmat_into(m, out))
-    }
-    fn matmat_left_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
-        dispatch!(self, b => b.matmat_left_into(m, out))
-    }
-    fn decode_into(&self, out: &mut DenseMatrix) {
-        dispatch!(self, b => b.decode_into(out))
-    }
     fn decode_rows_into(&self, r0: usize, r1: usize, out: &mut DenseMatrix) {
         dispatch!(self, b => b.decode_rows_into(r0, r1, out))
-    }
-    fn matvec(&self, v: &[f64]) -> Vec<f64> {
-        dispatch!(self, b => b.matvec(v))
-    }
-    fn vecmat(&self, v: &[f64]) -> Vec<f64> {
-        dispatch!(self, b => b.vecmat(v))
-    }
-    fn matmat(&self, m: &DenseMatrix) -> DenseMatrix {
-        dispatch!(self, b => b.matmat(m))
-    }
-    fn matmat_left(&self, m: &DenseMatrix) -> DenseMatrix {
-        dispatch!(self, b => b.matmat_left(m))
-    }
-    fn decode(&self) -> DenseMatrix {
-        dispatch!(self, b => b.decode())
     }
     fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch) {
         dispatch!(self, b => b.matvec_into_ws(v, out, ws))
@@ -608,8 +537,11 @@ impl MatrixBatch for AnyBatch {
 /// large.
 pub(crate) const MAX_DEGENERATE_DIM: usize = 1 << 24;
 
-/// Shared wire-format helpers for the format implementations.
-pub(crate) mod wire {
+/// Shared wire-format helpers: little-endian writers and the
+/// overflow-safe reader [`wire::Rd`] that every parser of outside bytes in
+/// the workspace (batch bodies, container footers, checkpoint sidecars)
+/// goes through.
+pub mod wire {
     use super::FormatError;
 
     pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -638,9 +570,13 @@ pub(crate) mod wire {
         }
     }
 
+    /// A cursor over untrusted bytes: every read is bounds-checked
+    /// against what remains and returns [`FormatError::Corrupt`] instead
+    /// of panicking, whatever lengths the input claims.
     pub struct Rd<'a> {
-        pub bytes: &'a [u8],
-        pub pos: usize,
+        bytes: &'a [u8],
+        /// Invariant: `pos <= bytes.len()`.
+        pos: usize,
     }
 
     impl<'a> Rd<'a> {
@@ -648,6 +584,7 @@ pub(crate) mod wire {
             Self { bytes, pos: 0 }
         }
 
+        /// The next `n` bytes.
         pub fn take(&mut self, n: usize) -> Result<&'a [u8], FormatError> {
             // `pos <= len` is an invariant, but `pos + n` could overflow
             // for adversarial `n`; bound-check without any arithmetic on
@@ -681,6 +618,7 @@ pub(crate) mod wire {
             self.bytes.len() - self.pos
         }
 
+        /// A `u32` count followed by that many `f64`s.
         pub fn f64s(&mut self) -> Result<Vec<f64>, FormatError> {
             let n = self.u32()? as usize;
             // Checked multiply instead of a heuristic plausibility bound:
@@ -695,6 +633,7 @@ pub(crate) mod wire {
                 .collect())
         }
 
+        /// A `u32` count followed by that many `u32`s.
         pub fn u32s(&mut self) -> Result<Vec<u32>, FormatError> {
             let n = self.u32()? as usize;
             let byte_len = n
@@ -707,12 +646,14 @@ pub(crate) mod wire {
                 .collect())
         }
 
+        /// Everything not yet consumed.
         pub fn rest(&mut self) -> &'a [u8] {
             let s = &self.bytes[self.pos..];
             self.pos = self.bytes.len();
             s
         }
 
+        /// Error unless every byte was consumed.
         pub fn done(&self) -> Result<(), FormatError> {
             if self.pos != self.bytes.len() {
                 return Err(FormatError::Corrupt("trailing bytes".into()));

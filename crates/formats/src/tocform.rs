@@ -13,7 +13,7 @@
 use crate::csr::CsrBatch;
 use crate::wire::{put_u32, Rd};
 use crate::{ExecScratch, FormatError, MatrixBatch, Scheme};
-use toc_core::{KernelScratch, PhysicalCodec, TocBatch};
+use toc_core::{PhysicalCodec, TocBatch};
 use toc_linalg::sparse::SparseRows;
 use toc_linalg::DenseMatrix;
 
@@ -58,29 +58,6 @@ impl MatrixBatch for TocFormat {
     }
     fn size_bytes(&self) -> usize {
         self.inner.size_bytes()
-    }
-    fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
-        self.inner
-            .matvec_into(v, out, &mut KernelScratch::default())
-            .expect("dimension-checked by caller")
-    }
-    fn vecmat_into(&self, v: &[f64], out: &mut Vec<f64>) {
-        self.inner
-            .vecmat_into(v, out, &mut KernelScratch::default())
-            .expect("dimension-checked by caller")
-    }
-    fn matmat_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
-        self.inner
-            .matmat_into(m, out, &mut KernelScratch::default())
-            .expect("dimension-checked by caller")
-    }
-    fn matmat_left_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
-        self.inner
-            .matmat_left_into(m, out, &mut KernelScratch::default())
-            .expect("dimension-checked by caller")
-    }
-    fn decode_into(&self, out: &mut DenseMatrix) {
-        self.inner.decode_into(out, &mut KernelScratch::default())
     }
     fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch) {
         self.inner
@@ -154,19 +131,19 @@ impl MatrixBatch for TocSparse {
     fn size_bytes(&self) -> usize {
         CsrBatch::csr_size_bytes(&self.s)
     }
-    fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
+    fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         self.s.matvec_into(v, out)
     }
-    fn vecmat_into(&self, v: &[f64], out: &mut Vec<f64>) {
+    fn vecmat_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         self.s.vecmat_into(v, out)
     }
-    fn matmat_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+    fn matmat_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
         self.s.matmat_into(m, out)
     }
-    fn matmat_left_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+    fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
         self.s.matmat_left_into(m, out)
     }
-    fn decode_into(&self, out: &mut DenseMatrix) {
+    fn decode_into_ws(&self, out: &mut DenseMatrix, _: &mut ExecScratch) {
         self.s.decode_into(out)
     }
     fn decode_rows_into(&self, r0: usize, r1: usize, out: &mut DenseMatrix) {
@@ -240,29 +217,6 @@ impl MatrixBatch for TocSparseLogical {
     }
     fn size_bytes(&self) -> usize {
         self.logical_size
-    }
-    fn matvec_into(&self, v: &[f64], out: &mut Vec<f64>) {
-        self.inner
-            .matvec_into(v, out, &mut KernelScratch::default())
-            .expect("dimension-checked by caller")
-    }
-    fn vecmat_into(&self, v: &[f64], out: &mut Vec<f64>) {
-        self.inner
-            .vecmat_into(v, out, &mut KernelScratch::default())
-            .expect("dimension-checked by caller")
-    }
-    fn matmat_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
-        self.inner
-            .matmat_into(m, out, &mut KernelScratch::default())
-            .expect("dimension-checked by caller")
-    }
-    fn matmat_left_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
-        self.inner
-            .matmat_left_into(m, out, &mut KernelScratch::default())
-            .expect("dimension-checked by caller")
-    }
-    fn decode_into(&self, out: &mut DenseMatrix) {
-        self.inner.decode_into(out, &mut KernelScratch::default())
     }
     fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch) {
         self.inner

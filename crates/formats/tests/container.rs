@@ -10,7 +10,7 @@
 
 use proptest::prelude::*;
 use std::path::PathBuf;
-use toc_formats::container::{parse_v2_footer, Container, HEADER_LEN, POSTSCRIPT_LEN};
+use toc_formats::container::{parse_v2_footer, Container, HEADER_LEN, MAGIC, POSTSCRIPT_LEN};
 use toc_formats::{EncodeOptions, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 
@@ -33,6 +33,22 @@ fn exercise_accepted_mutant(c: &Container) {
     let _ = c.payload_bytes();
 }
 
+/// Frame `c`'s batches as a legacy v1 container. The library only
+/// *reads* v1; this is the whole format (see the `container` module
+/// docs), kept test-side to bless the golden fixture and to feed the v1
+/// reader's hardening sweeps.
+fn frame_v1(c: &Container) -> Vec<u8> {
+    let mut out = MAGIC.to_le_bytes().to_vec();
+    out.push(1);
+    out.extend_from_slice(&(c.batches.len() as u32).to_le_bytes());
+    for b in &c.batches {
+        let bytes = b.to_bytes();
+        out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
+        out.extend_from_slice(&bytes);
+    }
+    out
+}
+
 fn golden_dir() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/golden")
 }
@@ -52,9 +68,9 @@ fn fixture_container() -> Container {
     )
 }
 
-/// Both versions of the committed fixture must keep parsing, keep
-/// decoding to the original matrix, and keep re-serializing
-/// byte-identically — old archives can never silently break.
+/// Both versions of the committed fixture must keep parsing and keep
+/// decoding to the original matrix, and their parsed batches must keep
+/// re-framing byte-identically — old archives can never silently break.
 #[test]
 fn golden_container_fixtures_stay_readable() {
     let bless = std::env::var_os("TOC_BLESS").is_some();
@@ -65,7 +81,7 @@ fn golden_container_fixtures_stay_readable() {
         if bless {
             let c = fixture_container();
             let bytes = if v1 {
-                c.to_bytes_v1().unwrap()
+                frame_v1(&c)
             } else {
                 c.to_bytes().unwrap()
             };
@@ -81,7 +97,7 @@ fn golden_container_fixtures_stay_readable() {
             .unwrap_or_else(|e| panic!("{name}: old container no longer parses: {e}"));
         assert_eq!(c.decode().unwrap(), a, "{name}: decoded payload drifted");
         let again = if v1 {
-            c.to_bytes_v1().unwrap()
+            frame_v1(&c)
         } else {
             c.to_bytes().unwrap()
         };
@@ -146,7 +162,7 @@ fn whole_file_single_byte_flips_never_panic() {
     for v1 in [false, true] {
         let c = Container::encode_with(&m, Scheme::Toc, 7, &EncodeOptions::default());
         let good = if v1 {
-            c.to_bytes_v1().unwrap()
+            frame_v1(&c)
         } else {
             c.to_bytes().unwrap()
         };
@@ -162,17 +178,35 @@ fn whole_file_single_byte_flips_never_panic() {
     }
 }
 
-/// Truncations at every length must error cleanly too.
+/// Truncations at every length must error cleanly too, in both versions.
 #[test]
 fn truncations_always_error() {
     let m = pool_matrix(25, 4, 0.5, 3);
     let c = Container::encode_with(&m, Scheme::Den, 9, &EncodeOptions::default());
-    let good = c.to_bytes().unwrap();
-    for len in 0..good.len() {
-        assert!(
-            Container::from_bytes(&good[..len]).is_err(),
-            "truncation to {len} bytes was accepted"
-        );
+    for good in [c.to_bytes().unwrap(), frame_v1(&c)] {
+        for len in 0..good.len() {
+            assert!(
+                Container::from_bytes(&good[..len]).is_err(),
+                "truncation to {len} bytes was accepted"
+            );
+        }
+    }
+}
+
+/// The v1 reader decodes every scheme's batches and reports no zone maps
+/// (v1 has no footer to restore them from).
+#[test]
+fn v1_reader_roundtrips_all_schemes() {
+    let m = pool_matrix(130, 12, 0.4, 5);
+    for scheme in [Scheme::Toc, Scheme::Den, Scheme::Gzip, Scheme::Cla] {
+        let c = Container::encode_with(&m, scheme, 50, &EncodeOptions::default());
+        let v1 = Container::from_bytes(&frame_v1(&c)).unwrap();
+        assert_eq!(v1.batches.len(), 3);
+        assert_eq!(v1.decode().unwrap(), m, "{} v1", scheme.name());
+        assert!(v1.zones().is_none());
+        let mut flipped = frame_v1(&c);
+        flipped[0] ^= 1;
+        assert!(Container::from_bytes(&flipped).is_err(), "bad magic");
     }
 }
 
@@ -307,9 +341,9 @@ proptest! {
     }
 }
 
-/// A container whose batches disagree on width must refuse to serialize
-/// (both versions): the single header/footer `cols` would otherwise lie
-/// about every batch after the first.
+/// A container whose batches disagree on width must refuse to serialize:
+/// the single footer `cols` would otherwise lie about every batch after
+/// the first.
 #[test]
 fn mixed_width_batches_refuse_to_serialize() {
     let a = pool_matrix(12, 4, 0.5, 7);
@@ -324,7 +358,6 @@ fn mixed_width_batches_refuse_to_serialize() {
         expected: 4,
     };
     assert_eq!(c.to_bytes().unwrap_err(), expected);
-    assert_eq!(c.to_bytes_v1().unwrap_err(), expected);
 
     // Uniform containers keep round-tripping.
     c.batches.pop();

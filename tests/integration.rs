@@ -4,7 +4,7 @@
 use toc_repro::data::store::StoreConfig;
 use toc_repro::data::synth::{generate_preset, DatasetPreset};
 use toc_repro::formats::MatrixBatch;
-use toc_repro::ml::mgd::{BatchProvider, ModelSpec, TrainedModel};
+use toc_repro::ml::mgd::{BatchProvider, ModelSpec};
 use toc_repro::prelude::*;
 
 /// Training with any encoding must produce the same model as training with
@@ -51,16 +51,20 @@ fn spilled_training_is_bit_identical_to_resident_training() {
 fn train_weights(ds: &toc_repro::data::synth::Dataset, scheme: Scheme, budget: usize) -> Vec<f64> {
     let store = ShardedSpillStore::build(&ds.x, &ds.labels, &StoreConfig::new(scheme, 100, budget))
         .expect("store");
+    weights(&store)
+}
+
+/// Final weights of 3 epochs of logistic regression over `provider`.
+fn weights(provider: &dyn BatchProvider) -> Vec<f64> {
     let trainer = Trainer::new(MgdConfig {
         epochs: 3,
         lr: 0.1,
         ..Default::default()
     });
-    let report = trainer.train(&ModelSpec::Linear(LossKind::Logistic), &store, None);
-    match report.model {
-        TrainedModel::Linear(m) => m.w,
-        _ => unreachable!(),
-    }
+    trainer
+        .train(&ModelSpec::Linear(LossKind::Logistic), provider, None)
+        .model
+        .weights()
 }
 
 /// The streaming path shares the store's one entry table: rows ingested
@@ -73,17 +77,6 @@ fn streamed_store_trains_bit_identically_to_built_store() {
     use toc_repro::data::{BatchCache, StoreIngest, TenantProvider};
     let ds = generate_preset(DatasetPreset::CensusLike, 450, 11);
     let config = StoreConfig::new(Scheme::Toc, 100, usize::MAX).with_shards(2);
-    let weights = |provider: &dyn BatchProvider| {
-        let trainer = Trainer::new(MgdConfig {
-            epochs: 3,
-            lr: 0.1,
-            ..Default::default()
-        });
-        trainer
-            .train(&ModelSpec::Linear(LossKind::Logistic), provider, None)
-            .model
-            .weights()
-    };
     let built = ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("store");
 
     let live = Arc::new(ShardedSpillStore::open_streaming(ds.x.cols(), &config).expect("store"));
@@ -98,6 +91,61 @@ fn streamed_store_trains_bit_identically_to_built_store() {
     let tenant = TenantProvider::new(Arc::clone(&live), Arc::new(BatchCache::new(1 << 20)), 1.0);
     assert_eq!(weights(&tenant), weights(&built));
     assert_eq!(tenant.cache_misses(), 5);
+}
+
+/// The crash-safety guarantees, end to end: a checkpointing CSV ingest
+/// killed mid-file and resumed writes the bytes of an uninterrupted run,
+/// and a spill store streamed off that container trains bit for bit like
+/// the in-memory store over the same rows.
+#[test]
+fn killed_and_resumed_ingest_trains_bit_identically_to_in_memory() {
+    use std::fmt::Write as _;
+    use toc_repro::data::ingest::{ingest_csv_container_killable, KillPoint};
+    use toc_repro::data::{ingest_csv_container, sidecar_path, CsvContainerJob};
+
+    let ds = generate_preset(DatasetPreset::CensusLike, 450, 13);
+    let dir = std::env::temp_dir().join(format!("toc-it-resume-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let csv = dir.join("rows.csv");
+    let mut text = String::new();
+    for r in 0..ds.x.rows() {
+        for v in ds.x.row(r) {
+            write!(text, "{v},").unwrap();
+        }
+        writeln!(text, "{}", ds.labels[r]).unwrap();
+    }
+    std::fs::write(&csv, text).expect("write csv");
+    let job = |out: &str| CsvContainerJob {
+        csv: csv.clone(),
+        out: dir.join(out),
+        chunk_rows: 64,
+        scheme: None,
+        encode: Default::default(),
+        checkpoint_every: 2,
+    };
+    let (full, killed) = (job("full.tocz"), job("killed.tocz"));
+    ingest_csv_container(&full, false).expect("uninterrupted ingest");
+    let kill = KillPoint::AfterSealedChunk { chunks: 3 };
+    let outcome = ingest_csv_container_killable(&killed, false, Some(kill)).expect("killed ingest");
+    assert!(outcome.killed.is_some(), "kill point did not fire");
+    let resumed = ingest_csv_container(&killed, true).expect("resume");
+    // Killed after chunk 3, last checkpoint at chunk 2.
+    assert_eq!(resumed.resumed_chunks, 2);
+    assert_eq!(
+        std::fs::read(&killed.out).unwrap(),
+        std::fs::read(&full.out).unwrap(),
+        "resumed container differs from the uninterrupted one"
+    );
+    assert!(!sidecar_path(&killed.out).exists(), "sidecar survived");
+
+    let spilled = StoreConfig::new(Scheme::Toc, 100, 0).with_shards(2);
+    let from_container =
+        ShardedSpillStore::build_from_container(&killed.out, &spilled).expect("container store");
+    assert_eq!(
+        weights(&from_container),
+        train_weights(&ds, Scheme::Toc, usize::MAX)
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Every preset's batches survive store spill bit-exactly for every scheme.
