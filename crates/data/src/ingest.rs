@@ -6,7 +6,7 @@
 //! arrive one at a time (CSV, a synth generator, a socket), stage in a
 //! reusable [`EncodeWorkspace`] bounded by `chunk_rows × cols`, and each
 //! full chunk is *sealed* — scheme chosen per chunk via
-//! [`toc_formats::pick_scheme`] over [`Scheme::AUTO_SET`] (or fixed),
+//! [`toc_formats::pick_and_encode`] over [`Scheme::AUTO_SET`] (or fixed),
 //! encoded, and appended to its sink — after which the staging buffers
 //! are handed back for the next chunk. Peak ingest memory is therefore a
 //! function of the chunk shape alone, never of how many rows flow
@@ -56,7 +56,7 @@ use toc_formats::container::{
 };
 use toc_formats::wire::Rd;
 use toc_formats::{
-    pick_scheme, AnyBatch, ClaPlanner, EncodeOptions, FormatError, MatrixBatch, Scheme,
+    pick_and_encode, AnyBatch, ClaPlanner, EncodeOptions, FormatError, MatrixBatch, Scheme,
 };
 use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
@@ -122,8 +122,10 @@ impl EncodeWorkspace {
     }
 
     /// Seal the staged rows into one encoded segment: compute the zone
-    /// map, pick the scheme (`None` = per-chunk auto over
-    /// [`Scheme::AUTO_SET`]), encode, and reclaim the staging buffer.
+    /// map, pick the scheme and encode (`None` = per-chunk auto over
+    /// [`Scheme::AUTO_SET`], which keeps the winner's probe encoding
+    /// rather than encoding twice), and reclaim the staging buffer. The
+    /// result depends on the staged rows alone, never on earlier seals.
     /// Returns `None` when nothing is staged.
     pub fn seal(&mut self, scheme: Option<Scheme>, opts: &EncodeOptions) -> Option<SealedChunk> {
         if self.staged_rows == 0 {
@@ -132,8 +134,10 @@ impl EncodeWorkspace {
         let rows = self.staged_rows;
         let dense = DenseMatrix::from_vec(rows, self.cols, std::mem::take(&mut self.stage));
         let zone = ZoneMap::compute(&dense, opts.cla.sample_rows);
-        let picked = scheme.unwrap_or_else(|| pick_scheme(&dense, &Scheme::AUTO_SET, opts));
-        let batch = picked.encode_with(&dense, opts);
+        let (picked, batch) = match scheme {
+            Some(s) => (s, s.encode_with(&dense, opts)),
+            None => pick_and_encode(&dense, &Scheme::AUTO_SET, opts),
+        };
         // Reclaim the staging allocation: the dense matrix wrapped our
         // buffer, so taking it back means steady-state ingestion never
         // reallocates the stage.

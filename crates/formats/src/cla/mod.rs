@@ -99,7 +99,7 @@ impl ClaBatch {
     /// exceeds the planner's estimate beyond [`MAX_DICT_ENTRIES`] fall
     /// back to singleton groups (and incompressible singletons to UC), so
     /// a bad sample can cost ratio but never correctness.
-    fn materialize(dense: &DenseMatrix, plan: &ClaPlan) -> Self {
+    pub(crate) fn materialize(dense: &DenseMatrix, plan: &ClaPlan) -> Self {
         let rows = dense.rows();
         let cols = dense.cols();
         let mut groups: Vec<Group> = Vec::with_capacity(plan.groups.len());

@@ -26,7 +26,7 @@
 //! its merge test is exact rather than estimated. `toc bench`'s
 //! `planner_ratio` binary compares the two.
 
-use std::collections::HashMap;
+use toc_core::hash::FxHashMap;
 use toc_linalg::DenseMatrix;
 
 /// Max dictionary entries per *co-coded* (multi-column) group. Planned
@@ -149,6 +149,20 @@ fn estimate_distinct(d_s: usize, f1: usize, sample: usize, rows: usize) -> usize
     (est.ceil() as usize).clamp(d_s, rows)
 }
 
+/// Map key for an `f64` bit pattern under [`toc_core::hash`]'s Fx
+/// multiply hash. The low bits of that hash — the ones a `HashMap` picks
+/// its bucket from — see only the low bits of the key, and round doubles
+/// (small integers, quarters) are all zero there: keyed raw, a column of
+/// distinct integers would pile into one bucket. Folding the well-mixed
+/// high half of a product down first spreads them. Each step is
+/// invertible, so distinct bit patterns stay distinct keys and every
+/// count taken over the map is the count over the raw bits.
+#[inline]
+fn value_key(bits: u64) -> u64 {
+    let k = (bits ^ (bits >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    k ^ (k >> 32)
+}
+
 /// Estimate the number of distinct values in a whole matrix by sampling
 /// up to `sample_rows` evenly spaced rows and scaling the sample's
 /// distinct/singleton counts with `estimate_distinct` (the same
@@ -159,12 +173,12 @@ pub fn estimate_matrix_distinct(m: &DenseMatrix, sample_rows: usize) -> usize {
         return 0;
     }
     let take = sample_rows.clamp(1, m.rows());
-    let mut counts: HashMap<u64, u32> = HashMap::new();
+    let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
     for i in 0..take {
         // Evenly spaced sample; take == rows degenerates to every row.
         let r = i * m.rows() / take;
         for &v in m.row(r) {
-            *counts.entry(v.to_bits()).or_insert(0) += 1;
+            *counts.entry(value_key(v.to_bits())).or_insert(0) += 1;
         }
     }
     let d_s = counts.len();
@@ -196,26 +210,6 @@ struct GroupState {
     size: usize,
 }
 
-/// Distinct/singleton counts plus relabeled codes of the pairwise join of
-/// two code vectors.
-fn join_codes(a: &[u32], b: &[u32]) -> (Vec<u32>, usize, usize) {
-    let mut map: HashMap<u64, u32> = HashMap::with_capacity(a.len());
-    let mut counts: Vec<u32> = Vec::new();
-    let mut codes = Vec::with_capacity(a.len());
-    for (&x, &y) in a.iter().zip(b) {
-        let key = (x as u64) << 32 | y as u64;
-        let next = counts.len() as u32;
-        let id = *map.entry(key).or_insert_with(|| {
-            counts.push(0);
-            next
-        });
-        counts[id as usize] += 1;
-        codes.push(id);
-    }
-    let f1 = counts.iter().filter(|&&c| c == 1).count();
-    (codes, counts.len(), f1)
-}
-
 /// Reusable scratch for joint-cardinality estimates. Pruning guarantees
 /// both sides have `d_s <= MAX_DICT_ENTRIES`, so the joint id space is at
 /// most `MAX_DICT_ENTRIES²` and a generation-stamped dense table beats a
@@ -229,13 +223,18 @@ struct JoinScratch {
 }
 
 impl JoinScratch {
-    /// Distinct/singleton counts of the pairwise join, without
-    /// materializing the joined codes.
-    fn join(&mut self, a: &GroupState, b: &GroupState) -> (usize, usize) {
-        let space = a.d_s * b.d_s;
-        if space == 0 {
-            return (0, 0);
-        }
+    /// Distinct/singleton counts of the pairwise join of two code
+    /// vectors with `a_ds`/`b_ds` distinct codes. Each row's joint id
+    /// (numbered in first-seen order, like the per-column codes) goes to
+    /// `emit`: the merge step collects them as the merged group's codes,
+    /// the estimates pass a no-op.
+    fn join(
+        &mut self,
+        (a, a_ds): (&[u32], usize),
+        (b, b_ds): (&[u32], usize),
+        mut emit: impl FnMut(u32),
+    ) -> (usize, usize) {
+        let space = a_ds * b_ds;
         if self.stamp.len() < space {
             self.stamp.resize(space, 0);
             self.id.resize(space, 0);
@@ -246,15 +245,15 @@ impl JoinScratch {
             self.gen = 1;
         }
         self.counts.clear();
-        for (&x, &y) in a.codes.iter().zip(&b.codes) {
-            let k = x as usize * b.d_s + y as usize;
-            if self.stamp[k] == self.gen {
-                self.counts[self.id[k] as usize] += 1;
-            } else {
+        for (&x, &y) in a.iter().zip(b) {
+            let k = x as usize * b_ds + y as usize;
+            if self.stamp[k] != self.gen {
                 self.stamp[k] = self.gen;
                 self.id[k] = self.counts.len() as u32;
-                self.counts.push(1);
+                self.counts.push(0);
             }
+            self.counts[self.id[k] as usize] += 1;
+            emit(self.id[k]);
         }
         let d = self.counts.len();
         let f1 = self.counts.iter().filter(|&&c| c == 1).count();
@@ -288,7 +287,7 @@ fn compute_pair(
     } else if gj.d_s == 1 {
         (gi.d_s, gi.f1)
     } else {
-        js.join(gi, gj)
+        js.join((&gi.codes, gi.d_s), (&gj.codes, gj.d_s), |_| {})
     };
     let joint_est = estimate_distinct(joint_ds, joint_f1, sample_len, rows).max(d_lower);
     if joint_est > MAX_DICT_ENTRIES {
@@ -314,7 +313,7 @@ fn bucket_identical(states: Vec<GroupState>, rows: usize) -> Vec<GroupState> {
             (h ^ c as u64).wrapping_mul(0x0000_0100_0000_01B3)
         })
     }
-    let mut index: HashMap<u64, Vec<usize>> = HashMap::new();
+    let mut index: FxHashMap<u64, Vec<usize>> = FxHashMap::default();
     let mut buckets: Vec<Vec<GroupState>> = Vec::new();
     for s in states {
         let candidates = index.entry(fingerprint(&s.codes)).or_default();
@@ -358,10 +357,12 @@ fn bucket_identical(states: Vec<GroupState>, rows: usize) -> Vec<GroupState> {
 }
 
 /// Best-first greedy merge within one window: repeatedly merge the pair
-/// with the largest estimated size reduction until no merge helps. Pair
-/// gains live in a dense matrix; a merge invalidates only the merged
-/// row/column, so each round costs one `O(n)` re-estimate sweep plus an
-/// `O(n²)` argmax over cached gains.
+/// with the largest estimated size reduction (ties to the smaller `i`,
+/// then the smaller `j`) until no merge helps. Pair gains live in a dense
+/// matrix and each row caches its best live pair, so a merge — which
+/// invalidates only the merged row/column — costs one `O(n)` re-estimate
+/// sweep, an `O(n)` argmax over the row caches, and a re-scan of just the
+/// rows whose cached best the merge could have changed.
 fn merge_window(
     mut states: Vec<GroupState>,
     rows: usize,
@@ -379,27 +380,39 @@ fn merge_window(
             pair[i * n + j] = compute_pair(&states[i], &states[j], rows, sample_len, js);
         }
     }
-    loop {
-        let mut best: Option<(isize, usize, usize, usize)> = None; // gain, i, j, joint_est
-        for i in 0..n {
-            if !alive[i] {
-                continue;
-            }
-            for j in i + 1..n {
-                if !alive[j] {
-                    continue;
-                }
-                if let Some((g, je)) = pair[i * n + j] {
-                    if best.is_none_or(|b| g > b.0) {
-                        best = Some((g, i, j, je));
-                    }
+    // `(gain, j)` of row i's best live pair: largest gain, smallest j.
+    let best_in_row = |pair: &[Option<(isize, usize)>], alive: &[bool], i: usize| {
+        let mut best: Option<(isize, usize)> = None;
+        for j in (i + 1..n).filter(|&j| alive[j]) {
+            if let Some((g, _)) = pair[i * n + j] {
+                if best.is_none_or(|b| g > b.0) {
+                    best = Some((g, j));
                 }
             }
         }
-        let Some((_, i, j, joint_est)) = best else {
+        best
+    };
+    let mut row_best: Vec<Option<(isize, usize)>> =
+        (0..n).map(|i| best_in_row(&pair, &alive, i)).collect();
+    loop {
+        let mut best: Option<(isize, usize, usize)> = None; // gain, i, j
+        for i in (0..n).filter(|&i| alive[i]) {
+            if let Some((g, j)) = row_best[i] {
+                if best.is_none_or(|b| g > b.0) {
+                    best = Some((g, i, j));
+                }
+            }
+        }
+        let Some((_, i, j)) = best else {
             break;
         };
-        let (codes, d_s, f1) = join_codes(&states[i].codes, &states[j].codes);
+        let (_, joint_est) = pair[i * n + j].expect("a cached best is a live pair");
+        let mut codes = Vec::with_capacity(sample_len);
+        let (d_s, f1) = js.join(
+            (&states[i].codes, states[i].d_s),
+            (&states[j].codes, states[j].d_s),
+            |id| codes.push(id),
+        );
         let mut cols: Vec<u32> = states[i]
             .cols
             .iter()
@@ -417,12 +430,21 @@ fn merge_window(
             size: ddc_size(width, joint_est, rows),
         };
         alive[j] = false;
-        for (k, &live) in alive.iter().enumerate() {
-            if !live || k == i {
-                continue;
-            }
+        for k in (0..n).filter(|&k| alive[k] && k != i) {
             let (a, b) = (i.min(k), i.max(k));
             pair[a * n + b] = compute_pair(&states[a], &states[b], rows, sample_len, js);
+        }
+        // A row's cache survives the merge unless it pointed at a merged
+        // group or the one pair re-estimated in that row, `(k, i)`, now
+        // matches or beats it.
+        for k in (0..n).filter(|&k| alive[k]) {
+            let overtaken = || {
+                let new = if k < i { pair[k * n + i] } else { None };
+                new.is_some_and(|(g, _)| row_best[k].is_none_or(|(bg, _)| g >= bg))
+            };
+            if k == i || row_best[k].is_some_and(|(_, c)| c == i || c == j) || overtaken() {
+                row_best[k] = best_in_row(&pair, &alive, k);
+            }
         }
     }
     states
@@ -435,6 +457,31 @@ fn merge_window(
 /// Phase 1 + 2: sample, estimate, greedy-merge. Returns the planned group
 /// layout without touching the dictionaries.
 pub fn plan(dense: &DenseMatrix, opts: &ClaOptions) -> ClaPlan {
+    plan_within(dense, opts, usize::MAX).expect("no plan exceeds an unbounded budget")
+}
+
+/// [`plan`] for a caller that only wants the plan if its
+/// [`ClaPlan::est_bytes`] can be at most `budget` (scheme selection,
+/// where `budget` is what CLA must undercut to be picked).
+///
+/// Contract: `Some(p)` is always exactly `plan(dense, opts)` — whose
+/// `est_bytes` may still exceed `budget`, the caller compares — and
+/// `None` is returned only when `plan(..).est_bytes > budget` is proven,
+/// so the bound can skip work but never change what a caller decides.
+///
+/// The proof is a lower bound available from phase 1 alone, before the
+/// `O(cols²)` merge phase. Every merge keeps a group's estimated
+/// cardinality at or above each member column's `d_est`, groups hold at
+/// most [`MAX_GROUP_COLS`] columns, and a column whose
+/// `d_est > MAX_DICT_ENTRIES` can never merge. So whatever the merge
+/// phase does, the plan costs at least: the 16-byte header; the exact
+/// singleton size of every unmergeable column; for the `m` mergeable
+/// columns, `⌈m/16⌉` groups' fixed cost (`8 + rows`: group header plus
+/// one-byte row indexes); and per mergeable column the cheaper of its
+/// dictionary share (`4 + 8·d_est`) and the UC payload beyond that fixed
+/// cost (`7·rows`). The bound only grows as columns are added, so phase 1
+/// itself stops at the first column that pushes it past `budget`.
+pub fn plan_within(dense: &DenseMatrix, opts: &ClaOptions, budget: usize) -> Option<ClaPlan> {
     let rows = dense.rows();
     let cols = dense.cols();
     let sample_n = opts.sample_rows.min(rows);
@@ -447,34 +494,48 @@ pub fn plan(dense: &DenseMatrix, opts: &ClaOptions) -> ClaPlan {
         (0..sample_n).map(|i| i * rows / sample_n).collect()
     };
 
-    let states: Vec<GroupState> = (0..cols)
-        .map(|c| {
-            let mut map: HashMap<u64, u32> = HashMap::new();
-            let mut counts: Vec<u32> = Vec::new();
-            let mut codes = Vec::with_capacity(sample.len());
-            for &r in &sample {
-                let bits = dense.get(r, c).to_bits();
-                let next = counts.len() as u32;
-                let id = *map.entry(bits).or_insert_with(|| {
+    let mut states: Vec<GroupState> = Vec::with_capacity(cols);
+    let mut map: FxHashMap<u64, u32> = FxHashMap::default();
+    let mut counts: Vec<u32> = Vec::new();
+    // Lower bound on `est_bytes` over the columns seen so far.
+    let (mut floor, mut mergeable) = (16usize, 0usize);
+    for c in 0..cols {
+        map.clear();
+        counts.clear();
+        let mut codes = Vec::with_capacity(sample.len());
+        for &r in &sample {
+            let next = counts.len() as u32;
+            let id = *map
+                .entry(value_key(dense.get(r, c).to_bits()))
+                .or_insert_with(|| {
                     counts.push(0);
                     next
                 });
-                counts[id as usize] += 1;
-                codes.push(id);
-            }
-            let d_s = counts.len();
-            let f1 = counts.iter().filter(|&&n| n == 1).count();
-            let d_est = estimate_distinct(d_s, f1, sample.len(), rows);
-            GroupState {
-                cols: vec![c as u32],
-                codes,
-                d_s,
-                f1,
-                d_est,
-                size: group_size(1, d_est, rows),
-            }
-        })
-        .collect();
+            counts[id as usize] += 1;
+            codes.push(id);
+        }
+        let d_s = counts.len();
+        let f1 = counts.iter().filter(|&&n| n == 1).count();
+        let d_est = estimate_distinct(d_s, f1, sample.len(), rows);
+        let size = group_size(1, d_est, rows);
+        if d_est > MAX_DICT_ENTRIES {
+            floor += size;
+        } else {
+            mergeable += 1;
+            floor += (4 + 8 * d_est).min(7 * rows);
+        }
+        if floor + mergeable.div_ceil(MAX_GROUP_COLS) * (8 + rows) > budget {
+            return None;
+        }
+        states.push(GroupState {
+            cols: vec![c as u32],
+            codes,
+            d_s,
+            f1,
+            d_est,
+            size,
+        });
+    }
 
     // Phase 2a: global identical-signature pre-merge (cheap, cross-window).
     let mut rest = bucket_identical(states, rows);
@@ -491,12 +552,12 @@ pub fn plan(dense: &DenseMatrix, opts: &ClaOptions) -> ClaPlan {
 
     groups.sort_by_key(|g| g.cols[0]);
     let est_bytes = 16 + groups.iter().map(|g| g.size).sum::<usize>();
-    ClaPlan {
+    Some(ClaPlan {
         groups: groups.into_iter().map(|g| g.cols).collect(),
         est_bytes,
         sample_rows: sample_n,
         exact,
-    }
+    })
 }
 
 #[cfg(test)]
@@ -564,6 +625,228 @@ mod tests {
         let est = estimate_distinct(10, 2, 100, 1000);
         assert!((10..=28).contains(&est), "{est}");
         assert_eq!(estimate_distinct(3, 0, 50, 1000), 3);
+    }
+
+    /// The planner as first written — SipHash maps in phase 1 and in the
+    /// merged-codes join, a full `n×n` argmax every merge round — kept as
+    /// the oracle for the cheaper data structures that replaced them: the
+    /// plans must be identical, not merely as good.
+    mod reference {
+        use super::super::*;
+        use std::collections::HashMap;
+
+        /// Relabel keys as first-seen ids: `(codes, distinct, singletons)`.
+        fn recode(keys: impl Iterator<Item = u64>) -> (Vec<u32>, usize, usize) {
+            let mut map: HashMap<u64, u32> = HashMap::new();
+            let mut counts: Vec<u32> = Vec::new();
+            let codes: Vec<u32> = keys
+                .map(|key| {
+                    let next = counts.len() as u32;
+                    let id = *map.entry(key).or_insert_with(|| {
+                        counts.push(0);
+                        next
+                    });
+                    counts[id as usize] += 1;
+                    id
+                })
+                .collect();
+            let f1 = counts.iter().filter(|&&c| c == 1).count();
+            (codes, counts.len(), f1)
+        }
+
+        /// Phase 1: one singleton group per column.
+        pub fn states(dense: &DenseMatrix, sample_n: usize) -> Vec<GroupState> {
+            let rows = dense.rows();
+            let sample: Vec<usize> = (0..sample_n).map(|i| i * rows / sample_n).collect();
+            (0..dense.cols())
+                .map(|c| {
+                    let (codes, d_s, f1) =
+                        recode(sample.iter().map(|&r| dense.get(r, c).to_bits()));
+                    let d_est = estimate_distinct(d_s, f1, sample_n, rows);
+                    GroupState {
+                        cols: vec![c as u32],
+                        codes,
+                        d_s,
+                        f1,
+                        d_est,
+                        size: group_size(1, d_est, rows),
+                    }
+                })
+                .collect()
+        }
+
+        /// Best-first merge of one window, every pair re-evaluated and
+        /// compared in row-major order each round.
+        pub fn merge(mut states: Vec<GroupState>, rows: usize, sample_n: usize) -> Vec<GroupState> {
+            let mut js = JoinScratch::default();
+            let n = states.len();
+            let mut alive = vec![true; n];
+            loop {
+                let mut best: Option<(isize, usize, usize, usize)> = None;
+                for i in (0..n).filter(|&i| alive[i]) {
+                    for j in (i + 1..n).filter(|&j| alive[j]) {
+                        let pair = compute_pair(&states[i], &states[j], rows, sample_n, &mut js);
+                        if let Some((g, je)) = pair {
+                            if best.is_none_or(|b| g > b.0) {
+                                best = Some((g, i, j, je));
+                            }
+                        }
+                    }
+                }
+                let Some((_, i, j, joint_est)) = best else {
+                    break;
+                };
+                let (a, b) = (&states[i].codes, &states[j].codes);
+                let (codes, d_s, f1) =
+                    recode(a.iter().zip(b).map(|(&x, &y)| (x as u64) << 32 | y as u64));
+                let mut cols = [states[i].cols.as_slice(), &states[j].cols].concat();
+                cols.sort_unstable();
+                let size = ddc_size(cols.len(), joint_est, rows);
+                states[i] = GroupState {
+                    cols,
+                    codes,
+                    d_s,
+                    f1,
+                    d_est: joint_est,
+                    size,
+                };
+                alive[j] = false;
+            }
+            states
+                .into_iter()
+                .zip(alive)
+                .filter_map(|(s, a)| a.then_some(s))
+                .collect()
+        }
+
+        pub fn plan(dense: &DenseMatrix, opts: &ClaOptions) -> ClaPlan {
+            let rows = dense.rows();
+            let sample_n = opts.sample_rows.min(rows);
+            let mut rest = bucket_identical(states(dense, sample_n), rows);
+            rest.sort_by_key(|g| g.cols[0]);
+            let mut groups: Vec<GroupState> = Vec::new();
+            while !rest.is_empty() {
+                let take_n = rest.len().min(PLAN_WINDOW_GROUPS);
+                groups.extend(merge(rest.drain(..take_n).collect(), rows, sample_n));
+            }
+            groups.sort_by_key(|g| g.cols[0]);
+            ClaPlan {
+                est_bytes: 16 + groups.iter().map(|g| g.size).sum::<usize>(),
+                groups: groups.into_iter().map(|g| g.cols).collect(),
+                sample_rows: sample_n,
+                exact: sample_n == rows,
+            }
+        }
+    }
+
+    /// Columns drawn from a few shared "sources" through per-column
+    /// value maps of different coarseness, noise columns, and columns
+    /// that are a function of two columns to their right *jointly* (their
+    /// sum mod 4) but of neither alone — so merging those two makes a
+    /// pair in an earlier row suddenly worth more than that row's cached
+    /// best, the case a stale row cache would get wrong.
+    fn entangled(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let sources: Vec<Vec<u64>> = (0..4)
+            .map(|_| (0..rows).map(|_| next() % 24).collect())
+            .collect();
+        let mut small: Vec<Vec<u64>> = vec![Vec::new(); cols];
+        for c in (0..cols).rev() {
+            let (src, coarse, flip) = (next() as usize % 4, next() % 5 + 1, next() % 9);
+            let joint = c + 2 < cols && next() % 3 == 0;
+            small[c] = (0..rows)
+                .map(|r| {
+                    if joint {
+                        (small[c + 1][r] + small[c + 2][r]) % 4
+                    } else {
+                        let noise = if next() % 10 < flip { next() % 3 } else { 0 };
+                        sources[src][r] / coarse + noise
+                    }
+                })
+                .collect();
+        }
+        let mut m = DenseMatrix::zeros(rows, cols);
+        for (c, col) in small.iter().enumerate() {
+            for (r, &v) in col.iter().enumerate() {
+                m.set(r, c, (v * (c as u64 + 1)) as f64);
+            }
+        }
+        m
+    }
+
+    #[test]
+    fn plans_match_the_reference_planner() {
+        // The last shape spans two planner windows; the reference
+        // re-estimates every pair every round, so it gets one seed.
+        let shapes = [(40, 9, 8), (120, 30, 8), (300, 70, 8), (60, 200, 1)];
+        for (rows, cols, seeds) in shapes {
+            for seed in 0..seeds {
+                let m = entangled(rows, cols, seed);
+                for sample_rows in [32, 256] {
+                    let opts = ClaOptions {
+                        sample_rows,
+                        ..ClaOptions::default()
+                    };
+                    assert_eq!(
+                        plan(&m, &opts),
+                        reference::plan(&m, &opts),
+                        "seed {seed}, {rows}x{cols}, sample {sample_rows}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Without the identical-signature pre-merge, duplicated and coarsened
+    /// columns make most pair gains tie exactly; the row caches must then
+    /// break every tie the way the row-major full scan does.
+    #[test]
+    fn merge_ties_break_like_the_full_scan() {
+        for seed in 0..60u64 {
+            let (rows, cols) = (24 + seed as usize % 40, 5 + seed as usize % 9);
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let (a, b): (Vec<u64>, Vec<u64>) = (0..rows).map(|_| (next() % 2, next() % 3)).unzip();
+            let mut m = DenseMatrix::zeros(rows, cols);
+            for c in 0..cols {
+                let kind = next() % 5;
+                for r in 0..rows {
+                    let v = match kind {
+                        0 => a[r],
+                        1 => b[r],
+                        2 => a[r] * 3 + b[r],
+                        3 => (a[r] + b[r]) % 2,
+                        _ => b[r] / 2,
+                    };
+                    m.set(r, c, v as f64);
+                }
+            }
+            let merged = |groups: Vec<GroupState>| -> Vec<Vec<u32>> {
+                groups.into_iter().map(|g| g.cols).collect()
+            };
+            let mut js = JoinScratch::default();
+            assert_eq!(
+                merged(merge_window(
+                    reference::states(&m, rows),
+                    rows,
+                    rows,
+                    &mut js
+                )),
+                merged(reference::merge(reference::states(&m, rows), rows, rows)),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

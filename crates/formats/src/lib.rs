@@ -354,16 +354,30 @@ impl Scheme {
     }
 
     /// Estimated [`MatrixBatch::size_bytes`] of encoding `dense` with this
-    /// scheme. For CLA this consults the sample-based planner's size
-    /// estimate (no dictionaries are built); every other scheme probes by
-    /// encoding. Used by [`pick_scheme`] so scheme selection over wide
-    /// batches does not pay CLA's full co-coding cost per candidate.
+    /// scheme — the quantity scheme selection minimizes, and so the
+    /// *definition* of what [`pick_scheme`] / [`pick_and_encode`] return.
+    /// DEN's size is closed-form and ANS's comes from one histogram pass;
+    /// CLA under [`ClaPlanner::SampleMerge`] reports its planner's
+    /// [`cla::ClaPlan::est_bytes`] (no dictionaries are built); every
+    /// other scheme probes by encoding.
+    ///
+    /// This always does the full work for its one scheme. Selection
+    /// reaches the same argmin with less (see [`pick_and_encode`]); this
+    /// stays public as the oracle its tests compare against.
     pub fn estimate_encoded_size(self, dense: &DenseMatrix, opts: &EncodeOptions) -> usize {
+        if let Some(size) = self.closed_form_size(dense) {
+            size
+        } else if self.is_planned_cla(opts) {
+            cla::planner::plan(dense, &opts.cla).est_bytes
+        } else {
+            self.encode_with(dense, opts).size_bytes()
+        }
+    }
+
+    /// The estimate of the schemes that need no encode probe for it.
+    fn closed_form_size(self, dense: &DenseMatrix) -> Option<usize> {
         match self {
-            Scheme::Den => dense.den_size_bytes(),
-            Scheme::Cla if opts.cla.planner == ClaPlanner::SampleMerge => {
-                cla::planner::plan(dense, &opts.cla).est_bytes
-            }
+            Scheme::Den => Some(dense.den_size_bytes()),
             // ANS compresses to (almost exactly) the zeroth-order byte
             // entropy of the DEN payload, so the estimate is one histogram
             // pass — no encode probe, unlike the LZ-based GC schemes.
@@ -375,10 +389,15 @@ impl Scheme {
                     }
                 }
                 // +9 for the scheme tag and rows/cols wire header.
-                toc_gc::ans::estimate_from_hist(&hist, dense.data().len() * 8) + 9
+                Some(toc_gc::ans::estimate_from_hist(&hist, dense.data().len() * 8) + 9)
             }
-            _ => self.encode_with(dense, opts).size_bytes(),
+            _ => None,
         }
+    }
+
+    /// CLA judged by its sample-merge plan instead of an encode probe.
+    fn is_planned_cla(self, opts: &EncodeOptions) -> bool {
+        self == Scheme::Cla && opts.cla.planner == ClaPlanner::SampleMerge
     }
 
     /// Deserialize a batch previously produced by
@@ -451,17 +470,93 @@ impl Scheme {
     }
 }
 
-/// Pick the scheme with the smallest estimated encoding of `dense` among
-/// `candidates` (ties break toward the earlier candidate). CLA is judged
-/// by its planner estimate rather than a full encode probe — see
-/// [`Scheme::estimate_encoded_size`].
-pub fn pick_scheme(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOptions) -> Scheme {
+/// What selection holds for its current leader.
+enum Lead {
+    /// Probe-encoded: the estimate was this batch's own size.
+    Batch(AnyBatch),
+    /// Leading on a closed-form estimate; nothing encoded yet.
+    Unencoded,
+    /// CLA leading on its plan's estimate.
+    Plan(cla::ClaPlan),
+}
+
+/// The one selection routine behind [`pick_scheme`] and
+/// [`pick_and_encode`]: walk the candidates against a running leader and
+/// keep whatever the leader's estimate already built.
+///
+/// Planned CLA is evaluated last, whatever its position, so its planner
+/// can be handed the size it must undercut
+/// ([`cla::planner::plan_within`]) and skip its merge phase when it
+/// provably cannot. Ties are settled by candidate position, not by
+/// evaluation order, so the result is the argmin as defined.
+fn select(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOptions) -> (Scheme, Lead) {
     assert!(!candidates.is_empty(), "no candidate schemes");
-    candidates
-        .iter()
-        .copied()
-        .min_by_key(|s| s.estimate_encoded_size(dense, opts))
-        .unwrap()
+    let n = candidates.len();
+    let planned = |&i: &usize| candidates[i].is_planned_cla(opts);
+    let order = (0..n).filter(|i| !planned(i)).chain((0..n).filter(planned));
+    let mut best: Option<(usize, usize, Lead)> = None; // size, candidate index, lead
+    for idx in order {
+        // The largest estimate with which this candidate takes the lead:
+        // a tie is enough only from an earlier position.
+        let budget = match best {
+            None => usize::MAX,
+            Some((size, lead_idx, _)) if idx < lead_idx => size,
+            Some((size, ..)) => match size.checked_sub(1) {
+                Some(below) => below,
+                None => continue,
+            },
+        };
+        let scheme = candidates[idx];
+        let (size, lead) = if let Some(size) = scheme.closed_form_size(dense) {
+            (size, Lead::Unencoded)
+        } else if scheme.is_planned_cla(opts) {
+            match cla::planner::plan_within(dense, &opts.cla, budget) {
+                Some(plan) => (plan.est_bytes, Lead::Plan(plan)),
+                None => continue,
+            }
+        } else {
+            let batch = scheme.encode_with(dense, opts);
+            (batch.size_bytes(), Lead::Batch(batch))
+        };
+        if size <= budget {
+            best = Some((size, idx, lead));
+        }
+    }
+    let (_, idx, lead) = best.expect("the first candidate evaluated always leads");
+    (candidates[idx], lead)
+}
+
+/// Pick the scheme with the smallest estimated encoding of `dense` among
+/// `candidates`.
+///
+/// Contract: the result is the argmin of
+/// [`Scheme::estimate_encoded_size`] over `candidates`, ties to the
+/// earlier candidate — a pure function of `(dense, candidates, opts)`.
+/// Selection may skip work a bound proves cannot change that answer
+/// (CLA's merge phase when the plan cannot undercut the leader), never
+/// the answer itself.
+pub fn pick_scheme(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOptions) -> Scheme {
+    select(dense, candidates, opts).0
+}
+
+/// [`pick_scheme`] plus the winner's encoding, built once: the pair is
+/// `(s, s.encode_with(dense, opts))` for `s = pick_scheme(..)`, byte for
+/// byte. A probe-encoded winner hands over the batch its estimate built,
+/// a closed-form one (DEN, ANS) is encoded only now that it has won, and
+/// CLA is materialized from the plan that won it the pick. At most the
+/// leader's and one challenger's batch are alive at a time.
+pub fn pick_and_encode(
+    dense: &DenseMatrix,
+    candidates: &[Scheme],
+    opts: &EncodeOptions,
+) -> (Scheme, AnyBatch) {
+    let (scheme, lead) = select(dense, candidates, opts);
+    let batch = match lead {
+        Lead::Batch(batch) => batch,
+        Lead::Unencoded => scheme.encode_with(dense, opts),
+        Lead::Plan(plan) => AnyBatch::Cla(cla::ClaBatch::materialize(dense, &plan)),
+    };
+    (scheme, batch)
 }
 
 /// A batch in any scheme (enum dispatch over [`MatrixBatch`]).

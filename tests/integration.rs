@@ -99,22 +99,13 @@ fn streamed_store_trains_bit_identically_to_built_store() {
 /// the in-memory store over the same rows.
 #[test]
 fn killed_and_resumed_ingest_trains_bit_identically_to_in_memory() {
-    use std::fmt::Write as _;
     use toc_repro::data::ingest::{ingest_csv_container_killable, KillPoint};
     use toc_repro::data::{ingest_csv_container, sidecar_path, CsvContainerJob};
 
     let ds = generate_preset(DatasetPreset::CensusLike, 450, 13);
     let dir = std::env::temp_dir().join(format!("toc-it-resume-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let csv = dir.join("rows.csv");
-    let mut text = String::new();
-    for r in 0..ds.x.rows() {
-        for v in ds.x.row(r) {
-            write!(text, "{v},").unwrap();
-        }
-        writeln!(text, "{}", ds.labels[r]).unwrap();
-    }
-    std::fs::write(&csv, text).expect("write csv");
+    let csv = write_csv(&dir, &ds);
     let job = |out: &str| CsvContainerJob {
         csv: csv.clone(),
         out: dir.join(out),
@@ -146,6 +137,81 @@ fn killed_and_resumed_ingest_trains_bit_identically_to_in_memory() {
         train_weights(&ds, Scheme::Toc, usize::MAX)
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `dir/rows.csv`: features then the label, one row per line.
+fn write_csv(dir: &std::path::Path, ds: &toc_repro::data::synth::Dataset) -> std::path::PathBuf {
+    use std::fmt::Write as _;
+    let mut text = String::new();
+    for r in 0..ds.x.rows() {
+        for v in ds.x.row(r) {
+            write!(text, "{v},").unwrap();
+        }
+        writeln!(text, "{}", ds.labels[r]).unwrap();
+    }
+    let csv = dir.join("rows.csv");
+    std::fs::write(&csv, text).expect("write csv");
+    csv
+}
+
+/// Auto-scheme ingest is its definition applied chunk by chunk: the file
+/// `ingest_csv_container` writes is the container assembled from the
+/// argmin of `Scheme::estimate_encoded_size` (first smallest wins —
+/// what `pick_scheme` must return) + `encode_with` on each chunk of the
+/// parsed CSV. Selection may find that argmin with less work; if it ever
+/// finds a different one, or hands over different bytes, this fails.
+#[test]
+fn auto_ingest_is_argmin_estimate_plus_encode_chunk_by_chunk() {
+    use toc_repro::data::{csv::read_all, ingest_csv_container, CsvContainerJob};
+    use toc_repro::formats::container::{ContainerStreamWriter, ZoneMap};
+    use toc_repro::formats::{pick_scheme, EncodeOptions};
+
+    let opts = EncodeOptions::default();
+    let chunk_rows = 120;
+    for preset in [DatasetPreset::CensusLike, DatasetPreset::Kdd99Like] {
+        let dir = std::env::temp_dir().join(format!(
+            "toc-it-select-{}-{}",
+            preset.name(),
+            std::process::id()
+        ));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let csv = write_csv(&dir, &generate_preset(preset, 400, 29));
+        let job = CsvContainerJob {
+            csv: csv.clone(),
+            out: dir.join("auto.tocz"),
+            chunk_rows,
+            scheme: None,
+            encode: opts,
+            checkpoint_every: 0,
+        };
+        ingest_csv_container(&job, false).expect("auto ingest");
+
+        let (rows, cols, data, _) = read_all(&csv).expect("parse csv");
+        let m = DenseMatrix::from_vec(rows, cols, data);
+        let mut by_definition = Vec::new();
+        let mut writer = ContainerStreamWriter::new(&mut by_definition).expect("header");
+        let mut picks = Vec::new();
+        for start in (0..rows).step_by(chunk_rows) {
+            let chunk = m.slice_rows(start, (start + chunk_rows).min(rows));
+            let zone = ZoneMap::compute(&chunk, opts.cla.sample_rows);
+            let scheme = Scheme::AUTO_SET
+                .into_iter()
+                .min_by_key(|s| s.estimate_encoded_size(&chunk, &opts))
+                .unwrap();
+            assert_eq!(pick_scheme(&chunk, &Scheme::AUTO_SET, &opts), scheme);
+            writer
+                .append(&scheme.encode_with(&chunk, &opts), zone)
+                .expect("append");
+            picks.push(scheme.name());
+        }
+        writer.finish().expect("footer");
+        assert!(
+            std::fs::read(&job.out).expect("read container") == by_definition,
+            "{}: ingested container differs from argmin-estimate + encode_with (picks {picks:?})",
+            preset.name()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 /// Every preset's batches survive store spill bit-exactly for every scheme.
