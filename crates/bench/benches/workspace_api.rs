@@ -4,7 +4,9 @@
 //!
 //! * **Kernel level** — `matvec` / `matmat` per scheme, allocating output
 //!   per call vs. reusing caller-owned buffers (plus format-level scratch:
-//!   GC decompression staging, TOC decode-tree rebuilds).
+//!   GC decompression staging, the TOC decode tree — one batch in a loop,
+//!   so the workspace side finds its tree prepared on every call but the
+//!   first).
 //! * **Epoch level** — one full MGD epoch of logistic regression through
 //!   `step` (throwaway workspace per batch) vs. `step_ws` (one workspace
 //!   for the run), the configuration `Trainer` uses.

@@ -17,7 +17,7 @@
 //! MB/s and ratio aggregated over every preset (throughput weighted by
 //! dense bytes), plus the per-preset breakdown.
 
-use toc_bench::{append_history, arg, mb_per_s, time_avg, today_utc};
+use toc_bench::{append_history, arg, json_escape, mb_per_s, time_avg, today_utc};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{MatrixBatch, Scheme};
 
@@ -40,10 +40,6 @@ struct Measurement {
     encode_mb_s: f64,
     decode_mb_s: f64,
     ratio: f64,
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 fn main() {

@@ -100,6 +100,12 @@ pub fn append_history(path: &str, fresh_header: &str, entry: &str) -> std::io::R
     std::fs::write(path, out)
 }
 
+/// Escape `s` for the inside of a JSON string literal (the history
+/// entries are hand-rolled; no serde in the workspace).
+pub fn json_escape(s: &str) -> String {
+    s.replace('\\', "\\\\").replace('"', "\\\"")
+}
+
 /// Minimal aligned-table printer for harness output.
 pub struct Table {
     headers: Vec<String>,

@@ -24,9 +24,11 @@
 use crate::encode::{logical_encode, LogicalEncoded};
 use crate::error::{corrupt, TocError};
 use crate::hash::FxHashMap;
+use crate::ops::BlockScratch;
 use crate::physical::{
     write_f64s, write_packed_ints, write_u32, write_varint_ints, Cursor, F64Slice, IntSlice,
 };
+use crate::tree::{DecodeTree, LivePlan, TreeScratch};
 use toc_linalg::sparse::{ColVal, SparseRows};
 use toc_linalg::DenseMatrix;
 
@@ -234,58 +236,30 @@ impl TocBatch {
 
     /// `A · v` on the compressed representation (Algorithm 4).
     pub fn matvec(&self, v: &[f64]) -> Result<Vec<f64>, TocError> {
-        let view = self.view();
-        if v.len() != view.cols {
-            return Err(TocError::Dimension {
-                expected: view.cols,
-                got: v.len(),
-                what: "A·v",
-            });
-        }
-        let tree = crate::tree::DecodeTree::build_trusted(&view);
-        Ok(crate::ops::matvec(&view, &tree, v))
+        let mut out = Vec::new();
+        self.matvec_into(v, &mut out, &mut KernelScratch::default())?;
+        Ok(out)
     }
 
     /// `v · A` on the compressed representation (Algorithm 5).
     pub fn vecmat(&self, v: &[f64]) -> Result<Vec<f64>, TocError> {
-        let view = self.view();
-        if v.len() != view.rows {
-            return Err(TocError::Dimension {
-                expected: view.rows,
-                got: v.len(),
-                what: "v·A",
-            });
-        }
-        let tree = crate::tree::DecodeTree::build_trusted(&view);
-        Ok(crate::ops::vecmat(&view, &tree, v))
+        let mut out = Vec::new();
+        self.vecmat_into(v, &mut out, &mut KernelScratch::default())?;
+        Ok(out)
     }
 
     /// `A · M` on the compressed representation (Algorithm 7).
     pub fn matmat(&self, m: &DenseMatrix) -> Result<DenseMatrix, TocError> {
-        let view = self.view();
-        if m.rows() != view.cols {
-            return Err(TocError::Dimension {
-                expected: view.cols,
-                got: m.rows(),
-                what: "A·M",
-            });
-        }
-        let tree = crate::tree::DecodeTree::build_trusted(&view);
-        Ok(crate::ops::matmat(&view, &tree, m))
+        let mut out = DenseMatrix::default();
+        self.matmat_into(m, &mut out, &mut KernelScratch::default())?;
+        Ok(out)
     }
 
     /// `M · A` on the compressed representation (Algorithm 8).
     pub fn matmat_left(&self, m: &DenseMatrix) -> Result<DenseMatrix, TocError> {
-        let view = self.view();
-        if m.cols() != view.rows {
-            return Err(TocError::Dimension {
-                expected: view.rows,
-                got: m.cols(),
-                what: "M·A",
-            });
-        }
-        let tree = crate::tree::DecodeTree::build_trusted(&view);
-        Ok(crate::ops::matmat_left(&view, &tree, m))
+        let mut out = DenseMatrix::default();
+        self.matmat_left_into(m, &mut out, &mut KernelScratch::default())?;
+        Ok(out)
     }
 
     /// Sparse-unsafe `A .+ c` (Algorithm 6): full decode, then apply.
@@ -293,23 +267,18 @@ impl TocBatch {
         self.decode().add_scalar(c)
     }
 
-    /// `A · v` into caller-owned buffers: rebuilds `C'` and runs the kernel
-    /// entirely inside `ws`, performing no heap allocation in steady state.
+    /// `A · v` into caller-owned buffers: runs entirely inside `ws`,
+    /// performing no heap allocation in steady state, and builds `C'`
+    /// only if `ws` does not already hold this batch's (see
+    /// [`KernelScratch`]).
     pub fn matvec_into(
         &self,
         v: &[f64],
         out: &mut Vec<f64>,
         ws: &mut KernelScratch,
     ) -> Result<(), TocError> {
-        let view = self.view();
-        if v.len() != view.cols {
-            return Err(TocError::Dimension {
-                expected: view.cols,
-                got: v.len(),
-                what: "A·v",
-            });
-        }
-        crate::tree::DecodeTree::build_trusted_into(&view, &mut ws.tree, &mut ws.tree_scratch);
+        check_dim(self.cols, v.len(), "A·v")?;
+        let view = ws.prepare(self);
         crate::ops::matvec_into(&view, &ws.tree, v, &mut ws.h, out);
         Ok(())
     }
@@ -321,64 +290,43 @@ impl TocBatch {
         out: &mut Vec<f64>,
         ws: &mut KernelScratch,
     ) -> Result<(), TocError> {
-        let view = self.view();
-        if v.len() != view.rows {
-            return Err(TocError::Dimension {
-                expected: view.rows,
-                got: v.len(),
-                what: "v·A",
-            });
-        }
-        crate::tree::DecodeTree::build_trusted_into(&view, &mut ws.tree, &mut ws.tree_scratch);
+        check_dim(self.rows, v.len(), "v·A")?;
+        let view = ws.prepare(self);
         crate::ops::vecmat_into(&view, &ws.tree, v, &mut ws.h, out);
         Ok(())
     }
 
-    /// `A · M` into caller-owned buffers (see [`Self::matvec_into`]).
+    /// `A · M` into caller-owned buffers (see [`Self::matvec_into`]); the
+    /// matrix kernels also derive the batch's live plan, once.
     pub fn matmat_into(
         &self,
         m: &DenseMatrix,
         out: &mut DenseMatrix,
         ws: &mut KernelScratch,
     ) -> Result<(), TocError> {
-        let view = self.view();
-        if m.rows() != view.cols {
-            return Err(TocError::Dimension {
-                expected: view.cols,
-                got: m.rows(),
-                what: "A·M",
-            });
-        }
-        crate::tree::DecodeTree::build_trusted_into(&view, &mut ws.tree, &mut ws.tree_scratch);
-        crate::ops::matmat_into(&view, &ws.tree, m, &mut ws.h, out);
+        check_dim(self.cols, m.rows(), "A·M")?;
+        ws.prepare_plan(self);
+        crate::ops::matmat_into(&ws.plan, m, &mut ws.block, out);
         Ok(())
     }
 
-    /// `M · A` into caller-owned buffers (see [`Self::matvec_into`]).
+    /// `M · A` into caller-owned buffers (see [`Self::matmat_into`]).
     pub fn matmat_left_into(
         &self,
         m: &DenseMatrix,
         out: &mut DenseMatrix,
         ws: &mut KernelScratch,
     ) -> Result<(), TocError> {
-        let view = self.view();
-        if m.cols() != view.rows {
-            return Err(TocError::Dimension {
-                expected: view.rows,
-                got: m.cols(),
-                what: "M·A",
-            });
-        }
-        crate::tree::DecodeTree::build_trusted_into(&view, &mut ws.tree, &mut ws.tree_scratch);
-        crate::ops::matmat_left_into(&view, &ws.tree, m, &mut ws.h, out);
+        check_dim(self.rows, m.cols(), "M·A")?;
+        ws.prepare_plan(self);
+        crate::ops::matmat_left_into(&ws.plan, m, &mut ws.block, out);
         Ok(())
     }
 
     /// Full decode into a caller-owned dense matrix (see
     /// [`Self::matvec_into`]).
     pub fn decode_into(&self, out: &mut DenseMatrix, ws: &mut KernelScratch) {
-        let view = self.view();
-        crate::tree::DecodeTree::build_trusted_into(&view, &mut ws.tree, &mut ws.tree_scratch);
+        let view = ws.prepare(self);
         crate::ops::decode_into(&view, &ws.tree, &mut ws.stack, &mut ws.row_codes, out);
     }
 
@@ -404,22 +352,92 @@ impl TocBatch {
     }
 }
 
-/// Reusable scratch for the zero-allocation TOC kernel entry points
-/// (`TocBatch::{matvec,vecmat,matmat,matmat_left,decode}_into`): holds the
-/// decode tree `C'`, its rebuild scratch, the per-kernel `H`/`G`
-/// accumulator, and the decode backtracking buffers. One instance serves
-/// any number of batches of any shape; buffers grow to the high-water mark
-/// and are reused thereafter.
-#[derive(Clone, Debug, Default)]
-pub struct KernelScratch {
-    tree: DecodeTree,
-    tree_scratch: crate::tree::TreeScratch,
-    h: Vec<f64>,
-    stack: Vec<(u32, f64)>,
-    row_codes: Vec<u32>,
+fn check_dim(expected: usize, got: usize, what: &'static str) -> Result<(), TocError> {
+    if expected == got {
+        Ok(())
+    } else {
+        Err(TocError::Dimension {
+            expected,
+            got,
+            what,
+        })
+    }
 }
 
-use crate::tree::DecodeTree;
+/// Reusable scratch for the zero-allocation TOC kernel entry points
+/// (`TocBatch::{matvec,vecmat,matmat,matmat_left,decode}_into`): holds the
+/// decode tree `C'` and the live plan of the batch it last prepared, the
+/// rebuild scratch, the kernels' `H`/`G` accumulators, and the decode
+/// backtracking buffers. One instance serves any number of batches of any
+/// shape; buffers grow to the high-water mark and are reused thereafter.
+///
+/// `C'` is built once per batch, not once per call: the scratch keeps a
+/// copy of the bytes of the batch it prepared, and a kernel rebuilds only
+/// when the batch it is given differs from that copy. The key is the
+/// content itself, compared in full — not the buffer's address or length,
+/// which [`TocBatch::scale`] leaves unchanged while rewriting the values,
+/// and not a hash, which can collide. So `matvec` → `vecmat`, `matmat` →
+/// `matmat_left`, or the `2k` calls of a one-vs-rest step on one batch
+/// share one build, and the live plan the matrix kernels need is derived
+/// by the first of them.
+#[derive(Clone, Debug, Default)]
+pub struct KernelScratch {
+    /// Bytes of the batch `tree` was built from; empty (no batch is) while
+    /// nothing is prepared.
+    key: Vec<u8>,
+    tree: DecodeTree,
+    tree_scratch: TreeScratch,
+    /// True if `plan` is the live plan of `key`'s batch.
+    planned: bool,
+    plan: LivePlan,
+    h: Vec<f64>,
+    block: BlockScratch,
+    stack: Vec<(u32, f64)>,
+    row_codes: Vec<u32>,
+    builds: u64,
+    plans: u64,
+}
+
+impl KernelScratch {
+    /// Make `tree` the `C'` of `batch`, building it unless it already is.
+    fn prepare<'a>(&mut self, batch: &'a TocBatch) -> TocView<'a> {
+        let view = batch.view();
+        if self.key != batch.bytes {
+            // Nothing counts as prepared while the tree is half rebuilt.
+            self.key.clear();
+            self.planned = false;
+            DecodeTree::build_trusted_into(&view, &mut self.tree, &mut self.tree_scratch);
+            self.key.extend_from_slice(&batch.bytes);
+            self.builds += 1;
+        }
+        view
+    }
+
+    /// [`Self::prepare`], and make `plan` the live plan of `batch`.
+    fn prepare_plan(&mut self, batch: &TocBatch) {
+        if self.planned && self.key == batch.bytes {
+            return;
+        }
+        let view = self.prepare(batch);
+        self.plan.rebuild(&view, &self.tree);
+        self.planned = true;
+        self.plans += 1;
+    }
+
+    /// How many times this scratch built a `C'` — for tests that pin how
+    /// often a training step prepares its batch.
+    #[doc(hidden)]
+    pub fn builds(&self) -> u64 {
+        self.builds
+    }
+
+    /// How many times this scratch derived a live plan (see
+    /// [`Self::builds`]).
+    #[doc(hidden)]
+    pub fn plans(&self) -> u64 {
+        self.plans
+    }
+}
 
 /// Summary statistics of a compressed batch.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -569,7 +587,7 @@ fn validate_view(view: &TocView<'_>) -> Result<(), TocError> {
     }
     // Structural code validation is performed by DecodeTree::build, which
     // replays the dictionary growth; run it once here.
-    crate::tree::DecodeTree::build(view)?;
+    DecodeTree::build(view)?;
     Ok(())
 }
 

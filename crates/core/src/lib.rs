@@ -18,7 +18,9 @@
 //!
 //! Matrix operations (`A·v`, `v·A`, `A·M`, `M·A`, `A.*c`) execute directly
 //! on the compressed buffer ([`ops`], paper §4) after rebuilding the
-//! parent-pointer decode tree `C'` ([`tree::DecodeTree`]).
+//! parent-pointer decode tree `C'` ([`tree::DecodeTree`]) — once per
+//! mini-batch when the kernels share a [`KernelScratch`], which is how a
+//! training step calls them.
 //!
 //! ```
 //! use toc_core::TocBatch;
@@ -50,4 +52,4 @@ pub mod tree;
 pub use batch::{KernelScratch, PhysicalCodec, TocBatch, TocStats, TocView};
 pub use encode::{logical_encode, LogicalEncoded};
 pub use error::TocError;
-pub use tree::{DecodeTree, TreeScratch};
+pub use tree::{DecodeTree, LivePlan, TreeScratch};

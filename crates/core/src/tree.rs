@@ -1,4 +1,5 @@
-//! The decoding prefix tree `C'` (Algorithm 2, §4.1.2).
+//! The decoding prefix tree `C'` (Algorithm 2, §4.1.2) and the *live plan*
+//! the matrix kernels derive from it.
 //!
 //! `C'` is a simplified variant of the encoding tree `C`: every node keeps
 //! its key (a column index:value pair) and the index of its *parent*, but no
@@ -6,6 +7,11 @@
 //! growth of Algorithm 1: for every adjacent code pair `(D[i][j],
 //! D[i][j+1])` a node was added whose parent is `D[i][j]` and whose key is
 //! the first pair of the sequence represented by `D[i][j+1]`.
+//!
+//! The replay adds a node for *every* adjacent pair, but `D` only ever
+//! names the ones the encoder matched again later; on image-like data
+//! almost half of `C'` is dictionary growth no code reaches. [`LivePlan`]
+//! is `C'` without those nodes, next to `D` unpacked to plain integers.
 
 use crate::batch::TocView;
 use crate::error::{corrupt, TocError};
@@ -23,8 +29,8 @@ pub struct DecodeTree {
 }
 
 /// Reusable scratch for [`DecodeTree::build_trusted_into`]: holds the `F`
-/// array and the per-row code buffer so that rebuilding `C'` for every
-/// kernel call performs no heap allocation in steady state.
+/// array and the per-row code buffer so that rebuilding `C'` for a new
+/// batch performs no heap allocation in steady state.
 #[derive(Clone, Debug, Default)]
 pub struct TreeScratch {
     first: Vec<u32>,
@@ -55,8 +61,8 @@ impl DecodeTree {
     }
 
     /// [`Self::build`] without per-code validation, for buffers that were
-    /// already validated once (every op on a `TocBatch` rebuilds `C'`, so
-    /// revalidating on each kernel call would tax the hot path).
+    /// already validated once (every visit of a `TocBatch` rebuilds `C'`,
+    /// so revalidating each time would tax the hot path).
     pub fn build_trusted(view: &TocView<'_>) -> DecodeTree {
         let mut tree = DecodeTree::default();
         let mut scratch = TreeScratch::default();
@@ -200,21 +206,128 @@ impl DecodeTree {
     }
 }
 
+/// The live part of `C'` for one batch, with `D` and the tuple offsets
+/// unpacked into plain `u32`s: what `A·M` and `M·A` sweep.
+///
+/// A node is *live* if some code in `D` names it or one of its
+/// descendants; every other node is dead. Dropping the dead nodes is
+/// exact: `A·M` only ever reads `H` at a code and, from there, up the
+/// parent chain, and `M·A` starts every node at weight zero and moves
+/// weight only from a code up the parent chain, so a dead node's `H` row
+/// is never read by the one and stays zero — contributes nothing — in the
+/// other. Live nodes are renumbered into consecutive *slots* in creation
+/// order (slot 0 is the root), which keeps `parent slot < own slot`, the
+/// topological order both kernels scan by.
+#[derive(Clone, Debug, Default)]
+pub struct LivePlan {
+    /// Matrix rows (tuples in `D`).
+    pub rows: usize,
+    /// Matrix columns.
+    pub cols: usize,
+    /// Key column of each slot (slot 0, the root, holds `(0, 0.0)`).
+    pub key_col: Vec<u32>,
+    /// Key value of each slot.
+    pub key_val: Vec<f64>,
+    /// Slot of each slot's parent.
+    pub parent: Vec<u32>,
+    /// `D` with every code replaced by its slot, tuples concatenated.
+    pub codes: Vec<u32>,
+    /// Tuple boundaries in `codes`: `rows + 1` entries.
+    pub offsets: Vec<u32>,
+    /// Node id → slot, [`DEAD`] for a pruned node.
+    slot_of: Vec<u32>,
+}
+
+/// [`LivePlan::slot_of`] marker of a node that was pruned.
+const DEAD: u32 = u32::MAX;
+
+impl LivePlan {
+    /// Derive the plan of `view` from its already built `tree`.
+    pub fn build(view: &TocView<'_>, tree: &DecodeTree) -> LivePlan {
+        let mut plan = LivePlan::default();
+        plan.rebuild(view, tree);
+        plan
+    }
+
+    /// [`Self::build`] into `self`, reusing its allocations.
+    pub fn rebuild(&mut self, view: &TocView<'_>, tree: &DecodeTree) {
+        let n = tree.len();
+        self.rows = view.rows;
+        self.cols = view.cols;
+        self.codes.clear();
+        view.codes_into(0, view.codes_len(), &mut self.codes);
+        self.offsets.clear();
+        view.offsets
+            .extend_into(0, view.rows + 1, &mut self.offsets);
+
+        // Mark (0 = live until slots are handed out): a code's node is
+        // live, and liveness climbs to the root. Parents precede children,
+        // so one backward scan settles it; `&=` instead of a test because
+        // live and dead alternate too irregularly to predict.
+        let slot_of = &mut self.slot_of;
+        slot_of.clear();
+        slot_of.resize(n, DEAD);
+        slot_of[0] = 0;
+        for &c in &self.codes {
+            slot_of[c as usize] = 0;
+        }
+        for i in (1..n).rev() {
+            slot_of[tree.parent[i] as usize] &= slot_of[i];
+        }
+
+        // Renumber in creation order; a parent's slot is final before
+        // any child asks for it.
+        self.key_col.clear();
+        self.key_val.clear();
+        self.parent.clear();
+        for i in 0..n {
+            if slot_of[i] != DEAD {
+                slot_of[i] = self.parent.len() as u32;
+                self.parent.push(slot_of[tree.parent[i] as usize]);
+                self.key_col.push(tree.key_col[i]);
+                self.key_val.push(tree.key_val[i]);
+            }
+        }
+        for c in &mut self.codes {
+            *c = slot_of[*c as usize];
+        }
+    }
+
+    /// Number of live slots, root included.
+    #[inline]
+    pub fn live(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// The slot `C'` node `node` was renumbered to, `None` if it is dead.
+    pub fn slot_of(&self, node: u32) -> Option<u32> {
+        Some(self.slot_of[node as usize]).filter(|&s| s != DEAD)
+    }
+
+    /// Slots of tuple `r`'s codes.
+    #[inline]
+    pub fn row_codes(&self, r: usize) -> &[u32] {
+        &self.codes[self.offsets[r] as usize..self.offsets[r + 1] as usize]
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::batch::TocBatch;
     use toc_linalg::DenseMatrix;
 
-    fn fig3_tree() -> DecodeTree {
-        let a = DenseMatrix::from_rows(vec![
+    fn fig3() -> TocBatch {
+        TocBatch::encode(&DenseMatrix::from_rows(vec![
             vec![1.1, 2.0, 3.0, 1.4],
             vec![1.1, 2.0, 3.0, 0.0],
             vec![0.0, 1.1, 3.0, 1.4],
             vec![1.1, 2.0, 0.0, 0.0],
-        ]);
-        let toc = TocBatch::encode(&a);
-        DecodeTree::build(&toc.view()).unwrap()
+        ]))
+    }
+
+    fn fig3_tree() -> DecodeTree {
+        DecodeTree::build(&fig3().view()).unwrap()
     }
 
     #[test]
@@ -257,6 +370,28 @@ mod tests {
         assert_eq!(t.sequence(10), vec![(1, 1.1), (2, 3.0)]);
         assert_eq!(t.sequence(6), vec![(0, 1.1), (1, 2.0)]);
         assert_eq!(t.depth(9), 3);
+    }
+
+    #[test]
+    fn fig3_live_plan_drops_the_three_unreferenced_entries() {
+        // D = [1 2 3 4 | 6 3 | 5 8 | 6] names 1..=6 and 8; 8 keeps its
+        // parent 3 alive, 6 its parent 1. Nodes 7, 9 and 10 were added by
+        // the replay and never matched again.
+        let toc = fig3();
+        let view = toc.view();
+        let tree = DecodeTree::build(&view).unwrap();
+        let plan = LivePlan::build(&view, &tree);
+        assert_eq!((plan.rows, plan.cols), (4, 4));
+        assert_eq!(plan.live(), 8);
+        assert_eq!(plan.parent, vec![0, 0, 0, 0, 0, 0, 1, 3]);
+        assert_eq!(plan.codes, vec![1, 2, 3, 4, 6, 3, 5, 7, 6]);
+        assert_eq!(plan.offsets, vec![0, 4, 6, 8, 9]);
+        assert_eq!(plan.row_codes(2), &[5, 7]);
+        for dead in [7, 9, 10] {
+            assert_eq!(plan.slot_of(dead), None);
+        }
+        assert_eq!(plan.slot_of(8), Some(7));
+        assert_eq!((plan.key_col[7], plan.key_val[7]), (3, 1.4));
     }
 
     #[test]

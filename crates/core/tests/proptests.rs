@@ -2,7 +2,7 @@
 //! kernel-vs-oracle equality on arbitrary matrices across sparsity regimes.
 
 use proptest::prelude::*;
-use toc_core::{PhysicalCodec, TocBatch};
+use toc_core::{DecodeTree, LivePlan, PhysicalCodec, TocBatch};
 use toc_linalg::dense::max_abs_diff_vec;
 use toc_linalg::DenseMatrix;
 
@@ -129,6 +129,73 @@ proptest! {
         let toc = TocBatch::encode(&a);
         let got = toc.matmat_left(&m).unwrap();
         prop_assert!(got.max_abs_diff(&a.matmat_left(&m)) < 1e-6);
+    }
+
+    #[test]
+    fn live_plan_is_the_referenced_part_of_the_tree(a in matrix_strategy(30, 25), varint in any::<bool>()) {
+        let codec = if varint { PhysicalCodec::Varint } else { PhysicalCodec::BitPack };
+        let toc = TocBatch::encode_with(&a, codec);
+        let view = toc.view();
+        let tree = DecodeTree::build(&view).unwrap();
+        let plan = LivePlan::build(&view, &tree);
+        let live = plan.live() as u32;
+
+        // Live ∪ dead == C': slots are handed out in creation order
+        // without gaps, and a live node keeps its key and its parent.
+        let mut next = 0u32;
+        for node in 0..tree.len() as u32 {
+            if let Some(slot) = plan.slot_of(node) {
+                prop_assert_eq!(slot, next);
+                next += 1;
+                let s = slot as usize;
+                prop_assert_eq!(plan.key_col[s], tree.key_col[node as usize]);
+                prop_assert_eq!(plan.key_val[s].to_bits(), tree.key_val[node as usize].to_bits());
+                prop_assert_eq!(Some(plan.parent[s]), plan.slot_of(tree.parent[node as usize]));
+            }
+        }
+        prop_assert_eq!(next, live);
+        prop_assert_eq!(plan.slot_of(0), Some(0));
+        for s in 1..plan.live() {
+            prop_assert!(plan.parent[s] < s as u32, "slot {} has parent {}", s, plan.parent[s]);
+        }
+
+        // Every remapped code is a live, non-root slot, and is the slot
+        // of the code D holds at that position.
+        prop_assert_eq!(plan.codes.len(), view.codes_len());
+        for (k, &c) in plan.codes.iter().enumerate() {
+            prop_assert!(c >= 1 && c < live);
+            prop_assert_eq!(Some(c), plan.slot_of(view.code(k)));
+        }
+
+        // A node is dead exactly when no code reaches it: every live
+        // leaf-ward end is named by D.
+        let mut reached = vec![false; plan.live()];
+        reached[0] = true;
+        for &c in &plan.codes {
+            let mut s = c as usize;
+            while !reached[s] {
+                reached[s] = true;
+                s = plan.parent[s] as usize;
+            }
+        }
+        prop_assert!(reached.iter().all(|&r| r));
+
+        // Decoding every row through the plan == decode_sparse.
+        let sparse = toc.decode_sparse();
+        prop_assert_eq!((plan.rows, plan.cols), (a.rows(), a.cols()));
+        for r in 0..plan.rows {
+            let mut pairs = Vec::new();
+            for &c in plan.row_codes(r) {
+                let at = pairs.len();
+                let mut s = c as usize;
+                while s != 0 {
+                    pairs.insert(at, (plan.key_col[s], plan.key_val[s].to_bits()));
+                    s = plan.parent[s] as usize;
+                }
+            }
+            let want: Vec<(u32, u64)> = sparse.row(r).iter().map(|p| (p.col, p.val.to_bits())).collect();
+            prop_assert_eq!(pairs, want, "row {}", r);
+        }
     }
 
     #[test]

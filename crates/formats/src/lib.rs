@@ -123,8 +123,11 @@ impl From<toc_gc::GcError> for FormatError {
 /// * `gc_bytes` / `gc_dense` — the GC formats (Snappy*/Gzip*) must fully
 ///   decompress before any op; these stage the decompressed DEN payload
 ///   and the decoded matrix.
-/// * `toc` — the TOC kernels rebuild the decode tree `C'` and fill an
-///   `H`/`G` accumulator per call; [`toc_core::KernelScratch`] owns both.
+/// * `toc` — the TOC kernels need the batch's decode tree `C'` (the
+///   matrix kernels also its live plan) and an `H`/`G` accumulator;
+///   [`toc_core::KernelScratch`] owns them and keeps the tree of the
+///   batch it prepared last, keyed by the batch's bytes, so the kernels a
+///   step runs on one batch through one scratch build it once.
 ///
 /// One instance serves any number of batches of any scheme and shape;
 /// buffers grow to the high-water mark and are reused thereafter.
@@ -134,7 +137,8 @@ pub struct ExecScratch {
     pub gc_bytes: Vec<u8>,
     /// Decoded dense staging for ops that must decompress first.
     pub gc_dense: DenseMatrix,
-    /// Decode tree + accumulator scratch for the TOC kernels.
+    /// Decode tree and live plan of the TOC batch prepared last, plus
+    /// accumulator scratch for the TOC kernels.
     pub toc: toc_core::KernelScratch,
     /// Serialized-batch staging for spill-store reads: out-of-core
     /// providers read a batch's on-disk bytes here before
@@ -152,8 +156,8 @@ pub struct ExecScratch {
 /// 1. **Workspace kernels** (`*_into_ws`, required): write into
 ///    caller-owned buffers, which are cleared and refilled reusing their
 ///    allocations, and take an [`ExecScratch`] for the staging some
-///    formats need *inside* an operation (GC decompression, TOC tree
-///    rebuilds). These are the native implementations in every format
+///    formats need *inside* an operation (GC decompression, the TOC
+///    decode tree). These are the native implementations in every format
 ///    module; formats without staging needs ignore the scratch.
 /// 2. **Allocating wrappers** (provided): `matvec(&self, v) -> Vec<f64>`
 ///    style, each one call of the workspace kernel over a throwaway

@@ -182,6 +182,59 @@ fn every_scheme_op_and_api_family_matches_dense() {
 }
 
 #[test]
+fn toc_kernels_interleaved_with_every_other_scheme_on_one_scratch() {
+    // The grid above walks encoder by encoder; this leg walks shape by
+    // shape, so the scratch that holds a TOC batch's prepared tree sees
+    // every other scheme, the other TOC encodings of the same matrix and
+    // — one round later — the same encoder on another shape in between.
+    // Two rounds over a kernel order that differs, so each kernel is at
+    // some point the first to meet a batch.
+    let mut ws = ExecScratch::default();
+    let mut out_v: Vec<f64> = Vec::new();
+    let mut out_m = DenseMatrix::default();
+    let encoders = encoders();
+    for round in 0..2 {
+        for (shape, a) in shape_grid() {
+            let (rows, cols) = (a.rows(), a.cols());
+            let v = test_vec(cols, 1);
+            let w = test_vec(rows, 2);
+            let mr = pool_matrix(cols, 9, 0.9, 21);
+            let ml = pool_matrix(9, rows, 0.9, 22);
+            for (enc_name, encode) in &encoders {
+                let ctx = format!("{enc_name} on {shape}, round {round}");
+                let b = encode(&a);
+                for k in 0..4 {
+                    match (k + round) % 4 {
+                        0 => {
+                            b.matmat_left_into_ws(&ml, &mut out_m, &mut ws);
+                            let want = a.matmat_left(&ml);
+                            assert!(out_m.max_abs_diff(&want) < TOL, "{ctx}: matmat_left");
+                        }
+                        1 => {
+                            b.matvec_into_ws(&v, &mut out_v, &mut ws);
+                            let want = a.matvec(&v);
+                            assert!(max_abs_diff_vec(&out_v, &want) < TOL, "{ctx}: matvec");
+                        }
+                        2 => {
+                            b.matmat_into_ws(&mr, &mut out_m, &mut ws);
+                            let want = a.matmat(&mr);
+                            assert!(out_m.max_abs_diff(&want) < TOL, "{ctx}: matmat");
+                        }
+                        _ => {
+                            b.vecmat_into_ws(&w, &mut out_v, &mut ws);
+                            let want = a.vecmat(&w);
+                            assert!(max_abs_diff_vec(&out_v, &want) < TOL, "{ctx}: vecmat");
+                        }
+                    }
+                }
+                b.decode_into_ws(&mut out_m, &mut ws);
+                assert_eq!(out_m, a, "{ctx}: decode");
+            }
+        }
+    }
+}
+
+#[test]
 fn scale_conforms_on_the_shape_grid() {
     for (enc_name, encode) in encoders() {
         for (shape, a) in shape_grid() {

@@ -184,11 +184,22 @@ impl DenseMatrix {
     }
 
     /// Transpose into a caller-owned matrix (reshaped as needed).
+    ///
+    /// Walks 8×8 tiles: a tile's source and destination lines both stay
+    /// in cache, where a row-by-row walk stores one element per line of
+    /// the destination and has lost the line by the time it comes back.
     pub fn transpose_into(&self, out: &mut DenseMatrix) {
+        const TILE: usize = 8;
         out.reset(self.cols, self.rows);
-        for r in 0..self.rows {
-            for c in 0..self.cols {
-                out.data[c * self.rows + r] = self.data[r * self.cols + c];
+        for r0 in (0..self.rows).step_by(TILE) {
+            let r1 = (r0 + TILE).min(self.rows);
+            for c0 in (0..self.cols).step_by(TILE) {
+                let c1 = (c0 + TILE).min(self.cols);
+                for r in r0..r1 {
+                    for c in c0..c1 {
+                        out.data[c * self.rows + r] = self.data[r * self.cols + c];
+                    }
+                }
             }
         }
     }
@@ -414,6 +425,28 @@ mod tests {
         let left = a.matmat_left(&m);
         let via_t = a.transpose().matmat(&m.transpose()).transpose();
         assert!(left.max_abs_diff(&via_t) < 1e-12);
+    }
+
+    #[test]
+    fn transpose_moves_every_element_for_any_tiling_remainder() {
+        // Multiples of the tile, remainders on either side, one tile
+        // short, and no rows at all.
+        for (rows, cols) in [(8, 16), (3, 5), (11, 29), (32, 7), (1, 9), (0, 4), (4, 0)] {
+            let a = DenseMatrix::from_vec(
+                rows,
+                cols,
+                (0..rows * cols).map(|i| i as f64 + 0.5).collect(),
+            );
+            // Into a buffer that held another shape before.
+            let mut t = DenseMatrix::from_vec(2, 3, vec![9.0; 6]);
+            a.transpose_into(&mut t);
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            for r in 0..rows {
+                for c in 0..cols {
+                    assert_eq!(t.get(c, r), a.get(r, c), "{rows}x{cols} ({r},{c})");
+                }
+            }
+        }
     }
 
     #[test]

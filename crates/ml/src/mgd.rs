@@ -116,18 +116,45 @@ impl TrainedModel {
     }
 
     /// Classification error rate on a labeled batch (1 − accuracy).
+    ///
+    /// Thin wrapper over [`Self::error_rate_ws`] with a throwaway
+    /// workspace.
     pub fn error_rate(&mut self, batch: &AnyBatch, labels: &[f64]) -> f64 {
-        match self {
-            TrainedModel::Linear(m) => 1.0 - m.accuracy(batch, labels),
+        self.error_rate_ws(batch, labels, &mut ExecWorkspace::new())
+    }
+
+    /// [`Self::error_rate`] with caller-owned scratch. Called with the
+    /// workspace that then steps on the same batch (test-then-train), the
+    /// prediction and the step share what the kernels prepared for it.
+    pub fn error_rate_ws(
+        &mut self,
+        batch: &AnyBatch,
+        labels: &[f64],
+        ws: &mut ExecWorkspace,
+    ) -> f64 {
+        let accuracy = match self {
+            TrainedModel::Linear(m) => m.accuracy_ws(batch, labels, ws),
             TrainedModel::OneVsRest(m) => {
-                let idx: Vec<usize> = labels.iter().map(|&l| l as usize).collect();
-                1.0 - m.accuracy(batch, &idx)
+                // Take the staging buffer out so `ws` can be lent onward.
+                let mut pred = std::mem::take(&mut ws.class_idx);
+                m.predict_into(batch, &mut pred, ws);
+                let ok = pred
+                    .iter()
+                    .zip(labels)
+                    .filter(|(&p, &l)| p == l as usize)
+                    .count();
+                ws.class_idx = pred;
+                ok as f64 / labels.len() as f64
             }
             TrainedModel::NeuralNet(nn) => {
-                let targets = targets_for_nn(labels, nn.outputs);
-                1.0 - nn.accuracy(batch, &targets)
+                let mut targets = std::mem::take(&mut ws.targets);
+                targets_for_nn_into(labels, nn.outputs, &mut targets);
+                let accuracy = nn.accuracy_ws(batch, &targets, ws);
+                ws.targets = targets;
+                accuracy
             }
-        }
+        };
+        1.0 - accuracy
     }
 }
 
@@ -271,11 +298,7 @@ impl Trainer {
                 );
             }
             let t0 = Instant::now();
-            for &i in &order {
-                data.visit(i, &mut |batch, labels| {
-                    step_ws(&mut model, batch, labels, self.config.lr, &mut ws);
-                });
-            }
+            run_epoch(&mut model, data, &order, self.config.lr, &mut ws);
             train_time += t0.elapsed();
             // Visit-order feedback to the provider (adaptive spill stores
             // rebalance here). Excluded from `train_time` like the curve
@@ -367,7 +390,7 @@ impl Trainer {
                 let t0 = Instant::now();
                 data.visit(next, &mut |batch, labels| {
                     // Test-then-train: evaluate before stepping.
-                    err_rows += model.error_rate(batch, labels) * labels.len() as f64;
+                    err_rows += model.error_rate_ws(batch, labels, &mut ws) * labels.len() as f64;
                     rows += labels.len();
                     step_ws(&mut model, batch, labels, self.config.lr, &mut ws);
                 });
@@ -418,6 +441,22 @@ impl Trainer {
             windows_during_ingest,
             train_time,
         }
+    }
+}
+
+/// One pass of [`Trainer::train`] over `order`: a step per visited batch,
+/// all through `ws`.
+fn run_epoch(
+    model: &mut TrainedModel,
+    data: &dyn BatchProvider,
+    order: &[usize],
+    lr: f64,
+    ws: &mut ExecWorkspace,
+) {
+    for &i in order {
+        data.visit(i, &mut |batch, labels| {
+            step_ws(model, batch, labels, lr, ws)
+        });
     }
 }
 
@@ -661,6 +700,43 @@ mod tests {
         assert_eq!(r.model.weights().len(), (6 * 4 + 4) + (4 + 1));
         let r2 = trainer.train(&spec, &provider, None);
         assert_eq!(r.model.weights(), r2.model.weights());
+    }
+
+    #[test]
+    fn an_epoch_builds_one_tree_per_distinct_batch_and_test_then_train_no_more() {
+        let (provider, _, _) = make_provider(Scheme::Toc, 300, 8, 50, 29); // 6 batches
+        let order: Vec<usize> = (0..provider.num_batches()).collect();
+        let builds = |ws: &ExecWorkspace| ws.exec.toc.builds();
+        for spec in [
+            ModelSpec::Linear(LossKind::Logistic),
+            ModelSpec::NeuralNet {
+                hidden: vec![5],
+                outputs: 1,
+            },
+        ] {
+            let mut model = spec.init(8, 1);
+            let mut ws = ExecWorkspace::new();
+            run_epoch(&mut model, &provider, &order, 0.1, &mut ws);
+            assert_eq!(builds(&ws), 6);
+            run_epoch(&mut model, &provider, &order, 0.1, &mut ws);
+            assert_eq!(builds(&ws), 12);
+            // The online loop's visit: predict, then step, one build.
+            let mut ws = ExecWorkspace::new();
+            for (batch, labels) in &provider.batches {
+                let with_ws = model.clone().error_rate_ws(batch, labels, &mut ws);
+                assert_eq!(with_ws, model.error_rate(batch, labels));
+                step_ws(&mut model, batch, labels, 0.1, &mut ws);
+            }
+            assert_eq!(builds(&ws), 6);
+        }
+        // Batch gradient descent: one batch, however many epochs.
+        let (provider, _, _) = make_provider(Scheme::Toc, 120, 8, 120, 31);
+        let mut model = ModelSpec::Linear(LossKind::Hinge).init(8, 1);
+        let mut ws = ExecWorkspace::new();
+        for _ in 0..5 {
+            run_epoch(&mut model, &provider, &[0], 0.1, &mut ws);
+        }
+        assert_eq!(builds(&ws), 1);
     }
 
     #[test]

@@ -102,8 +102,15 @@ impl LinearModel {
 
     /// Binary accuracy with ±1 labels (sign rule).
     pub fn accuracy(&self, batch: &dyn MatrixBatch, y: &[f64]) -> f64 {
-        let preds = self.decision(batch);
-        let correct = preds
+        self.accuracy_ws(batch, y, &mut ExecWorkspace::new())
+    }
+
+    /// [`Self::accuracy`] with caller-owned scratch: a step on the same
+    /// batch through the same `ws` reuses what the kernel prepared here.
+    pub fn accuracy_ws(&self, batch: &dyn MatrixBatch, y: &[f64], ws: &mut ExecWorkspace) -> f64 {
+        batch.matvec_into_ws(&self.w, &mut ws.pred, &mut ws.exec);
+        let correct = ws
+            .pred
             .iter()
             .zip(y)
             .filter(|(&f, &yy)| (f >= 0.0 && yy > 0.0) || (f < 0.0 && yy < 0.0))
@@ -156,18 +163,35 @@ impl OneVsRest {
 
     /// Argmax prediction.
     pub fn predict(&self, batch: &dyn MatrixBatch) -> Vec<usize> {
-        let scores: Vec<Vec<f64>> = self.models.iter().map(|m| m.decision(batch)).collect();
-        (0..batch.rows())
-            .map(|r| {
-                let mut best = 0;
-                for k in 1..scores.len() {
-                    if scores[k][r] > scores[best][r] {
-                        best = k;
-                    }
+        let mut out = Vec::new();
+        self.predict_into(batch, &mut out, &mut ExecWorkspace::new());
+        out
+    }
+
+    /// [`Self::predict`] into a caller-owned buffer, with caller-owned
+    /// scratch: `ws.pred` holds the current class's scores, `ws.coef` the
+    /// best score per row so far (ties stay with the earlier class).
+    pub fn predict_into(
+        &self,
+        batch: &dyn MatrixBatch,
+        out: &mut Vec<usize>,
+        ws: &mut ExecWorkspace,
+    ) {
+        out.clear();
+        out.resize(batch.rows(), 0);
+        for (k, model) in self.models.iter().enumerate() {
+            batch.matvec_into_ws(&model.w, &mut ws.pred, &mut ws.exec);
+            if k == 0 {
+                std::mem::swap(&mut ws.coef, &mut ws.pred);
+                continue;
+            }
+            for ((best, top), &score) in out.iter_mut().zip(&mut ws.coef).zip(&ws.pred) {
+                if score > *top {
+                    *top = score;
+                    *best = k;
                 }
-                best
-            })
-            .collect()
+            }
+        }
     }
 
     /// Multiclass accuracy.
@@ -392,18 +416,30 @@ impl NeuralNet {
     /// Classification accuracy. For binary outputs, threshold 0.5; for
     /// multiclass, argmax against the one-hot targets.
     pub fn accuracy(&mut self, batch: &dyn MatrixBatch, targets: &DenseMatrix) -> f64 {
-        let fwd = self.forward(batch);
+        self.accuracy_ws(batch, targets, &mut ExecWorkspace::new())
+    }
+
+    /// [`Self::accuracy`] with caller-owned scratch (see
+    /// [`Self::forward_ws`]).
+    pub fn accuracy_ws(
+        &mut self,
+        batch: &dyn MatrixBatch,
+        targets: &DenseMatrix,
+        ws: &mut ExecWorkspace,
+    ) -> f64 {
+        self.forward_ws(batch, ws);
+        let probs = &ws.acts[self.weights.len() - 1];
         let n = batch.rows();
         let mut ok = 0usize;
         for r in 0..n {
             if self.outputs == 1 {
-                let pred = fwd.probs.get(r, 0) >= 0.5;
+                let pred = probs.get(r, 0) >= 0.5;
                 let truth = targets.get(r, 0) >= 0.5;
                 if pred == truth {
                     ok += 1;
                 }
             } else {
-                let row = fwd.probs.row(r);
+                let row = probs.row(r);
                 let mut best = 0;
                 for c in 1..self.outputs {
                     if row[c] > row[best] {
@@ -540,6 +576,80 @@ mod tests {
         assert_eq!(nn.trace.matmat, 1);
         assert_eq!(nn.trace.matmat_left, 1);
         assert_eq!(nn.trace.matvec, 0);
+    }
+
+    #[test]
+    fn a_step_prepares_its_toc_batch_once() {
+        // However many kernels a step runs on its batch, they share one
+        // C' build — and, for the matrix kernels, one live plan.
+        let (x, y) = separable_data(60, 7, 4);
+        let batch = Scheme::Toc.encode(&x);
+        let prepared = |ws: &ExecWorkspace| (ws.exec.toc.builds(), ws.exec.toc.plans());
+
+        let mut ws = ExecWorkspace::new();
+        let mut lm = LinearModel::new(7, LossKind::Logistic);
+        lm.update_batch_ws(&batch, &y, 0.1, &mut ws);
+        assert_eq!(prepared(&ws), (1, 0));
+        // Predicting first (test-then-train) adds a kernel, not a build.
+        lm.accuracy_ws(&batch, &y, &mut ws);
+        lm.update_batch_ws(&batch, &y, 0.1, &mut ws);
+        assert_eq!(prepared(&ws), (1, 0));
+
+        let mut ws = ExecWorkspace::new();
+        let labels: Vec<usize> = (0..60).map(|r| r % 10).collect();
+        let mut ovr = OneVsRest::new(7, 10, LossKind::Hinge);
+        ovr.update_batch_ws(&batch, &labels, 0.1, &mut ws);
+        assert_eq!(ovr.models.iter().map(|m| m.trace.matvec).sum::<usize>(), 10);
+        assert_eq!(prepared(&ws), (1, 0));
+
+        let mut ws = ExecWorkspace::new();
+        let targets = DenseMatrix::from_vec(60, 1, y.iter().map(|&v| (v + 1.0) / 2.0).collect());
+        let mut nn = NeuralNet::new(7, &[9, 4], 1, 0);
+        nn.update_batch_ws(&batch, &targets, 0.1, &mut ws);
+        assert_eq!(prepared(&ws), (1, 1));
+        nn.accuracy_ws(&batch, &targets, &mut ws);
+        nn.update_batch_ws(&batch, &targets, 0.1, &mut ws);
+        assert_eq!(prepared(&ws), (1, 1));
+    }
+
+    #[test]
+    fn ws_predictions_equal_the_allocating_ones() {
+        let (x, y) = separable_data(80, 6, 8);
+        let batch = Scheme::Toc.encode(&x);
+        let mut ws = ExecWorkspace::new();
+        let labels: Vec<usize> = (0..80).map(|r| r % 3).collect();
+        let mut ovr = OneVsRest::new(6, 3, LossKind::Logistic);
+        for _ in 0..5 {
+            ovr.update_batch_ws(&batch, &labels, 0.3, &mut ws);
+        }
+        // The argmax as it was written over all classes' scores at once.
+        let scores: Vec<Vec<f64>> = ovr.models.iter().map(|m| m.decision(&batch)).collect();
+        let want: Vec<usize> = (0..80)
+            .map(|r| {
+                (1..3).fold(0, |best, k| {
+                    if scores[k][r] > scores[best][r] {
+                        k
+                    } else {
+                        best
+                    }
+                })
+            })
+            .collect();
+        let mut got = vec![7; 3];
+        ovr.predict_into(&batch, &mut got, &mut ws);
+        assert_eq!(got, want);
+        assert_eq!(ovr.predict(&batch), want);
+
+        let mut lm = LinearModel::new(6, LossKind::Hinge);
+        lm.update_batch_ws(&batch, &y, 0.2, &mut ws);
+        assert_eq!(lm.accuracy_ws(&batch, &y, &mut ws), lm.accuracy(&batch, &y));
+        let targets = NeuralNet::one_hot(&labels, 3);
+        let mut nn = NeuralNet::new(6, &[5], 3, 1);
+        nn.update_batch_ws(&batch, &targets, 0.2, &mut ws);
+        assert_eq!(
+            nn.accuracy_ws(&batch, &targets, &mut ws),
+            nn.clone().accuracy(&batch, &targets)
+        );
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! predictions, loss-derivative coefficients, gradients, NN activations,
 //! deltas and transposition staging all live here, and the format-level
 //! [`toc_formats::ExecScratch`] covers the kernels' internal needs (GC
-//! decompression staging, TOC decode-tree rebuilds). Buffers grow to the
-//! high-water mark of the shapes seen and are reused thereafter.
+//! decompression staging, the TOC decode tree — built once per visited
+//! batch, because every kernel of a step goes through this one scratch).
+//! Buffers grow to the high-water mark of the shapes seen and are reused
+//! thereafter.
 
 use toc_formats::ExecScratch;
 use toc_linalg::DenseMatrix;
@@ -16,11 +18,12 @@ use toc_linalg::DenseMatrix;
 ///
 /// Create once (e.g. per [`crate::mgd::Trainer`] run or per data-parallel
 /// worker) and pass to the `*_ws` update methods. All fields are plain
-/// buffers: dropping or recreating the workspace only costs allocations,
-/// never correctness.
+/// buffers: dropping or recreating the workspace only costs allocations
+/// (and one more TOC tree build), never correctness.
 #[derive(Debug, Default)]
 pub struct ExecWorkspace {
-    /// Format-level scratch (GC decompression staging, TOC tree rebuilds).
+    /// Format-level scratch (GC decompression staging, the TOC decode
+    /// tree of the batch being stepped on).
     pub exec: ExecScratch,
     /// Model predictions / decision values per batch row (`A·w`).
     pub pred: Vec<f64>,
