@@ -25,6 +25,11 @@
 //!    and resumed must produce a container byte-identical to the
 //!    uninterrupted run.
 //!
+//! A last, ungated leg (`csv`) times the parser alone: per dataset
+//! preset, a file of at least 2 MB in the text `toc gen` writes, through
+//! `csv::read_all`, as MB/s of text and rows/s — the parse share of an
+//! ingest, and the guard that a parser change slows no preset down.
+//!
 //! Each run appends one dated entry to the `BENCH_ingest.json` history
 //! at the repo root (override with `--out=`).
 //!
@@ -38,7 +43,7 @@ use std::time::Instant;
 
 use toc_bench::{append_history, arg, fmt_ratio, today_utc, Table};
 use toc_data::store::{ShardedSpillStore, StoreConfig};
-use toc_data::synth::drifting_matrix;
+use toc_data::synth::{drifting_matrix, generate_preset, DatasetPreset};
 use toc_data::{IngestStats, StoreIngest};
 use toc_formats::{EncodeOptions, Scheme};
 use toc_ml::mgd::{MgdConfig, ModelSpec, Trainer};
@@ -48,8 +53,11 @@ const COLS: usize = 12;
 const DISTINCT: usize = 6;
 const SEED: u64 = 42;
 const GROWTH: &[usize] = &[1, 4, 16];
+/// Size of each preset's file in the `csv` leg: fixed, so that entries
+/// taken at different commits compare.
+const CSV_MIN_BYTES: u64 = 2_000_000;
 
-const HEADER: &str = "{\n  \"bench\": \"ingest_scaling\",\n  \"units\": {\n    \"peak_workspace_bytes\": \"high-water mark of the reusable encode workspace\",\n    \"peak_ratio\": \"peak at largest scale / peak at base scale (asserted <= 1.1)\",\n    \"ingest_mb_s\": \"dense payload MB/s through push_row -> seal -> append\",\n    \"bp_peak_pending\": \"max unconsumed sealed chunks under --max-pending (asserted <= budget)\",\n    \"bp_throughput_ratio\": \"bounded/unbounded MB/s with a keeping-up consumer (asserted >= 0.9)\",\n    \"resume_bytes\": \"container size after kill+resume (asserted == uninterrupted)\"\n  },\n";
+const HEADER: &str = "{\n  \"bench\": \"ingest_scaling\",\n  \"units\": {\n    \"peak_workspace_bytes\": \"high-water mark of the reusable encode workspace\",\n    \"peak_ratio\": \"peak at largest scale / peak at base scale (asserted <= 1.1)\",\n    \"ingest_mb_s\": \"dense payload MB/s through push_row -> seal -> append\",\n    \"bp_peak_pending\": \"max unconsumed sealed chunks under --max-pending (asserted <= budget)\",\n    \"bp_throughput_ratio\": \"bounded/unbounded MB/s with a keeping-up consumer (asserted >= 0.9)\",\n    \"resume_bytes\": \"container size after kill+resume (asserted == uninterrupted)\",\n    \"csv\": \"per preset, csv::read_all of a >= 2 MB toc-gen-format file: MB/s of text and rows/s, best of 7 reads\"\n  },\n";
 
 struct ScalePoint {
     rows: usize,
@@ -259,6 +267,60 @@ fn run_resume_gate(rows: usize, chunk_rows: usize) -> (u64, u64, u64) {
     (full_bytes, killed_bytes, resumed.resumed_chunks)
 }
 
+/// One preset of the `csv` leg.
+struct CsvPoint {
+    preset: &'static str,
+    bytes: u64,
+    rows: usize,
+    mb_s: f64,
+    rows_s: f64,
+}
+
+/// The `csv` leg: write each preset the way `toc gen` does (features,
+/// then the label; shortest round-trip numbers), at least
+/// [`CSV_MIN_BYTES`] of it, and time `csv::read_all` over the file — best
+/// of 7 reads, the file in the page cache.
+fn run_csv_leg() -> Vec<CsvPoint> {
+    use std::fmt::Write as _;
+    let path = std::env::temp_dir().join(format!("toc-bench-csv-{}.csv", std::process::id()));
+    let mut points = Vec::new();
+    for preset in DatasetPreset::ALL {
+        // Size the table from the text of a few rows.
+        let mut rows = 32usize;
+        let text = loop {
+            let ds = generate_preset(preset, rows, SEED);
+            let mut text = String::new();
+            for r in 0..rows {
+                for v in ds.x.row(r) {
+                    write!(text, "{v},").expect("format cell");
+                }
+                writeln!(text, "{}", ds.labels[r]).expect("format label");
+            }
+            if text.len() as u64 >= CSV_MIN_BYTES {
+                break text;
+            }
+            rows = (rows as u64 * CSV_MIN_BYTES / text.len() as u64) as usize * 21 / 20 + 1;
+        };
+        std::fs::write(&path, &text).expect("write csv");
+        let mut best = f64::INFINITY;
+        for _ in 0..7 {
+            let t0 = Instant::now();
+            let (parsed, ..) = toc_data::csv::read_all(&path).expect("parse csv");
+            best = best.min(t0.elapsed().as_secs_f64());
+            assert_eq!(parsed, rows);
+        }
+        points.push(CsvPoint {
+            preset: preset.name(),
+            bytes: text.len() as u64,
+            rows,
+            mb_s: text.len() as f64 / 1e6 / best,
+            rows_s: rows as f64 / best,
+        });
+    }
+    std::fs::remove_file(&path).ok();
+    points
+}
+
 fn main() {
     let rows: usize = arg("rows", 1500);
     let chunk_rows: usize = arg("chunk-rows", 100);
@@ -378,6 +440,30 @@ fn main() {
          ({restored} chunks restored from the checkpoint)"
     );
 
+    // The parser alone, per preset (ungated: a throughput, not a ratio).
+    let csv_points = run_csv_leg();
+    let mut csv_table = Table::new(vec!["csv preset", "rows", "KB", "MB/s", "rows/s"]);
+    for p in &csv_points {
+        csv_table.row(vec![
+            p.preset.to_string(),
+            p.rows.to_string(),
+            (p.bytes / 1024).to_string(),
+            format!("{:.1}", p.mb_s),
+            format!("{:.0}", p.rows_s),
+        ]);
+    }
+    csv_table.print();
+    let csv_json: Vec<String> = csv_points
+        .iter()
+        .map(|p| {
+            format!(
+                "        {{\"preset\": \"{}\", \"bytes\": {}, \"rows\": {}, \"read_mb_s\": {:.1}, \"rows_per_s\": {:.0}}}",
+                p.preset, p.bytes, p.rows, p.mb_s, p.rows_s
+            )
+        })
+        .collect();
+    let csv_json = csv_json.join(",\n");
+
     // Append this run to the per-PR history baseline.
     let mut sweep = String::new();
     for (i, p) in points.iter().enumerate() {
@@ -389,7 +475,7 @@ fn main() {
         ));
     }
     let entry = format!(
-        "    {{\n      \"date\": \"{}\",\n      \"rows_base\": {rows},\n      \"cols\": {COLS},\n      \"chunk_rows\": {chunk_rows},\n      \"shards\": {shards},\n      \"peak_ratio\": {peak_ratio:.3},\n      \"liveness\": {{\"window\": {window}, \"windows\": {windows}, \"windows_during_ingest\": {during}, \"consumed\": {consumed}}},\n      \"backpressure\": {{\"budget\": {budget}, \"peak_pending\": {peak_pending}, \"stall_ms\": {:.1}, \"throughput_ratio\": {bp_ratio:.3}}},\n      \"resume\": {{\"bytes\": {resume_bytes}, \"restored_chunks\": {restored}, \"identical\": true}},\n      \"sweep\": [\n{sweep}      ]\n    }}",
+        "    {{\n      \"date\": \"{}\",\n      \"rows_base\": {rows},\n      \"cols\": {COLS},\n      \"chunk_rows\": {chunk_rows},\n      \"shards\": {shards},\n      \"peak_ratio\": {peak_ratio:.3},\n      \"liveness\": {{\"window\": {window}, \"windows\": {windows}, \"windows_during_ingest\": {during}, \"consumed\": {consumed}}},\n      \"backpressure\": {{\"budget\": {budget}, \"peak_pending\": {peak_pending}, \"stall_ms\": {:.1}, \"throughput_ratio\": {bp_ratio:.3}}},\n      \"resume\": {{\"bytes\": {resume_bytes}, \"restored_chunks\": {restored}, \"identical\": true}},\n      \"sweep\": [\n{sweep}      ],\n      \"csv\": [\n{csv_json}\n      ]\n    }}",
         today_utc(),
         stall_ns as f64 / 1e6,
     );

@@ -21,7 +21,7 @@
 //! [`crate::physical`]. Kernels read `I` and `D` directly from this buffer
 //! through [`TocView`]; nothing is decompressed.
 
-use crate::encode::{logical_encode, LogicalEncoded};
+use crate::encode::{logical_encode, logical_encode_dense, LogicalEncoded};
 use crate::error::{corrupt, TocError};
 use crate::hash::FxHashMap;
 use crate::ops::BlockScratch;
@@ -88,7 +88,7 @@ impl TocBatch {
 
     /// Compress with an explicit physical codec.
     pub fn encode_with(dense: &DenseMatrix, codec: PhysicalCodec) -> Self {
-        Self::from_sparse(&SparseRows::encode(dense), codec)
+        Self::from_logical(&logical_encode_dense(dense), codec)
     }
 
     /// Compress an already sparse-encoded table.

@@ -17,6 +17,37 @@
 //!   from the top when the file is truncated under us, and keep
 //!   EOF-versus-error structurally distinct ([`follow_rows`],
 //!   [`CsvError`]).
+//!
+//! # What a cell is, and how it is converted
+//!
+//! A cell's value is, by definition, `str::trim` followed by
+//! `str::parse::<f64>` on the bytes between two delimiters; a cell that
+//! is not UTF-8 or does not parse is a [`CsvError::Parse`]. The reader
+//! scans bytes where the read buffer holds them (no `String`, no
+//! per-row or per-field allocation) and converts most cells without
+//! calling `parse` at all:
+//!
+//! * **Fast path grammar** — after trimming spaces and tabs:
+//!   `[+-]? digit* ('.' digit*)?` with 1 to 15 digits in total and at
+//!   most 17 bytes. No exponent, no `inf` / `nan`.
+//! * **Why the result is exact** — the digits read as an integer
+//!   `m < 10^15 < 2^53` and the power `10^k` (`k <= 15` fraction digits)
+//!   are both exactly representable doubles, the cell's value is exactly
+//!   `m / 10^k`, and IEEE-754 division rounds the exact quotient
+//!   correctly: the same bits the correctly rounded `parse` returns
+//!   (Clinger 1990's exact case). Multiplying by `10^-k` would round
+//!   twice and is not equivalent.
+//! * **Everything else** — a longer cell (decided on length before a
+//!   digit is looked at), an exponent, `inf`, `nan`, a second `.`, no
+//!   digit, whitespace other than space / tab, any non-ASCII byte — is
+//!   handed to the definition itself, so the language accepted and every
+//!   value produced are those of `trim` + `parse`. The fast path only
+//!   ever *declines*; it has no error of its own.
+//!
+//! Errors keep their order: a line with the wrong number of fields is
+//! "row N has X fields, expected Y" even if it also holds a bad number.
+//! Any line the scan finds irregular is re-read by the whole-line
+//! routine, which checks the width first and the numbers second.
 
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -60,6 +91,290 @@ impl From<std::io::Error> for CsvError {
     }
 }
 
+/// Capacity of the read buffer. A line that lies inside one fill is
+/// scanned where it is; 64 KiB holds some 300 census-like rows, so the
+/// one line per fill that straddles a refill (and is copied to `carry`)
+/// is noise, and the buffer still fits in L2 beside a staged chunk.
+const READ_BUF_BYTES: usize = 64 * 1024;
+
+/// Most digits the fast path converts. `10^15 < 2^53`, so a 15-digit
+/// integer and every `10^k` with `k <= 15` are exact doubles; a 16-digit
+/// one can exceed `2^53` (`9007199254740993`) and has to be rounded by
+/// `parse`.
+const FAST_MAX_DIGITS: usize = 15;
+
+/// Longest trimmed cell the fast path looks at: a sign, 15 digits and
+/// one `.`. A longer cell cannot match its grammar, so it is declined
+/// on length alone — 17-significant-digit data (deep1b-like) never pays
+/// for a digit loop that is bound to fail — and the cap keeps the digit
+/// accumulator far below `u64::MAX`.
+const FAST_MAX_BYTES: usize = FAST_MAX_DIGITS + 2;
+
+/// `POW10[k] == 10^k`, exact for every `k <= FAST_MAX_DIGITS`.
+const POW10: [f64; FAST_MAX_DIGITS + 1] = [
+    1e0, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10, 1e11, 1e12, 1e13, 1e14, 1e15,
+];
+
+/// The definition of a cell's value: `str::trim` + `str::parse::<f64>`.
+/// The error is the tail of the "bad number" message — the cell quoted
+/// (lossily, if it is not UTF-8) and the reason.
+fn parse_text(field: &[u8]) -> Result<f64, String> {
+    match std::str::from_utf8(field) {
+        Ok(s) => {
+            let t = s.trim();
+            t.parse().map_err(|e| format!("{t:?}: {e}"))
+        }
+        Err(e) => Err(format!("{:?}: {e}", String::from_utf8_lossy(field))),
+    }
+}
+
+/// The exact fast path (module docs): `Some(value)` with the bits
+/// `parse` returns, or `None` to decline. `field` is already trimmed of
+/// spaces and tabs.
+#[inline]
+fn parse_decimal(field: &[u8]) -> Option<f64> {
+    if field.len() > FAST_MAX_BYTES {
+        return None;
+    }
+    let (negative, body) = match field {
+        [b'-', rest @ ..] => (true, rest),
+        [b'+', rest @ ..] => (false, rest),
+        _ => (false, field),
+    };
+    // At most 17 digits: `m` cannot overflow.
+    let mut m = 0u64;
+    let digit = |i: usize| {
+        body.get(i)
+            .map(|b| b.wrapping_sub(b'0'))
+            .filter(|&d| d < 10)
+    };
+    let mut i = 0usize;
+    while let Some(d) = digit(i) {
+        m = m * 10 + u64::from(d);
+        i += 1;
+    }
+    let mut digits = i;
+    let mut fraction = 0usize;
+    if body.get(i) == Some(&b'.') {
+        i += 1;
+        while let Some(d) = digit(i) {
+            m = m * 10 + u64::from(d);
+            i += 1;
+            fraction += 1;
+        }
+        digits += fraction;
+    }
+    if i != body.len() || digits == 0 || digits > FAST_MAX_DIGITS {
+        return None;
+    }
+    let v = m as f64 / POW10[fraction];
+    Some(if negative { -v } else { v })
+}
+
+/// A cell the fast path declined, through the definition.
+#[cold]
+fn slow_field(field: &[u8], declined: &mut u64) -> Option<f64> {
+    *declined += 1;
+    parse_text(field).ok()
+}
+
+/// Index of the first `,` or `\n` at or after `from`, or `buf.len()`.
+/// Eight bytes at a time: a cell of 17-digit text is three words, not
+/// twenty compares, and a short cell's end falls out of one word
+/// without a data-dependent loop exit.
+#[inline]
+fn field_end(buf: &[u8], from: usize) -> usize {
+    const LO: u64 = 0x0101_0101_0101_0101;
+    const HI: u64 = 0x8080_8080_8080_8080;
+    let mut p = from;
+    while let Some(word) = buf.get(p..p + 8) {
+        let w = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
+        // Zero-byte test on `w ^ pattern`. A borrow only travels upward
+        // from a true match, so the lowest flagged byte is exact.
+        let comma = w ^ (LO * b',' as u64);
+        let newline = w ^ (LO * b'\n' as u64);
+        let hit = ((comma.wrapping_sub(LO) & !comma) | (newline.wrapping_sub(LO) & !newline)) & HI;
+        if hit != 0 {
+            return p + (hit.trailing_zeros() / 8) as usize;
+        }
+        p += 8;
+    }
+    while p < buf.len() && buf[p] != b',' && buf[p] != b'\n' {
+        p += 1;
+    }
+    p
+}
+
+/// `line` without the `\r`s at its end.
+fn strip_cr(mut line: &[u8]) -> &[u8] {
+    while let [rest @ .., b'\r'] = line {
+        line = rest;
+    }
+    line
+}
+
+/// What [`RowParser::scan`] found at the front of a buffer.
+enum Scan {
+    /// No newline yet: the line continues past the buffer.
+    Partial,
+    /// One whole line of `len` bytes, newline included. `Ok(true)`: a
+    /// data row is in `row_buf`; `Ok(false)`: blank line or header.
+    Line {
+        len: usize,
+        row: Result<bool, CsvError>,
+    },
+}
+
+/// The half of [`CsvStream`] that does not touch the file, so a line
+/// can be scanned while the reader's buffer is borrowed.
+struct RowParser {
+    cols: usize,
+    header: Option<Vec<String>>,
+    rows: usize,
+    /// Header auto-detection is pending (fresh stream, nothing read).
+    at_start: bool,
+    row_buf: Vec<f64>,
+    /// Cells of committed rows that `parse_decimal` declined.
+    slow_fields: u64,
+}
+
+impl RowParser {
+    /// Scan the line that starts at `buf[0]`: one pass that finds each
+    /// cell's end, trims it and converts it straight into `row_buf`.
+    fn scan(&mut self, buf: &[u8]) -> Scan {
+        // Blank line: nothing but `\r`s before the newline.
+        let blank = buf.iter().take_while(|&&b| b == b'\r').count();
+        match buf.get(blank) {
+            None => return Scan::Partial,
+            Some(b'\n') => {
+                return Scan::Line {
+                    len: blank + 1,
+                    row: Ok(false),
+                }
+            }
+            Some(_) => {}
+        }
+        if self.at_start {
+            let Some(end) = buf.iter().position(|&b| b == b'\n') else {
+                return Scan::Partial;
+            };
+            match self.detect_header(strip_cr(&buf[..end])) {
+                // A data line: scanned below like every other.
+                Ok(false) => {}
+                header => {
+                    return Scan::Line {
+                        len: end + 1,
+                        row: header.map(|_| false),
+                    }
+                }
+            }
+        }
+        if self.row_buf.len() != self.cols {
+            self.row_buf.resize(self.cols, 0.0);
+        }
+        let mut filled = 0usize;
+        let mut declined = 0u64;
+        let mut start = 0usize;
+        loop {
+            let end = field_end(buf, start);
+            let Some(&delimiter) = buf.get(end) else {
+                return Scan::Partial;
+            };
+            let last = delimiter == b'\n';
+            let mut field = &buf[start..end];
+            if last {
+                field = strip_cr(field);
+            }
+            while let [b' ' | b'\t', rest @ ..] = field {
+                field = rest;
+            }
+            while let [rest @ .., b' ' | b'\t'] = field {
+                field = rest;
+            }
+            let value = match parse_decimal(field) {
+                Some(v) => Some(v),
+                None => slow_field(field, &mut declined),
+            };
+            // A bad number, or one cell more than the width.
+            let (Some(v), Some(slot)) = (value, self.row_buf.get_mut(filled)) else {
+                return self.irregular(buf, end);
+            };
+            *slot = v;
+            filled += 1;
+            if last {
+                if filled != self.cols {
+                    return self.irregular(buf, end);
+                }
+                self.rows += 1;
+                self.slow_fields += declined;
+                return Scan::Line {
+                    len: end + 1,
+                    row: Ok(true),
+                };
+            }
+            start = end + 1;
+        }
+    }
+
+    /// The first non-blank line of a fresh stream: a header iff any of
+    /// its cells fails [`parse_text`]. Fixes `cols` if the caller did
+    /// not.
+    fn detect_header(&mut self, line: &[u8]) -> Result<bool, CsvError> {
+        self.at_start = false;
+        let fields = || line.split(|&b| b == b',');
+        let is_header = fields().any(|f| parse_text(f).is_err());
+        if is_header {
+            // A header must be text.
+            let text = std::str::from_utf8(line)
+                .map_err(|e| CsvError::Parse(format!("row 1: header is not text: {e}")))?;
+            self.header = Some(text.split(',').map(|f| f.trim().to_string()).collect());
+        }
+        if self.cols == 0 {
+            self.cols = fields().count();
+        }
+        Ok(is_header)
+    }
+
+    /// The scan met a cell it could not place in the line whose newline
+    /// is at or after `from`: the whole line goes to
+    /// [`RowParser::parse_fields`].
+    #[cold]
+    fn irregular(&mut self, buf: &[u8], from: usize) -> Scan {
+        match buf[from..].iter().position(|&b| b == b'\n') {
+            // A torn line is never judged before it is whole.
+            None => Scan::Partial,
+            Some(i) => Scan::Line {
+                len: from + i + 1,
+                row: self.parse_fields(strip_cr(&buf[..from + i])),
+            },
+        }
+    }
+
+    /// One line, without its terminator, by the definition alone: split
+    /// at the commas, counted, then every cell through [`parse_text`].
+    /// This is where an irregular line's error comes from, in the
+    /// documented order — the width first, then the first bad number.
+    fn parse_fields(&mut self, line: &[u8]) -> Result<bool, CsvError> {
+        let fields = || line.split(|&b| b == b',');
+        let width = fields().count();
+        if width != self.cols {
+            return Err(CsvError::Parse(format!(
+                "row {} has {width} fields, expected {}",
+                self.rows + 1,
+                self.cols
+            )));
+        }
+        self.row_buf.clear();
+        for f in fields() {
+            self.row_buf.push(parse_text(f).map_err(|tail| {
+                CsvError::Parse(format!("row {}: bad number {tail}", self.rows + 1))
+            })?);
+        }
+        self.rows += 1;
+        Ok(true)
+    }
+}
+
 /// An incremental CSV reader over one open file, tracking the byte
 /// offset of everything consumed so far. [`CsvStream::next_row`] only
 /// commits newline-terminated lines; a trailing unterminated line is
@@ -70,14 +385,13 @@ pub struct CsvStream {
     reader: BufReader<std::fs::File>,
     /// Byte offset one past the last *committed* line (header or row).
     offset: u64,
-    /// Carried bytes of an unterminated final line, not yet committed.
-    carry: String,
-    cols: usize,
-    header: Option<Vec<String>>,
-    rows: usize,
-    /// Header auto-detection is pending (fresh stream, nothing read).
-    at_start: bool,
-    row_buf: Vec<f64>,
+    /// Bytes of a line that did not end inside one buffer fill — it
+    /// straddles a refill, or is the unterminated tail of the file —
+    /// read but not yet committed. Cleared after use, never taken.
+    /// Whenever `next_row` returns `None`, every byte read from the
+    /// file is either committed or here.
+    carry: Vec<u8>,
+    parser: RowParser,
 }
 
 impl CsvStream {
@@ -103,14 +417,17 @@ impl CsvStream {
             file.seek(SeekFrom::Start(offset))?;
         }
         Ok(Self {
-            reader: BufReader::new(file),
+            reader: BufReader::with_capacity(READ_BUF_BYTES, file),
             offset,
-            carry: String::new(),
-            cols,
-            header: None,
-            rows: 0,
-            at_start: offset == 0,
-            row_buf: Vec::new(),
+            carry: Vec::new(),
+            parser: RowParser {
+                cols,
+                header: None,
+                rows: 0,
+                at_start: offset == 0,
+                row_buf: Vec::new(),
+                slow_fields: 0,
+            },
         })
     }
 
@@ -123,55 +440,25 @@ impl CsvStream {
 
     /// Data rows committed so far.
     pub fn rows_read(&self) -> usize {
-        self.rows
+        self.parser.rows
     }
 
     /// Column count (0 until the first data line commits).
     pub fn cols(&self) -> usize {
-        self.cols
+        self.parser.cols
     }
 
     /// The auto-detected header, if one was seen.
     pub fn header(&self) -> Option<&[String]> {
-        self.header.as_deref()
+        self.parser.header.as_deref()
     }
 
-    fn parse_fields(&mut self, trimmed: &str) -> Result<bool, CsvError> {
-        // Returns true when the line committed a data row (false:
-        // header or blank).
-        if trimmed.is_empty() {
-            return Ok(false);
-        }
-        let fields: Vec<&str> = trimmed.split(',').map(str::trim).collect();
-        if self.at_start {
-            self.at_start = false;
-            if fields.iter().any(|f| f.parse::<f64>().is_err()) {
-                self.header = Some(fields.iter().map(|s| s.to_string()).collect());
-                if self.cols == 0 {
-                    self.cols = fields.len();
-                }
-                return Ok(false);
-            }
-            if self.cols == 0 {
-                self.cols = fields.len();
-            }
-        }
-        if fields.len() != self.cols {
-            return Err(CsvError::Parse(format!(
-                "row {} has {} fields, expected {}",
-                self.rows + 1,
-                fields.len(),
-                self.cols
-            )));
-        }
-        self.row_buf.clear();
-        for fld in &fields {
-            self.row_buf.push(fld.parse::<f64>().map_err(|e| {
-                CsvError::Parse(format!("row {}: bad number {fld:?}: {e}", self.rows + 1))
-            })?);
-        }
-        self.rows += 1;
-        Ok(true)
+    /// Cells of the rows read so far that went through `str::parse`
+    /// because the exact fast path declined them (instrumentation for
+    /// the `csv_parse` suite).
+    #[doc(hidden)]
+    pub fn slow_fields(&self) -> u64 {
+        self.parser.slow_fields
     }
 
     /// Read the next newline-terminated data row. `Ok(None)` means the
@@ -180,24 +467,48 @@ impl CsvStream {
     /// follower can retry after the writer finishes the line.
     pub fn next_row(&mut self) -> Result<Option<(usize, &[f64])>, CsvError> {
         loop {
-            let n = self.reader.read_line(&mut self.carry)?;
-            if n == 0 {
+            let buf = self.reader.fill_buf()?;
+            if buf.is_empty() {
+                // End of file, for now; a torn tail waits in `carry`.
                 return Ok(None);
             }
-            if !self.carry.ends_with('\n') {
-                // Torn tail: the writer has not finished this line yet.
-                // Keep it carried; nothing is committed.
-                return Ok(None);
-            }
-            let line = std::mem::take(&mut self.carry);
-            self.offset += line.len() as u64;
-            let trimmed = line.trim_end_matches(['\n', '\r']);
-            let committed = self.parse_fields(trimmed)?;
+            let in_place = if self.carry.is_empty() {
+                self.parser.scan(buf)
+            } else {
+                // The line began in an earlier fill.
+                Scan::Partial
+            };
+            let committed = match in_place {
+                // The common case: the line was scanned where it lies.
+                Scan::Line { len, row } => {
+                    self.reader.consume(len);
+                    self.offset += len as u64;
+                    row?
+                }
+                // Gather the line in `carry`, up to its newline if this
+                // fill holds it.
+                Scan::Partial => {
+                    let newline = buf.iter().position(|&b| b == b'\n');
+                    let take = newline.map_or(buf.len(), |i| i + 1);
+                    self.carry.extend_from_slice(&buf[..take]);
+                    self.reader.consume(take);
+                    newline.is_some() && self.commit_carry()?
+                }
+            };
             if committed {
-                let idx = self.rows - 1;
-                // The borrow of row_buf ends the loop.
-                return Ok(Some((idx, &self.row_buf)));
+                return Ok(Some((self.parser.rows - 1, &self.parser.row_buf)));
             }
+        }
+    }
+
+    /// Scan and commit `carry`, which holds exactly one terminated line.
+    fn commit_carry(&mut self) -> Result<bool, CsvError> {
+        let scan = self.parser.scan(&self.carry);
+        self.offset += self.carry.len() as u64;
+        self.carry.clear();
+        match scan {
+            Scan::Line { row, .. } => row,
+            Scan::Partial => unreachable!("a carried line ends in its newline"),
         }
     }
 
@@ -208,11 +519,13 @@ impl CsvStream {
         if self.carry.is_empty() {
             return Ok(None);
         }
-        let line = std::mem::take(&mut self.carry);
-        self.offset += line.len() as u64;
-        let trimmed = line.trim_end_matches(['\n', '\r']);
-        if self.parse_fields(trimmed)? {
-            return Ok(Some((self.rows - 1, &self.row_buf)));
+        // Lend the tail the newline it lacks; the offset counts only
+        // the file's own bytes.
+        self.carry.push(b'\n');
+        let row = self.commit_carry();
+        self.offset -= 1;
+        if row? {
+            return Ok(Some((self.parser.rows - 1, &self.parser.row_buf)));
         }
         Ok(None)
     }
@@ -559,7 +872,40 @@ mod tests {
             stream_rows(&fine, &mut |_, _| Err("stop".into())),
             Err(CsvError::Sink(_))
         ));
+        // Bytes that are not UTF-8 are garbage in the file, not a failing
+        // disk: a `Parse` error that names the row, from a cell ...
+        let garbage = tmp("garbage.csv");
+        std::fs::write(&garbage, b"1,2\n3,\xff\xfe4\n").unwrap();
+        match stream_rows(&garbage, &mut |_, _| Ok(())) {
+            Err(CsvError::Parse(msg)) => {
+                assert!(
+                    msg.starts_with("row 2: bad number \"\u{fffd}\u{fffd}4\""),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        // ... from the first line (a header must be text) ...
+        std::fs::write(&garbage, b"a,\xc3\x28\n1,2\n").unwrap();
+        match stream_rows(&garbage, &mut |_, _| Ok(())) {
+            Err(CsvError::Parse(msg)) => assert!(msg.starts_with("row 1: header"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+        // ... and to a follower, which must not mistake it for IO trouble.
+        std::fs::write(&garbage, b"x,y\n1,2\n\x80,4\n").unwrap();
+        let opts = FollowOptions {
+            poll: Duration::from_millis(1),
+            idle_timeout: Duration::from_millis(20),
+        };
+        let mut seen = 0;
+        let followed = follow_rows(&garbage, &opts, &mut || false, &mut |_, _| {
+            seen += 1;
+            Ok(())
+        });
+        assert!(matches!(followed, Err(CsvError::Parse(_))), "{followed:?}");
+        assert_eq!(seen, 1);
         std::fs::remove_file(&ragged).ok();
         std::fs::remove_file(&fine).ok();
+        std::fs::remove_file(&garbage).ok();
     }
 }

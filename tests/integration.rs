@@ -214,6 +214,52 @@ fn auto_ingest_is_argmin_estimate_plus_encode_chunk_by_chunk() {
     }
 }
 
+/// Forced-TOC ingest against the plainest statement of it: every cell of
+/// the CSV through `str::parse`, the rows cut into chunks and each chunk
+/// encoded by `Container::encode_with`. The byte scanner's fast number
+/// path and the pair-id encoder both sit under `ingest_csv_container`;
+/// neither may change a byte of the file.
+#[test]
+fn toc_ingest_is_plain_parse_plus_encode_chunk_by_chunk() {
+    use toc_repro::data::{ingest_csv_container, CsvContainerJob};
+    use toc_repro::formats::container::Container;
+    use toc_repro::formats::EncodeOptions;
+
+    let dir = std::env::temp_dir().join(format!("toc-it-toc-ingest-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let csv = write_csv(&dir, &generate_preset(DatasetPreset::CensusLike, 700, 31));
+    let opts = EncodeOptions::default();
+    let chunk_rows = 250;
+    let job = CsvContainerJob {
+        csv: csv.clone(),
+        out: dir.join("toc.tocz"),
+        chunk_rows,
+        scheme: Some(Scheme::Toc),
+        encode: opts,
+        checkpoint_every: 0,
+    };
+    let done = ingest_csv_container(&job, false).expect("toc ingest");
+    assert_eq!(done.stats.chunks, 3);
+
+    let text = std::fs::read_to_string(&csv).expect("read csv");
+    let rows: Vec<Vec<f64>> = text
+        .lines()
+        .map(|l| l.split(',').map(|c| c.parse().expect("number")).collect())
+        .collect();
+    let by_definition = Container::encode_with(
+        &DenseMatrix::from_rows(rows),
+        Scheme::Toc,
+        chunk_rows,
+        &opts,
+    );
+    assert!(
+        std::fs::read(&job.out).expect("read container")
+            == by_definition.to_bytes().expect("serialize"),
+        "ingested container differs from str::parse + Container::encode_with"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Every preset's batches survive store spill bit-exactly for every scheme.
 #[test]
 fn store_roundtrip_is_bit_exact_for_all_presets() {
