@@ -22,7 +22,9 @@
 //! and `--note=`).
 
 use std::time::Duration;
-use toc_bench::{append_history, arg, fmt_duration, json_escape, time_avg, today_utc, Table};
+use toc_bench::{
+    append_history, arg, cpu_model, fmt_duration, git_head, json_escape, time_avg, today_utc, Table,
+};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{AnyBatch, ExecScratch, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
@@ -90,28 +92,6 @@ fn time_alternating(iters: usize, pair: &[AnyBatch; 2], mut f: impl FnMut(&AnyBa
         .collect();
     samples.sort();
     samples[2]
-}
-
-fn git_head() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
 }
 
 fn main() {

@@ -29,7 +29,7 @@ use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_formats::container::Container;
 use toc_formats::{ClaOptions, EncodeOptions, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
-use toc_ml::mgd::{MgdConfig, ModelSpec, Trainer};
+use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, TrainedModel, Trainer};
 use toc_ml::LossKind;
 
 fn main() -> ExitCode {
@@ -102,9 +102,8 @@ flags! {
     PLACEMENT = "--placement" "<stripe|pack|adaptive>"
         "spill layout; adaptive re-packs hot batches onto fast shards per epoch (default stripe)";
     PREFETCH = "--prefetch" "<k>" "prefetch depth (default 0 = off)";
-    IO = "--io" "<sync|ring>" "spill-IO engine; ring coalesces adjacent reads (default sync)";
-    PIN = "--pin" "" "stable automatic shard -> IO-thread assignment, per-worker completion lanes";
-    PIN_MAP = "--pin-map" "<t0,t1,...>" "pin shard i to IO thread t_i (one entry per shard)";
+    IO = "--io" "<sync|ring>"
+        "who reads: the decode workers, or ring IO threads that coalesce adjacent reads (default sync)";
     IO_THREADS = "--io-threads" "<n>" "ring IO threads (default 0 = auto)";
     DECODE_WORKERS = "--decode-workers" "<n>" "decode workers (default 0 = auto)";
     FOLLOW = "--follow" "" "tail the CSV as it grows; an online-SGD pass trains as segments seal";
@@ -131,7 +130,7 @@ static MODEL_GROUP: Group = &[&MODEL, &EPOCHS, &LR];
 /// Layout of the out-of-core sharded spill store.
 static STORE: Group = &[&SHARDS, &MBPS, &PLACEMENT];
 /// The background prefetch/decode pipeline over the spilled batches.
-static PIPELINE: Group = &[&PREFETCH, &IO, &PIN, &PIN_MAP, &IO_THREADS, &DECODE_WORKERS];
+static PIPELINE: Group = &[&PREFETCH, &IO, &IO_THREADS, &DECODE_WORKERS];
 /// Knobs of `train --follow`, which tails a growing CSV into a live store.
 static FOLLOW_KNOBS: Group = &[&WINDOW, &MAX_PENDING, &POLL_MS, &IDLE_MS];
 /// `serve`: the job list and what the jobs share (besides the seed).
@@ -251,18 +250,7 @@ fn load_xy(input: &str) -> Result<(DenseMatrix, Vec<f64>), String> {
 /// store-layout, pipeline and follow groups (a group the command does not
 /// declare reads as its defaults).
 fn store_config(a: &Args, budget: usize) -> Result<StoreConfig, String> {
-    use toc_data::{IoEngineKind, Pinning, SchedulerConfig, ShardPlacement};
-    let pinning = match (a.has(&PIN), a.list(&PIN_MAP)?) {
-        (true, Some(_)) => {
-            let map = PIN_MAP.name;
-            return Err(format!(
-                "{PIN} (automatic) and {map} (explicit) are mutually exclusive"
-            ));
-        }
-        (true, None) => Pinning::Auto,
-        (false, Some(map)) => Pinning::Fixed(map),
-        (false, None) => Pinning::Off,
-    };
+    use toc_data::{IoEngineKind, SchedulerConfig, ShardPlacement};
     let scheme = parse_scheme(a.raw(&SCHEME).unwrap_or("toc"))?;
     let mut config = StoreConfig::new(scheme, a.get(&BATCH_ROWS, 250)?, budget)
         .with_shards(a.get(&SHARDS, 0)?)
@@ -272,7 +260,7 @@ fn store_config(a: &Args, budget: usize) -> Result<StoreConfig, String> {
         .with_scheduler(SchedulerConfig {
             io_threads: a.get(&IO_THREADS, 0)?,
             decode_workers: a.get(&DECODE_WORKERS, 0)?,
-            pinning,
+            ..SchedulerConfig::default()
         })
         .with_encode_options(encode_options(a)?)
         .with_max_pending(a.get(&MAX_PENDING, 0)?);
@@ -283,6 +271,23 @@ fn store_config(a: &Args, budget: usize) -> Result<StoreConfig, String> {
         config = config.with_disk_mbps(mbps);
     }
     Ok(config)
+}
+
+/// The rows of `store` and the share of them `model` misclassifies, one
+/// batch at a time off the store itself, so no dense copy of the dataset
+/// is ever made for it. Misclassified rows are summed as integers: the
+/// share is the one a single pass over all the rows would report.
+fn training_error(store: &ShardedSpillStore, model: &mut TrainedModel) -> (usize, f64) {
+    let mut ws = toc_ml::ExecWorkspace::new();
+    let (mut rows, mut wrong) = (0usize, 0usize);
+    for i in 0..store.num_batches() {
+        store.visit(i, &mut |batch, labels| {
+            let n = labels.len();
+            wrong += (model.error_rate_ws(batch, labels, &mut ws) * n as f64).round() as usize;
+            rows += n;
+        });
+    }
+    (rows, wrong as f64 / rows as f64)
 }
 
 fn print_store_line(store: &ShardedSpillStore) {
@@ -683,17 +688,20 @@ fn cmd_train(a: &Args) -> Result<(), String> {
         return train_follow(a, &trainer, &spec, &config, model);
     }
 
-    let (x, y) = load_xy(input)?;
     // Without --budget everything stays in memory: the same store, no
     // spill files and no IO report.
     let out_of_core = budget.is_some();
-    let t0 = Instant::now();
     // Container inputs stream v2 segments through the seekable reader
     // (one decoded segment in memory at a time); batch boundaries
-    // match `build` on the decoded matrix exactly.
+    // match `build` on the decoded matrix exactly. Every other input is
+    // loaded dense, which is what `build` consumes.
+    let t0;
     let store = if out_of_core && from_container && container_version(Path::new(input))? == 2 {
+        t0 = Instant::now();
         ShardedSpillStore::build_from_container(Path::new(input), &config)
     } else {
+        let (x, y) = load_xy(input)?;
+        t0 = Instant::now();
         ShardedSpillStore::build(&x, &y, &config)
     }
     .map_err(|e| format!("{e}"))?;
@@ -738,10 +746,9 @@ fn cmd_train(a: &Args) -> Result<(), String> {
             }
         };
         println!(
-            "placement: policy={} pin={} io-threads={} decode-workers={} rebalances={} \
+            "placement: policy={} io-threads={} decode-workers={} rebalances={} \
              migrated={} migrated-kb={} ewma-mbps={} shard-kb={}",
             p.policy,
-            p.pinning.name(),
             p.io_threads,
             p.decode_workers,
             p.rebalances,
@@ -761,12 +768,11 @@ fn cmd_train(a: &Args) -> Result<(), String> {
             ),
         );
     }
-    let eval = Scheme::Den.encode(&x);
-    let err = report.model.error_rate(&eval, &y);
+    // After the stats lines: the evaluation sweep is not training IO.
+    let (rows, err) = training_error(&store, &mut report.model);
     println!(
-        "{model} on {} rows x {} features [{}]: encode {:.1?} ({} KB), train {:.1?} ({epochs} epochs), training error {:.2}%",
-        x.rows(),
-        x.cols(),
+        "{model} on {rows} rows x {} features [{}]: encode {:.1?} ({} KB), train {:.1?} ({epochs} epochs), training error {:.2}%",
+        store.num_features(),
         config.scheme.name(),
         encode_time,
         store.total_bytes() / 1024,
@@ -901,15 +907,11 @@ fn train_follow(
         report.train_time.as_millis(),
         wall.as_millis(),
     );
-    // The follower saw the file go idle, so it is complete now: re-read
-    // it for the final training-error evaluation over every row.
-    let (x, y) = load_xy(a.pos(0))?;
-    let eval = Scheme::Den.encode(&x);
-    let err = report.model.error_rate(&eval, &y);
+    // The final training-error evaluation over every row that sealed.
+    let (rows, err) = training_error(&store, &mut report.model);
     println!(
-        "{model} on {} rows x {d} features [{}]: streamed {} segments, online pass {:.1?} \
+        "{model} on {rows} rows x {d} features [{}]: streamed {} segments, online pass {:.1?} \
          ({} windows of {window}), training error {:.2}%",
-        x.rows(),
         scheme.name(),
         stats.chunks,
         report.train_time,
@@ -1008,6 +1010,13 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         }
     };
 
+    // Every job's model resolves before the data is loaded and the store
+    // built: a bad script line must not cost that work first.
+    let losses: Vec<LossKind> = protos
+        .iter()
+        .map(|(_, model, ..)| loss_kind(model))
+        .collect::<Result<_, String>>()?;
+
     let (x, y) = load_xy(input)?;
     // Serve is the out-of-core mode: the budget defaults to 0, so every
     // batch spills and the shared cache is what keeps hot ones close.
@@ -1028,16 +1037,13 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     let eval = Scheme::Den.encode(&x);
     let jobs: Vec<JobSpec> = protos
         .iter()
-        .map(|(name, model, config, share)| {
-            Ok(JobSpec::new(
-                name.clone(),
-                ModelSpec::Linear(loss_kind(model)?),
-                config.clone(),
-            )
-            .with_share(*share)
-            .with_eval(eval.clone(), y.clone()))
+        .zip(losses)
+        .map(|((name, _, config, share), loss)| {
+            JobSpec::new(name.clone(), ModelSpec::Linear(loss), config.clone())
+                .with_share(*share)
+                .with_eval(eval.clone(), y.clone())
         })
-        .collect::<Result<_, String>>()?;
+        .collect();
 
     let t0 = Instant::now();
     let outcomes = server.run(jobs);
@@ -1136,14 +1142,14 @@ mod tests {
 
     #[test]
     fn a_boolean_flag_never_swallows_a_positional() {
-        // `--pin` and `--follow` take no value: the token after them is
-        // still positional.
-        let argv = strings(&["--pin", "a.csv", "--follow", "--epochs", "3"]);
+        // `--follow` takes no value: the token after it is still
+        // positional.
+        let argv = strings(&["--follow", "a.csv", "--epochs", "3"]);
         let a = parsed("train", &argv);
-        assert!(a.has(&PIN) && a.has(&FOLLOW));
+        assert!(a.has(&FOLLOW));
         assert_eq!(a.pos(0), "a.csv");
         assert_eq!(a.get(&EPOCHS, 10usize).unwrap(), 3);
-        assert!(!parsed("train", &strings(&["a.csv"])).has(&PIN));
+        assert!(!parsed("train", &strings(&["a.csv"])).has(&FOLLOW));
     }
 
     #[test]
@@ -1163,7 +1169,12 @@ mod tests {
         assert!(err("serve", &["d.csv", "--io", "ring"]).contains("unknown flag --io"));
         // Value flag at the end, or followed by another flag.
         assert!(err("train", &["d.csv", "--epochs"]).contains("--epochs needs a value"));
-        assert!(err("train", &["d.csv", "--epochs", "--pin"]).contains("needs a value"));
+        assert!(err("train", &["d.csv", "--epochs", "--follow"]).contains("needs a value"));
+        // The pinning flags went with the lanes they configured.
+        for flag in ["--pin", "--pin-map"] {
+            let e = err("train", &["d.csv", "--budget", "0", flag]);
+            assert!(e.contains(&format!("unknown flag {flag}")), "{e}");
+        }
         // Repeated flag.
         let e = err("train", &["d.csv", "--epochs", "1", "--epochs", "7"]);
         assert!(e.contains("--epochs given more than once"), "{e}");
@@ -1194,12 +1205,12 @@ mod tests {
         let count = |name: &str| command(name).flags().count();
         assert_eq!(
             (count("compress"), count("serve"), count("train")),
-            (4, 17, 22)
+            (4, 17, 20)
         );
     }
 
     #[test]
-    fn placement_and_pin_flag_combinations() {
+    fn placement_and_scheduler_flag_combinations() {
         let csv = gen_census("cli-adaptive", 300);
         let train = |extra: &[&str]| {
             let path = csv.arg();
@@ -1209,17 +1220,11 @@ mod tests {
             toc(&argv)
         };
         train(&["--placement", "adaptive"]).unwrap();
-        // --pin and --pin-map are mutually exclusive; a fixed map must
-        // validate against the shard/thread shape.
-        assert!(train(&["--pin", "--pin-map", "0,1"]).is_err());
-        assert!(train(&["--pin-map", "0,x"]).is_err());
         train(&[
             "--prefetch",
             "2",
             "--io",
             "ring",
-            "--pin-map",
-            "1,0",
             "--io-threads",
             "2",
             "--decode-workers",
@@ -1228,9 +1233,9 @@ mod tests {
         .unwrap();
         // Out-of-core flags still demand --budget, and the error names
         // the flag that needs it.
-        let e = toc(&["train", "d.csv", "--pin"]).unwrap_err();
+        let e = toc(&["train", "d.csv", "--io-threads", "2"]).unwrap_err();
         assert!(
-            e.contains("--pin configures") && e.contains("--budget <bytes>"),
+            e.contains("--io-threads configures") && e.contains("--budget <bytes>"),
             "{e}"
         );
         let e = toc(&["train", "d.csv", "--shards", "2"]).unwrap_err();

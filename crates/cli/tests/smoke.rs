@@ -174,35 +174,27 @@ fn train_over_async_engines_prints_parseable_io_stats() {
 }
 
 #[test]
-fn adaptive_and_pinned_training_print_parseable_placement_stats() {
+fn adaptive_and_static_training_print_parseable_placement_stats() {
     let csv = gen_csv(400);
-    // Legs: adaptive placement with automatic pinning, with a fixed pin
-    // map on the ring engine, and a pinned non-adaptive run (placement
-    // line must still appear).
+    // Legs: adaptive placement with automatic and with explicit thread
+    // counts on the ring engine, and a non-adaptive run (placement line
+    // must still appear).
     let legs: [(&str, Vec<&str>); 3] = [
+        ("adaptive", vec!["--placement", "adaptive", "--io", "ring"]),
         (
-            "adaptive+pin",
-            vec!["--placement", "adaptive", "--pin", "--io", "ring"],
-        ),
-        (
-            "adaptive+pin-map",
+            "adaptive+threads",
             vec![
                 "--placement",
                 "adaptive",
                 "--io",
                 "ring",
-                "--pin-map",
-                "1,0",
                 "--io-threads",
                 "2",
                 "--decode-workers",
                 "2",
             ],
         ),
-        (
-            "pack+pin",
-            vec!["--placement", "pack", "--pin", "--io", "ring"],
-        ),
+        ("pack", vec!["--placement", "pack", "--io", "ring"]),
     ];
     for (leg, extra) in legs {
         let mut args = vec![
@@ -228,15 +220,7 @@ fn adaptive_and_pinned_training_print_parseable_placement_stats() {
         let kv = parse_kv(line);
         let adaptive = leg.starts_with("adaptive");
         assert_eq!(kv["policy"], if adaptive { "adaptive" } else { "pack" });
-        assert_eq!(
-            kv["pin"],
-            if leg.contains("pin-map") {
-                "fixed"
-            } else {
-                "auto"
-            },
-            "{line}"
-        );
+        assert!(!kv.contains_key("pin"), "{line}");
         let io_threads: u64 = kv["io-threads"].parse().expect("io-threads parses");
         let decode_workers: u64 = kv["decode-workers"].parse().expect("decode-workers parses");
         assert!(io_threads >= 1, "{line}");
@@ -385,57 +369,15 @@ fn seekable_v2_containers_project_inspect_and_train() {
 }
 
 #[test]
-fn invalid_pin_maps_and_flag_conflicts_exit_nonzero() {
-    let csv = gen_csv(200);
-    let base = |extra: &[&str]| {
-        // --batch-rows 50 -> 4 spilled batches, so the store really has 2
-        // shards and the pin-map length/range checks bite.
-        let mut args = vec![
-            "train",
-            csv.to_str().unwrap(),
-            "--epochs",
-            "1",
-            "--batch-rows",
-            "50",
-            "--budget",
-            "0",
-            "--shards",
-            "2",
-            "--prefetch",
-            "2",
-        ];
-        args.extend(extra.iter());
-        toc(&args)
-    };
-    // Pin map shorter than the shard count.
-    assert_fails(&base(&["--io", "ring", "--pin-map", "0"]), "short pin map");
-    // Pin map routing to a nonexistent IO thread.
-    assert_fails(
-        &base(&["--io", "ring", "--pin-map", "0,5", "--io-threads", "2"]),
-        "out-of-range pin map",
-    );
-    // Unparseable pin map.
-    assert_fails(&base(&["--pin-map", "0,x"]), "unparseable pin map");
-    // --pin and --pin-map together.
-    assert_fails(&base(&["--pin", "--pin-map", "0,1"]), "pin + pin-map");
-    // Scheduler flags without --budget.
-    assert_fails(
-        &toc(&["train", csv.to_str().unwrap(), "--pin"]),
-        "--pin without --budget",
-    );
-    assert_fails(
-        &toc(&["train", csv.to_str().unwrap(), "--placement", "adaptive"]),
-        "--placement adaptive without --budget",
-    );
-    std::fs::remove_file(csv).ok();
-}
-
-#[test]
 fn out_of_core_flags_require_budget_and_reject_bad_values() {
     let csv = gen_csv(120);
     assert_fails(
         &toc(&["train", csv.to_str().unwrap(), "--io", "ring"]),
         "--io without --budget",
+    );
+    assert_fails(
+        &toc(&["train", csv.to_str().unwrap(), "--placement", "adaptive"]),
+        "--placement adaptive without --budget",
     );
     assert_fails(
         &toc(&[
@@ -609,6 +551,19 @@ fn serve_script_mode() {
         ]),
         "serve with unknown script key",
     );
+    // So is an unknown model, before any data is loaded or spilled.
+    std::fs::write(&script, "name=a model=lr\nname=b model=nn\n").unwrap();
+    let out = toc(&[
+        "serve",
+        csv.to_str().unwrap(),
+        "--script",
+        script.to_str().unwrap(),
+    ]);
+    assert_fails(&out, "serve with unknown script model");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown model \"nn\""), "{stderr}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(!stdout.contains("store:"), "store built first: {stdout}");
 }
 
 /// `toc ingest`: stream a CSV through the bounded-memory chunked encoder
@@ -1191,9 +1146,11 @@ fn undeclared_misspelt_repeated_and_inert_flags_exit_1_naming_the_flag() {
         err.contains("--prefetch has no effect with --follow"),
         "{err}"
     );
-    // The removed aliases are unknown flags now.
-    let err = stderr_of_failure(&["train", d, "--budget", "0", "--adaptive"]);
-    assert!(err.contains("unknown flag --adaptive"), "{err}");
+    // The removed aliases and the pinning flags are unknown flags now.
+    for flag in ["--adaptive", "--pin", "--pin-map"] {
+        let err = stderr_of_failure(&["train", d, "--budget", "0", flag]);
+        assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+    }
     let err = stderr_of_failure(&["compress", d, "/tmp/unused.tocz", "--codec", "ans"]);
     assert!(err.contains("unknown flag --codec"), "{err}");
     // Wrong positional count.
@@ -1210,14 +1167,7 @@ fn every_command_prints_generated_help_listing_its_flags() {
     let encode = ["--scheme", "--batch-rows"];
     let model = ["--model", "--epochs", "--lr"];
     let store = ["--budget", "--shards", "--mbps", "--placement"];
-    let pipeline = [
-        "--prefetch",
-        "--io",
-        "--pin",
-        "--pin-map",
-        "--io-threads",
-        "--decode-workers",
-    ];
+    let pipeline = ["--prefetch", "--io", "--io-threads", "--decode-workers"];
     let follow = [
         "--follow",
         "--window",

@@ -51,9 +51,7 @@ use std::fs;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use toc_formats::container::{
-    fnv1a64, parse_v2_footer, ContainerStreamWriter, WriterState, ZoneMap,
-};
+use toc_formats::container::{fnv1a64, ContainerStreamWriter, WriterState, ZoneMap};
 use toc_formats::wire::Rd;
 use toc_formats::{
     pick_and_encode, AnyBatch, ClaPlanner, EncodeOptions, FormatError, MatrixBatch, Scheme,
@@ -62,6 +60,7 @@ use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
 
 use crate::csv::{CsvError, CsvStream};
+use crate::io::SeekableContainer;
 use crate::store::{AppenderToken, ShardedSpillStore};
 
 /// A reusable staging-and-encode workspace: holds up to `chunk_rows`
@@ -128,12 +127,32 @@ impl EncodeWorkspace {
     /// result depends on the staged rows alone, never on earlier seals.
     /// Returns `None` when nothing is staged.
     pub fn seal(&mut self, scheme: Option<Scheme>, opts: &EncodeOptions) -> Option<SealedChunk> {
+        let zone = |dense: &DenseMatrix| ZoneMap::compute(dense, opts.cla.sample_rows);
+        let (scheme, batch, zone, rows) = self.seal_with(scheme, opts, zone)?;
+        Some(SealedChunk {
+            scheme,
+            batch,
+            zone,
+            rows,
+        })
+    }
+
+    /// The encode half of [`EncodeWorkspace::seal`], for sinks that keep
+    /// no zone maps (the store): `summarize` sees the staged rows before
+    /// they are encoded and its result rides along with the picked
+    /// scheme, the segment and the row count.
+    pub(crate) fn seal_with<Z>(
+        &mut self,
+        scheme: Option<Scheme>,
+        opts: &EncodeOptions,
+        summarize: impl FnOnce(&DenseMatrix) -> Z,
+    ) -> Option<(Scheme, AnyBatch, Z, usize)> {
         if self.staged_rows == 0 {
             return None;
         }
         let rows = self.staged_rows;
         let dense = DenseMatrix::from_vec(rows, self.cols, std::mem::take(&mut self.stage));
-        let zone = ZoneMap::compute(&dense, opts.cla.sample_rows);
+        let summary = summarize(&dense);
         let (picked, batch) = match scheme {
             Some(s) => (s, s.encode_with(&dense, opts)),
             None => pick_and_encode(&dense, &Scheme::AUTO_SET, opts),
@@ -148,12 +167,7 @@ impl EncodeWorkspace {
         // the staging buffer plus the sealed segment it produced.
         let used = self.stage.capacity() * std::mem::size_of::<f64>() + batch.size_bytes();
         self.peak_bytes = self.peak_bytes.max(used);
-        Some(SealedChunk {
-            scheme: picked,
-            batch,
-            zone,
-            rows,
-        })
+        Some((picked, batch, summary, rows))
     }
 
     /// High-water mark, in bytes, of the staging buffer plus the largest
@@ -351,14 +365,16 @@ impl<'a> StoreIngest<'a> {
     }
 
     fn seal_chunk(&mut self) -> std::io::Result<()> {
-        let Some(sealed) = self.ws.seal(self.scheme, &self.encode) else {
+        // A store segment has no footer to put a zone map in.
+        let Some((scheme, batch, (), rows)) = self.ws.seal_with(self.scheme, &self.encode, |_| ())
+        else {
             return Ok(());
         };
-        let bytes = sealed.batch.to_bytes();
+        let bytes = batch.to_bytes();
         let labels = std::mem::take(&mut self.labels);
         self.labels.reserve(self.ws.chunk_rows);
         self.store.append_sealed(&bytes, labels)?;
-        self.stats.note(sealed.scheme, sealed.rows, bytes.len());
+        self.stats.note(scheme, rows, bytes.len());
         Ok(())
     }
 
@@ -998,9 +1014,13 @@ fn load_container_checkpoint(
         )));
     }
 
-    // Crash-after-footer: the output may already be complete.
-    let bytes = fs::read(&job.out)?;
-    if let Ok((footer, _)) = parse_v2_footer(&bytes) {
+    // Crash-after-footer: the output may already be complete. Asked of
+    // the file's two ends (three positional reads), not of its contents,
+    // so a resume holds no more of the output in memory than the ingest
+    // it continues.
+    let len = fs::metadata(&job.out)?.len();
+    if let Ok(complete) = SeekableContainer::open(&job.out) {
+        let footer = complete.footer();
         let mut stats = IngestStats::default();
         for leaf in footer.leaves() {
             let tag = leaf.scheme.expect("footer leaves carry scheme tags");
@@ -1019,7 +1039,7 @@ fn load_container_checkpoint(
             Err(e) => return Err(IngestError::Io(e)),
         }
         return Ok(Some(Restored::Complete(Box::new(CsvIngestOutcome {
-            total_bytes: bytes.len() as u64,
+            total_bytes: len,
             stats,
             resumed_chunks: chunks,
             cols: footer.cols as usize,
@@ -1027,8 +1047,6 @@ fn load_container_checkpoint(
         }))));
     }
 
-    let len = bytes.len() as u64;
-    drop(bytes);
     if len < state.offset() {
         return Err(IngestError::Checkpoint(format!(
             "output is {len} bytes but the sidecar watermark is {} — the sidecar outran the file",

@@ -1,39 +1,46 @@
-//! The async spill IO engine behind the `SpillFile` seam.
+//! Spill IO: the device model and the engines behind the [`SpillIo`] seam.
 //!
-//! Spill reads are positional and striped across shard files, but a
-//! reader (prefetch worker or visitor) that blocks on a synchronous
-//! `read_exact_at` serializes read latency with decode. This module
-//! splits submission from completion — the io_uring idiom, portable — so
-//! the prefetch pipeline can keep many reads in flight per shard while
-//! decode proceeds on completed buffers:
+//! The store's prefetch pipeline (`crate::prefetch`) reads spilled
+//! batches through one interface that splits submission from completion
+//! — the io_uring idiom, portable:
 //!
 //! ```text
 //!             submit(shard, offset, len, buf) -> Ticket
 //!   visitor ──────────────────────────────────────────▶ SpillIo engine
-//!                                                        │  ring: per-shard queues,
-//!                                                        │        adjacent reads
-//!                                                        │        coalesced
+//!                                                        │  inline: a queue, read by
+//!                                                        │          whoever completes
+//!                                                        │  ring:   per-thread inboxes,
+//!                                                        │          adjacent reads
+//!                                                        │          coalesced
 //!   decode  ◀──────────────────────────────────────────┘
 //!   workers   complete() -> Completion {ticket, buf, result}   (out of order)
 //! ```
 //!
-//! [`RingIo`] is the production [`SpillIo`] backend (the fault-injecting
-//! test double in [`crate::testing`] is the other implementation):
-//! submissions route to per-shard queues; each ring thread drains its
-//! shards' queues in bursts, sorts the burst by file offset, **coalesces
-//! adjacent ranges into one physical read**, and completes the members
-//! out of order. With compression-aware shard placement
+//! Two engines serve it ([`IoEngineKind`]; the fault-injecting double in
+//! [`crate::testing`] is the third implementation). [`InlineIo`]
+//! (`sync`) has no threads of its own: `submit` only queues, and the
+//! decode worker that calls `complete` pops the oldest request and reads
+//! it on its own thread, so a read serializes with that worker's decode
+//! and the device sees as many readers as there are workers. A request
+//! nobody has popped yet can be taken back ([`SpillIo::try_cancel`]),
+//! which is what lets a visitor that outruns the workers read its own
+//! batch instead of queueing behind them. [`RingIo`] (`ring`) owns IO
+//! threads: shard `s` routes to the inbox of thread `s % threads`; each
+//! thread drains its inbox in bursts, sorts the burst by file offset,
+//! **coalesces adjacent ranges into one physical read**, and completes
+//! the members out of order, so reads overlap decode whatever the worker
+//! count. With compression-aware shard placement
 //! ([`crate::store::ShardPlacement::Pack`]) one submission burst over
 //! small encoded batches collapses into a handful of large reads.
-//! Without an engine ([`IoEngineKind::Sync`]) the prefetch workers read
-//! synchronously.
+//! Neither engine dominates: on a bandwidth-bound device many inline
+//! readers reach the device limit, on a latency-bound one the ring's
+//! overlap wins (`store_scaling` prints the matrix).
 //!
-//! The engine charges the same per-shard `BandwidthClock` the
-//! synchronous path uses, so the `disk_mbps` model extends to overlapped
-//! requests: concurrent reads of one shard still share that device's
-//! bandwidth (the clock serializes their reservations), while the
-//! *caller* no longer sleeps — the engine's IO threads absorb the delay,
-//! which is exactly the overlap the paper's compute-bound regime needs.
+//! Every read path charges the same per-shard `BandwidthClock`, so the
+//! `disk_mbps` model extends to overlapped requests: concurrent reads of
+//! one shard share that device's bandwidth (the clock serializes their
+//! reservations), and whichever thread performs the read — an IO thread,
+//! a decode worker, the visitor — is the one that sleeps.
 
 use std::collections::VecDeque;
 use std::fs::File;
@@ -456,9 +463,11 @@ pub struct IoStats {
     /// Simulated bandwidth delay accounted against the shard clocks, in
     /// nanoseconds (see [`crate::store::StoreConfig::disk_mbps`]).
     pub throttle_ns: AtomicU64,
-    /// Requests submitted to an async [`SpillIo`] engine.
+    /// Requests submitted to a [`SpillIo`] engine that reads on threads
+    /// of its own ([`InlineIo`] reads on its caller's and counts nothing
+    /// here or in the three fields below).
     pub submitted: AtomicU64,
-    /// Completions surfaced by an async [`SpillIo`] engine.
+    /// Completions surfaced by such an engine.
     pub completed: AtomicU64,
     /// Requests that rode along a coalesced ring read instead of costing
     /// their own physical read.
@@ -623,8 +632,8 @@ impl IoSnapshot {
 /// Engine selector threaded through `StoreConfig` and `toc train --io`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum IoEngineKind {
-    /// No engine: prefetch workers read synchronously (read latency
-    /// serializes with decode inside each worker).
+    /// [`InlineIo`]: each decode worker reads the request it is about to
+    /// decode (read latency serializes with decode inside the worker).
     #[default]
     Sync,
     /// Batched per-shard backend with adjacent-read coalescing ([`RingIo`]).
@@ -658,42 +667,23 @@ impl std::str::FromStr for IoEngineKind {
 }
 
 // ---------------------------------------------------------------------------
-// Affinity-aware scheduling of IO threads and decode workers.
+// Scheduling of IO threads and decode workers.
 
-/// How shards are pinned to IO threads and how decode workers drain
-/// completions.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
+/// What is left of shard pinning: completions always funnel through one
+/// queue any decode worker may drain, and shard `s` always routes to ring
+/// thread `s % io_threads`. Striped completion lanes and explicit pin
+/// maps measured inside the unpinned run-to-run spread and were removed;
+/// the type stays because `ledger/` (the benchmark, frozen) spells out
+/// `SchedulerConfig { .., pinning: Pinning::Off }`.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Pinning {
-    /// No affinity: ring threads still own shard inboxes (inherent to the
-    /// ring design), but completions funnel through one shared queue that
-    /// any decode worker may drain — the pre-affinity behavior.
     #[default]
     Off,
-    /// Stable automatic affinity: shard `s` routes to ring thread
-    /// `s % io_threads`, and completions stripe into per-decode-worker
-    /// lanes by `shard % lanes`, so a given shard's batches always decode
-    /// on the same worker (warm scratch, no cross-worker contention).
-    Auto,
-    /// Explicit shard→IO-thread map: entry `s` names the ring thread that
-    /// serves shard `s`. Must cover every shard with thread indices below
-    /// `io_threads`; validated at store build. Completions stripe as in
-    /// `Auto`.
-    Fixed(Vec<usize>),
-}
-
-impl Pinning {
-    pub fn name(&self) -> &'static str {
-        match self {
-            Pinning::Off => "off",
-            Pinning::Auto => "auto",
-            Pinning::Fixed(_) => "fixed",
-        }
-    }
 }
 
 /// Scheduling knobs for the prefetch pipeline's IO threads and decode
 /// workers, threaded through `StoreConfig` and `toc train
-/// --io-threads/--decode-workers/--pin/--pin-map`.
+/// --io-threads/--decode-workers`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct SchedulerConfig {
     /// IO threads for the ring engine (`0` = auto: one per shard,
@@ -702,33 +692,22 @@ pub struct SchedulerConfig {
     /// Decode workers draining completions (`0` = auto: the prefetch
     /// depth, clamped to the worker cap).
     pub decode_workers: usize,
-    /// Shard→IO-thread affinity and completion-lane striping.
+    /// See [`Pinning`].
     pub pinning: Pinning,
 }
 
 impl SchedulerConfig {
-    /// Resolved IO thread count for `kind` over `shards` shard devices at
-    /// prefetch depth `depth`.
-    pub(crate) fn resolved_io_threads(
-        &self,
-        kind: IoEngineKind,
-        shards: usize,
-        depth: usize,
-    ) -> usize {
-        let auto = match kind {
-            IoEngineKind::Ring => shards,
-            IoEngineKind::Sync => depth,
-        };
+    /// Resolved ring IO thread count over `shards` shard devices.
+    pub(crate) fn resolved_io_threads(&self, shards: usize) -> usize {
         let chosen = if self.io_threads > 0 {
             self.io_threads
         } else {
-            auto
+            shards
         };
         chosen.clamp(1, MAX_IO_THREADS)
     }
 
-    /// Resolved decode-worker count at prefetch depth `depth` (the cap is
-    /// shared with the sync prefetch workers).
+    /// Resolved decode-worker count at prefetch depth `depth`.
     pub(crate) fn resolved_decode_workers(&self, depth: usize, cap: usize) -> usize {
         let chosen = if self.decode_workers > 0 {
             self.decode_workers
@@ -736,45 +715,6 @@ impl SchedulerConfig {
             depth
         };
         chosen.clamp(1, cap)
-    }
-
-    /// Completion lanes for `decode_workers` workers over `shards` shards:
-    /// one shared lane when pinning is off, else one lane per worker —
-    /// but never more lanes than shards, or lanes `shard % lanes` can
-    /// never route to would starve their workers.
-    pub(crate) fn completion_lanes(&self, decode_workers: usize, shards: usize) -> usize {
-        match self.pinning {
-            Pinning::Off => 1,
-            _ => decode_workers.min(shards).max(1),
-        }
-    }
-
-    /// The stable shard→ring-thread assignment: `s % threads` for
-    /// off/auto, the user's map for fixed (validated: exactly one entry
-    /// per shard, every entry below `threads`).
-    pub(crate) fn ring_assignment(
-        &self,
-        shards: usize,
-        threads: usize,
-    ) -> Result<Vec<usize>, String> {
-        match &self.pinning {
-            Pinning::Off | Pinning::Auto => Ok((0..shards).map(|s| s % threads).collect()),
-            Pinning::Fixed(map) => {
-                if map.len() != shards {
-                    return Err(format!(
-                        "pin map covers {} shards but the store has {shards}",
-                        map.len()
-                    ));
-                }
-                if let Some(&bad) = map.iter().find(|&&t| t >= threads) {
-                    return Err(format!(
-                        "pin map routes a shard to IO thread {bad}, but only {threads} \
-                         IO threads exist"
-                    ));
-                }
-                Ok(map.clone())
-            }
-        }
     }
 }
 
@@ -800,8 +740,8 @@ pub struct Completion {
     pub result: std::io::Result<()>,
 }
 
-/// The async spill-IO seam: submit positional reads, harvest completions
-/// out of order. All engines are `Send + Sync`; any number of threads may
+/// The spill-IO seam: submit positional reads, harvest completions out
+/// of order. All engines are `Send + Sync`; any number of threads may
 /// submit and complete concurrently.
 pub trait SpillIo: Send + Sync {
     /// Queue a read. `buf` is recycled through the completion (resized to
@@ -810,17 +750,14 @@ pub trait SpillIo: Send + Sync {
 
     /// Block until a completion is available or the engine shuts down
     /// (`None`). Concurrent callers each receive distinct completions.
-    /// Engines with striped completion lanes serve lane 0 here; use
-    /// [`SpillIo::complete_on`] to drain a specific lane.
     fn complete(&self) -> Option<Completion>;
 
-    /// Lane-affine completion harvest: with striped lanes
-    /// ([`SchedulerConfig`] pinning on), completions route to lane
-    /// `shard % lanes` and decode worker `w` drains lane `w` — a shard's
-    /// batches always decode on the same worker. Engines without lanes
-    /// fall back to the shared queue.
-    fn complete_on(&self, _lane: usize) -> Option<Completion> {
-        self.complete()
+    /// Take back a request nothing has started to read: its request and
+    /// buffer return to the caller and it never surfaces as a completion.
+    /// `None` when the read is under way or done — which is always the
+    /// answer of an engine whose own threads pick requests up at once.
+    fn try_cancel(&self, _ticket: Ticket) -> Option<(SpillRequest, Vec<u8>)> {
+        None
     }
 
     /// Wake every blocked `complete` caller and stop the IO threads.
@@ -871,39 +808,6 @@ impl CompletionQueue {
 
     pub(crate) fn is_shut_down(&self) -> bool {
         lock(&self.q).1
-    }
-}
-
-/// Striped completion queues: completions route to lane `shard % lanes`
-/// so each decode worker drains a stable subset of shards. One lane
-/// degenerates to the shared-queue behavior.
-pub(crate) struct CompletionLanes {
-    lanes: Vec<CompletionQueue>,
-}
-
-impl CompletionLanes {
-    pub(crate) fn new(lanes: usize) -> Self {
-        Self {
-            lanes: (0..lanes.max(1)).map(|_| CompletionQueue::new()).collect(),
-        }
-    }
-
-    pub(crate) fn push(&self, c: Completion) {
-        self.lanes[c.shard % self.lanes.len()].push(c);
-    }
-
-    pub(crate) fn pop_lane(&self, lane: usize) -> Option<Completion> {
-        self.lanes[lane % self.lanes.len()].pop()
-    }
-
-    pub(crate) fn shut_down(&self) {
-        for l in &self.lanes {
-            l.shut_down();
-        }
-    }
-
-    pub(crate) fn is_shut_down(&self) -> bool {
-        self.lanes[0].is_shut_down()
     }
 }
 
@@ -974,24 +878,103 @@ impl SubmissionQueue {
 }
 
 // ---------------------------------------------------------------------------
-// RingIo: batched per-shard queues with adjacent-read coalescing.
+// InlineIo: the synchronous engine.
+
+/// The [`SpillIo`] engine behind [`IoEngineKind::Sync`]: a queue and no
+/// threads. `submit` only queues; whoever calls `complete` pops the
+/// oldest request and performs the read itself, through
+/// `IoShards::read_range` like every other path, so a decode worker's
+/// read serializes with its decode. A request still in the queue can be
+/// taken back. `submitted` / `completed` / `in_flight` / latency in
+/// [`IoStats`] describe engines that read asynchronously and stay
+/// untouched here.
+pub struct InlineIo {
+    io: Arc<IoShards>,
+    queue: Mutex<InlineQueue>,
+    cv: Condvar,
+    next_ticket: AtomicU64,
+}
+
+#[derive(Default)]
+struct InlineQueue {
+    /// Requests nobody has started to read, oldest first.
+    waiting: VecDeque<(Ticket, SpillRequest, Vec<u8>)>,
+    shut_down: bool,
+}
+
+impl InlineIo {
+    pub(crate) fn new(io: Arc<IoShards>) -> Self {
+        Self {
+            io,
+            queue: Mutex::default(),
+            cv: Condvar::new(),
+            next_ticket: AtomicU64::new(0),
+        }
+    }
+}
+
+impl SpillIo for InlineIo {
+    fn submit(&self, req: SpillRequest, buf: Vec<u8>) -> Ticket {
+        let ticket = self.next_ticket.fetch_add(1, Ordering::Relaxed);
+        lock(&self.queue).waiting.push_back((ticket, req, buf));
+        self.cv.notify_one();
+        ticket
+    }
+
+    fn complete(&self) -> Option<Completion> {
+        let (ticket, req, mut buf) = {
+            let mut g = lock(&self.queue);
+            loop {
+                if g.shut_down {
+                    return None;
+                }
+                if let Some(next) = g.waiting.pop_front() {
+                    break next;
+                }
+                g = wait(&self.cv, g);
+            }
+        };
+        let result = self.io.read_range(req.shard, req.offset, req.len, &mut buf);
+        Some(Completion {
+            ticket,
+            shard: req.shard,
+            buf,
+            result,
+        })
+    }
+
+    fn try_cancel(&self, ticket: Ticket) -> Option<(SpillRequest, Vec<u8>)> {
+        let mut g = lock(&self.queue);
+        let at = g.waiting.iter().position(|(t, ..)| *t == ticket)?;
+        g.waiting.remove(at).map(|(_, req, buf)| (req, buf))
+    }
+
+    fn shutdown(&self) {
+        lock(&self.queue).shut_down = true;
+        self.cv.notify_all();
+    }
+
+    fn in_flight(&self) -> usize {
+        lock(&self.queue).waiting.len()
+    }
+}
+
+// ---------------------------------------------------------------------------
+// RingIo: batched per-thread inboxes with adjacent-read coalescing.
 
 pub(crate) const MAX_IO_THREADS: usize = 8;
 
 struct RingShared {
     io: Arc<IoShards>,
-    /// One inbox per ring thread; shard `s` routes to inbox `assign[s]`.
+    /// One inbox per ring thread; shard `s` routes to inbox `s % threads`.
     inboxes: Vec<(Mutex<Vec<Submission>>, Condvar)>,
-    /// Stable shard→ring-thread assignment ([`SchedulerConfig`]).
-    assign: Vec<usize>,
-    comp: CompletionLanes,
+    comp: CompletionQueue,
     next_ticket: AtomicU64,
 }
 
-/// Batched "ring" [`SpillIo`] backend. Submissions route to per-thread
-/// inboxes through a **stable shard→thread assignment** (automatic
-/// `s % threads` or a user pin map); each ring thread drains its inbox
-/// in bursts, groups the burst by shard, sorts each group by file offset
+/// Batched "ring" [`SpillIo`] backend. Shard `s` routes to the inbox of
+/// ring thread `s % threads`; each ring thread drains its inbox in
+/// bursts, groups the burst by shard, sorts each group by file offset
 /// and **coalesces adjacent ranges into one physical read** (one
 /// bandwidth-clock charge for the merged length), then completes the
 /// members out of order. A burst of K lookahead submissions over
@@ -1003,42 +986,23 @@ pub struct RingIo {
 }
 
 impl RingIo {
-    /// Start with `threads` ring threads, the given shard→thread
-    /// assignment (every entry must be `< threads`; validated by
-    /// [`SchedulerConfig::ring_assignment`]) and `lanes` completion lanes.
-    pub(crate) fn start(
-        io: Arc<IoShards>,
-        threads: usize,
-        assign: Vec<usize>,
-        lanes: usize,
-    ) -> Self {
-        let n_threads = threads.max(1);
-        debug_assert!(assign.iter().all(|&t| t < n_threads));
+    /// Start with `threads` ring threads (at least one).
+    pub(crate) fn start(io: Arc<IoShards>, threads: usize) -> Self {
         let shared = Arc::new(RingShared {
             io,
-            inboxes: (0..n_threads)
+            inboxes: (0..threads.max(1))
                 .map(|_| (Mutex::new(Vec::new()), Condvar::new()))
                 .collect(),
-            assign,
-            comp: CompletionLanes::new(lanes),
+            comp: CompletionQueue::new(),
             next_ticket: AtomicU64::new(0),
         });
-        let threads = (0..n_threads)
+        let threads = (0..shared.inboxes.len())
             .map(|t| {
                 let shared = Arc::clone(&shared);
                 std::thread::spawn(move || Self::ring_thread(&shared, t))
             })
             .collect();
         Self { shared, threads }
-    }
-
-    /// The pre-affinity default: one thread per shard device (capped),
-    /// automatic assignment, a single shared completion lane.
-    #[cfg(test)]
-    pub(crate) fn start_default(io: Arc<IoShards>) -> Self {
-        let threads = io.devices.len().clamp(1, MAX_IO_THREADS);
-        let assign = (0..io.devices.len()).map(|s| s % threads).collect();
-        Self::start(io, threads, assign, 1)
     }
 
     fn ring_thread(shared: &RingShared, t: usize) {
@@ -1150,13 +1114,7 @@ impl SpillIo for RingIo {
     fn submit(&self, req: SpillRequest, buf: Vec<u8>) -> Ticket {
         let ticket = self.shared.next_ticket.fetch_add(1, Ordering::Relaxed);
         self.shared.io.stats.record_submit();
-        let t = self
-            .shared
-            .assign
-            .get(req.shard)
-            .copied()
-            .unwrap_or(req.shard % self.shared.inboxes.len());
-        let (m, cv) = &self.shared.inboxes[t];
+        let (m, cv) = &self.shared.inboxes[req.shard % self.shared.inboxes.len()];
         lock(m).push(Submission {
             ticket,
             req,
@@ -1168,11 +1126,7 @@ impl SpillIo for RingIo {
     }
 
     fn complete(&self) -> Option<Completion> {
-        self.shared.comp.pop_lane(0)
-    }
-
-    fn complete_on(&self, lane: usize) -> Option<Completion> {
-        self.shared.comp.pop_lane(lane)
+        self.shared.comp.pop()
     }
 
     fn shutdown(&self) {
@@ -1478,7 +1432,7 @@ mod tests {
         // before the ring thread wakes they should merge into few reads.
         let chunks: Vec<_> = (0..6u8).map(|i| chunk(0, i, 128)).collect();
         let (io, layout, paths) = test_shards(1, &chunks);
-        let engine = RingIo::start_default(Arc::clone(&io));
+        let engine = RingIo::start(Arc::clone(&io), 1);
         // Hold the ring thread busy-less: submit everything in one burst
         // under no lock, then harvest. The thread drains the inbox as one
         // batch, so at least some requests must coalesce.
@@ -1537,7 +1491,7 @@ mod tests {
     fn ring_engine_serves_interleaved_shards() {
         let chunks: Vec<_> = (0..12u8).map(|i| chunk(i as usize % 4, i, 96)).collect();
         let (io, layout, paths) = test_shards(4, &chunks);
-        let engine = RingIo::start_default(Arc::clone(&io));
+        let engine = RingIo::start(Arc::clone(&io), 4);
         let mut expected = HashMap::new();
         for (req, bytes) in &layout {
             let t = engine.submit(*req, Vec::new());
@@ -1560,7 +1514,7 @@ mod tests {
     #[test]
     fn engines_surface_read_errors_per_request() {
         let (io, layout, paths) = test_shards(1, &[chunk(0, 7, 64)]);
-        let engine = RingIo::start_default(Arc::clone(&io));
+        let engine = RingIo::start(Arc::clone(&io), 1);
         // Past-EOF read must complete with an error, not hang or panic.
         let t_bad = engine.submit(
             SpillRequest {
@@ -1587,7 +1541,7 @@ mod tests {
     #[test]
     fn shutdown_wakes_blocked_completers() {
         let (io, _, paths) = test_shards(1, &[chunk(0, 1, 8)]);
-        let engine = RingIo::start_default(Arc::clone(&io));
+        let engine = RingIo::start(Arc::clone(&io), 1);
         let waiter = std::thread::scope(|s| {
             let h = s.spawn(|| engine.complete().is_none());
             std::thread::sleep(Duration::from_millis(10));
@@ -1774,120 +1728,69 @@ mod tests {
     }
 
     #[test]
-    fn scheduler_config_resolution_and_pin_validation() {
+    fn scheduler_config_resolution() {
         let auto = SchedulerConfig::default();
-        // Auto: sync follows depth, ring follows shard count, both capped.
-        assert_eq!(auto.resolved_io_threads(IoEngineKind::Sync, 4, 3), 3);
-        assert_eq!(auto.resolved_io_threads(IoEngineKind::Ring, 4, 3), 4);
-        assert_eq!(
-            auto.resolved_io_threads(IoEngineKind::Ring, 99, 3),
-            MAX_IO_THREADS
-        );
+        // Auto: ring threads follow the shard count, decode workers the
+        // depth, both capped.
+        assert_eq!(auto.resolved_io_threads(4), 4);
+        assert_eq!(auto.resolved_io_threads(99), MAX_IO_THREADS);
         assert_eq!(auto.resolved_decode_workers(3, 8), 3);
         assert_eq!(auto.resolved_decode_workers(0, 8), 1);
-        // Off pinning = one shared completion lane.
-        assert_eq!(auto.completion_lanes(4, 8), 1);
-
-        let pinned = SchedulerConfig {
+        let explicit = SchedulerConfig {
             io_threads: 2,
             decode_workers: 6,
-            pinning: Pinning::Auto,
+            pinning: Pinning::Off,
         };
-        assert_eq!(pinned.resolved_io_threads(IoEngineKind::Ring, 4, 3), 2);
-        assert_eq!(pinned.resolved_decode_workers(3, 8), 6);
-        // Lanes never exceed the shard count (starved lanes would idle
-        // their decode workers forever).
-        assert_eq!(pinned.completion_lanes(6, 3), 3);
-        assert_eq!(pinned.completion_lanes(2, 8), 2);
-        // Auto assignment is the stable modulo map.
-        assert_eq!(pinned.ring_assignment(5, 2).unwrap(), vec![0, 1, 0, 1, 0]);
-
-        // Fixed maps: valid, wrong length, out-of-range thread.
-        let fixed = |map: Vec<usize>| SchedulerConfig {
-            io_threads: 2,
-            decode_workers: 0,
-            pinning: Pinning::Fixed(map),
-        };
-        assert_eq!(
-            fixed(vec![1, 0, 1]).ring_assignment(3, 2).unwrap(),
-            vec![1, 0, 1]
-        );
-        assert!(fixed(vec![0]).ring_assignment(3, 2).is_err());
-        assert!(fixed(vec![0, 2, 1]).ring_assignment(3, 2).is_err());
-        assert_eq!(Pinning::Off.name(), "off");
-        assert_eq!(Pinning::Auto.name(), "auto");
-        assert_eq!(Pinning::Fixed(vec![0]).name(), "fixed");
+        assert_eq!(explicit.resolved_io_threads(4), 2);
+        assert_eq!(explicit.resolved_decode_workers(3, 8), 6);
+        assert_eq!(explicit.resolved_decode_workers(3, 4), 4);
     }
 
+    /// The inline engine's contract with the prefetch pipeline: a request
+    /// still queued can be taken back exactly once and then never
+    /// completes; one a completer has popped cannot; `shutdown` wakes a
+    /// blocked completer; and none of it touches the async counters.
     #[test]
-    fn striped_completion_lanes_route_by_shard_and_wake_on_shutdown() {
-        let chunks: Vec<_> = (0..8u8).map(|i| chunk(i as usize % 2, i, 32)).collect();
-        let (io, layout, paths) = test_shards(2, &chunks);
-        // Two lanes over two shards: every completion for shard s must
-        // surface on lane s.
-        let engine = RingIo::start(Arc::clone(&io), 2, vec![0, 1], 2);
-        let mut expected = HashMap::new();
-        for (req, bytes) in &layout {
-            let t = engine.submit(*req, Vec::new());
-            expected.insert(t, (req.shard, bytes.clone()));
-        }
-        for lane in 0..2 {
-            for _ in 0..4 {
-                let c = engine.complete_on(lane).expect("lane completion");
-                let (shard, bytes) = &expected[&c.ticket];
-                assert_eq!(c.shard % 2, lane, "completion crossed lanes");
-                assert_eq!(*shard, c.shard);
-                assert_eq!(&c.buf, bytes);
-            }
-        }
+    fn inline_engine_cancels_queued_requests_and_reads_on_the_completer() {
+        let chunks: Vec<_> = (0..3u8).map(|i| chunk(0, i, 64)).collect();
+        let (io, layout, paths) = test_shards(1, &chunks);
+        let engine = InlineIo::new(Arc::clone(&io));
+        let tickets: Vec<Ticket> = layout
+            .iter()
+            .map(|(req, _)| engine.submit(*req, Vec::new()))
+            .collect();
+        assert_eq!(engine.in_flight(), 3);
+        assert_eq!(io.stats.snapshot().disk_reads, 0, "submit must not read");
+
+        let (req, _buf) = engine.try_cancel(tickets[1]).expect("still queued");
+        assert_eq!((req.offset, req.len), (64, 64));
+        assert!(engine.try_cancel(tickets[1]).is_none(), "handed back twice");
+
+        // The completer pops the oldest request and reads it itself.
+        let c = engine.complete().expect("queued request");
+        assert_eq!((c.ticket, &c.buf), (tickets[0], &layout[0].1));
+        assert!(c.result.is_ok());
+        assert!(engine.try_cancel(tickets[0]).is_none(), "already popped");
+        // The cancelled ticket is skipped, never surfaced.
+        let c = engine.complete().expect("queued request");
+        assert_eq!((c.ticket, &c.buf), (tickets[2], &layout[2].1));
         assert_eq!(engine.in_flight(), 0);
-        // Shutdown must wake a worker blocked on *any* lane.
+
         let woke = std::thread::scope(|s| {
-            let e = &engine;
-            let h = s.spawn(move || e.complete_on(1).is_none());
+            let h = s.spawn(|| engine.complete().is_none());
             std::thread::sleep(Duration::from_millis(10));
-            e.shutdown();
+            engine.shutdown();
             h.join().unwrap()
         });
-        assert!(woke, "lane 1 waiter not woken by shutdown");
-        drop(engine);
-        for p in paths {
-            std::fs::remove_file(p).ok();
-        }
-    }
-
-    #[test]
-    fn ring_engine_honors_fixed_assignment() {
-        // 3 shards pinned to 2 ring threads: shard 2 shares thread 0.
-        let chunks: Vec<_> = (0..9u8).map(|i| chunk(i as usize % 3, i, 48)).collect();
-        let (io, layout, paths) = test_shards(3, &chunks);
-        let engine = RingIo::start(Arc::clone(&io), 2, vec![0, 1, 0], 2);
-        let mut expected = HashMap::new();
-        for (req, bytes) in &layout {
-            let t = engine.submit(*req, Vec::new());
-            expected.insert(t, bytes.clone());
-        }
-        // Drain both lanes until every completion surfaced.
-        let mut seen = 0;
-        while seen < expected.len() {
-            for lane in 0..2 {
-                // Lanes can be empty; poll via a short-lived helper thread
-                // is overkill — completions for shard s land on lane s % 2,
-                // and both lanes receive work here, so blocking drain per
-                // lane in proportion works: lane 0 gets shards 0+2 (6), 1
-                // gets shard 1 (3).
-                let want = if lane == 0 { 6 } else { 3 };
-                for _ in 0..want {
-                    let c = engine.complete_on(lane).expect("completion");
-                    assert!(c.result.is_ok());
-                    assert_eq!(c.shard % 2, lane);
-                    assert_eq!(&c.buf, &expected[&c.ticket]);
-                    seen += 1;
-                }
-            }
-        }
-        io.stats.snapshot_stable().assert_consistent();
-        drop(engine);
+        assert!(woke, "complete() must return None after shutdown");
+        let stats = io.stats.snapshot_stable();
+        stats.assert_consistent();
+        assert_eq!((stats.disk_reads, stats.bytes_read), (2, 128));
+        assert_eq!(
+            (stats.submitted, stats.completed, stats.max_in_flight),
+            (0, 0, 0)
+        );
+        assert_eq!(stats.latency_us.iter().sum::<u64>(), 0);
         for p in paths {
             std::fs::remove_file(p).ok();
         }

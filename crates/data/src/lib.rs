@@ -7,10 +7,10 @@
 //! with real disk spill that reproduces the in-memory/out-of-core regimes
 //! of the end-to-end experiments (Tables 6–7, Figures 9–11): the
 //! sharded, prefetching [`ShardedSpillStore`] (one shard = the paper's
-//! single disk). [`io`] is the async spill-IO seam underneath — a
-//! submission/completion [`SpillIo`] trait with a coalescing ring
-//! backend — and [`testing`] provides a fault-injecting engine double
-//! for adversarial scheduling tests.
+//! single disk). [`io`] is the spill-IO seam underneath — a
+//! submission/completion [`SpillIo`] trait with an inline and a
+//! coalescing ring engine — and [`testing`] provides a fault-injecting
+//! engine double for adversarial scheduling tests.
 //! [`serve`] layers the multi-tenant job server on top: many concurrent
 //! training jobs over one shared store and one heat-aware compressed
 //! batch cache.
@@ -18,6 +18,7 @@
 pub mod csv;
 pub mod ingest;
 pub mod io;
+mod prefetch;
 pub mod serve;
 pub mod store;
 pub mod synth;

@@ -7,44 +7,42 @@
 //! format's batches fit in the budget is exactly what separates TOC from
 //! the baselines on the large-scale runs.
 //!
-//! [`ShardedSpillStore`] is the one provider of that regime. It lays
-//! spilled batches out across N shard files ([`StoreConfig::with_shards`];
-//! one shard models the paper's single disk), reads them with lock-free
-//! positional IO (`crate::io::SpillFile`), and optionally runs a
-//! background prefetch pipeline ([`StoreConfig::with_prefetch`]) that
-//! keeps upcoming batches decoded while the trainer computes on the
-//! current one. With [`StoreConfig::with_io`] set to
-//! [`IoEngineKind::Ring`] the pipeline runs on the async [`SpillIo`]
-//! engine — submissions and completions split, so K reads stay in flight
-//! per shard while decode workers parse completed buffers; with the
-//! default [`IoEngineKind::Sync`] each prefetch worker reads synchronously
-//! (read latency serializes with decode per worker).
+//! [`ShardedSpillStore`] is the one provider of that regime and this
+//! module is its façade: configuration, the build paths, the entry table
+//! and the one visit path, placement and checkpoints. It lays spilled
+//! batches out across N shard files ([`StoreConfig::with_shards`]; one
+//! shard models the paper's single disk) and reads them with lock-free
+//! positional IO (`crate::io::SpillFile`). With
+//! [`StoreConfig::with_prefetch`] the visits of build-time spilled
+//! batches go through the background pipeline in `crate::prefetch`,
+//! which keeps upcoming batches decoded while the trainer computes on the
+//! current one, over the [`SpillIo`] engine [`StoreConfig::with_io`]
+//! names: [`IoEngineKind::Sync`] (the default) reads inside the decode
+//! workers, [`IoEngineKind::Ring`] on IO threads of its own that coalesce
+//! adjacent reads.
 //!
 //! Build-time batches, batches the adaptive planner migrated, and
 //! segments appended to a live store by streaming ingest
 //! ([`ShardedSpillStore::open_streaming`]) all sit in one entry table and
 //! share one visit / rebalance / checkpoint / tenant-read path.
 
-use std::collections::{HashMap, HashSet, VecDeque};
 use std::fs::{self, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use toc_formats::wire::Rd;
-use toc_formats::{AnyBatch, ExecScratch, FormatError, MatrixBatch, Scheme};
+use toc_formats::{AnyBatch, FormatError, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
 
-use crate::io::{
-    lock, rlock, wait, wlock, IoShards, RingIo, SpillDevice, SpillRequest, Ticket, MAX_IO_THREADS,
-};
+use crate::io::{lock, rlock, wait, wlock, InlineIo, IoShards, RingIo, SpillDevice};
 pub use crate::io::{
     DeviceProfile, IoEngineKind, IoSnapshot, IoStats, Pinning, SchedulerConfig, SpillIo,
 };
+use crate::prefetch::{Prefetcher, MAX_PREFETCH_WORKERS};
 
 /// How spilled batches are laid out across the shard files.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -133,12 +131,12 @@ pub struct StoreConfig {
     /// pipeline keeps decoded (or in flight) ahead of the visitors. `0`
     /// disables prefetch.
     pub prefetch: usize,
-    /// Spill-IO engine for the prefetch pipeline (see [`IoEngineKind`]).
+    /// Spill-IO engine of the prefetch pipeline (see [`IoEngineKind`]).
     pub io: IoEngineKind,
     /// Spilled-batch layout across shard files.
     pub placement: ShardPlacement,
-    /// IO-thread/decode-worker scheduling and shard pinning for the
-    /// prefetch pipeline (see [`SchedulerConfig`]).
+    /// IO-thread/decode-worker counts of the prefetch pipeline (see
+    /// [`SchedulerConfig`]).
     pub scheduler: SchedulerConfig,
     /// Per-shard simulated device profiles (cycled over the shards when
     /// shorter). Overrides the uniform `disk_mbps` per device — this is
@@ -232,8 +230,7 @@ impl StoreConfig {
         self
     }
 
-    /// Builder-style scheduler override (IO threads, decode workers,
-    /// shard pinning).
+    /// Builder-style scheduler override (IO threads, decode workers).
     pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
         self.scheduler = scheduler;
         self
@@ -279,10 +276,10 @@ impl StoreConfig {
 static NEXT_STORE_ID: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
-    /// Per-thread staging for synchronous spilled reads. Prefetch workers
-    /// own an [`ExecScratch`] slot; every other reader (plain visits,
-    /// prefetch misses) reuses this buffer, so the hot read path performs
-    /// no per-read heap allocation on any thread.
+    /// Per-thread staging for a visitor's own spilled reads (plain
+    /// visits, prefetch misses); the pipeline's reads recycle their
+    /// buffers through its pool, so the hot read path performs no
+    /// per-read heap allocation on any thread.
     static SYNC_SPILL_BUF: std::cell::RefCell<Vec<u8>> =
         const { std::cell::RefCell::new(Vec::new()) };
 }
@@ -387,7 +384,7 @@ enum Slot {
 /// ([`ShardedSpillStore::append_sealed`]). Entries are `Arc`-shared so a
 /// visitor clones one out of a brief table read lock and decodes without
 /// holding any lock.
-struct Entry {
+pub(crate) struct Entry {
     slot: Slot,
     labels: Vec<f64>,
     /// Visit count of a spilled entry — the hotness signal the adaptive
@@ -409,7 +406,7 @@ impl Entry {
     }
 
     /// Current location, when the entry is disk-resident.
-    fn loc(&self) -> Option<DiskLoc> {
+    pub(crate) fn loc(&self) -> Option<DiskLoc> {
         match &self.slot {
             Slot::Disk(loc) => Some(*rlock(loc)),
             Slot::Memory(_) => None,
@@ -434,15 +431,16 @@ struct PlacementStats {
     migrated_bytes: AtomicU64,
 }
 
-/// State shared between the store handle and the prefetch workers.
-struct Inner {
+/// The store's shared state: what the handle, the prefetch pipeline and
+/// an [`AppenderToken`] all look at.
+pub(crate) struct Inner {
     scheme: Scheme,
     features: usize,
     /// The one entry table, in visit order: build-time batches first,
     /// then every segment streaming ingest appended. It only grows, and
     /// only under the `append` mutex; readers may index below the
     /// `sealed` watermark.
-    entries: RwLock<Vec<Arc<Entry>>>,
+    pub(crate) entries: RwLock<Vec<Arc<Entry>>>,
     /// Visibility watermark for `entries`: stored with `Release` only
     /// after a segment's bytes are fully in its shard file *and* its
     /// entry is pushed, so any index below the watermark (loaded with
@@ -456,7 +454,7 @@ struct Inner {
     /// arbitrarily many in-memory batches between spilled ones; scanning
     /// the table for the next spilled index under the prefetch lock
     /// would be O(n)).
-    spilled_order: Vec<usize>,
+    pub(crate) spilled_order: Vec<usize>,
     shard_meta: Vec<ShardMeta>,
     /// Streaming-append state (cursors, sequence, byte total). Doubles as
     /// the placement mutation lock: rebalance and streaming-ingest
@@ -480,7 +478,7 @@ struct Inner {
     /// High-water mark of `sealed - consumed` observed at append time.
     peak_pending: AtomicUsize,
     placement_stats: PlacementStats,
-    io: Arc<IoShards>,
+    pub(crate) io: Arc<IoShards>,
 }
 
 /// Exclusive structured-appender registration
@@ -634,278 +632,23 @@ struct AppendState {
 }
 
 impl Inner {
+    #[cfg(test)]
     fn disk_loc(&self, idx: usize) -> Option<DiskLoc> {
         rlock(&self.entries)[idx].loc()
     }
 
     /// Read and parse one spilled batch, staged through the visitor
     /// thread's reusable buffer (plain visits and prefetch misses).
-    fn read_disk_sync(&self, loc: DiskLoc) -> AnyBatch {
+    pub(crate) fn read_disk_sync(&self, loc: DiskLoc) -> AnyBatch {
         SYNC_SPILL_BUF.with(|cell| read_parse(&self.io, loc, &mut cell.borrow_mut()))
-    }
-}
-
-#[derive(Default)]
-struct PrefetchState {
-    /// Sync mode: indices scheduled but not yet picked up by a worker.
-    queue: VecDeque<usize>,
-    /// Indices the pipeline owns right now: being read by a sync worker,
-    /// in flight on the async engine, or decoding.
-    pending: HashSet<usize>,
-    /// Async mode: engine ticket → entry index, for routing completions.
-    tickets: HashMap<Ticket, usize>,
-    /// Async mode: submitted-but-not-completed requests per shard (the
-    /// per-shard K cap).
-    in_flight_shard: Vec<usize>,
-    /// Async mode: recycled read buffers; submission pops, decode pushes
-    /// back, so steady-state prefetching allocates only decoded batches.
-    buf_pool: Vec<Vec<u8>>,
-    /// Decoded batches awaiting their visitor.
-    ready: HashMap<usize, AnyBatch>,
-    shutdown: bool,
-}
-
-struct PrefetchShared {
-    state: Mutex<PrefetchState>,
-    /// Wakes sync workers: new work queued, backpressure released, shutdown.
-    work: Condvar,
-    /// Wakes visitors blocked on an in-flight slot.
-    done: Condvar,
-}
-
-/// Background decode pipeline. In sync mode worker threads pull scheduled
-/// indices, read them from the shards (positional IO, per-shard throttle)
-/// into reusable [`ExecScratch`]-backed slots, and park the decoded
-/// batches for the visitors. In async mode ([`StoreConfig::with_io`])
-/// submission happens at schedule time — the visitor's lookahead submits
-/// straight to the [`SpillIo`] engine, keeping up to `depth` reads in
-/// flight per shard — and the workers only harvest completions and
-/// decode. Backpressure caps owned-but-unconsumed slots at `2 × depth`
-/// either way.
-struct Prefetcher {
-    shared: Arc<PrefetchShared>,
-    engine: Option<Arc<dyn SpillIo>>,
-    depth: usize,
-    workers: Vec<JoinHandle<()>>,
-}
-
-const MAX_PREFETCH_WORKERS: usize = 8;
-
-/// Submit the next spilled indices after `after` (cyclically, so the
-/// pipeline stays warm across epoch boundaries) straight to the async
-/// engine, honoring the global `2 × depth` backpressure window and the
-/// per-shard in-flight cap of `depth`.
-fn submit_lookahead(
-    inner: &Inner,
-    engine: &dyn SpillIo,
-    st: &mut PrefetchState,
-    after: Option<usize>,
-    depth: usize,
-) {
-    let order = &inner.spilled_order;
-    if order.is_empty() {
-        return;
-    }
-    // One table read lock for the whole walk, not one per candidate.
-    let entries = rlock(&inner.entries);
-    let start = match after {
-        Some(idx) => order.partition_point(|&i| i <= idx),
-        None => 0,
-    };
-    // Early-exit bookkeeping: once every shard is at its in-flight cap no
-    // later candidate can submit either, so the walk must stop instead of
-    // scanning the whole spilled order under the state lock.
-    let mut open_shards = st.in_flight_shard.iter().filter(|&&n| n < depth).count();
-    for k in 0..order.len() {
-        if open_shards == 0 || st.pending.len() + st.ready.len() >= 2 * depth {
-            break;
-        }
-        let i = order[(start + k) % order.len()];
-        if st.pending.contains(&i) || st.ready.contains_key(&i) {
-            continue;
-        }
-        let loc = entries[i]
-            .loc()
-            .expect("spilled_order holds a memory entry");
-        if st.in_flight_shard[loc.shard] >= depth {
-            continue;
-        }
-        let buf = st.buf_pool.pop().unwrap_or_default();
-        let ticket = engine.submit(
-            SpillRequest {
-                shard: loc.shard,
-                offset: loc.offset,
-                len: loc.len,
-            },
-            buf,
-        );
-        st.tickets.insert(ticket, i);
-        st.pending.insert(i);
-        st.in_flight_shard[loc.shard] += 1;
-        if st.in_flight_shard[loc.shard] >= depth {
-            open_shards -= 1;
-        }
-    }
-}
-
-impl Prefetcher {
-    fn start(
-        inner: Arc<Inner>,
-        depth: usize,
-        engine: Option<Arc<dyn SpillIo>>,
-        decode_workers: usize,
-    ) -> Self {
-        let shared = Arc::new(PrefetchShared {
-            state: Mutex::new(PrefetchState {
-                in_flight_shard: vec![0; inner.io.devices.len()],
-                ..PrefetchState::default()
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        // Seed the pipeline with the first spilled indices so the very
-        // first epoch already overlaps IO with compute.
-        {
-            let mut st = lock(&shared.state);
-            match &engine {
-                Some(engine) => submit_lookahead(&inner, engine.as_ref(), &mut st, None, depth),
-                None => st
-                    .queue
-                    .extend(inner.spilled_order.iter().take(depth).copied()),
-            }
-        }
-        let threads = decode_workers.clamp(1, MAX_PREFETCH_WORKERS);
-        let workers = (0..threads)
-            .map(|w| {
-                let inner = Arc::clone(&inner);
-                let shared = Arc::clone(&shared);
-                let engine = engine.clone();
-                std::thread::spawn(move || match engine {
-                    // Worker `w` drains completion lane `w`: with striped
-                    // lanes ([`SchedulerConfig`] pinning) a shard's
-                    // batches always decode on the same worker.
-                    Some(e) => Self::async_worker_loop(&shared, e.as_ref(), depth, w),
-                    None => Self::sync_worker_loop(&inner, &shared, depth),
-                })
-            })
-            .collect();
-        Self {
-            shared,
-            engine,
-            depth,
-            workers,
-        }
-    }
-
-    fn sync_worker_loop(inner: &Inner, shared: &PrefetchShared, depth: usize) {
-        // The reusable slot: IO staging lives in the worker's scratch and
-        // persists across prefetches, so steady-state prefetching
-        // allocates only the decoded batch itself.
-        let mut scratch = ExecScratch::default();
-        loop {
-            let idx = {
-                let mut st = lock(&shared.state);
-                loop {
-                    if st.shutdown {
-                        return;
-                    }
-                    if st.ready.len() < 2 * depth {
-                        if let Some(i) = st.queue.pop_front() {
-                            st.pending.insert(i);
-                            break i;
-                        }
-                    }
-                    st = wait(&shared.work, st);
-                }
-            };
-            let loc = inner.disk_loc(idx).expect("prefetch of in-memory batch");
-            // Contain read/parse panics (truncated shard, corrupt bytes):
-            // the index must leave `pending` either way, or a visitor
-            // waiting on it would hang forever. On failure the index is
-            // simply no longer tracked — the visitor falls through to the
-            // synchronous path and surfaces the underlying error itself.
-            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                read_parse(&inner.io, loc, &mut scratch.spill_bytes)
-            }));
-            let mut st = lock(&shared.state);
-            st.pending.remove(&idx);
-            if let Ok(batch) = result {
-                st.ready.insert(idx, batch);
-            }
-            drop(st);
-            shared.done.notify_all();
-        }
-    }
-
-    /// Async mode: harvest engine completions and decode them. Reads are
-    /// already in flight (submitted by the visitors' lookahead), so this
-    /// thread's decode time overlaps the engine's IO time — the
-    /// submit/complete split the synchronous loop can't express.
-    fn async_worker_loop(shared: &PrefetchShared, engine: &dyn SpillIo, depth: usize, lane: usize) {
-        while let Some(c) = engine.complete_on(lane) {
-            let idx = {
-                let mut st = lock(&shared.state);
-                match st.tickets.remove(&c.ticket) {
-                    Some(i) => i,
-                    // Ticket from a dropped epoch of the pipeline (cannot
-                    // happen today — one engine per prefetcher — but a
-                    // stray completion must not corrupt state).
-                    None => continue,
-                }
-            };
-            // Decode outside the lock; contain parse panics like the sync
-            // loop does.
-            let batch = match &c.result {
-                Ok(()) => std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    Scheme::from_bytes(&c.buf)
-                }))
-                .ok()
-                .and_then(|r| r.ok()),
-                Err(_) => None,
-            };
-            let mut st = lock(&shared.state);
-            if let Some(n) = st.in_flight_shard.get_mut(c.shard) {
-                *n = n.saturating_sub(1);
-            }
-            st.pending.remove(&idx);
-            if let Some(b) = batch {
-                st.ready.insert(idx, b);
-            }
-            // Recycle the read buffer, bounded so a burst can't hoard
-            // memory forever.
-            if st.buf_pool.len() < 2 * depth + MAX_IO_THREADS {
-                st.buf_pool.push(c.buf);
-            }
-            drop(st);
-            shared.done.notify_all();
-        }
-    }
-}
-
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        lock(&self.shared.state).shutdown = true;
-        self.shared.work.notify_all();
-        self.shared.done.notify_all();
-        if let Some(e) = &self.engine {
-            // Wakes async workers blocked in complete(); queued
-            // submissions are dropped.
-            e.shutdown();
-        }
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
-        // The engine itself (and its IO threads) drops with `self.engine`
-        // after every worker has exited.
     }
 }
 
 /// Sharded, concurrent out-of-core store: spilled batches are laid out
 /// across N shard files ([`ShardPlacement`]), the read path is lock-free
 /// positional IO, and an optional prefetch pipeline keeps upcoming
-/// batches decoded in the background — synchronously per worker, or
-/// overlapped through an async [`SpillIo`] engine. Implements
-/// [`BatchProvider`].
+/// batches decoded in the background over a [`SpillIo`] engine.
+/// Implements [`BatchProvider`].
 pub struct ShardedSpillStore {
     inner: Arc<Inner>,
     prefetcher: Option<Prefetcher>,
@@ -913,7 +656,6 @@ pub struct ShardedSpillStore {
     memory_bytes: usize,
     spilled_bytes: usize,
     placement: ShardPlacement,
-    scheduler: SchedulerConfig,
     /// Resolved scheduling (for [`PlacementReport`] / the CLI stats line).
     io_threads: usize,
     decode_workers: usize,
@@ -1059,10 +801,10 @@ impl ShardedSpillStore {
     /// The one place a store comes together, whatever produced its
     /// entries and shard files (a build, an empty streaming open, or a
     /// checkpoint resume): device profiles, the shared [`Inner`],
-    /// scheduler resolution + pin-map validation, and the prefetch
-    /// pipeline. The last `appended` entries count as stream-appended;
-    /// the prefetcher covers the build-time spilled entries before them.
-    /// Appends continue at each shard file's current length.
+    /// scheduler resolution, and the prefetch pipeline. The last
+    /// `appended` entries count as stream-appended; the prefetcher covers
+    /// the build-time spilled entries before them. Appends continue at
+    /// each shard file's current length.
     fn assemble(
         config: &StoreConfig,
         features: usize,
@@ -1092,9 +834,6 @@ impl ShardedSpillStore {
                 (SpillDevice::with_profile(file, profile), ShardMeta { path })
             })
             .unzip();
-        let n_shards = devices.len();
-        let io = Arc::new(IoShards::new(devices, config.disk_mbps));
-
         let built = entries.len() - appended;
         let spilled_len = |es: &[Arc<Entry>]| -> u64 {
             es.iter()
@@ -1126,49 +865,31 @@ impl ShardedSpillStore {
             consumed_cv: Condvar::new(),
             peak_pending: AtomicUsize::new(0),
             placement_stats: PlacementStats::default(),
-            io: Arc::clone(&io),
+            io: Arc::new(IoShards::new(devices, config.disk_mbps)),
         });
-        // Resolve the scheduler even when no engine starts, so the report
-        // and the CLI stats line always name real numbers — and so an
-        // invalid pin map is rejected no matter which engine runs.
+        // Resolve the decode workers even when no pipeline starts, so the
+        // report and the CLI stats line always name real numbers. IO
+        // threads are reported only when an engine actually runs them;
+        // the inline engine's reads happen inside the decode workers.
         let sched = &config.scheduler;
         let decode_workers = sched.resolved_decode_workers(config.prefetch, MAX_PREFETCH_WORKERS);
-        let io_threads = sched.resolved_io_threads(config.io, n_shards.max(1), config.prefetch);
-        let ring_assign = if n_shards > 0 {
-            sched
-                .ring_assignment(n_shards, io_threads)
-                .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidInput, e))?
-        } else {
-            Vec::new()
-        };
-        let mut engine_io_threads = 0;
+        let mut io_threads = 0;
         let prefetcher = (config.prefetch > 0 && !inner.spilled_order.is_empty()).then(|| {
             // A fault plan replaces the configured engine with FaultyIo,
-            // whose worker count comes from the plan. IO threads are
-            // reported only when an async engine actually runs them; the
-            // sync pipeline's reads happen inside the decode workers.
-            let engine: Option<Arc<dyn SpillIo>> = if let Some(plan) = &config.fault {
-                engine_io_threads = plan.resolved_workers();
-                Some(Arc::new(crate::testing::FaultyIo::start(
-                    Arc::clone(&io),
-                    plan.clone(),
-                )))
-            } else {
-                match config.io {
-                    IoEngineKind::Sync => None,
-                    IoEngineKind::Ring => {
-                        engine_io_threads = io_threads;
-                        let lanes = sched.completion_lanes(decode_workers, n_shards);
-                        Some(Arc::new(RingIo::start(
-                            Arc::clone(&io),
-                            io_threads,
-                            ring_assign,
-                            lanes,
-                        )))
-                    }
+            // whose worker count comes from the plan.
+            let io = Arc::clone(&inner.io);
+            let engine: Arc<dyn SpillIo> = match (&config.fault, config.io) {
+                (Some(plan), _) => {
+                    io_threads = plan.resolved_workers();
+                    Arc::new(crate::testing::FaultyIo::start(io, plan.clone()))
+                }
+                (None, IoEngineKind::Sync) => Arc::new(InlineIo::new(io)),
+                (None, IoEngineKind::Ring) => {
+                    io_threads = sched.resolved_io_threads(inner.shard_meta.len());
+                    Arc::new(RingIo::start(io, io_threads))
                 }
             };
-            Prefetcher::start(Arc::clone(&inner), config.prefetch, engine, decode_workers)
+            Prefetcher::start(&inner, config.prefetch, engine, decode_workers)
         });
         Ok(Self {
             inner,
@@ -1177,8 +898,7 @@ impl ShardedSpillStore {
             memory_bytes,
             spilled_bytes,
             placement: config.placement,
-            scheduler: config.scheduler.clone(),
-            io_threads: engine_io_threads,
+            io_threads,
             decode_workers,
             ingest_fault: config.fault.clone(),
         })
@@ -1549,72 +1269,12 @@ impl ShardedSpillStore {
             .map(|mbps| mbps * 1e6)
     }
 
-    /// Schedule the next spilled indices after `idx` (cyclically, so the
-    /// pipeline stays warm across epoch boundaries) that are not already
-    /// queued, in flight, or decoded — sync mode only. The walk runs over
-    /// `Inner::spilled_order`, never the full entry table, and the queue
-    /// is capped at `depth`: visits consume one slot each, so an uncapped
-    /// queue would grow until every spilled index sat in it and the
-    /// `queue.contains` membership scan became O(n) under the shared
-    /// lock. The cap keeps that scan O(depth).
-    fn schedule_lookahead(&self, st: &mut PrefetchState, idx: usize, depth: usize) {
-        let order = &self.inner.spilled_order;
-        let start = order.partition_point(|&i| i <= idx);
-        for k in 0..order.len() {
-            if st.queue.len() >= depth {
-                break;
-            }
-            let i = order[(start + k) % order.len()];
-            if !st.pending.contains(&i) && !st.ready.contains_key(&i) && !st.queue.contains(&i) {
-                st.queue.push_back(i);
-            }
-        }
-    }
-
     /// Materialize the spilled batch `idx`, through the prefetch pipeline
     /// when one is running.
     fn fetch(&self, idx: usize, loc: DiskLoc) -> AnyBatch {
-        let Some(pf) = &self.prefetcher else {
-            return self.inner.read_disk_sync(loc);
-        };
-        let stats = &self.inner.io.stats;
-        stats.spill_requests.fetch_add(1, Ordering::Relaxed);
-        let mut st = lock(&pf.shared.state);
-        // Schedule the lookahead window first so the pipeline overlaps
-        // the next batches with whatever this visit does. In async mode
-        // scheduling *is* submission — the reads are in flight before we
-        // even check our own slot.
-        match &pf.engine {
-            Some(engine) => {
-                submit_lookahead(&self.inner, engine.as_ref(), &mut st, Some(idx), pf.depth)
-            }
-            None => {
-                self.schedule_lookahead(&mut st, idx, pf.depth);
-                pf.shared.work.notify_all();
-            }
-        }
-        loop {
-            if let Some(b) = st.ready.remove(&idx) {
-                drop(st);
-                stats.prefetch_hits.fetch_add(1, Ordering::Relaxed);
-                // A decoded slot was released: let backpressured sync
-                // workers run (async submission re-fills on later visits).
-                pf.shared.work.notify_all();
-                return b;
-            }
-            if st.pending.contains(&idx) {
-                // In flight: the IO overlaps our wait, still a hit.
-                st = wait(&pf.shared.done, st);
-                continue;
-            }
-            // Not scheduled (or still queued in sync mode): claim it and
-            // read inline.
-            if let Some(pos) = st.queue.iter().position(|&q| q == idx) {
-                st.queue.remove(pos);
-            }
-            drop(st);
-            stats.prefetch_misses.fetch_add(1, Ordering::Relaxed);
-            return self.inner.read_disk_sync(loc);
+        match &self.prefetcher {
+            Some(pf) => pf.fetch(&self.inner, idx, loc),
+            None => self.inner.read_disk_sync(loc),
         }
     }
 
@@ -1625,7 +1285,6 @@ impl ShardedSpillStore {
         let ps = &self.inner.placement_stats;
         PlacementReport {
             policy: self.placement,
-            pinning: self.scheduler.pinning.clone(),
             io_threads: self.io_threads,
             decode_workers: self.decode_workers,
             rebalances: ps.rebalances.load(Ordering::Relaxed),
@@ -1741,9 +1400,8 @@ pub const REBALANCE_HYSTERESIS: f64 = 1.25;
 #[derive(Clone, Debug)]
 pub struct PlacementReport {
     pub policy: ShardPlacement,
-    pub pinning: Pinning,
-    /// Async-engine IO threads actually running (0 when the pipeline is
-    /// sync or prefetch is off).
+    /// IO threads the pipeline's engine runs (0 under the inline engine,
+    /// whose reads happen in the decode workers, or with prefetch off).
     pub io_threads: usize,
     pub decode_workers: usize,
     /// Adaptive rebalance passes that had profiler signal to plan with.
@@ -2104,13 +1762,7 @@ mod tests {
         let pf = store.prefetcher.as_ref().unwrap();
         let deadline = Instant::now() + Duration::from_secs(10);
         for i in 1..=3 {
-            loop {
-                {
-                    let st = lock(&pf.shared.state);
-                    if st.ready.contains_key(&i) {
-                        break;
-                    }
-                }
+            while !pf.is_ready(i) {
                 assert!(
                     Instant::now() < deadline,
                     "prefetch workers stalled on batch {i}"
@@ -2401,46 +2053,43 @@ mod tests {
         }
     }
 
+    /// One decode worker, stuck for ~100 ms reading batch 0 off a slow
+    /// shard: a visitor that asks for batch 1 meanwhile finds its request
+    /// still queued behind the worker, takes it back and reads it itself
+    /// off the fast shard — one miss, no wait — and the taken-back
+    /// request never shows up decoded.
     #[test]
-    fn invalid_pin_maps_fail_store_build() {
+    fn visitor_ahead_of_a_busy_worker_takes_its_batch_back() {
         let (x, y) = dataset();
-        // Wrong length (2 shards, 1 entry) and out-of-range thread index.
-        for pinning in [Pinning::Fixed(vec![0]), Pinning::Fixed(vec![0, 7])] {
-            let config = StoreConfig::new(Scheme::Toc, 100, 0)
-                .with_shards(2)
-                .with_prefetch(2)
-                .with_io(IoEngineKind::Ring)
-                .with_scheduler(SchedulerConfig {
-                    io_threads: 2,
-                    decode_workers: 2,
-                    pinning: pinning.clone(),
-                });
-            let err = match ShardedSpillStore::build(&x, &y, &config) {
-                Err(e) => e,
-                Ok(_) => panic!("pin map {pinning:?} must fail the build"),
-            };
-            assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput, "{pinning:?}");
-        }
-        // A valid map builds and serves batches through the pinned ring.
-        let config = StoreConfig::new(Scheme::Toc, 100, 0)
+        let config = StoreConfig::new(Scheme::Den, 100, 0)
             .with_shards(2)
+            .with_shard_mbps(vec![0.5, 2000.0])
             .with_prefetch(2)
-            .with_io(IoEngineKind::Ring)
             .with_scheduler(SchedulerConfig {
-                io_threads: 2,
-                decode_workers: 2,
-                pinning: Pinning::Fixed(vec![1, 0]),
+                decode_workers: 1,
+                ..SchedulerConfig::default()
             });
         let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-        for i in 0..store.num_batches() {
-            store.visit(i, &mut |b, _| {
-                assert_eq!(b.decode(), x.slice_rows(i * 100, (i + 1) * 100));
-            });
-        }
-        let rep = store.placement_report();
-        assert_eq!(rep.pinning, Pinning::Fixed(vec![1, 0]));
-        assert_eq!(rep.io_threads, 2);
-        assert_eq!(rep.decode_workers, 2);
-        store.stats().snapshot_stable().assert_consistent();
+        let t0 = Instant::now();
+        store.visit(1, &mut |b, _| {
+            assert_eq!(b.decode(), x.slice_rows(100, 200));
+        });
+        let took = t0.elapsed();
+        let s = store.stats().snapshot();
+        assert_eq!(
+            (s.prefetch_hits, s.prefetch_misses, s.spill_requests),
+            (0, 1, 1),
+            "batch 1 was not taken back (visit took {took:?}): {s:?}"
+        );
+        assert!(!store.prefetcher.as_ref().unwrap().is_ready(1));
+        // Batch 0 is the read the worker is in the middle of: it cannot
+        // be taken back, the visitor waits for it, and that is a hit.
+        store.visit(0, &mut |b, _| {
+            assert_eq!(b.decode(), x.slice_rows(0, 100));
+        });
+        let s = store.stats().snapshot_stable();
+        s.assert_consistent();
+        assert_eq!((s.prefetch_hits, s.prefetch_misses), (1, 1), "{s:?}");
+        assert_eq!((s.submitted, s.completed), (0, 0), "inline engine: {s:?}");
     }
 }

@@ -2,15 +2,16 @@
 //! training run regardless of where the batches physically live or which
 //! IO path serves them. Eight store configurations — in-memory, single
 //! spill file, sharded, sharded+sync-prefetch, async ring over striped
-//! and packed layouts, adaptive placement over asymmetric shards, and
-//! adaptive+ring with a fixed pin map — feed the identical batch stream, so the final weights
-//! *and* the per-epoch error trajectory must agree with `==`, not a
-//! tolerance. The adaptive legs migrate batches between shards mid-run
-//! (the trainer fires `end_epoch` after every pass), which must never
-//! change a byte of what the trainer sees.
+//! and packed layouts, and adaptive placement over asymmetric shards on
+//! a ring with more decode workers than IO threads and on one with a
+//! single IO thread — feed the identical batch stream, so the final
+//! weights *and* the per-epoch error trajectory must agree with `==`,
+//! not a tolerance. The adaptive legs migrate batches between shards
+//! mid-run (the trainer fires `end_epoch` after every pass), which must
+//! never change a byte of what the trainer sees.
 
 use toc_data::store::{
-    IoEngineKind, Pinning, SchedulerConfig, ShardPlacement, ShardedSpillStore, StoreConfig,
+    IoEngineKind, SchedulerConfig, ShardPlacement, ShardedSpillStore, StoreConfig,
 };
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_data::DeviceProfile;
@@ -109,7 +110,7 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
         // skew forces real migrations at every epoch boundary while the
         // trainer is mid-run.
         (
-            "adaptive-ring-auto",
+            "adaptive-ring-2io-4dec",
             StoreConfig::new(scheme, batch_rows, 0)
                 .with_shards(3)
                 .with_prefetch(3)
@@ -118,12 +119,12 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
                 .with_shard_mbps(vec![900.0, 90.0, 90.0])
                 .with_scheduler(SchedulerConfig {
                     io_threads: 2,
-                    decode_workers: 2,
-                    pinning: Pinning::Auto,
+                    decode_workers: 4,
+                    ..SchedulerConfig::default()
                 }),
         ),
         (
-            "adaptive-ring-pinned",
+            "adaptive-ring-1io-3dec",
             StoreConfig::new(scheme, batch_rows, 0)
                 .with_shards(3)
                 .with_prefetch(3)
@@ -135,9 +136,9 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
                     DeviceProfile::stable(90.0),
                 ])
                 .with_scheduler(SchedulerConfig {
-                    io_threads: 2,
+                    io_threads: 1,
                     decode_workers: 3,
-                    pinning: Pinning::Fixed(vec![0, 1, 0]),
+                    ..SchedulerConfig::default()
                 }),
         ),
     ];

@@ -39,13 +39,35 @@ fn training_parity_across_all_schemes_through_the_store() {
 }
 
 /// Spilling to disk must not change the trained model at all: the bytes
-/// read back are identical to the bytes written.
+/// read back are identical to the bytes written, whichever path reads
+/// them — the visitor itself, the prefetch pipeline over either engine,
+/// or the pipeline over the fault-injecting engine double.
 #[test]
 fn spilled_training_is_bit_identical_to_resident_training() {
+    use toc_repro::data::{FaultPlan, IoEngineKind};
     let ds = generate_preset(DatasetPreset::Kdd99Like, 1000, 9);
     let resident = train_weights(&ds, Scheme::Toc, usize::MAX);
-    let spilled = train_weights(&ds, Scheme::Toc, 0);
-    assert_eq!(resident, spilled);
+    let spilled = || StoreConfig::new(Scheme::Toc, 100, 0).with_shards(2);
+    let read_paths = [
+        ("no prefetch", spilled()),
+        ("sync", spilled().with_prefetch(3)),
+        (
+            "ring",
+            spilled().with_prefetch(3).with_io(IoEngineKind::Ring),
+        ),
+        (
+            "faulty",
+            spilled()
+                .with_prefetch(3)
+                .with_fault_plan(FaultPlan::seeded(9)),
+        ),
+    ];
+    for (path, config) in read_paths {
+        let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("store");
+        assert_eq!(store.spilled_batches(), 10, "{path}");
+        assert_eq!(weights(&store), resident, "{path}");
+        store.stats().snapshot_stable().assert_consistent();
+    }
 }
 
 fn train_weights(ds: &toc_repro::data::synth::Dataset, scheme: Scheme, budget: usize) -> Vec<f64> {
