@@ -25,9 +25,11 @@ use args::{Args, Command, Flag, Group};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
-use toc_data::store::{ShardedSpillStore, StoreConfig};
+use toc_data::csv::RowSink;
+use toc_data::store::{split_label, ShardedSpillStore, StoreBuilder, StoreConfig};
+use toc_data::{CsvError, CsvIngestOutcome, CsvStream, SeekableContainer};
 use toc_formats::container::Container;
-use toc_formats::{ClaOptions, EncodeOptions, MatrixBatch, Scheme};
+use toc_formats::{AnyBatch, ClaOptions, EncodeOptions, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, TrainedModel, Trainer};
 use toc_ml::LossKind;
@@ -217,33 +219,48 @@ fn loss_kind(model: &str) -> Result<LossKind, String> {
     }
 }
 
-/// The ±1 label a last-column value stands for.
-fn label(v: f64) -> f64 {
-    if v >= 0.0 {
-        1.0
-    } else {
-        -1.0
+/// A CSV reader's error, with the path on the IO failures that lack it.
+fn csv_error(path: &Path, e: CsvError) -> String {
+    match e {
+        CsvError::Io(e) => format!("open {}: {e}", path.display()),
+        other => other.to_string(),
     }
 }
 
-/// Load `(x, y)` from a `.csv` or a `.tocz`: the last column is the label.
-fn load_xy(input: &str) -> Result<(DenseMatrix, Vec<f64>), String> {
-    let full = if input.ends_with(".tocz") {
-        Container::read(Path::new(input))?.decode()?
-    } else {
-        csv::read_matrix(Path::new(input))?.0
+/// Every row of a `.tocz` container in order, one decoded segment in
+/// memory at a time: a v2 file through the seekable reader; the legacy v1
+/// format has no footer to seek by and is parsed whole, as it always was.
+fn container_rows(path: &Path, f: RowSink<'_>) -> Result<(), String> {
+    if container_version(path)? == 2 {
+        return SeekableContainer::open(path)?.for_each_row(f);
+    }
+    toc_data::io::batch_rows(Container::read(path)?.batches.into_iter().map(Ok), f)
+}
+
+/// The one way `train` and `serve` fill their store: every row of a `.csv`
+/// or a `.tocz` streams into the builder, the last column as the label, so
+/// no more of the input is ever held than the chunk being staged.
+fn build_store(input: &str, config: &StoreConfig) -> Result<ShardedSpillStore, String> {
+    let too_narrow = "need at least one feature column plus the label column";
+    let mut builder: Option<StoreBuilder> = None;
+    let mut fill = |_: usize, row: &[f64]| {
+        if row.len() < 2 {
+            return Err(too_narrow.to_string());
+        }
+        let (features, label) = split_label(row);
+        builder
+            .get_or_insert_with(|| StoreBuilder::new(features.len(), config))
+            .push_row(features, label);
+        Ok(())
     };
-    if full.cols() < 2 {
-        return Err("need at least one feature column plus the label column".into());
+    let path = Path::new(input);
+    if input.ends_with(".tocz") {
+        container_rows(path, &mut fill)?;
+    } else {
+        toc_data::stream_rows(path, &mut fill).map_err(|e| csv_error(path, e))?;
     }
-    let d = full.cols() - 1;
-    let mut x = DenseMatrix::zeros(full.rows(), d);
-    let mut y = Vec::with_capacity(full.rows());
-    for r in 0..full.rows() {
-        x.row_mut(r).copy_from_slice(&full.row(r)[..d]);
-        y.push(label(full.get(r, d)));
-    }
-    Ok((x, y))
+    let store = builder.ok_or(too_narrow)?.finish();
+    store.map_err(|e| e.to_string())
 }
 
 /// The one store configuration of `train` and `serve`, from the encode,
@@ -252,7 +269,7 @@ fn load_xy(input: &str) -> Result<(DenseMatrix, Vec<f64>), String> {
 fn store_config(a: &Args, budget: usize) -> Result<StoreConfig, String> {
     use toc_data::{IoEngineKind, SchedulerConfig, ShardPlacement};
     let scheme = parse_scheme(a.raw(&SCHEME).unwrap_or("toc"))?;
-    let mut config = StoreConfig::new(scheme, a.get(&BATCH_ROWS, 250)?, budget)
+    let mut config = StoreConfig::new(scheme, a.at_least_one(&BATCH_ROWS, 250)?, budget)
         .with_shards(a.get(&SHARDS, 0)?)
         .with_prefetch(a.get(&PREFETCH, 0)?)
         .with_io(a.get(&IO, IoEngineKind::Sync)?)
@@ -328,8 +345,57 @@ fn cmd_gen(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// An output being written piece by piece: removed on drop while `armed`,
+/// so a command that errors *or panics* half way never leaves a truncated
+/// file behind. Disarm once the output is complete.
+struct Unfinished<'a> {
+    path: &'a Path,
+    armed: bool,
+}
+
+impl Drop for Unfinished<'_> {
+    fn drop(&mut self) {
+        if self.armed {
+            std::fs::remove_file(self.path).ok();
+        }
+    }
+}
+
+/// `<in.csv>` → `<out.tocz>` through the one streaming encoder, for
+/// `ingest` and `compress`; `scheme` is `None` for the per-chunk pick over
+/// `Scheme::AUTO_SET`. Returns the outcome and the wall time.
+fn ingest_container(
+    a: &Args,
+    chunk_rows: usize,
+    scheme: Option<Scheme>,
+    checkpoint_every: u64,
+    resume: bool,
+) -> Result<(CsvIngestOutcome, Duration), String> {
+    let out_path = Path::new(a.pos(1));
+    let job = toc_data::CsvContainerJob {
+        csv: Path::new(a.pos(0)).to_path_buf(),
+        out: out_path.to_path_buf(),
+        chunk_rows,
+        scheme,
+        encode: encode_options(a)?,
+        checkpoint_every,
+    };
+    let t0 = Instant::now();
+    // With checkpointing, the partial output plus its sidecar IS the
+    // resume artifact and must survive.
+    let mut guard = Unfinished {
+        path: out_path,
+        armed: checkpoint_every == 0,
+    };
+    let outcome = toc_data::ingest_csv_container(&job, resume).map_err(|e| match e {
+        toc_data::IngestError::Csv(e) => csv_error(&job.csv, e),
+        other => other.to_string(),
+    })?;
+    guard.armed = false;
+    Ok((outcome, t0.elapsed()))
+}
+
 fn cmd_ingest(a: &Args) -> Result<(), String> {
-    use toc_data::{ingest_csv_container, CsvContainerJob};
     let chunk_rows: usize = a.at_least_one(&CHUNK_ROWS, 250)?;
     let resume = a.has(&RESUME);
     // --resume implies periodic checkpointing (a resumed run must stay
@@ -341,39 +407,8 @@ fn cmd_ingest(a: &Args) -> Result<(), String> {
             "{RESUME} needs checkpointing; {every} must be >= 1"
         ));
     }
-    let out_path = Path::new(a.pos(1));
-    let job = CsvContainerJob {
-        csv: Path::new(a.pos(0)).to_path_buf(),
-        out: out_path.to_path_buf(),
-        chunk_rows,
-        scheme: scheme_or_auto(a, "auto")?, // None = per-chunk pick over Scheme::AUTO_SET
-        encode: encode_options(a)?,
-        checkpoint_every,
-    };
-    let t0 = Instant::now();
-
-    // Without checkpointing, never leave a truncated container behind —
-    // whether ingest errors *or panics*. With checkpointing, the partial
-    // output plus its sidecar IS the resume artifact and must survive.
-    struct Cleanup<'a> {
-        path: &'a Path,
-        armed: bool,
-    }
-    impl Drop for Cleanup<'_> {
-        fn drop(&mut self) {
-            if self.armed {
-                std::fs::remove_file(self.path).ok();
-            }
-        }
-    }
-    let mut guard = Cleanup {
-        path: out_path,
-        armed: checkpoint_every == 0,
-    };
-
-    let outcome = ingest_csv_container(&job, resume).map_err(|e| e.to_string())?;
-    guard.armed = false;
-    let elapsed = t0.elapsed();
+    let scheme = scheme_or_auto(a, "auto")?;
+    let (outcome, elapsed) = ingest_container(a, chunk_rows, scheme, checkpoint_every, resume)?;
     let stats = &outcome.stats;
     // Machine-parseable counters (the CLI smoke tests parse this line):
     // key=value pairs only.
@@ -391,7 +426,7 @@ fn cmd_ingest(a: &Args) -> Result<(), String> {
     println!(
         "wrote {} in {elapsed:.1?}: {} rows x {} cols as {} segments \
          ({} KB wire, peak workspace {} KB)",
-        out_path.display(),
+        a.pos(1),
         stats.rows,
         outcome.cols,
         stats.chunks,
@@ -401,34 +436,25 @@ fn cmd_ingest(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// `ingest` without a sidecar, and with TOC where `ingest` defaults to
+/// `auto`.
 fn cmd_compress(a: &Args) -> Result<(), String> {
-    let segment_rows: usize = a.get(&SEGMENT_ROWS, 250)?;
-    let opts = encode_options(a)?;
-    let (m, _) = csv::read_matrix(Path::new(a.pos(0)))?;
-    let scheme = scheme_or_auto(a, "toc")?.unwrap_or_else(|| {
-        // Pick on the first batch: CLA is judged by its planner estimate,
-        // the others by an encode probe of one batch.
-        let probe = m.slice_rows(0, m.rows().min(segment_rows));
-        let picked = toc_formats::pick_scheme(&probe, &Scheme::AUTO_SET, &opts);
-        println!("auto: picked {}", picked.name());
-        picked
-    });
-    let t0 = Instant::now();
-    let container = Container::encode_with(&m, scheme, segment_rows, &opts);
-    let elapsed = t0.elapsed();
-    container.write(Path::new(a.pos(1)))?;
-    let den = m.den_size_bytes();
-    let enc = container.payload_bytes();
+    let segment_rows: usize = a.at_least_one(&SEGMENT_ROWS, 250)?;
+    let scheme = scheme_or_auto(a, "toc")?;
+    let (outcome, elapsed) = ingest_container(a, segment_rows, scheme, 0, false)?;
+    let stats = &outcome.stats;
+    if scheme.is_none() {
+        println!("auto: schemes={}", stats.scheme_summary());
+    }
+    let name = scheme.map_or("auto", Scheme::name);
+    let den = 16 + 8 * stats.rows * outcome.cols as u64;
     println!(
-        "{}: {} rows x {} cols -> {} batches, {} -> {} bytes ({:.1}x) in {:.1?}",
-        scheme.name(),
-        m.rows(),
-        m.cols(),
-        container.batches.len(),
-        den,
-        enc,
-        den as f64 / enc as f64,
-        elapsed,
+        "{name}: {} rows x {} cols -> {} batches, {den} -> {} bytes ({:.1}x) in {elapsed:.1?}",
+        stats.rows,
+        outcome.cols,
+        stats.chunks,
+        stats.encoded_bytes,
+        den as f64 / stats.encoded_bytes as f64,
     );
     Ok(())
 }
@@ -471,31 +497,46 @@ fn cmd_decompress(a: &Args) -> Result<(), String> {
     let rows = rows.map_err(|e| format!("{}: {e}", ROW_RANGE.name))?;
     let parallel: usize = a.get(&PARALLEL, 1)?;
     let path = Path::new(input);
-    let m = match rows {
-        Some((r0, r1)) if container_version(path)? == 2 => {
-            // Seekable projection: only the segments overlapping the range
-            // are read from disk at all.
-            let sc = toc_data::SeekableContainer::open(path)?;
-            let m = sc.decode_rows_parallel(r0, r1, parallel)?;
-            let s = sc.stats().snapshot();
-            println!(
-                "seek: {} reads, {} of {} payload bytes",
-                s.disk_reads,
-                s.bytes_read,
-                sc.payload_bytes(),
-            );
-            m
-        }
-        Some((r0, r1)) => Container::read(path)?.decode_rows(r0, r1)?,
-        None => Container::read(path)?.decode()?,
+    let mut out = csv::CsvWriter::create(Path::new(output), None)?;
+    let mut guard = Unfinished {
+        path: Path::new(output),
+        armed: true,
     };
-    csv::write_matrix(Path::new(output), &m, None)?;
-    println!(
-        "decoded {} rows x {} cols to {}",
-        m.rows(),
-        m.cols(),
-        output
-    );
+    let (n_rows, n_cols) = match rows {
+        None => {
+            let (mut n_rows, mut n_cols) = (0, 0);
+            container_rows(path, &mut |_, row| {
+                (n_rows, n_cols) = (n_rows + 1, row.len());
+                out.row(row)
+            })?;
+            (n_rows, n_cols)
+        }
+        Some((r0, r1)) => {
+            let m = if container_version(path)? == 2 {
+                // Seekable projection: only the segments overlapping the
+                // range are read from disk at all.
+                let sc = SeekableContainer::open(path)?;
+                let m = sc.decode_rows_parallel(r0, r1, parallel)?;
+                let s = sc.stats().snapshot();
+                println!(
+                    "seek: {} reads, {} of {} payload bytes",
+                    s.disk_reads,
+                    s.bytes_read,
+                    sc.payload_bytes(),
+                );
+                m
+            } else {
+                Container::read(path)?.decode_rows(r0, r1)?
+            };
+            for r in 0..m.rows() {
+                out.row(m.row(r))?;
+            }
+            (m.rows(), m.cols())
+        }
+    };
+    out.finish()?;
+    guard.armed = false;
+    println!("decoded {n_rows} rows x {n_cols} cols to {output}");
     Ok(())
 }
 
@@ -538,19 +579,41 @@ fn print_layout_node(node: &toc_formats::container::LayoutNode, depth: usize, bu
     }
 }
 
+/// The `inspect` line of one decoded batch.
+fn print_batch(i: usize, b: &AnyBatch) {
+    let extra = if let AnyBatch::Toc(t) = b {
+        let s = t.toc().stats();
+        format!(
+            " |I|={} uniq={} |D|={} nodes={}",
+            s.first_layer_len, s.unique_values, s.codes_len, s.n_nodes
+        )
+    } else {
+        String::new()
+    };
+    println!(
+        "  batch {i}: {}x{} {} bytes{extra}",
+        b.rows(),
+        b.cols(),
+        b.size_bytes()
+    );
+}
+
 fn cmd_inspect(a: &Args) -> Result<(), String> {
+    /// Batches printed in full; the rest are counted.
+    const SHOWN: usize = 8;
     let input = a.pos(0);
-    let version = container_version(Path::new(input))?;
-    if version == 2 {
-        let bytes = std::fs::read(Path::new(input)).map_err(|e| format!("read {input}: {e}"))?;
-        let (footer, ps) =
-            toc_formats::container::parse_v2_footer(&bytes).map_err(|e| format!("{input}: {e}"))?;
+    let path = Path::new(input);
+    // (batches, rows, cols, encoded bytes). A v2 file answers from its
+    // footer and the segments shown; v1 has to be parsed whole.
+    let (batches, rows, cols, total) = if container_version(path)? == 2 {
+        let sc = SeekableContainer::open(path)?;
+        let (footer, ps) = (sc.footer(), sc.postscript());
         println!(
             "{}: v2, {} segments, {} rows x {} cols, footer {} bytes at {} (tree depth {})",
             input,
-            footer.num_segments(),
-            footer.total_rows(),
-            footer.cols,
+            sc.num_segments(),
+            sc.total_rows(),
+            sc.cols(),
             ps.footer_len,
             ps.footer_offset,
             footer.root.depth(),
@@ -558,37 +621,27 @@ fn cmd_inspect(a: &Args) -> Result<(), String> {
         println!("layout:");
         let mut budget: isize = 40;
         print_layout_node(&footer.root, 0, &mut budget);
-    }
-    let container = Container::read(Path::new(input))?;
-    println!("{}: {} batches", input, container.batches.len());
-    let mut total = 0usize;
-    let mut rows = 0usize;
-    for (i, b) in container.batches.iter().enumerate() {
-        total += b.size_bytes();
-        rows += b.rows();
-        if i < 8 {
-            let extra = if let toc_formats::AnyBatch::Toc(t) = b {
-                let s = t.toc().stats();
-                format!(
-                    " |I|={} uniq={} |D|={} nodes={}",
-                    s.first_layer_len, s.unique_values, s.codes_len, s.n_nodes
-                )
-            } else {
-                String::new()
-            };
-            println!(
-                "  batch {i}: {}x{} {} bytes{extra}",
-                b.rows(),
-                b.cols(),
-                b.size_bytes()
-            );
+        println!("{}: {} batches", input, sc.num_segments());
+        for i in 0..sc.num_segments().min(SHOWN) {
+            print_batch(i, &sc.decode_segment(i)?);
         }
+        let total = sc.payload_bytes() as usize;
+        (sc.num_segments(), sc.total_rows(), sc.cols(), total)
+    } else {
+        let container = Container::read(path)?;
+        println!("{}: {} batches", input, container.batches.len());
+        for (i, b) in container.batches.iter().take(SHOWN).enumerate() {
+            print_batch(i, b);
+        }
+        let rows = container.batches.iter().map(|b| b.rows()).sum();
+        let cols = container.batches.first().map_or(0, |b| b.cols());
+        let total = container.payload_bytes();
+        (container.batches.len(), rows, cols, total)
+    };
+    if batches > SHOWN {
+        println!("  ... ({} more)", batches - SHOWN);
     }
-    if container.batches.len() > 8 {
-        println!("  ... ({} more)", container.batches.len() - 8);
-    }
-    let cols = container.batches.first().map(|b| b.cols()).unwrap_or(0);
-    let den = 16 * container.batches.len() + 8 * rows * cols;
+    let den = 16 * batches + 8 * rows * cols;
     println!(
         "total: {rows} rows, {total} bytes encoded ({:.1}x vs DEN)",
         den as f64 / total as f64
@@ -596,12 +649,34 @@ fn cmd_inspect(a: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The first `n` rows of a CSV (all of them when it is shorter); the rest
+/// of the file is never read.
+fn first_rows(path: &Path, n: usize) -> Result<DenseMatrix, String> {
+    let err = |e| csv_error(path, e);
+    let mut stream = CsvStream::open(path).map_err(err)?;
+    let (mut rows, mut data) = (0, Vec::new());
+    while rows < n {
+        match stream.next_row().map_err(err)? {
+            Some((_, row)) => data.extend_from_slice(row),
+            // The end of the file: a last line without its newline counts.
+            None => match stream.finish_partial().map_err(err)? {
+                Some((_, row)) => data.extend_from_slice(row),
+                None => break,
+            },
+        }
+        rows += 1;
+    }
+    if rows == 0 {
+        return Err("empty CSV".into());
+    }
+    Ok(DenseMatrix::from_vec(rows, data.len() / rows, data))
+}
+
 fn cmd_bench(a: &Args) -> Result<(), String> {
     let input = a.pos(0);
-    let batch_rows: usize = a.get(&BATCH_ROWS, 250)?;
+    let batch_rows: usize = a.at_least_one(&BATCH_ROWS, 250)?;
     let opts = encode_options(a)?;
-    let (m, _) = csv::read_matrix(Path::new(input))?;
-    let batch = m.slice_rows(0, m.rows().min(batch_rows));
+    let batch = first_rows(Path::new(input), batch_rows)?;
     let den = batch.den_size_bytes();
     let v: Vec<f64> = (0..batch.cols())
         .map(|i| (i % 5) as f64 * 0.5 - 1.0)
@@ -650,8 +725,6 @@ fn cmd_train(a: &Args) -> Result<(), String> {
         lr: a.get(&LR, 0.05)?,
         ..Default::default()
     });
-    // A `.tocz` input trains straight off a compressed container.
-    let from_container = input.ends_with(".tocz");
     let budget: Option<usize> = a.value(&BUDGET)?;
     let follow = a.has(&FOLLOW);
 
@@ -680,7 +753,7 @@ fn cmd_train(a: &Args) -> Result<(), String> {
         if let Some(f) = given(PIPELINE) {
             return Err(format!("{f} has no effect with {FOLLOW}"));
         }
-        if from_container {
+        if input.ends_with(".tocz") {
             return Err(format!(
                 "{FOLLOW} tails a growing CSV; a .tocz container is already finished"
             ));
@@ -691,20 +764,8 @@ fn cmd_train(a: &Args) -> Result<(), String> {
     // Without --budget everything stays in memory: the same store, no
     // spill files and no IO report.
     let out_of_core = budget.is_some();
-    // Container inputs stream v2 segments through the seekable reader
-    // (one decoded segment in memory at a time); batch boundaries
-    // match `build` on the decoded matrix exactly. Every other input is
-    // loaded dense, which is what `build` consumes.
-    let t0;
-    let store = if out_of_core && from_container && container_version(Path::new(input))? == 2 {
-        t0 = Instant::now();
-        ShardedSpillStore::build_from_container(Path::new(input), &config)
-    } else {
-        let (x, y) = load_xy(input)?;
-        t0 = Instant::now();
-        ShardedSpillStore::build(&x, &y, &config)
-    }
-    .map_err(|e| format!("{e}"))?;
+    let t0 = Instant::now();
+    let store = build_store(input, &config)?;
     let encode_time = t0.elapsed();
     if out_of_core {
         print_store_line(&store);
@@ -851,8 +912,8 @@ fn train_follow(
                     idle_timeout: idle,
                 };
                 follow_rows(input, &opts, &mut || false, &mut |_, row| {
-                    ing.push_row(&row[..d], label(row[d]))
-                        .map_err(|e| e.to_string())
+                    let (features, label) = split_label(row);
+                    ing.push_row(features, label).map_err(|e| e.to_string())
                 })
                 .map_err(|e| e.to_string())?;
                 ing.finish().map_err(|e| e.to_string())
@@ -969,7 +1030,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         epochs: a.get(&EPOCHS, 3)?,
         lr: a.get(&LR, 0.05)?,
         seed: base_seed,
-        record_curve: true,
         ..Default::default()
     };
     // (name, model-name, config, share) per job: either --jobs clones of
@@ -1017,12 +1077,10 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         .map(|(_, model, ..)| loss_kind(model))
         .collect::<Result<_, String>>()?;
 
-    let (x, y) = load_xy(input)?;
     // Serve is the out-of-core mode: the budget defaults to 0, so every
     // batch spills and the shared cache is what keeps hot ones close.
     let config = store_config(a, a.get(&BUDGET, 0)?)?;
-    let store =
-        std::sync::Arc::new(ShardedSpillStore::build(&x, &y, &config).map_err(|e| format!("{e}"))?);
+    let store = std::sync::Arc::new(build_store(input, &config)?);
     print_store_line(&store);
 
     let cache_bytes: usize = a.get(&CACHE_BUDGET, store.spilled_bytes() / 4)?;
@@ -1034,24 +1092,25 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         },
     );
 
-    let eval = Scheme::Den.encode(&x);
     let jobs: Vec<JobSpec> = protos
         .iter()
         .zip(losses)
         .map(|((name, _, config, share), loss)| {
-            JobSpec::new(name.clone(), ModelSpec::Linear(loss), config.clone())
-                .with_share(*share)
-                .with_eval(eval.clone(), y.clone())
+            JobSpec::new(name.clone(), ModelSpec::Linear(loss), config.clone()).with_share(*share)
         })
         .collect();
 
     let t0 = Instant::now();
-    let outcomes = server.run(jobs);
+    let mut outcomes = server.run(jobs);
     let wall = t0.elapsed();
+    // Before the evaluation sweeps below: they are not the jobs' IO.
+    let s = store.stats().snapshot_stable();
+    s.assert_consistent();
 
     // Machine-parseable per-job stats (the CLI smoke tests parse these
     // lines): key=value pairs only, one per field.
-    for ((_, model, config, _), o) in protos.iter().zip(&outcomes) {
+    for ((_, model, config, _), o) in protos.iter().zip(&mut outcomes) {
+        let (_, err) = training_error(&store, &mut o.model);
         println!(
             "job: name={} model={model} seed={} share={} epochs={} train-ms={} queue-ms={} \
              qos-ms={} cache-hits={} cache-misses={} batches={} err-pct={:.2}",
@@ -1065,11 +1124,9 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
             o.cache_hits,
             o.cache_misses,
             o.batches_visited,
-            o.curve.last().copied().unwrap_or(1.0) * 100.0,
+            err * 100.0,
         );
     }
-    let s = store.stats().snapshot_stable();
-    s.assert_consistent();
     let cache = server.cache();
     println!(
         "serve: jobs={} max-concurrent={} peak-concurrent={} cache-budget-kb={} cache-kb={} \
@@ -1262,12 +1319,12 @@ mod tests {
                 .collect(),
         );
         crate::csv::write_matrix(csv_in.path(), &m, None).unwrap();
-        let (csv_in, tocz_arg, out_arg) = (csv_in.arg(), tocz.arg(), csv_out.arg());
-        toc(&["compress", &csv_in, &tocz_arg, "--segment-rows", "32"]).unwrap();
+        let (in_arg, tocz_arg, out_arg) = (csv_in.arg(), tocz.arg(), csv_out.arg());
+        toc(&["compress", &in_arg, &tocz_arg, "--segment-rows", "32"]).unwrap();
         toc(&["inspect", &tocz_arg]).unwrap();
         toc(&["decompress", &tocz_arg, &out_arg]).unwrap();
-        let (back, _) = crate::csv::read_matrix(csv_out.path()).unwrap();
-        assert_eq!(back, m);
+        let text = |p: &TempPath| std::fs::read_to_string(p.path()).unwrap();
+        assert_eq!(text(&csv_out), text(&csv_in));
     }
 
     #[test]
@@ -1306,12 +1363,11 @@ mod tests {
                 "3",
             ])
             .unwrap();
-            let (full, _) = crate::csv::read_matrix(full_out.path()).unwrap();
-            let (part, _) = crate::csv::read_matrix(part_out.path()).unwrap();
-            assert_eq!(part.rows(), 33, "v{version}");
-            for r in 0..33 {
-                assert_eq!(part.row(r), full.row(r + 20), "v{version} row {r}");
-            }
+            let full = std::fs::read_to_string(full_out.path()).unwrap();
+            let part = std::fs::read_to_string(part_out.path()).unwrap();
+            let want: Vec<&str> = full.lines().skip(20).take(33).collect();
+            assert_eq!(want.len(), 33, "v{version}");
+            assert_eq!(part.lines().collect::<Vec<_>>(), want, "v{version}");
         }
         assert!(parse_row_range("5..3").is_err());
         assert!(parse_row_range("x..3").is_err());
@@ -1390,8 +1446,8 @@ mod tests {
         for extra in legs {
             compress(extra).unwrap();
             toc(&["decompress", &tocz.arg(), &csv_out.arg()]).unwrap();
-            let (back, _) = crate::csv::read_matrix(csv_out.path()).unwrap();
-            assert_eq!(back, m);
+            let text = |p: &TempPath| std::fs::read_to_string(p.path()).unwrap();
+            assert_eq!(text(&csv_out), text(&csv_in));
         }
         assert!(compress(&["--cla-planner", "nope"]).is_err());
         assert!(compress(&["--cla-sample", "0"]).is_err());

@@ -417,6 +417,19 @@ fn out_of_core_flags_require_budget_and_reject_bad_values() {
         ]),
         "zero planner sample",
     );
+    // A chunk of zero rows never fills: rejected, not looped on.
+    let path = csv.to_str().unwrap();
+    let zero_row_chunks: [&[&str]; 3] = [
+        &["train", path, "--batch-rows", "0"],
+        &["bench", path, "--batch-rows", "0"],
+        &["compress", path, "/tmp/unused.tocz", "--segment-rows", "0"],
+    ];
+    for argv in zero_row_chunks {
+        let out = toc(argv);
+        assert_fails(&out, "zero rows per chunk");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("must be >= 1"), "{argv:?}: {stderr}");
+    }
     // The worker-pool engine is gone; the error names what remains.
     let out = toc(&[
         "train",
@@ -502,6 +515,68 @@ fn serve_emits_parseable_job_stats() {
     let hits: u64 = s["cache-hits"].parse().expect("serve cache-hits");
     let misses: u64 = s["cache-misses"].parse().expect("serve cache-misses");
     assert_eq!(hits + misses, 3 * 16, "aggregate = sum of per-job visits");
+}
+
+/// One way in: the CSV, the v2 container made of it and, for its own
+/// rows, the legacy v1 fixture all fill the store through the same
+/// streaming build, resident or spilled — the same training error — and
+/// `serve` evaluates a job's model the way `train` does. A multi-segment
+/// v2 container decompresses back to the CSV's bytes.
+#[test]
+fn every_input_kind_trains_to_the_same_error() {
+    let csv = gen_csv(330);
+    let v2 = temp_path("one-way-in", "tocz");
+    let back = temp_path("one-way-in-back", "csv");
+    let (csv_arg, v2_arg) = (csv.to_str().unwrap(), v2.to_str().unwrap());
+    assert_ok(
+        &toc(&["compress", csv_arg, v2_arg, "--segment-rows", "64"]),
+        "toc compress",
+    );
+    assert_ok(
+        &toc(&["decompress", v2_arg, back.to_str().unwrap()]),
+        "toc decompress",
+    );
+    assert_eq!(
+        std::fs::read(&back).unwrap(),
+        std::fs::read(&csv).unwrap(),
+        "decompress did not give the CSV back"
+    );
+
+    // The `12.34` of `training error 12.34%`.
+    let error = |input: &str, extra: &[&str]| -> String {
+        let mut argv = vec!["train", input, "--epochs", "3", "--batch-rows", "50"];
+        argv.extend(extra);
+        let stdout = assert_ok(&toc(&argv), "toc train");
+        let (_, tail) = stdout
+            .rsplit_once("training error ")
+            .unwrap_or_else(|| panic!("no training error in {stdout}"));
+        tail.trim().trim_end_matches('%').to_string()
+    };
+    let spilled = ["--budget", "0", "--shards", "2"];
+    let want = error(csv_arg, &[]);
+    assert_eq!(error(csv_arg, &spilled), want, "csv, spilled");
+    assert_eq!(error(v2_arg, &[]), want, "v2");
+    assert_eq!(error(v2_arg, &spilled), want, "v2, spilled");
+    assert_eq!(error(GOLDEN_V1, &spilled), error(GOLDEN_V1, &[]), "v1");
+
+    let stdout = assert_ok(
+        &toc(&[
+            "serve",
+            csv_arg,
+            "--jobs",
+            "1",
+            "--epochs",
+            "3",
+            "--batch-rows",
+            "50",
+        ]),
+        "toc serve",
+    );
+    let job = stdout.lines().find(|l| l.starts_with("job: ")).unwrap();
+    assert_eq!(parse_kv(job)["err-pct"], want, "{job}");
+    for p in [csv, v2, back] {
+        std::fs::remove_file(p).ok();
+    }
 }
 
 /// `toc serve --script`: one job per line with per-job overrides.
@@ -631,36 +706,39 @@ fn ingest_streams_csv_into_seekable_container() {
         "train off streamed container",
     );
 
-    // Fixed scheme: streaming writes the *same bytes* as the one-shot path.
-    assert_ok(
-        &toc(&[
-            "ingest",
-            csv.to_str().unwrap(),
-            streamed.to_str().unwrap(),
-            "--chunk-rows",
-            "64",
-            "--scheme",
-            "toc",
-        ]),
-        "toc ingest --scheme toc",
-    );
-    assert_ok(
-        &toc(&[
-            "compress",
-            csv.to_str().unwrap(),
-            compressed.to_str().unwrap(),
-            "--scheme",
-            "toc",
-            "--segment-rows",
-            "64",
-        ]),
-        "toc compress --segment-rows 64",
-    );
-    assert_eq!(
-        std::fs::read(&streamed).unwrap(),
-        std::fs::read(&compressed).unwrap(),
-        "streamed container differs from the one-shot encode"
-    );
+    // `compress` is `ingest` without a sidecar: same scheme, same chunk
+    // rows, same bytes.
+    for scheme in ["toc", "csr", "gzip"] {
+        assert_ok(
+            &toc(&[
+                "ingest",
+                csv.to_str().unwrap(),
+                streamed.to_str().unwrap(),
+                "--chunk-rows",
+                "64",
+                "--scheme",
+                scheme,
+            ]),
+            "toc ingest --scheme",
+        );
+        assert_ok(
+            &toc(&[
+                "compress",
+                csv.to_str().unwrap(),
+                compressed.to_str().unwrap(),
+                "--scheme",
+                scheme,
+                "--segment-rows",
+                "64",
+            ]),
+            "toc compress --segment-rows 64",
+        );
+        assert_eq!(
+            std::fs::read(&streamed).unwrap(),
+            std::fs::read(&compressed).unwrap(),
+            "{scheme}: ingest and compress wrote different containers"
+        );
+    }
     for p in [csv, streamed, compressed, back] {
         std::fs::remove_file(p).ok();
     }
@@ -1105,6 +1183,29 @@ fn non_container_input_reports_bad_magic() {
         !stderr.contains("unsupported"),
         "must not misreport a CSV as an unsupported container version: {stderr}"
     );
+    // `decompress` writes rows as it decodes them; an input that fails
+    // part of the way leaves no truncated CSV behind.
+    let tocz = temp_path("torn", "tocz");
+    let back = temp_path("torn-back", "csv");
+    assert_ok(
+        &toc(&[
+            "compress",
+            csv.to_str().unwrap(),
+            tocz.to_str().unwrap(),
+            "--segment-rows",
+            "10",
+        ]),
+        "toc compress",
+    );
+    let mut bytes = std::fs::read(&tocz).unwrap();
+    bytes[100] ^= 0xff; // inside an early segment; the footer still parses
+    std::fs::write(&tocz, bytes).unwrap();
+    let out = toc(&["decompress", tocz.to_str().unwrap(), back.to_str().unwrap()]);
+    assert_fails(&out, "decompress of a corrupt segment");
+    assert!(!back.exists(), "a truncated CSV was left behind");
+    for p in [csv, tocz] {
+        std::fs::remove_file(p).ok();
+    }
 }
 
 /// stderr of a run that must exit 1.

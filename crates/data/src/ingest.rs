@@ -1,19 +1,20 @@
 //! Streaming row ingestion: bounded-memory chunked encode into a live
 //! store or a seekable `.tocz` container.
 //!
-//! Every other build path in this crate materializes the full dataset
-//! before the first batch is encoded. This module inverts that: rows
-//! arrive one at a time (CSV, a synth generator, a socket), stage in a
-//! reusable [`EncodeWorkspace`] bounded by `chunk_rows × cols`, and each
-//! full chunk is *sealed* — scheme chosen per chunk via
-//! [`toc_formats::pick_and_encode`] over [`Scheme::AUTO_SET`] (or fixed),
-//! encoded, and appended to its sink — after which the staging buffers
-//! are handed back for the next chunk. Peak ingest memory is therefore a
+//! [`EncodeWorkspace`] is the one chunker of this crate and of `toc`:
+//! rows arrive one at a time (CSV, a container segment, a synth
+//! generator), stage in the reusable workspace bounded by
+//! `chunk_rows × cols`, and each full chunk is *sealed* — scheme chosen
+//! per chunk via [`toc_formats::pick_and_encode`] over
+//! [`Scheme::AUTO_SET`] (or fixed), encoded, and appended to its sink —
+//! after which the staging buffers are handed back for the next chunk. Peak ingest memory is therefore a
 //! function of the chunk shape alone, never of how many rows flow
 //! through; [`EncodeWorkspace::peak_bytes`] tracks the high-water mark so
 //! tests and the `ingest_scaling` bench gate can assert exactly that.
 //!
-//! Two sinks:
+//! Three sinks. [`crate::store::StoreBuilder`], in `store`, fills a store
+//! that is being built; the two here write what may be read while it
+//! grows, and can checkpoint:
 //!
 //! * [`StoreIngest`] appends sealed segments to a *live*
 //!   [`ShardedSpillStore`] ([`ShardedSpillStore::append_sealed`]) while
@@ -24,7 +25,7 @@
 //!   [`ContainerStreamWriter`], so a finished stream is a valid seekable
 //!   v2 `.tocz` — byte-identical to the one-shot
 //!   [`toc_formats::container::Container`] encode of the same rows
-//!   (`toc ingest`).
+//!   (`toc ingest`, `toc compress`).
 //!
 //! Chunking changes *where* segment boundaries fall, never what a chunk
 //! of given rows encodes to: sealing is deterministic in the staged

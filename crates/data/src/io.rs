@@ -1167,7 +1167,10 @@ impl Drop for RingIo {
 pub struct SeekableContainer {
     file: SpillFile,
     footer: toc_formats::container::Footer,
-    footer_offset: u64,
+    /// The footer's leaves in segment order, validated against the
+    /// segment region at open: what every per-segment read indexes.
+    leaves: Vec<toc_formats::container::LayoutNode>,
+    postscript: toc_formats::container::Postscript,
     stats: IoStats,
 }
 
@@ -1212,13 +1215,14 @@ impl SeekableContainer {
         if footer.root.end > ps.footer_offset || footer.root.begin < cz::HEADER_LEN as u64 {
             return Err(ctx(&"layout tree extends outside the segment region"));
         }
-        footer
+        let leaves = footer
             .leaves_validated(ps.footer_offset)
             .map_err(|e| ctx(&e))?;
         Ok(Self {
             file,
             footer,
-            footer_offset: ps.footer_offset,
+            leaves,
+            postscript: ps,
             stats,
         })
     }
@@ -1228,13 +1232,18 @@ impl SeekableContainer {
         &self.footer
     }
 
+    /// Where the footer sits in the file and what protects it.
+    pub fn postscript(&self) -> &toc_formats::container::Postscript {
+        &self.postscript
+    }
+
     /// IO counters for every read this handle has performed.
     pub fn stats(&self) -> &IoStats {
         &self.stats
     }
 
     pub fn num_segments(&self) -> usize {
-        self.footer.num_segments()
+        self.leaves.len()
     }
 
     pub fn total_rows(&self) -> usize {
@@ -1248,10 +1257,10 @@ impl SeekableContainer {
     /// Raw encoded bytes of segment `idx` (one positional read of exactly
     /// the segment's extent).
     pub fn read_segment_bytes(&self, idx: usize) -> Result<Vec<u8>, String> {
-        let leaves = self.footer.leaves();
-        let leaf = leaves
+        let leaf = self
+            .leaves
             .get(idx)
-            .ok_or_else(|| format!("segment {idx} out of 0..{}", leaves.len()))?;
+            .ok_or_else(|| format!("segment {idx} out of 0..{}", self.leaves.len()))?;
         let len = (leaf.end - leaf.begin) as usize;
         let mut buf = vec![0u8; len];
         self.file
@@ -1268,7 +1277,7 @@ impl SeekableContainer {
     /// tag against the footer.
     pub fn decode_segment(&self, idx: usize) -> Result<toc_formats::AnyBatch, String> {
         let bytes = self.read_segment_bytes(idx)?;
-        let leaf = self.footer.leaves()[idx].clone();
+        let leaf = &self.leaves[idx];
         if bytes.first() != leaf.scheme.as_ref() {
             return Err(format!(
                 "segment {idx}: scheme tag disagrees with the footer"
@@ -1308,7 +1317,7 @@ impl SeekableContainer {
         // worker returns (output row offset, trimmed rows) and the main
         // thread copies them in.
         let decode_one = |idx: usize| -> Result<(usize, DenseMatrix), String> {
-            let leaf = self.footer.leaves()[idx].clone();
+            let leaf = &self.leaves[idx];
             let (seg_start, seg_end) = (leaf.row_start as usize, leaf.row_end as usize);
             let batch = self.decode_segment(idx)?;
             let lo = r0.max(seg_start) - seg_start;
@@ -1350,11 +1359,40 @@ impl SeekableContainer {
         Ok(out)
     }
 
+    /// Every row of the container in order, one decoded segment in memory
+    /// at a time ([`batch_rows`]).
+    pub fn for_each_row(&self, f: crate::csv::RowSink<'_>) -> Result<(), String> {
+        batch_rows((0..self.num_segments()).map(|i| self.decode_segment(i)), f)
+    }
+
     /// Total bytes of the segment region (what a decode-everything reader
     /// would fetch beyond the framing).
     pub fn payload_bytes(&self) -> u64 {
-        self.footer_offset - toc_formats::container::HEADER_LEN as u64
+        self.postscript.footer_offset - toc_formats::container::HEADER_LEN as u64
     }
+}
+
+/// Every row of `batches` in order, one decoded batch in memory at a
+/// time: `f(row_index, values)` as [`crate::csv::stream_rows`] calls it
+/// for a CSV. The batches must agree on their width.
+pub fn batch_rows(
+    batches: impl IntoIterator<Item = Result<toc_formats::AnyBatch, String>>,
+    f: crate::csv::RowSink<'_>,
+) -> Result<(), String> {
+    let (mut dense, mut scratch) = (DenseMatrix::default(), toc_formats::ExecScratch::default());
+    let (mut row, mut cols) = (0usize, None);
+    for batch in batches {
+        let batch = batch?;
+        if *cols.get_or_insert(batch.cols()) != batch.cols() {
+            return Err("inconsistent batch widths".into());
+        }
+        batch.decode_into_ws(&mut dense, &mut scratch);
+        for r in 0..dense.rows() {
+            f(row, dense.row(r))?;
+            row += 1;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

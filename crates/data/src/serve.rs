@@ -469,6 +469,8 @@ pub struct JobOutcome {
     /// Final model parameters, flattened — compared bit-for-bit against
     /// solo runs by the determinism suite.
     pub weights: Vec<f64>,
+    /// The trained model itself, for evaluation after the run.
+    pub model: TrainedModel,
     /// Per-epoch eval error rates (empty without an eval set).
     pub curve: Vec<f64>,
     pub train_time: Duration,
@@ -529,8 +531,18 @@ impl JobServer {
     }
 
     fn run_one(&self, job: JobSpec) -> JobOutcome {
+        /// An admission slot, given back on drop: a job that panics while
+        /// training must not leave the jobs queued behind it waiting on a
+        /// slot nobody will release.
+        struct Admitted<'a>(&'a Admission, f64);
+        impl Drop for Admitted<'_> {
+            fn drop(&mut self) {
+                self.0.release(self.1);
+            }
+        }
         let queued = Instant::now();
         self.admission.admit(job.share);
+        let _slot = Admitted(&self.admission, job.share);
         let queue_wait = queued.elapsed();
         let tenant = TenantProvider::with_admission(
             Arc::clone(&self.store),
@@ -538,9 +550,7 @@ impl JobServer {
             Arc::clone(&self.admission),
             job.share,
         );
-        let outcome = run_job(&job, &tenant, queue_wait);
-        self.admission.release(job.share);
-        outcome
+        run_job(&job, &tenant, queue_wait)
     }
 }
 
@@ -550,7 +560,7 @@ impl JobServer {
 /// [`ModelSpec::init`], so a job's parameters are bit-identical to a solo
 /// run's no matter which entry point trained it.
 fn run_job(job: &JobSpec, tenant: &TenantProvider, queue_wait: Duration) -> JobOutcome {
-    let (weights, curve, train_time) = match &job.model {
+    let (model, curve, train_time) = match &job.model {
         ModelSpec::NeuralNet { .. } if job.nn_workers > 1 => {
             let init = job.model.init(tenant.num_features(), job.config.seed);
             let TrainedModel::NeuralNet(mut nn) = init else {
@@ -564,21 +574,22 @@ fn run_job(job: &JobSpec, tenant: &TenantProvider, queue_wait: Duration) -> JobO
                 Some((b, y)) => vec![model.error_rate(b, y)],
                 None => Vec::new(),
             };
-            (model.weights(), curve, report.train_time)
+            (model, curve, report.train_time)
         }
         _ => {
             let trainer = Trainer::new(job.config.clone());
             let eval = job.eval.as_ref().map(|(b, y)| (b, y.as_slice()));
             let report = trainer.train(&job.model, tenant, eval);
             let curve = report.curve.iter().map(|p| p.error_rate).collect();
-            (report.model.weights(), curve, report.train_time)
+            (report.model, curve, report.train_time)
         }
     };
     JobOutcome {
         name: job.name.clone(),
         share: job.share,
         seed: job.config.seed,
-        weights,
+        weights: model.weights(),
+        model,
         curve,
         train_time,
         queue_wait,
@@ -586,5 +597,65 @@ fn run_job(job: &JobSpec, tenant: &TenantProvider, queue_wait: Duration) -> JobO
         cache_hits: tenant.cache_hits(),
         cache_misses: tenant.cache_misses(),
         batches_visited: tenant.batches_visited(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::store::StoreConfig;
+    use crate::synth::{generate_preset, DatasetPreset};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use toc_formats::Scheme;
+    use toc_linalg::DenseMatrix;
+    use toc_ml::LossKind;
+
+    /// A job that panics while it trains gives its admission slot back:
+    /// with a gate of one, the jobs queued behind it are admitted (here
+    /// to panic in turn), `run` reports the panic instead of never
+    /// returning, and the server admits later jobs as if nothing happened.
+    #[test]
+    fn a_panicking_job_releases_its_admission_slot() {
+        let ds = generate_preset(DatasetPreset::CensusLike, 200, 7);
+        let config = StoreConfig::new(Scheme::Toc, 50, 0).with_shards(2);
+        let store = Arc::new(ShardedSpillStore::build(&ds.x, &ds.labels, &config).unwrap());
+        let gate = ServeConfig {
+            max_concurrent: 1,
+            cache_bytes: 0,
+        };
+        let server = Arc::new(JobServer::new(store, gate));
+        let job = |name: &str| {
+            let config = MgdConfig {
+                epochs: 1,
+                record_curve: true,
+                ..Default::default()
+            };
+            JobSpec::new(name, ModelSpec::Linear(LossKind::Logistic), config)
+        };
+        // An eval set one column too narrow: the first curve point panics
+        // inside `run_job`. Both jobs carry it, so whichever is admitted
+        // first panics holding the only slot.
+        let narrow = Scheme::Den.encode(&DenseMatrix::zeros(4, ds.x.cols() - 1));
+        let bad = |name: &str| job(name).with_eval(narrow.clone(), vec![1.0; 4]);
+        let jobs = vec![bad("first"), bad("second")];
+
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = {
+            let server = Arc::clone(&server);
+            std::thread::spawn(move || {
+                let run = catch_unwind(AssertUnwindSafe(|| server.run(jobs)));
+                tx.send(run.is_err()).ok();
+            })
+        };
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("run never returned: the queued job is still waiting for the slot");
+        assert!(panicked, "run swallowed the job's panic");
+        runner.join().unwrap();
+
+        assert_eq!(server.admission.active(), (0, 0.0));
+        let outcomes = server.run(vec![job("later-a"), job("later-b")]);
+        assert_eq!(outcomes.len(), 2);
+        assert_eq!(server.peak_concurrency(), 1);
     }
 }

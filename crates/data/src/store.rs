@@ -8,9 +8,11 @@
 //! the baselines on the large-scale runs.
 //!
 //! [`ShardedSpillStore`] is the one provider of that regime and this
-//! module is its façade: configuration, the build paths, the entry table
-//! and the one visit path, placement and checkpoints. It lays spilled
-//! batches out across N shard files ([`StoreConfig::with_shards`]; one
+//! module is its façade: configuration, the one streaming fill every build
+//! goes through ([`StoreBuilder`] — no build path holds the dataset), the
+//! entry table and the one visit path; shard placement and crash
+//! checkpoints sit in the `placement` and `checkpoint` submodules. It lays
+//! spilled batches out across N shard files ([`StoreConfig::with_shards`]; one
 //! shard models the paper's single disk) and reads them with lock-free
 //! positional IO (`crate::io::SpillFile`). With
 //! [`StoreConfig::with_prefetch`] the visits of build-time spilled
@@ -33,73 +35,25 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 
-use toc_formats::wire::Rd;
-use toc_formats::{AnyBatch, FormatError, MatrixBatch, Scheme};
+use toc_formats::{AnyBatch, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
 
+use crate::ingest::EncodeWorkspace;
 use crate::io::{lock, rlock, wait, wlock, InlineIo, IoShards, RingIo, SpillDevice};
 pub use crate::io::{
     DeviceProfile, IoEngineKind, IoSnapshot, IoStats, Pinning, SchedulerConfig, SpillIo,
 };
 use crate::prefetch::{Prefetcher, MAX_PREFETCH_WORKERS};
 
-/// How spilled batches are laid out across the shard files.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ShardPlacement {
-    /// Round-robin striping: batch `i` lands on shard `i % N`. Maximizes
-    /// per-visit device parallelism; consecutive visit-order batches are
-    /// `N` apart in each shard file.
-    #[default]
-    Stripe,
-    /// Compression-aware packing: consecutive spilled batches fill one
-    /// shard until a byte-sized run target, then move to the next shard
-    /// (runs round-robin over shards). Small, highly-compressed batches
-    /// cluster adjacently in one file, so a ring-engine lookahead burst
-    /// over them coalesces into a handful of large reads — one
-    /// submission fetches several batches.
-    Pack,
-    /// Bandwidth-profiled adaptive placement: batches start in the `Pack`
-    /// layout, every physical read charges its observed throughput into
-    /// the per-shard EWMA ([`crate::io::BandwidthProfile`]), and at each
-    /// epoch boundary ([`BatchProvider::end_epoch`], or
-    /// [`ShardedSpillStore::rebalance`] directly) the planner re-packs
-    /// hot (frequently re-visited) batches onto the shards measured
-    /// fastest, migrating by append-and-repoint so in-flight reads of the
-    /// old location stay valid. A slow or degrading device sheds its
-    /// batches instead of serializing every epoch.
-    Adaptive,
-}
+mod checkpoint;
+mod placement;
 
-impl ShardPlacement {
-    pub fn name(self) -> &'static str {
-        match self {
-            ShardPlacement::Stripe => "stripe",
-            ShardPlacement::Pack => "pack",
-            ShardPlacement::Adaptive => "adaptive",
-        }
-    }
-}
-
-impl std::fmt::Display for ShardPlacement {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for ShardPlacement {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "stripe" => Ok(ShardPlacement::Stripe),
-            "pack" => Ok(ShardPlacement::Pack),
-            "adaptive" => Ok(ShardPlacement::Adaptive),
-            other => Err(format!(
-                "unknown placement {other:?} (stripe|pack|adaptive)"
-            )),
-        }
-    }
-}
+pub use checkpoint::StoreCheckpoint;
+use placement::PlacementStats;
+pub use placement::{
+    place_spilled, plan_adaptive, PlacementReport, ShardPlacement, REBALANCE_HYSTERESIS,
+};
 
 /// Store configuration.
 #[derive(Clone, Debug)]
@@ -306,23 +260,114 @@ enum Pending {
     Disk(Vec<u8>),
 }
 
-/// The memory-vs-disk budget decision every build path shares: a batch
-/// stays resident while it fits in what is left of `budget`, anything
-/// beyond is serialized for the spill. Original batch order is preserved
-/// (shuffle-once semantics).
-fn stage_batch(
-    pending: &mut Vec<(Pending, Vec<f64>)>,
-    memory_bytes: &mut usize,
-    budget: usize,
-    batch: AnyBatch,
+/// The ±1 label rule, written once: the last column of a full-width row
+/// is its label — non-negative is `+1`, negative `-1` — and the columns
+/// before it are the features.
+pub fn split_label(row: &[f64]) -> (&[f64], f64) {
+    let (label, features) = row.split_last().expect("a row has a label column");
+    (features, if *label >= 0.0 { 1.0 } else { -1.0 })
+}
+
+/// The one place rows become the mini-batches of a built store: rows
+/// stage in an [`EncodeWorkspace`] of `config.batch_rows`, each full chunk
+/// (and the partial last one) is sealed with `config.scheme`, and a sealed
+/// batch stays resident while it fits in what is left of
+/// `config.memory_budget`; anything beyond is serialized for the spill.
+/// Batch order is row order (shuffle-once semantics). No row outlives its
+/// chunk, so a fill holds one staged chunk plus the encoded batches — the
+/// spilled ones' bytes until [`StoreBuilder::finish`] lays them out,
+/// because [`ShardPlacement::Pack`] needs every size first.
+pub struct StoreBuilder<'a> {
+    config: &'a StoreConfig,
+    features: usize,
+    ws: EncodeWorkspace,
     labels: Vec<f64>,
-) {
-    let size = batch.size_bytes();
-    if *memory_bytes + size <= budget {
-        *memory_bytes += size;
-        pending.push((Pending::Mem(batch), labels));
-    } else {
-        pending.push((Pending::Disk(batch.to_bytes()), labels));
+    pending: Vec<(Pending, Vec<f64>)>,
+    memory_bytes: usize,
+}
+
+impl<'a> StoreBuilder<'a> {
+    pub fn new(features: usize, config: &'a StoreConfig) -> Self {
+        Self {
+            config,
+            features,
+            ws: EncodeWorkspace::new(features, config.batch_rows),
+            labels: Vec::with_capacity(config.batch_rows),
+            pending: Vec::new(),
+            memory_bytes: 0,
+        }
+    }
+
+    /// Stage one row; `label` follows the `toc-ml` convention.
+    pub fn push_row(&mut self, features: &[f64], label: f64) {
+        self.ws.push_row(features);
+        self.labels.push(label);
+        if self.ws.is_full() {
+            self.seal();
+        }
+    }
+
+    fn seal(&mut self) {
+        let (scheme, encode) = (self.config.scheme, &self.config.encode);
+        let Some((_, batch, (), rows)) = self.ws.seal_with(Some(scheme), encode, |_| ()) else {
+            return;
+        };
+        let labels = std::mem::replace(&mut self.labels, Vec::with_capacity(rows));
+        let size = batch.size_bytes();
+        let staged = if self.memory_bytes + size <= self.config.memory_budget {
+            self.memory_bytes += size;
+            Pending::Mem(batch)
+        } else {
+            Pending::Disk(batch.to_bytes())
+        };
+        self.pending.push((staged, labels));
+    }
+
+    /// Seal the partial last chunk and lay the spilled batches out across
+    /// `config.shards` shard files (none when everything fit in memory).
+    pub fn finish(mut self) -> std::io::Result<ShardedSpillStore> {
+        self.seal();
+        let (config, features, resident) = (self.config, self.features, self.memory_bytes);
+        let pending = self.pending;
+        let spill_sizes: Vec<usize> = pending
+            .iter()
+            .filter_map(|(p, _)| match p {
+                Pending::Disk(b) => Some(b.len()),
+                Pending::Mem(_) => None,
+            })
+            .collect();
+        let (mut shards, owns_dir) = if spill_sizes.is_empty() {
+            (Vec::new(), None)
+        } else {
+            let (dir, owns_dir) = resolve_spill_dir(config);
+            let n_shards = config.resolved_shards().clamp(1, spill_sizes.len());
+            (create_shard_files(&dir, config.scheme, n_shards)?, owns_dir)
+        };
+        let assignment = place_spilled(&spill_sizes, shards.len().max(1), config.placement);
+        let mut cursors = vec![0u64; shards.len()];
+        let mut spill_idx = 0usize;
+        let mut entries = Vec::with_capacity(pending.len());
+        for (p, y) in pending {
+            entries.push(match p {
+                Pending::Mem(b) => Entry::new(Slot::Memory(b), y),
+                Pending::Disk(bytes) => {
+                    let shard = assignment[spill_idx];
+                    spill_idx += 1;
+                    shards[shard].0.write_all(&bytes)?;
+                    let loc = DiskLoc {
+                        shard,
+                        offset: cursors[shard],
+                        len: bytes.len(),
+                    };
+                    cursors[shard] += bytes.len() as u64;
+                    Entry::spilled(loc, y)
+                }
+            });
+        }
+        for (file, _) in &shards {
+            file.sync_all()?;
+        }
+        ShardedSpillStore::assemble(config, features, entries, 0, shards, owns_dir, resident)
     }
 }
 
@@ -419,18 +464,6 @@ struct ShardMeta {
     path: PathBuf,
 }
 
-/// Placement counters for the adaptive planner (exposed through
-/// [`PlacementReport`]).
-#[derive(Default)]
-struct PlacementStats {
-    /// Rebalance passes that had enough profiler signal to plan.
-    rebalances: AtomicU64,
-    /// Batches migrated to a different shard.
-    migrated_batches: AtomicU64,
-    /// Bytes those migrations copied.
-    migrated_bytes: AtomicU64,
-}
-
 /// The store's shared state: what the handle, the prefetch pipeline and
 /// an [`AppenderToken`] all look at.
 pub(crate) struct Inner {
@@ -496,129 +529,6 @@ impl Drop for AppenderToken<'_> {
     }
 }
 
-/// One sealed segment recorded in a [`StoreCheckpoint`]: its current
-/// shard extent and its labels.
-#[derive(Clone, Debug, PartialEq)]
-struct CheckpointEntry {
-    shard: u32,
-    offset: u64,
-    len: u64,
-    labels: Vec<f64>,
-}
-
-/// Serializable snapshot of a streaming store's append state
-/// ([`ShardedSpillStore::streaming_checkpoint`] /
-/// [`ShardedSpillStore::open_streaming_resume`]): shard file paths,
-/// per-shard cursors, and every sealed segment's extent + labels.
-/// Integrity (checksums) is the enclosing sidecar's job — see
-/// `toc_data::ingest`.
-#[derive(Clone, Debug, PartialEq)]
-pub struct StoreCheckpoint {
-    shard_paths: Vec<PathBuf>,
-    cursors: Vec<u64>,
-    entries: Vec<CheckpointEntry>,
-}
-
-const STORE_CKPT_V1: u8 = 1;
-
-impl StoreCheckpoint {
-    /// Segments recorded in this checkpoint.
-    pub fn num_segments(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Total encoded bytes across the recorded segments.
-    pub fn encoded_bytes(&self) -> u64 {
-        self.entries.iter().map(|e| e.len).sum()
-    }
-
-    /// The shard files this checkpoint expects to find on disk.
-    pub fn shard_paths(&self) -> &[PathBuf] {
-        &self.shard_paths
-    }
-
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.push(STORE_CKPT_V1);
-        out.extend_from_slice(&(self.shard_paths.len() as u32).to_le_bytes());
-        for (path, cursor) in self.shard_paths.iter().zip(&self.cursors) {
-            let p = path.to_string_lossy();
-            out.extend_from_slice(&(p.len() as u32).to_le_bytes());
-            out.extend_from_slice(p.as_bytes());
-            out.extend_from_slice(&cursor.to_le_bytes());
-        }
-        out.extend_from_slice(&(self.entries.len() as u64).to_le_bytes());
-        for e in &self.entries {
-            out.extend_from_slice(&e.shard.to_le_bytes());
-            out.extend_from_slice(&e.offset.to_le_bytes());
-            out.extend_from_slice(&e.len.to_le_bytes());
-            out.extend_from_slice(&(e.labels.len() as u64).to_le_bytes());
-            for l in &e.labels {
-                out.extend_from_slice(&l.to_le_bytes());
-            }
-        }
-        out
-    }
-
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, String> {
-        Self::parse(bytes).map_err(|e| match e {
-            FormatError::Corrupt(m) => format!("store checkpoint {m}"),
-            other => other.to_string(),
-        })
-    }
-
-    fn parse(bytes: &[u8]) -> Result<Self, FormatError> {
-        let corrupt = |m: String| FormatError::Corrupt(m);
-        let mut rd = Rd::new(bytes);
-        if rd.u8()? != STORE_CKPT_V1 {
-            return Err(corrupt("version is unknown".into()));
-        }
-        let n_shards = rd.u32()? as usize;
-        if n_shards == 0 || n_shards > 4096 {
-            return Err(corrupt(format!("has implausible shard count {n_shards}")));
-        }
-        let mut shard_paths = Vec::with_capacity(n_shards);
-        let mut cursors = Vec::with_capacity(n_shards);
-        for _ in 0..n_shards {
-            let plen = rd.u32()? as usize;
-            let p = std::str::from_utf8(rd.take(plen)?)
-                .map_err(|_| corrupt("has a bad shard path encoding".into()))?;
-            shard_paths.push(PathBuf::from(p));
-            cursors.push(rd.u64()?);
-        }
-        let n_entries = rd.u64()?;
-        if n_entries > bytes.len() as u64 {
-            return Err(corrupt("claims more entries than it carries".into()));
-        }
-        let mut entries = Vec::with_capacity(n_entries as usize);
-        for _ in 0..n_entries {
-            let shard = rd.u32()?;
-            let offset = rd.u64()?;
-            let len = rd.u64()?;
-            let n_labels = rd.u64()?;
-            if n_labels > bytes.len() as u64 {
-                return Err(corrupt("claims more labels than it carries".into()));
-            }
-            let mut labels = Vec::with_capacity(n_labels as usize);
-            for _ in 0..n_labels {
-                labels.push(rd.f64()?);
-            }
-            entries.push(CheckpointEntry {
-                shard,
-                offset,
-                len,
-                labels,
-            });
-        }
-        rd.done()?;
-        Ok(Self {
-            shard_paths,
-            cursors,
-            entries,
-        })
-    }
-}
-
 /// Mutable streaming-append state, all behind one mutex so a stats
 /// snapshot can never observe `bytes` ahead of the sealed count.
 struct AppendState {
@@ -664,46 +574,25 @@ pub struct ShardedSpillStore {
     ingest_fault: Option<crate::testing::FaultPlan>,
 }
 
-/// Pack placement: aim for this many contiguous runs per shard, so every
-/// shard still sees multiple visit-order runs (device parallelism) while
-/// each run keeps consecutive batches file-adjacent (coalescing).
-const PACK_RUNS_PER_SHARD: usize = 4;
-
 impl ShardedSpillStore {
     /// Encode `x` into mini-batches under `config`, laying everything
     /// past the memory budget out across `config.shards` shard files.
     /// `labels` follow the `toc-ml` convention.
     pub fn build(x: &DenseMatrix, labels: &[f64], config: &StoreConfig) -> std::io::Result<Self> {
         assert_eq!(x.rows(), labels.len());
-        let mut pending = Vec::new();
-        let mut memory_bytes = 0usize;
-        let mut start = 0usize;
-        while start < x.rows() {
-            let end = (start + config.batch_rows).min(x.rows());
-            let batch = config
-                .scheme
-                .encode_with(&x.slice_rows(start, end), &config.encode);
-            stage_batch(
-                &mut pending,
-                &mut memory_bytes,
-                config.memory_budget,
-                batch,
-                labels[start..end].to_vec(),
-            );
-            start = end;
+        let mut builder = StoreBuilder::new(x.cols(), config);
+        for (r, &label) in labels.iter().enumerate() {
+            builder.push_row(x.row(r), label);
         }
-        Self::from_pending(pending, memory_bytes, x.cols(), config)
+        builder.finish()
     }
 
-    /// Build the store by streaming a v2 `.tocz` container instead of a
-    /// materialized dense matrix: segments decode one at a time through
-    /// [`crate::io::SeekableContainer`], the last column is split off as
-    /// the ±1 label, and rows re-chunk into `config.batch_rows` batches
-    /// (with carry-over across segment boundaries), so the resulting
-    /// batch boundaries — and therefore training — match
-    /// [`ShardedSpillStore::build`] on the decoded matrix exactly. Peak
-    /// memory is one decoded segment plus one staged batch, not the
-    /// dataset.
+    /// Build the store off a v2 `.tocz` container whose last column is
+    /// the label ([`split_label`]): segments decode one at a time
+    /// ([`crate::io::SeekableContainer::for_each_row`]) and their rows
+    /// re-chunk into `config.batch_rows` batches across segment
+    /// boundaries, so batch boundaries — and therefore training — match
+    /// [`ShardedSpillStore::build`] on the decoded matrix exactly.
     pub fn build_from_container(path: &Path, config: &StoreConfig) -> std::io::Result<Self> {
         let inval = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
         let sc = crate::io::SeekableContainer::open(path).map_err(inval)?;
@@ -713,89 +602,14 @@ impl ShardedSpillStore {
                 "container has {cols} columns; need features plus a label column"
             )));
         }
-        let d = cols - 1;
-        let mut pending = Vec::new();
-        let mut memory_bytes = 0usize;
-        let mut stage: Vec<f64> = Vec::with_capacity(config.batch_rows * d);
-        let mut stage_y: Vec<f64> = Vec::with_capacity(config.batch_rows);
-        let mut flush = |stage: &mut Vec<f64>, stage_y: &mut Vec<f64>| {
-            if stage_y.is_empty() {
-                return;
-            }
-            let dense = DenseMatrix::from_vec(stage_y.len(), d, std::mem::take(stage));
-            let batch = config.scheme.encode_with(&dense, &config.encode);
-            stage_batch(
-                &mut pending,
-                &mut memory_bytes,
-                config.memory_budget,
-                batch,
-                std::mem::take(stage_y),
-            );
-        };
-        for seg in 0..sc.num_segments() {
-            let dense = sc.decode_segment(seg).map_err(inval)?.decode();
-            for r in 0..dense.rows() {
-                let row = dense.row(r);
-                stage.extend_from_slice(&row[..d]);
-                stage_y.push(if row[d] >= 0.0 { 1.0 } else { -1.0 });
-                if stage_y.len() == config.batch_rows {
-                    flush(&mut stage, &mut stage_y);
-                }
-            }
-        }
-        flush(&mut stage, &mut stage_y);
-        Self::from_pending(pending, memory_bytes, d, config)
-    }
-
-    /// Second phase shared by [`ShardedSpillStore::build`] and
-    /// [`ShardedSpillStore::build_from_container`]: lay the spilled
-    /// batches out across shard files (none when everything fit in
-    /// memory).
-    fn from_pending(
-        pending: Vec<(Pending, Vec<f64>)>,
-        memory_bytes: usize,
-        features: usize,
-        config: &StoreConfig,
-    ) -> std::io::Result<Self> {
-        let spill_sizes: Vec<usize> = pending
-            .iter()
-            .filter_map(|(p, _)| match p {
-                Pending::Disk(b) => Some(b.len()),
-                Pending::Mem(_) => None,
-            })
-            .collect();
-        let (mut shards, owns_dir) = if spill_sizes.is_empty() {
-            (Vec::new(), None)
-        } else {
-            let (dir, owns_dir) = resolve_spill_dir(config);
-            let n_shards = config.resolved_shards().clamp(1, spill_sizes.len());
-            (create_shard_files(&dir, config.scheme, n_shards)?, owns_dir)
-        };
-        let assignment = place_spilled(&spill_sizes, shards.len().max(1), config.placement);
-        let mut cursors = vec![0u64; shards.len()];
-        let mut spill_idx = 0usize;
-        let mut entries = Vec::with_capacity(pending.len());
-        for (p, y) in pending {
-            entries.push(match p {
-                Pending::Mem(b) => Entry::new(Slot::Memory(b), y),
-                Pending::Disk(bytes) => {
-                    let shard = assignment[spill_idx];
-                    spill_idx += 1;
-                    shards[shard].0.write_all(&bytes)?;
-                    let loc = DiskLoc {
-                        shard,
-                        offset: cursors[shard],
-                        len: bytes.len(),
-                    };
-                    cursors[shard] += bytes.len() as u64;
-                    Entry::spilled(loc, y)
-                }
-            });
-        }
-        for (file, _) in &shards {
-            file.sync_all()?;
-        }
-        Self::assemble(config, features, entries, 0, shards, owns_dir, memory_bytes)
+        let mut builder = StoreBuilder::new(cols - 1, config);
+        sc.for_each_row(&mut |_, row| {
+            let (features, label) = split_label(row);
+            builder.push_row(features, label);
+            Ok(())
+        })
+        .map_err(inval)?;
+        builder.finish()
     }
 
     /// The one place a store comes together, whatever produced its
@@ -1051,105 +865,6 @@ impl ShardedSpillStore {
             .then(|| AppenderToken { inner: &self.inner })
     }
 
-    /// Snapshot the streaming-append state for a checkpoint sidecar:
-    /// shard file paths and cursors plus every sealed segment's current
-    /// extent and labels (post-migration locations — a checkpoint taken
-    /// after a rebalance restores the rebalanced layout). Taken under
-    /// the append lock, so it can never capture a half-appended
-    /// segment. Panics on a non-streaming store: build-time entries are
-    /// reproducible from their source and have no business in a crash
-    /// checkpoint.
-    pub fn streaming_checkpoint(&self) -> StoreCheckpoint {
-        let inner = &self.inner;
-        assert!(
-            inner.built == 0 && !inner.shard_meta.is_empty(),
-            "streaming_checkpoint needs a store opened with open_streaming"
-        );
-        let append = lock(&inner.append);
-        let entries = rlock(&inner.entries)
-            .iter()
-            .take(append.seq)
-            .map(|e| {
-                let loc = e.loc().expect("appended segments are disk-resident");
-                CheckpointEntry {
-                    shard: loc.shard as u32,
-                    offset: loc.offset,
-                    len: loc.len as u64,
-                    labels: e.labels.clone(),
-                }
-            })
-            .collect();
-        StoreCheckpoint {
-            shard_paths: inner.shard_meta.iter().map(|m| m.path.clone()).collect(),
-            cursors: append.cursors.clone(),
-            entries,
-        }
-    }
-
-    /// Re-open a streaming store from a [`StoreCheckpoint`] after a
-    /// crash: the shard files named by the checkpoint are opened in
-    /// place (never truncated below the recorded cursors — a file
-    /// shorter than its cursor means the checkpoint outran the data and
-    /// is rejected), any torn bytes past the cursors are truncated
-    /// away, and every checkpointed segment becomes visible again.
-    /// Appending continues exactly where the crashed run left off.
-    pub fn open_streaming_resume(
-        features: usize,
-        config: &StoreConfig,
-        ckpt: &StoreCheckpoint,
-    ) -> std::io::Result<Self> {
-        use std::io::{Error, ErrorKind};
-        let n_shards = ckpt.shard_paths.len();
-        if n_shards == 0 || ckpt.cursors.len() != n_shards {
-            return Err(Error::new(
-                ErrorKind::InvalidInput,
-                "checkpoint has no shards or mismatched cursor count",
-            ));
-        }
-        for (i, e) in ckpt.entries.iter().enumerate() {
-            let s = e.shard as usize;
-            if s >= n_shards || e.offset + e.len > ckpt.cursors[s] {
-                return Err(Error::new(
-                    ErrorKind::InvalidData,
-                    format!("checkpoint entry {i} extends past its shard cursor"),
-                ));
-            }
-        }
-        let mut shards = Vec::with_capacity(n_shards);
-        for (s, (path, &cursor)) in ckpt.shard_paths.iter().zip(&ckpt.cursors).enumerate() {
-            let f = OpenOptions::new().write(true).read(true).open(path)?;
-            let len = f.metadata()?.len();
-            if len < cursor {
-                return Err(Error::new(
-                    ErrorKind::InvalidData,
-                    format!(
-                        "shard {s} is {len} bytes but the checkpoint says {cursor}: \
-                         the sidecar outran the data and cannot be resumed from"
-                    ),
-                ));
-            }
-            // Drop any torn tail past the checkpointed watermark.
-            if len > cursor {
-                f.set_len(cursor)?;
-            }
-            shards.push((f, path.clone()));
-        }
-        let entries: Vec<Arc<Entry>> = ckpt
-            .entries
-            .iter()
-            .map(|e| {
-                let loc = DiskLoc {
-                    shard: e.shard as usize,
-                    offset: e.offset,
-                    len: e.len as usize,
-                };
-                Entry::spilled(loc, e.labels.clone())
-            })
-            .collect();
-        let appended = entries.len();
-        Self::assemble(config, features, entries, appended, shards, None, 0)
-    }
-
     /// Number of batches kept in memory (only a build leaves any there).
     pub fn in_memory_batches(&self) -> usize {
         self.inner.built - self.inner.spilled_order.len()
@@ -1277,242 +992,6 @@ impl ShardedSpillStore {
             None => self.inner.read_disk_sync(loc),
         }
     }
-
-    /// Current placement state: policy, resolved scheduling, rebalance and
-    /// migration counters, per-shard EWMA bandwidth estimates and the
-    /// bytes currently assigned to each shard.
-    pub fn placement_report(&self) -> PlacementReport {
-        let ps = &self.inner.placement_stats;
-        PlacementReport {
-            policy: self.placement,
-            io_threads: self.io_threads,
-            decode_workers: self.decode_workers,
-            rebalances: ps.rebalances.load(Ordering::Relaxed),
-            migrated_batches: ps.migrated_batches.load(Ordering::Relaxed),
-            migrated_bytes: ps.migrated_bytes.load(Ordering::Relaxed),
-            shard_ewma_mbps: self.inner.io.profile.snapshot_mbps(),
-            shard_bytes: self.shard_bytes(),
-        }
-    }
-
-    /// Re-plan the adaptive placement from the observed per-shard
-    /// bandwidth EWMAs and the per-batch visit counts, then migrate every
-    /// batch whose planned shard is meaningfully faster than its current
-    /// one ([`REBALANCE_HYSTERESIS`]). Returns the number of batches
-    /// migrated.
-    ///
-    /// Migration is append-and-repoint: the batch's bytes are copied to
-    /// the end of the target shard file and the location table repointed,
-    /// so reads already in flight against the old location still return
-    /// the right bytes — the pipeline never has to drain. Skipped until
-    /// every shard has at least one profiler observation (there is
-    /// nothing measured to plan by before that).
-    pub fn rebalance(&self) -> usize {
-        let inner = &self.inner;
-        let n_shards = inner.shard_meta.len();
-        if n_shards < 2 {
-            return 0;
-        }
-        if (0..n_shards).any(|s| inner.io.profile.samples(s) == 0) {
-            return 0;
-        }
-        // The append lock doubles as the placement mutation lock: one
-        // rebalance at a time, and append offsets stay consistent.
-        let mut append = lock(&inner.append);
-        inner
-            .placement_stats
-            .rebalances
-            .fetch_add(1, Ordering::Relaxed);
-        let bw: Vec<f64> = (0..n_shards)
-            .map(|s| inner.io.profile.estimate_mbps(s).unwrap_or(1.0))
-            .collect();
-        // With the append mutex held no new entry can seal mid-pass, so
-        // the snapshot is consistent. Plan ids are the spilled entries in
-        // table order.
-        let spilled: Vec<(Arc<Entry>, DiskLoc)> = rlock(&inner.entries)
-            .iter()
-            .filter_map(|e| e.loc().map(|loc| (Arc::clone(e), loc)))
-            .collect();
-        let sizes: Vec<usize> = spilled.iter().map(|(_, loc)| loc.len).collect();
-        let hot: Vec<u64> = spilled
-            .iter()
-            .map(|(e, _)| e.visits.load(Ordering::Relaxed))
-            .collect();
-        let capacity = vec![u64::MAX; n_shards];
-        let plan = plan_adaptive(&sizes, &hot, &bw, &capacity);
-        let mut moved = 0usize;
-        let mut moved_bytes = 0u64;
-        let mut buf = Vec::new();
-        for (&target, (entry, loc)) in plan.iter().zip(&spilled) {
-            if target == loc.shard || bw[target] < REBALANCE_HYSTERESIS * bw[loc.shard] {
-                continue;
-            }
-            // Copy through the charged read path (migration pays the
-            // source device's bandwidth and shows up in IoStats), then
-            // append to the target shard and repoint.
-            if inner
-                .io
-                .read_range(loc.shard, loc.offset, loc.len, &mut buf)
-                .is_err()
-            {
-                continue; // keep the old location; the visit path surfaces IO errors
-            }
-            let offset = append.cursors[target];
-            if inner.io.devices[target]
-                .file
-                .write_all_at(&buf, offset)
-                .is_err()
-            {
-                continue;
-            }
-            append.cursors[target] += loc.len as u64;
-            if let Slot::Disk(current) = &entry.slot {
-                *wlock(current) = DiskLoc {
-                    shard: target,
-                    offset,
-                    len: loc.len,
-                };
-            }
-            moved += 1;
-            moved_bytes += loc.len as u64;
-        }
-        inner
-            .placement_stats
-            .migrated_batches
-            .fetch_add(moved as u64, Ordering::Relaxed);
-        inner
-            .placement_stats
-            .migrated_bytes
-            .fetch_add(moved_bytes, Ordering::Relaxed);
-        moved
-    }
-}
-
-/// A migration must buy at least this bandwidth ratio between the target
-/// and the current shard, or the batch stays put. Keeps statistically
-/// flat profiles (every shard within noise of each other) from shuffling
-/// batches every epoch for nothing.
-pub const REBALANCE_HYSTERESIS: f64 = 1.25;
-
-/// Snapshot of the placement/scheduling state
-/// ([`ShardedSpillStore::placement_report`]; the CLI prints it as the
-/// machine-parseable `placement:` line).
-#[derive(Clone, Debug)]
-pub struct PlacementReport {
-    pub policy: ShardPlacement,
-    /// IO threads the pipeline's engine runs (0 under the inline engine,
-    /// whose reads happen in the decode workers, or with prefetch off).
-    pub io_threads: usize,
-    pub decode_workers: usize,
-    /// Adaptive rebalance passes that had profiler signal to plan with.
-    pub rebalances: u64,
-    /// Batches the adaptive planner migrated to a different shard.
-    pub migrated_batches: u64,
-    /// Bytes those migrations copied.
-    pub migrated_bytes: u64,
-    /// Per-shard EWMA bandwidth estimates in MB/s (0.0 = never observed).
-    pub shard_ewma_mbps: Vec<f64>,
-    /// Bytes of spilled batches currently assigned to each shard.
-    pub shard_bytes: Vec<u64>,
-}
-
-/// Decide which shard each spilled batch (in visit order) lands on at
-/// build time. `Adaptive` starts from the `Pack` layout (file-adjacent
-/// runs, so ring coalescing works from epoch one) and diverges only once
-/// the runtime profiler has measured the shards
-/// ([`ShardedSpillStore::rebalance`]).
-pub fn place_spilled(sizes: &[usize], n_shards: usize, placement: ShardPlacement) -> Vec<usize> {
-    match placement {
-        ShardPlacement::Stripe => (0..sizes.len()).map(|i| i % n_shards).collect(),
-        ShardPlacement::Pack | ShardPlacement::Adaptive => {
-            let total: usize = sizes.iter().sum();
-            // A run must hold at least a couple of batches for adjacency
-            // to buy anything, but never so many that a shard ends up
-            // with no run at all. The byte target alone cannot guarantee
-            // the latter under skew (one huge batch closes a run while
-            // the tiny remainder never reaches the target again), so runs
-            // are additionally capped at ⌊batches/shards⌋ batches — that
-            // forces at least `n_shards` runs, and runs round-robin.
-            let avg = total.div_ceil(sizes.len().max(1));
-            let lo = (total / n_shards / PACK_RUNS_PER_SHARD).max(1);
-            let hi = (total / n_shards).max(1);
-            let run_target = (2 * avg).clamp(lo, hi.max(lo));
-            let max_run_batches = (sizes.len() / n_shards).max(1);
-            let mut shard = 0usize;
-            let mut run_bytes = 0usize;
-            let mut run_batches = 0usize;
-            let mut out = Vec::with_capacity(sizes.len());
-            for &sz in sizes {
-                out.push(shard);
-                run_bytes += sz;
-                run_batches += 1;
-                if run_bytes >= run_target || run_batches >= max_run_batches {
-                    shard = (shard + 1) % n_shards;
-                    run_bytes = 0;
-                    run_batches = 0;
-                }
-            }
-            out
-        }
-    }
-}
-
-/// The adaptive placement plan: assign every spilled batch to a shard so
-/// the estimated epoch completion time is minimized on heterogeneous
-/// devices. Batches are ranked hottest first (visit count descending,
-/// index ascending for determinism) and greedily placed on the shard with
-/// the smallest projected finish time `(assigned_bytes + size) / mbps`
-/// whose byte `capacity` the batch still fits — LPT scheduling onto
-/// machines with speeds, which packs hot bytes onto fast shards in
-/// proportion to measured bandwidth. When no shard has capacity left the
-/// batch falls back to the least-loaded-by-time shard, so every batch is
-/// always assigned exactly once.
-///
-/// Pure and deterministic: same inputs, same plan. `sizes`, `hotness` and
-/// the returned assignment are indexed by spilled-batch id; `mbps` and
-/// `capacity` by shard. Non-finite or non-positive speeds are treated as
-/// a tiny positive speed so a never-measured shard never divides by zero.
-pub fn plan_adaptive(
-    sizes: &[usize],
-    hotness: &[u64],
-    mbps: &[f64],
-    capacity: &[u64],
-) -> Vec<usize> {
-    assert_eq!(sizes.len(), hotness.len(), "one hotness count per batch");
-    assert_eq!(mbps.len(), capacity.len(), "one capacity per shard");
-    let n_shards = mbps.len();
-    assert!(n_shards > 0, "need at least one shard");
-    let speed: Vec<f64> = mbps
-        .iter()
-        .map(|&m| if m.is_finite() && m > 0.0 { m } else { 1e-6 })
-        .collect();
-    let mut order: Vec<usize> = (0..sizes.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(hotness[i]), i));
-    let mut load = vec![0u64; n_shards];
-    let mut out = vec![0usize; sizes.len()];
-    for i in order {
-        let sz = sizes[i] as u64;
-        let finish = |s: usize| (load[s] + sz) as f64 / speed[s];
-        let mut best: Option<usize> = None;
-        for s in 0..n_shards {
-            if load[s] + sz > capacity[s] {
-                continue;
-            }
-            if best.is_none_or(|b| finish(s) < finish(b)) {
-                best = Some(s);
-            }
-        }
-        // Capacity exhausted everywhere: least projected finish time wins
-        // (coverage beats the capacity hint — every batch must land).
-        let s = best.unwrap_or_else(|| {
-            (0..n_shards)
-                .min_by(|&a, &b| finish(a).total_cmp(&finish(b)))
-                .unwrap()
-        });
-        load[s] += sz;
-        out[i] = s;
-    }
-    out
 }
 
 impl BatchProvider for ShardedSpillStore {
@@ -1900,6 +1379,29 @@ mod tests {
         }
     }
 
+    /// The builder holds a row only while its chunk is staged: sixteen
+    /// times the rows leave the staging high-water mark where it was.
+    #[test]
+    fn builder_staging_is_flat_in_total_rows() {
+        let peak_for = |rows: usize| {
+            let ds = generate_preset(DatasetPreset::CensusLike, rows, 21);
+            let config = StoreConfig::new(Scheme::Toc, 32, 0);
+            let mut builder = StoreBuilder::new(ds.x.cols(), &config);
+            for r in 0..rows {
+                builder.push_row(ds.x.row(r), ds.labels[r]);
+            }
+            let peak = builder.ws.peak_bytes();
+            assert_eq!(builder.finish().unwrap().spilled_batches(), rows / 32);
+            peak
+        };
+        let (small, large) = (peak_for(64), peak_for(64 * 16));
+        assert!(small > 0);
+        assert!(
+            large as f64 <= 1.1 * small as f64,
+            "staging grew with total rows: {small} -> {large}"
+        );
+    }
+
     #[test]
     fn in_memory_sharded_store_has_no_shards() {
         let (x, y) = dataset();
@@ -1916,76 +1418,6 @@ mod tests {
             });
         }
         assert_eq!(store.stats().snapshot(), IoSnapshot::default());
-    }
-
-    #[test]
-    fn place_spilled_policies() {
-        // Stripe: round robin regardless of size.
-        assert_eq!(
-            place_spilled(&[10, 10, 10, 10], 2, ShardPlacement::Stripe),
-            vec![0, 1, 0, 1]
-        );
-        // Pack: equal sizes, 2 shards, 8 batches → run target 2·avg=20,
-        // so pairs of consecutive batches stay file-adjacent.
-        assert_eq!(
-            place_spilled(&[10; 8], 2, ShardPlacement::Pack),
-            vec![0, 0, 1, 1, 0, 0, 1, 1]
-        );
-        // Pack with small batches: several consecutive batches share a
-        // run before it closes.
-        let a = place_spilled(&[1; 80], 2, ShardPlacement::Pack);
-        assert_eq!(a.len(), 80);
-        // run target = 80/2/4 = 10 → runs of 10 consecutive batches.
-        assert_eq!(&a[..10], &[0; 10]);
-        assert_eq!(&a[10..20], &[1; 10]);
-        // Bytes balance across shards.
-        assert_eq!(a.iter().filter(|&&s| s == 0).count(), 40);
-        // Skewed sizes: one huge batch must not starve later shards — the
-        // batch-count run cap guarantees every shard still gets a run.
-        let a = place_spilled(&[1000, 1, 1, 1], 4, ShardPlacement::Pack);
-        assert_eq!(a, vec![0, 1, 2, 3]);
-        for n_shards in 1..=4 {
-            for sizes in [&[7usize, 900, 3, 3, 3, 900, 1][..], &[5; 9][..]] {
-                let a = place_spilled(sizes, n_shards, ShardPlacement::Pack);
-                for s in 0..n_shards {
-                    assert!(a.contains(&s), "shard {s} empty: {a:?} ({sizes:?})");
-                }
-            }
-        }
-        // Adaptive starts from the pack layout.
-        assert_eq!(
-            place_spilled(&[10; 8], 2, ShardPlacement::Adaptive),
-            place_spilled(&[10; 8], 2, ShardPlacement::Pack)
-        );
-    }
-
-    #[test]
-    fn plan_adaptive_packs_hot_bytes_onto_fast_shards() {
-        // Equal sizes, flat hotness: load splits roughly proportional to
-        // measured speed (400 of 500 MB/s → ~80% of batches on shard 0).
-        let sizes = vec![10usize; 100];
-        let hot = vec![1u64; 100];
-        let bw = [400.0, 50.0, 50.0];
-        let caps = [u64::MAX; 3];
-        let plan = plan_adaptive(&sizes, &hot, &bw, &caps);
-        assert_eq!(plan.len(), 100);
-        assert!(plan.iter().all(|&s| s < 3));
-        let on_fast = plan.iter().filter(|&&s| s == 0).count();
-        assert!((70..=90).contains(&on_fast), "{on_fast}");
-        // Deterministic: same inputs, same plan.
-        assert_eq!(plan, plan_adaptive(&sizes, &hot, &bw, &caps));
-        // The hottest batch lands on the fastest shard.
-        let plan2 = plan_adaptive(&[5; 4], &[0, 0, 9, 0], &[100.0, 1.0], &[u64::MAX; 2]);
-        assert_eq!(plan2[2], 0);
-        // Capacity respected: the fast shard only has room for one batch,
-        // so the other overflows to the slow one despite the speed gap.
-        let plan3 = plan_adaptive(&[10, 10], &[1, 1], &[1000.0, 1.0], &[10, 100]);
-        assert_eq!(plan3.iter().filter(|&&s| s == 0).count(), 1);
-        // Infeasible capacity still assigns every batch (coverage wins).
-        let plan4 = plan_adaptive(&[10, 10], &[1, 1], &[1.0, 1.0], &[0, 0]);
-        assert_eq!(plan4.len(), 2);
-        // Degenerate speeds must not divide by zero.
-        let _ = plan_adaptive(&[1], &[0], &[0.0], &[u64::MAX]);
     }
 
     #[test]

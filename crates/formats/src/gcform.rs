@@ -143,7 +143,6 @@ impl MatrixBatch for GcBatch {
         let tag = match self.codec {
             Codec::FastLz => Scheme::Snappy.tag(),
             Codec::Deflate => Scheme::Gzip.tag(),
-            Codec::Lzw => Scheme::Gzip.tag(), // LZW is test-only; map to GC slot
             Codec::Ans => Scheme::GcAns.tag(),
         };
         let mut out = vec![tag];

@@ -140,12 +140,6 @@ pub struct ExecScratch {
     /// Decode tree and live plan of the TOC batch prepared last, plus
     /// accumulator scratch for the TOC kernels.
     pub toc: toc_core::KernelScratch,
-    /// Serialized-batch staging for spill-store reads: out-of-core
-    /// providers read a batch's on-disk bytes here before
-    /// [`Scheme::from_bytes`] parses them, so a prefetch worker or visitor
-    /// that owns one scratch re-reads any number of spilled batches
-    /// without reallocating the IO buffer.
-    pub spill_bytes: Vec<u8>,
 }
 
 /// A mini-batch in some (possibly compressed) encoding, supporting the core

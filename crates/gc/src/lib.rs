@@ -9,8 +9,6 @@
 //!   ratio).
 //! * [`deflate`] — LZ77 with hash chains + dynamic canonical Huffman coding
 //!   over the RFC 1951 alphabets (Gzip class: strong ratio, slower).
-//! * [`lzw`] — classic byte LZW (Welch 1984), the ancestor TOC adapts;
-//!   used to contrast structure-oblivious dictionary coding with TOC.
 //! * [`ans`] — tabled range-ANS entropy coder (pcodec class): per-chunk
 //!   adaptive frequency tables, reverse-order encode, two interleaved
 //!   decode states driving a branchless slot-table inner loop.
@@ -23,7 +21,6 @@ pub mod bitio;
 pub mod deflate;
 pub mod fastlz;
 pub mod huffman;
-pub mod lzw;
 
 /// Error type for the decompressors. Corrupt input yields an error, never a
 /// panic.
@@ -56,8 +53,6 @@ pub enum Codec {
     FastLz,
     /// Gzip-class LZ77 + Huffman.
     Deflate,
-    /// Classic byte LZW.
-    Lzw,
     /// Tabled range-ANS entropy coder (per-chunk adaptive, interleaved
     /// decode states).
     Ans,
@@ -70,7 +65,6 @@ impl Codec {
         match self {
             Codec::FastLz => "Snappy*",
             Codec::Deflate => "Gzip*",
-            Codec::Lzw => "LZW",
             Codec::Ans => "ANS",
         }
     }
@@ -80,7 +74,6 @@ impl Codec {
         match self {
             Codec::FastLz => fastlz::compress(input),
             Codec::Deflate => deflate::compress(input),
-            Codec::Lzw => lzw::compress(input),
             Codec::Ans => ans::compress(input),
         }
     }
@@ -90,7 +83,6 @@ impl Codec {
         match self {
             Codec::FastLz => fastlz::decompress(input),
             Codec::Deflate => deflate::decompress(input),
-            Codec::Lzw => lzw::decompress(input),
             Codec::Ans => ans::decompress(input),
         }
     }
@@ -103,7 +95,6 @@ impl Codec {
         match self {
             Codec::FastLz => fastlz::decompress_into(input, out),
             Codec::Deflate => deflate::decompress_into(input, out),
-            Codec::Lzw => lzw::decompress_into(input, out),
             Codec::Ans => ans::decompress_into(input, out),
         }
     }
@@ -116,7 +107,7 @@ mod tests {
     #[test]
     fn codec_dispatch_roundtrips() {
         let data: Vec<u8> = (0..10_000u32).map(|i| (i % 97) as u8).collect();
-        for codec in [Codec::FastLz, Codec::Deflate, Codec::Lzw, Codec::Ans] {
+        for codec in [Codec::FastLz, Codec::Deflate, Codec::Ans] {
             let c = codec.compress(&data);
             assert_eq!(codec.decompress(&c).unwrap(), data, "{}", codec.name());
             assert!(c.len() < data.len(), "{} did not compress", codec.name());

@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use toc_gc::Codec;
 
-const CODECS: [Codec; 4] = [Codec::FastLz, Codec::Deflate, Codec::Lzw, Codec::Ans];
+const CODECS: [Codec; 3] = [Codec::FastLz, Codec::Deflate, Codec::Ans];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

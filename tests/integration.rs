@@ -161,6 +161,76 @@ fn killed_and_resumed_ingest_trains_bit_identically_to_in_memory() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// One way in: a CSV on disk streamed row by row through `StoreBuilder`
+/// is the store `build` makes of the same file read whole — and both are
+/// the plain statement of it, `encode_with` on every `batch_rows` slice —
+/// batch for batch in bytes and labels, so LR trains to the same bits,
+/// spilled or resident, with a last batch that is not full.
+#[test]
+fn csv_streamed_store_is_the_built_store_batch_for_batch() {
+    use toc_repro::data::csv::{read_all, stream_rows};
+    use toc_repro::data::store::{split_label, StoreBuilder};
+
+    let dir = std::env::temp_dir().join(format!("toc-it-one-way-in-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let csv = write_csv(&dir, &generate_preset(DatasetPreset::CensusLike, 430, 17));
+    let (rows, cols, data, _) = read_all(&csv).expect("parse csv");
+    let full = DenseMatrix::from_vec(rows, cols, data);
+    let mut x = DenseMatrix::zeros(rows, cols - 1);
+    let mut y = Vec::new();
+    for r in 0..rows {
+        let (label, features) = full.row(r).split_last().unwrap();
+        x.row_mut(r).copy_from_slice(features);
+        y.push(if *label >= 0.0 { 1.0 } else { -1.0 });
+    }
+
+    let batches = |store: &ShardedSpillStore| {
+        let mut out = Vec::new();
+        for i in 0..store.num_batches() {
+            store.visit(i, &mut |b, labels| {
+                out.push((b.to_bytes(), labels.to_vec()))
+            });
+        }
+        out
+    };
+    let batch_rows = 100;
+    let by_definition: Vec<_> = (0..rows)
+        .step_by(batch_rows)
+        .map(|start| {
+            let end = (start + batch_rows).min(rows);
+            let batch = Scheme::Toc.encode(&x.slice_rows(start, end));
+            (batch.to_bytes(), y[start..end].to_vec())
+        })
+        .collect();
+    assert_eq!(by_definition.len(), 5);
+
+    for budget in [0, usize::MAX] {
+        let config = StoreConfig::new(Scheme::Toc, batch_rows, budget).with_shards(2);
+        let built = ShardedSpillStore::build(&x, &y, &config).expect("built store");
+        let mut builder = None;
+        stream_rows(&csv, &mut |_, row| {
+            let (features, label) = split_label(row);
+            builder
+                .get_or_insert_with(|| StoreBuilder::new(features.len(), &config))
+                .push_row(features, label);
+            Ok(())
+        })
+        .expect("stream csv");
+        let streamed = builder.expect("rows").finish().expect("streamed store");
+
+        let spilled = if budget == 0 { 5 } else { 0 };
+        assert_eq!(streamed.spilled_batches(), spilled);
+        assert_eq!(built.spilled_batches(), spilled);
+        assert!(batches(&built) == by_definition, "budget {budget}: built");
+        assert!(
+            batches(&streamed) == by_definition,
+            "budget {budget}: streamed"
+        );
+        assert_eq!(weights(&streamed), weights(&built), "budget {budget}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// `dir/rows.csv`: features then the label, one row per line.
 fn write_csv(dir: &std::path::Path, ds: &toc_repro::data::synth::Dataset) -> std::path::PathBuf {
     use std::fmt::Write as _;
