@@ -41,7 +41,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
-use toc_bench::{append_history, arg, fmt_ratio, today_utc, Table};
+use toc_bench::{fmt_ratio, Args, History, Table};
 use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::{drifting_matrix, generate_preset, DatasetPreset};
 use toc_data::{IngestStats, StoreIngest};
@@ -57,7 +57,9 @@ const GROWTH: &[usize] = &[1, 4, 16];
 /// taken at different commits compare.
 const CSV_MIN_BYTES: u64 = 2_000_000;
 
-const HEADER: &str = "{\n  \"bench\": \"ingest_scaling\",\n  \"units\": {\n    \"peak_workspace_bytes\": \"high-water mark of the reusable encode workspace\",\n    \"peak_ratio\": \"peak at largest scale / peak at base scale (asserted <= 1.1)\",\n    \"ingest_mb_s\": \"dense payload MB/s through push_row -> seal -> append\",\n    \"bp_peak_pending\": \"max unconsumed sealed chunks under --max-pending (asserted <= budget)\",\n    \"bp_throughput_ratio\": \"bounded/unbounded MB/s with a keeping-up consumer (asserted >= 0.9)\",\n    \"resume_bytes\": \"container size after kill+resume (asserted == uninterrupted)\",\n    \"csv\": \"per preset, csv::read_all of a >= 2 MB toc-gen-format file: MB/s of text and rows/s, best of 7 reads\"\n  },\n";
+/// Header of a fresh `BENCH_ingest.json`; an object-valued unit is a
+/// `bench_compare` tolerance (see `toc_bench::paper::HEADER`).
+const HEADER: &str = "{\n  \"bench\": \"ingest_scaling\",\n  \"units\": {\n    \"peak_workspace_bytes\": {\"what\": \"high-water mark of the reusable encode workspace\", \"better\": \"lower\", \"tolerance\": 0.1},\n    \"peak_ratio\": {\"what\": \"peak at largest scale / peak at base scale (asserted <= 1.1)\", \"better\": \"lower\", \"tolerance\": 0.05},\n    \"ingest_mb_s\": {\"what\": \"dense payload MB/s through push_row -> seal -> append\", \"better\": \"higher\", \"tolerance\": 0.5},\n    \"backpressure\": \"peak_pending: max unconsumed sealed chunks under --max-pending (asserted <= budget); throughput_ratio: bounded/unbounded MB/s with a keeping-up consumer (asserted >= 0.9)\",\n    \"resume\": \"bytes: container size after kill+resume (asserted == uninterrupted)\",\n    \"csv\": \"per preset, csv::read_all of a >= 2 MB toc-gen-format file, best of 7 reads\",\n    \"read_mb_s\": {\"what\": \"csv: MB/s of text\", \"better\": \"higher\", \"tolerance\": 0.5},\n    \"rows_per_s\": {\"what\": \"csv: rows/s\", \"better\": \"higher\", \"tolerance\": 0.5}\n  },\n";
 
 struct ScalePoint {
     rows: usize,
@@ -322,12 +324,14 @@ fn run_csv_leg() -> Vec<CsvPoint> {
 }
 
 fn main() {
-    let rows: usize = arg("rows", 1500);
-    let chunk_rows: usize = arg("chunk-rows", 100);
-    let shards: usize = arg("shards", 3);
-    let window: usize = arg("window", 4);
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_ingest.json");
-    let out_path: String = arg("out", default_out.to_string());
+    let mut args = Args::from_env();
+    let rows: usize = args.get("rows", 1500);
+    let chunk_rows: usize = args.get("chunk-rows", 100);
+    let shards: usize = args.get("shards", 3);
+    let window: usize = args.get("window", 4);
+    let budget: usize = args.get("max-pending", 4);
+    let history = History::from_args(&mut args, "BENCH_ingest.json");
+    args.finish();
 
     println!(
         "ingest_scaling: base {rows} rows x {COLS} cols, chunk {chunk_rows}, {shards} shards, \
@@ -395,7 +399,6 @@ fn main() {
     // budget (with observable stall time); against a consumer that keeps
     // up, the bound must cost < 10% throughput (best of 3 runs to damp
     // noise).
-    let budget: usize = arg("max-pending", 4);
     let lag = std::time::Duration::from_millis(10);
     let (_, peak_pending, stall_ns) = run_backpressure(rows, chunk_rows, shards, budget, lag);
     println!(
@@ -474,12 +477,9 @@ fn main() {
             if i + 1 < points.len() { "," } else { "" },
         ));
     }
-    let entry = format!(
-        "    {{\n      \"date\": \"{}\",\n      \"rows_base\": {rows},\n      \"cols\": {COLS},\n      \"chunk_rows\": {chunk_rows},\n      \"shards\": {shards},\n      \"peak_ratio\": {peak_ratio:.3},\n      \"liveness\": {{\"window\": {window}, \"windows\": {windows}, \"windows_during_ingest\": {during}, \"consumed\": {consumed}}},\n      \"backpressure\": {{\"budget\": {budget}, \"peak_pending\": {peak_pending}, \"stall_ms\": {:.1}, \"throughput_ratio\": {bp_ratio:.3}}},\n      \"resume\": {{\"bytes\": {resume_bytes}, \"restored_chunks\": {restored}, \"identical\": true}},\n      \"sweep\": [\n{sweep}      ],\n      \"csv\": [\n{csv_json}\n      ]\n    }}",
-        today_utc(),
+    let payload = format!(
+        "      \"rows_base\": {rows},\n      \"cols\": {COLS},\n      \"chunk_rows\": {chunk_rows},\n      \"shards\": {shards},\n      \"peak_ratio\": {peak_ratio:.3},\n      \"liveness\": {{\"window\": {window}, \"windows\": {windows}, \"windows_during_ingest\": {during}, \"consumed\": {consumed}}},\n      \"backpressure\": {{\"budget\": {budget}, \"peak_pending\": {peak_pending}, \"stall_ms\": {:.1}, \"throughput_ratio\": {bp_ratio:.3}}},\n      \"resume\": {{\"bytes\": {resume_bytes}, \"restored_chunks\": {restored}, \"identical\": true}},\n      \"sweep\": [\n{sweep}      ],\n      \"csv\": [\n{csv_json}\n      ]",
         stall_ns as f64 / 1e6,
     );
-    append_history(&out_path, HEADER, &entry)
-        .unwrap_or_else(|e| panic!("append to {out_path}: {e}"));
-    println!("appended entry to {out_path}");
+    history.append(HEADER, &payload);
 }

@@ -19,7 +19,7 @@
 //! ```
 
 use std::time::Instant;
-use toc_bench::{arg, fmt_duration, mb_per_s, Table};
+use toc_bench::{fmt_duration, mb_per_s, Args, Table};
 use toc_data::SeekableContainer;
 use toc_formats::container::Container;
 use toc_formats::{EncodeOptions, Scheme};
@@ -41,11 +41,13 @@ fn synth(rows: usize, cols: usize, seed: u64) -> DenseMatrix {
 }
 
 fn main() {
-    let rows: usize = arg("rows", 65_536);
-    let cols: usize = arg("cols", 16);
-    let segments: usize = arg("segments", 64);
-    let workers: usize = arg("workers", 4);
-    let scheme_name: String = arg("scheme", "toc".to_string());
+    let mut args = Args::from_env();
+    let rows: usize = args.get("rows", 65_536);
+    let cols: usize = args.get("cols", 16);
+    let segments: usize = args.get("segments", 64);
+    let workers: usize = args.get("workers", 4);
+    let scheme_name: String = args.get("scheme", "toc".to_string());
+    args.finish();
     let scheme = match scheme_name.as_str() {
         "toc" => Scheme::Toc,
         "den" => Scheme::Den,

@@ -25,24 +25,28 @@
 //!     --rows=3000 --threads=8 --mbps=400 --shards=4 --prefetch=8 --io=ring
 //! ```
 
-use toc_bench::{
-    append_history, arg, cpu_model, fmt_duration, git_head, json_escape, mb_per_s, sweep_store,
-    today_utc, Table,
-};
+use toc_bench::{fmt_duration, mb_per_s, sweep_store, Args, History, Table};
 use toc_data::store::{
     IoEngineKind, SchedulerConfig, ShardPlacement, ShardedSpillStore, StoreConfig,
 };
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::Scheme;
 
+/// Header of a fresh `BENCH_store.json`; an object-valued unit is a
+/// `bench_compare` tolerance (see `toc_bench::paper::HEADER`).
+const HEADER: &str = "{\n  \"bench\": \"store_scaling\",\n  \"units\": {\n    \"sweep_1v_ms\": {\"what\": \"median of 5 sweeps, one visitor visiting every spilled batch once\", \"better\": \"lower\", \"tolerance\": 1.0},\n    \"sweep_4v_ms\": {\"what\": \"the same with the batches striped over 4 concurrent visitors\", \"better\": \"lower\", \"tolerance\": 1.0},\n    \"workers\": \"decode workers; the ring adds one IO thread per shard, none = no prefetch\",\n    \"best_vs_none\": {\"what\": \"no-prefetch sweep_1v_ms / the engine's fastest row (asserted >= 1.3)\", \"better\": \"higher\", \"tolerance\": 0.5}\n  },\n";
+
 fn main() {
-    let rows: usize = arg("rows", 3000);
-    let batch_rows: usize = arg("batch-rows", 250);
-    let threads: usize = arg("threads", 8);
-    let mbps: f64 = arg("mbps", 400.0);
-    let shards: usize = arg("shards", 0); // 0 = available parallelism
-    let prefetch: usize = arg("prefetch", 8);
-    let io: IoEngineKind = arg("io", "ring".to_string()).parse().expect("--io");
+    let mut args = Args::from_env();
+    let rows: usize = args.get("rows", 3000);
+    let batch_rows: usize = args.get("batch-rows", 250);
+    let threads: usize = args.get("threads", 8);
+    let mbps: f64 = args.get("mbps", 400.0);
+    let shards: usize = args.get("shards", 0); // 0 = available parallelism
+    let prefetch: usize = args.get("prefetch", 8);
+    let io: IoEngineKind = args.get("io", IoEngineKind::Ring);
+    let history = History::from_args(&mut args, "BENCH_store.json");
+    args.finish();
     let ds = generate_preset(DatasetPreset::CensusLike, rows, 1);
     println!(
         "store_scaling: {rows} rows x {} cols, batch_rows={batch_rows}, budget=0 (all spilled), \
@@ -129,7 +133,7 @@ fn main() {
          coalesced = reads that rode along a merged ring read)"
     );
 
-    engine_matrix_gate();
+    engine_matrix_gate(&history);
     adaptive_acceptance_gate();
 }
 
@@ -224,7 +228,7 @@ fn adaptive_acceptance_gate() {
 /// prefetch under one visitor. Ring against sync at equal depth and
 /// workers is printed, not asserted — which engine wins depends on the
 /// device and the worker count.
-fn engine_matrix_gate() {
+fn engine_matrix_gate(history: &History) {
     let (rows, batch_rows, shards, depth, mbps) = (12_000, 250, 4, 8, 400.0);
     let ds = generate_preset(DatasetPreset::CensusLike, rows, 1);
     let base = StoreConfig::new(Scheme::Den, batch_rows, 0)
@@ -296,24 +300,13 @@ fn engine_matrix_gate() {
         best[0], best[1]
     );
 
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_store.json");
-    let out_path: String = arg("out", default_out.to_string());
-    let header = "{\n  \"bench\": \"store_scaling\",\n  \"units\": {\n    \"sweep_1v_ms\": \"median of 5 sweeps, one visitor visiting every spilled batch once\",\n    \"sweep_4v_ms\": \"the same with the batches striped over 4 concurrent visitors\",\n    \"workers\": \"decode workers; the ring adds one IO thread per shard, none = no prefetch\",\n    \"best_vs_none\": \"no-prefetch sweep_1v_ms / the engine's fastest row (asserted >= 1.3)\"\n  },\n";
-    let entry = format!(
-        "    {{\n      \"pr\": {},\n      \"date\": \"{}\",\n      \"git\": \"{}\",\n      \"host\": {{\"cores\": {}, \"model\": \"{}\"}},\n      \"note\": \"{}\",\n      \"device\": {{\"scheme\": \"DEN\", \"rows\": {rows}, \"batch_rows\": {batch_rows}, \"shards\": {shards}, \"mbps\": {mbps}, \"depth\": {depth}}},\n      \"best_vs_none\": {{\"sync\": {:.2}, \"ring\": {:.2}}},\n      \"matrix\": [\n{}\n      ]\n    }}",
-        arg("pr", 0u32),
-        today_utc(),
-        json_escape(&git_head()),
-        std::thread::available_parallelism().map_or(0, |n| n.get()),
-        json_escape(&cpu_model()),
-        json_escape(&arg("note", String::new())),
+    let payload = format!(
+        "      \"device\": {{\"scheme\": \"DEN\", \"rows\": {rows}, \"batch_rows\": {batch_rows}, \"shards\": {shards}, \"mbps\": {mbps}, \"depth\": {depth}}},\n      \"best_vs_none\": {{\"sync\": {:.2}, \"ring\": {:.2}}},\n      \"matrix\": [\n{}\n      ]",
         best[0],
         best[1],
         json.join(",\n"),
     );
-    append_history(&out_path, header, &entry)
-        .unwrap_or_else(|e| panic!("append to {out_path}: {e}"));
-    println!("appended entry to {out_path}");
+    history.append(HEADER, &payload);
     for (name, ratio) in ["sync", "ring"].into_iter().zip(best) {
         assert!(
             ratio >= 1.3,

@@ -24,7 +24,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use toc_bench::{append_history, arg, fmt_duration, today_utc, Table};
+use toc_bench::{fmt_duration, Args, History, Table};
 use toc_data::serve::{JobServer, JobSpec, ServeConfig};
 use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, Dataset, DatasetPreset};
@@ -83,11 +83,18 @@ fn run_fleet(
     (wall, outcomes, server.cache().evictions())
 }
 
+/// Header of a fresh `BENCH_tenant.json`; an object-valued unit is a
+/// `bench_compare` tolerance (see `toc_bench::paper::HEADER`).
+const HEADER: &str = "{\n  \"bench\": \"tenant_scaling\",\n  \"units\": {\n    \"wall_ms\": {\"what\": \"wall time for the whole fleet\", \"better\": \"lower\", \"tolerance\": 0.5},\n    \"agg_epochs_s\": {\"what\": \"jobs * epochs / wall\", \"better\": \"higher\", \"tolerance\": 0.5},\n    \"cache_hit_pct\": \"fleet-wide cache hits / (hits + misses)\",\n    \"gate_ratio\": {\"what\": \"serial wall / concurrent wall (asserted >= 2.0)\", \"better\": \"higher\", \"tolerance\": 0.25}\n  },\n";
+
 fn main() {
-    let rows: usize = arg("rows", 4800);
-    let jobs: usize = arg("jobs", 8);
-    let shards: usize = arg("shards", 4);
-    let mbps: f64 = arg("mbps", 50.0);
+    let mut args = Args::from_env();
+    let rows: usize = args.get("rows", 4800);
+    let jobs: usize = args.get("jobs", 8);
+    let shards: usize = args.get("shards", 4);
+    let mbps: f64 = args.get("mbps", 50.0);
+    let history = History::from_args(&mut args, "BENCH_tenant.json");
+    args.finish();
     let ds = generate_preset(DatasetPreset::CensusLike, rows, 1);
     let probe = StoreConfig::new(Scheme::Den, BATCH_ROWS, 0).with_shards(shards);
     let spilled = ShardedSpillStore::build(&ds.x, &ds.labels, &probe)
@@ -137,21 +144,13 @@ fn main() {
     let (serial_wall, conc_wall, ratio) =
         tenant_acceptance_gate(&ds, jobs, shards, mbps, cache_bytes);
 
-    // Append this run to the per-PR history baseline (read-modify-write,
-    // never overwriting earlier entries).
-    let default_out = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tenant.json");
-    let out_path: String = arg("out", default_out.to_string());
-    let header = "{\n  \"bench\": \"tenant_scaling\",\n  \"units\": {\n    \"wall_ms\": \"wall time for the whole fleet\",\n    \"agg_epochs_s\": \"jobs * epochs / wall\",\n    \"cache_hit_pct\": \"fleet-wide cache hits / (hits + misses)\",\n    \"gate_ratio\": \"serial wall / concurrent wall (asserted >= 2.0)\"\n  },\n";
-    let entry = format!(
-        "    {{\n      \"date\": \"{}\",\n      \"rows\": {rows},\n      \"jobs\": {jobs},\n      \"shards\": {shards},\n      \"mbps\": {mbps},\n      \"gate_ratio\": {ratio:.2},\n      \"serial_wall_ms\": {:.1},\n      \"concurrent_wall_ms\": {:.1},\n      \"weights_bit_identical\": true,\n      \"sweep\": [\n{}      ]\n    }}",
-        today_utc(),
+    let payload = format!(
+        "      \"rows\": {rows},\n      \"jobs\": {jobs},\n      \"shards\": {shards},\n      \"mbps\": {mbps},\n      \"gate_ratio\": {ratio:.2},\n      \"serial_wall_ms\": {:.1},\n      \"concurrent_wall_ms\": {:.1},\n      \"weights_bit_identical\": true,\n      \"sweep\": [\n{}\n      ]",
         serial_wall.as_secs_f64() * 1e3,
         conc_wall.as_secs_f64() * 1e3,
-        sweep.trim_end_matches(",\n").to_string() + "\n",
+        sweep.trim_end_matches(",\n"),
     );
-    append_history(&out_path, header, &entry)
-        .unwrap_or_else(|e| panic!("append to {out_path}: {e}"));
-    println!("appended entry to {out_path}");
+    history.append(HEADER, &payload);
 }
 
 /// The asserted gate: 8 concurrent jobs ≥ 2× the serial aggregate on the

@@ -1,12 +1,21 @@
 #![forbid(unsafe_code)]
 //! # toc-bench — the experiment harness
 //!
-//! One binary per table/figure of the paper's evaluation (run with
-//! `cargo run -p toc-bench --release --bin <name> [-- --key=value ...]`),
-//! plus Criterion benches for the microbenchmark figures. This library
-//! holds the shared plumbing: timing, aligned table printing, command-line
-//! overrides, and the end-to-end MGD runner used by Tables 6–7 and
-//! Figures 9–10.
+//! `--bin paper` runs the paper's evaluation (Figures 2, 5–12, Tables
+//! 6–7) from one figure table, [`figures::figures`], checks every
+//! figure's expected shape and appends one entry per figure to
+//! `BENCH_paper.json`; `store_scaling`, `seek_bench`, `tenant_scaling`
+//! and `ingest_scaling` are the system gates; `bench_compare` reads the
+//! histories back. This library holds what they share: timing, aligned
+//! table printing, strict `--key=value` arguments, the history writer and
+//! reader, and the end-to-end MGD runner.
+
+pub mod figures;
+pub mod history;
+pub mod json;
+pub mod paper;
+
+pub use history::History;
 
 use std::time::{Duration, Instant};
 use toc_data::store::{ShardedSpillStore, StoreConfig};
@@ -14,13 +23,6 @@ use toc_data::synth::Dataset;
 use toc_formats::Scheme;
 use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, Trainer};
 use toc_ml::LossKind;
-
-/// Time a closure once.
-pub fn time<R>(f: impl FnOnce() -> R) -> (R, Duration) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed())
-}
 
 /// Average wall time of `f` over enough iterations to exceed ~20 ms
 /// (bounded by `max_iters`), after one warm-up call.
@@ -35,100 +37,75 @@ pub fn time_avg<R>(max_iters: usize, mut f: impl FnMut() -> R) -> Duration {
     t0.elapsed() / iters.max(1) as u32
 }
 
-/// Parse `--name=value` from the process arguments, with a default.
-pub fn arg<T: std::str::FromStr>(name: &str, default: T) -> T {
-    let prefix = format!("--{name}=");
-    for a in std::env::args() {
-        if let Some(v) = a.strip_prefix(&prefix) {
-            if let Ok(parsed) = v.parse() {
-                return parsed;
+/// The `--key=value` arguments of a harness binary. Anything else on the
+/// command line — a bare word, `--out path`, a key given twice, a value
+/// that does not parse, a key the binary never asks for — ends the run
+/// with exit status 2 naming the argument: read every key, then call
+/// [`Args::finish`], before measuring anything.
+pub struct Args {
+    pairs: Vec<(String, String)>,
+    asked: Vec<String>,
+}
+
+impl Args {
+    pub fn parse(argv: impl IntoIterator<Item = String>) -> Result<Self, String> {
+        let mut pairs: Vec<(String, String)> = Vec::new();
+        for a in argv {
+            let (key, value) = a
+                .strip_prefix("--")
+                .and_then(|rest| rest.split_once('='))
+                .ok_or_else(|| format!("{a}: expected --key=value"))?;
+            if pairs.iter().any(|(seen, _)| seen == key) {
+                return Err(format!("--{key}: given twice"));
             }
-            eprintln!("warning: could not parse {a}, using default");
+            pairs.push((key.to_string(), value.to_string()));
+        }
+        Ok(Self {
+            pairs,
+            asked: Vec::new(),
+        })
+    }
+
+    /// The value of `--name=`, or `default` when it was not given.
+    pub fn try_get<T: std::str::FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
+        self.asked.push(name.to_string());
+        match self.pairs.iter().find(|(key, _)| key == name) {
+            Some((_, value)) => value
+                .parse()
+                .map_err(|_| format!("--{name}={value}: not a valid value")),
+            None => Ok(default),
         }
     }
-    default
-}
 
-/// Today's UTC date as `YYYY-MM-DD`, computed straight from the system
-/// clock (no chrono in the workspace). Days-to-civil conversion follows
-/// the standard era-based algorithm.
-pub fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = (secs / 86_400) as i64 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
-}
-
-/// Append one run entry to a `BENCH_*.json` history file (read-modify-
-/// write). The convention: a static header object whose LAST key is
-/// `"history": [ ... ]`, one dated entry per benchmark run, so committed
-/// baselines accumulate per PR instead of being overwritten.
-///
-/// If `path` already holds a history file, `entry` is spliced in before
-/// the array's closing bracket (the two-space-indented `]` that closes
-/// the top-level array — deeper-nested arrays inside entries are
-/// indented further and never match). Otherwise the file is created as
-/// `fresh_header` + the one-entry history. `entry` must be the complete
-/// JSON object for this run, indented four spaces, no trailing newline
-/// or comma; `fresh_header` must open the top-level object and end just
-/// before the `"history"` key (trailing `,\n` included).
-pub fn append_history(path: &str, fresh_header: &str, entry: &str) -> std::io::Result<()> {
-    const CLOSE: &str = "\n  ]\n}";
-    let entry = entry.trim_end();
-    let out = match std::fs::read_to_string(path) {
-        Ok(existing) if existing.contains("\"history\": [") => {
-            let i = existing.rfind(CLOSE).ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{path}: history file has no closing bracket"),
-                )
-            })?;
-            format!("{},\n{entry}{}", &existing[..i], &existing[i..])
+    /// `Err` naming the first key given that no `try_get` asked for.
+    pub fn try_finish(&self) -> Result<(), String> {
+        match self.pairs.iter().find(|(key, _)| !self.asked.contains(key)) {
+            Some((key, _)) => Err(format!(
+                "--{key}: unknown key (this binary takes --{})",
+                self.asked.join(", --")
+            )),
+            None => Ok(()),
         }
-        _ => format!("{fresh_header}  \"history\": [\n{entry}\n  ]\n}}\n"),
-    };
-    std::fs::write(path, out)
+    }
+
+    pub fn from_env() -> Self {
+        or_exit(Self::parse(std::env::args().skip(1)))
+    }
+
+    pub fn get<T: std::str::FromStr>(&mut self, name: &str, default: T) -> T {
+        or_exit(self.try_get(name, default))
+    }
+
+    pub fn finish(self) {
+        or_exit(self.try_finish())
+    }
 }
 
-/// Escape `s` for the inside of a JSON string literal (the history
-/// entries are hand-rolled; no serde in the workspace).
-pub fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-/// `git describe --always --dirty` of the working directory, for history
-/// entries.
-pub fn git_head() -> String {
-    std::process::Command::new("git")
-        .args(["describe", "--always", "--dirty"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .map(|o| String::from_utf8_lossy(&o.stdout).trim().to_string())
-        .unwrap_or_else(|| "unknown".into())
-}
-
-/// The host's CPU model name, for history entries.
-pub fn cpu_model() -> String {
-    std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split(':').nth(1))
-                .map(|m| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into())
+fn or_exit<T>(result: Result<T, String>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2)
+    })
 }
 
 /// Minimal aligned-table printer for harness output.
@@ -218,88 +195,70 @@ impl Workload {
     }
 
     /// Model spec for a dataset with `classes` classes. The NN uses two
-    /// hidden layers (scaled down from the paper's 200/50 to keep the
-    /// harness fast; override with `--hidden1/--hidden2`).
-    pub fn spec(self, classes: usize, hidden: (usize, usize)) -> ModelSpec {
-        match self {
-            Workload::Nn => ModelSpec::NeuralNet {
-                hidden: vec![hidden.0, hidden.1],
-                outputs: if classes == 2 { 1 } else { classes },
-            },
-            Workload::Lr => {
-                if classes == 2 {
-                    ModelSpec::Linear(LossKind::Logistic)
-                } else {
-                    ModelSpec::OneVsRest {
-                        loss: LossKind::Logistic,
-                        classes,
-                    }
+    /// hidden layers, [`HIDDEN`].
+    pub fn spec(self, classes: usize) -> ModelSpec {
+        let loss = match self {
+            Workload::Nn => {
+                return ModelSpec::NeuralNet {
+                    hidden: HIDDEN.to_vec(),
+                    outputs: if classes == 2 { 1 } else { classes },
                 }
             }
-            Workload::Svm => {
-                if classes == 2 {
-                    ModelSpec::Linear(LossKind::Hinge)
-                } else {
-                    ModelSpec::OneVsRest {
-                        loss: LossKind::Hinge,
-                        classes,
-                    }
-                }
-            }
+            Workload::Lr => LossKind::Logistic,
+            Workload::Svm => LossKind::Hinge,
+        };
+        match classes {
+            2 => ModelSpec::Linear(loss),
+            _ => ModelSpec::OneVsRest { loss, classes },
         }
     }
 }
+
+/// Hidden-layer widths of the harness NN (scaled down from the paper's
+/// 200 / 50 to keep a full scoreboard run near 100 s).
+pub const HIDDEN: [usize; 2] = [32, 16];
+
+/// Bandwidth of the one modelled spill disk of the end-to-end runs, MB/s.
+pub const DISK_MBPS: f64 = 150.0;
 
 /// Result of one end-to-end MGD run.
 pub struct EndToEndResult {
     pub train_time: Duration,
     pub spilled_batches: usize,
     pub total_batches: usize,
-    pub encoded_bytes: usize,
 }
 
-/// Build a store for `scheme` and train `workload` on it (the Tables 6–7 /
-/// Figures 9–10 inner loop). `memory_budget` mimics the machine RAM of the
-/// paper's setups and `disk_mbps` the spill-storage bandwidth (0 = raw
-/// file IO only); training time includes the disk IO of spilled batches
-/// but not the one-time encoding cost, matching §5.3.
+/// Build a store for `scheme` and train `workload` on it for two epochs
+/// (the Tables 6–7 / Figures 9–10 inner loop). `memory_budget` mimics the
+/// machine RAM of the paper's setups; training time includes the disk IO
+/// of spilled batches but not the one-time encoding cost, matching §5.3.
 pub fn end_to_end(
     ds: &Dataset,
     scheme: Scheme,
     workload: Workload,
     memory_budget: usize,
-    epochs: usize,
-    hidden: (usize, usize),
-    disk_mbps: f64,
 ) -> EndToEndResult {
-    let store = end_to_end_store(ds, scheme, memory_budget, disk_mbps);
+    let store = end_to_end_store(ds, scheme, memory_budget);
     let trainer = Trainer::new(MgdConfig {
-        epochs,
+        epochs: 2,
         lr: 0.05,
         ..Default::default()
     });
-    let spec = workload.spec(ds.classes, hidden);
-    let report = trainer.train(&spec, &store, None);
+    let report = trainer.train(&workload.spec(ds.classes), &store, None);
     EndToEndResult {
         train_time: report.train_time,
         spilled_batches: store.spilled_batches(),
         total_batches: store.num_batches(),
-        encoded_bytes: store.total_bytes(),
     }
 }
 
-/// The store behind [`end_to_end`]: one shard, because `disk_mbps` is a
-/// per-shard clock and the paper's setups spill to a single disk.
-fn end_to_end_store(
-    ds: &Dataset,
-    scheme: Scheme,
-    memory_budget: usize,
-    disk_mbps: f64,
-) -> ShardedSpillStore {
-    let mut config = StoreConfig::new(scheme, 250, memory_budget).with_shards(1);
-    if disk_mbps > 0.0 {
-        config = config.with_disk_mbps(disk_mbps);
-    }
+/// The store behind [`end_to_end`]: 250-row batches on one shard, because
+/// [`DISK_MBPS`] is a per-shard clock and the paper's setups spill to a
+/// single disk.
+pub fn end_to_end_store(ds: &Dataset, scheme: Scheme, memory_budget: usize) -> ShardedSpillStore {
+    let config = StoreConfig::new(scheme, 250, memory_budget)
+        .with_shards(1)
+        .with_disk_mbps(DISK_MBPS);
     ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("store build")
 }
 
@@ -347,41 +306,43 @@ mod tests {
         t.print();
     }
 
-    #[test]
-    fn today_is_iso_shaped() {
-        let d = today_utc();
-        assert_eq!(d.len(), 10, "{d}");
-        assert_eq!(d.as_bytes()[4], b'-');
-        assert_eq!(d.as_bytes()[7], b'-');
-        let year: i64 = d[..4].parse().unwrap();
-        assert!(year >= 2024, "{d}");
-        let month: u32 = d[5..7].parse().unwrap();
-        assert!((1..=12).contains(&month), "{d}");
-        let day: u32 = d[8..10].parse().unwrap();
-        assert!((1..=31).contains(&day), "{d}");
+    fn argv(args: &[&str]) -> Result<Args, String> {
+        Args::parse(args.iter().map(|a| a.to_string()))
     }
 
     #[test]
-    fn history_appends_without_clobbering() {
-        let path = std::env::temp_dir().join(format!("toc-bench-hist-{}.json", std::process::id()));
-        let path = path.to_str().unwrap().to_string();
-        std::fs::remove_file(&path).ok();
-        let header = "{\n  \"bench\": \"t\",\n";
-        // First run creates the file; nested arrays in an entry must not
-        // confuse the splice point.
-        append_history(
-            &path,
-            header,
-            "    {\"run\": 1, \"sweep\": [\n      {\"x\": 1}\n    ]}",
-        )
-        .unwrap();
-        append_history(&path, header, "    {\"run\": 2}").unwrap();
-        let got = std::fs::read_to_string(&path).unwrap();
+    fn args_take_key_value_pairs_and_defaults() {
+        let mut args = argv(&["--rows=40", "--out=/tmp/x.json"]).unwrap();
+        assert_eq!(args.try_get("rows", 3000usize), Ok(40));
+        assert_eq!(args.try_get("mbps", 150.0f64), Ok(150.0));
         assert_eq!(
-            got,
-            "{\n  \"bench\": \"t\",\n  \"history\": [\n    {\"run\": 1, \"sweep\": [\n      {\"x\": 1}\n    ]},\n    {\"run\": 2}\n  ]\n}\n"
+            args.try_get("out", String::new()),
+            Ok("/tmp/x.json".to_string())
         );
-        std::fs::remove_file(&path).ok();
+        assert_eq!(args.try_finish(), Ok(()));
+    }
+
+    #[test]
+    fn args_reject_what_they_cannot_honour_naming_it() {
+        // `--out path`: the space form is not silently the default file.
+        let e = argv(&["--out", "/tmp/x.json"]).err().unwrap();
+        assert!(e.contains("--out: expected --key=value"), "{e}");
+        let e = argv(&["extra"]).err().unwrap();
+        assert!(e.contains("extra: expected --key=value"), "{e}");
+        let e = argv(&["--rows=1", "--rows=2"]).err().unwrap();
+        assert!(e.contains("--rows: given twice"), "{e}");
+        // A value that does not parse is an error, not the default.
+        let mut args = argv(&["--rows=many"]).unwrap();
+        let e = args.try_get("rows", 3000usize).unwrap_err();
+        assert!(e.contains("--rows=many"), "{e}");
+        // A key no `get` asked for.
+        let mut args = argv(&["--row=40"]).unwrap();
+        assert_eq!(args.try_get("rows", 3000usize), Ok(3000));
+        let e = args.try_finish().unwrap_err();
+        assert!(
+            e.contains("--row: unknown key") && e.contains("--rows"),
+            "{e}"
+        );
     }
 
     #[test]
@@ -395,12 +356,12 @@ mod tests {
     #[test]
     fn end_to_end_smoke() {
         let ds = generate_preset(DatasetPreset::Kdd99Like, 500, 1);
-        let r = end_to_end(&ds, Scheme::Toc, Workload::Lr, usize::MAX, 2, (8, 4), 0.0);
+        let r = end_to_end(&ds, Scheme::Toc, Workload::Lr, usize::MAX);
         assert_eq!(r.spilled_batches, 0);
         assert_eq!(r.total_batches, 2);
         assert!(r.train_time > Duration::ZERO);
         // The modelled disk is one device however many cores the host has.
-        let spilled = end_to_end_store(&ds, Scheme::Toc, 0, 150.0);
+        let spilled = end_to_end_store(&ds, Scheme::Toc, 0);
         assert_eq!(spilled.spilled_batches(), 2);
         assert_eq!(spilled.num_shards(), 1);
     }
@@ -408,18 +369,18 @@ mod tests {
     #[test]
     fn workload_specs() {
         assert!(matches!(
-            Workload::Lr.spec(2, (8, 4)),
+            Workload::Lr.spec(2),
             ModelSpec::Linear(LossKind::Logistic)
         ));
         assert!(matches!(
-            Workload::Svm.spec(10, (8, 4)),
+            Workload::Svm.spec(10),
             ModelSpec::OneVsRest {
                 loss: LossKind::Hinge,
                 classes: 10
             }
         ));
         assert!(matches!(
-            Workload::Nn.spec(10, (8, 4)),
+            Workload::Nn.spec(10),
             ModelSpec::NeuralNet { outputs: 10, .. }
         ));
     }

@@ -41,7 +41,6 @@
 //! ```
 
 pub mod batch;
-pub mod elementwise;
 pub mod encode;
 pub mod error;
 pub mod hash;

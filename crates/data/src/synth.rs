@@ -566,8 +566,8 @@ mod tests {
 
     #[test]
     fn sampled_cla_planner_beats_greedy_on_correlated_wide_matrix() {
-        // The acceptance matrix of the planner_ratio bench bin: 64
-        // columns, each correlated with its partner 32 columns away.
+        // The planner's acceptance matrix: 64 columns, each correlated
+        // with its partner 32 columns away.
         use toc_formats::{ClaOptions, EncodeOptions, MatrixBatch};
         let m = correlated_matrix(2048, 64, 16, 42);
         let den = m.den_size_bytes() as f64;

@@ -23,8 +23,11 @@
 //! When is greedy left-to-right still the better choice? On narrow
 //! matrices whose correlated columns are adjacent (the common CSV layout),
 //! greedy finds the same groups without the `O(cols²)` pairwise scan, and
-//! its merge test is exact rather than estimated. `toc bench`'s
-//! `planner_ratio` binary compares the two.
+//! its merge test is exact rather than estimated. The conformance
+//! suite's `planner_ratio_snapshot_for_logs` prints both planners' ratios,
+//! and toc-data's
+//! `sampled_cla_planner_beats_greedy_on_correlated_wide_matrix` asserts
+//! the ordering on the wide correlated matrix.
 
 use toc_core::hash::FxHashMap;
 use toc_linalg::DenseMatrix;
