@@ -411,6 +411,7 @@ pub const HEADER: &str = r#"{
     "stages": "fig6, census-like at 250 rows: encode microseconds of each pipeline stage, encoded bytes and A*v microseconds under BitPack and Varint (ungated timings)",
     "us": {"what": "fig8: microseconds per kernel call (*_into_ws, one warm ExecScratch, alternating between two batches of the preset); scheme TOC>DEN is decode_into_ws + the DEN kernel", "better": "lower", "tolerance": 1.0},
     "ms": {"what": "fig9, fig10, table6, table7: train_time of two MGD epochs over a one-shard store with a 150 MB/s modelled disk, encoding excluded", "better": "lower", "tolerance": 1.0},
+    "threads_ms": {"what": "fig9: train_time of four NN epochs over 4 000 resident mnist-like rows as TOC, serial Trainer::train against train_nn_parallel with 1 and 2 workers, median of five runs; meaningful on >= 2 cores only", "better": "lower", "tolerance": 1.0},
     "spilled": {"what": "batches of the store that did not fit the memory budget (a multiple of the TOC footprint) and are read from the modelled disk", "better": "same", "tolerance": 0},
     "time_s": {"what": "fig11: seconds of training elapsed at the end of each epoch", "better": "lower", "tolerance": 1.0},
     "error_pct": {"what": "fig11: error rate on the held-out fifth after each epoch", "better": "same", "tolerance": 0.02},

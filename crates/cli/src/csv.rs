@@ -5,6 +5,7 @@
 use std::fmt::Write as _;
 use std::io::{BufWriter, Write};
 use std::path::Path;
+#[cfg(test)]
 use toc_linalg::DenseMatrix;
 
 /// Writes numeric rows as CSV lines, one at a time, so a caller that
@@ -55,6 +56,7 @@ impl CsvWriter {
 }
 
 /// Write a dense matrix as CSV (optionally with a header).
+#[cfg(test)]
 pub fn write_matrix(path: &Path, m: &DenseMatrix, header: Option<&[String]>) -> Result<(), String> {
     let mut w = CsvWriter::create(path, header)?;
     for r in 0..m.rows() {

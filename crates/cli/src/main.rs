@@ -250,8 +250,8 @@ fn build_store(input: &str, config: &StoreConfig) -> Result<ShardedSpillStore, S
         let (features, label) = split_label(row);
         builder
             .get_or_insert_with(|| StoreBuilder::new(features.len(), config))
-            .push_row(features, label);
-        Ok(())
+            .push_row(features, label)
+            .map_err(|e| e.to_string())
     };
     let path = Path::new(input);
     if input.ends_with(".tocz") {
@@ -329,13 +329,12 @@ fn cmd_gen(a: &Args) -> Result<(), String> {
     let seed: u64 = a.get(&SEED, 42)?;
     let out = Path::new(a.pos(0));
     let ds = generate_preset(preset, rows, seed);
-    // Emit features plus the label as the last column.
-    let mut m = DenseMatrix::zeros(ds.x.rows(), ds.x.cols() + 1);
-    for r in 0..ds.x.rows() {
-        m.row_mut(r)[..ds.x.cols()].copy_from_slice(ds.x.row(r));
-        m.set(r, ds.x.cols(), ds.labels[r]);
+    // Emit features plus the label as the last column, a row at a time.
+    let mut w = csv::CsvWriter::create(out, None)?;
+    for (r, &label) in ds.labels.iter().enumerate() {
+        w.row(&[ds.x.row(r), &[label]].concat())?;
     }
-    csv::write_matrix(out, &m, None)?;
+    w.finish()?;
     println!(
         "wrote {} rows x {} cols (+label) to {}",
         ds.x.rows(),

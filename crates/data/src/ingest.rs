@@ -13,8 +13,9 @@
 //! tests and the `ingest_scaling` bench gate can assert exactly that.
 //!
 //! Three sinks. [`crate::store::StoreBuilder`], in `store`, fills a store
-//! that is being built; the two here write what may be read while it
-//! grows, and can checkpoint:
+//! that is being built, writing each batch that spills to its shard file
+//! as it seals; the two here write what may be read while it grows, and
+//! can checkpoint:
 //!
 //! * [`StoreIngest`] appends sealed segments to a *live*
 //!   [`ShardedSpillStore`] ([`ShardedSpillStore::append_sealed`]) while

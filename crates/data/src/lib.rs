@@ -35,9 +35,7 @@ pub use io::{
     SchedulerConfig, SeekableContainer, SpillIo, LATENCY_BUCKETS,
 };
 pub use serve::{BatchCache, JobOutcome, JobServer, JobSpec, ServeConfig, TenantProvider};
-pub use store::{
-    place_spilled, plan_adaptive, PlacementReport, ShardPlacement, ShardedSpillStore, StoreConfig,
-};
+pub use store::{plan_adaptive, PlacementReport, ShardPlacement, ShardedSpillStore, StoreConfig};
 pub use synth::{
     drifting_matrix, generate, generate_preset, Dataset, DatasetPreset, SynthConfig, TaskKind,
 };

@@ -9,8 +9,9 @@
 //!
 //! [`ShardedSpillStore`] is the one provider of that regime and this
 //! module is its façade: configuration, the one streaming fill every build
-//! goes through ([`StoreBuilder`] — no build path holds the dataset), the
-//! entry table and the one visit path; shard placement and crash
+//! goes through ([`StoreBuilder`] — no build path holds the dataset, and a
+//! batch that spills is on its shard when it seals), the entry table and
+//! the one visit path; shard placement and crash
 //! checkpoints sit in the `placement` and `checkpoint` submodules. It lays
 //! spilled batches out across N shard files ([`StoreConfig::with_shards`]; one
 //! shard models the paper's single disk) and reads them with lock-free
@@ -52,7 +53,7 @@ mod placement;
 pub use checkpoint::StoreCheckpoint;
 use placement::PlacementStats;
 pub use placement::{
-    place_spilled, plan_adaptive, PlacementReport, ShardPlacement, REBALANCE_HYSTERESIS,
+    plan_adaptive, PlacementReport, ShardPlacement, PACK_RUN, REBALANCE_HYSTERESIS,
 };
 
 /// Store configuration.
@@ -238,26 +239,77 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// Pick the spill directory: the configured one, or a fresh per-store
-/// directory under the OS temp dir (returned as owned for cleanup).
-fn resolve_spill_dir(config: &StoreConfig) -> (PathBuf, Option<PathBuf>) {
-    match &config.spill_dir {
-        Some(d) => (d.clone(), None),
-        None => {
-            let d = std::env::temp_dir().join(format!(
-                "toc-store-{}-{}",
-                std::process::id(),
-                NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed),
-            ));
-            (d.clone(), Some(d))
+/// The shard files of a store while they are being laid down: `(file,
+/// path)` in shard order with each file's write cursor, and the spill
+/// directory when the store made it. Dropped before a store took the files
+/// over — a build that failed, panicked or was abandoned — it removes what
+/// it created.
+#[derive(Default)]
+struct ShardFiles {
+    files: Vec<(fs::File, PathBuf)>,
+    cursors: Vec<u64>,
+    /// Directory and file-name stem, resolved when the first file is made.
+    home: Option<(PathBuf, String)>,
+    owned_dir: Option<PathBuf>,
+}
+
+impl ShardFiles {
+    /// Create (truncating) the next shard file, in the configured spill
+    /// directory or a fresh per-store one under the OS temp dir. The
+    /// per-store id in the names keeps two stores sharing an explicit
+    /// `spill_dir` (and scheme) from truncating or unlinking each other's
+    /// live shards.
+    fn create_next(&mut self, config: &StoreConfig) -> std::io::Result<()> {
+        if self.home.is_none() {
+            let id = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
+            let dir = config.spill_dir.clone().unwrap_or_else(|| {
+                let d = std::env::temp_dir().join(format!("toc-store-{}-{id}", std::process::id()));
+                self.owned_dir = Some(d.clone());
+                d
+            });
+            fs::create_dir_all(&dir)?;
+            self.home = Some((dir, format!("spill-{}-{id}", config.scheme.tag())));
+        }
+        let (dir, stem) = self.home.as_ref().expect("resolved above");
+        let path = dir.join(format!("{stem}-s{}.bin", self.files.len()));
+        let file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .read(true)
+            .truncate(true)
+            .open(&path)?;
+        self.files.push((file, path));
+        self.cursors.push(0);
+        Ok(())
+    }
+}
+
+impl Drop for ShardFiles {
+    fn drop(&mut self) {
+        for (file, path) in self.files.drain(..) {
+            drop(file);
+            let _ = fs::remove_file(path);
+        }
+        if let Some(d) = &self.owned_dir {
+            let _ = fs::remove_dir(d);
         }
     }
 }
 
-/// A batch staged by the first build pass, before shard layout.
-enum Pending {
-    Mem(AnyBatch),
-    Disk(Vec<u8>),
+/// Land `len` bytes at `shard`'s append cursor — the one place a cursor
+/// becomes a [`DiskLoc`], for a build, a streaming append and a migration
+/// alike. `write` gets the offset to write at; the cursor advances only
+/// once the write has completed, so a failed write leaves it where it was.
+fn land(
+    cursors: &mut [u64],
+    shard: usize,
+    len: usize,
+    write: impl FnOnce(u64) -> std::io::Result<()>,
+) -> std::io::Result<DiskLoc> {
+    let offset = cursors[shard];
+    write(offset)?;
+    cursors[shard] = offset + len as u64;
+    Ok(DiskLoc { shard, offset, len })
 }
 
 /// The ±1 label rule, written once: the last column of a full-width row
@@ -272,18 +324,24 @@ pub fn split_label(row: &[f64]) -> (&[f64], f64) {
 /// stage in an [`EncodeWorkspace`] of `config.batch_rows`, each full chunk
 /// (and the partial last one) is sealed with `config.scheme`, and a sealed
 /// batch stays resident while it fits in what is left of
-/// `config.memory_budget`; anything beyond is serialized for the spill.
-/// Batch order is row order (shuffle-once semantics). No row outlives its
-/// chunk, so a fill holds one staged chunk plus the encoded batches — the
-/// spilled ones' bytes until [`StoreBuilder::finish`] lays them out,
-/// because [`ShardPlacement::Pack`] needs every size first.
+/// `config.memory_budget`; anything beyond is written to its shard file —
+/// the one [`ShardPlacement::shard_of`] names, created when its first
+/// batch arrives — the moment it seals. Batch order is row order
+/// (shuffle-once semantics). No row outlives its chunk and no spilled
+/// batch outlives its write, so a fill holds one staged chunk plus the
+/// resident batches. A builder dropped without [`StoreBuilder::finish`]
+/// removes the files it wrote.
 pub struct StoreBuilder<'a> {
     config: &'a StoreConfig,
     features: usize,
     ws: EncodeWorkspace,
     labels: Vec<f64>,
-    pending: Vec<(Pending, Vec<f64>)>,
+    entries: Vec<Arc<Entry>>,
     memory_bytes: usize,
+    n_shards: usize,
+    /// Batches spilled so far: the next one's place in the placement rule.
+    spilled: usize,
+    shards: ShardFiles,
 }
 
 impl<'a> StoreBuilder<'a> {
@@ -293,107 +351,78 @@ impl<'a> StoreBuilder<'a> {
             features,
             ws: EncodeWorkspace::new(features, config.batch_rows),
             labels: Vec::with_capacity(config.batch_rows),
-            pending: Vec::new(),
+            entries: Vec::new(),
             memory_bytes: 0,
+            n_shards: config.resolved_shards(),
+            spilled: 0,
+            shards: ShardFiles::default(),
         }
     }
 
-    /// Stage one row; `label` follows the `toc-ml` convention.
-    pub fn push_row(&mut self, features: &[f64], label: f64) {
+    /// Stage one row; `label` follows the `toc-ml` convention. A row that
+    /// fills its chunk seals it, which writes the batch when it spills.
+    pub fn push_row(&mut self, features: &[f64], label: f64) -> std::io::Result<()> {
         self.ws.push_row(features);
         self.labels.push(label);
         if self.ws.is_full() {
-            self.seal();
+            self.seal()?;
         }
+        Ok(())
     }
 
-    fn seal(&mut self) {
-        let (scheme, encode) = (self.config.scheme, &self.config.encode);
-        let Some((_, batch, (), rows)) = self.ws.seal_with(Some(scheme), encode, |_| ()) else {
-            return;
+    fn seal(&mut self) -> std::io::Result<()> {
+        let config = self.config;
+        let sealed = self
+            .ws
+            .seal_with(Some(config.scheme), &config.encode, |_| ());
+        let Some((_, batch, (), rows)) = sealed else {
+            return Ok(());
         };
         let labels = std::mem::replace(&mut self.labels, Vec::with_capacity(rows));
         let size = batch.size_bytes();
-        let staged = if self.memory_bytes + size <= self.config.memory_budget {
+        if self.memory_bytes + size <= config.memory_budget {
             self.memory_bytes += size;
-            Pending::Mem(batch)
-        } else {
-            Pending::Disk(batch.to_bytes())
-        };
-        self.pending.push((staged, labels));
+            self.entries.push(Entry::new(Slot::Memory(batch), labels));
+            return Ok(());
+        }
+        let shard = config.placement.shard_of(self.spilled, self.n_shards);
+        if shard == self.shards.files.len() {
+            self.shards.create_next(config)?;
+        }
+        let bytes = batch.to_bytes();
+        let mut file = &self.shards.files[shard].0;
+        // Only ever appended to, so the file's own position is the cursor.
+        let loc = land(&mut self.shards.cursors, shard, bytes.len(), |_| {
+            file.write_all(&bytes)
+        })?;
+        self.spilled += 1;
+        self.entries.push(Entry::spilled(loc, labels));
+        Ok(())
     }
 
-    /// Seal the partial last chunk and lay the spilled batches out across
-    /// `config.shards` shard files (none when everything fit in memory).
+    /// Seal the partial last chunk and make the spill durable.
     pub fn finish(mut self) -> std::io::Result<ShardedSpillStore> {
-        self.seal();
-        let (config, features, resident) = (self.config, self.features, self.memory_bytes);
-        let pending = self.pending;
-        let spill_sizes: Vec<usize> = pending
-            .iter()
-            .filter_map(|(p, _)| match p {
-                Pending::Disk(b) => Some(b.len()),
-                Pending::Mem(_) => None,
-            })
-            .collect();
-        let (mut shards, owns_dir) = if spill_sizes.is_empty() {
-            (Vec::new(), None)
-        } else {
-            let (dir, owns_dir) = resolve_spill_dir(config);
-            let n_shards = config.resolved_shards().clamp(1, spill_sizes.len());
-            (create_shard_files(&dir, config.scheme, n_shards)?, owns_dir)
-        };
-        let assignment = place_spilled(&spill_sizes, shards.len().max(1), config.placement);
-        let mut cursors = vec![0u64; shards.len()];
-        let mut spill_idx = 0usize;
-        let mut entries = Vec::with_capacity(pending.len());
-        for (p, y) in pending {
-            entries.push(match p {
-                Pending::Mem(b) => Entry::new(Slot::Memory(b), y),
-                Pending::Disk(bytes) => {
-                    let shard = assignment[spill_idx];
-                    spill_idx += 1;
-                    shards[shard].0.write_all(&bytes)?;
-                    let loc = DiskLoc {
-                        shard,
-                        offset: cursors[shard],
-                        len: bytes.len(),
-                    };
-                    cursors[shard] += bytes.len() as u64;
-                    Entry::spilled(loc, y)
-                }
-            });
-        }
-        for (file, _) in &shards {
+        self.seal()?;
+        for (file, _) in &self.shards.files {
             file.sync_all()?;
         }
-        ShardedSpillStore::assemble(config, features, entries, 0, shards, owns_dir, resident)
+        let Self {
+            config,
+            features,
+            entries,
+            shards,
+            memory_bytes,
+            ..
+        } = self;
+        Ok(ShardedSpillStore::assemble(
+            config,
+            features,
+            entries,
+            0,
+            shards,
+            memory_bytes,
+        ))
     }
-}
-
-/// Create (truncating) `n` shard files for a new store under `dir`. The
-/// per-store id in the names keeps two stores sharing an explicit
-/// `spill_dir` (and scheme) from truncating or unlinking each other's
-/// live shards.
-fn create_shard_files(
-    dir: &Path,
-    scheme: Scheme,
-    n: usize,
-) -> std::io::Result<Vec<(fs::File, PathBuf)>> {
-    fs::create_dir_all(dir)?;
-    let store_id = NEXT_STORE_ID.fetch_add(1, Ordering::Relaxed);
-    (0..n)
-        .map(|s| {
-            let path = dir.join(format!("spill-{}-{store_id}-s{s}.bin", scheme.tag()));
-            let file = OpenOptions::new()
-                .create(true)
-                .write(true)
-                .read(true)
-                .truncate(true)
-                .open(&path)?;
-            Ok((file, path))
-        })
-        .collect()
 }
 
 /// Read one spilled batch through the shared device context and parse it.
@@ -582,7 +611,7 @@ impl ShardedSpillStore {
         assert_eq!(x.rows(), labels.len());
         let mut builder = StoreBuilder::new(x.cols(), config);
         for (r, &label) in labels.iter().enumerate() {
-            builder.push_row(x.row(r), label);
+            builder.push_row(x.row(r), label)?;
         }
         builder.finish()
     }
@@ -605,8 +634,7 @@ impl ShardedSpillStore {
         let mut builder = StoreBuilder::new(cols - 1, config);
         sc.for_each_row(&mut |_, row| {
             let (features, label) = split_label(row);
-            builder.push_row(features, label);
-            Ok(())
+            builder.push_row(features, label).map_err(|e| e.to_string())
         })
         .map_err(inval)?;
         builder.finish()
@@ -618,20 +646,19 @@ impl ShardedSpillStore {
     /// scheduler resolution, and the prefetch pipeline. The last
     /// `appended` entries count as stream-appended; the prefetcher covers
     /// the build-time spilled entries before them. Appends continue at
-    /// each shard file's current length.
+    /// the shard files' cursors.
     fn assemble(
         config: &StoreConfig,
         features: usize,
         entries: Vec<Arc<Entry>>,
         appended: usize,
-        shards: Vec<(fs::File, PathBuf)>,
-        owns_dir: Option<PathBuf>,
+        mut shards: ShardFiles,
         memory_bytes: usize,
-    ) -> std::io::Result<Self> {
-        let cursors = shards
-            .iter()
-            .map(|(file, _)| Ok(file.metadata()?.len()))
-            .collect::<std::io::Result<Vec<u64>>>()?;
+    ) -> Self {
+        // From here on the store's own `Drop` removes the files.
+        let cursors = std::mem::take(&mut shards.cursors);
+        let owns_dir = shards.owned_dir.take();
+        let shards = std::mem::take(&mut shards.files);
         // Per-shard device profiles: the fault plan's (test harness) win
         // over the config's; both cycle when shorter than the shard count.
         let profiles: &[DeviceProfile] = config
@@ -705,7 +732,7 @@ impl ShardedSpillStore {
             };
             Prefetcher::start(&inner, config.prefetch, engine, decode_workers)
         });
-        Ok(Self {
+        Self {
             inner,
             prefetcher,
             owns_dir,
@@ -715,7 +742,7 @@ impl ShardedSpillStore {
             io_threads,
             decode_workers,
             ingest_fault: config.fault.clone(),
-        })
+        }
     }
 
     /// Open an *empty* live store for streaming ingestion — a store built
@@ -730,10 +757,11 @@ impl ShardedSpillStore {
     /// its `device_profiles` to the shard devices and its write faults to
     /// the append path.
     pub fn open_streaming(features: usize, config: &StoreConfig) -> std::io::Result<Self> {
-        let (dir, owns_dir) = resolve_spill_dir(config);
-        let n_shards = config.resolved_shards().max(1);
-        let shards = create_shard_files(&dir, config.scheme, n_shards)?;
-        Self::assemble(config, features, Vec::new(), 0, shards, owns_dir, 0)
+        let mut shards = ShardFiles::default();
+        for _ in 0..config.resolved_shards().max(1) {
+            shards.create_next(config)?;
+        }
+        Ok(Self::assemble(config, features, Vec::new(), 0, shards, 0))
     }
 
     /// Append one sealed (already encoded) segment and its labels to the
@@ -784,17 +812,12 @@ impl ShardedSpillStore {
         // serialize here and each append gets a unique, gap-free seq.
         let seq = append.seq;
         let shard = seq % n_shards;
-        let offset = append.cursors[shard];
-        match &self.ingest_fault {
-            Some(plan) => plan.faulty_append(&inner.io, shard, offset, bytes, seq as u64)?,
-            None => inner.io.devices[shard].file.write_all_at(bytes, offset)?,
-        }
-        append.cursors[shard] = offset + bytes.len() as u64;
-        let loc = DiskLoc {
-            shard,
-            offset,
-            len: bytes.len(),
-        };
+        let loc = land(&mut append.cursors, shard, bytes.len(), |at| {
+            match &self.ingest_fault {
+                Some(plan) => plan.faulty_append(&inner.io, shard, at, bytes, seq as u64),
+                None => inner.io.devices[shard].file.write_all_at(bytes, at),
+            }
+        })?;
         let visible = {
             let mut entries = wlock(&inner.entries);
             entries.push(Entry::spilled(loc, labels));
@@ -1388,7 +1411,7 @@ mod tests {
             let config = StoreConfig::new(Scheme::Toc, 32, 0);
             let mut builder = StoreBuilder::new(ds.x.cols(), &config);
             for r in 0..rows {
-                builder.push_row(ds.x.row(r), ds.labels[r]);
+                builder.push_row(ds.x.row(r), ds.labels[r]).unwrap();
             }
             let peak = builder.ws.peak_bytes();
             assert_eq!(builder.finish().unwrap().spilled_batches(), rows / 32);
@@ -1400,6 +1423,96 @@ mod tests {
             large as f64 <= 1.1 * small as f64,
             "staging grew with total rows: {small} -> {large}"
         );
+    }
+
+    /// One pass: a spilled batch is in its shard file when the `push_row`
+    /// that sealed it returns, so the files grow while rows arrive and
+    /// hold every spilled byte before `finish` is called.
+    #[test]
+    fn spilled_batches_reach_their_shard_as_they_seal() {
+        let (x, y) = dataset();
+        let config = StoreConfig::new(Scheme::Den, 100, 0).with_shards(2);
+        let mut builder = StoreBuilder::new(x.cols(), &config);
+        let mut on_disk = Vec::new();
+        for (r, &label) in y.iter().enumerate() {
+            builder.push_row(x.row(r), label).unwrap();
+            if (r + 1) % 100 == 0 {
+                let files = builder.shards.files.iter();
+                on_disk.push(
+                    files
+                        .map(|(_, p)| fs::metadata(p).unwrap().len())
+                        .sum::<u64>(),
+                );
+            }
+        }
+        assert!(on_disk[0] > 0, "{on_disk:?}");
+        assert!(on_disk.windows(2).all(|w| w[0] < w[1]), "{on_disk:?}");
+        let store = builder.finish().unwrap();
+        assert_eq!(on_disk[5], store.spilled_bytes() as u64);
+    }
+
+    /// Striping, written as batches seal: shard file `s` is the
+    /// concatenation of the batches `i` with `i mod n == s`, byte for
+    /// byte, and a shard nothing landed on has no file.
+    #[test]
+    fn stripe_shard_files_are_the_batches_in_order() {
+        let (x, y) = dataset();
+        for shards in 1..5 {
+            for n_batches in [shards - 1, shards, 2 * shards + 1] {
+                let rows = n_batches * 50;
+                let config = StoreConfig::new(Scheme::Csr, 50, 0).with_shards(shards);
+                let store =
+                    ShardedSpillStore::build(&x.slice_rows(0, rows), &y[..rows], &config).unwrap();
+                assert_eq!(store.num_shards(), shards.min(n_batches));
+                for (s, meta) in store.inner.shard_meta.iter().enumerate() {
+                    let want: Vec<u8> = (s..n_batches)
+                        .step_by(shards)
+                        .flat_map(|i| {
+                            let batch = Scheme::Csr.encode(&x.slice_rows(i * 50, (i + 1) * 50));
+                            batch.to_bytes()
+                        })
+                        .collect();
+                    assert!(
+                        fs::read(&meta.path).unwrap() == want,
+                        "{shards} shards, {n_batches} batches: shard {s}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// A builder dropped without `finish` — the caller hit an error, or
+    /// panicked — removes the shard files it wrote and the spill directory
+    /// it made, and a seal that cannot write is an error, not a panic.
+    #[test]
+    fn abandoned_build_leaves_no_files() {
+        let (x, y) = dataset();
+        let dir = std::env::temp_dir().join(format!("toc-abandoned-{}", std::process::id()));
+        let base = StoreConfig::new(Scheme::Den, 100, 0).with_shards(2);
+        for config in [base.clone(), base.clone().with_spill_dir(dir.clone())] {
+            let mut builder = StoreBuilder::new(x.cols(), &config);
+            for (r, &label) in y.iter().enumerate().take(350) {
+                builder.push_row(x.row(r), label).unwrap();
+            }
+            let files = builder.shards.files.iter();
+            let paths: Vec<PathBuf> = files.map(|(_, p)| p.clone()).collect();
+            let owned = builder.shards.owned_dir.clone();
+            assert_eq!(owned.is_some(), config.spill_dir.is_none());
+            assert_eq!(paths.len(), 2);
+            assert!(paths.iter().all(|p| p.exists()));
+            drop(builder);
+            assert!(paths.iter().all(|p| !p.exists()));
+            assert!(owned.is_none_or(|d| !d.exists()));
+        }
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 0);
+        // A regular file where the spill directory should go.
+        let blocked = dir.join("not-a-dir");
+        fs::write(&blocked, b"").unwrap();
+        let config = base.with_spill_dir(blocked);
+        let mut builder = StoreBuilder::new(x.cols(), &config);
+        let mut pushed = (0..100).map(|r| builder.push_row(x.row(r), y[r]));
+        assert!(pushed.any(|r| r.is_err()));
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::Arc;
 use toc_formats::wire::Rd;
 use toc_formats::FormatError;
 
-use super::{DiskLoc, Entry, ShardedSpillStore, StoreConfig};
+use super::{DiskLoc, Entry, ShardFiles, ShardedSpillStore, StoreConfig};
 use crate::io::{lock, rlock};
 
 /// One sealed segment recorded in a [`StoreCheckpoint`]: its current
@@ -233,6 +233,14 @@ impl ShardedSpillStore {
             })
             .collect();
         let appended = entries.len();
-        Self::assemble(config, features, entries, appended, shards, None, 0)
+        let shards = ShardFiles {
+            files: shards,
+            cursors: ckpt.cursors.clone(),
+            home: None,
+            owned_dir: None,
+        };
+        Ok(Self::assemble(
+            config, features, entries, appended, shards, 0,
+        ))
     }
 }

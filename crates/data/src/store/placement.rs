@@ -1,12 +1,12 @@
 //! Where spilled batches live: the build-time layouts
-//! ([`place_spilled`]), the adaptive planner ([`plan_adaptive`]) and the
-//! epoch-boundary migration that applies its plan
+//! ([`ShardPlacement::shard_of`]), the adaptive planner ([`plan_adaptive`])
+//! and the epoch-boundary migration that applies its plan
 //! ([`ShardedSpillStore::rebalance`]).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use super::{DiskLoc, Entry, ShardedSpillStore, Slot};
+use super::{land, DiskLoc, Entry, ShardedSpillStore, Slot};
 use crate::io::{lock, rlock, wlock};
 
 /// How spilled batches are laid out across the shard files.
@@ -17,12 +17,16 @@ pub enum ShardPlacement {
     /// `N` apart in each shard file.
     #[default]
     Stripe,
-    /// Compression-aware packing: consecutive spilled batches fill one
-    /// shard until a byte-sized run target, then move to the next shard
-    /// (runs round-robin over shards). Small, highly-compressed batches
-    /// cluster adjacently in one file, so a ring-engine lookahead burst
-    /// over them coalesces into a handful of large reads — one
-    /// submission fetches several batches.
+    /// Run packing: [`PACK_RUN`] consecutive spilled batches land back to
+    /// back on one shard, the next run on the next shard (runs round-robin
+    /// over shards), so a ring-engine lookahead burst over a run coalesces
+    /// into one large read — one submission fetches several batches. The
+    /// first batch on each shard is a run of its own: a store with as
+    /// many spilled batches as shards already uses every device, as under
+    /// striping. A run is counted in batches, not bytes: what can coalesce
+    /// is bounded by the lookahead depth, which is counted in batches too,
+    /// and a rule over the batches already placed lets each one be written
+    /// the moment it seals, where a byte target needed every size first.
     Pack,
     /// Bandwidth-profiled adaptive placement: batches start in the `Pack`
     /// layout, every physical read charges its observed throughput into
@@ -42,6 +46,23 @@ impl ShardPlacement {
             ShardPlacement::Stripe => "stripe",
             ShardPlacement::Pack => "pack",
             ShardPlacement::Adaptive => "adaptive",
+        }
+    }
+
+    /// The shard the `k`-th spilled batch of a build (visit order) lands
+    /// on, out of `n_shards`. It depends on nothing but `k`, so shards
+    /// come into use in order `0, 1, 2, …` and a build creates shard
+    /// file `s` when its first batch arrives. `Adaptive` starts from the
+    /// `Pack` layout (file-adjacent runs, so ring coalescing works from
+    /// epoch one) and diverges only once the runtime profiler has
+    /// measured the shards ([`ShardedSpillStore::rebalance`]).
+    pub fn shard_of(self, k: usize, n_shards: usize) -> usize {
+        match self {
+            ShardPlacement::Stripe => k % n_shards,
+            ShardPlacement::Pack | ShardPlacement::Adaptive => match k.checked_sub(n_shards) {
+                None => k,
+                Some(k) => k / PACK_RUN % n_shards,
+            },
         }
     }
 }
@@ -78,10 +99,9 @@ pub(super) struct PlacementStats {
     migrated_bytes: AtomicU64,
 }
 
-/// Pack placement: aim for this many contiguous runs per shard, so every
-/// shard still sees multiple visit-order runs (device parallelism) while
-/// each run keeps consecutive batches file-adjacent (coalescing).
-const PACK_RUNS_PER_SHARD: usize = 4;
+/// Consecutive spilled batches [`ShardPlacement::Pack`] keeps
+/// file-adjacent on one shard before it moves to the next.
+pub const PACK_RUN: usize = 4;
 
 impl ShardedSpillStore {
     /// Current placement state: policy, resolved scheduling, rebalance and
@@ -163,21 +183,14 @@ impl ShardedSpillStore {
             {
                 continue; // keep the old location; the visit path surfaces IO errors
             }
-            let offset = append.cursors[target];
-            if inner.io.devices[target]
-                .file
-                .write_all_at(&buf, offset)
-                .is_err()
-            {
+            let file = &inner.io.devices[target].file;
+            let Ok(landed) = land(&mut append.cursors, target, loc.len, |at| {
+                file.write_all_at(&buf, at)
+            }) else {
                 continue;
-            }
-            append.cursors[target] += loc.len as u64;
+            };
             if let Slot::Disk(current) = &entry.slot {
-                *wlock(current) = DiskLoc {
-                    shard: target,
-                    offset,
-                    len: loc.len,
-                };
+                *wlock(current) = landed;
             }
             moved += 1;
             moved_bytes += loc.len as u64;
@@ -220,47 +233,6 @@ pub struct PlacementReport {
     pub shard_ewma_mbps: Vec<f64>,
     /// Bytes of spilled batches currently assigned to each shard.
     pub shard_bytes: Vec<u64>,
-}
-
-/// Decide which shard each spilled batch (in visit order) lands on at
-/// build time. `Adaptive` starts from the `Pack` layout (file-adjacent
-/// runs, so ring coalescing works from epoch one) and diverges only once
-/// the runtime profiler has measured the shards
-/// ([`ShardedSpillStore::rebalance`]).
-pub fn place_spilled(sizes: &[usize], n_shards: usize, placement: ShardPlacement) -> Vec<usize> {
-    match placement {
-        ShardPlacement::Stripe => (0..sizes.len()).map(|i| i % n_shards).collect(),
-        ShardPlacement::Pack | ShardPlacement::Adaptive => {
-            let total: usize = sizes.iter().sum();
-            // A run must hold at least a couple of batches for adjacency
-            // to buy anything, but never so many that a shard ends up
-            // with no run at all. The byte target alone cannot guarantee
-            // the latter under skew (one huge batch closes a run while
-            // the tiny remainder never reaches the target again), so runs
-            // are additionally capped at ⌊batches/shards⌋ batches — that
-            // forces at least `n_shards` runs, and runs round-robin.
-            let avg = total.div_ceil(sizes.len().max(1));
-            let lo = (total / n_shards / PACK_RUNS_PER_SHARD).max(1);
-            let hi = (total / n_shards).max(1);
-            let run_target = (2 * avg).clamp(lo, hi.max(lo));
-            let max_run_batches = (sizes.len() / n_shards).max(1);
-            let mut shard = 0usize;
-            let mut run_bytes = 0usize;
-            let mut run_batches = 0usize;
-            let mut out = Vec::with_capacity(sizes.len());
-            for &sz in sizes {
-                out.push(shard);
-                run_bytes += sz;
-                run_batches += 1;
-                if run_bytes >= run_target || run_batches >= max_run_batches {
-                    shard = (shard + 1) % n_shards;
-                    run_bytes = 0;
-                    run_batches = 0;
-                }
-            }
-            out
-        }
-    }
 }
 
 /// The adaptive placement plan: assign every spilled batch to a shard so
@@ -326,43 +298,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn place_spilled_policies() {
-        // Stripe: round robin regardless of size.
+    fn shard_of_policies() {
+        let place = |p: ShardPlacement, n: usize, shards: usize| -> Vec<usize> {
+            (0..n).map(|k| p.shard_of(k, shards)).collect()
+        };
+        // Stripe: round robin.
+        assert_eq!(place(ShardPlacement::Stripe, 4, 2), vec![0, 1, 0, 1]);
+        // Pack: one batch on each shard, then runs of PACK_RUN consecutive
+        // batches, round robin over the shards; a short tail is a short run.
+        let runs = |of: &[usize]| of.iter().flat_map(|&s| [s; PACK_RUN]).collect::<Vec<_>>();
         assert_eq!(
-            place_spilled(&[10, 10, 10, 10], 2, ShardPlacement::Stripe),
-            vec![0, 1, 0, 1]
+            place(ShardPlacement::Pack, 2 + 3 * PACK_RUN + 1, 2),
+            [vec![0, 1], runs(&[0, 1, 0]), vec![1]].concat()
         );
-        // Pack: equal sizes, 2 shards, 8 batches → run target 2·avg=20,
-        // so pairs of consecutive batches stay file-adjacent.
-        assert_eq!(
-            place_spilled(&[10; 8], 2, ShardPlacement::Pack),
-            vec![0, 0, 1, 1, 0, 0, 1, 1]
-        );
-        // Pack with small batches: several consecutive batches share a
-        // run before it closes.
-        let a = place_spilled(&[1; 80], 2, ShardPlacement::Pack);
-        assert_eq!(a.len(), 80);
-        // run target = 80/2/4 = 10 → runs of 10 consecutive batches.
-        assert_eq!(&a[..10], &[0; 10]);
-        assert_eq!(&a[10..20], &[1; 10]);
-        // Bytes balance across shards.
-        assert_eq!(a.iter().filter(|&&s| s == 0).count(), 40);
-        // Skewed sizes: one huge batch must not starve later shards — the
-        // batch-count run cap guarantees every shard still gets a run.
-        let a = place_spilled(&[1000, 1, 1, 1], 4, ShardPlacement::Pack);
-        assert_eq!(a, vec![0, 1, 2, 3]);
-        for n_shards in 1..=4 {
-            for sizes in [&[7usize, 900, 3, 3, 3, 900, 1][..], &[5; 9][..]] {
-                let a = place_spilled(sizes, n_shards, ShardPlacement::Pack);
-                for s in 0..n_shards {
-                    assert!(a.contains(&s), "shard {s} empty: {a:?} ({sizes:?})");
-                }
-            }
-        }
+        // Fewer batches than shards: the later shards stay unused (and the
+        // build never creates their files).
+        assert_eq!(place(ShardPlacement::Pack, 3, 4), vec![0, 1, 2]);
         // Adaptive starts from the pack layout.
         assert_eq!(
-            place_spilled(&[10; 8], 2, ShardPlacement::Adaptive),
-            place_spilled(&[10; 8], 2, ShardPlacement::Pack)
+            place(ShardPlacement::Adaptive, 40, 3),
+            place(ShardPlacement::Pack, 40, 3)
         );
     }
 

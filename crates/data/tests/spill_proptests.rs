@@ -2,14 +2,14 @@
 //! batch_rows × budget × shards × prefetch × io engine) configurations
 //! round-trip through spill with decode-equality against the source
 //! matrix, for both the single-shard and the sharded layout — plus the
-//! placement-plan laws every policy (build-time stripe/pack/adaptive and
-//! the runtime adaptive planner) must satisfy: cover every batch exactly
-//! once, stay inside the shard range, respect capacity when feasible,
-//! and be a deterministic function of their inputs.
+//! placement laws: the build-time rule (stripe/pack/adaptive) places a
+//! batch from its position alone, and the runtime adaptive planner must
+//! cover every batch exactly once, stay inside the shard range, respect
+//! capacity when feasible and be a deterministic function of its inputs.
 
 use proptest::prelude::*;
 use toc_data::store::{
-    place_spilled, plan_adaptive, IoEngineKind, ShardPlacement, ShardedSpillStore, StoreConfig,
+    plan_adaptive, IoEngineKind, ShardPlacement, ShardedSpillStore, StoreConfig, PACK_RUN,
 };
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{MatrixBatch, Scheme};
@@ -123,30 +123,47 @@ proptest! {
         prop_assert!(snap.disk_reads + snap.coalesced_reads >= spilled_visits);
     }
 
-    /// Build-time placement plans: every batch assigned exactly once to a
-    /// real shard, deterministically, for all three policies; pack-style
-    /// policies leave no shard empty when there are enough batches.
+    /// Build-time placement is online: the shard of the `k`-th spilled
+    /// batch depends on `k` alone, so placing a prefix and then more is
+    /// placing all at once, whatever the sizes. Every policy stays in
+    /// range, is deterministic and brings shards into use in order (what
+    /// lets a build create shard file `s` when its first batch lands),
+    /// and from one batch per shard on no configured shard is empty (the
+    /// stores rely on this so every device gets profiler observations in
+    /// epoch one); past that first round, pack-style runs are `PACK_RUN`
+    /// consecutive batches on one shard (file-adjacent, a shard file being
+    /// append-only).
     #[test]
-    fn build_time_placement_plans_cover_all_batches(
-        sizes in prop::collection::vec(1usize..5000, 1..150),
+    fn build_time_placement_is_online(
+        n in 1usize..150,
+        prefix in 0usize..150,
         n_shards in 1usize..6,
     ) {
-        let n_shards = n_shards.min(sizes.len());
         for placement in [
             ShardPlacement::Stripe,
             ShardPlacement::Pack,
             ShardPlacement::Adaptive,
         ] {
-            let plan = place_spilled(&sizes, n_shards, placement);
-            // Exactly once: one assignment per batch, all in range.
-            prop_assert_eq!(plan.len(), sizes.len(), "{}", placement);
+            let place = |n: usize| -> Vec<usize> {
+                (0..n).map(|k| placement.shard_of(k, n_shards)).collect()
+            };
+            let plan = place(n);
             prop_assert!(plan.iter().all(|&s| s < n_shards), "{}: {:?}", placement, plan);
-            // Deterministic.
-            prop_assert_eq!(&plan, &place_spilled(&sizes, n_shards, placement), "{}", placement);
-            // No shard starves at build time (the stores rely on this so
-            // every device gets profiler observations in epoch one).
-            for s in 0..n_shards {
-                prop_assert!(plan.contains(&s), "{}: shard {} empty: {:?}", placement, s, plan);
+            let prefix = prefix.min(n);
+            prop_assert_eq!(&plan[..prefix], &place(prefix)[..], "{}", placement);
+            let mut in_use = 0;
+            for &s in &plan {
+                prop_assert!(s <= in_use, "{}: shard {} skipped: {:?}", placement, in_use, plan);
+                in_use = in_use.max(s + 1);
+            }
+            prop_assert_eq!(in_use, n.min(n_shards), "{}: {:?}", placement, plan);
+            if placement != ShardPlacement::Stripe && n_shards > 1 {
+                for k in n_shards + 1..n {
+                    prop_assert_eq!(
+                        plan[k] == plan[k - 1], (k - n_shards) % PACK_RUN != 0,
+                        "{}: run boundary at {}: {:?}", placement, k, plan
+                    );
+                }
             }
         }
     }
