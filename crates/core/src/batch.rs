@@ -29,6 +29,7 @@ use crate::physical::{
     write_f64s, write_packed_ints, write_u32, write_varint_ints, Cursor, F64Slice, IntSlice,
 };
 use crate::tree::{DecodeTree, LivePlan, TreeScratch};
+use std::sync::atomic::{AtomicU64, Ordering};
 use toc_linalg::sparse::{ColVal, SparseRows};
 use toc_linalg::DenseMatrix;
 
@@ -61,11 +62,35 @@ pub enum PhysicalCodec {
 /// assert_eq!(toc.decode(), a);
 /// assert_eq!(toc.matvec(&[1.0; 4]).unwrap(), a.matvec(&[1.0; 4]));
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(Clone)]
 pub struct TocBatch {
     bytes: Vec<u8>,
     rows: usize,
     cols: usize,
+    /// `C'` of `bytes`, if [`Self::from_bytes`] made this batch: the tree
+    /// validation replayed, kept for the kernels. Derived state.
+    parsed: Option<ParsedTree>,
+}
+
+/// The tree a parse built and the serial number that parse drew. A
+/// [`KernelScratch`] names the batch its live plan belongs to by the
+/// serial: an address can be handed out again once the batch is dropped,
+/// and comparing the bytes is the cost a carried tree is there to save.
+/// Clones share the serial — their bytes and tree are equal — and
+/// anything that rewrites the bytes drops tree and serial together.
+#[derive(Clone)]
+struct ParsedTree {
+    tree: DecodeTree,
+    serial: u64,
+}
+
+static NEXT_SERIAL: AtomicU64 = AtomicU64::new(0);
+
+/// Equality of bytes (rows and cols are in the header).
+impl PartialEq for TocBatch {
+    fn eq(&self, other: &Self) -> bool {
+        self.bytes == other.bytes
+    }
 }
 
 impl std::fmt::Debug for TocBatch {
@@ -139,6 +164,7 @@ impl TocBatch {
             bytes,
             rows: logical.rows,
             cols: logical.cols,
+            parsed: None,
         }
     }
 
@@ -178,13 +204,44 @@ impl TocBatch {
     }
 
     /// Deserialize and fully validate an untrusted buffer.
+    ///
+    /// Validation replays the dictionary, which builds `C'`; the batch
+    /// keeps that tree and its kernels run on it, so a batch that is
+    /// parsed, visited and dropped — a spilled read — replays once. The
+    /// tree is several times the encoded size and is not counted by
+    /// [`Self::size_bytes`]: whoever keeps parsed batches around should
+    /// [`Self::shed_tree`] them (kernels then build `C'` in their
+    /// [`KernelScratch`], as for a batch made by `encode`).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, TocError> {
-        let (rows, cols) = {
+        let (rows, cols, tree) = {
             let view = parse_view(&bytes)?;
-            validate_view(&view)?;
-            (view.rows, view.cols)
+            (view.rows, view.cols, DecodeTree::build(&view)?)
         };
-        Ok(Self { bytes, rows, cols })
+        let serial = NEXT_SERIAL.fetch_add(1, Ordering::Relaxed);
+        Ok(Self {
+            bytes,
+            rows,
+            cols,
+            parsed: Some(ParsedTree { tree, serial }),
+        })
+    }
+
+    /// Drop the tree [`Self::from_bytes`] kept.
+    pub fn shed_tree(&mut self) {
+        self.parsed = None;
+    }
+
+    /// The tree [`Self::from_bytes`] kept, for tests that pin who holds
+    /// one.
+    #[doc(hidden)]
+    pub fn carried_tree(&self) -> Option<&DecodeTree> {
+        self.parsed.as_ref().map(|p| &p.tree)
+    }
+
+    /// `C'` of this batch: its own, or else `built`, the tree a scratch
+    /// [`KernelScratch::prepare`]d for it.
+    fn tree_in<'a>(&'a self, built: &'a DecodeTree) -> &'a DecodeTree {
+        self.carried_tree().unwrap_or(built)
     }
 
     /// Parse the buffer into a scan-ready view (cheap; no decompression).
@@ -196,7 +253,7 @@ impl TocBatch {
     /// this repeats the checks; exposed for tests).
     pub fn try_view(&self) -> Result<TocView<'_>, TocError> {
         let v = parse_view(&self.bytes)?;
-        validate_view(&v)?;
+        DecodeTree::build(&v)?;
         Ok(v)
     }
 
@@ -207,8 +264,10 @@ impl TocBatch {
     }
 
     /// Rewrite the unique-value array in place with `f` (the shared core
-    /// of all sparse-safe element-wise operations).
+    /// of all sparse-safe element-wise operations). A carried tree holds
+    /// the old values: it goes.
     pub(crate) fn rewrite_values(&mut self, f: impl Fn(f64) -> f64) {
+        self.shed_tree();
         let (start, count) =
             locate_values_section(&self.bytes).expect("internally produced TocBatch must parse");
         for i in 0..count {
@@ -269,8 +328,8 @@ impl TocBatch {
 
     /// `A · v` into caller-owned buffers: runs entirely inside `ws`,
     /// performing no heap allocation in steady state, and builds `C'`
-    /// only if `ws` does not already hold this batch's (see
-    /// [`KernelScratch`]).
+    /// only if neither the batch carries it nor `ws` already holds this
+    /// batch's (see [`KernelScratch`]).
     pub fn matvec_into(
         &self,
         v: &[f64],
@@ -279,7 +338,7 @@ impl TocBatch {
     ) -> Result<(), TocError> {
         check_dim(self.cols, v.len(), "A·v")?;
         let view = ws.prepare(self);
-        crate::ops::matvec_into(&view, &ws.tree, v, &mut ws.h, out);
+        crate::ops::matvec_into(&view, self.tree_in(&ws.tree), v, &mut ws.h, out);
         Ok(())
     }
 
@@ -292,7 +351,7 @@ impl TocBatch {
     ) -> Result<(), TocError> {
         check_dim(self.rows, v.len(), "v·A")?;
         let view = ws.prepare(self);
-        crate::ops::vecmat_into(&view, &ws.tree, v, &mut ws.h, out);
+        crate::ops::vecmat_into(&view, self.tree_in(&ws.tree), v, &mut ws.h, out);
         Ok(())
     }
 
@@ -327,7 +386,8 @@ impl TocBatch {
     /// [`Self::matvec_into`]).
     pub fn decode_into(&self, out: &mut DenseMatrix, ws: &mut KernelScratch) {
         let view = ws.prepare(self);
-        crate::ops::decode_into(&view, &ws.tree, &mut ws.stack, &mut ws.row_codes, out);
+        let tree = self.tree_in(&ws.tree);
+        crate::ops::decode_into(&view, tree, &mut ws.stack, &mut ws.row_codes, out);
     }
 
     /// Encoding statistics, for inspection and ablation reporting.
@@ -366,29 +426,34 @@ fn check_dim(expected: usize, got: usize, what: &'static str) -> Result<(), TocE
 
 /// Reusable scratch for the zero-allocation TOC kernel entry points
 /// (`TocBatch::{matvec,vecmat,matmat,matmat_left,decode}_into`): holds the
-/// decode tree `C'` and the live plan of the batch it last prepared, the
-/// rebuild scratch, the kernels' `H`/`G` accumulators, and the decode
-/// backtracking buffers. One instance serves any number of batches of any
-/// shape; buffers grow to the high-water mark and are reused thereafter.
+/// decode tree `C'` of the encoded batch it prepared last, the live plan of
+/// the batch whose matrix kernels it ran last, the rebuild scratch, the
+/// kernels' `H`/`G` accumulators, and the decode backtracking buffers. One
+/// instance serves any number of batches of any shape; buffers grow to the
+/// high-water mark and are reused thereafter.
 ///
-/// `C'` is built once per batch, not once per call: the scratch keeps a
-/// copy of the bytes of the batch it prepared, and a kernel rebuilds only
-/// when the batch it is given differs from that copy. The key is the
-/// content itself, compared in full — not the buffer's address or length,
-/// which [`TocBatch::scale`] leaves unchanged while rewriting the values,
-/// and not a hash, which can collide. So `matvec` → `vecmat`, `matmat` →
-/// `matmat_left`, or the `2k` calls of a one-vs-rest step on one batch
-/// share one build, and the live plan the matrix kernels need is derived
-/// by the first of them.
+/// Who builds `C'` when: a batch parsed by [`TocBatch::from_bytes`]
+/// carries the tree its validation built, and the kernels run on that —
+/// this scratch builds nothing for it and keeps nothing of it but its live
+/// plan, named by the parse's serial number. A batch made by `encode`
+/// carries no tree, so the scratch builds one — once per batch, not once
+/// per call: it keeps a copy of the bytes of the batch it built for, and a
+/// kernel rebuilds only when the batch it is given differs from that copy.
+/// The key is the content itself, compared in full — not the buffer's
+/// address or length, which [`TocBatch::scale`] leaves unchanged while
+/// rewriting the values, and not a hash, which can collide. Either way
+/// `matvec` → `vecmat`, `matmat` → `matmat_left`, or the `2k` calls of a
+/// one-vs-rest step on one batch share one `C'`, and the live plan the
+/// matrix kernels need is derived by the first of them.
 #[derive(Clone, Debug, Default)]
 pub struct KernelScratch {
-    /// Bytes of the batch `tree` was built from; empty (no batch is) while
-    /// nothing is prepared.
+    /// Bytes of the encoded batch `tree` was built from; empty (no batch
+    /// is) while nothing is built.
     key: Vec<u8>,
     tree: DecodeTree,
     tree_scratch: TreeScratch,
-    /// True if `plan` is the live plan of `key`'s batch.
-    planned: bool,
+    /// Whose live plan `plan` is.
+    planned: Planned,
     plan: LivePlan,
     h: Vec<f64>,
     block: BlockScratch,
@@ -398,14 +463,27 @@ pub struct KernelScratch {
     plans: u64,
 }
 
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
+enum Planned {
+    #[default]
+    Nothing,
+    /// The encoded batch whose bytes are `key`.
+    Key,
+    /// The parsed batch with this serial.
+    Parsed(u64),
+}
+
 impl KernelScratch {
-    /// Make `tree` the `C'` of `batch`, building it unless it already is.
+    /// Make sure `batch` has a `C'` — its own, or else `tree`, built unless
+    /// it already is this batch's.
     fn prepare<'a>(&mut self, batch: &'a TocBatch) -> TocView<'a> {
         let view = batch.view();
-        if self.key != batch.bytes {
-            // Nothing counts as prepared while the tree is half rebuilt.
+        if batch.parsed.is_none() && self.key != batch.bytes {
+            // Nothing counts as built while the tree is half rebuilt.
             self.key.clear();
-            self.planned = false;
+            if self.planned == Planned::Key {
+                self.planned = Planned::Nothing;
+            }
             DecodeTree::build_trusted_into(&view, &mut self.tree, &mut self.tree_scratch);
             self.key.extend_from_slice(&batch.bytes);
             self.builds += 1;
@@ -415,12 +493,17 @@ impl KernelScratch {
 
     /// [`Self::prepare`], and make `plan` the live plan of `batch`.
     fn prepare_plan(&mut self, batch: &TocBatch) {
-        if self.planned && self.key == batch.bytes {
+        let want = match &batch.parsed {
+            Some(p) => Planned::Parsed(p.serial),
+            None => Planned::Key,
+        };
+        // `Key` says whose plan it is only as long as `key` is this batch.
+        if self.planned == want && (batch.parsed.is_some() || self.key == batch.bytes) {
             return;
         }
         let view = self.prepare(batch);
-        self.plan.rebuild(&view, &self.tree);
-        self.planned = true;
+        self.plan.rebuild(&view, batch.tree_in(&self.tree));
+        self.planned = want;
         self.plans += 1;
     }
 
@@ -554,41 +637,6 @@ fn parse_view(bytes: &[u8]) -> Result<TocView<'_>, TocError> {
         codes,
         offsets,
     })
-}
-
-fn validate_view(view: &TocView<'_>) -> Result<(), TocError> {
-    if view.i_cols.len() != view.i_validx.len() {
-        return Err(corrupt("I column/value-index length mismatch"));
-    }
-    for i in 0..view.i_validx.len() {
-        if view.i_validx.get(i) as usize >= view.values.len() {
-            return Err(corrupt("value index out of range"));
-        }
-        if view.i_cols.get(i) as usize >= view.cols {
-            return Err(corrupt("column index out of range"));
-        }
-    }
-    if view.offsets.len() != view.rows + 1 {
-        return Err(corrupt("offset table length mismatch"));
-    }
-    let mut prev = 0u32;
-    for r in 0..view.offsets.len() {
-        let o = view.offsets.get(r);
-        if r == 0 && o != 0 {
-            return Err(corrupt("first offset must be 0"));
-        }
-        if o < prev {
-            return Err(corrupt("offsets must be non-decreasing"));
-        }
-        prev = o;
-    }
-    if prev as usize != view.codes.len() {
-        return Err(corrupt("last offset must equal code count"));
-    }
-    // Structural code validation is performed by DecodeTree::build, which
-    // replays the dictionary growth; run it once here.
-    DecodeTree::build(view)?;
-    Ok(())
 }
 
 /// Locate `(payload_start, value_count)` of the unique-value section.

@@ -20,7 +20,8 @@
 //! on the compressed buffer ([`ops`], paper §4) after rebuilding the
 //! parent-pointer decode tree `C'` ([`tree::DecodeTree`]) — once per
 //! mini-batch when the kernels share a [`KernelScratch`], which is how a
-//! training step calls them.
+//! training step calls them, and not at all for a batch that
+//! [`TocBatch::from_bytes`] parsed: validating it built the tree.
 //!
 //! ```
 //! use toc_core::TocBatch;

@@ -25,6 +25,13 @@
 //! The vector kernels stay on `C'` as built: their one pass does not
 //! repay the plan's (on census-like, where 84 % of the nodes are live,
 //! deriving it costs as much as the two kernels together).
+//!
+//! Who builds `C'` when: the functions here take it as an argument. For a
+//! batch that was parsed ([`crate::TocBatch::from_bytes`]: a spilled read,
+//! a container segment) it is the tree the parse's validation replayed,
+//! carried by the batch — one replay per visit. For a batch made by
+//! `encode`, which is every resident batch, the caller's
+//! [`crate::KernelScratch`] builds it, once per batch it meets.
 
 use crate::batch::TocView;
 use crate::tree::{DecodeTree, LivePlan};

@@ -164,6 +164,11 @@ impl<'a> Cursor<'a> {
             0 => {
                 let payload_len = self.read_u32()? as usize;
                 let payload = self.take(payload_len)?;
+                // A varint is at least one byte: a count the payload
+                // cannot back is rejected before it is allocated for.
+                if count > payload_len {
+                    return Err(corrupt("varint count exceeds payload"));
+                }
                 let mut out = Vec::with_capacity(count);
                 let mut pos = 0usize;
                 for _ in 0..count {

@@ -29,12 +29,13 @@ pub struct DecodeTree {
 }
 
 /// Reusable scratch for [`DecodeTree::build_trusted_into`]: holds the `F`
-/// array and the per-row code buffer so that rebuilding `C'` for a new
-/// batch performs no heap allocation in steady state.
+/// array and the unpacked `D` and tuple offsets so that rebuilding `C'` for
+/// a new batch performs no heap allocation in steady state.
 #[derive(Clone, Debug, Default)]
 pub struct TreeScratch {
     first: Vec<u32>,
-    row_codes: Vec<u32>,
+    codes: Vec<u32>,
+    offsets: Vec<u32>,
 }
 
 impl DecodeTree {
@@ -50,9 +51,10 @@ impl DecodeTree {
     }
 
     /// Algorithm 2 (`BuildPrefixTree`): rebuild `C'` from the view's
-    /// `(I, D)`. Also validates that every code in `D` references a node
-    /// that exists at the time it is replayed, which makes this the
-    /// structural integrity check for untrusted buffers.
+    /// `(I, D)`. Also the integrity check for untrusted buffers, in the
+    /// same walk: `I`'s column and value indexes are in range, the tuple
+    /// offsets partition `D`, and every code in `D` references a node that
+    /// exists at the time it is replayed.
     pub fn build(view: &TocView<'_>) -> Result<DecodeTree, TocError> {
         let mut tree = DecodeTree::default();
         let mut scratch = TreeScratch::default();
@@ -60,9 +62,9 @@ impl DecodeTree {
         Ok(tree)
     }
 
-    /// [`Self::build`] without per-code validation, for buffers that were
-    /// already validated once (every visit of a `TocBatch` rebuilds `C'`,
-    /// so revalidating each time would tax the hot path).
+    /// [`Self::build`] without validation, for buffers that were already
+    /// validated once (a batch made by `encode` rebuilds `C'` for every
+    /// visit, so revalidating each time would tax the hot path).
     pub fn build_trusted(view: &TocView<'_>) -> DecodeTree {
         let mut tree = DecodeTree::default();
         let mut scratch = TreeScratch::default();
@@ -88,96 +90,112 @@ impl DecodeTree {
         scratch: &mut TreeScratch,
     ) -> Result<(), TocError> {
         let n_first = view.first_layer_len();
-        // Upper bound on node count: root + |I| + one node per adjacent
-        // code pair.
-        let mut nonempty = 0usize;
-        for r in 0..view.rows {
-            let (s, e) = view.row_range(r);
-            if e > s {
-                nonempty += 1;
+        if VALIDATE {
+            if view.i_validx.len() != n_first {
+                return Err(corrupt("I column/value-index length mismatch"));
+            }
+            if view.offsets.len() != view.rows + 1 {
+                return Err(corrupt("offset table length mismatch"));
             }
         }
-        let capacity = 1 + n_first + view.codes_len().saturating_sub(nonempty);
+        let TreeScratch {
+            first,
+            codes,
+            offsets,
+        } = scratch;
+        // The tuple offsets and `D`, unpacked once.
+        offsets.clear();
+        view.offsets.extend_into(0, view.rows + 1, offsets);
+        codes.clear();
+        view.codes_into(0, view.codes_len(), codes);
+        if VALIDATE {
+            if offsets[0] != 0 {
+                return Err(corrupt("first offset must be 0"));
+            }
+            if offsets.windows(2).any(|w| w[1] < w[0]) {
+                return Err(corrupt("offsets must be non-decreasing"));
+            }
+            if offsets[view.rows] as usize != codes.len() {
+                return Err(corrupt("last offset must equal code count"));
+            }
+        }
+        // Root + |I| + one node per adjacent code pair. Exact: with the
+        // offsets a partition of `D`, the replay below fills every slot
+        // and cannot step past the last.
+        let nonempty = offsets.windows(2).filter(|w| w[1] > w[0]).count();
+        let n = 1 + n_first + codes.len() - nonempty;
 
-        let key_col = &mut tree.key_col;
-        let key_val = &mut tree.key_val;
-        let parent = &mut tree.parent;
+        let DecodeTree {
+            key_col,
+            key_val,
+            parent,
+        } = tree;
+        // Root, then Phase I: the first layer.
+        key_col.clear();
+        key_col.reserve_exact(n);
+        key_col.push(0);
+        view.i_cols.extend_into(0, n_first, key_col);
+        if VALIDATE && key_col[1..].iter().any(|&c| c as usize >= view.cols) {
+            return Err(corrupt("column index out of range"));
+        }
+        key_val.clear();
+        key_val.reserve_exact(n);
+        key_val.push(0.0);
+        let n_values = view.values.len();
+        view.i_validx.for_each_range(0, n_first, |ix| {
+            if (ix as usize) < n_values {
+                key_val.push(view.values.get(ix as usize));
+            }
+        });
+        if key_val.len() != n_first + 1 {
+            return Err(corrupt("value index out of range"));
+        }
+        key_col.resize(n, 0);
+        key_val.resize(n, 0.0);
+        parent.clear();
+        parent.resize(n, 0);
         // F: the *node index* of the first pair of each node's sequence
         // (a first-layer node; 0 for the root). Keys of new nodes are then
         // plain array reads instead of physical-layer lookups.
-        let first = &mut scratch.first;
-        key_col.clear();
-        key_val.clear();
-        parent.clear();
         first.clear();
-        key_col.reserve(capacity);
-        key_val.reserve(capacity);
-        parent.reserve(capacity);
-        first.reserve(capacity);
-
-        // Root.
-        key_col.push(0);
-        key_val.push(0.0);
-        parent.push(0);
-        first.push(0);
-
-        // Phase I: first layer.
-        for i in 0..n_first {
-            let p = view.first_layer(i);
-            key_col.push(p.col);
-            key_val.push(p.val);
-            parent.push(0);
-            first.push(i as u32 + 1);
-        }
+        first.extend(0..=n_first as u32);
+        first.resize(n, 0);
 
         // Phase II: replay D.
-        let mut idx_seq_num = n_first as u32 + 1;
-        let row_codes = &mut scratch.row_codes;
-        for r in 0..view.rows {
-            let (s, e) = view.row_range(r);
-            if e <= s {
+        let mut next = n_first + 1;
+        let unknown =
+            |r: usize, c: u32| corrupt(format!("row {r}: code {c} references unknown node"));
+        for (r, w) in offsets.windows(2).enumerate() {
+            let Some((&head, tail)) = codes[w[0] as usize..w[1] as usize].split_first() else {
                 continue;
-            }
-            row_codes.clear();
-            view.codes_into(s, e, row_codes);
+            };
             // Each code is validated as it is encountered; the final (or
             // only) code of the row is checked after the pair loop.
-            let mut a = row_codes[0];
-            for j in 0..row_codes.len() - 1 {
-                let b = row_codes[j + 1];
+            let mut a = head;
+            for &b in tail {
                 if VALIDATE {
-                    if a == 0 || a >= idx_seq_num {
-                        return Err(corrupt(format!(
-                            "row {r}: code {a} references unknown node"
-                        )));
+                    if a == 0 || a as usize >= next {
+                        return Err(unknown(r, a));
                     }
                     // `b` may reference the node being added right now (the
                     // LZW self-reference pattern); Algorithm 2 sets F before
-                    // reading it, which the push order below reproduces.
-                    if b == 0 || b > idx_seq_num {
-                        return Err(corrupt(format!(
-                            "row {r}: code {b} references unknown node"
-                        )));
+                    // reading it, which the write order below reproduces.
+                    if b == 0 || b as usize > next {
+                        return Err(unknown(r, b));
                     }
                 }
-                parent.push(a);
-                first.push(first[a as usize]);
+                parent[next] = a;
+                first[next] = first[a as usize];
                 let key_node = first[b as usize] as usize;
-                let kc = key_col[key_node];
-                let kv = key_val[key_node];
-                key_col.push(kc);
-                key_val.push(kv);
-                idx_seq_num += 1;
+                key_col[next] = key_col[key_node];
+                key_val[next] = key_val[key_node];
+                next += 1;
                 a = b;
             }
-            if VALIDATE {
-                let last = *row_codes.last().expect("non-empty row");
-                if last == 0 || last >= idx_seq_num {
-                    return Err(corrupt(format!("row {r}: trailing code {last} unknown")));
-                }
+            if VALIDATE && (a == 0 || a as usize >= next) {
+                return Err(unknown(r, a));
             }
         }
-
         Ok(())
     }
 

@@ -2,7 +2,7 @@
 //! kernel-vs-oracle equality on arbitrary matrices across sparsity regimes.
 
 use proptest::prelude::*;
-use toc_core::{DecodeTree, LivePlan, PhysicalCodec, TocBatch};
+use toc_core::{DecodeTree, KernelScratch, LivePlan, PhysicalCodec, TocBatch};
 use toc_linalg::dense::max_abs_diff_vec;
 use toc_linalg::DenseMatrix;
 
@@ -52,8 +52,94 @@ fn wild_matrix_strategy() -> impl Strategy<Value = DenseMatrix> {
     })
 }
 
+/// What a damaged buffer may do: fail to parse, or parse into a batch on
+/// which `decode` and all five kernels return. The parse keeps the tree the
+/// kernels run on, so a check the replay skipped would surface here as an
+/// index out of bounds.
+fn parse_and_run(bytes: Vec<u8>) {
+    let Ok(toc) = TocBatch::from_bytes(bytes) else {
+        return;
+    };
+    // Nothing in the buffer backs the header's column count: a damaged one
+    // can claim a shape no machine holds a dense result for. Such a batch
+    // is parsed above and not run.
+    if toc.rows().saturating_mul(toc.cols()) > 1 << 20 {
+        return;
+    }
+    let _ = toc.decode();
+    let mut ws = KernelScratch::default();
+    let (mut out_v, mut out_m) = (Vec::new(), DenseMatrix::default());
+    toc.matvec_into(&vec![1.5; toc.cols()], &mut out_v, &mut ws)
+        .unwrap();
+    toc.vecmat_into(&vec![-0.5; toc.rows()], &mut out_v, &mut ws)
+        .unwrap();
+    let m = DenseMatrix::from_vec(toc.cols(), 3, vec![0.25; toc.cols() * 3]);
+    toc.matmat_into(&m, &mut out_m, &mut ws).unwrap();
+    let m = DenseMatrix::from_vec(3, toc.rows(), vec![2.0; toc.rows() * 3]);
+    toc.matmat_left_into(&m, &mut out_m, &mut ws).unwrap();
+    toc.decode_into(&mut out_m, &mut ws);
+}
+
+/// Small batches with every structure the replay walks: repeated motifs
+/// (deep nodes, the LZW self-reference), empty rows between full ones, and
+/// more than 255 nodes so that `D` is packed two bytes wide.
+fn sweep_batches() -> Vec<Vec<u8>> {
+    let motif = |r: usize, c: usize| match (r % 5, c % 4) {
+        (4, _) => 0.0,
+        (k, j) if (k + j) % 3 == 0 => 0.0,
+        (k, j) => (k * 4 + j) as f64 * 0.5,
+    };
+    let small = DenseMatrix::from_vec(9, 7, (0..63).map(|i| motif(i / 7, i % 7)).collect());
+    let wide = DenseMatrix::from_vec(
+        40,
+        23,
+        (0..40 * 23)
+            .map(|i| motif(i / 23 + (i * 7) % 3, i % 23 + i / 97))
+            .collect(),
+    );
+    let mut out = Vec::new();
+    for a in [&small, &wide] {
+        for codec in [PhysicalCodec::BitPack, PhysicalCodec::Varint] {
+            let toc = TocBatch::encode_with(a, codec);
+            assert_eq!(toc.decode(), *a);
+            out.push(toc.to_bytes());
+        }
+    }
+    assert!(TocBatch::encode(&wide).stats().n_nodes > 256);
+    out
+}
+
+#[test]
+fn truncated_and_bit_flipped_batches_error_or_run() {
+    for good in sweep_batches() {
+        for len in 0..good.len() {
+            assert!(TocBatch::from_bytes(good[..len].to_vec()).is_err(), "{len}");
+        }
+        for i in 0..good.len() {
+            for mask in [0x01, 0x10, 0x80, 0xFF] {
+                let mut b = good.clone();
+                b[i] ^= mask;
+                parse_and_run(b);
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn multi_byte_mutations_error_or_run(
+        which in 0usize..4,
+        edits in prop::collection::vec((any::<usize>(), any::<u8>()), 1..6),
+    ) {
+        let mut bytes = sweep_batches().swap_remove(which);
+        for (at, to) in edits {
+            let at = at % bytes.len();
+            bytes[at] = to;
+        }
+        parse_and_run(bytes);
+    }
 
     #[test]
     fn roundtrip_is_lossless(a in matrix_strategy(40, 30)) {

@@ -706,7 +706,7 @@ impl Container {
             let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().unwrap()) as usize;
             pos += 4;
             need(len, pos)?;
-            batches.push(Scheme::from_bytes(&bytes[pos..pos + len])?);
+            batches.push(parse_to_keep(&bytes[pos..pos + len])?);
             pos += len;
         }
         if pos != bytes.len() {
@@ -729,7 +729,7 @@ impl Container {
             if bytes[begin] != leaf.scheme.unwrap() {
                 return Err(corrupt("segment scheme tag disagrees with the footer"));
             }
-            let batch = Scheme::from_bytes(&bytes[begin..end])?;
+            let batch = parse_to_keep(&bytes[begin..end])?;
             if batch.rows() as u64 != leaf.row_end - leaf.row_start || batch.cols() != cols {
                 return Err(corrupt("segment shape disagrees with the footer"));
             }
@@ -741,6 +741,20 @@ impl Container {
             zones: Some(zones),
         })
     }
+}
+
+/// [`Scheme::from_bytes`] for a batch that stays in a [`Container`]: without
+/// the decode tree a TOC parse carries for the visit that follows a spilled
+/// read (see [`toc_core::TocBatch::from_bytes`]), or a whole-file read would
+/// hold several times its encoded size.
+fn parse_to_keep(bytes: &[u8]) -> Result<AnyBatch, FormatError> {
+    let mut batch = Scheme::from_bytes(bytes)?;
+    match &mut batch {
+        AnyBatch::Toc(b) => b.shed_tree(),
+        AnyBatch::TocSparseLogical(b) => b.shed_tree(),
+        _ => {}
+    }
+    Ok(batch)
 }
 
 /// Streaming v2 writer: segments are appended one at a time to any

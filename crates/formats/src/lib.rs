@@ -125,9 +125,11 @@ impl From<toc_gc::GcError> for FormatError {
 ///   and the decoded matrix.
 /// * `toc` — the TOC kernels need the batch's decode tree `C'` (the
 ///   matrix kernels also its live plan) and an `H`/`G` accumulator;
-///   [`toc_core::KernelScratch`] owns them and keeps the tree of the
-///   batch it prepared last, keyed by the batch's bytes, so the kernels a
-///   step runs on one batch through one scratch build it once.
+///   [`toc_core::KernelScratch`] owns them. A batch [`Scheme::from_bytes`]
+///   parsed brings the tree its validation built; for an encoded one the
+///   scratch keeps the tree of the batch it prepared last, keyed by the
+///   batch's bytes. Either way the kernels a step runs on one batch
+///   through one scratch share one tree.
 ///
 /// One instance serves any number of batches of any scheme and shape;
 /// buffers grow to the high-water mark and are reused thereafter.

@@ -47,6 +47,10 @@ impl TocFormat {
     pub fn toc(&self) -> &TocBatch {
         &self.inner
     }
+
+    pub(crate) fn shed_tree(&mut self) {
+        self.inner.shed_tree();
+    }
 }
 
 impl MatrixBatch for TocFormat {
@@ -205,6 +209,15 @@ impl TocSparseLogical {
             inner,
             logical_size,
         })
+    }
+
+    /// Borrow the underlying compressed batch.
+    pub fn toc(&self) -> &TocBatch {
+        &self.inner
+    }
+
+    pub(crate) fn shed_tree(&mut self) {
+        self.inner.shed_tree();
     }
 }
 

@@ -365,3 +365,33 @@ fn mixed_width_batches_refuse_to_serialize() {
     let back = Container::from_bytes(&bytes).unwrap();
     assert_eq!(back.decode().unwrap(), a);
 }
+
+/// A parsed TOC batch carries the decode tree its validation built, for
+/// the one visit that follows a spilled read; a container keeps what it
+/// parses, so it must shed them — or a whole-file read holds several times
+/// its encoded size. Both wire versions, every TOC-backed scheme.
+#[test]
+fn a_parsed_container_holds_no_decode_trees() {
+    use toc_formats::AnyBatch;
+    let a = pool_matrix(57, 6, 0.4, 1234);
+    for scheme in [Scheme::Toc, Scheme::TocVarint, Scheme::TocSparseLogical] {
+        let c = Container::encode_with(&a, scheme, 10, &EncodeOptions::default());
+        let segment = c.batches[0].to_bytes();
+        let toc_of = |b: &AnyBatch| match b {
+            AnyBatch::Toc(b) => b.toc().clone(),
+            AnyBatch::TocSparseLogical(b) => b.toc().clone(),
+            other => panic!("{}: parsed into {other:?}", scheme.name()),
+        };
+        // What the container sheds is there to shed.
+        let parsed = toc_of(&Scheme::from_bytes(&segment).unwrap());
+        assert!(parsed.carried_tree().is_some(), "{}", scheme.name());
+        for bytes in [c.to_bytes().unwrap(), frame_v1(&c)] {
+            let back = Container::from_bytes(&bytes).unwrap();
+            assert_eq!(back.batches.len(), 6);
+            for b in &back.batches {
+                assert!(toc_of(b).carried_tree().is_none(), "{}", scheme.name());
+            }
+            assert_eq!(back.decode().unwrap(), a);
+        }
+    }
+}

@@ -7,9 +7,13 @@
 //!   bit** on every dataset preset, both physical codecs, every
 //!   block-tail shape of `M`, and operands holding exact zeros, `-0.0`,
 //!   infinities and NaNs.
-//! * One `ExecScratch` keeps the tree of the batch it prepared last, keyed
-//!   by the batch's bytes: whatever is done to a batch between two
-//!   kernels, the second must never run on the first's tree.
+//! * One `ExecScratch` keeps the tree of the encoded batch it prepared
+//!   last, keyed by the batch's bytes: whatever is done to a batch between
+//!   two kernels, the second must never run on the first's tree.
+//! * A batch parsed by `from_bytes` carries the tree its validation built:
+//!   the scratch builds none for it, its kernels are bit-equal to the
+//!   encoded batch's, and nothing — a `scale`, an encoded twin in the same
+//!   scratch — makes a kernel run on a tree that is not the batch's own.
 //! * The last test is the CI gate on the mechanism: per preset, how much
 //!   of `C'` the live plan drops. Counts, not timings.
 
@@ -254,6 +258,130 @@ fn bitpack_and_varint_encodings_of_one_matrix_each_get_their_own_tree() {
     assert_eq!(run_all(&a, &mut ws), from_bitpack);
     assert_eq!(run_all(&c, &mut ws), from_bitpack);
     assert_eq!(ws.toc.builds(), 3);
+}
+
+/// `batch` as a spilled read hands it over: parsed from its own bytes.
+fn parsed(batch: &AnyBatch) -> AnyBatch {
+    Scheme::from_bytes(&batch.to_bytes()).expect("a batch's own bytes parse")
+}
+
+/// [`run_all`] plus the fifth kernel.
+fn run_five(batch: &AnyBatch, ws: &mut ExecScratch) -> Vec<u64> {
+    let mut all = run_all(batch, ws);
+    let mut dense = DenseMatrix::default();
+    batch.decode_into_ws(&mut dense, ws);
+    all.extend_from_slice(dense.data());
+    all.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn a_parsed_batch_runs_on_the_tree_its_parse_built_on_every_preset() {
+    for preset in DatasetPreset::ALL {
+        let x = generate_preset(preset, 250, 42).x;
+        for scheme in [Scheme::Toc, Scheme::TocVarint] {
+            let what = format!("{} {}", preset.name(), scheme.name());
+            let b = scheme.encode(&x);
+            let p = parsed(&b);
+            assert!(toc_of(&b).carried_tree().is_none(), "{what}");
+            let carried = toc_of(&p)
+                .carried_tree()
+                .expect("from_bytes keeps its tree");
+            let built = DecodeTree::build_trusted(&toc_of(&b).view());
+            assert_eq!(carried.key_col, built.key_col, "{what}");
+            assert_eq!(carried.parent, built.parent, "{what}");
+            let bits = |t: &DecodeTree| t.key_val.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(carried), bits(&built), "{what}");
+
+            let (mut ws_b, mut ws_p) = (ExecScratch::default(), ExecScratch::default());
+            assert_eq!(run_five(&p, &mut ws_p), run_five(&b, &mut ws_b), "{what}");
+            assert_eq!((ws_b.toc.builds(), ws_b.toc.plans()), (1, 1), "{what}");
+            assert_eq!((ws_p.toc.builds(), ws_p.toc.plans()), (0, 1), "{what}");
+        }
+    }
+}
+
+#[test]
+fn the_matrix_kernels_of_one_parsed_batch_share_one_plan() {
+    let a = parsed(&Scheme::Toc.encode(&pool_matrix(40, 17, 0.4, 5)));
+    let other = parsed(&Scheme::Toc.encode(&pool_matrix(40, 17, 0.4, 6)));
+    let mr = operand(17, 11, 3, false);
+    let ml = operand(11, 40, 4, false);
+    let (mut ws, mut out) = (ExecScratch::default(), DenseMatrix::default());
+    a.matmat_into_ws(&mr, &mut out, &mut ws);
+    a.matmat_left_into_ws(&ml, &mut out, &mut ws);
+    assert_eq!((ws.toc.builds(), ws.toc.plans()), (0, 1));
+    // Another parse of the same bytes is another batch: the scratch cannot
+    // know the two are equal without comparing them.
+    for (batch, plans) in [(&other, 2), (&a, 3), (&a.clone(), 3), (&parsed(&a), 4)] {
+        batch.matmat_into_ws(&mr, &mut out, &mut ws);
+        batch.matmat_left_into_ws(&ml, &mut out, &mut ws);
+        assert_eq!((ws.toc.builds(), ws.toc.plans()), (0, plans));
+    }
+}
+
+#[test]
+fn scaling_a_parsed_batch_is_seen_by_the_next_kernel() {
+    // The content key cannot catch this once a carried tree bypasses it:
+    // the tree holds the values, so it has to go with them.
+    let encoded = Scheme::Toc.encode(&pool_matrix(40, 17, 0.4, 5));
+    for scheme in [Scheme::Toc, Scheme::TocSparseLogical] {
+        let mut a = parsed(&scheme.encode(&pool_matrix(40, 17, 0.4, 5)));
+        let mut ws = ExecScratch::default();
+        let before = run_all(&a, &mut ws);
+        assert_eq!(before, fresh(&encoded));
+        a.scale(-2.5);
+        let after = run_all(&a, &mut ws);
+        assert_ne!(after, before);
+        let mut scaled = encoded.clone();
+        scaled.scale(-2.5);
+        assert_eq!(after, fresh(&scaled));
+        // A clone taken before the scale keeps the unscaled tree.
+        let kept = parsed(&encoded);
+        let mut twin = kept.clone();
+        twin.scale(3.0);
+        assert_eq!(run_all(&kept, &mut ws), before);
+        assert_ne!(run_all(&twin, &mut ws), before);
+    }
+}
+
+#[test]
+fn equality_of_batches_is_equality_of_bytes() {
+    let a = Scheme::Toc.encode(&pool_matrix(40, 17, 0.4, 5));
+    let p = parsed(&a);
+    assert!(toc_of(&p).carried_tree().is_some());
+    assert_eq!(toc_of(&p), toc_of(&a));
+    assert_eq!(toc_of(&p.clone()), toc_of(&a));
+    let mut scaled = p.clone();
+    scaled.scale(2.0);
+    assert_ne!(toc_of(&scaled), toc_of(&a));
+}
+
+#[test]
+fn a_parsed_batch_and_its_encoded_twin_never_run_on_each_others_tree() {
+    // Identical bytes, one scratch, alternating: each kernel must run on
+    // its batch's own tree. Scaling each side in turn makes a swap visible.
+    let x = pool_matrix(40, 17, 0.4, 5);
+    let mut enc = Scheme::Toc.encode(&x);
+    let mut par = parsed(&enc);
+    let mut ws = ExecScratch::default();
+    let base = fresh(&enc);
+    for batch in [&par, &enc, &par, &enc] {
+        assert_eq!(run_all(batch, &mut ws), base);
+    }
+    // The encoded twin was built for once and planned for twice (the
+    // parsed batch's plan took the slot in between); the parsed one never.
+    assert_eq!((ws.toc.builds(), ws.toc.plans()), (1, 4));
+
+    enc.scale(-2.0);
+    let scaled = fresh(&enc);
+    assert_ne!(scaled, base);
+    for (batch, want) in [(&par, &base), (&enc, &scaled), (&par, &base)] {
+        assert_eq!(&run_all(batch, &mut ws), want);
+    }
+    par.scale(-2.0);
+    for batch in [&par, &enc, &par] {
+        assert_eq!(run_all(batch, &mut ws), scaled);
+    }
 }
 
 /// The mechanism gate: how much of `C'` does the live plan drop? Per
