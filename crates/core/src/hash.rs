@@ -64,6 +64,20 @@ impl Hasher for FxHasher {
 /// `HashMap` with the Fx hasher.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
+/// Map key for an `f64` bit pattern under the Fx multiply hash. The low
+/// bits of that hash — the ones a `HashMap` picks its bucket from — see
+/// only the low bits of the key, and round doubles (small integers,
+/// quarters) are all zero there: keyed raw, a column of distinct integers
+/// would pile into one bucket. Folding the well-mixed high half of a
+/// product down first spreads them. Each step is invertible, so distinct
+/// bit patterns stay distinct keys and every count taken over the map is
+/// the count over the raw bits.
+#[inline]
+pub fn value_key(bits: u64) -> u64 {
+    let k = (bits ^ (bits >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    k ^ (k >> 32)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

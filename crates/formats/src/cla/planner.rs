@@ -29,7 +29,7 @@
 //! `sampled_cla_planner_beats_greedy_on_correlated_wide_matrix` asserts
 //! the ordering on the wide correlated matrix.
 
-use toc_core::hash::FxHashMap;
+use toc_core::hash::{value_key, FxHashMap};
 use toc_linalg::DenseMatrix;
 
 /// Max dictionary entries per *co-coded* (multi-column) group. Planned
@@ -150,20 +150,6 @@ fn estimate_distinct(d_s: usize, f1: usize, sample: usize, rows: usize) -> usize
     }
     let est = d_s as f64 + f1 as f64 * (rows - sample) as f64 / sample.max(1) as f64;
     (est.ceil() as usize).clamp(d_s, rows)
-}
-
-/// Map key for an `f64` bit pattern under [`toc_core::hash`]'s Fx
-/// multiply hash. The low bits of that hash — the ones a `HashMap` picks
-/// its bucket from — see only the low bits of the key, and round doubles
-/// (small integers, quarters) are all zero there: keyed raw, a column of
-/// distinct integers would pile into one bucket. Folding the well-mixed
-/// high half of a product down first spreads them. Each step is
-/// invertible, so distinct bit patterns stay distinct keys and every
-/// count taken over the map is the count over the raw bits.
-#[inline]
-fn value_key(bits: u64) -> u64 {
-    let k = (bits ^ (bits >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    k ^ (k >> 32)
 }
 
 /// Estimate the number of distinct values in a whole matrix by sampling

@@ -27,8 +27,14 @@ impl CsrBatch {
     /// Footprint of a CSR encoding of `s` (shared with the TOC_SPARSE
     /// ablation, which is the same layout).
     pub fn csr_size_bytes(s: &SparseRows) -> usize {
+        Self::size_of(s.rows(), s.num_pairs())
+    }
+
+    /// Footprint of a CSR encoding of `rows` rows holding `nnz` non-zero
+    /// cells.
+    pub(crate) fn size_of(rows: usize, nnz: usize) -> usize {
         // rows, cols header + row pointers + (col idx + value) per nnz.
-        16 + 4 * (s.rows() + 1) + 12 * s.num_pairs()
+        16 + 4 * (rows + 1) + 12 * nnz
     }
 
     pub fn from_body(body: &[u8]) -> Result<Self, FormatError> {

@@ -8,7 +8,7 @@
 
 use crate::wire::{put_f64s, put_u32, put_u32s, Rd};
 use crate::{ExecScratch, FormatError, MatrixBatch, Scheme};
-use std::collections::HashMap;
+use toc_core::hash::{value_key, FxHashMap};
 use toc_linalg::DenseMatrix;
 
 /// Bytes per index for a dictionary of `n` entries (same bit-packing width
@@ -20,6 +20,18 @@ fn idx_width(n: usize) -> usize {
         0x1_0000..=0xFF_FFFF => 3,
         _ => 4,
     }
+}
+
+/// [`MatrixBatch::size_bytes`] of a CVI batch of `rows` rows holding `nnz`
+/// non-zero cells over `dict_len` distinct non-zero values.
+pub(crate) fn cvi_size_bytes(rows: usize, nnz: usize, dict_len: usize) -> usize {
+    16 + 4 * (rows + 1) + nnz * (4 + idx_width(dict_len)) + 8 * dict_len + 5
+}
+
+/// [`MatrixBatch::size_bytes`] of a DVI batch of `cells` cells over
+/// `dict_len` distinct values (zeros included).
+pub(crate) fn dvi_size_bytes(cells: usize, dict_len: usize) -> usize {
+    16 + cells * idx_width(dict_len) + 8 * dict_len + 5
 }
 
 /// Scratch-lane width for chunked index unpacking: small enough to stay in
@@ -122,11 +134,11 @@ impl IdxStore {
 }
 
 fn build_dict(values: impl Iterator<Item = f64>) -> (Vec<f64>, Vec<u32>) {
-    let mut map: HashMap<u64, u32> = HashMap::new();
+    let mut map: FxHashMap<u64, u32> = FxHashMap::default();
     let mut dict = Vec::new();
     let mut idx = Vec::new();
     for v in values {
-        let id = *map.entry(v.to_bits()).or_insert_with(|| {
+        let id = *map.entry(value_key(v.to_bits())).or_insert_with(|| {
             dict.push(v);
             dict.len() as u32 - 1
         });
@@ -234,10 +246,7 @@ impl MatrixBatch for CviBatch {
         self.cols
     }
     fn size_bytes(&self) -> usize {
-        16 + 4 * (self.rows + 1)
-            + self.col_idx.len() * (4 + idx_width(self.dict.len()))
-            + 8 * self.dict.len()
-            + 5
+        cvi_size_bytes(self.rows, self.col_idx.len(), self.dict.len())
     }
     fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         toc_linalg::dense::reset_vec(out, self.rows);
@@ -453,7 +462,7 @@ impl MatrixBatch for DviBatch {
         self.cols
     }
     fn size_bytes(&self) -> usize {
-        16 + self.validx.len() * idx_width(self.dict.len()) + 8 * self.dict.len() + 5
+        dvi_size_bytes(self.validx.len(), self.dict.len())
     }
     fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
         toc_linalg::dense::reset_vec(out, self.rows);

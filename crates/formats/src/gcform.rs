@@ -22,17 +22,34 @@ pub struct GcBatch {
 
 impl GcBatch {
     pub fn encode(dense: &DenseMatrix, codec: Codec) -> Self {
-        // Compress the raw row-major doubles (the DEN payload without tag).
+        Self::compress_den(dense, &Self::den_bytes(dense), codec)
+    }
+
+    /// What every GC codec compresses: the raw row-major doubles (the DEN
+    /// payload without tag).
+    pub(crate) fn den_bytes(dense: &DenseMatrix) -> Vec<u8> {
         let mut den = Vec::with_capacity(dense.data().len() * 8);
         for v in dense.data() {
             den.extend_from_slice(&v.to_le_bytes());
         }
+        den
+    }
+
+    /// [`Self::encode`] given `den`, the [`Self::den_bytes`] of `dense`:
+    /// selection serialises a chunk once for all the codecs it probes.
+    pub(crate) fn compress_den(dense: &DenseMatrix, den: &[u8], codec: Codec) -> Self {
         Self {
             codec,
             rows: dense.rows(),
             cols: dense.cols(),
-            payload: codec.compress(&den),
+            payload: codec.compress(den),
         }
+    }
+
+    /// No Snappy* batch of `den_len` DEN bytes has a smaller
+    /// [`MatrixBatch::size_bytes`]: see [`toc_gc::fastlz::min_compressed_len`].
+    pub(crate) fn snappy_size_floor(den_len: usize) -> usize {
+        16 + toc_gc::fastlz::min_compressed_len(den_len)
     }
 
     pub fn from_body(body: &[u8], codec: Codec) -> Result<Self, FormatError> {

@@ -28,6 +28,7 @@ pub mod tocform;
 
 pub use cla::{ClaOptions, ClaPlanner};
 
+use toc_core::hash::{value_key, FxHashMap};
 use toc_linalg::DenseMatrix;
 
 /// Per-scheme encoding knobs, threaded from the CLI / store down to the
@@ -356,28 +357,20 @@ impl Scheme {
     /// Estimated [`MatrixBatch::size_bytes`] of encoding `dense` with this
     /// scheme — the quantity scheme selection minimizes, and so the
     /// *definition* of what [`pick_scheme`] / [`pick_and_encode`] return.
-    /// DEN's size is closed-form and ANS's comes from one histogram pass;
-    /// CLA under [`ClaPlanner::SampleMerge`] reports its planner's
-    /// [`cla::ClaPlan::est_bytes`] (no dictionaries are built); every
-    /// other scheme probes by encoding.
+    /// DEN's size is its shape's and ANS's comes from one histogram pass
+    /// over the DEN bytes; CLA under [`ClaPlanner::SampleMerge`] reports
+    /// its planner's [`cla::ClaPlan::est_bytes`] (no dictionaries are
+    /// built); every other scheme — CSR, CVI and DVI included — probes by
+    /// encoding.
     ///
     /// This always does the full work for its one scheme. Selection
-    /// reaches the same argmin with less (see [`pick_and_encode`]); this
-    /// stays public as the oracle its tests compare against.
+    /// reaches the same argmin with less (see [`pick_and_encode`]: one
+    /// value-count pass prices DEN, CSR, CVI, DVI and ANS together, and
+    /// only Snappy\*, Gzip\*, TOC and greedy CLA are probed); this stays
+    /// public as the oracle its tests compare against.
     pub fn estimate_encoded_size(self, dense: &DenseMatrix, opts: &EncodeOptions) -> usize {
-        if let Some(size) = self.closed_form_size(dense) {
-            size
-        } else if self.is_planned_cla(opts) {
-            cla::planner::plan(dense, &opts.cla).est_bytes
-        } else {
-            self.encode_with(dense, opts).size_bytes()
-        }
-    }
-
-    /// The estimate of the schemes that need no encode probe for it.
-    fn closed_form_size(self, dense: &DenseMatrix) -> Option<usize> {
         match self {
-            Scheme::Den => Some(dense.den_size_bytes()),
+            Scheme::Den => dense.den_size_bytes(),
             // ANS compresses to (almost exactly) the zeroth-order byte
             // entropy of the DEN payload, so the estimate is one histogram
             // pass — no encode probe, unlike the LZ-based GC schemes.
@@ -388,10 +381,49 @@ impl Scheme {
                         hist[b as usize] += 1;
                     }
                 }
-                // +9 for the scheme tag and rows/cols wire header.
-                Some(toc_gc::ans::estimate_from_hist(&hist, dense.data().len() * 8) + 9)
+                ans_size_from_hist(&hist, dense.data().len())
             }
+            _ if self.is_planned_cla(opts) => cla::planner::plan(dense, &opts.cla).est_bytes,
+            _ => self.encode_with(dense, opts).size_bytes(),
+        }
+    }
+
+    /// The estimate of the schemes whose size is a closed form of the
+    /// chunk's shape and value counts; `stats` is taken on first use.
+    fn size_from_stats(self, dense: &DenseMatrix, stats: &mut Option<ChunkStats>) -> Option<usize> {
+        let st = match self {
+            Scheme::Den => return Some(dense.den_size_bytes()),
+            Scheme::Csr | Scheme::Cvi | Scheme::Dvi | Scheme::GcAns => {
+                stats.get_or_insert_with(|| ChunkStats::of(dense))
+            }
+            _ => return None,
+        };
+        let (rows, cells) = (dense.rows(), dense.data().len());
+        Some(match self {
+            Scheme::Csr => csr::CsrBatch::size_of(rows, st.nnz),
+            Scheme::Cvi => cvi::cvi_size_bytes(rows, st.nnz, st.distinct_nonzero),
+            Scheme::Dvi => cvi::dvi_size_bytes(cells, st.counts.len()),
+            _ => ans_size_from_hist(&st.byte_hist(), cells),
+        })
+    }
+
+    /// The byte codec of the two LZ schemes, which selection probes over
+    /// one serialisation of the chunk.
+    fn lz_codec(self) -> Option<toc_gc::Codec> {
+        match self {
+            Scheme::Snappy => Some(toc_gc::Codec::FastLz),
+            Scheme::Gzip => Some(toc_gc::Codec::Deflate),
             _ => None,
+        }
+    }
+
+    /// When [`select`] evaluates this candidate: the two whose work a
+    /// small enough leader saves go after everything else.
+    fn selection_rank(self, opts: &EncodeOptions) -> u8 {
+        match self {
+            Scheme::Snappy => 1,
+            _ if self.is_planned_cla(opts) => 2,
+            _ => 0,
         }
     }
 
@@ -470,6 +502,60 @@ impl Scheme {
     }
 }
 
+/// [`MatrixBatch::size_bytes`] ANS is estimated at for `cells` doubles
+/// whose DEN bytes have the histogram `hist`.
+fn ans_size_from_hist(hist: &[u64; 256], cells: usize) -> usize {
+    // +9 for the scheme tag and rows/cols wire header.
+    toc_gc::ans::estimate_from_hist(hist, cells * 8) + 9
+}
+
+/// One pass over a chunk's cells: how often each value (by bit pattern)
+/// occurs. The sizes of CSR, CVI, DVI and the ANS estimate are closed
+/// forms of these counts and the shape.
+struct ChunkStats {
+    /// [`value_key`] of a bit pattern → (the bit pattern, its cells).
+    counts: FxHashMap<u64, (u64, u64)>,
+    /// Cells with `v != 0.0` — what `SparseRows::encode` keeps (NaN is
+    /// kept, `-0.0` is not).
+    nnz: usize,
+    /// Distinct bit patterns among those cells.
+    distinct_nonzero: usize,
+}
+
+impl ChunkStats {
+    fn of(dense: &DenseMatrix) -> Self {
+        let mut counts: FxHashMap<u64, (u64, u64)> = FxHashMap::default();
+        for v in dense.data() {
+            let bits = v.to_bits();
+            counts.entry(value_key(bits)).or_insert((bits, 0)).1 += 1;
+        }
+        let (mut nnz, mut distinct_nonzero) = (dense.data().len(), counts.len());
+        for zero in [0.0f64, -0.0] {
+            if let Some(&(_, cells)) = counts.get(&value_key(zero.to_bits())) {
+                nnz -= cells as usize;
+                distinct_nonzero -= 1;
+            }
+        }
+        Self {
+            counts,
+            nnz,
+            distinct_nonzero,
+        }
+    }
+
+    /// Histogram of the chunk's DEN bytes: each distinct value's eight
+    /// bytes, weighted by its cells.
+    fn byte_hist(&self) -> [u64; 256] {
+        let mut hist = [0u64; 256];
+        for &(bits, cells) in self.counts.values() {
+            for b in bits.to_le_bytes() {
+                hist[b as usize] += cells;
+            }
+        }
+        hist
+    }
+}
+
 /// What selection holds for its current leader.
 enum Lead {
     /// Probe-encoded: the estimate was this batch's own size.
@@ -484,16 +570,22 @@ enum Lead {
 /// [`pick_and_encode`]: walk the candidates against a running leader and
 /// keep whatever the leader's estimate already built.
 ///
-/// Planned CLA is evaluated last, whatever its position, so its planner
-/// can be handed the size it must undercut
-/// ([`cla::planner::plan_within`]) and skip its merge phase when it
-/// provably cannot. Ties are settled by candidate position, not by
-/// evaluation order, so the result is the argmin as defined.
+/// DEN, CSR, CVI, DVI and ANS are priced from one value-count pass
+/// ([`Scheme::size_from_stats`]), the rest by encoding. Whatever their
+/// position, the two candidates a small enough leader saves work on go
+/// last ([`Scheme::selection_rank`]): Snappy\*, skipped when the leader
+/// is already under the least any Snappy\* batch of this chunk can
+/// weigh, then planned CLA, whose planner is handed the size it must
+/// undercut ([`cla::planner::plan_within`]) and skips its merge phase
+/// when it provably cannot. Ties are settled by candidate position, not
+/// by evaluation order, so the result is the argmin as defined.
 fn select(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOptions) -> (Scheme, Lead) {
     assert!(!candidates.is_empty(), "no candidate schemes");
-    let n = candidates.len();
-    let planned = |&i: &usize| candidates[i].is_planned_cla(opts);
-    let order = (0..n).filter(|i| !planned(i)).chain((0..n).filter(planned));
+    let mut order: Vec<usize> = (0..candidates.len()).collect();
+    order.sort_by_key(|&i| candidates[i].selection_rank(opts));
+    let mut stats = None;
+    // The chunk's DEN bytes, serialised once for both LZ probes.
+    let mut den_bytes = None;
     let mut best: Option<(usize, usize, Lead)> = None; // size, candidate index, lead
     for idx in order {
         // The largest estimate with which this candidate takes the lead:
@@ -507,13 +599,20 @@ fn select(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOptions) -> (
             },
         };
         let scheme = candidates[idx];
-        let (size, lead) = if let Some(size) = scheme.closed_form_size(dense) {
+        let (size, lead) = if let Some(size) = scheme.size_from_stats(dense, &mut stats) {
             (size, Lead::Unencoded)
         } else if scheme.is_planned_cla(opts) {
             match cla::planner::plan_within(dense, &opts.cla, budget) {
                 Some(plan) => (plan.est_bytes, Lead::Plan(plan)),
                 None => continue,
             }
+        } else if let Some(codec) = scheme.lz_codec() {
+            let den = den_bytes.get_or_insert_with(|| gcform::GcBatch::den_bytes(dense));
+            if scheme == Scheme::Snappy && gcform::GcBatch::snappy_size_floor(den.len()) > budget {
+                continue;
+            }
+            let batch = AnyBatch::Gc(gcform::GcBatch::compress_den(dense, den, codec));
+            (batch.size_bytes(), Lead::Batch(batch))
         } else {
             let batch = scheme.encode_with(dense, opts);
             (batch.size_bytes(), Lead::Batch(batch))
@@ -532,19 +631,25 @@ fn select(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOptions) -> (
 /// Contract: the result is the argmin of
 /// [`Scheme::estimate_encoded_size`] over `candidates`, ties to the
 /// earlier candidate — a pure function of `(dense, candidates, opts)`.
-/// Selection may skip work a bound proves cannot change that answer
-/// (CLA's merge phase when the plan cannot undercut the leader), never
-/// the answer itself.
+/// Selection computes the sizes that are closed forms of the chunk's
+/// value counts (DEN, CSR, CVI, DVI, ANS) instead of encoding for them,
+/// and skips work a bound proves cannot change the answer (CLA's merge
+/// phase when the plan cannot undercut the leader, the Snappy\* probe
+/// when the leader is under that format's floor), never the answer
+/// itself.
 pub fn pick_scheme(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOptions) -> Scheme {
     select(dense, candidates, opts).0
 }
 
 /// [`pick_scheme`] plus the winner's encoding, built once: the pair is
 /// `(s, s.encode_with(dense, opts))` for `s = pick_scheme(..)`, byte for
-/// byte. A probe-encoded winner hands over the batch its estimate built,
-/// a closed-form one (DEN, ANS) is encoded only now that it has won, and
-/// CLA is materialized from the plan that won it the pick. At most the
-/// leader's and one challenger's batch are alive at a time.
+/// byte. Sizes are computed where they can be and probed where they must:
+/// DEN, CSR, CVI, DVI and ANS are priced from one value-count pass over
+/// the chunk and encoded only if they win; Snappy\*, Gzip\* (over one
+/// serialisation of the chunk), TOC and greedy CLA are probe-encoded, and
+/// a probed winner hands over the batch its estimate built; planned CLA is
+/// materialized from the plan that won it the pick. At most the leader's
+/// and one challenger's batch are alive at a time.
 pub fn pick_and_encode(
     dense: &DenseMatrix,
     candidates: &[Scheme],
@@ -754,6 +859,96 @@ pub mod wire {
                 return Err(FormatError::Corrupt("trailing bytes".into()));
             }
             Ok(())
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// The schemes selection prices from [`ChunkStats`] instead of probing.
+    const FROM_STATS: [Scheme; 5] = [
+        Scheme::Den,
+        Scheme::Csr,
+        Scheme::Cvi,
+        Scheme::Dvi,
+        Scheme::GcAns,
+    ];
+
+    fn assert_stats_price_like_the_oracle(dense: &DenseMatrix) {
+        let opts = EncodeOptions::default();
+        let mut stats = None;
+        for scheme in FROM_STATS {
+            assert_eq!(
+                scheme.size_from_stats(dense, &mut stats),
+                Some(scheme.estimate_encoded_size(dense, &opts)),
+                "{scheme:?} on {} x {}",
+                dense.rows(),
+                dense.cols()
+            );
+        }
+        for scheme in Scheme::ALL.iter().filter(|s| !FROM_STATS.contains(s)) {
+            assert_eq!(scheme.size_from_stats(dense, &mut stats), None);
+        }
+    }
+
+    /// Values whose bit pattern and `!= 0.0` verdict disagree with naive
+    /// float equality: two zeros, NaNs that differ only in payload or
+    /// sign, infinities, subnormals.
+    const AWKWARD: [u64; 12] = [
+        0,                     // 0.0
+        1 << 63,               // -0.0
+        0x7FF8_0000_0000_0000, // NaN
+        0x7FF8_0000_0000_0001, // NaN, another payload
+        0xFFF8_0000_0000_0000, // NaN, sign set
+        0x7FF0_0000_0000_0001, // signalling NaN
+        0x7FF0_0000_0000_0000, // inf
+        0xFFF0_0000_0000_0000, // -inf
+        1,                     // smallest subnormal
+        (1 << 63) | 1,         // its negative
+        0x000F_FFFF_FFFF_FFFF, // largest subnormal
+        0x3FF8_0000_0000_0000, // 1.5
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Any shape (`0 x n` and `n x 0` included), cells drawn from
+        /// [`AWKWARD`] with a `raw` share of arbitrary bit patterns.
+        #[test]
+        fn prop_size_from_stats_equals_the_estimate(
+            rows in 0usize..40,
+            cols in 0usize..12,
+            raw in 0u64..4,
+            picks in proptest::collection::vec(any::<u64>(), 40 * 12),
+        ) {
+            let data = picks[..rows * cols]
+                .iter()
+                .map(|&p| {
+                    let bits = if p % 4 < raw { p } else { AWKWARD[(p >> 2) as usize % AWKWARD.len()] };
+                    f64::from_bits(bits)
+                })
+                .collect();
+            assert_stats_price_like_the_oracle(&DenseMatrix::from_vec(rows, cols, data));
+        }
+    }
+
+    /// Dictionaries of exactly 255 … 257 and 65 535 … 65 537 entries, for
+    /// DVI (zeros are entries) and for CVI (they are not).
+    #[test]
+    fn size_from_stats_straddles_the_index_widths() {
+        for edge in [256usize, 65_536] {
+            for distinct_nonzero in [edge - 2, edge - 1, edge, edge + 1] {
+                for zeros in [&[][..], &[0.0], &[0.0, -0.0]] {
+                    let mut data: Vec<f64> = (1..=distinct_nonzero).map(|i| i as f64).collect();
+                    data.extend_from_slice(zeros);
+                    data.extend_from_within(..3); // some values more than once
+                    let cells = data.len();
+                    assert_stats_price_like_the_oracle(&DenseMatrix::from_vec(1, cells, data));
+                }
+            }
         }
     }
 }

@@ -18,6 +18,7 @@
 
 use crate::bitio::{BitReader, BitWriter};
 use crate::huffman::{build_lengths, Decoder, Encoder};
+use crate::lz::{copy_match, match_len};
 use crate::GcError;
 
 const MIN_MATCH: usize = 3;
@@ -70,6 +71,7 @@ fn dist_symbol(dist: usize) -> (usize, u8, u32) {
     (i, DIST_EXTRA[i], (dist - DIST_BASE[i] as usize) as u32)
 }
 
+#[derive(Debug, PartialEq)]
 enum Token {
     Literal(u8),
     Match { len: u16, dist: u16 },
@@ -81,11 +83,20 @@ fn hash3(bytes: &[u8]) -> usize {
     (v.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
+/// Empty slot of the head table.
+const NONE: u32 = u32::MAX;
+
 /// Greedy LZ77 parse with hash chains.
 fn lz77_parse(input: &[u8]) -> Vec<Token> {
+    assert!(
+        input.len() < NONE as usize,
+        "deflate input must be shorter than 4 GiB"
+    );
     let mut tokens = Vec::with_capacity(input.len() / 4 + 16);
-    let mut head = vec![usize::MAX; 1 << HASH_BITS];
-    let mut prev = vec![usize::MAX; input.len()];
+    let mut head = vec![NONE; 1 << HASH_BITS];
+    // `prev[p]` is written when `p` enters a chain and read only through
+    // one, so it needs no empty marker.
+    let mut prev = vec![0u32; input.len()];
     let mut i = 0usize;
     while i < input.len() {
         if i + MIN_MATCH <= input.len() {
@@ -95,17 +106,15 @@ fn lz77_parse(input: &[u8]) -> Vec<Token> {
             let mut best_dist = 0usize;
             let mut chain = 0usize;
             let max_len = (input.len() - i).min(MAX_MATCH);
-            while cand != usize::MAX && chain < MAX_CHAIN {
-                let dist = i - cand;
+            while cand != NONE && chain < MAX_CHAIN {
+                let c = cand as usize;
+                let dist = i - c;
                 if dist > MAX_DIST {
                     break;
                 }
                 // Quick reject on the byte after the current best.
-                if best_len == 0 || input[cand + best_len] == input[i + best_len] {
-                    let mut l = 0usize;
-                    while l < max_len && input[cand + l] == input[i + l] {
-                        l += 1;
-                    }
+                if best_len == 0 || input[c + best_len] == input[i + best_len] {
+                    let l = match_len(input, c, i, max_len);
                     if l > best_len {
                         best_len = l;
                         best_dist = dist;
@@ -114,12 +123,12 @@ fn lz77_parse(input: &[u8]) -> Vec<Token> {
                         }
                     }
                 }
-                cand = prev[cand];
+                cand = prev[c];
                 chain += 1;
             }
             // Insert the current position into the chain.
             prev[i] = head[h];
-            head[h] = i;
+            head[h] = i as u32;
             if best_len >= MIN_MATCH {
                 tokens.push(Token::Match {
                     len: best_len as u16,
@@ -131,7 +140,7 @@ fn lz77_parse(input: &[u8]) -> Vec<Token> {
                 for k in i + 1..end {
                     let hk = hash3(&input[k..]);
                     prev[k] = head[hk];
-                    head[hk] = k;
+                    head[hk] = k as u32;
                 }
                 i += best_len;
                 continue;
@@ -163,6 +172,8 @@ fn unpack_nibbles(bytes: &[u8], n: usize) -> Vec<u8> {
 }
 
 /// Compress `input`.
+///
+/// Panics if `input` is 4 GiB or longer (chain entries are `u32`).
 pub fn compress(input: &[u8]) -> Vec<u8> {
     let tokens = lz77_parse(input);
 
@@ -304,23 +315,10 @@ fn decompress_into_impl<const FAST: bool>(input: &[u8], out: &mut Vec<u8>) -> Re
                     got: (out.len() + len) as u64,
                 });
             }
-            let start = out.len() - dist;
             if FAST {
-                if dist >= len {
-                    // Disjoint source and destination: one bulk copy.
-                    out.extend_from_within(start..start + len);
-                } else {
-                    // Overlapping RLE-style match: each pass copies the
-                    // whole materialized window, so the copied span doubles
-                    // per iteration instead of moving one byte at a time.
-                    let mut rem = len;
-                    while rem > 0 {
-                        let chunk = rem.min(out.len() - start);
-                        out.extend_from_within(start..start + chunk);
-                        rem -= chunk;
-                    }
-                }
+                copy_match(out, dist, len);
             } else {
+                let start = out.len() - dist;
                 for k in 0..len {
                     let b = out[start + k];
                     out.push(b);
@@ -341,9 +339,79 @@ fn decompress_into_impl<const FAST: bool>(input: &[u8], out: &mut Vec<u8>) -> Re
 mod tests {
     use super::*;
 
+    /// `lz77_parse` as it was before it compared words over `u32` tables,
+    /// verbatim.
+    fn lz77_parse_reference(input: &[u8]) -> Vec<Token> {
+        let mut tokens = Vec::with_capacity(input.len() / 4 + 16);
+        let mut head = vec![usize::MAX; 1 << HASH_BITS];
+        let mut prev = vec![usize::MAX; input.len()];
+        let mut i = 0usize;
+        while i < input.len() {
+            if i + MIN_MATCH <= input.len() {
+                let h = hash3(&input[i..]);
+                let mut cand = head[h];
+                let mut best_len = 0usize;
+                let mut best_dist = 0usize;
+                let mut chain = 0usize;
+                let max_len = (input.len() - i).min(MAX_MATCH);
+                while cand != usize::MAX && chain < MAX_CHAIN {
+                    let dist = i - cand;
+                    if dist > MAX_DIST {
+                        break;
+                    }
+                    // Quick reject on the byte after the current best.
+                    if best_len == 0 || input[cand + best_len] == input[i + best_len] {
+                        let mut l = 0usize;
+                        while l < max_len && input[cand + l] == input[i + l] {
+                            l += 1;
+                        }
+                        if l > best_len {
+                            best_len = l;
+                            best_dist = dist;
+                            if l == max_len {
+                                break;
+                            }
+                        }
+                    }
+                    cand = prev[cand];
+                    chain += 1;
+                }
+                // Insert the current position into the chain.
+                prev[i] = head[h];
+                head[h] = i;
+                if best_len >= MIN_MATCH {
+                    tokens.push(Token::Match {
+                        len: best_len as u16,
+                        dist: best_dist as u16,
+                    });
+                    // Insert the skipped positions so later matches can find
+                    // them (cap the work for long matches).
+                    let end = (i + best_len).min(input.len().saturating_sub(MIN_MATCH - 1));
+                    for k in i + 1..end {
+                        let hk = hash3(&input[k..]);
+                        prev[k] = head[hk];
+                        head[hk] = k;
+                    }
+                    i += best_len;
+                    continue;
+                }
+            }
+            tokens.push(Token::Literal(input[i]));
+            i += 1;
+        }
+        tokens
+    }
+
     fn roundtrip(data: &[u8]) {
         let c = compress(data);
         assert_eq!(decompress(&c).unwrap(), data, "len {}", data.len());
+    }
+
+    #[test]
+    fn byte_identity_with_the_bytewise_match_loop() {
+        for (name, input) in crate::testdata::byte_identity_inputs() {
+            assert!(lz77_parse(&input) == lz77_parse_reference(&input), "{name}");
+        }
     }
 
     #[test]

@@ -21,6 +21,7 @@ pub mod bitio;
 pub mod deflate;
 pub mod fastlz;
 pub mod huffman;
+mod lz;
 
 /// Error type for the decompressors. Corrupt input yields an error, never a
 /// panic.
@@ -97,6 +98,47 @@ impl Codec {
             Codec::Deflate => deflate::decompress_into(input, out),
             Codec::Ans => ans::decompress_into(input, out),
         }
+    }
+}
+
+/// Inputs on which the LZ compressors are held, byte for byte, to the
+/// byte-at-a-time match loops they replaced (kept verbatim beside each).
+#[cfg(test)]
+pub(crate) mod testdata {
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use toc_data::synth::{generate_preset, DatasetPreset};
+
+    /// The DEN bytes of a 250-row chunk of every preset, then the shapes
+    /// that stress a word-wise match loop: runs, matches further apart
+    /// than either window, no matches at all, and inputs whose length
+    /// leaves every tail of fewer than eight bytes.
+    pub(crate) fn byte_identity_inputs() -> Vec<(String, Vec<u8>)> {
+        let mut inputs = Vec::new();
+        for preset in DatasetPreset::ALL {
+            let x = generate_preset(preset, 250, 42).x;
+            let den = x.data().iter().flat_map(|v| v.to_le_bytes()).collect();
+            inputs.push((format!("{} DEN chunk", preset.name()), den));
+        }
+        inputs.push(("zero run".into(), vec![0u8; 100_000]));
+        let rle = (0..1000).flat_map(|i| [(i % 7) as u8; 97]).collect();
+        inputs.push(("short runs".into(), rle));
+        let mut rng = StdRng::seed_from_u64(24);
+        let random: Vec<u8> = (0..70_000).map(|_| rng.gen()).collect();
+        // 40 000 bytes apart: past deflate's 32 KiB window, inside
+        // fastlz's 64 KiB; 70 000 apart: past both.
+        for gap in [40_000, 70_000] {
+            let mut far = random[..gap].to_vec();
+            far.extend_from_slice(&random[..5_000]);
+            inputs.push((format!("repeat {gap} bytes apart"), far));
+        }
+        inputs.push(("random".into(), random));
+        let motif: Vec<u8> = (0..41u32).map(|i| (i * 31 % 11) as u8).collect();
+        for len in (0..24).chain(250..275) {
+            let tail = motif.iter().cycle().take(len).copied().collect();
+            inputs.push((format!("{len}-byte motif"), tail));
+        }
+        inputs
     }
 }
 
