@@ -30,6 +30,7 @@ use crate::physical::{
 };
 use crate::tree::{DecodeTree, LivePlan, TreeScratch};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use toc_linalg::sparse::{ColVal, SparseRows};
 use toc_linalg::DenseMatrix;
 
@@ -67,24 +68,26 @@ pub struct TocBatch {
     bytes: Vec<u8>,
     rows: usize,
     cols: usize,
+    /// The name a [`KernelScratch`] keys what it derived from `bytes` by:
+    /// drawn by `encode` and [`Self::from_bytes`], shared by clones (their
+    /// bytes are equal), drawn anew by every rewrite of the bytes. Not an
+    /// address, which is handed out again once a batch is dropped, and
+    /// not the bytes, whose copy and compare a key is there to save.
+    serial: u64,
     /// `C'` of `bytes`, if [`Self::from_bytes`] made this batch: the tree
     /// validation replayed, kept for the kernels. Derived state.
-    parsed: Option<ParsedTree>,
-}
-
-/// The tree a parse built and the serial number that parse drew. A
-/// [`KernelScratch`] names the batch its live plan belongs to by the
-/// serial: an address can be handed out again once the batch is dropped,
-/// and comparing the bytes is the cost a carried tree is there to save.
-/// Clones share the serial — their bytes and tree are equal — and
-/// anything that rewrites the bytes drops tree and serial together.
-#[derive(Clone)]
-struct ParsedTree {
-    tree: DecodeTree,
-    serial: u64,
+    tree: Option<DecodeTree>,
+    /// The live plan slot of [`Self::hold_plan`]: `None` while holding is
+    /// off (the default), else filled once by the first `A·M` / `M·A`.
+    /// Derived state; a clone gets a copy.
+    held: Option<Box<OnceLock<LivePlan>>>,
 }
 
 static NEXT_SERIAL: AtomicU64 = AtomicU64::new(0);
+
+fn next_serial() -> u64 {
+    NEXT_SERIAL.fetch_add(1, Ordering::Relaxed)
+}
 
 /// Equality of bytes (rows and cols are in the header).
 impl PartialEq for TocBatch {
@@ -164,7 +167,9 @@ impl TocBatch {
             bytes,
             rows: logical.rows,
             cols: logical.cols,
-            parsed: None,
+            serial: next_serial(),
+            tree: None,
+            held: None,
         }
     }
 
@@ -217,31 +222,61 @@ impl TocBatch {
             let view = parse_view(&bytes)?;
             (view.rows, view.cols, DecodeTree::build(&view)?)
         };
-        let serial = NEXT_SERIAL.fetch_add(1, Ordering::Relaxed);
         Ok(Self {
             bytes,
             rows,
             cols,
-            parsed: Some(ParsedTree { tree, serial }),
+            serial: next_serial(),
+            tree: Some(tree),
+            held: None,
         })
     }
 
     /// Drop the tree [`Self::from_bytes`] kept.
     pub fn shed_tree(&mut self) {
-        self.parsed = None;
+        self.tree = None;
     }
 
     /// The tree [`Self::from_bytes`] kept, for tests that pin who holds
     /// one.
     #[doc(hidden)]
     pub fn carried_tree(&self) -> Option<&DecodeTree> {
-        self.parsed.as_ref().map(|p| &p.tree)
+        self.tree.as_ref()
     }
 
     /// `C'` of this batch: its own, or else `built`, the tree a scratch
     /// [`KernelScratch::prepare`]d for it.
     fn tree_in<'a>(&'a self, built: &'a DecodeTree) -> &'a DecodeTree {
         self.carried_tree().unwrap_or(built)
+    }
+
+    /// Hold this batch's live plan from now on: the first `A·M` / `M·A`
+    /// derives it into the batch — once, whichever thread gets there
+    /// first — and every later one runs on it, through any scratch. A
+    /// rewrite of the values empties the slot, and the next matrix kernel
+    /// fills it again. Nothing turns holding on but this call; what it
+    /// costs is [`Self::plan_bound_bytes`], which whoever calls it has to
+    /// budget for (the store charges it to its memory budget's slack).
+    pub fn hold_plan(&mut self) {
+        self.held.get_or_insert_with(Box::default);
+    }
+
+    /// What a held plan can take at most: `16·n + 4·|D| + 4·(rows + 1)`
+    /// bytes with `n` the nodes of `C'` — key column, key value and parent
+    /// of every node were it live, `D` and the tuple offsets unpacked. Read
+    /// off the header and the offsets; nothing is replayed.
+    pub fn plan_bound_bytes(&self) -> usize {
+        let s = self.stats();
+        16 * s.n_nodes + 4 * s.codes_len + 4 * (s.rows + 1)
+    }
+
+    /// Bytes the held plan fills: `0` unless [`Self::hold_plan`] is on and
+    /// a matrix kernel has filled the slot since the last rewrite.
+    pub fn held_plan_bytes(&self) -> usize {
+        self.held
+            .as_ref()
+            .and_then(|slot| slot.get())
+            .map_or(0, LivePlan::heap_bytes)
     }
 
     /// Parse the buffer into a scan-ready view (cheap; no decompression).
@@ -264,10 +299,15 @@ impl TocBatch {
     }
 
     /// Rewrite the unique-value array in place with `f` (the shared core
-    /// of all sparse-safe element-wise operations). A carried tree holds
-    /// the old values: it goes.
+    /// of all sparse-safe element-wise operations). The rewritten bytes
+    /// are another batch: a new serial, and the carried tree and the held
+    /// plan, which hold the old values, go (the slot stays on).
     pub(crate) fn rewrite_values(&mut self, f: impl Fn(f64) -> f64) {
+        self.serial = next_serial();
         self.shed_tree();
+        if let Some(slot) = &mut self.held {
+            slot.take();
+        }
         let (start, count) =
             locate_values_section(&self.bytes).expect("internally produced TocBatch must parse");
         for i in 0..count {
@@ -356,7 +396,8 @@ impl TocBatch {
     }
 
     /// `A · M` into caller-owned buffers (see [`Self::matvec_into`]); the
-    /// matrix kernels also derive the batch's live plan, once.
+    /// matrix kernels also need the batch's live plan — the one it holds
+    /// (see [`Self::hold_plan`]), else the one `ws` derives, once.
     pub fn matmat_into(
         &self,
         m: &DenseMatrix,
@@ -364,8 +405,9 @@ impl TocBatch {
         ws: &mut KernelScratch,
     ) -> Result<(), TocError> {
         check_dim(self.cols, m.rows(), "A·M")?;
-        ws.prepare_plan(self);
-        crate::ops::matmat_into(&ws.plan, m, &mut ws.block, out);
+        ws.with_plan(self, |plan, block| {
+            crate::ops::matmat_into(plan, m, block, out)
+        });
         Ok(())
     }
 
@@ -377,8 +419,9 @@ impl TocBatch {
         ws: &mut KernelScratch,
     ) -> Result<(), TocError> {
         check_dim(self.rows, m.cols(), "M·A")?;
-        ws.prepare_plan(self);
-        crate::ops::matmat_left_into(&ws.plan, m, &mut ws.block, out);
+        ws.with_plan(self, |plan, block| {
+            crate::ops::matmat_left_into(plan, m, block, out)
+        });
         Ok(())
     }
 
@@ -434,26 +477,32 @@ fn check_dim(expected: usize, got: usize, what: &'static str) -> Result<(), TocE
 ///
 /// Who builds `C'` when: a batch parsed by [`TocBatch::from_bytes`]
 /// carries the tree its validation built, and the kernels run on that —
-/// this scratch builds nothing for it and keeps nothing of it but its live
-/// plan, named by the parse's serial number. A batch made by `encode`
-/// carries no tree, so the scratch builds one — once per batch, not once
-/// per call: it keeps a copy of the bytes of the batch it built for, and a
-/// kernel rebuilds only when the batch it is given differs from that copy.
-/// The key is the content itself, compared in full — not the buffer's
-/// address or length, which [`TocBatch::scale`] leaves unchanged while
-/// rewriting the values, and not a hash, which can collide. Either way
-/// `matvec` → `vecmat`, `matmat` → `matmat_left`, or the `2k` calls of a
-/// one-vs-rest step on one batch share one `C'`, and the live plan the
-/// matrix kernels need is derived by the first of them.
+/// this scratch builds nothing for it. A batch made by `encode` carries no
+/// tree, so the scratch builds one — once per batch, not once per call.
+/// What the scratch derives it keys by the batch's serial (see
+/// [`TocBatch`]): the number `encode` / `from_bytes` drew, which clones
+/// share and [`TocBatch::scale`] redraws, so a kernel rebuilds only for a
+/// batch it has not prepared since its bytes last changed — without
+/// copying or comparing the bytes. Either way `matvec` → `vecmat`,
+/// `matmat` → `matmat_left`, or the `2k` calls of a one-vs-rest step on
+/// one batch share one `C'`.
+///
+/// The live plan the matrix kernels need is the batch's own if it holds
+/// one ([`TocBatch::hold_plan`], which the store turns on for resident
+/// batches its budget has room for): the first matrix kernel on the batch
+/// fills it through whichever scratch runs it, and from then on no scratch
+/// derives anything for that batch's matrix kernels. Otherwise the scratch
+/// derives the plan, keyed by the serial like the tree, once per batch it
+/// meets.
 #[derive(Clone, Debug, Default)]
 pub struct KernelScratch {
-    /// Bytes of the encoded batch `tree` was built from; empty (no batch
-    /// is) while nothing is built.
-    key: Vec<u8>,
+    /// Serial of the batch `tree` was built for; `None` while nothing is
+    /// built.
+    built: Option<u64>,
     tree: DecodeTree,
     tree_scratch: TreeScratch,
-    /// Whose live plan `plan` is.
-    planned: Planned,
+    /// Serial of the batch `plan` is the live plan of.
+    planned: Option<u64>,
     plan: LivePlan,
     h: Vec<f64>,
     block: BlockScratch,
@@ -463,48 +512,41 @@ pub struct KernelScratch {
     plans: u64,
 }
 
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-enum Planned {
-    #[default]
-    Nothing,
-    /// The encoded batch whose bytes are `key`.
-    Key,
-    /// The parsed batch with this serial.
-    Parsed(u64),
-}
-
 impl KernelScratch {
     /// Make sure `batch` has a `C'` — its own, or else `tree`, built unless
     /// it already is this batch's.
     fn prepare<'a>(&mut self, batch: &'a TocBatch) -> TocView<'a> {
         let view = batch.view();
-        if batch.parsed.is_none() && self.key != batch.bytes {
+        if batch.tree.is_none() && self.built != Some(batch.serial) {
             // Nothing counts as built while the tree is half rebuilt.
-            self.key.clear();
-            if self.planned == Planned::Key {
-                self.planned = Planned::Nothing;
-            }
+            self.built = None;
             DecodeTree::build_trusted_into(&view, &mut self.tree, &mut self.tree_scratch);
-            self.key.extend_from_slice(&batch.bytes);
+            self.built = Some(batch.serial);
             self.builds += 1;
         }
         view
     }
 
-    /// [`Self::prepare`], and make `plan` the live plan of `batch`.
-    fn prepare_plan(&mut self, batch: &TocBatch) {
-        let want = match &batch.parsed {
-            Some(p) => Planned::Parsed(p.serial),
-            None => Planned::Key,
-        };
-        // `Key` says whose plan it is only as long as `key` is this batch.
-        if self.planned == want && (batch.parsed.is_some() || self.key == batch.bytes) {
-            return;
+    /// Run `kernel` on the live plan of `batch`: the one it holds, filled
+    /// here if it is still empty, else `plan`, derived unless it already
+    /// is this batch's.
+    fn with_plan(&mut self, batch: &TocBatch, kernel: impl FnOnce(&LivePlan, &mut BlockScratch)) {
+        if let Some(slot) = &batch.held {
+            let plan = slot.get_or_init(|| {
+                let view = self.prepare(batch);
+                self.plans += 1;
+                LivePlan::build_compact(&view, batch.tree_in(&self.tree))
+            });
+            return kernel(plan, &mut self.block);
         }
-        let view = self.prepare(batch);
-        self.plan.rebuild(&view, batch.tree_in(&self.tree));
-        self.planned = want;
-        self.plans += 1;
+        if self.planned != Some(batch.serial) {
+            self.planned = None;
+            let view = self.prepare(batch);
+            self.plan.rebuild(&view, batch.tree_in(&self.tree));
+            self.planned = Some(batch.serial);
+            self.plans += 1;
+        }
+        kernel(&self.plan, &mut self.block)
     }
 
     /// How many times this scratch built a `C'` — for tests that pin how
@@ -514,8 +556,8 @@ impl KernelScratch {
         self.builds
     }
 
-    /// How many times this scratch derived a live plan (see
-    /// [`Self::builds`]).
+    /// How many times this scratch derived a live plan, into itself or
+    /// into the slot of a batch that holds one (see [`Self::builds`]).
     #[doc(hidden)]
     pub fn plans(&self) -> u64 {
         self.plans

@@ -21,7 +21,9 @@
 //! parent-pointer decode tree `C'` ([`tree::DecodeTree`]) — once per
 //! mini-batch when the kernels share a [`KernelScratch`], which is how a
 //! training step calls them, and not at all for a batch that
-//! [`TocBatch::from_bytes`] parsed: validating it built the tree.
+//! [`TocBatch::from_bytes`] parsed: validating it built the tree. A batch
+//! that holds its live plan ([`TocBatch::hold_plan`]) derives it once, and
+//! its matrix kernels build nothing after that.
 //!
 //! ```
 //! use toc_core::TocBatch;

@@ -26,12 +26,17 @@
 //! repay the plan's (on census-like, where 84 % of the nodes are live,
 //! deriving it costs as much as the two kernels together).
 //!
-//! Who builds `C'` when: the functions here take it as an argument. For a
-//! batch that was parsed ([`crate::TocBatch::from_bytes`]: a spilled read,
-//! a container segment) it is the tree the parse's validation replayed,
-//! carried by the batch — one replay per visit. For a batch made by
-//! `encode`, which is every resident batch, the caller's
-//! [`crate::KernelScratch`] builds it, once per batch it meets.
+//! Who builds `C'` and the plan when: the functions here take them as
+//! arguments. For a batch that was parsed ([`crate::TocBatch::from_bytes`]:
+//! a spilled read, a container segment) `C'` is the tree the parse's
+//! validation replayed, carried by the batch — one replay per visit. For a
+//! batch made by `encode`, which is every resident batch, the caller's
+//! [`crate::KernelScratch`] builds it, once per batch it meets, keyed by
+//! the batch's serial. The live plan is the batch's own when it holds one
+//! ([`crate::TocBatch::hold_plan`]: a resident batch the store's budget
+//! has room for), derived once by the first matrix kernel and kept for
+//! every later epoch; else the scratch derives it, once per batch it
+//! meets.
 
 use crate::batch::TocView;
 use crate::tree::{DecodeTree, LivePlan};

@@ -311,6 +311,31 @@ impl LivePlan {
         }
     }
 
+    /// [`Self::build`] for a plan that is kept: without the node → slot
+    /// map (no kernel reads it) and with every vector allocated to its
+    /// length, so [`Self::heap_bytes`] is at most `16·len(C') + 4·|D| +
+    /// 4·(rows + 1)`.
+    pub(crate) fn build_compact(view: &TocView<'_>, tree: &DecodeTree) -> LivePlan {
+        let mut plan = Self::build(view, tree);
+        plan.slot_of = Vec::new();
+        plan.key_col.shrink_to_fit();
+        plan.key_val.shrink_to_fit();
+        plan.parent.shrink_to_fit();
+        plan.codes.shrink_to_fit();
+        plan.offsets.shrink_to_fit();
+        plan
+    }
+
+    /// Heap bytes the plan's vectors hold (their capacities).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let u32s = self.key_col.capacity()
+            + self.parent.capacity()
+            + self.codes.capacity()
+            + self.offsets.capacity()
+            + self.slot_of.capacity();
+        4 * u32s + 8 * self.key_val.capacity()
+    }
+
     /// Number of live slots, root included.
     #[inline]
     pub fn live(&self) -> usize {
@@ -410,6 +435,15 @@ mod tests {
         }
         assert_eq!(plan.slot_of(8), Some(7));
         assert_eq!((plan.key_col[7], plan.key_val[7]), (3, 1.4));
+
+        // The kept form: the same slots, no map, nothing over length.
+        let kept = LivePlan::build_compact(&view, &tree);
+        assert_eq!(
+            (&kept.key_col, &kept.parent, &kept.codes, &kept.offsets),
+            (&plan.key_col, &plan.parent, &plan.codes, &plan.offsets)
+        );
+        assert_eq!(kept.key_val, plan.key_val);
+        assert_eq!(kept.heap_bytes(), 16 * 8 + 4 * 9 + 4 * 5);
     }
 
     #[test]

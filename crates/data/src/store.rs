@@ -401,7 +401,9 @@ impl<'a> StoreBuilder<'a> {
         Ok(())
     }
 
-    /// Seal the partial last chunk and make the spill durable.
+    /// Seal the partial last chunk, make the spill durable, and let the
+    /// resident TOC batches hold their live plans in what the budget has
+    /// left (see [`ShardedSpillStore::plan_bytes_reserved`]).
     pub fn finish(mut self) -> std::io::Result<ShardedSpillStore> {
         self.seal()?;
         for (file, _) in &self.shards.files {
@@ -410,20 +412,48 @@ impl<'a> StoreBuilder<'a> {
         let Self {
             config,
             features,
-            entries,
+            mut entries,
             shards,
             memory_bytes,
             ..
         } = self;
-        Ok(ShardedSpillStore::assemble(
-            config,
-            features,
-            entries,
-            0,
-            shards,
-            memory_bytes,
-        ))
+        let slack = config.memory_budget.saturating_sub(memory_bytes);
+        let plan_reserved = hold_plans(&mut entries, slack);
+        let mut store =
+            ShardedSpillStore::assemble(config, features, entries, 0, shards, memory_bytes);
+        store.plan_reserved = plan_reserved;
+        Ok(store)
     }
+}
+
+/// Charge the live plans of resident TOC-family batches (TOC, TOC_VARINT,
+/// TOC_SPARSE_AND_LOGICAL) to `slack`, the part of the memory budget the
+/// encoded batches left: in entry order, a batch holds its plan
+/// (`TocBatch::hold_plan`) while its bound (`TocBatch::plan_bound_bytes`,
+/// read off the header) fits in what is left. Returns the bytes reserved.
+/// Placement is already decided, on encoded bytes alone, so holding never
+/// changes what spills; and nothing is derived here — a held plan fills on
+/// its batch's first matrix kernel.
+fn hold_plans(entries: &mut [Arc<Entry>], slack: usize) -> usize {
+    let mut left = slack;
+    for entry in entries {
+        if left == 0 {
+            break;
+        }
+        let entry = Arc::get_mut(entry).expect("a builder owns its entries");
+        let Slot::Memory(batch) = &mut entry.slot else {
+            continue;
+        };
+        let Some(toc) = batch.toc_mut() else {
+            continue;
+        };
+        let bound = toc.plan_bound_bytes();
+        if bound <= left {
+            toc.hold_plan();
+            left -= bound;
+        }
+    }
+    slack - left
 }
 
 /// Read one spilled batch through the shared device context and parse it.
@@ -595,6 +625,8 @@ pub struct ShardedSpillStore {
     owns_dir: Option<PathBuf>,
     memory_bytes: usize,
     spilled_bytes: usize,
+    /// Budget slack reserved for held live plans ([`hold_plans`]).
+    plan_reserved: usize,
     placement: ShardPlacement,
     /// Resolved scheduling (for [`PlacementReport`] / the CLI stats line).
     io_threads: usize,
@@ -739,6 +771,7 @@ impl ShardedSpillStore {
             owns_dir,
             memory_bytes,
             spilled_bytes,
+            plan_reserved: 0,
             placement: config.placement,
             io_threads,
             decode_workers,
@@ -928,6 +961,27 @@ impl ShardedSpillStore {
     /// Total encoded footprint.
     pub fn total_bytes(&self) -> usize {
         self.memory_bytes + self.spilled_bytes
+    }
+
+    /// Bytes of the memory budget reserved for the live plans resident TOC
+    /// batches hold: what the encoded batches left, up to the sum of the
+    /// holding batches' bounds. `memory_bytes() + plan_bytes_reserved()`
+    /// never exceeds the budget.
+    pub fn plan_bytes_reserved(&self) -> usize {
+        self.plan_reserved
+    }
+
+    /// Bytes the held live plans fill so far (a plan fills on its batch's
+    /// first `A·M` / `M·A`); never more than [`Self::plan_bytes_reserved`].
+    pub fn plan_bytes_held(&self) -> usize {
+        rlock(&self.inner.entries)
+            .iter()
+            .filter_map(|e| match &e.slot {
+                Slot::Memory(b) => b.toc(),
+                Slot::Disk(_) => None,
+            })
+            .map(|toc| toc.held_plan_bytes())
+            .sum()
     }
 
     /// The scheme this store encodes with.

@@ -664,10 +664,8 @@ impl Container {
 /// hold several times its encoded size.
 fn parse_to_keep(bytes: &[u8]) -> Result<AnyBatch, FormatError> {
     let mut batch = Scheme::from_bytes(bytes)?;
-    match &mut batch {
-        AnyBatch::Toc(b) => b.shed_tree(),
-        AnyBatch::TocSparseLogical(b) => b.shed_tree(),
-        _ => {}
+    if let Some(toc) = batch.toc_mut() {
+        toc.shed_tree();
     }
     Ok(batch)
 }

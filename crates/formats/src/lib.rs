@@ -145,8 +145,13 @@ impl From<toc_gc::GcError> for FormatError {
 ///   [`toc_core::KernelScratch`] owns them. A batch [`Scheme::from_bytes`]
 ///   parsed brings the tree its validation built; for an encoded one the
 ///   scratch keeps the tree of the batch it prepared last, keyed by the
-///   batch's bytes. Either way the kernels a step runs on one batch
-///   through one scratch share one tree.
+///   batch's serial number (drawn at encode / parse, redrawn by `scale`).
+///   Either way the kernels a step runs on one batch through one scratch
+///   share one tree. A batch that holds its live plan
+///   ([`toc_core::TocBatch::hold_plan`]; the store turns it on for the
+///   resident TOC-family batches its budget's slack has room for) has its
+///   matrix kernels run on that plan, filled once by the first of them, and
+///   leaves the scratch's plan alone.
 ///
 /// One instance serves any number of batches of any scheme and shape;
 /// buffers grow to the high-water mark and are reused thereafter.
@@ -156,8 +161,9 @@ pub struct ExecScratch {
     pub gc_bytes: Vec<u8>,
     /// Decoded dense staging for ops that must decompress first.
     pub gc_dense: DenseMatrix,
-    /// Decode tree and live plan of the TOC batch prepared last, plus
-    /// accumulator scratch for the TOC kernels.
+    /// Decode tree and live plan of the TOC batch prepared last (a batch
+    /// that holds its plan brings its own), plus accumulator scratch for
+    /// the TOC kernels.
     pub toc: toc_core::KernelScratch,
 }
 
@@ -708,6 +714,27 @@ macro_rules! dispatch {
             AnyBatch::TocSparseLogical($b) => $e,
         }
     };
+}
+
+impl AnyBatch {
+    /// The [`toc_core::TocBatch`] under a TOC-family batch (TOC,
+    /// TOC_VARINT, TOC_SPARSE_AND_LOGICAL); `None` for every other scheme.
+    pub fn toc(&self) -> Option<&toc_core::TocBatch> {
+        match self {
+            AnyBatch::Toc(b) => Some(b.toc()),
+            AnyBatch::TocSparseLogical(b) => Some(b.toc()),
+            _ => None,
+        }
+    }
+
+    /// [`Self::toc`], mutably.
+    pub fn toc_mut(&mut self) -> Option<&mut toc_core::TocBatch> {
+        match self {
+            AnyBatch::Toc(b) => Some(b.toc_mut()),
+            AnyBatch::TocSparseLogical(b) => Some(b.toc_mut()),
+            _ => None,
+        }
+    }
 }
 
 impl MatrixBatch for AnyBatch {

@@ -48,8 +48,8 @@ impl TocFormat {
         &self.inner
     }
 
-    pub(crate) fn shed_tree(&mut self) {
-        self.inner.shed_tree();
+    pub(crate) fn toc_mut(&mut self) -> &mut TocBatch {
+        &mut self.inner
     }
 }
 
@@ -216,8 +216,8 @@ impl TocSparseLogical {
         &self.inner
     }
 
-    pub(crate) fn shed_tree(&mut self) {
-        self.inner.shed_tree();
+    pub(crate) fn toc_mut(&mut self) -> &mut TocBatch {
+        &mut self.inner
     }
 }
 

@@ -8,12 +8,16 @@
 //!   block-tail shape of `M`, and operands holding exact zeros, `-0.0`,
 //!   infinities and NaNs.
 //! * One `ExecScratch` keeps the tree of the encoded batch it prepared
-//!   last, keyed by the batch's bytes: whatever is done to a batch between
-//!   two kernels, the second must never run on the first's tree.
+//!   last, keyed by the batch's serial number: whatever is done to a batch
+//!   between two kernels, the second must never run on the first's tree.
 //! * A batch parsed by `from_bytes` carries the tree its validation built:
 //!   the scratch builds none for it, its kernels are bit-equal to the
 //!   encoded batch's, and nothing — a `scale`, an encoded twin in the same
 //!   scratch — makes a kernel run on a tree that is not the batch's own.
+//! * A batch that holds its live plan fills it once, through whichever
+//!   scratch (or thread) gets there first, runs every later matrix kernel
+//!   on it bit-equal to a batch that does not hold, and refills it after a
+//!   `scale`.
 //! * The last test is the CI gate on the mechanism: per preset, how much
 //!   of `C'` the live plan drops. Counts, not timings.
 
@@ -253,11 +257,13 @@ fn bitpack_and_varint_encodings_of_one_matrix_each_get_their_own_tree() {
     // The same C', rebuilt: the bytes under it differ.
     assert_eq!(from_bitpack, from_varint);
     assert_eq!(ws.toc.builds(), 2);
-    // The logical-only ablation wraps the very bytes of `a`.
+    // The logical-only ablation wraps the very bytes of `a`, but it is its
+    // own batch: the scratch keys by identity, not by the bytes, so it
+    // builds for `c` what it built for `a`.
     let c = Scheme::TocSparseLogical.encode(&x);
     assert_eq!(run_all(&a, &mut ws), from_bitpack);
     assert_eq!(run_all(&c, &mut ws), from_bitpack);
-    assert_eq!(ws.toc.builds(), 3);
+    assert_eq!(ws.toc.builds(), 4);
 }
 
 /// `batch` as a spilled read hands it over: parsed from its own bytes.
@@ -321,8 +327,8 @@ fn the_matrix_kernels_of_one_parsed_batch_share_one_plan() {
 
 #[test]
 fn scaling_a_parsed_batch_is_seen_by_the_next_kernel() {
-    // The content key cannot catch this once a carried tree bypasses it:
-    // the tree holds the values, so it has to go with them.
+    // No scratch key is consulted for a carried tree: the tree holds the
+    // values, so it has to go with them.
     let encoded = Scheme::Toc.encode(&pool_matrix(40, 17, 0.4, 5));
     for scheme in [Scheme::Toc, Scheme::TocSparseLogical] {
         let mut a = parsed(&scheme.encode(&pool_matrix(40, 17, 0.4, 5)));
@@ -382,6 +388,132 @@ fn a_parsed_batch_and_its_encoded_twin_never_run_on_each_others_tree() {
     for batch in [&par, &enc, &par] {
         assert_eq!(run_all(batch, &mut ws), scaled);
     }
+}
+
+/// `batch` with its live plan held.
+fn holding(batch: &AnyBatch) -> AnyBatch {
+    let mut held = batch.clone();
+    held.toc_mut().expect("a TOC-family batch").hold_plan();
+    held
+}
+
+/// The two matrix kernels on `batch` through `ws`, outputs concatenated
+/// as bits.
+fn run_matrix(batch: &AnyBatch, ws: &mut ExecScratch) -> Vec<u64> {
+    let mr = operand(batch.cols(), 11, 3, true);
+    let ml = operand(11, batch.rows(), 4, true);
+    let mut out = DenseMatrix::default();
+    batch.matmat_into_ws(&mr, &mut out, ws);
+    let mut all: Vec<u64> = out.data().iter().map(|x| x.to_bits()).collect();
+    batch.matmat_left_into_ws(&ml, &mut out, ws);
+    all.extend(out.data().iter().map(|x| x.to_bits()));
+    all
+}
+
+#[test]
+fn a_held_plan_matches_the_kernels_it_replaced_on_every_preset() {
+    let mut out = DenseMatrix::default();
+    for preset in DatasetPreset::ALL {
+        let x = generate_preset(preset, 250, 42).x;
+        for scheme in [Scheme::Toc, Scheme::TocVarint, Scheme::TocSparseLogical] {
+            let batch = holding(&scheme.encode(&x));
+            let toc = batch.toc().expect("a TOC-family batch");
+            let (view, tree) = (toc.view(), DecodeTree::build_trusted(&toc.view()));
+            for (k, p) in [1, 8, 33].into_iter().enumerate() {
+                // A scratch per call: only the first can have filled the slot.
+                let what = format!("{} {} p={p}", preset.name(), scheme.name());
+                let m = operand(x.cols(), p, 7 + k as u64, true);
+                batch.matmat_into_ws(&m, &mut out, &mut ExecScratch::default());
+                assert_same_bits(&out, &parent_matmat(&view, &tree, &m), &what);
+                let m = operand(p, x.rows(), 70 + k as u64, true);
+                batch.matmat_left_into_ws(&m, &mut out, &mut ExecScratch::default());
+                assert_same_bits(&out, &parent_matmat_left(&view, &tree, &m), &what);
+            }
+            let (held, bound) = (toc.held_plan_bytes(), toc.plan_bound_bytes());
+            assert!(
+                0 < held && held <= bound,
+                "{} {}: {held} of {bound}",
+                preset.name(),
+                scheme.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn a_held_plan_is_filled_once_and_serves_every_scratch() {
+    let x = pool_matrix(40, 17, 0.4, 5);
+    for scheme in [Scheme::Toc, Scheme::TocVarint, Scheme::TocSparseLogical] {
+        let what = scheme.name();
+        let plain = scheme.encode(&x);
+        let held = holding(&plain);
+        assert_eq!(held.toc().unwrap().held_plan_bytes(), 0, "{what}");
+        let mut first = ExecScratch::default();
+        assert_eq!(run_all(&held, &mut first), fresh(&plain), "{what}");
+        assert_eq!((first.toc.builds(), first.toc.plans()), (1, 1), "{what}");
+        assert!(held.toc().unwrap().held_plan_bytes() > 0, "{what}");
+        // Another scratch — the next epoch's, another thread's — derives
+        // nothing for the matrix kernels; the vector kernels still build.
+        let mut later = ExecScratch::default();
+        assert_eq!(
+            run_matrix(&held, &mut later),
+            run_matrix(&plain, &mut first)
+        );
+        assert_eq!((later.toc.builds(), later.toc.plans()), (0, 0), "{what}");
+        assert_eq!(run_all(&held, &mut later), fresh(&plain), "{what}");
+        assert_eq!((later.toc.builds(), later.toc.plans()), (1, 0), "{what}");
+        // A parsed batch that holds fills from the tree it carries.
+        let parsed = holding(&parsed(&plain));
+        let mut ws = ExecScratch::default();
+        assert_eq!(run_all(&parsed, &mut ws), fresh(&plain), "{what}");
+        assert_eq!((ws.toc.builds(), ws.toc.plans()), (0, 1), "{what}");
+    }
+}
+
+#[test]
+fn scaling_a_held_batch_is_seen_by_the_next_matrix_kernel() {
+    let x = pool_matrix(40, 17, 0.4, 5);
+    let mut held = holding(&Scheme::Toc.encode(&x));
+    let mut ws = ExecScratch::default();
+    let before = run_matrix(&held, &mut ws);
+    held.scale(-2.5);
+    assert_eq!(held.toc().unwrap().held_plan_bytes(), 0);
+    let after = run_matrix(&held, &mut ws);
+    assert_ne!(after, before);
+    let mut scaled = Scheme::Toc.encode(&x);
+    scaled.scale(-2.5);
+    assert_eq!(after, run_matrix(&scaled, &mut ExecScratch::default()));
+    // Refilled, once: the slot stays on through a rewrite.
+    assert_eq!(ws.toc.plans(), 2);
+    assert!(held.toc().unwrap().held_plan_bytes() > 0);
+    // A clone taken before a scale keeps the plan of the old values.
+    let kept = held.clone();
+    held.scale(3.0);
+    assert_eq!(run_matrix(&kept, &mut ws), after);
+    assert_ne!(run_matrix(&held, &mut ws), after);
+}
+
+#[test]
+fn two_threads_on_one_held_batch_get_equal_outputs_and_one_fill() {
+    let x = generate_preset(DatasetPreset::MnistLike, 250, 42).x;
+    let held = holding(&Scheme::Toc.encode(&x));
+    let start = std::sync::Barrier::new(2);
+    let (a, b) = std::thread::scope(|s| {
+        let run = || {
+            let mut ws = ExecScratch::default();
+            start.wait();
+            let out = run_matrix(&held, &mut ws);
+            (out, ws.toc.plans())
+        };
+        let (a, b) = (s.spawn(run), s.spawn(run));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(a.0, b.0);
+    assert_eq!(a.1 + b.1, 1, "fills: {} + {}", a.1, b.1);
+    assert_eq!(
+        a.0,
+        run_matrix(&Scheme::Toc.encode(&x), &mut ExecScratch::default())
+    );
 }
 
 /// The mechanism gate: how much of `C'` does the live plan drop? Per
