@@ -6,7 +6,6 @@
 //! hand-rolled (no serde in the workspace); [`crate::json`] reads it back.
 
 use crate::Args;
-use std::io::Write;
 
 /// Today's UTC date as `YYYY-MM-DD`, computed straight from the system
 /// clock (no chrono in the workspace). Days-to-civil conversion follows
@@ -83,9 +82,8 @@ pub fn envelope(pr: u32, note: &str, payload: &str) -> String {
 /// or comma; `fresh_header` must open the top-level object and end just
 /// before the `"history"` key (trailing `,\n` included).
 ///
-/// The new contents go to `<path>.tmp`, are synced, and replace `path`
-/// by rename, so a run killed mid-write leaves the committed history
-/// whole (and at most a stale `.tmp`, which the next run overwrites).
+/// The new contents replace `path` through [`toc_data::commit`], so a run
+/// killed mid-write leaves the committed history whole.
 pub fn append_history(path: &str, fresh_header: &str, entry: &str) -> std::io::Result<()> {
     const CLOSE: &str = "\n  ]\n}";
     let entry = entry.trim_end();
@@ -101,15 +99,7 @@ pub fn append_history(path: &str, fresh_header: &str, entry: &str) -> std::io::R
         }
         _ => format!("{fresh_header}  \"history\": [\n{entry}\n  ]\n}}\n"),
     };
-    let tmp = format!("{path}.tmp");
-    let mut file = std::fs::File::create(&tmp)?;
-    file.write_all(out.as_bytes())?;
-    file.sync_all()?;
-    std::fs::rename(&tmp, path)?;
-    let dir = std::path::Path::new(path)
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty());
-    std::fs::File::open(dir.unwrap_or(std::path::Path::new(".")))?.sync_all()
+    toc_data::commit(std::path::Path::new(path), out.as_bytes())
 }
 
 /// Where and how a binary records its run: `--out=` (default: the

@@ -14,8 +14,7 @@
 //!
 //! Three sinks. [`crate::store::StoreBuilder`], in `store`, fills a store
 //! that is being built, writing each batch that spills to its shard file
-//! as it seals; the two here write what may be read while it grows, and
-//! can checkpoint:
+//! as it seals; the two here write what may be read while it grows:
 //!
 //! * [`StoreIngest`] appends sealed segments to a *live*
 //!   [`ShardedSpillStore`] ([`ShardedSpillStore::append_sealed`]) while
@@ -34,20 +33,21 @@
 //!
 //! ## Crash safety
 //!
-//! Both drivers can periodically persist an [`IngestCheckpoint`] — a
-//! checksummed sidecar recording the sealed-chunk watermark (a
-//! [`WriterState`] for containers, a [`crate::store::StoreCheckpoint`]
-//! for stores), the source byte offset the watermark corresponds to, the
-//! running [`IngestStats`], and a hash of the workspace configuration.
-//! [`ingest_csv_container`] is the resumable CSV→container driver behind
-//! `toc ingest --resume`: on restart it validates the sidecar against
+//! One ingest resumes: [`ingest_csv_container`], the CSV→container loop
+//! behind `toc ingest --checkpoint-every` / `--resume`. Every few sealed
+//! chunks it syncs the output and then [`commit`]s an [`IngestCheckpoint`]
+//! — a checksummed sidecar recording the container writer's sealed
+//! watermark (a [`WriterState`]), the source byte offset the watermark
+//! corresponds to, the running [`IngestStats`], and a hash of the
+//! workspace configuration. On restart it validates the sidecar against
 //! the partial output, truncates any torn tail past the watermark,
 //! re-opens the CSV at the recorded offset, and continues to a result
 //! **byte-identical** to an uninterrupted run — sealing is deterministic
 //! in the staged rows, and a sealed chunk is never re-emitted. The
 //! `ingest_resume` integration suite kills the driver at every
 //! [`KillPoint`] (and at fault-injected torn-write points) to pin this
-//! down.
+//! down. A [`StoreIngest`] writes no sidecar: nothing reopens a streaming
+//! store's shard files once its process has ended.
 
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
@@ -324,38 +324,6 @@ impl<'a> StoreIngest<'a> {
         })
     }
 
-    /// Resume ingestion into a store restored with
-    /// [`ShardedSpillStore::open_streaming_resume`]: validates that the
-    /// checkpoint was written by a store ingest with this exact
-    /// workspace configuration, then continues the counters where the
-    /// checkpoint left them. The caller re-opens the row source at
-    /// [`IngestCheckpoint::source_offset`].
-    pub fn resume(
-        store: &'a ShardedSpillStore,
-        chunk_rows: usize,
-        scheme: Option<Scheme>,
-        encode: EncodeOptions,
-        ck: &IngestCheckpoint,
-    ) -> Result<Self, IngestError> {
-        if ck.kind != CheckpointKind::Store {
-            return Err(IngestError::Checkpoint(
-                "sidecar is a container checkpoint, not a store checkpoint".into(),
-            ));
-        }
-        let want = ingest_config_hash(store.num_features(), chunk_rows, scheme, &encode);
-        if ck.config_hash != want {
-            return Err(IngestError::Checkpoint(format!(
-                "workspace config hash {:#018x} does not match the checkpoint's {:#018x} \
-                 (columns, chunk rows, scheme, or encode options changed)",
-                want, ck.config_hash
-            )));
-        }
-        let mut ing = Self::try_new(store, chunk_rows, scheme, encode)
-            .ok_or_else(|| IngestError::Checkpoint("store appender slot already taken".into()))?;
-        ing.stats = ck.stats.clone();
-        Ok(ing)
-    }
-
     /// Stage one row (features + its ±1 label); seals and appends the
     /// chunk when it fills.
     pub fn push_row(&mut self, features: &[f64], label: f64) -> std::io::Result<()> {
@@ -389,29 +357,6 @@ impl<'a> StoreIngest<'a> {
     /// Running counters over the chunks sealed so far.
     pub fn stats(&self) -> &IngestStats {
         &self.stats
-    }
-
-    /// Snapshot a resumable checkpoint: the store's sealed extents
-    /// ([`ShardedSpillStore::streaming_checkpoint`]) plus the running
-    /// counters and `source_offset`, the byte offset in the row source
-    /// that the sealed watermark corresponds to. Rows staged past the
-    /// watermark are *not* captured — a resume re-reads them from
-    /// `source_offset`.
-    pub fn checkpoint(&self, source_offset: u64) -> IngestCheckpoint {
-        let mut stats = self.stats.clone();
-        stats.peak_workspace_bytes = self.ws.peak_bytes();
-        IngestCheckpoint {
-            kind: CheckpointKind::Store,
-            config_hash: ingest_config_hash(
-                self.store.num_features(),
-                self.ws.chunk_rows,
-                self.scheme,
-                &self.encode,
-            ),
-            source_offset,
-            stats,
-            state: self.store.streaming_checkpoint().to_bytes(),
-        }
     }
 
     /// Seal any partial final chunk and report the ingest counters.
@@ -543,15 +488,32 @@ impl<W: std::io::Write> ContainerIngest<W> {
 // ---------------------------------------------------------------------------
 // Checkpoint sidecars.
 
-/// Which driver wrote an [`IngestCheckpoint`] — the two `state` payloads
-/// are not interchangeable.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CheckpointKind {
-    /// `state` is a serialized [`WriterState`] (CSV → `.tocz` container).
-    Container,
-    /// `state` is a serialized [`crate::store::StoreCheckpoint`]
-    /// (CSV → live sharded store).
-    Store,
+/// Replace the file at `path` with `bytes`, durably and whole: write
+/// `<path>.tmp`, fsync it, rename it over `path`, then fsync the
+/// directory so the rename itself survives a power loss. A crash at any
+/// step leaves either the previous file or the new one, never a mix; on
+/// an error the tmp file is removed and `path` is untouched. The one
+/// commit sequence of the workspace: ingest sidecars and the bench
+/// history files both go through it.
+pub fn commit(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_os_string();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let dir = match path.parent() {
+        Some(d) if !d.as_os_str().is_empty() => d,
+        _ => Path::new("."),
+    };
+    let done = (|| {
+        let mut f = fs::File::create(&tmp)?;
+        f.write_all(bytes)?;
+        f.sync_all()?;
+        fs::rename(&tmp, path)?;
+        fs::File::open(dir)?.sync_all()
+    })();
+    if done.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    done
 }
 
 /// Hash of everything that must *not* change between the run that wrote
@@ -591,17 +553,18 @@ pub fn sidecar_path(out: &Path) -> PathBuf {
 /// `"TCKP"`.
 const SIDECAR_MAGIC: u32 = 0x5443_4B50;
 const SIDECAR_V1: u8 = 1;
+/// The kind byte after the version. A container ingest is the only kind
+/// written or accepted; the byte stays so existing sidecars still parse.
+const SIDECAR_KIND_CONTAINER: u8 = 0;
 
-/// A persisted ingest checkpoint: everything a fresh process needs to
-/// continue an interrupted ingest to a byte-identical result. Serialized
-/// with a trailing FNV-1a checksum and written atomically
-/// (temp + rename), so a crash *during* a checkpoint write leaves the
-/// previous sidecar intact and a torn sidecar is detected, never acted
-/// on.
+/// A persisted container-ingest checkpoint: everything a fresh process
+/// needs to continue an interrupted [`ingest_csv_container`] to a
+/// byte-identical result. Serialized with a trailing FNV-1a checksum and
+/// written through [`commit`], so a crash *during* a checkpoint write
+/// leaves the previous sidecar intact and a torn sidecar is detected,
+/// never acted on.
 #[derive(Clone, Debug)]
 pub struct IngestCheckpoint {
-    /// Which driver wrote this (and how to parse `state`).
-    pub kind: CheckpointKind,
     /// [`ingest_config_hash`] of the writing run's workspace config.
     pub config_hash: u64,
     /// Byte offset in the row source (CSV) that the sealed watermark
@@ -609,20 +572,17 @@ pub struct IngestCheckpoint {
     pub source_offset: u64,
     /// Counters as of the watermark.
     pub stats: IngestStats,
-    /// Sink-specific resume state ([`WriterState`] or
-    /// [`crate::store::StoreCheckpoint`] bytes).
-    pub state: Vec<u8>,
+    /// The container writer at the watermark.
+    pub state: WriterState,
 }
 
 impl IngestCheckpoint {
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(64 + self.state.len());
+        let state = self.state.to_bytes();
+        let mut out = Vec::with_capacity(64 + state.len());
         out.extend_from_slice(&SIDECAR_MAGIC.to_le_bytes());
         out.push(SIDECAR_V1);
-        out.push(match self.kind {
-            CheckpointKind::Container => 0,
-            CheckpointKind::Store => 1,
-        });
+        out.push(SIDECAR_KIND_CONTAINER);
         out.extend_from_slice(&self.config_hash.to_le_bytes());
         out.extend_from_slice(&self.source_offset.to_le_bytes());
         out.extend_from_slice(&self.stats.rows.to_le_bytes());
@@ -635,8 +595,8 @@ impl IngestCheckpoint {
             out.push(scheme.tag());
             out.extend_from_slice(&count.to_le_bytes());
         }
-        out.extend_from_slice(&(self.state.len() as u64).to_le_bytes());
-        out.extend_from_slice(&self.state);
+        out.extend_from_slice(&(state.len() as u64).to_le_bytes());
+        out.extend_from_slice(&state);
         let sum = fnv1a64(&out);
         out.extend_from_slice(&sum.to_le_bytes());
         out
@@ -670,11 +630,10 @@ impl IngestCheckpoint {
         if rd.u8()? != SIDECAR_V1 {
             return Err(corrupt("version is unsupported".into()));
         }
-        let kind = match rd.u8()? {
-            0 => CheckpointKind::Container,
-            1 => CheckpointKind::Store,
-            k => return Err(corrupt(format!("kind {k} is unknown"))),
-        };
+        let kind = rd.u8()?;
+        if kind != SIDECAR_KIND_CONTAINER {
+            return Err(corrupt(format!("kind {kind} is not a container ingest")));
+        }
         let config_hash = rd.u64()?;
         let source_offset = rd.u64()?;
         let mut stats = IngestStats {
@@ -691,31 +650,14 @@ impl IngestCheckpoint {
             stats.scheme_counts.push((scheme, rd.u64()?));
         }
         let state_len = usize::try_from(rd.u64()?).unwrap_or(usize::MAX);
-        let state = rd.take(state_len)?.to_vec();
+        let state = WriterState::from_bytes(rd.take(state_len)?)?;
         rd.done()?;
         Ok(Self {
-            kind,
             config_hash,
             source_offset,
             stats,
             state,
         })
-    }
-
-    /// Write the sidecar atomically: serialize to `<path>.tmp`, fsync,
-    /// rename over `path`. A crash mid-write can only lose the *new*
-    /// checkpoint, never corrupt the previous one.
-    pub fn write_atomic(&self, path: &Path) -> Result<(), IngestError> {
-        let mut tmp_os = path.as_os_str().to_os_string();
-        tmp_os.push(".tmp");
-        let tmp = PathBuf::from(tmp_os);
-        {
-            let mut f = fs::File::create(&tmp)?;
-            f.write_all(&self.to_bytes())?;
-            f.sync_all()?;
-        }
-        fs::rename(&tmp, path)?;
-        Ok(())
     }
 
     /// Read and validate a sidecar from disk.
@@ -768,7 +710,8 @@ pub struct CsvContainerJob {
     pub scheme: Option<Scheme>,
     pub encode: EncodeOptions,
     /// Persist a checkpoint sidecar every this many sealed chunks;
-    /// `0` disables checkpointing entirely (no sidecar is ever written).
+    /// `0` disables checkpointing entirely (no sidecar is ever written and
+    /// the output is never synced).
     pub checkpoint_every: u64,
 }
 
@@ -894,15 +837,16 @@ pub fn ingest_csv_container_killable(
                 }
             }
             if job.checkpoint_every > 0 && last_chunks.is_multiple_of(job.checkpoint_every) {
+                // The sidecar may only name bytes that are already on disk.
                 ing_ref.flush()?;
+                sync_output(&job.out)?;
                 let ck = IngestCheckpoint {
-                    kind: CheckpointKind::Container,
                     config_hash: cfg_hash,
                     source_offset: stream.offset(),
                     stats: ing_ref.stats().clone(),
-                    state: ing_ref.writer_state().to_bytes(),
+                    state: ing_ref.writer_state(),
                 };
-                ck.write_atomic(&sidecar)?;
+                commit(&sidecar, &ck.to_bytes())?;
                 if let Some(kp @ KillPoint::AfterCheckpoint { chunks }) = kill {
                     if last_chunks == chunks {
                         return kill_now(ing_ref, stream.cols(), kp);
@@ -937,11 +881,7 @@ pub fn ingest_csv_container_killable(
         });
     }
     if job.checkpoint_every > 0 {
-        match fs::remove_file(&sidecar) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(IngestError::Io(e)),
-        }
+        retire_sidecar(&job.out, &sidecar)?;
     }
     Ok(CsvIngestOutcome {
         total_bytes,
@@ -950,6 +890,24 @@ pub fn ingest_csv_container_killable(
         cols,
         killed: None,
     })
+}
+
+/// Make every byte written to the output so far durable. A fresh handle
+/// is enough: `fdatasync` flushes the file's dirty pages and its size,
+/// whichever descriptor wrote them.
+fn sync_output(out: &Path) -> std::io::Result<()> {
+    fs::OpenOptions::new().write(true).open(out)?.sync_data()
+}
+
+/// Remove the sidecar of a finished output — after syncing the output, so
+/// the sidecar never goes while the container it stood in for could still
+/// be lost. An already-missing sidecar is fine.
+fn retire_sidecar(out: &Path, sidecar: &Path) -> Result<(), IngestError> {
+    sync_output(out)?;
+    match fs::remove_file(sidecar) {
+        Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(IngestError::Io(e)),
+        _ => Ok(()),
+    }
 }
 
 /// Lazily create the container ingest on the first committed row (which
@@ -999,12 +957,7 @@ fn load_container_checkpoint(
         Err(IngestError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    if ck.kind != CheckpointKind::Container {
-        return Err(IngestError::Checkpoint(
-            "sidecar is a store checkpoint, not a container checkpoint".into(),
-        ));
-    }
-    let state = WriterState::from_bytes(&ck.state)?;
+    let state = ck.state;
     let cols = state.cols().ok_or_else(|| {
         IngestError::Checkpoint("sidecar has no sealed segments to resume from".into())
     })? as usize;
@@ -1036,11 +989,7 @@ fn load_container_checkpoint(
             );
         }
         let chunks = stats.chunks;
-        match fs::remove_file(sidecar) {
-            Ok(()) => {}
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(IngestError::Io(e)),
-        }
+        retire_sidecar(&job.out, sidecar)?;
         return Ok(Some(Restored::Complete(Box::new(CsvIngestOutcome {
             total_bytes: len,
             stats,
@@ -1069,7 +1018,7 @@ fn load_container_checkpoint(
         job.scheme,
         job.encode,
         state,
-        ck.stats.clone(),
+        ck.stats,
     )?;
     Ok(Some(Restored::At {
         stream,
@@ -1082,7 +1031,7 @@ fn load_container_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::store::{StoreCheckpoint, StoreConfig};
+    use crate::store::StoreConfig;
     use crate::synth::drifting_matrix;
     use toc_formats::container::Container;
     use toc_ml::mgd::BatchProvider;
@@ -1182,26 +1131,34 @@ mod tests {
         );
     }
 
+    /// A real container sidecar: what a [`ContainerIngest`] with
+    /// `segments` sealed 8-row chunks (scheme picked per chunk) records.
+    fn container_checkpoint(segments: usize) -> IngestCheckpoint {
+        let opts = EncodeOptions::default();
+        let m = drifting_matrix(8 * segments, 4, 3, 5);
+        let mut sink = Vec::new();
+        let mut ing = ContainerIngest::new(&mut sink, 4, 8, None, opts).unwrap();
+        for r in 0..m.rows() {
+            ing.push_row(m.row(r)).unwrap();
+        }
+        IngestCheckpoint {
+            config_hash: ingest_config_hash(4, 8, None, &opts),
+            source_offset: 12_345,
+            stats: ing.stats().clone(),
+            state: ing.writer_state(),
+        }
+    }
+
     #[test]
     fn sidecar_roundtrips_and_rejects_corruption() {
-        let mut stats = IngestStats::default();
-        stats.note(Scheme::Toc, 40, 321);
-        stats.note(Scheme::Den, 40, 2560);
-        stats.note(Scheme::Toc, 40, 330);
-        let ck = IngestCheckpoint {
-            kind: CheckpointKind::Container,
-            config_hash: 0xDEAD_BEEF_0BAD_CAFE,
-            source_offset: 12_345,
-            stats: stats.clone(),
-            state: vec![1, 2, 3, 4, 5],
-        };
+        let ck = container_checkpoint(3);
+        assert_eq!(ck.state.num_segments(), 3);
         let bytes = ck.to_bytes();
         let back = IngestCheckpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(back.kind, CheckpointKind::Container);
         assert_eq!(back.config_hash, ck.config_hash);
         assert_eq!(back.source_offset, 12_345);
-        assert_eq!(back.stats, stats);
-        assert_eq!(back.state, vec![1, 2, 3, 4, 5]);
+        assert_eq!(back.stats, ck.stats);
+        assert_eq!(back.state, ck.state);
 
         // One flipped bit anywhere fails the checksum.
         let mut tampered = bytes.clone();
@@ -1227,16 +1184,10 @@ mod tests {
 
     #[test]
     fn hostile_state_len_is_an_error_not_an_overflow() {
-        let ck = IngestCheckpoint {
-            kind: CheckpointKind::Container,
-            config_hash: 1,
-            source_offset: 2,
-            stats: IngestStats::default(),
-            state: vec![9; 5],
-        };
+        let ck = container_checkpoint(1);
         let mut bytes = ck.to_bytes();
         // `state_len` is the u64 right before the state payload + trailer.
-        let at = bytes.len() - 8 - ck.state.len() - 8;
+        let at = bytes.len() - 8 - ck.state.to_bytes().len() - 8;
         bytes[at..at + 8].copy_from_slice(&u64::MAX.to_le_bytes());
         reseal(&mut bytes);
         assert!(matches!(
@@ -1247,24 +1198,15 @@ mod tests {
 
     #[test]
     fn sidecar_truncations_and_flips_never_panic() {
-        // A real store-kind sidecar: its `state` is a `StoreCheckpoint`.
-        let config = StoreConfig::new(Scheme::Toc, 50, 0).with_shards(2);
-        let store = ShardedSpillStore::open_streaming(4, &config).unwrap();
-        let mut ing = StoreIngest::new(&store, 8, Some(Scheme::Toc), EncodeOptions::default());
-        let m = drifting_matrix(40, 4, 3, 5);
-        for r in 0..m.rows() {
-            ing.push_row(m.row(r), 1.0).unwrap();
-        }
-        let ck = ing.checkpoint(777);
-        let inner = ck.state.clone();
+        let ck = container_checkpoint(3);
+        let inner = ck.state.to_bytes();
         let outer = ck.to_bytes();
-        assert!(StoreCheckpoint::from_bytes(&inner).is_ok());
 
         for len in 0..outer.len() {
             assert!(IngestCheckpoint::from_bytes(&outer[..len]).is_err());
         }
         for len in 0..inner.len() {
-            assert!(StoreCheckpoint::from_bytes(&inner[..len]).is_err());
+            assert!(WriterState::from_bytes(&inner[..len]).is_err());
         }
         for pos in 0..outer.len() {
             for bit in 0..8 {
@@ -1272,13 +1214,60 @@ mod tests {
                 b[pos] ^= 1 << bit;
                 assert!(IngestCheckpoint::from_bytes(&b).is_err(), "checksum");
                 // Past the checksum the flipped field may be legitimate
-                // data (a counter, a hash); it must parse or error cleanly.
+                // data (a counter, a hash); it must parse or error cleanly,
+                // the writer state through its own validation.
                 reseal(&mut b);
-                if let Ok(ck) = IngestCheckpoint::from_bytes(&b) {
-                    let _ = StoreCheckpoint::from_bytes(&ck.state);
-                }
+                let _ = IngestCheckpoint::from_bytes(&b);
             }
         }
+    }
+
+    /// A fresh, empty directory for one `commit` test.
+    fn commit_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("toc-commit-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    fn names_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn commit_replaces_the_target_whole_and_leaves_no_tmp() {
+        let dir = commit_dir("replace");
+        let target = dir.join("t.ckpt");
+        commit(&target, &[7; 4096]).unwrap();
+        commit(&target, b"short").unwrap();
+        assert_eq!(fs::read(&target).unwrap(), b"short");
+        assert_eq!(names_in(&dir), ["t.ckpt"]);
+
+        // With its directory gone there is nothing to write into, and the
+        // commit leaves nothing behind.
+        fs::remove_dir_all(&dir).unwrap();
+        assert!(commit(&target, b"next").is_err());
+        assert!(!dir.exists());
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_commit_leaves_the_previous_target_and_no_tmp() {
+        let dir = commit_dir("full");
+        let target = dir.join("t.ckpt");
+        commit(&target, b"previous").unwrap();
+        // A full disk: the tmp file is `/dev/full`, whose writes fail with
+        // ENOSPC after the open succeeded.
+        std::os::unix::fs::symlink("/dev/full", dir.join("t.ckpt.tmp")).unwrap();
+        assert!(commit(&target, &[1; 64]).is_err());
+        assert_eq!(fs::read(&target).unwrap(), b"previous");
+        assert_eq!(names_in(&dir), ["t.ckpt"]);
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

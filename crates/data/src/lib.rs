@@ -26,8 +26,8 @@ pub mod testing;
 
 pub use csv::{follow_rows, stream_rows, CsvError, CsvStream, FollowOptions};
 pub use ingest::{
-    ingest_csv_container, sidecar_path, CheckpointKind, ContainerIngest, CsvContainerJob,
-    CsvIngestOutcome, EncodeWorkspace, IngestCheckpoint, IngestError, IngestStats, StoreIngest,
+    commit, ingest_csv_container, sidecar_path, ContainerIngest, CsvContainerJob, CsvIngestOutcome,
+    EncodeWorkspace, IngestCheckpoint, IngestError, IngestStats, StoreIngest,
 };
 
 pub use io::{

@@ -11,10 +11,10 @@
 //! module is its façade: configuration, the one streaming fill every build
 //! goes through ([`StoreBuilder`] — no build path holds the dataset, and a
 //! batch that spills is on its shard when it seals), the entry table and
-//! the one visit path; shard placement and crash
-//! checkpoints sit in the `placement` and `checkpoint` submodules. It lays
-//! spilled batches out across N shard files ([`StoreConfig::with_shards`]; one
-//! shard models the paper's single disk) and reads them with lock-free
+//! the one visit path; shard placement sits in the `placement` submodule.
+//! It lays spilled batches out across N shard files
+//! ([`StoreConfig::with_shards`]; one shard models the paper's single
+//! disk) and reads them with lock-free
 //! positional IO ([`toc_formats::container::PositionalFile`]). With
 //! [`StoreConfig::with_prefetch`] the visits of build-time spilled
 //! batches go through the background pipeline in `crate::prefetch`,
@@ -27,7 +27,7 @@
 //! Build-time batches, batches the adaptive planner migrated, and
 //! segments appended to a live store by streaming ingest
 //! ([`ShardedSpillStore::open_streaming`]) all sit in one entry table and
-//! share one visit / rebalance / checkpoint / tenant-read path.
+//! share one visit / rebalance / tenant-read path.
 
 use std::fs::{self, OpenOptions};
 use std::io::Write;
@@ -48,10 +48,8 @@ pub use crate::io::{
 };
 use crate::prefetch::{Prefetcher, MAX_PREFETCH_WORKERS};
 
-mod checkpoint;
 mod placement;
 
-pub use checkpoint::StoreCheckpoint;
 use placement::PlacementStats;
 pub use placement::{
     plan_adaptive, PlacementReport, ShardPlacement, PACK_RUN, REBALANCE_HYSTERESIS,
@@ -240,11 +238,12 @@ thread_local! {
         const { std::cell::RefCell::new(Vec::new()) };
 }
 
-/// The shard files of a store while they are being laid down: `(file,
-/// path)` in shard order with each file's write cursor, and the spill
-/// directory when the store made it. Dropped before a store took the files
-/// over — a build that failed, panicked or was abandoned — it removes what
-/// it created.
+/// The shard files of a store while a build or a streaming open lays them
+/// down: `(file, path)` in shard order with each file's write cursor, and
+/// the spill directory when the store made it. Every file is one this
+/// store created ([`ShardFiles::create_next`]); none is reopened from an
+/// earlier run. Dropped before a store took the files over — a build that
+/// failed, panicked or was abandoned — it removes what it created.
 #[derive(Default)]
 struct ShardFiles {
     files: Vec<(fs::File, PathBuf)>,
@@ -420,7 +419,7 @@ impl<'a> StoreBuilder<'a> {
         let slack = config.memory_budget.saturating_sub(memory_bytes);
         let plan_reserved = hold_plans(&mut entries, slack);
         let mut store =
-            ShardedSpillStore::assemble(config, features, entries, 0, shards, memory_bytes);
+            ShardedSpillStore::assemble(config, features, entries, shards, memory_bytes);
         store.plan_reserved = plan_reserved;
         Ok(store)
     }
@@ -674,17 +673,15 @@ impl ShardedSpillStore {
     }
 
     /// The one place a store comes together, whatever produced its
-    /// entries and shard files (a build, an empty streaming open, or a
-    /// checkpoint resume): device profiles, the shared [`Inner`],
-    /// scheduler resolution, and the prefetch pipeline. The last
-    /// `appended` entries count as stream-appended; the prefetcher covers
-    /// the build-time spilled entries before them. Appends continue at
-    /// the shard files' cursors.
+    /// entries and shard files (a build, or an empty streaming open):
+    /// device profiles, the shared [`Inner`], scheduler resolution, and
+    /// the prefetch pipeline. Every entry counts as build-time — the
+    /// prefetcher covers the spilled ones — and streaming appends continue
+    /// at the shard files' cursors.
     fn assemble(
         config: &StoreConfig,
         features: usize,
         entries: Vec<Arc<Entry>>,
-        appended: usize,
         mut shards: ShardFiles,
         memory_bytes: usize,
     ) -> Self {
@@ -708,15 +705,8 @@ impl ShardedSpillStore {
                 (SpillDevice::with_profile(file, profile), ShardMeta { path })
             })
             .unzip();
-        let built = entries.len() - appended;
-        let spilled_len = |es: &[Arc<Entry>]| -> u64 {
-            es.iter()
-                .filter_map(|e| e.loc())
-                .map(|l| l.len as u64)
-                .sum()
-        };
-        let spilled_bytes = spilled_len(&entries[..built]) as usize;
-        let appended_bytes = spilled_len(&entries[built..]);
+        let built = entries.len();
+        let spilled_bytes = entries.iter().filter_map(|e| e.loc()).map(|l| l.len).sum();
         let spilled_order: Vec<usize> = (0..built)
             .filter(|&i| matches!(entries[i].slot, Slot::Disk(_)))
             .collect();
@@ -730,8 +720,8 @@ impl ShardedSpillStore {
             shard_meta,
             append: Mutex::new(AppendState {
                 cursors,
-                seq: appended,
-                bytes: appended_bytes,
+                seq: 0,
+                bytes: 0,
             }),
             appender_active: std::sync::atomic::AtomicBool::new(false),
             max_pending: config.max_pending,
@@ -795,7 +785,7 @@ impl ShardedSpillStore {
         for _ in 0..config.resolved_shards().max(1) {
             shards.create_next(config)?;
         }
-        Ok(Self::assemble(config, features, Vec::new(), 0, shards, 0))
+        Ok(Self::assemble(config, features, Vec::new(), shards, 0))
     }
 
     /// Append one sealed (already encoded) segment and its labels to the

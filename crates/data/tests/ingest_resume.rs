@@ -6,19 +6,19 @@
 //! sidecar not yet cleaned up — at *every* chunk boundary, plus
 //! fault-injected torn writes past the watermark. In every case the
 //! resumed run must produce a container **byte-identical** to an
-//! uninterrupted run over the same source. The store-side analogue pins
-//! the same property for `StoreIngest` + `ShardedSpillStore`
-//! checkpoint/resume, and the backpressure seam is exercised end to end.
+//! uninterrupted run over the same source. The backpressure seam and
+//! appender serialization of a live store are exercised end to end.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
 use toc_data::ingest::{
     ingest_csv_container, ingest_csv_container_killable, sidecar_path, CsvContainerJob,
-    IngestCheckpoint, IngestError, KillPoint, StoreIngest,
+    IngestError, KillPoint, StoreIngest,
 };
-use toc_data::store::{ShardedSpillStore, StoreCheckpoint, StoreConfig};
+use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::drifting_matrix;
+use toc_formats::container::fnv1a64;
 use toc_formats::{EncodeOptions, MatrixBatch, Scheme};
 use toc_ml::mgd::BatchProvider;
 
@@ -279,148 +279,18 @@ fn resume_rejects_corrupt_sidecar_and_changed_config() {
         Err(IngestError::Checkpoint(m)) => assert!(m.contains("watermark"), "{m}"),
         other => panic!("short output must be rejected, got {other:?}"),
     }
-}
 
-// ---------------------------------------------------------------------------
-// Store-side checkpoint/resume.
-
-fn store_rows(store: &ShardedSpillStore) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let mut rows = Vec::new();
-    let mut labels = Vec::new();
-    for i in 0..store.num_batches() {
-        store.visit(i, &mut |b, ls| {
-            let d = b.decode();
-            for r in 0..d.rows() {
-                rows.push(d.row(r).to_vec());
-            }
-            labels.extend_from_slice(ls);
-        });
+    // Kind byte 1 under a valid checksum is refused: a container ingest
+    // (kind 0) is the only kind a sidecar holds.
+    bytes[5] = 1;
+    let body = bytes.len() - 8;
+    let sum = fnv1a64(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    std::fs::write(&sc, &bytes).unwrap();
+    match ingest_csv_container(&j, true) {
+        Err(IngestError::Checkpoint(m)) => assert!(m.contains("kind 1"), "{m}"),
+        other => panic!("a kind-1 sidecar must be rejected, got {other:?}"),
     }
-    (rows, labels)
-}
-
-#[test]
-fn store_checkpoint_resume_matches_uninterrupted_run() {
-    let cols = 5;
-    let chunk = 16;
-    let total = 200;
-    let m = drifting_matrix(total, cols, 4, 7);
-    let label = |r: usize| if r.is_multiple_of(3) { 1.0 } else { -1.0 };
-    let config = StoreConfig::new(Scheme::Toc, chunk, 0).with_shards(2);
-
-    // Uninterrupted reference.
-    let reference = ShardedSpillStore::open_streaming(cols, &config).unwrap();
-    let mut ing = StoreIngest::new(
-        &reference,
-        chunk,
-        Some(Scheme::Toc),
-        EncodeOptions::default(),
-    );
-    for r in 0..total {
-        ing.push_row(m.row(r), label(r)).unwrap();
-    }
-    ing.finish().unwrap();
-    let (ref_rows, ref_labels) = store_rows(&reference);
-    assert_eq!(ref_rows.len(), total);
-
-    // Interrupted run: checkpoint after 6 chunks (96 rows), seal one
-    // more chunk past the checkpoint, then crash with a torn shard
-    // write.
-    let store = ShardedSpillStore::open_streaming(cols, &config).unwrap();
-    let mut ing = StoreIngest::new(&store, chunk, Some(Scheme::Toc), EncodeOptions::default());
-    let mut ck = None;
-    for r in 0..112 {
-        ing.push_row(m.row(r), label(r)).unwrap();
-        if r + 1 == 96 {
-            ck = Some(ing.checkpoint(96));
-        }
-    }
-    let ck = ck.unwrap();
-    drop(ing);
-    // The sidecar round-trips through bytes like the real artifact does.
-    let ck = IngestCheckpoint::from_bytes(&ck.to_bytes()).unwrap();
-    let sck = StoreCheckpoint::from_bytes(&ck.state).unwrap();
-    assert_eq!(sck.num_segments(), 6);
-    let shard0 = sck.shard_paths()[0].clone();
-    let shard_dir = shard0.parent().unwrap().to_path_buf();
-    {
-        let mut f = std::fs::OpenOptions::new()
-            .append(true)
-            .open(&shard0)
-            .unwrap();
-        f.write_all(&[0xCD; 61]).unwrap();
-    }
-    // Crash: the process dies without dropping the store, so the shard
-    // files survive on disk.
-    std::mem::forget(store);
-
-    let resumed = ShardedSpillStore::open_streaming_resume(cols, &config, &sck).unwrap();
-    assert_eq!(resumed.num_batches(), 6, "only checkpointed chunks survive");
-    let mut ing = StoreIngest::resume(
-        &resumed,
-        chunk,
-        Some(Scheme::Toc),
-        EncodeOptions::default(),
-        &ck,
-    )
-    .unwrap();
-    for r in 96..total {
-        ing.push_row(m.row(r), label(r)).unwrap();
-    }
-    let stats = ing.finish().unwrap();
-    assert_eq!(stats.rows, total as u64);
-    assert_eq!(stats.chunks, (total / chunk) as u64 + 1);
-
-    let (rows, labels) = store_rows(&resumed);
-    assert_eq!(rows, ref_rows, "resumed store decodes different rows");
-    assert_eq!(labels, ref_labels, "resumed store has different labels");
-    drop(resumed);
-    // The forgotten store's directory is not owned by the resumed one;
-    // clean it up by hand.
-    std::fs::remove_dir_all(&shard_dir).ok();
-}
-
-#[test]
-fn store_resume_rejects_outrun_sidecar_and_wrong_kind() {
-    let cols = 4;
-    let config = StoreConfig::new(Scheme::Toc, 8, 0).with_shards(2);
-    let m = drifting_matrix(64, cols, 3, 5);
-    let store = ShardedSpillStore::open_streaming(cols, &config).unwrap();
-    let mut ing = StoreIngest::new(&store, 8, Some(Scheme::Toc), EncodeOptions::default());
-    for r in 0..64 {
-        ing.push_row(m.row(r), 1.0).unwrap();
-    }
-    let ck = ing.checkpoint(64);
-    drop(ing);
-    let sck = StoreCheckpoint::from_bytes(&ck.state).unwrap();
-    // Truncate a shard *below* the checkpoint cursor: the sidecar now
-    // outruns the data, which must be refused (resuming would read
-    // garbage as sealed segments).
-    let shard0 = sck.shard_paths()[0].clone();
-    let len = std::fs::metadata(&shard0).unwrap().len();
-    let f = std::fs::OpenOptions::new()
-        .write(true)
-        .open(&shard0)
-        .unwrap();
-    f.set_len(len - 1).unwrap();
-    assert!(
-        ShardedSpillStore::open_streaming_resume(cols, &config, &sck).is_err(),
-        "a sidecar that outruns its shard data must be rejected"
-    );
-    f.set_len(len).unwrap();
-
-    // A container-kind checkpoint is refused by the store resume.
-    let mut wrong = ck.clone();
-    wrong.kind = toc_data::CheckpointKind::Container;
-    let resumed = ShardedSpillStore::open_streaming_resume(cols, &config, &sck).unwrap();
-    assert!(StoreIngest::resume(
-        &resumed,
-        8,
-        Some(Scheme::Toc),
-        EncodeOptions::default(),
-        &wrong
-    )
-    .is_err());
 }
 
 // ---------------------------------------------------------------------------

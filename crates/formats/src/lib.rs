@@ -344,12 +344,6 @@ impl Scheme {
         }
     }
 
-    /// Whether matrix ops run directly on the compressed representation
-    /// (LMC + TOC) or require full decompression first (GC).
-    pub fn compressed_execution(self) -> bool {
-        !matches!(self, Scheme::Snappy | Scheme::Gzip | Scheme::GcAns)
-    }
-
     /// Encode a dense mini-batch with this scheme and default options.
     pub fn encode(self, dense: &DenseMatrix) -> AnyBatch {
         self.encode_with(dense, &EncodeOptions::default())
