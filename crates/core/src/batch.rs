@@ -78,7 +78,7 @@ pub struct TocBatch {
     /// validation replayed, kept for the kernels. Derived state.
     tree: Option<DecodeTree>,
     /// The live plan slot of [`Self::hold_plan`]: `None` while holding is
-    /// off (the default), else filled once by the first `A·M` / `M·A`.
+    /// off (the default), else filled once by the first matrix kernel.
     /// Derived state; a clone gets a copy.
     held: Option<Box<OnceLock<LivePlan>>>,
 }
@@ -250,7 +250,7 @@ impl TocBatch {
         self.carried_tree().unwrap_or(built)
     }
 
-    /// Hold this batch's live plan from now on: the first `A·M` / `M·A`
+    /// Hold this batch's live plan from now on: the first matrix kernel
     /// derives it into the batch — once, whichever thread gets there
     /// first — and every later one runs on it, through any scratch. A
     /// rewrite of the values empties the slot, and the next matrix kernel
@@ -425,6 +425,22 @@ impl TocBatch {
         Ok(())
     }
 
+    /// `Aᵀ · D` (`D` is `rows × p`, `out` becomes `cols × p`) into
+    /// caller-owned buffers (see [`Self::matmat_into`]): bit for bit
+    /// `(Dᵀ · A)ᵀ`, Algorithm 8 without transposing either operand.
+    pub fn matmat_t_into(
+        &self,
+        d: &DenseMatrix,
+        out: &mut DenseMatrix,
+        ws: &mut KernelScratch,
+    ) -> Result<(), TocError> {
+        check_dim(self.rows, d.rows(), "Aᵀ·D")?;
+        ws.with_plan(self, |plan, block| {
+            crate::ops::matmat_t_into(plan, d, block, out)
+        });
+        Ok(())
+    }
+
     /// Full decode into a caller-owned dense matrix (see
     /// [`Self::matvec_into`]).
     pub fn decode_into(&self, out: &mut DenseMatrix, ws: &mut KernelScratch) {
@@ -468,7 +484,7 @@ fn check_dim(expected: usize, got: usize, what: &'static str) -> Result<(), TocE
 }
 
 /// Reusable scratch for the zero-allocation TOC kernel entry points
-/// (`TocBatch::{matvec,vecmat,matmat,matmat_left,decode}_into`): holds the
+/// (`TocBatch::{matvec,vecmat,matmat,matmat_left,matmat_t,decode}_into`): holds the
 /// decode tree `C'` of the encoded batch it prepared last, the live plan of
 /// the batch whose matrix kernels it ran last, the rebuild scratch, the
 /// kernels' `H`/`G` accumulators, and the decode backtracking buffers. One

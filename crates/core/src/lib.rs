@@ -16,7 +16,7 @@
 //! 3. **Physical encoding** ([`batch::TocBatch`]): bit packing and value
 //!    indexing compress the integers and doubles into one byte buffer.
 //!
-//! Matrix operations (`A·v`, `v·A`, `A·M`, `M·A`, `A.*c`) execute directly
+//! Matrix operations (`A·v`, `v·A`, `A·M`, `M·A`, `Aᵀ·D`, `A.*c`) execute directly
 //! on the compressed buffer ([`ops`], paper §4) after rebuilding the
 //! parent-pointer decode tree `C'` ([`tree::DecodeTree`]) — once per
 //! mini-batch when the kernels share a [`KernelScratch`], which is how a

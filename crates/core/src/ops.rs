@@ -22,6 +22,16 @@
 //! floating-point operations and their order are those of Algorithms 7–8
 //! as written, so results do not depend on the blocking.
 //!
+//! Algorithm 8 has two entry points over one scatter / backward-scan core
+//! (`left_block`): `M · A` ([`matmat_left_into`]) and `Aᵀ · D`
+//! ([`matmat_t_into`], `D = Mᵀ` row-major `rows × p`, the result
+//! `cols × p`). The neural net's first-layer gradient is the second form
+//! — its delta and its gradient are both row-major that way — so it reads
+//! `D` and writes the result in place, where `M · A` stages its block of
+//! `M` and of the result transposed. `G` is zero between calls: the
+//! backward scan zeroes what it reads (see [`BlockScratch`]), so no block
+//! clears it.
+//!
 //! The vector kernels stay on `C'` as built: their one pass does not
 //! repay the plan's (on census-like, where 84 % of the nodes are live,
 //! deriving it costs as much as the two kernels together).
@@ -124,19 +134,54 @@ struct Lanes([f64; BLOCK]);
 
 const ZERO_LANES: Lanes = Lanes([0.0; BLOCK]);
 
-/// Reusable buffers of [`matmat_into`] / [`matmat_left_into`]; they grow
-/// to the high-water mark of the shapes seen.
+/// Reusable buffers of [`matmat_into`], [`matmat_left_into`] and
+/// [`matmat_t_into`]; they grow to the high-water mark of the shapes seen.
+///
+/// `H` and `G` are separate buffers because they are kept differently.
+/// `A·M` assigns every slot of `h` before reading it, so `h` carries
+/// garbage between calls and needs no clearing. The two left kernels
+/// accumulate into `g`, which must start each block all zero: instead of
+/// clearing it per block, the backward scan zeroes each slot as it reads
+/// it, and the root after the scan, so `g` is all zero again when a block
+/// — and so a call — ends. Only growth writes zeros up front. `g` keeps
+/// its high-water length (it is never shortened to a smaller batch's live
+/// slots): the tail beyond a smaller batch's slots was zero when the
+/// larger batch's call ended and no call touches it since. A call that
+/// does not end (a panic caught by an unwind) leaves `g_dirty` set, and
+/// the next call clears all of `g` before it starts.
 #[derive(Clone, Debug, Default)]
 pub struct BlockScratch {
-    /// `H`: one row of lanes per live slot.
+    /// `A·M`'s `H`: one row of lanes per live slot.
     h: Vec<Lanes>,
+    /// `M·A` / `Aᵀ·D`'s `G`: one row of lanes per live slot, all zero
+    /// between calls.
+    g: Vec<Lanes>,
+    /// A left kernel started on `g` and has not finished.
+    g_dirty: bool,
     /// `A·M`: the current block of `M`, one row of lanes per row of `M`.
     m_block: Vec<Lanes>,
     /// `M·A`: the current block of `Mᵀ`, one row of lanes per tuple.
     m_t: Vec<Lanes>,
-    /// `M·A`: the current block of the transposed result, one row of
-    /// lanes per matrix column.
+    /// `M·A` / `Aᵀ·D`: the current block of the result, one row of lanes
+    /// per matrix column.
     out_t: Vec<Lanes>,
+}
+
+impl BlockScratch {
+    /// Make `g` at least `live` slots, all of them zero, and mark it in use.
+    fn take_g(&mut self, live: usize) {
+        if self.g_dirty {
+            self.g.fill(ZERO_LANES);
+        }
+        debug_assert!(
+            self.g.iter().all(|l| l.0.iter().all(|x| x.to_bits() == 0)),
+            "G is not zero between left kernels"
+        );
+        if self.g.len() < live {
+            self.g.resize(live, ZERO_LANES);
+        }
+        self.g_dirty = true;
+    }
 }
 
 /// Algorithm 7 (Appendix B.1), `A · M` with uncompressed `M` (`cols × p`),
@@ -150,6 +195,7 @@ pub fn matmat_into(plan: &LivePlan, m: &DenseMatrix, ws: &mut BlockScratch, out:
     debug_assert_eq!(m.rows(), plan.cols);
     let p = m.cols();
     out.reset(plan.rows, p);
+    // `h` is written before it is read, so it needs no zeros.
     let h = &mut ws.h;
     h.resize(plan.live(), ZERO_LANES);
     h[0] = ZERO_LANES;
@@ -191,15 +237,17 @@ pub fn matmat_into(plan: &LivePlan, m: &DenseMatrix, ws: &mut BlockScratch, out:
     }
 }
 
-/// Algorithm 8 (Appendix B.2), `M · A` with uncompressed `M` (`p × rows`),
-/// into a caller-owned matrix.
+/// Algorithm 8 (Appendix B.2) for one block of [`BLOCK`] lanes: the core
+/// [`matmat_left_into`] and [`matmat_t_into`] share; they differ only in
+/// how they stage a tuple's lanes (`lanes(r)`) and where they copy
+/// `out_t` to.
 ///
-/// Per block of `M`'s rows: scan `D` to accumulate `G(i) = Σ M[.., r]`
-/// over all occurrences of code `i`, then scan the live slots
-/// **backwards**, multiplying each slot's weight into its key's column of
-/// the result and pushing it onto its parent. The block of `M` and the
-/// block of the result are staged transposed, so that every inner loop
-/// runs along a node's lanes.
+/// Scan `D` to accumulate `G(i) = Σ lanes(r)` over all occurrences of code
+/// `i`, then scan the live slots **backwards**, multiplying each slot's
+/// weight into its key's column of `out_t` and pushing it onto its parent.
+/// `g` comes in all zero and leaves all zero: the scan zeroes each slot
+/// once it has read it (no slot is pushed onto after its turn — parents
+/// precede children), and the root, which is never read, at the end.
 ///
 /// The algorithm skips a slot whose weight is zero; per lane that is a
 /// select on the product (a zero weight must not multiply a non-finite
@@ -207,6 +255,47 @@ pub fn matmat_into(plan: &LivePlan, m: &DenseMatrix, ws: &mut BlockScratch, out:
 /// `x + y` is `-0.0` only when both are, so neither a result lane nor a
 /// parent's weight is ever `-0.0`, and adding the selected `+0.0`, or a
 /// weight of `±0.0`, leaves it exactly as the skipped step would.
+fn left_block(
+    plan: &LivePlan,
+    g: &mut [Lanes],
+    out_t: &mut Vec<Lanes>,
+    lanes: impl Fn(usize) -> Lanes,
+) {
+    for r in 0..plan.rows {
+        let x = lanes(r).0;
+        for &c in plan.row_codes(r) {
+            let mut gc = g[c as usize].0;
+            for (gl, xl) in gc.iter_mut().zip(&x) {
+                *gl += xl;
+            }
+            g[c as usize].0 = gc;
+        }
+    }
+    out_t.clear();
+    out_t.resize(plan.cols, ZERO_LANES);
+    let keys = plan.key_col.iter().zip(&plan.key_val).zip(&plan.parent);
+    for (i, ((&col, &key_val), &parent)) in keys.enumerate().skip(1).rev() {
+        let gi = g[i].0;
+        g[i] = ZERO_LANES;
+        let mut gp = g[parent as usize].0;
+        let mut o = out_t[col as usize].0;
+        for ((ol, pl), &weight) in o.iter_mut().zip(&mut gp).zip(&gi) {
+            *ol += if weight != 0.0 { key_val * weight } else { 0.0 };
+            *pl += weight;
+        }
+        g[parent as usize].0 = gp;
+        out_t[col as usize].0 = o;
+    }
+    g[0] = ZERO_LANES;
+}
+
+/// Algorithm 8 (Appendix B.2), `M · A` with uncompressed `M` (`p × rows`),
+/// into a caller-owned matrix (`p × cols`).
+///
+/// Per block of `M`'s rows, one `left_block`. `M` is row-major along the
+/// tuples and the result along the columns, so the block of `M` is staged
+/// transposed into `m_t` and the block of the result copied out of
+/// `out_t` transposed: every inner loop runs along a node's lanes.
 pub fn matmat_left_into(
     plan: &LivePlan,
     m: &DenseMatrix,
@@ -216,47 +305,67 @@ pub fn matmat_left_into(
     debug_assert_eq!(m.cols(), plan.rows);
     let p = m.rows();
     out.reset(p, plan.cols);
-    let (h, m_t, out_t) = (&mut ws.h, &mut ws.m_t, &mut ws.out_t);
+    ws.take_g(plan.live());
     for q0 in (0..p).step_by(BLOCK) {
         let w = BLOCK.min(p - q0);
-        m_t.clear();
-        m_t.resize(plan.rows, ZERO_LANES);
+        ws.m_t.clear();
+        ws.m_t.resize(plan.rows, ZERO_LANES);
         for l in 0..w {
-            for (lanes, &x) in m_t.iter_mut().zip(m.row(q0 + l)) {
+            for (lanes, &x) in ws.m_t.iter_mut().zip(m.row(q0 + l)) {
                 lanes.0[l] = x;
             }
         }
-        h.clear();
-        h.resize(plan.live(), ZERO_LANES);
-        for (r, mrow) in m_t.iter().enumerate() {
-            for &c in plan.row_codes(r) {
-                let mut hc = h[c as usize].0;
-                for (hl, ml) in hc.iter_mut().zip(&mrow.0) {
-                    *hl += ml;
-                }
-                h[c as usize].0 = hc;
-            }
-        }
-        out_t.clear();
-        out_t.resize(plan.cols, ZERO_LANES);
-        let keys = plan.key_col.iter().zip(&plan.key_val).zip(&plan.parent);
-        for (i, ((&col, &key_val), &parent)) in keys.enumerate().skip(1).rev() {
-            let hi = h[i].0;
-            let mut hp = h[parent as usize].0;
-            let mut o = out_t[col as usize].0;
-            for ((ol, pl), &weight) in o.iter_mut().zip(&mut hp).zip(&hi) {
-                *ol += if weight != 0.0 { key_val * weight } else { 0.0 };
-                *pl += weight;
-            }
-            h[parent as usize].0 = hp;
-            out_t[col as usize].0 = o;
-        }
+        let m_t = &ws.m_t;
+        left_block(plan, &mut ws.g, &mut ws.out_t, |r| m_t[r]);
         for l in 0..w {
-            for (o, lanes) in out.row_mut(q0 + l).iter_mut().zip(out_t.iter()) {
+            for (o, lanes) in out.row_mut(q0 + l).iter_mut().zip(&ws.out_t) {
                 *o = lanes.0[l];
             }
         }
     }
+    ws.g_dirty = false;
+}
+
+/// `Aᵀ · D` with uncompressed `D` (`rows × p`), into a caller-owned matrix
+/// (`cols × p`): Algorithm 8 with `M = Dᵀ`, returning `(Dᵀ · A)ᵀ` — the
+/// neural net's first-layer weight gradient, `D` its backward delta.
+///
+/// Both operands are already laid out along the lanes: a tuple's lanes
+/// are `D[r][q0..q0 + BLOCK]`, built as the scatter reaches the tuple, and
+/// `out_t`'s lanes are copied straight into `out[c][q0..q0 + BLOCK]`, so
+/// nothing is staged transposed. Per lane the operations and their order
+/// are [`matmat_left_into`]'s, so the result is bit for bit the transpose
+/// of `matmat_left_into(Dᵀ)`.
+pub fn matmat_t_into(
+    plan: &LivePlan,
+    d: &DenseMatrix,
+    ws: &mut BlockScratch,
+    out: &mut DenseMatrix,
+) {
+    debug_assert_eq!(d.rows(), plan.rows);
+    let p = d.cols();
+    out.reset(plan.cols, p);
+    ws.take_g(plan.live());
+    for q0 in (0..p).step_by(BLOCK) {
+        let w = BLOCK.min(p - q0);
+        // Columns `q0..q0 + w` of `D`, lanes past `w` zero. Both arms copy
+        // the same doubles; a full block's count is known when compiling.
+        if w == BLOCK {
+            left_block(plan, &mut ws.g, &mut ws.out_t, |r| {
+                Lanes(d.row(r)[q0..q0 + BLOCK].try_into().expect("a full block"))
+            });
+        } else {
+            left_block(plan, &mut ws.g, &mut ws.out_t, |r| {
+                let mut lanes = ZERO_LANES;
+                lanes.0[..w].copy_from_slice(&d.row(r)[q0..q0 + w]);
+                lanes
+            });
+        }
+        for (c, lanes) in ws.out_t.iter().enumerate() {
+            out.row_mut(c)[q0..q0 + w].copy_from_slice(&lanes.0[..w]);
+        }
+    }
+    ws.g_dirty = false;
 }
 
 /// Decode directly into a caller-owned dense matrix: the zero-allocation
@@ -476,7 +585,12 @@ mod tests {
                     assert_same_bits(&out, &oracle_matmat(&view, &tree, &m), &what);
                     let m = operand(rng, p, a.rows(), special);
                     toc.matmat_left_into(&m, &mut out, &mut ws).unwrap();
-                    assert_same_bits(&out, &oracle_matmat_left(&view, &tree, &m), &what);
+                    let want = oracle_matmat_left(&view, &tree, &m);
+                    assert_same_bits(&out, &want, &what);
+                    // `Aᵀ·D` with `D = Mᵀ` is the same sums, transposed.
+                    toc.matmat_t_into(&m.transpose(), &mut out, &mut ws)
+                        .unwrap();
+                    assert_same_bits(&out, &want.transpose(), &what);
                 }
             }
         }
@@ -519,7 +633,36 @@ mod tests {
             let m = operand(&mut rng, p, a.rows(), true);
             let want = oracle_matmat_left(&view, &tree, &m);
             assert_same_bits(&toc.matmat_left(&m).unwrap(), &want, "M·A");
+            let mut out = DenseMatrix::default();
+            toc.matmat_t_into(&m.transpose(), &mut out, &mut KernelScratch::default())
+                .unwrap();
+            assert_same_bits(&out, &want.transpose(), "Aᵀ·D");
         }
+    }
+
+    #[test]
+    fn a_left_kernel_that_did_not_finish_leaves_no_weight_behind() {
+        // A call that unwinds mid-scan leaves `G` dirty and says so; the
+        // next call must clear it, not add to it.
+        let mut rng = StdRng::seed_from_u64(19);
+        let a = random_redundant(&mut rng, 30, 12, 0.5);
+        let toc = TocBatch::encode(&a);
+        let view = toc.view();
+        let tree = DecodeTree::build_trusted(&view);
+        let plan = LivePlan::build_compact(&view, &tree);
+        let d = operand(&mut rng, a.rows(), 11, false);
+        let want = oracle_matmat_left(&view, &tree, &d.transpose()).transpose();
+        let mut ws = BlockScratch::default();
+        let mut out = DenseMatrix::default();
+        matmat_t_into(&plan, &d, &mut ws, &mut out);
+        assert_same_bits(&out, &want, "first call");
+        assert!(!ws.g_dirty && ws.g.iter().all(|l| l.0 == [0.0; BLOCK]));
+        ws.g.fill(Lanes([1.5; BLOCK]));
+        ws.g_dirty = true;
+        matmat_t_into(&plan, &d, &mut ws, &mut out);
+        assert_same_bits(&out, &want, "after a dirty G");
+        matmat_left_into(&plan, &d.transpose(), &mut ws, &mut out);
+        assert_same_bits(&out, &want.transpose(), "M·A after it");
     }
 
     fn random_redundant(rng: &mut StdRng, rows: usize, cols: usize, density: f64) -> DenseMatrix {

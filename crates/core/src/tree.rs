@@ -225,7 +225,8 @@ impl DecodeTree {
 }
 
 /// The live part of `C'` for one batch, with `D` and the tuple offsets
-/// unpacked into plain `u32`s: what `A·M` and `M·A` sweep.
+/// unpacked into plain `u32`s: what `A·M` and `M·A` (and `Aᵀ·D`, its
+/// transposed form) sweep.
 ///
 /// A node is *live* if some code in `D` names it or one of its
 /// descendants; every other node is dead. Dropping the dead nodes is

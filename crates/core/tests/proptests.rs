@@ -53,7 +53,7 @@ fn wild_matrix_strategy() -> impl Strategy<Value = DenseMatrix> {
 }
 
 /// What a damaged buffer may do: fail to parse, or parse into a batch on
-/// which `decode` and all five kernels return. The parse keeps the tree the
+/// which `decode` and all six kernels return. The parse keeps the tree the
 /// kernels run on, so a check the replay skipped would surface here as an
 /// index out of bounds.
 fn parse_and_run(bytes: Vec<u8>) {
@@ -77,7 +77,39 @@ fn parse_and_run(bytes: Vec<u8>) {
     toc.matmat_into(&m, &mut out_m, &mut ws).unwrap();
     let m = DenseMatrix::from_vec(3, toc.rows(), vec![2.0; toc.rows() * 3]);
     toc.matmat_left_into(&m, &mut out_m, &mut ws).unwrap();
+    let d = DenseMatrix::from_vec(toc.rows(), 3, vec![-1.0; toc.rows() * 3]);
+    toc.matmat_t_into(&d, &mut out_m, &mut ws).unwrap();
     toc.decode_into(&mut out_m, &mut ws);
+}
+
+/// `rows × p` doubles from `seed`; with `special`, about a third of them
+/// are `0.0`, `-0.0`, `±inf` or NaN.
+fn operand(rows: usize, p: usize, seed: u64, special: bool) -> DenseMatrix {
+    const SPECIAL: [f64; 5] = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+    let mut x = seed | 1;
+    let data = (0..rows * p)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match x % 9 {
+                0..=2 if special => SPECIAL[(x >> 8) as usize % 5],
+                _ => ((x >> 11) % 1000) as f64 / 250.0 - 2.0,
+            }
+        })
+        .collect();
+    DenseMatrix::from_vec(rows, p, data)
+}
+
+/// Same shape and the same bits, element by element; a NaN only has to be
+/// a NaN.
+fn same_bits(got: &DenseMatrix, want: &DenseMatrix) -> bool {
+    (got.rows(), got.cols()) == (want.rows(), want.cols())
+        && got
+            .data()
+            .iter()
+            .zip(want.data())
+            .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
 }
 
 /// Small batches with every structure the replay walks: repeated motifs
@@ -215,6 +247,41 @@ proptest! {
         let toc = TocBatch::encode(&a);
         let got = toc.matmat_left(&m).unwrap();
         prop_assert!(got.max_abs_diff(&a.matmat_left(&m)) < 1e-6);
+    }
+
+    #[test]
+    fn matmat_t_matches_oracle(
+        a in prop_oneof![
+            9 => matrix_strategy(20, 15),
+            1 => (1usize..15).prop_map(|cols| DenseMatrix::zeros(0, cols)),
+        ],
+        p in 1usize..20,
+        seed in any::<u64>(),
+        special in any::<bool>(),
+        infinite_batch in any::<bool>(),
+        varint in any::<bool>(),
+    ) {
+        // `Aᵀ·D` is `M·A` with `M = Dᵀ`, transposed, bit for bit: across
+        // tail blocks (`p` not a multiple of 8), empty tuples, a batch with
+        // no rows, non-finite operands and, with `scale(inf)`, non-finite
+        // keys.
+        let codec = if varint { PhysicalCodec::Varint } else { PhysicalCodec::BitPack };
+        let mut toc = TocBatch::encode_with(&a, codec);
+        if infinite_batch {
+            toc.scale(f64::INFINITY);
+        }
+        let d = operand(a.rows(), p, seed, special);
+        let want = toc.matmat_left(&d.transpose()).unwrap().transpose();
+        let mut ws = KernelScratch::default();
+        let mut out = DenseMatrix::default();
+        toc.matmat_t_into(&d, &mut out, &mut ws).unwrap();
+        prop_assert!(same_bits(&out, &want));
+        // Again through the same scratch, after an `A·M` that wrote its
+        // own accumulator: what the first call left behind must not show.
+        let m = operand(a.cols(), p, !seed, special);
+        toc.matmat_into(&m, &mut out, &mut ws).unwrap();
+        toc.matmat_t_into(&d, &mut out, &mut ws).unwrap();
+        prop_assert!(same_bits(&out, &want));
     }
 
     #[test]

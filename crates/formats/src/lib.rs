@@ -152,6 +152,8 @@ impl From<toc_gc::GcError> for FormatError {
 ///   resident TOC-family batches its budget's slack has room for) has its
 ///   matrix kernels run on that plan, filled once by the first of them, and
 ///   leaves the scratch's plan alone.
+/// * `t_in` / `t_out` — the transposed operand and result of the provided
+///   [`MatrixBatch::matmat_t_into_ws`] (`Aᵀ·D` as `(Dᵀ·A)ᵀ`).
 ///
 /// One instance serves any number of batches of any scheme and shape;
 /// buffers grow to the high-water mark and are reused thereafter.
@@ -165,6 +167,10 @@ pub struct ExecScratch {
     /// that holds its plan brings its own), plus accumulator scratch for
     /// the TOC kernels.
     pub toc: toc_core::KernelScratch,
+    /// `Dᵀ`, staged by the provided `Aᵀ·D`.
+    pub t_in: DenseMatrix,
+    /// `Dᵀ·A`, staged by the provided `Aᵀ·D`.
+    pub t_out: DenseMatrix,
 }
 
 /// A mini-batch in some (possibly compressed) encoding, supporting the core
@@ -181,6 +187,13 @@ pub struct ExecScratch {
 /// 2. **Allocating wrappers** (provided): `matvec(&self, v) -> Vec<f64>`
 ///    style, each one call of the workspace kernel over a throwaway
 ///    scratch and a fresh output.
+///
+/// One workspace kernel is provided: `Aᵀ·D`
+/// ([`Self::matmat_t_into_ws`], the neural net's first-layer weight
+/// gradient), by default `M·A` between two transposes staged in the
+/// scratch. The TOC-family forms (TOC, TOC_VARINT, TOC_SPARSE_AND_LOGICAL)
+/// override it with Algorithm 8 run on `D` and the result as they lie,
+/// bit for bit the default's result; [`AnyBatch`] dispatches it.
 pub trait MatrixBatch {
     /// Matrix rows.
     fn rows(&self) -> usize;
@@ -196,6 +209,17 @@ pub trait MatrixBatch {
     fn matmat_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch);
     /// `M · A` into a caller-owned matrix.
     fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch);
+    /// `Aᵀ · D` (`D` is `rows × p`, `out` becomes `cols × p`) into a
+    /// caller-owned matrix. Provided as `(Dᵀ · A)ᵀ` through
+    /// [`Self::matmat_left_into_ws`], staged in `ws.t_in` / `ws.t_out`, so
+    /// it allocates nothing in steady state.
+    fn matmat_t_into_ws(&self, d: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
+        let (mut d_t, mut out_t) = (std::mem::take(&mut ws.t_in), std::mem::take(&mut ws.t_out));
+        d.transpose_into(&mut d_t);
+        self.matmat_left_into_ws(&d_t, &mut out_t, ws);
+        out_t.transpose_into(out);
+        (ws.t_in, ws.t_out) = (d_t, out_t);
+    }
     /// Full decode into a caller-owned matrix (sparse-unsafe operations
     /// route through this).
     fn decode_into_ws(&self, out: &mut DenseMatrix, ws: &mut ExecScratch);
@@ -755,6 +779,9 @@ impl MatrixBatch for AnyBatch {
     }
     fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
         dispatch!(self, b => b.matmat_left_into_ws(m, out, ws))
+    }
+    fn matmat_t_into_ws(&self, d: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
+        dispatch!(self, b => b.matmat_t_into_ws(d, out, ws))
     }
     fn decode_into_ws(&self, out: &mut DenseMatrix, ws: &mut ExecScratch) {
         dispatch!(self, b => b.decode_into_ws(out, ws))

@@ -83,6 +83,11 @@ impl MatrixBatch for TocFormat {
             .matmat_left_into(m, out, &mut ws.toc)
             .expect("dimension-checked by caller")
     }
+    fn matmat_t_into_ws(&self, d: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
+        self.inner
+            .matmat_t_into(d, out, &mut ws.toc)
+            .expect("dimension-checked by caller")
+    }
     fn decode_into_ws(&self, out: &mut DenseMatrix, ws: &mut ExecScratch) {
         self.inner.decode_into(out, &mut ws.toc)
     }
@@ -249,6 +254,11 @@ impl MatrixBatch for TocSparseLogical {
     fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
         self.inner
             .matmat_left_into(m, out, &mut ws.toc)
+            .expect("dimension-checked by caller")
+    }
+    fn matmat_t_into_ws(&self, d: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
+        self.inner
+            .matmat_t_into(d, out, &mut ws.toc)
             .expect("dimension-checked by caller")
     }
     fn decode_into_ws(&self, out: &mut DenseMatrix, ws: &mut ExecScratch) {

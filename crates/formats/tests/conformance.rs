@@ -9,7 +9,8 @@
 //! * **encoder** — the 11 `Scheme` tags, CLA with the greedy planner, and
 //!   CLA with a deliberately tiny sample (exercising the inexact-estimate
 //!   materialization fallbacks);
-//! * **operation** — matvec, vecmat, matmat, matmat_left, decode;
+//! * **operation** — matvec, vecmat, matmat, matmat_left, matmat_t
+//!   (`Aᵀ·D`: `*_into_ws` only), decode;
 //! * **API family** — allocating and `*_into_ws` (one shared
 //!   `ExecScratch` and one set of output buffers reused across *all*
 //!   encoders and shapes, so stale-state bugs between calls surface too);
@@ -114,6 +115,7 @@ fn every_scheme_op_and_api_family_matches_dense() {
             let w = test_vec(rows, 2);
             let mr = pool_matrix(cols, 3, 0.9, 21);
             let ml = pool_matrix(3, rows, 0.9, 22);
+            let mt = pool_matrix(rows, 11, 0.9, 23);
 
             let b = encode(&a);
             assert_eq!(b.rows(), rows, "{ctx}: rows");
@@ -167,6 +169,13 @@ fn every_scheme_op_and_api_family_matches_dense() {
                 "{ctx}: matmat_left_into_ws"
             );
 
+            // matmat_t (`Aᵀ·D`): the provided form and its overrides.
+            let want = a.transpose().matmat(&mt);
+            b.matmat_t_into_ws(&mt, &mut out_m, &mut ws);
+            assert!(out_m.max_abs_diff(&want) < TOL, "{ctx}: matmat_t_into_ws");
+            let via_left = b.matmat_left(&mt.transpose()).transpose();
+            assert_eq!(out_m, via_left, "{ctx}: matmat_t is (Dᵀ·A)ᵀ exactly");
+
             // Serialization survives the same grid.
             let restored = Scheme::from_bytes(&b.to_bytes())
                 .unwrap_or_else(|e| panic!("{ctx}: from_bytes {e}"));
@@ -175,7 +184,7 @@ fn every_scheme_op_and_api_family_matches_dense() {
         timings.push((enc_name, t0.elapsed()));
     }
 
-    println!("conformance timing (encode + 5 ops x 2 families x 8 shapes):");
+    println!("conformance timing (encode + 6 ops x 2 families x 8 shapes):");
     for (name, d) in &timings {
         println!("  {name:<24} {d:>10.1?}");
     }
@@ -200,11 +209,12 @@ fn toc_kernels_interleaved_with_every_other_scheme_on_one_scratch() {
             let w = test_vec(rows, 2);
             let mr = pool_matrix(cols, 9, 0.9, 21);
             let ml = pool_matrix(9, rows, 0.9, 22);
+            let mt = pool_matrix(rows, 9, 0.9, 23);
             for (enc_name, encode) in &encoders {
                 let ctx = format!("{enc_name} on {shape}, round {round}");
                 let b = encode(&a);
-                for k in 0..4 {
-                    match (k + round) % 4 {
+                for k in 0..5 {
+                    match (k + round) % 5 {
                         0 => {
                             b.matmat_left_into_ws(&ml, &mut out_m, &mut ws);
                             let want = a.matmat_left(&ml);
@@ -219,6 +229,11 @@ fn toc_kernels_interleaved_with_every_other_scheme_on_one_scratch() {
                             b.matmat_into_ws(&mr, &mut out_m, &mut ws);
                             let want = a.matmat(&mr);
                             assert!(out_m.max_abs_diff(&want) < TOL, "{ctx}: matmat");
+                        }
+                        3 => {
+                            b.matmat_t_into_ws(&mt, &mut out_m, &mut ws);
+                            let want = a.transpose().matmat(&mt);
+                            assert!(out_m.max_abs_diff(&want) < TOL, "{ctx}: matmat_t");
                         }
                         _ => {
                             b.vecmat_into_ws(&w, &mut out_v, &mut ws);

@@ -14,10 +14,14 @@
 //!   the scratch builds none for it, its kernels are bit-equal to the
 //!   encoded batch's, and nothing — a `scale`, an encoded twin in the same
 //!   scratch — makes a kernel run on a tree that is not the batch's own.
+//! * `Aᵀ·D` (the neural net's first-layer gradient) is `M·A` with
+//!   `M = Dᵀ`, transposed, bit for bit, on the same grid.
 //! * A batch that holds its live plan fills it once, through whichever
 //!   scratch (or thread) gets there first, runs every later matrix kernel
 //!   on it bit-equal to a batch that does not hold, and refills it after a
-//!   `scale`.
+//!   `scale`. `M·A` and `Aᵀ·D` keep their accumulator `G` zero between
+//!   calls instead of clearing it: a large and a small held batch
+//!   alternating through one scratch must not see each other's weight.
 //! * The last test is the CI gate on the mechanism: per preset, how much
 //!   of `C'` the live plan drops. Counts, not timings.
 
@@ -93,6 +97,11 @@ fn parent_matmat_left(view: &TocView<'_>, tree: &DecodeTree, m: &DenseMatrix) ->
     out
 }
 
+/// `Aᵀ·D` as the kernel it replaced gave it: `M·A` of `Dᵀ`, transposed.
+fn parent_matmat_t(view: &TocView<'_>, tree: &DecodeTree, d: &DenseMatrix) -> DenseMatrix {
+    parent_matmat_left(view, tree, &d.transpose()).transpose()
+}
+
 /// Same shape and, element by element, the same bits — except that a NaN
 /// only has to be a NaN.
 fn assert_same_bits(got: &DenseMatrix, want: &DenseMatrix, what: &str) {
@@ -164,6 +173,29 @@ fn matrix_kernels_match_the_kernels_they_replaced_on_every_preset() {
                 let m = operand(p, x.rows(), 70 + k as u64, special);
                 batch.matmat_left_into_ws(&m, &mut out, &mut ws);
                 assert_same_bits(&out, &parent_matmat_left(&view, &tree, &m), &what);
+            }
+        }
+    }
+}
+
+#[test]
+fn matmat_t_matches_the_transposed_kernel_it_replaced_on_every_preset() {
+    // One scratch and one output across the whole grid, `A·M` in between.
+    let mut ws = ExecScratch::default();
+    let mut out = DenseMatrix::default();
+    for preset in DatasetPreset::ALL {
+        let x = generate_preset(preset, 250, 42).x;
+        for scheme in [Scheme::Toc, Scheme::TocVarint, Scheme::TocSparseLogical] {
+            let batch = scheme.encode(&x);
+            let view = batch.toc().expect("a TOC-family batch").view();
+            let tree = DecodeTree::build_trusted(&view);
+            for (k, p) in WIDTHS.into_iter().enumerate() {
+                let what = format!("{} {} p={p}", preset.name(), scheme.name());
+                let d = operand(x.rows(), p, 700 + k as u64, k % 2 == 0);
+                batch.matmat_t_into_ws(&d, &mut out, &mut ws);
+                assert_same_bits(&out, &parent_matmat_t(&view, &tree, &d), &what);
+                let m = operand(x.cols(), p, 800 + k as u64, false);
+                batch.matmat_into_ws(&m, &mut out, &mut ws);
             }
         }
     }
@@ -491,6 +523,42 @@ fn scaling_a_held_batch_is_seen_by_the_next_matrix_kernel() {
     held.scale(3.0);
     assert_eq!(run_matrix(&kept, &mut ws), after);
     assert_ne!(run_matrix(&held, &mut ws), after);
+}
+
+#[test]
+fn held_plans_of_a_large_and_a_small_batch_share_one_zero_kept_g() {
+    // `G` is sized by the large batch (mnist-like, ~16 k live slots) and
+    // used by the small one (census-like, ~1.5 k) in between: a slot either
+    // call left non-zero would add into the next result. `A·M` between the
+    // calls writes its own accumulator, which must not be `G`.
+    let batches: Vec<(AnyBatch, DenseMatrix)> =
+        [DatasetPreset::MnistLike, DatasetPreset::CensusLike]
+            .into_iter()
+            .map(|preset| {
+                let x = generate_preset(preset, 250, 42).x;
+                (holding(&Scheme::Toc.encode(&x)), x)
+            })
+            .collect();
+    let mut ws = ExecScratch::default();
+    let mut out = DenseMatrix::default();
+    for round in 0..3u64 {
+        for (k, (batch, x)) in batches.iter().enumerate() {
+            let toc = batch.toc().expect("a TOC-family batch");
+            let (view, tree) = (toc.view(), DecodeTree::build_trusted(&toc.view()));
+            let what = format!("round {round} batch {k}");
+            let d = operand(x.rows(), 20, 10 * round + k as u64, round == 1);
+            batch.matmat_t_into_ws(&d, &mut out, &mut ws);
+            assert_same_bits(&out, &parent_matmat_t(&view, &tree, &d), &what);
+            let m = operand(x.cols(), 20, 100 + round, false);
+            batch.matmat_into_ws(&m, &mut out, &mut ws);
+            assert_same_bits(&out, &parent_matmat(&view, &tree, &m), &what);
+            let m = operand(20, x.rows(), 200 + round, round == 2);
+            batch.matmat_left_into_ws(&m, &mut out, &mut ws);
+            assert_same_bits(&out, &parent_matmat_left(&view, &tree, &m), &what);
+        }
+    }
+    // Each batch filled its held plan once; the scratch derived nothing.
+    assert_eq!((ws.toc.builds(), ws.toc.plans()), (2, 2));
 }
 
 #[test]

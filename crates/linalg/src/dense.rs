@@ -299,6 +299,26 @@ impl DenseMatrix {
         }
     }
 
+    /// `Aᵀ · M` into a caller-owned matrix (reshaped as needed), where
+    /// `self` is `A`: bit for bit `A.transpose().matmat(m)`, without the
+    /// transpose. Each output element sums over `k` ascending and skips a
+    /// zero `A[k][i]`, as [`Self::matmat_into`] does.
+    pub fn matmat_t_into(&self, m: &DenseMatrix, out: &mut DenseMatrix) {
+        assert_eq!(self.rows, m.rows, "matmat_t dimension mismatch");
+        out.reset(self.cols, m.cols);
+        for k in 0..self.rows {
+            let mrow = m.row(k);
+            for (i, &a) in self.row(k).iter().enumerate() {
+                if a == 0.0 {
+                    continue;
+                }
+                for (o, &b) in out.row_mut(i).iter_mut().zip(mrow) {
+                    *o += a * b;
+                }
+            }
+        }
+    }
+
     /// Element-wise scale by `c` (sparse-safe in the paper's terms).
     pub fn scale(&mut self, c: f64) {
         for v in &mut self.data {
@@ -425,6 +445,32 @@ mod tests {
         let left = a.matmat_left(&m);
         let via_t = a.transpose().matmat(&m.transpose()).transpose();
         assert!(left.max_abs_diff(&via_t) < 1e-12);
+    }
+
+    #[test]
+    fn matmat_t_is_transposed_matmat_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(4);
+        for (n, h, p) in [(7, 5, 3), (1, 1, 1), (0, 4, 2), (9, 3, 0)] {
+            let mut a = DenseMatrix::random(&mut rng, n, h, -2.0, 2.0);
+            let m = DenseMatrix::random(&mut rng, n, p, -2.0, 2.0);
+            // Zeros, a negative zero and a non-finite value: the skip has
+            // to be the same skip.
+            for (i, x) in a.data_mut().iter_mut().enumerate() {
+                match i % 5 {
+                    0 => *x = 0.0,
+                    1 if i % 3 == 0 => *x = -0.0,
+                    2 if i % 7 == 0 => *x = f64::INFINITY,
+                    _ => {}
+                }
+            }
+            let mut got = DenseMatrix::from_vec(1, 1, vec![9.0]);
+            a.matmat_t_into(&m, &mut got);
+            let want = a.transpose().matmat(&m);
+            assert_eq!((got.rows(), got.cols()), (h, p));
+            for (g, w) in got.data().iter().zip(want.data()) {
+                assert!(g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()));
+            }
+        }
     }
 
     #[test]

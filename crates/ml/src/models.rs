@@ -24,6 +24,8 @@ pub struct OpTrace {
     pub matvec: usize,
     pub vecmat: usize,
     pub matmat: usize,
+    /// Algorithm 8 calls: `M·A`, or its transposed form `Aᵀ·D`, which is
+    /// how the neural net takes its first-layer gradient.
     pub matmat_left: usize,
 }
 
@@ -356,14 +358,11 @@ impl NeuralNet {
         for l in (0..n_layers).rev() {
             // Gradient for W_l = activationsᵀ · delta.
             if l == 0 {
-                // δ1ᵀ · A on the compressed batch (M·A), then transpose.
-                ws.delta.transpose_into(&mut ws.trans);
-                batch.matmat_left_into_ws(&ws.trans, &mut ws.trans2, &mut ws.exec);
+                // Aᵀ · δ1 on the compressed batch (Algorithm 8).
+                batch.matmat_t_into_ws(&ws.delta, &mut ws.grads_w[l], &mut ws.exec);
                 self.trace.matmat_left += 1;
-                ws.trans2.transpose_into(&mut ws.grads_w[l]);
             } else {
-                ws.acts[l - 1].transpose_into(&mut ws.trans);
-                ws.trans.matmat_into(&ws.delta, &mut ws.grads_w[l]);
+                ws.acts[l - 1].matmat_t_into(&ws.delta, &mut ws.grads_w[l]);
             }
             let grad_b = &mut ws.grads_b[l];
             reset_vec(grad_b, ws.delta.cols());
@@ -610,6 +609,37 @@ mod tests {
         nn.accuracy_ws(&batch, &targets, &mut ws);
         nn.update_batch_ws(&batch, &targets, 0.1, &mut ws);
         assert_eq!(prepared(&ws), (1, 1));
+    }
+
+    #[test]
+    fn nn_first_layer_gradient_is_one_compressed_call_per_step() {
+        // `Aᵀ·δ` counts as the step's one Algorithm 8 call, whether the
+        // scheme runs it natively (TOC) or through the provided `M·A`.
+        let (x, y) = separable_data(40, 6, 9);
+        let targets = DenseMatrix::from_vec(40, 1, y.iter().map(|&v| (v + 1.0) / 2.0).collect());
+        let mut weights = Vec::new();
+        for scheme in [
+            Scheme::Den,
+            Scheme::Csr,
+            Scheme::Toc,
+            Scheme::TocSparseLogical,
+        ] {
+            let batch = scheme.encode(&x);
+            let mut nn = NeuralNet::new(6, &[10, 5], 1, 3);
+            let mut ws = ExecWorkspace::new();
+            for _ in 0..3 {
+                nn.update_batch_ws(&batch, &targets, 0.2, &mut ws);
+            }
+            assert_eq!(
+                (nn.trace.matmat, nn.trace.matmat_left),
+                (3, 3),
+                "{scheme:?}"
+            );
+            weights.push(nn.weights[0].clone());
+        }
+        for w in &weights[1..] {
+            assert!(w.max_abs_diff(&weights[0]) < 1e-12);
+        }
     }
 
     #[test]

@@ -41,10 +41,8 @@ pub struct ExecWorkspace {
     pub delta: DenseMatrix,
     /// Second NN delta buffer.
     pub delta2: DenseMatrix,
-    /// Transposition staging (`δᵀ`, `Wᵀ`, `actᵀ`).
+    /// Transposition staging (`Wᵀ`).
     pub trans: DenseMatrix,
-    /// Second transposition staging buffer (`δᵀ·A` before re-transposing).
-    pub trans2: DenseMatrix,
     /// NN forward activations, one per layer; the last entry holds the
     /// output probabilities.
     pub acts: Vec<DenseMatrix>,
