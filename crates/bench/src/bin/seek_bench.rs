@@ -1,8 +1,8 @@
 //! Random-access read path of the seekable `.tocz` v2 container through
 //! the one reader, [`SeekableContainer`] in `toc_formats::container`:
-//! full-scan vs. one-segment vs. selective row-range decode, single
-//! worker vs. parallel, with the bytes actually read reported from the
-//! reader's own [`toc_formats::container::ReadStats`].
+//! full-scan vs. one-segment vs. selective row-range decode, with the
+//! bytes actually read reported from the reader's own
+//! [`toc_formats::container::ReadStats`].
 //!
 //! Ends with the PR's two acceptance gates (both assert, so CI fails
 //! loudly on a regression):
@@ -45,7 +45,6 @@ fn main() {
     let rows: usize = args.get("rows", 65_536);
     let cols: usize = args.get("cols", 16);
     let segments: usize = args.get("segments", 64);
-    let workers: usize = args.get("workers", 4);
     let scheme_name: String = args.get("scheme", "toc".to_string());
     args.finish();
     let scheme = match scheme_name.as_str() {
@@ -80,10 +79,10 @@ fn main() {
         "time",
         "MB/s",
     ]);
-    let mut run = |name: &str, r0: usize, r1: usize, workers: usize| -> (u64, u64) {
+    let mut run = |name: &str, r0: usize, r1: usize| -> (u64, u64) {
         let t = Instant::now();
         let sc = SeekableContainer::open(&path).unwrap();
-        let part = sc.decode_rows_parallel(r0, r1, workers).unwrap();
+        let part = sc.decode_rows(r0, r1).unwrap();
         let elapsed = t.elapsed();
         assert_eq!(part.rows(), r1 - r0);
         let snap = sc.stats().snapshot();
@@ -98,16 +97,14 @@ fn main() {
         (snap.bytes_read, snap.disk_reads)
     };
 
-    run("full scan", 0, rows, 1);
-    run(&format!("full scan x{workers}"), 0, rows, workers);
+    run("full scan", 0, rows);
     let mid = segments / 2;
     let (one_seg_bytes, one_seg_reads) = run(
         "one segment",
         mid * seg_rows,
         ((mid + 1) * seg_rows).min(rows),
-        1,
     );
-    run("128-row slice", rows / 3, rows / 3 + 128, 1);
+    run("128-row slice", rows / 3, rows / 3 + 128);
     table.print();
 
     // Gate 1: random access is bounded by the touched segment.

@@ -28,7 +28,7 @@ use std::time::{Duration, Instant};
 use toc_data::store::{split_label, ShardedSpillStore, StoreBuilder, StoreConfig};
 use toc_data::{CsvError, CsvIngestOutcome, CsvStream};
 use toc_formats::container::SeekableContainer;
-use toc_formats::{AnyBatch, ClaOptions, EncodeOptions, MatrixBatch, Scheme};
+use toc_formats::{AnyBatch, EncodeOptions, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, TrainedModel, Trainer};
 use toc_ml::LossKind;
@@ -82,7 +82,6 @@ flags! {
     GEN_ROWS = "--rows" "<n>" "rows to generate (required)";
     SEED = "--seed" "<n>" "RNG seed (default 42); serve: job i trains with seed+i";
     ROW_RANGE = "--rows" "<a..b>" "decode only rows a..b (v2 reads just the overlapping segments)";
-    PARALLEL = "--parallel" "<n>" "decode touched segments on n threads (default 1)";
     SEGMENT_ROWS = "--segment-rows" "<n>" "rows per seekable segment (default 250)";
     CHUNK_ROWS = "--chunk-rows" "<n>" "rows per streamed chunk = segment, >= 1 (default 250)";
     CHECKPOINT_EVERY = "--checkpoint-every" "<chunks>"
@@ -91,8 +90,6 @@ flags! {
     SCHEME = "--scheme" "<s>"
         "den|csr|cvi|dvi|cla|snappy|gzip|ans|toc|toc-varint (default toc); ingest/compress: + auto";
     BATCH_ROWS = "--batch-rows" "<n>" "rows per mini-batch (default 250)";
-    CLA_PLANNER = "--cla-planner" "<greedy|sample>" "CLA column-grouping planner (default sample)";
-    CLA_SAMPLE = "--cla-sample" "<rows>" "CLA planner sample size, >= 1 (default 256)";
     MODEL = "--model" "<lr|svm|linreg>" "linear model (default lr)";
     EPOCHS = "--epochs" "<n>" "training epochs (default 10; serve: 3)";
     LR = "--lr" "<f>" "learning rate (default 0.05)";
@@ -122,10 +119,8 @@ flags! {
     SHARES = "--shares" "<s0,s1,...>" "QoS share of job i is s[i mod len] (default 1)";
 }
 
-/// Encode knobs of every command that encodes.
-static CLA: Group = &[&CLA_PLANNER, &CLA_SAMPLE];
 /// How `train` and `serve` encode their mini-batches.
-static ENCODE: Group = &[&SCHEME, &BATCH_ROWS, &CLA_PLANNER, &CLA_SAMPLE];
+static ENCODE: Group = &[&SCHEME, &BATCH_ROWS];
 /// The model trained by `train` and by each `serve` job.
 static MODEL_GROUP: Group = &[&MODEL, &EPOCHS, &LR];
 /// Layout of the out-of-core sharded spill store.
@@ -150,15 +145,15 @@ commands! {
     "gen" ["<out.csv>"] cmd_gen [&[&PRESET, &GEN_ROWS, &SEED]]
         "generate a synthetic dataset (features, then the label as the last column)";
     "ingest" ["<in.csv>", "<out.tocz>"] cmd_ingest
-        [&[&CHUNK_ROWS, &SCHEME, &CHECKPOINT_EVERY, &RESUME], CLA]
+        [&[&CHUNK_ROWS, &SCHEME, &CHECKPOINT_EVERY, &RESUME]]
         "bounded-memory streaming encode, one v2 segment per sealed chunk (default: auto)";
-    "compress" ["<in.csv>", "<out.tocz>"] cmd_compress [&[&SCHEME, &SEGMENT_ROWS], CLA]
+    "compress" ["<in.csv>", "<out.tocz>"] cmd_compress [&[&SCHEME, &SEGMENT_ROWS]]
         "encode a CSV into a seekable v2 container";
-    "decompress" ["<in.tocz>", "<out.csv>"] cmd_decompress [&[&ROW_RANGE, &PARALLEL]]
+    "decompress" ["<in.tocz>", "<out.csv>"] cmd_decompress [&[&ROW_RANGE]]
         "decode a container (v1 or v2) back to CSV";
     "inspect" ["<in.tocz>"] cmd_inspect []
         "per-batch statistics; v2: the footer's layout tree and zone maps";
-    "bench" ["<in.csv>"] cmd_bench [&[&BATCH_ROWS], CLA]
+    "bench" ["<in.csv>"] cmd_bench [&[&BATCH_ROWS]]
         "size, encode time and A*v time of every scheme on the first batch";
     "train" ["<in.csv|in.tocz>"] cmd_train
         [ENCODE, MODEL_GROUP, &[&BUDGET], STORE, PIPELINE, &[&FOLLOW], FOLLOW_KNOBS]
@@ -170,19 +165,6 @@ commands! {
 
 // ---------------------------------------------------------------------------
 // Readers shared by the commands.
-
-/// The CLA planner knobs.
-fn encode_options(a: &Args) -> Result<EncodeOptions, String> {
-    let defaults = ClaOptions::default();
-    Ok(EncodeOptions {
-        cla: ClaOptions {
-            planner: a.get(&CLA_PLANNER, defaults.planner)?,
-            // An empty sample estimates every column as incompressible and
-            // silently produces an uncompressed CLA plan; reject it.
-            sample_rows: a.at_least_one(&CLA_SAMPLE, defaults.sample_rows)?,
-        },
-    })
-}
 
 fn parse_scheme(s: &str) -> Result<Scheme, String> {
     Ok(match s.to_ascii_lowercase().as_str() {
@@ -273,7 +255,6 @@ fn store_config(a: &Args, budget: usize) -> Result<StoreConfig, String> {
             decode_workers: a.get(&DECODE_WORKERS, 0)?,
             ..SchedulerConfig::default()
         })
-        .with_encode_options(encode_options(a)?)
         .with_max_pending(a.get(&MAX_PENDING, 0)?);
     if let Some(mbps) = a.value::<f64>(&MBPS)? {
         if !(mbps.is_finite() && mbps > 0.0) {
@@ -370,7 +351,7 @@ fn ingest_container(
         out: out_path.to_path_buf(),
         chunk_rows,
         scheme,
-        encode: encode_options(a)?,
+        encode: EncodeOptions::default(),
         checkpoint_every,
     };
     let t0 = Instant::now();
@@ -473,7 +454,6 @@ fn cmd_decompress(a: &Args) -> Result<(), String> {
     let (input, output) = (a.pos(0), a.pos(1));
     let rows = a.raw(&ROW_RANGE).map(parse_row_range).transpose();
     let rows = rows.map_err(|e| format!("{}: {e}", ROW_RANGE.name))?;
-    let parallel: usize = a.get(&PARALLEL, 1)?;
     let path = Path::new(input);
     let mut out = csv::CsvWriter::create(Path::new(output), None)?;
     let mut guard = Unfinished {
@@ -492,7 +472,7 @@ fn cmd_decompress(a: &Args) -> Result<(), String> {
         Some((r0, r1)) => {
             // Only the segments overlapping the range are read at all.
             let sc = open_container(path)?;
-            let m = sc.decode_rows_parallel(r0, r1, parallel)?;
+            let m = sc.decode_rows(r0, r1)?;
             let s = sc.stats().snapshot();
             println!(
                 "seek: {} reads, {} of {} payload bytes",
@@ -638,7 +618,6 @@ fn first_rows(path: &Path, n: usize) -> Result<DenseMatrix, String> {
 fn cmd_bench(a: &Args) -> Result<(), String> {
     let input = a.pos(0);
     let batch_rows: usize = a.at_least_one(&BATCH_ROWS, 250)?;
-    let opts = encode_options(a)?;
     let batch = first_rows(Path::new(input), batch_rows)?;
     let den = batch.den_size_bytes();
     let v: Vec<f64> = (0..batch.cols())
@@ -657,7 +636,7 @@ fn cmd_bench(a: &Args) -> Result<(), String> {
     );
     for scheme in Scheme::PAPER_SET {
         let t0 = Instant::now();
-        let encoded = scheme.encode_with(&batch, &opts);
+        let encoded = scheme.encode(&batch);
         let enc_time = t0.elapsed();
         let _ = encoded.matvec(&v);
         let t1 = Instant::now();
@@ -831,7 +810,7 @@ fn train_follow(
     let window: usize = a.at_least_one(&WINDOW, 8)?;
     let poll = Duration::from_millis(a.get(&POLL_MS, 10)?);
     let idle = Duration::from_millis(a.at_least_one(&IDLE_MS, 400)?);
-    let (scheme, batch_rows, encode_opts) = (config.scheme, config.batch_rows, config.encode);
+    let (scheme, batch_rows) = (config.scheme, config.batch_rows);
 
     // The store needs the feature count up front, so wait (up to the
     // idle timeout) for the first complete row to pin the width.
@@ -869,7 +848,8 @@ fn train_follow(
         let done_ref = &done;
         let ingest = s.spawn(move || {
             let run = || -> Result<toc_data::IngestStats, String> {
-                let mut ing = StoreIngest::new(store_ref, batch_rows, Some(scheme), encode_opts);
+                let encode = EncodeOptions::default();
+                let mut ing = StoreIngest::new(store_ref, batch_rows, Some(scheme), encode);
                 let opts = FollowOptions {
                     poll,
                     idle_timeout: idle,
@@ -1225,7 +1205,7 @@ mod tests {
         let count = |name: &str| command(name).flags().count();
         assert_eq!(
             (count("compress"), count("serve"), count("train")),
-            (4, 17, 20)
+            (2, 15, 18)
         );
     }
 
@@ -1316,16 +1296,7 @@ mod tests {
             toc(&["inspect", &input]).unwrap();
             toc(&["decompress", &input, &full_out.arg()]).unwrap();
             let part = part_out.arg();
-            toc(&[
-                "decompress",
-                &input,
-                &part,
-                "--rows",
-                "20..53",
-                "--parallel",
-                "3",
-            ])
-            .unwrap();
+            toc(&["decompress", &input, &part, "--rows", "20..53"]).unwrap();
             let full = std::fs::read_to_string(full_out.path()).unwrap();
             let part = std::fs::read_to_string(part_out.path()).unwrap();
             let want: Vec<&str> = full.lines().skip(20).take(33).collect();
@@ -1381,38 +1352,17 @@ mod tests {
     }
 
     #[test]
-    fn cla_planner_flags_and_auto_scheme() {
+    fn cla_and_auto_schemes_roundtrip() {
         let csv_in = TempPath::new("cli-cla", "csv");
         let tocz = TempPath::new("cli-cla", "tocz");
         let csv_out = TempPath::new("cli-cla-out", "csv");
         let m = toc_data::synth::correlated_matrix(120, 8, 4, 3);
         crate::csv::write_matrix(csv_in.path(), &m, None).unwrap();
-        let compress = |extra: &[&str]| {
-            let (csv_in, tocz) = (csv_in.arg(), tocz.arg());
-            let mut argv = vec!["compress", &csv_in, &tocz];
-            argv.extend(extra);
-            toc(&argv)
-        };
-        let legs: [&[&str]; 4] = [
-            &["--scheme", "cla"],
-            &["--scheme", "cla", "--cla-planner", "greedy"],
-            &[
-                "--scheme",
-                "cla",
-                "--cla-planner",
-                "sample",
-                "--cla-sample",
-                "32",
-            ],
-            &["--scheme", "auto"],
-        ];
-        for extra in legs {
-            compress(extra).unwrap();
+        for scheme in ["cla", "auto"] {
+            toc(&["compress", &csv_in.arg(), &tocz.arg(), "--scheme", scheme]).unwrap();
             toc(&["decompress", &tocz.arg(), &csv_out.arg()]).unwrap();
             let text = |p: &TempPath| std::fs::read_to_string(p.path()).unwrap();
             assert_eq!(text(&csv_out), text(&csv_in));
         }
-        assert!(compress(&["--cla-planner", "nope"]).is_err());
-        assert!(compress(&["--cla-sample", "0"]).is_err());
     }
 }

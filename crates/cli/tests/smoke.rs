@@ -77,7 +77,7 @@ fn gen_csv(rows: usize) -> PathBuf {
 }
 
 #[test]
-fn compress_roundtrip_with_planner_flags() {
+fn compress_cla_roundtrip() {
     let csv = gen_csv(300);
     let tocz = temp_path("compressed", "tocz");
     let back = temp_path("back", "csv");
@@ -87,10 +87,6 @@ fn compress_roundtrip_with_planner_flags() {
         tocz.to_str().unwrap(),
         "--scheme",
         "cla",
-        "--cla-planner",
-        "sample",
-        "--cla-sample",
-        "64",
         "--segment-rows",
         "100",
     ]);
@@ -127,8 +123,6 @@ fn train_over_async_engines_prints_parseable_io_stats() {
             io,
             "--placement",
             placement,
-            "--cla-planner",
-            "greedy",
         ]);
         let stdout = assert_ok(&out, &format!("toc train --io {io}"));
         assert!(
@@ -289,8 +283,6 @@ fn seekable_v2_containers_project_inspect_and_train() {
             back.to_str().unwrap(),
             "--rows",
             "64..128",
-            "--parallel",
-            "2",
         ]),
         "toc decompress --rows",
     );
@@ -408,18 +400,6 @@ fn out_of_core_flags_require_budget_and_reject_bad_values() {
     assert_fails(
         &toc(&["train", csv.to_str().unwrap(), "--budget", "x"]),
         "unparseable budget",
-    );
-    assert_fails(
-        &toc(&[
-            "compress",
-            csv.to_str().unwrap(),
-            "/tmp/unused.tocz",
-            "--scheme",
-            "cla",
-            "--cla-sample",
-            "0",
-        ]),
-        "zero planner sample",
     );
     // A chunk of zero rows never fills: rejected, not looped on.
     let path = csv.to_str().unwrap();
@@ -1293,6 +1273,23 @@ fn undeclared_misspelt_repeated_and_inert_flags_exit_1_naming_the_flag() {
     }
     let err = stderr_of_failure(&["compress", d, "/tmp/unused.tocz", "--codec", "ans"]);
     assert!(err.contains("unknown flag --codec"), "{err}");
+    // The CLA planner knobs and the threaded projection went with the
+    // code behind them, on every command that took them.
+    let takers: [&[&str]; 5] = [
+        &["ingest", d, "/tmp/unused.tocz"],
+        &["compress", d, "/tmp/unused.tocz"],
+        &["bench", d],
+        &["train", d],
+        &["serve", d],
+    ];
+    for argv in takers {
+        for flag in ["--cla-planner", "--cla-sample"] {
+            let err = stderr_of_failure(&[argv, &[flag, "1"][..]].concat());
+            assert!(err.contains(&format!("unknown flag {flag}")), "{err}");
+        }
+    }
+    let err = stderr_of_failure(&["decompress", "in.tocz", "out.csv", "--parallel", "2"]);
+    assert!(err.contains("unknown flag --parallel"), "{err}");
     // Wrong positional count.
     let err = stderr_of_failure(&["train"]);
     assert!(err.contains("expected 1 positional"), "{err}");
@@ -1303,7 +1300,6 @@ fn undeclared_misspelt_repeated_and_inert_flags_exit_1_naming_the_flag() {
 /// flags that command accepts (which also pins the per-command counts).
 #[test]
 fn every_command_prints_generated_help_listing_its_flags() {
-    let cla = ["--cla-planner", "--cla-sample"];
     let encode = ["--scheme", "--batch-rows"];
     let model = ["--model", "--epochs", "--lr"];
     let store = ["--budget", "--shards", "--mbps", "--placement"];
@@ -1327,28 +1323,20 @@ fn every_command_prints_generated_help_listing_its_flags() {
         ("gen", vec!["--preset", "--rows", "--seed"]),
         (
             "ingest",
-            [
-                &["--chunk-rows", "--scheme", "--checkpoint-every", "--resume"][..],
-                &cla,
-            ]
-            .concat(),
+            vec!["--chunk-rows", "--scheme", "--checkpoint-every", "--resume"],
         ),
-        (
-            "compress",
-            [&["--scheme", "--segment-rows"][..], &cla].concat(),
-        ),
-        ("decompress", vec!["--rows", "--parallel"]),
+        ("compress", vec!["--scheme", "--segment-rows"]),
+        ("decompress", vec!["--rows"]),
         ("inspect", vec![]),
-        ("bench", [&["--batch-rows"][..], &cla].concat()),
+        ("bench", vec!["--batch-rows"]),
         (
             "train",
-            [&encode[..], &cla, &model, &store, &pipeline, &follow].concat(),
+            [&encode[..], &model, &store, &pipeline, &follow].concat(),
         ),
-        (
-            "serve",
-            [&encode[..], &cla, &model, &store, &serve].concat(),
-        ),
+        ("serve", [&encode[..], &model, &store, &serve].concat()),
     ];
+    let counts: Vec<usize> = table.iter().map(|(_, flags)| flags.len()).collect();
+    assert_eq!(counts, [3, 4, 2, 1, 0, 1, 18, 15]);
     for (cmd, flags) in table {
         for help in ["--help", "-h"] {
             let stdout = assert_ok(&toc(&[cmd, help]), &format!("toc {cmd} {help}"));

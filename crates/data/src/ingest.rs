@@ -57,9 +57,7 @@ use toc_formats::container::{
     fnv1a64, ContainerStreamWriter, SeekableContainer, WriterState, ZoneMap,
 };
 use toc_formats::wire::Rd;
-use toc_formats::{
-    pick_and_encode, AnyBatch, ClaPlanner, EncodeOptions, FormatError, MatrixBatch, Scheme,
-};
+use toc_formats::{pick_and_encode, AnyBatch, EncodeOptions, FormatError, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
 
@@ -518,9 +516,9 @@ pub fn commit(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
 
 /// Hash of everything that must *not* change between the run that wrote
 /// a checkpoint and the run resuming from it: resuming with a different
-/// column count, chunk size, scheme choice, or CLA planner would splice
-/// differently-encoded chunks into one output and silently break the
-/// byte-identity guarantee. FNV-1a over the canonical little-endian
+/// column count, chunk size, scheme choice, or CLA sample size would
+/// splice differently-encoded chunks into one output and silently break
+/// the byte-identity guarantee. FNV-1a over the canonical little-endian
 /// serialization.
 pub fn ingest_config_hash(
     cols: usize,
@@ -533,10 +531,9 @@ pub fn ingest_config_hash(
     buf.extend_from_slice(&(chunk_rows as u64).to_le_bytes());
     // 255 = per-chunk auto-pick (no fixed scheme); valid tags are < 12.
     buf.push(scheme.map_or(255, Scheme::tag));
-    buf.push(match encode.cla.planner {
-        ClaPlanner::Greedy => 0,
-        ClaPlanner::SampleMerge => 1,
-    });
+    // The byte that named the CLA planner while there were two: it keeps
+    // the sample planner's value so sidecars written then still resume.
+    buf.push(1);
     buf.extend_from_slice(&(encode.cla.sample_rows as u64).to_le_bytes());
     fnv1a64(&buf)
 }
@@ -1289,8 +1286,17 @@ mod tests {
             base,
             ingest_config_hash(6, 40, None, &EncodeOptions::default())
         );
-        let mut greedy = EncodeOptions::default();
-        greedy.cla = toc_formats::ClaOptions::greedy();
-        assert_ne!(base, ingest_config_hash(6, 40, Some(Scheme::Toc), &greedy));
+        let mut sampled = EncodeOptions::default();
+        sampled.cla.sample_rows = 64;
+        assert_ne!(base, ingest_config_hash(6, 40, Some(Scheme::Toc), &sampled));
+    }
+
+    /// A sidecar on disk resumes only while its config hashes to what it
+    /// recorded: this is the hash of the `toc ingest` defaults at 69
+    /// columns as computed when the planner was still a choice.
+    #[test]
+    fn config_hash_of_the_ingest_defaults_is_pinned() {
+        let hash = ingest_config_hash(69, 250, None, &EncodeOptions::default());
+        assert_eq!(hash, 0x922c_9807_a474_4755);
     }
 }

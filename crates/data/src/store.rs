@@ -37,7 +37,7 @@ use std::sync::{Arc, Condvar, Mutex, RwLock};
 use std::time::Instant;
 
 use toc_formats::container::SeekableContainer;
-use toc_formats::{AnyBatch, MatrixBatch, Scheme};
+use toc_formats::{AnyBatch, EncodeOptions, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
 
@@ -102,8 +102,6 @@ pub struct StoreConfig {
     /// out-of-order completions (test support; overrides `io`, and its
     /// `device_profiles` override `shard_profiles`).
     pub fault: Option<crate::testing::FaultPlan>,
-    /// Per-scheme encoding knobs (CLA planner choice and sample size).
-    pub encode: toc_formats::EncodeOptions,
     /// Bounded sealed-chunk budget for streaming ingestion: when > 0,
     /// [`ShardedSpillStore::append_sealed`] blocks while more than this
     /// many appended segments are sealed but not yet consumed by any
@@ -128,7 +126,6 @@ impl StoreConfig {
             scheduler: SchedulerConfig::default(),
             shard_profiles: Vec::new(),
             fault: None,
-            encode: toc_formats::EncodeOptions::default(),
             max_pending: 0,
         }
     }
@@ -137,12 +134,6 @@ impl StoreConfig {
     /// ingestion (`0` = unbounded, never block the producer).
     pub fn with_max_pending(mut self, max_pending: usize) -> Self {
         self.max_pending = max_pending;
-        self
-    }
-
-    /// Builder-style encoding-options override.
-    pub fn with_encode_options(mut self, encode: toc_formats::EncodeOptions) -> Self {
-        self.encode = encode;
         self
     }
 
@@ -374,7 +365,7 @@ impl<'a> StoreBuilder<'a> {
         let config = self.config;
         let sealed = self
             .ws
-            .seal_with(Some(config.scheme), &config.encode, |_| ());
+            .seal_with(Some(config.scheme), &EncodeOptions::default(), |_| ());
         let Some((_, batch, (), rows)) = sealed else {
             return Ok(());
         };

@@ -14,26 +14,18 @@
 //!
 //! ## Choosing column groups
 //!
-//! Which columns get co-coded is decided by one of two planners
-//! ([`ClaOptions::planner`]):
+//! Which columns get co-coded is decided by the [`planner`] module's
+//! sample-based two-phase plan, CLA's own compression planning: estimate
+//! per-column distinct counts and pairwise co-occurrence cardinalities
+//! from a sample of [`ClaOptions::sample_rows`] rows, greedy-merge the
+//! pair of groups with the best estimated size reduction until no merge
+//! helps, then materialize the dictionaries in one full pass. It finds
+//! non-adjacent correlated columns and refuses merges that would grow the
+//! encoding.
 //!
-//! * [`ClaPlanner::Greedy`] — the historical left-to-right scan: extend
-//!   the current group with the next column while the merged dictionary
-//!   stays under [`MAX_DICT_ENTRIES`]. Cheap and exact, but it merges
-//!   *whenever it can*, not whenever it helps, and it can only group
-//!   adjacent columns.
-//! * [`ClaPlanner::SampleMerge`] (default) — the [`planner`] module's
-//!   sample-based two-phase plan: estimate per-column distinct counts and
-//!   pairwise co-occurrence cardinalities from a row sample, greedy-merge
-//!   the pair of groups with the best estimated size reduction until no
-//!   merge helps, then materialize the dictionaries in one full pass.
-//!   Finds non-adjacent correlated columns and refuses harmful merges;
-//!   costs an `O(cols²)` estimate scan bounded by
-//!   [`ClaOptions::sample_rows`].
-//!
-//! Both planners emit the same self-describing wire format (each group
-//! lists its columns), so containers encoded under either plan — or under
-//! pre-planner versions of this crate — decode identically.
+//! The wire format is self-describing (each group lists its columns), so
+//! any partition of the columns decodes — including the adjacent
+//! left-to-right groups that earlier greedy-encoded files hold.
 
 use crate::wire::{put_f64s, put_u32, put_u32s, Rd};
 use crate::{ExecScratch, FormatError, MatrixBatch, Scheme};
@@ -41,13 +33,11 @@ use std::collections::HashMap;
 use toc_linalg::DenseMatrix;
 
 pub mod planner;
-pub use planner::{ClaOptions, ClaPlan, ClaPlanner, MAX_DICT_ENTRIES, MAX_GROUP_COLS};
+pub use planner::{ClaOptions, ClaPlan, MAX_DICT_ENTRIES, MAX_GROUP_COLS};
 
 /// Max dictionary entries per co-coded group (keeps row indexes 1 byte and
 /// per-op precompute tables small, mirroring CLA's sample-based cutoffs).
 const DICT_CAP: usize = MAX_DICT_ENTRIES;
-/// Max columns co-coded into one group.
-const GROUP_CAP: usize = MAX_GROUP_COLS;
 
 fn idx_width(n: usize) -> usize {
     match n.saturating_sub(1) {
@@ -81,17 +71,14 @@ pub struct ClaBatch {
 }
 
 impl ClaBatch {
-    /// Encode with the default options ([`ClaPlanner::SampleMerge`]).
+    /// Encode with the default planner options.
     pub fn encode(dense: &DenseMatrix) -> Self {
         Self::encode_with(dense, &ClaOptions::default())
     }
 
     /// Encode with explicit planner options.
     pub fn encode_with(dense: &DenseMatrix, opts: &ClaOptions) -> Self {
-        match opts.planner {
-            ClaPlanner::Greedy => Self::encode_greedy(dense),
-            ClaPlanner::SampleMerge => Self::materialize(dense, &planner::plan(dense, opts)),
-        }
+        Self::materialize(dense, &planner::plan(dense, opts))
     }
 
     /// Materialize a planned group layout: one full pass per group builds
@@ -177,89 +164,6 @@ impl ClaBatch {
         } else {
             Group::Ddc { cols, dict, rowidx }
         }
-    }
-
-    /// Greedy left-to-right co-coding: extend the current group with the
-    /// next column while the merged dictionary stays under the dictionary cap (256 entries).
-    pub fn encode_greedy(dense: &DenseMatrix) -> Self {
-        let rows = dense.rows();
-        let cols = dense.cols();
-        let mut groups: Vec<Group> = Vec::new();
-
-        let mut c = 0usize;
-        while c < cols {
-            // Seed a group with column c.
-            let mut map: HashMap<(u32, u64), u32> = HashMap::new();
-            let mut dict: Vec<f64> = Vec::new();
-            let mut rowidx: Vec<u32> = Vec::with_capacity(rows);
-            #[allow(clippy::needless_range_loop)] // r indexes both the matrix and rowidx
-            for r in 0..rows {
-                let bits = dense.get(r, c).to_bits();
-                let next = dict.len() as u32;
-                let id = *map.entry((0, bits)).or_insert_with(|| {
-                    dict.push(dense.get(r, c));
-                    next
-                });
-                rowidx.push(id);
-            }
-            let mut group_cols = vec![c as u32];
-            let mut n_entries = dict.len();
-
-            if n_entries > DICT_CAP && n_entries * 2 > rows {
-                // Incompressible column: UC fallback.
-                groups.push(Group::Uc {
-                    col: c as u32,
-                    values: (0..rows).map(|r| dense.get(r, c)).collect(),
-                });
-                c += 1;
-                continue;
-            }
-
-            // Try to extend with following columns.
-            let mut next_col = c + 1;
-            while next_col < cols && group_cols.len() < GROUP_CAP && n_entries <= DICT_CAP {
-                // Candidate dictionary: distinct (current entry, new value).
-                let mut cand: HashMap<(u32, u64), u32> = HashMap::new();
-                let mut cand_rowidx: Vec<u32> = Vec::with_capacity(rows);
-                let mut pairs: Vec<(u32, f64)> = Vec::new();
-                #[allow(clippy::needless_range_loop)] // r indexes the matrix and rowidx
-                for r in 0..rows {
-                    let v = dense.get(r, next_col);
-                    let key = (rowidx[r], v.to_bits());
-                    let next = pairs.len() as u32;
-                    let id = *cand.entry(key).or_insert_with(|| {
-                        pairs.push((rowidx[r], v));
-                        next
-                    });
-                    cand_rowidx.push(id);
-                }
-                if pairs.len() > DICT_CAP {
-                    break;
-                }
-                // Accept: rebuild the flattened dictionary.
-                let width = group_cols.len();
-                let mut new_dict = Vec::with_capacity(pairs.len() * (width + 1));
-                for &(old_id, v) in &pairs {
-                    let old = &dict[old_id as usize * width..(old_id as usize + 1) * width];
-                    new_dict.extend_from_slice(old);
-                    new_dict.push(v);
-                }
-                dict = new_dict;
-                rowidx = cand_rowidx;
-                group_cols.push(next_col as u32);
-                n_entries = pairs.len();
-                next_col += 1;
-            }
-
-            c = next_col;
-            groups.push(Group::Ddc {
-                cols: group_cols,
-                dict,
-                rowidx,
-            });
-        }
-
-        Self { rows, cols, groups }
     }
 
     pub fn from_body(body: &[u8]) -> Result<Self, FormatError> {
@@ -682,12 +586,25 @@ mod tests {
         assert!(ClaBatch::from_body(&[0, 0, 0]).is_err());
     }
 
+    /// A batch of the given column groups, whatever the planner would pick.
+    fn with_groups(m: &DenseMatrix, groups: Vec<Vec<u32>>) -> ClaBatch {
+        let plan = ClaPlan {
+            groups,
+            est_bytes: 0,
+            sample_rows: 0,
+            exact: false,
+        };
+        ClaBatch::materialize(m, &plan)
+    }
+
     #[test]
     fn non_partition_group_layouts_are_rejected() {
-        // Greedy co-codes all 5 redundant columns into one DDC group, so
-        // the wire layout is: tag, rows, cols, n_groups, group tag, col
-        // list (len at 14..18, first col at 18..22, second at 22..26).
-        let b = ClaBatch::encode_with(&redundant_matrix(10, 5), &ClaOptions::greedy());
+        // All 5 redundant columns in one DDC group — the adjacent
+        // multi-column layout that greedy-encoded files hold — so the wire
+        // layout is: tag, rows, cols, n_groups, group tag, col list (len
+        // at 14..18, first col at 18..22, second at 22..26).
+        let b = with_groups(&redundant_matrix(10, 5), vec![vec![0, 1, 2, 3, 4]]);
+        assert_eq!(b.num_groups(), 1);
         let good = b.to_bytes();
         assert_eq!(ClaBatch::from_body(&good[1..]).unwrap(), b);
         // Duplicate column: [0,1,2,3,4] -> [0,0,2,3,4].
@@ -727,39 +644,29 @@ mod tests {
     }
 
     #[test]
-    fn both_planners_roundtrip_and_interchange_on_the_wire() {
-        let a = redundant_matrix(80, 25);
-        for opts in [ClaOptions::greedy(), ClaOptions::default()] {
-            let b = ClaBatch::encode_with(&a, &opts);
-            assert_eq!(b.decode(), a, "{:?}", opts.planner);
-            let restored = ClaBatch::from_body(&b.to_bytes()[1..]).unwrap();
-            assert_eq!(restored, b, "{:?}", opts.planner);
-        }
-    }
-
-    #[test]
     fn sampled_planner_skips_harmful_merges() {
-        // Two independent 16-value columns: greedy co-codes them (joint
-        // dictionary 256 <= cap) even though that inflates the encoding;
-        // the sampled planner keeps them apart.
+        // Two independent 16-value columns: their joint dictionary (256
+        // entries) fits the cap, but co-coding them inflates the
+        // encoding, so the planner keeps them apart.
         let rows = 800;
         let mut m = DenseMatrix::zeros(rows, 2);
         for r in 0..rows {
             m.set(r, 0, ((r * 7 + 3) % 16) as f64);
             m.set(r, 1, ((r * 13 + 5) % 17 % 16) as f64 + 100.0);
         }
-        let greedy = ClaBatch::encode_with(&m, &ClaOptions::greedy());
+        let joint = with_groups(&m, vec![vec![0, 1]]);
         let sampled = ClaBatch::encode_with(&m, &ClaOptions::default());
-        assert_eq!(greedy.num_groups(), 1);
+        assert_eq!(joint.num_groups(), 1);
         assert_eq!(sampled.num_groups(), 2);
-        assert!(sampled.size_bytes() < greedy.size_bytes());
-        assert_eq!(sampled.decode(), greedy.decode());
+        assert!(sampled.size_bytes() < joint.size_bytes());
+        assert_eq!(sampled.decode(), m);
+        assert_eq!(joint.decode(), m);
     }
 
     #[test]
     fn sampled_planner_finds_non_adjacent_pairs() {
-        // col2 duplicates col0; greedy can only group neighbors, the
-        // planner pairs them across the independent col1.
+        // col2 duplicates col0; the planner pairs them across the
+        // independent col1.
         let rows = 300;
         let mut m = DenseMatrix::zeros(rows, 3);
         for r in 0..rows {

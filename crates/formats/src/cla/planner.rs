@@ -20,14 +20,17 @@
 //! ([`super::ClaBatch::encode_with`]) then builds the dictionaries in one
 //! full pass over the planned groups.
 //!
-//! When is greedy left-to-right still the better choice? On narrow
-//! matrices whose correlated columns are adjacent (the common CSV layout),
-//! greedy finds the same groups without the `O(cols²)` pairwise scan, and
-//! its merge test is exact rather than estimated. The conformance
-//! suite's `planner_ratio_snapshot_for_logs` prints both planners' ratios,
-//! and toc-data's
-//! `sampled_cla_planner_beats_greedy_on_correlated_wide_matrix` asserts
-//! the ordering on the wide correlated matrix.
+//! It is the only planner. A greedy left-to-right scan (extend the
+//! current group with the next column while the joint dictionary fits)
+//! skips the `O(cols²)` pairwise scan and encoded up to 17× faster on
+//! narrow census-like batches, but it merges whenever it can rather than
+//! whenever it helps and never pairs non-adjacent columns: it compressed
+//! up to 2× worse (imagenet-like 4.9× against this planner's 10.1×), and
+//! no workload chose it. The conformance suite's
+//! `planner_ratio_snapshot_for_logs` prints this planner's ratio against
+//! DEN, and toc-data's
+//! `sampled_cla_planner_beats_greedy_on_correlated_wide_matrix` holds it
+//! above the ratio greedy reached on that wide correlated matrix.
 
 use toc_core::hash::{value_key, FxHashMap};
 use toc_linalg::DenseMatrix;
@@ -41,65 +44,18 @@ pub const MAX_DICT_ENTRIES: usize = 256;
 /// Max columns co-coded into one group.
 pub const MAX_GROUP_COLS: usize = 16;
 
-/// Which grouping algorithm [`super::ClaBatch::encode_with`] runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ClaPlanner {
-    /// Historical behavior: extend the current group with the next column
-    /// left-to-right while the merged dictionary stays under
-    /// [`MAX_DICT_ENTRIES`] — even when the merge *grows* the encoding.
-    Greedy,
-    /// Sample-based greedy-merge planning (this module).
-    #[default]
-    SampleMerge,
-}
-
-impl ClaPlanner {
-    pub fn name(self) -> &'static str {
-        match self {
-            ClaPlanner::Greedy => "greedy",
-            ClaPlanner::SampleMerge => "sample",
-        }
-    }
-}
-
-impl std::str::FromStr for ClaPlanner {
-    type Err = String;
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "greedy" => Ok(ClaPlanner::Greedy),
-            "sample" | "sample-merge" | "samplemerge" => Ok(ClaPlanner::SampleMerge),
-            other => Err(format!("unknown CLA planner {other:?} (greedy|sample)")),
-        }
-    }
-}
-
 /// CLA encoding options.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ClaOptions {
-    /// Grouping algorithm.
-    pub planner: ClaPlanner,
-    /// Rows the sample-based planner inspects during planning. Values
-    /// `>= nrows` degenerate to an exact plan (estimates become exact
-    /// counts over the whole batch).
+    /// Rows the planner inspects during planning. Values `>= nrows`
+    /// degenerate to an exact plan (estimates become exact counts over
+    /// the whole batch).
     pub sample_rows: usize,
 }
 
 impl Default for ClaOptions {
     fn default() -> Self {
-        Self {
-            planner: ClaPlanner::SampleMerge,
-            sample_rows: 256,
-        }
-    }
-}
-
-impl ClaOptions {
-    /// The historical greedy left-to-right encoder.
-    pub fn greedy() -> Self {
-        Self {
-            planner: ClaPlanner::Greedy,
-            sample_rows: 0,
-        }
+        Self { sample_rows: 256 }
     }
 }
 
@@ -589,20 +545,8 @@ mod tests {
     #[test]
     fn full_sample_is_exact() {
         let m = correlated(50);
-        let a = plan(
-            &m,
-            &ClaOptions {
-                planner: ClaPlanner::SampleMerge,
-                sample_rows: 50,
-            },
-        );
-        let b = plan(
-            &m,
-            &ClaOptions {
-                planner: ClaPlanner::SampleMerge,
-                sample_rows: 5000,
-            },
-        );
+        let a = plan(&m, &ClaOptions { sample_rows: 50 });
+        let b = plan(&m, &ClaOptions { sample_rows: 5000 });
         assert!(a.exact && b.exact);
         assert_eq!(a, b);
     }
@@ -778,10 +722,7 @@ mod tests {
             for seed in 0..seeds {
                 let m = entangled(rows, cols, seed);
                 for sample_rows in [32, 256] {
-                    let opts = ClaOptions {
-                        sample_rows,
-                        ..ClaOptions::default()
-                    };
+                    let opts = ClaOptions { sample_rows };
                     assert_eq!(
                         plan(&m, &opts),
                         reference::plan(&m, &opts),

@@ -1257,18 +1257,6 @@ impl<S: Source> SeekableContainer<S> {
     /// says intersect the range and trimming the partial segments at the
     /// edges.
     pub fn decode_rows(&self, r0: usize, r1: usize) -> Result<DenseMatrix, FormatError> {
-        self.decode_rows_parallel(r0, r1, 1)
-    }
-
-    /// [`Self::decode_rows`] with the touched segments decoded by
-    /// `workers` threads (1 = inline). Output is identical to the serial
-    /// path; only the read/decode order varies.
-    pub fn decode_rows_parallel(
-        &self,
-        r0: usize,
-        r1: usize,
-        workers: usize,
-    ) -> Result<DenseMatrix, FormatError> {
         let rows = self.total_rows();
         if r0 > r1 || r1 > rows {
             return Err(FormatError::RowRange {
@@ -1277,50 +1265,18 @@ impl<S: Source> SeekableContainer<S> {
                 rows,
             });
         }
-        let mut out = DenseMatrix::zeros(r1 - r0, self.cols());
-        let segs = self.footer.segments_overlapping_rows(r0 as u64, r1 as u64);
-        // Each decoded segment lands in a disjoint row band of `out`; a
-        // worker returns (output row offset, trimmed rows) and the main
-        // thread copies them in.
-        let decode_one = |idx: usize| -> Result<(usize, DenseMatrix), FormatError> {
+        let cols = self.cols();
+        let mut out = DenseMatrix::zeros(r1 - r0, cols);
+        let mut part = DenseMatrix::default();
+        // Each touched segment's rows in the range land in their own band
+        // of `out`.
+        for idx in self.footer.segments_overlapping_rows(r0 as u64, r1 as u64) {
             let leaf = &self.leaves[idx];
             let (seg_start, seg_end) = (leaf.row_start as usize, leaf.row_end as usize);
-            let batch = self.segment(idx)?;
-            let lo = r0.max(seg_start) - seg_start;
-            let hi = r1.min(seg_end) - seg_start;
-            let mut part = DenseMatrix::default();
-            batch.decode_rows_into(lo, hi, &mut part);
-            Ok((seg_start + lo - r0, part))
-        };
-        let workers = workers.max(1).min(segs.len().max(1));
-        let parts: Vec<Result<(usize, DenseMatrix), FormatError>> = if workers <= 1 {
-            segs.iter().map(|&i| decode_one(i)).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        let segs = &segs;
-                        let decode_one = &decode_one;
-                        scope.spawn(move || {
-                            segs.iter()
-                                .skip(w)
-                                .step_by(workers)
-                                .map(|&i| decode_one(i))
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("decode worker panicked"))
-                    .collect()
-            })
-        };
-        for part in parts {
-            let (at, rows) = part?;
-            for r in 0..rows.rows() {
-                out.row_mut(at + r).copy_from_slice(rows.row(r));
-            }
+            let (lo, hi) = (r0.max(seg_start), r1.min(seg_end));
+            self.segment(idx)?
+                .decode_rows_into(lo - seg_start, hi - seg_start, &mut part);
+            out.data_mut()[(lo - r0) * cols..(hi - r0) * cols].copy_from_slice(part.data());
         }
         Ok(out)
     }

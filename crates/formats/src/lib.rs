@@ -26,7 +26,7 @@ pub mod den;
 pub mod gcform;
 pub mod tocform;
 
-pub use cla::{ClaOptions, ClaPlanner};
+pub use cla::ClaOptions;
 
 use toc_core::hash::{value_key, FxHashMap};
 use toc_linalg::DenseMatrix;
@@ -398,16 +398,15 @@ impl Scheme {
     /// scheme — the quantity scheme selection minimizes, and so the
     /// *definition* of what [`pick_scheme`] / [`pick_and_encode`] return.
     /// DEN's size is its shape's and ANS's comes from one histogram pass
-    /// over the DEN bytes; CLA under [`ClaPlanner::SampleMerge`] reports
-    /// its planner's [`cla::ClaPlan::est_bytes`] (no dictionaries are
-    /// built); every other scheme — CSR, CVI and DVI included — probes by
-    /// encoding.
+    /// over the DEN bytes; CLA reports its planner's
+    /// [`cla::ClaPlan::est_bytes`] (no dictionaries are built); every
+    /// other scheme — CSR, CVI and DVI included — probes by encoding.
     ///
     /// This always does the full work for its one scheme. Selection
     /// reaches the same argmin with less (see [`pick_and_encode`]: one
     /// value-count pass prices DEN, CSR, CVI, DVI and ANS together, and
-    /// only Snappy\*, Gzip\*, TOC and greedy CLA are probed); this stays
-    /// public as the oracle its tests compare against.
+    /// only Snappy\*, Gzip\* and TOC are probed); this stays public as the
+    /// oracle its tests compare against.
     pub fn estimate_encoded_size(self, dense: &DenseMatrix, opts: &EncodeOptions) -> usize {
         match self {
             Scheme::Den => dense.den_size_bytes(),
@@ -423,7 +422,7 @@ impl Scheme {
                 }
                 ans_size_from_hist(&hist, dense.data().len())
             }
-            _ if self.is_planned_cla(opts) => cla::planner::plan(dense, &opts.cla).est_bytes,
+            Scheme::Cla => cla::planner::plan(dense, &opts.cla).est_bytes,
             _ => self.encode_with(dense, opts).size_bytes(),
         }
     }
@@ -459,17 +458,12 @@ impl Scheme {
 
     /// When [`select`] evaluates this candidate: the two whose work a
     /// small enough leader saves go after everything else.
-    fn selection_rank(self, opts: &EncodeOptions) -> u8 {
+    fn selection_rank(self) -> u8 {
         match self {
             Scheme::Snappy => 1,
-            _ if self.is_planned_cla(opts) => 2,
+            Scheme::Cla => 2,
             _ => 0,
         }
-    }
-
-    /// CLA judged by its sample-merge plan instead of an encode probe.
-    fn is_planned_cla(self, opts: &EncodeOptions) -> bool {
-        self == Scheme::Cla && opts.cla.planner == ClaPlanner::SampleMerge
     }
 
     /// Deserialize a batch previously produced by
@@ -622,7 +616,7 @@ enum Lead {
 fn select(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOptions) -> (Scheme, Lead) {
     assert!(!candidates.is_empty(), "no candidate schemes");
     let mut order: Vec<usize> = (0..candidates.len()).collect();
-    order.sort_by_key(|&i| candidates[i].selection_rank(opts));
+    order.sort_by_key(|&i| candidates[i].selection_rank());
     let mut stats = None;
     // The chunk's DEN bytes, serialised once for both LZ probes.
     let mut den_bytes = None;
@@ -641,7 +635,7 @@ fn select(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOptions) -> (
         let scheme = candidates[idx];
         let (size, lead) = if let Some(size) = scheme.size_from_stats(dense, &mut stats) {
             (size, Lead::Unencoded)
-        } else if scheme.is_planned_cla(opts) {
+        } else if scheme == Scheme::Cla {
             match cla::planner::plan_within(dense, &opts.cla, budget) {
                 Some(plan) => (plan.est_bytes, Lead::Plan(plan)),
                 None => continue,
@@ -686,9 +680,9 @@ pub fn pick_scheme(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOpti
 /// byte. Sizes are computed where they can be and probed where they must:
 /// DEN, CSR, CVI, DVI and ANS are priced from one value-count pass over
 /// the chunk and encoded only if they win; Snappy\*, Gzip\* (over one
-/// serialisation of the chunk), TOC and greedy CLA are probe-encoded, and
-/// a probed winner hands over the batch its estimate built; planned CLA is
-/// materialized from the plan that won it the pick. At most the leader's
+/// serialisation of the chunk) and TOC are probe-encoded, and a probed
+/// winner hands over the batch its estimate built; CLA is materialized
+/// from the plan that won it the pick. At most the leader's
 /// and one challenger's batch are alive at a time.
 pub fn pick_and_encode(
     dense: &DenseMatrix,

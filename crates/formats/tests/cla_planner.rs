@@ -5,7 +5,7 @@
 //! sample covers every row.
 
 use proptest::prelude::*;
-use toc_formats::cla::{planner, ClaBatch, ClaOptions, ClaPlanner, Group, MAX_DICT_ENTRIES};
+use toc_formats::cla::{planner, ClaBatch, ClaOptions, Group, MAX_DICT_ENTRIES};
 use toc_formats::MatrixBatch;
 use toc_linalg::DenseMatrix;
 
@@ -44,10 +44,7 @@ fn gen_matrix(
 }
 
 fn sample_opts(sample_rows: usize) -> ClaOptions {
-    ClaOptions {
-        planner: ClaPlanner::SampleMerge,
-        sample_rows,
-    }
+    ClaOptions { sample_rows }
 }
 
 proptest! {

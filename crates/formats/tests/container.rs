@@ -338,9 +338,6 @@ proptest! {
         for r in r0..r1 {
             prop_assert_eq!(part.row(r - r0), m.row(r));
         }
-        // And the same with the touched segments decoded on two threads.
-        let part2 = reader.decode_rows_parallel(r0, r1, 2).unwrap();
-        prop_assert_eq!(part.data(), part2.data());
     }
 
     /// Footer row-range pruning is sound and tight: the reported segments

@@ -1,7 +1,7 @@
 //! Scheme selection does less work than its definition, never a
 //! different thing: `pick_and_encode` must return exactly
 //! `(argmin of Scheme::estimate_encoded_size, encode_with(..))`, ties to
-//! the earlier candidate, for any candidate list and either CLA planner;
+//! the earlier candidate, for any candidate list;
 //! `plan_within`'s bound may only skip work; and sealing a chunk must not
 //! depend on what the workspace sealed before (what `--resume` rests on).
 //!
@@ -15,21 +15,8 @@ use std::cell::OnceCell;
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_data::EncodeWorkspace;
 use toc_formats::cla::planner::{plan, plan_within};
-use toc_formats::{
-    pick_and_encode, pick_scheme, ClaOptions, ClaPlanner, EncodeOptions, MatrixBatch, Scheme,
-};
+use toc_formats::{pick_and_encode, pick_scheme, ClaOptions, EncodeOptions, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
-
-const PLANNERS: [ClaOptions; 2] = [
-    ClaOptions {
-        planner: ClaPlanner::SampleMerge,
-        sample_rows: 256,
-    },
-    ClaOptions {
-        planner: ClaPlanner::Greedy,
-        sample_rows: 0,
-    },
-];
 
 /// The definition, computed once per `(matrix, options)` for every scheme
 /// in `AUTO_SET`: the estimate selection minimizes, and (on first use)
@@ -93,35 +80,31 @@ fn subsets() -> impl Iterator<Item = Vec<Scheme>> {
 }
 
 /// All 511 subsets, each in `AUTO_SET` order and reversed (so every pair
-/// of schemes meets in both orders), under both planners.
+/// of schemes meets in both orders).
 fn check_all_subsets(dense: &DenseMatrix) {
-    for cla in PLANNERS {
-        let opts = EncodeOptions { cla };
-        let oracle = Oracle::new(dense, &opts);
-        for mut candidates in subsets() {
-            oracle.check(dense, &candidates, &opts);
-            candidates.reverse();
-            oracle.check(dense, &candidates, &opts);
-        }
+    let opts = EncodeOptions::default();
+    let oracle = Oracle::new(dense, &opts);
+    for mut candidates in subsets() {
+        oracle.check(dense, &candidates, &opts);
+        candidates.reverse();
+        oracle.check(dense, &candidates, &opts);
     }
 }
 
 /// The candidate lists tried on the (much larger) preset chunks: the full
-/// set both ways round and, where CLA is planned and so evaluated out of
-/// order, CLA in both orders against its strongest rival (the pick that
-/// decides `AUTO_SET`) and against DEN (which CLA usually beats, so the
-/// winner is materialized from its plan).
-fn preset_candidate_lists(oracle: &Oracle, cla: &ClaOptions) -> Vec<Vec<Scheme>> {
+/// set both ways round and, since CLA is evaluated out of order, CLA in
+/// both orders against its strongest rival (the pick that decides
+/// `AUTO_SET`) and against DEN (which CLA usually beats, so the winner is
+/// materialized from its plan).
+fn preset_candidate_lists(oracle: &Oracle) -> Vec<Vec<Scheme>> {
     let mut lists = vec![
         Scheme::AUTO_SET.to_vec(),
         Scheme::AUTO_SET.iter().rev().copied().collect(),
     ];
-    if cla.planner == ClaPlanner::SampleMerge {
-        let others = Scheme::AUTO_SET.map(|s| if s == Scheme::Cla { Scheme::Den } else { s });
-        for s in [Scheme::AUTO_SET[oracle.pick(&others)], Scheme::Den] {
-            lists.push(vec![Scheme::Cla, s]);
-            lists.push(vec![s, Scheme::Cla]);
-        }
+    let others = Scheme::AUTO_SET.map(|s| if s == Scheme::Cla { Scheme::Den } else { s });
+    for s in [Scheme::AUTO_SET[oracle.pick(&others)], Scheme::Den] {
+        lists.push(vec![Scheme::Cla, s]);
+        lists.push(vec![s, Scheme::Cla]);
     }
     lists
 }
@@ -173,7 +156,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         let m = small_matrix(rows, cols, density, dup, seed);
-        let opts = ClaOptions { sample_rows, ..ClaOptions::default() };
+        let opts = ClaOptions { sample_rows };
         let full = plan(&m, &opts);
         prop_assert_eq!(plan_within(&m, &opts, usize::MAX).as_ref(), Some(&full));
         prop_assert_eq!(plan_within(&m, &opts, full.est_bytes).as_ref(), Some(&full));
@@ -194,23 +177,21 @@ fn narrowed(m: &DenseMatrix, cols: usize) -> DenseMatrix {
     out
 }
 
-/// Every preset at every chunk size, under both planners. The three wide
-/// presets are cut to their first 96 columns (`deep1b`'s width) so the
-/// debug-profile run stays in seconds; the release-only gate at the end
-/// of this file runs `AUTO_SET` over their full-width, windowed chunks.
+/// Every preset at every chunk size. The three wide presets are cut to
+/// their first 96 columns (`deep1b`'s width) so the debug-profile run
+/// stays in seconds; the release-only gate at the end of this file runs
+/// `AUTO_SET` over their full-width, windowed chunks.
 #[test]
-fn presets_match_the_definition_in_both_planner_regimes() {
+fn presets_match_the_definition() {
+    let opts = EncodeOptions::default();
     for preset in DatasetPreset::ALL {
         let x = generate_preset(preset, 500, 11).x;
         let x = narrowed(&x, x.cols().min(96));
         for rows in CHUNK_ROWS {
             let dense = x.slice_rows(0, rows);
-            for cla in PLANNERS {
-                let opts = EncodeOptions { cla };
-                let oracle = Oracle::new(&dense, &opts);
-                for candidates in preset_candidate_lists(&oracle, &cla) {
-                    oracle.check(&dense, &candidates, &opts);
-                }
+            let oracle = Oracle::new(&dense, &opts);
+            for candidates in preset_candidate_lists(&oracle) {
+                oracle.check(&dense, &candidates, &opts);
             }
         }
     }
@@ -260,10 +241,7 @@ fn lower_bound_never_exceeds_the_plan() {
     ];
     for (name, m) in &inputs {
         for sample_rows in [16, 256] {
-            let opts = ClaOptions {
-                sample_rows,
-                ..ClaOptions::default()
-            };
+            let opts = ClaOptions { sample_rows };
             let full = plan(m, &opts);
             assert_eq!(
                 plan_within(m, &opts, full.est_bytes).as_ref(),
