@@ -102,9 +102,10 @@ pub fn append_history(path: &str, fresh_header: &str, entry: &str) -> std::io::R
     toc_data::commit(std::path::Path::new(path), out.as_bytes())
 }
 
-/// Where and how a binary records its run: `--out=` (default: the
-/// committed file at the repo root), `--pr=` and `--note=`. Read from the
-/// arguments before anything is measured, used once at the end.
+/// Where and how `paper` records its run: `--out=` (default: the
+/// committed `BENCH_paper.json` at the repo root), `--pr=` and `--note=`.
+/// Read from the arguments before anything is measured, used once at the
+/// end.
 pub struct History {
     pub out: String,
     pr: u32,
@@ -112,8 +113,8 @@ pub struct History {
 }
 
 impl History {
-    pub fn from_args(args: &mut Args, file: &str) -> Self {
-        let default = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+    pub fn from_args(args: &mut Args) -> Self {
+        let default = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_paper.json").to_string();
         Self {
             out: args.get("out", default),
             pr: args.get("pr", 0),

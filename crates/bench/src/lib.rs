@@ -2,13 +2,12 @@
 //! # toc-bench — the experiment harness
 //!
 //! `--bin paper` runs the paper's evaluation (Figures 2, 5–12, Tables
-//! 6–7) from one figure table, [`figures::figures`], checks every
-//! figure's expected shape and appends one entry per figure to
-//! `BENCH_paper.json`; `store_scaling`, `seek_bench`, `tenant_scaling`
-//! and `ingest_scaling` are the system gates; `bench_compare` reads the
-//! histories back. This library holds what they share: timing, aligned
-//! table printing, strict `--key=value` arguments, the history writer and
-//! reader, and the end-to-end MGD runner.
+//! 6–7) and the system figures (`store`, `tenant`, `ingest`) from one
+//! figure table, [`figures::figures`], checks every figure's expected
+//! shape and appends one entry per figure to `BENCH_paper.json`;
+//! `bench_compare` reads the histories back. This library holds what they
+//! share: timing, aligned table printing, strict `--key=value` arguments,
+//! the history writer and reader, and the end-to-end MGD runner.
 
 pub mod figures;
 pub mod history;
@@ -165,11 +164,6 @@ pub fn fmt_duration(d: Duration) -> String {
     }
 }
 
-/// Format a ratio with one decimal.
-pub fn fmt_ratio(r: f64) -> String {
-    format!("{r:.1}x")
-}
-
 /// Throughput in MB/s for `bytes` moved in `d`.
 pub fn mb_per_s(bytes: usize, d: Duration) -> f64 {
     bytes as f64 / 1e6 / d.as_secs_f64().max(1e-12)
@@ -264,9 +258,9 @@ pub fn end_to_end_store(ds: &Dataset, scheme: Scheme, memory_budget: usize) -> S
 
 /// Wall-clock time for `threads` concurrent visitors to sweep every batch
 /// of `provider` once (batch indices striped across visitors). This is
-/// the read-path microbenchmark behind the `store_scaling` binary: on a
-/// spilled store it measures exactly how much the visitors serialize on
-/// the spill IO.
+/// the read-path microbenchmark behind the `store` figure: on a spilled
+/// store it measures exactly how much the visitors serialize on the spill
+/// IO.
 pub fn sweep_store(provider: &(dyn BatchProvider + Sync), threads: usize) -> Duration {
     let t0 = Instant::now();
     std::thread::scope(|scope| {
@@ -350,7 +344,6 @@ mod tests {
         assert_eq!(fmt_duration(Duration::from_micros(5)), "5.0us");
         assert_eq!(fmt_duration(Duration::from_millis(12)), "12.0ms");
         assert_eq!(fmt_duration(Duration::from_secs(3)), "3.00s");
-        assert_eq!(fmt_ratio(12.34), "12.3x");
     }
 
     #[test]

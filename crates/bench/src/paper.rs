@@ -33,6 +33,8 @@ impl Unit {
         match self {
             Unit::Ratio | Unit::Percent => format!("{v:.1}"),
             Unit::Accuracy => format!("{v:.3}"),
+            // Mixed columns hold counts too: those print whole.
+            Unit::Plain if v.fract() == 0.0 => format!("{v:.0}"),
             Unit::Plain | Unit::Seconds => format!("{v:.2}"),
             Unit::Count => format!("{v:.0}"),
             Unit::Micros => fmt_duration(Duration::from_secs_f64(v / 1e6)),
@@ -416,7 +418,23 @@ pub const HEADER: &str = r#"{
     "error_pct": {"what": "fig11: error rate on the held-out fifth after each epoch", "better": "same", "tolerance": 0.02},
     "encode_mb_s": {"what": "fig12: MB/s of dense payload through Scheme::encode of one 250-row batch", "better": "higher", "tolerance": 0.5},
     "decode_mb_s": {"what": "fig12: MB/s of dense payload out of MatrixBatch::decode", "better": "higher", "tolerance": 0.5},
-    "gate": "fig12: per leg, the chunked / table-driven decode kernel against the retained *_scalar reference kernel, microseconds; the aggregate speedup is asserted >= 2.0"
+    "gate": "fig12: per leg, the chunked / table-driven decode kernel against the retained *_scalar reference kernel, microseconds; the aggregate speedup is asserted >= 2.0",
+    "matrix": "store: census-like 12 000 rows in DEN batches of 250, all spilled over 4 modelled shards of 400 MB/s; no prefetch (workers 0), then each engine at depth 8 with 1 / 2 / 4 / 8 decode workers, the ring on its pack layout with one IO thread per shard",
+    "sweep_1v_ms": {"what": "median of 5 sweeps, one visitor visiting every spilled batch once", "better": "lower", "tolerance": 1.0},
+    "sweep_4v_ms": {"what": "the same with the batches striped over 4 concurrent visitors", "better": "lower", "tolerance": 1.0},
+    "best_vs_none": {"what": "no-prefetch sweep_1v_ms / the engine's fastest row (asserted >= 1.3)", "better": "higher", "tolerance": 0.5},
+    "adaptive_vs_pack": {"what": "store: steady-state epoch MB/s (pack_mb_s, adaptive_mb_s) of 6 000 census-like rows in DEN batches of 100 on one 400 MB/s and three 25 MB/s shards, ring at depth 8; adaptive / static pack placement (asserted >= 1.15)", "better": "higher", "tolerance": 0.5},
+    "fleet": "tenant: 8 logistic-regression jobs x 3 epochs over one census-like store of 4 800 rows in DEN batches of 100, all spilled over 4 modelled shards of 50 MB/s, one batch cache of a quarter of the spilled bytes; per admission limit (concurrent), a fresh store",
+    "wall_ms": {"what": "wall time for the whole fleet", "better": "lower", "tolerance": 0.5},
+    "agg_epochs_s": {"what": "jobs * epochs / wall", "better": "higher", "tolerance": 0.5},
+    "cache_hit_pct": "fleet-wide cache hits / (hits + misses)",
+    "gate_ratio": {"what": "serial wall / concurrent wall (asserted >= 2.0)", "better": "higher", "tolerance": 0.25},
+    "workspace": "ingest: drifting_matrix rows of 12 columns through StoreIngest in 100-row chunks (auto scheme) into a live 3-shard store, every chunk spilled, at 1, 4 and 16 x 1 500 rows",
+    "peak_workspace_bytes": {"what": "high-water mark of the reusable encode workspace", "better": "lower", "tolerance": 0.1},
+    "ingest_mb_s": {"what": "dense payload MB/s through push_row -> seal -> append", "better": "higher", "tolerance": 0.5},
+    "peak_ratio": {"what": "peak at largest scale / peak at base scale (asserted <= 1.1)", "better": "lower", "tolerance": 0.05},
+    "liveness": "ingest: an online trainer (window of 4 batches) following the 24 000-row ingest; windows closed, of them while ingest was still appending (asserted >= 1), sealed chunks consumed (asserted == chunks)",
+    "throughput_ratio": {"what": "ingest: bounded (4 pending chunks) / unbounded MB/s of the 1 500-row ingest with a consumer that keeps up, best of up to 3 pairs (asserted >= 0.9)", "better": "higher", "tolerance": 0.25}
   },
 "#;
 
@@ -573,7 +591,7 @@ mod tests {
             ids,
             [
                 "fig2", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
-                "table6", "table7"
+                "table6", "table7", "store", "tenant", "ingest"
             ]
         );
         for figure in figures() {
@@ -648,7 +666,7 @@ mod tests {
         let out = out.to_str().unwrap().to_string();
         std::fs::remove_file(&out).ok();
         let mut args = Args::parse([format!("--out={out}"), "--pr=21".to_string()]).unwrap();
-        let history = History::from_args(&mut args, "unused.json");
+        let history = History::from_args(&mut args);
         args.try_finish().unwrap();
 
         let good: fn() -> Vec<Grid> = || stub_measured(2.0);

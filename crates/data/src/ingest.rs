@@ -10,7 +10,8 @@
 //! after which the staging buffers are handed back for the next chunk. Peak ingest memory is therefore a
 //! function of the chunk shape alone, never of how many rows flow
 //! through; [`EncodeWorkspace::peak_bytes`] tracks the high-water mark so
-//! tests and the `ingest_scaling` bench gate can assert exactly that.
+//! tests and the `ingest` figure of the paper scoreboard can hold it to
+//! exactly that.
 //!
 //! Three sinks. [`crate::store::StoreBuilder`], in `store`, fills a store
 //! that is being built, writing each batch that spills to its shard file

@@ -34,7 +34,7 @@
 //! small encoded batches collapses into a handful of large reads.
 //! Neither engine dominates: on a bandwidth-bound device many inline
 //! readers reach the device limit, on a latency-bound one the ring's
-//! overlap wins (`store_scaling` prints the matrix).
+//! overlap wins (the scoreboard's `store` figure prints the matrix).
 //!
 //! Every read path charges the same per-shard `BandwidthClock`, so the
 //! `disk_mbps` model extends to overlapped requests: concurrent reads of

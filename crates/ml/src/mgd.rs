@@ -256,8 +256,8 @@ pub struct OnlineReport {
     pub consumed: usize,
     /// Windows that closed while the stream was still live (`more()`
     /// true at the boundary) — the trainer-kept-up liveness signal the
-    /// `ingest_scaling` bench gates on. Timing-dependent by nature;
-    /// never feeds back into training.
+    /// scoreboard's `ingest` figure holds to >= 1. Timing-dependent by
+    /// nature; never feeds back into training.
     pub windows_during_ingest: usize,
     /// Total compute time (batch evaluation + gradient steps; excludes
     /// time spent waiting for the stream to grow).
