@@ -493,12 +493,12 @@ const ASYMMETRIC_ROWS: &str = "DEN 6000 / 100";
 
 /// The store figure: what prefetch and placement buy when IO is the wall.
 /// `matrix`: no prefetch, then the sync and the ring engine at depth 8
-/// with 1 / 2 / 4 / 8 decode workers (the ring on its pack layout, one IO
-/// thread per shard), each cell the median of five sweeps by 1 and by 4
-/// visitors; `best_vs_none` is no prefetch over each engine's fastest
-/// 1-visitor row. `adaptive_vs_pack`: steady-state epoch throughput of
-/// adaptive against static pack placement, timed over two epochs after
-/// the two warm ones in which the adaptive store profiles and migrates.
+/// with 1 / 2 / 4 / 8 decode workers (the ring with one IO thread per
+/// shard), each cell the median of five sweeps by 1 and by 4 visitors;
+/// `best_vs_none` is no prefetch over each engine's fastest 1-visitor
+/// row. `adaptive_vs_stripe`: steady-state epoch throughput of adaptive
+/// against static stripe placement, timed over two epochs after the two
+/// warm ones in which the adaptive store profiles and migrates.
 fn store() -> Vec<Grid> {
     let ds = generate_preset(DatasetPreset::CensusLike, 12_000, SEED);
     let base = StoreConfig::new(Scheme::Den, 250, 0)
@@ -524,17 +524,13 @@ fn store() -> Vec<Grid> {
         v1
     };
     let none = push("none", 0, sweep_ms(&base));
-    for (engine, placement) in [
-        (IoEngineKind::Sync, ShardPlacement::Stripe),
-        (IoEngineKind::Ring, ShardPlacement::Pack),
-    ] {
+    for engine in [IoEngineKind::Sync, IoEngineKind::Ring] {
         let fastest = [1, 2, 4, 8]
             .map(|decode_workers| {
                 let config = base
                     .clone()
                     .with_prefetch(8)
                     .with_io(engine)
-                    .with_placement(placement)
                     .with_scheduler(SchedulerConfig {
                         decode_workers,
                         ..SchedulerConfig::default()
@@ -552,8 +548,8 @@ fn store() -> Vec<Grid> {
         .with_prefetch(8)
         .with_io(IoEngineKind::Ring)
         .with_shard_mbps(vec![400.0, 25.0, 25.0, 25.0]);
-    let mut adaptive = Grid::new("adaptive_vs_pack", "device", "workload", Unit::Plain);
-    let [pack, adapt] = [ShardPlacement::Pack, ShardPlacement::Adaptive].map(|placement| {
+    let mut adaptive = Grid::new("adaptive_vs_stripe", "device", "workload", Unit::Plain);
+    let [stripe, adapt] = [ShardPlacement::Stripe, ShardPlacement::Adaptive].map(|placement| {
         let config = base.clone().with_placement(placement);
         let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("store build");
         let mut timed = Duration::ZERO;
@@ -567,13 +563,13 @@ fn store() -> Vec<Grid> {
         store.stats().snapshot_stable().assert_consistent();
         mb_per_s(store.spilled_bytes(), timed / 2)
     });
-    adaptive.push(ASYMMETRIC, ASYMMETRIC_ROWS, "pack_mb_s", pack);
+    adaptive.push(ASYMMETRIC, ASYMMETRIC_ROWS, "stripe_mb_s", stripe);
     adaptive.push(ASYMMETRIC, ASYMMETRIC_ROWS, "adaptive_mb_s", adapt);
     adaptive.push(
         ASYMMETRIC,
         ASYMMETRIC_ROWS,
-        "adaptive_vs_pack",
-        adapt / pack,
+        "adaptive_vs_stripe",
+        adapt / stripe,
     );
     vec![matrix, best, adaptive]
 }
@@ -583,9 +579,10 @@ fn store() -> Vec<Grid> {
 /// batches of 100, every batch spilled over 4 modelled shards of 50 MB/s.
 const FLEET: &str = "8 LR jobs";
 
-/// The tenant figure: the fleet through one `JobServer` whose batch cache
-/// holds a quarter of the spilled bytes, admitting 1, 2, 4 or all 8 jobs
-/// at once; each fleet gets a fresh store, so every row starts cold.
+/// The tenant figure: the fleet through one `JobServer` whose fill-once
+/// batch cache holds a quarter of the spilled bytes, admitting 1, 2, 4 or
+/// all 8 jobs at once; each fleet gets a fresh store, so every row starts
+/// cold.
 /// `gate_ratio` is the serial fleet's wall over the 8-concurrent one's,
 /// and those two fleets must end with bit-identical weights per job.
 fn tenant() -> Vec<Grid> {
@@ -638,7 +635,6 @@ fn tenant() -> Vec<Grid> {
         );
         let hit_pct = 100.0 * hits as f64 / (hits + misses).max(1) as f64;
         fleet.push(FLEET, row, "cache_hit_pct", hit_pct.round());
-        fleet.push(FLEET, row, "evictions", server.cache().evictions() as f64);
         runs.push((wall_ms, outcomes));
     }
     let (serial, concurrent) = (&runs[0], &runs[runs.len() - 1]);
@@ -1055,13 +1051,13 @@ pub fn figures() -> Vec<Figure> {
             measure: store,
             headline: &[
                 ("best_vs_none", OVERLAP, "best_vs_none", &["sync", "ring"]),
-                ("adaptive_vs_pack", ASYMMETRIC, ASYMMETRIC_ROWS, &["adaptive_vs_pack"]),
+                ("adaptive_vs_stripe", ASYMMETRIC, ASYMMETRIC_ROWS, &["adaptive_vs_stripe"]),
             ],
             shapes: vec![
                 on("best_vs_none", "prefetch overlaps reads with decode: the best row of each engine sweeps the spilled store >= 1.3 x faster than no prefetch")
                     .within(&[], &[], &[], 1.3, SOME),
-                on("adaptive_vs_pack", "adaptive placement finds the fast device: >= 1.15 x the steady-state epoch throughput of static pack on one 400 MB/s and three 25 MB/s shards")
-                    .within(&[], &[], &["adaptive_vs_pack"], 1.15, SOME),
+                on("adaptive_vs_stripe", "adaptive placement finds the fast device: >= 1.15 x the steady-state epoch throughput of static stripe on one 400 MB/s and three 25 MB/s shards")
+                    .within(&[], &[], &["adaptive_vs_stripe"], 1.15, SOME),
             ],
         },
         Figure {

@@ -419,12 +419,14 @@ pub const HEADER: &str = r#"{
     "encode_mb_s": {"what": "fig12: MB/s of dense payload through Scheme::encode of one 250-row batch", "better": "higher", "tolerance": 0.5},
     "decode_mb_s": {"what": "fig12: MB/s of dense payload out of MatrixBatch::decode", "better": "higher", "tolerance": 0.5},
     "gate": "fig12: per leg, the chunked / table-driven decode kernel against the retained *_scalar reference kernel, microseconds; the aggregate speedup is asserted >= 2.0",
-    "matrix": "store: census-like 12 000 rows in DEN batches of 250, all spilled over 4 modelled shards of 400 MB/s; no prefetch (workers 0), then each engine at depth 8 with 1 / 2 / 4 / 8 decode workers, the ring on its pack layout with one IO thread per shard",
+    "matrix": "store: census-like 12 000 rows in DEN batches of 250, all spilled over 4 modelled shards of 400 MB/s; no prefetch (workers 0), then each engine at depth 8 with 1 / 2 / 4 / 8 decode workers, the ring with one IO thread per shard (on the pack layout in the entries that carry adaptive_vs_pack, striped in the rest)",
     "sweep_1v_ms": {"what": "median of 5 sweeps, one visitor visiting every spilled batch once", "better": "lower", "tolerance": 1.0},
     "sweep_4v_ms": {"what": "the same with the batches striped over 4 concurrent visitors", "better": "lower", "tolerance": 1.0},
     "best_vs_none": {"what": "no-prefetch sweep_1v_ms / the engine's fastest row (asserted >= 1.3)", "better": "higher", "tolerance": 0.5},
     "adaptive_vs_pack": {"what": "store: steady-state epoch MB/s (pack_mb_s, adaptive_mb_s) of 6 000 census-like rows in DEN batches of 100 on one 400 MB/s and three 25 MB/s shards, ring at depth 8; adaptive / static pack placement (asserted >= 1.15)", "better": "higher", "tolerance": 0.5},
-    "fleet": "tenant: 8 logistic-regression jobs x 3 epochs over one census-like store of 4 800 rows in DEN batches of 100, all spilled over 4 modelled shards of 50 MB/s, one batch cache of a quarter of the spilled bytes; per admission limit (concurrent), a fresh store",
+    "adaptive_vs_stripe": {"what": "store: steady-state epoch MB/s (stripe_mb_s, adaptive_mb_s) of 6 000 census-like rows in DEN batches of 100 on one 400 MB/s and three 25 MB/s shards, ring at depth 8; adaptive / static stripe placement (asserted >= 1.15)", "better": "higher", "tolerance": 0.5},
+    "stripe_mb_s": {"what": "store: steady-state epoch MB/s of the static striped layout on the asymmetric device, the adaptive_vs_stripe baseline", "better": "higher", "tolerance": 0.5},
+    "fleet": "tenant: 8 logistic-regression jobs x 3 epochs over one census-like store of 4 800 rows in DEN batches of 100, all spilled over 4 modelled shards of 50 MB/s, one batch cache of a quarter of the spilled bytes (heat-evicting in the entries with an evictions column, fill-once in the rest); per admission limit (concurrent), a fresh store",
     "wall_ms": {"what": "wall time for the whole fleet", "better": "lower", "tolerance": 0.5},
     "agg_epochs_s": {"what": "jobs * epochs / wall", "better": "higher", "tolerance": 0.5},
     "cache_hit_pct": "fleet-wide cache hits / (hits + misses)",

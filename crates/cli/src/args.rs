@@ -139,7 +139,7 @@ impl<'a> Args<'a> {
     }
 
     /// `flag`'s comma-separated values (one, for a scalar) as any
-    /// `FromStr` type: numbers, engine and placement names. A value that
+    /// `FromStr` type: numbers and engine names. A value that
     /// does not parse is an error naming the flag, never a silent default.
     pub fn list<T: FromStr<Err: Display>>(&self, flag: &Flag) -> Result<Option<Vec<T>>, String> {
         let parse = |t: &str| t.trim().parse().map_err(|e| format!("{}: {e}", flag.name));

@@ -97,8 +97,6 @@ flags! {
         "in-memory budget, the rest spills (train: turns the spill store on; serve: default 0)";
     SHARDS = "--shards" "<n>" "spill files (default 0 = auto)";
     MBPS = "--mbps" "<f>" "simulated per-shard disk bandwidth, finite and > 0";
-    PLACEMENT = "--placement" "<stripe|pack|adaptive>"
-        "spill layout; adaptive re-packs hot batches onto fast shards per epoch (default stripe)";
     PREFETCH = "--prefetch" "<k>" "prefetch depth (default 0 = off)";
     IO = "--io" "<sync|ring>"
         "who reads: the decode workers, or ring IO threads that coalesce adjacent reads (default sync)";
@@ -124,7 +122,7 @@ static ENCODE: Group = &[&SCHEME, &BATCH_ROWS];
 /// The model trained by `train` and by each `serve` job.
 static MODEL_GROUP: Group = &[&MODEL, &EPOCHS, &LR];
 /// Layout of the out-of-core sharded spill store.
-static STORE: Group = &[&SHARDS, &MBPS, &PLACEMENT];
+static STORE: Group = &[&SHARDS, &MBPS];
 /// The background prefetch/decode pipeline over the spilled batches.
 static PIPELINE: Group = &[&PREFETCH, &IO, &IO_THREADS, &DECODE_WORKERS];
 /// Knobs of `train --follow`, which tails a growing CSV into a live store.
@@ -243,13 +241,12 @@ fn build_store(input: &str, config: &StoreConfig) -> Result<ShardedSpillStore, S
 /// store-layout, pipeline and follow groups (a group the command does not
 /// declare reads as its defaults).
 fn store_config(a: &Args, budget: usize) -> Result<StoreConfig, String> {
-    use toc_data::{IoEngineKind, SchedulerConfig, ShardPlacement};
+    use toc_data::{IoEngineKind, SchedulerConfig};
     let scheme = parse_scheme(a.raw(&SCHEME).unwrap_or("toc"))?;
     let mut config = StoreConfig::new(scheme, a.at_least_one(&BATCH_ROWS, 250)?, budget)
         .with_shards(a.get(&SHARDS, 0)?)
         .with_prefetch(a.get(&PREFETCH, 0)?)
         .with_io(a.get(&IO, IoEngineKind::Sync)?)
-        .with_placement(a.get(&PLACEMENT, ShardPlacement::Stripe)?)
         .with_scheduler(SchedulerConfig {
             io_threads: a.get(&IO_THREADS, 0)?,
             decode_workers: a.get(&DECODE_WORKERS, 0)?,
@@ -726,10 +723,9 @@ fn cmd_train(a: &Args) -> Result<(), String> {
         // Machine-parseable engine stats (the CLI smoke tests parse this
         // line): key=value pairs only, one per field.
         println!(
-            "io-engine: kind={} placement={} submitted={} completed={} \
+            "io-engine: kind={} submitted={} completed={} \
              coalesced={} max-in-flight={} lat-p50-us={} lat-p99-us={}",
             config.io,
-            config.placement,
             s.submitted,
             s.completed,
             s.coalesced_reads,
@@ -749,14 +745,9 @@ fn cmd_train(a: &Args) -> Result<(), String> {
             }
         };
         println!(
-            "placement: policy={} io-threads={} decode-workers={} rebalances={} \
-             migrated={} migrated-kb={} ewma-mbps={} shard-kb={}",
-            p.policy,
+            "placement: io-threads={} decode-workers={} ewma-mbps={} shard-kb={}",
             p.io_threads,
             p.decode_workers,
-            p.rebalances,
-            p.migrated_batches,
-            p.migrated_bytes / 1024,
             join(
                 p.shard_ewma_mbps
                     .iter()
@@ -1073,7 +1064,7 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     let cache = server.cache();
     println!(
         "serve: jobs={} max-concurrent={} peak-concurrent={} cache-budget-kb={} cache-kb={} \
-         cache-hits={} cache-misses={} insertions={} evictions={} qos-throttle-ms={} wall-ms={}",
+         cache-hits={} cache-misses={} insertions={} qos-throttle-ms={} wall-ms={}",
         outcomes.len(),
         max_concurrent,
         server.peak_concurrency(),
@@ -1082,7 +1073,6 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         s.cache_hits,
         s.cache_misses,
         cache.insertions(),
-        cache.evictions(),
         s.qos_throttle_ns / 1_000_000,
         wall.as_millis(),
     );
@@ -1205,13 +1195,13 @@ mod tests {
         let count = |name: &str| command(name).flags().count();
         assert_eq!(
             (count("compress"), count("serve"), count("train")),
-            (2, 15, 18)
+            (2, 14, 17)
         );
     }
 
     #[test]
-    fn placement_and_scheduler_flag_combinations() {
-        let csv = gen_census("cli-adaptive", 300);
+    fn scheduler_flag_combinations() {
+        let csv = gen_census("cli-scheduler", 300);
         let train = |extra: &[&str]| {
             let path = csv.arg();
             let mut argv = vec!["train", &path, "--epochs", "2", "--budget", "0"];
@@ -1219,7 +1209,6 @@ mod tests {
             argv.extend(extra);
             toc(&argv)
         };
-        train(&["--placement", "adaptive"]).unwrap();
         train(&[
             "--prefetch",
             "2",

@@ -105,7 +105,7 @@ fn compress_cla_roundtrip() {
 #[test]
 fn train_over_async_engines_prints_parseable_io_stats() {
     let csv = gen_csv(400);
-    for (io, placement) in [("ring", "stripe"), ("ring", "pack"), ("sync", "stripe")] {
+    for io in ["ring", "sync"] {
         let out = toc(&[
             "train",
             csv.to_str().unwrap(),
@@ -121,8 +121,6 @@ fn train_over_async_engines_prints_parseable_io_stats() {
             "2000",
             "--io",
             io,
-            "--placement",
-            placement,
         ]);
         let stdout = assert_ok(&out, &format!("toc train --io {io}"));
         assert!(
@@ -147,7 +145,7 @@ fn train_over_async_engines_prints_parseable_io_stats() {
             .unwrap_or_else(|| panic!("no io-engine: line in {stdout}"));
         let kv = parse_kv(engine_line);
         assert_eq!(kv["kind"], io);
-        assert_eq!(kv["placement"], placement);
+        assert!(!kv.contains_key("placement"), "{engine_line}");
         let submitted: u64 = kv["submitted"].parse().expect("submitted parses");
         let completed: u64 = kv["completed"].parse().expect("completed parses");
         let coalesced: u64 = kv["coalesced"].parse().expect("coalesced parses");
@@ -170,25 +168,14 @@ fn train_over_async_engines_prints_parseable_io_stats() {
 #[test]
 fn adaptive_and_static_training_print_parseable_placement_stats() {
     let csv = gen_csv(400);
-    // Legs: adaptive placement with automatic and with explicit thread
-    // counts on the ring engine, and a non-adaptive run (placement line
-    // must still appear).
-    let legs: [(&str, Vec<&str>); 3] = [
-        ("adaptive", vec!["--placement", "adaptive", "--io", "ring"]),
+    // Legs: the ring engine with automatic and with explicit thread
+    // counts.
+    let legs: [(&str, Vec<&str>); 2] = [
+        ("ring", vec!["--io", "ring"]),
         (
-            "adaptive+threads",
-            vec![
-                "--placement",
-                "adaptive",
-                "--io",
-                "ring",
-                "--io-threads",
-                "2",
-                "--decode-workers",
-                "2",
-            ],
+            "ring+threads",
+            vec!["--io", "ring", "--io-threads", "2", "--decode-workers", "2"],
         ),
-        ("pack", vec!["--placement", "pack", "--io", "ring"]),
     ];
     for (leg, extra) in legs {
         let mut args = vec![
@@ -212,25 +199,13 @@ fn adaptive_and_static_training_print_parseable_placement_stats() {
             .find(|l| l.starts_with("placement:"))
             .unwrap_or_else(|| panic!("[{leg}] no placement: line in {stdout}"));
         let kv = parse_kv(line);
-        let adaptive = leg.starts_with("adaptive");
-        assert_eq!(kv["policy"], if adaptive { "adaptive" } else { "pack" });
-        assert!(!kv.contains_key("pin"), "{line}");
+        for gone in ["pin", "policy", "rebalances", "migrated", "migrated-kb"] {
+            assert!(!kv.contains_key(gone), "{line}");
+        }
         let io_threads: u64 = kv["io-threads"].parse().expect("io-threads parses");
         let decode_workers: u64 = kv["decode-workers"].parse().expect("decode-workers parses");
         assert!(io_threads >= 1, "{line}");
         assert!(decode_workers >= 1, "{line}");
-        let rebalances: u64 = kv["rebalances"].parse().expect("rebalances parses");
-        let migrated: u64 = kv["migrated"].parse().expect("migrated parses");
-        let _migrated_kb: u64 = kv["migrated-kb"].parse().expect("migrated-kb parses");
-        if adaptive {
-            // 3 epochs over a spilled store with uniform --mbps: every
-            // boundary has profiler signal, so passes must have run (the
-            // flat profile makes actual migration legitimately rare).
-            assert!(rebalances >= 1, "{line}");
-        } else {
-            assert_eq!(rebalances, 0, "{line}");
-            assert_eq!(migrated, 0, "{line}");
-        }
         // Slash-separated per-shard lists parse as floats/ints and cover
         // both shards.
         let ewma: Vec<f64> = kv["ewma-mbps"]
@@ -372,10 +347,6 @@ fn out_of_core_flags_require_budget_and_reject_bad_values() {
         "--io without --budget",
     );
     assert_fails(
-        &toc(&["train", csv.to_str().unwrap(), "--placement", "adaptive"]),
-        "--placement adaptive without --budget",
-    );
-    assert_fails(
         &toc(&[
             "train",
             csv.to_str().unwrap(),
@@ -385,17 +356,6 @@ fn out_of_core_flags_require_budget_and_reject_bad_values() {
             "uring",
         ]),
         "unknown io engine",
-    );
-    assert_fails(
-        &toc(&[
-            "train",
-            csv.to_str().unwrap(),
-            "--budget",
-            "0",
-            "--placement",
-            "scatter",
-        ]),
-        "unknown placement",
     );
     assert_fails(
         &toc(&["train", csv.to_str().unwrap(), "--budget", "x"]),
@@ -499,6 +459,8 @@ fn serve_emits_parseable_job_stats() {
     let hits: u64 = s["cache-hits"].parse().expect("serve cache-hits");
     let misses: u64 = s["cache-misses"].parse().expect("serve cache-misses");
     assert_eq!(hits + misses, 3 * 16, "aggregate = sum of per-job visits");
+    // A fill-once cache never evicts, so the line does not report it.
+    assert!(!s.contains_key("evictions"), "{serve}");
 }
 
 /// One way in: the CSV, the v2 container made of it and, for its own
@@ -1290,6 +1252,15 @@ fn undeclared_misspelt_repeated_and_inert_flags_exit_1_naming_the_flag() {
     }
     let err = stderr_of_failure(&["decompress", "in.tocz", "out.csv", "--parallel", "2"]);
     assert!(err.contains("unknown flag --parallel"), "{err}");
+    // The spill layout is no longer a choice: `--placement` went with
+    // the pack layout, on both commands that took it.
+    for cmd in ["train", "serve"] {
+        let err = stderr_of_failure(&[cmd, d, "--budget", "0", "--placement", "adaptive"]);
+        assert!(
+            err.contains(&format!("toc {cmd}")) && err.contains("unknown flag --placement"),
+            "{err}"
+        );
+    }
     // Wrong positional count.
     let err = stderr_of_failure(&["train"]);
     assert!(err.contains("expected 1 positional"), "{err}");
@@ -1302,7 +1273,7 @@ fn undeclared_misspelt_repeated_and_inert_flags_exit_1_naming_the_flag() {
 fn every_command_prints_generated_help_listing_its_flags() {
     let encode = ["--scheme", "--batch-rows"];
     let model = ["--model", "--epochs", "--lr"];
-    let store = ["--budget", "--shards", "--mbps", "--placement"];
+    let store = ["--budget", "--shards", "--mbps"];
     let pipeline = ["--prefetch", "--io", "--io-threads", "--decode-workers"];
     let follow = [
         "--follow",
@@ -1336,7 +1307,7 @@ fn every_command_prints_generated_help_listing_its_flags() {
         ("serve", [&encode[..], &model, &store, &serve].concat()),
     ];
     let counts: Vec<usize> = table.iter().map(|(_, flags)| flags.len()).collect();
-    assert_eq!(counts, [3, 4, 2, 1, 0, 1, 18, 15]);
+    assert_eq!(counts, [3, 4, 2, 1, 0, 1, 17, 14]);
     for (cmd, flags) in table {
         for help in ["--help", "-h"] {
             let stdout = assert_ok(&toc(&[cmd, help]), &format!("toc {cmd} {help}"));

@@ -29,9 +29,9 @@
 //! thread drains its inbox in bursts, sorts the burst by file offset,
 //! **coalesces adjacent ranges into one physical read**, and completes
 //! the members out of order, so reads overlap decode whatever the worker
-//! count. With compression-aware shard placement
-//! ([`crate::store::ShardPlacement::Pack`]) one submission burst over
-//! small encoded batches collapses into a handful of large reads.
+//! count. Striped batches sit back to back in each shard file (batch
+//! `k + n` follows batch `k` on an `n`-shard store), so a lookahead
+//! burst deeper than the shard count collapses into fewer, larger reads.
 //! Neither engine dominates: on a bandwidth-bound device many inline
 //! readers reach the device limit, on a latency-bound one the ring's
 //! overlap wins (the scoreboard's `store` figure prints the matrix).
@@ -915,8 +915,8 @@ struct RingShared {
 /// and **coalesces adjacent ranges into one physical read** (one
 /// bandwidth-clock charge for the merged length), then completes the
 /// members out of order. A burst of K lookahead submissions over
-/// contiguously-placed batches (`ShardPlacement::Pack`) thus costs a
-/// handful of large reads instead of K small ones.
+/// batches that sit back to back in their shard file thus costs fewer,
+/// larger reads than K small ones.
 pub struct RingIo {
     shared: Arc<RingShared>,
     threads: Vec<JoinHandle<()>>,

@@ -12,7 +12,7 @@
 //! coalescing ring engine — and [`testing`] provides a fault-injecting
 //! engine double for adversarial scheduling tests.
 //! [`serve`] layers the multi-tenant job server on top: many concurrent
-//! training jobs over one shared store and one heat-aware compressed
+//! training jobs over one shared store and one fill-once compressed
 //! batch cache.
 
 pub mod csv;

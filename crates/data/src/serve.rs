@@ -6,14 +6,14 @@
 //! that layer: a [`JobServer`] admits up to `max_concurrent` training
 //! jobs at a time, every admitted job trains through its own
 //! [`TenantProvider`] view of the shared store, and all tenants share
-//! one [`BatchCache`] — a byte-budgeted pool of *encoded* batch bytes
-//! with heat-based eviction.
+//! one [`BatchCache`] — a byte-budgeted, fill-once pool of *encoded*
+//! batch bytes: what fits first stays, and nothing is evicted.
 //!
-//! Heat reuses the signals the store already maintains: the per-batch
-//! `visits` counters that drive adaptive placement, weighted by the
-//! measured cost to re-read the batch from its current shard (the
-//! per-shard bandwidth EWMAs). A batch every tenant keeps visiting on a
-//! slow shard is the most valuable thing to keep resident.
+//! MGD visits every mini-batch once per epoch in shuffled order, so no
+//! batch is hotter than another and a pool that keeps the first batches
+//! that fit serves as many hits as any ranking could — without the
+//! per-visit bookkeeping or the churn of evicting bytes that some tenant
+//! is about to re-read.
 //!
 //! Caching encoded bytes (not decoded batches) keeps the pool dense —
 //! that is the point of tuple-oriented compression — and makes
@@ -45,29 +45,22 @@ use crate::io::{lock, wait};
 use crate::store::{DiskLoc, ShardedSpillStore};
 
 // ---------------------------------------------------------------------------
-// BatchCache: shared compressed-batch pool with heat-based eviction.
-
-struct CacheEntry {
-    bytes: Arc<Vec<u8>>,
-    heat: f64,
-}
+// BatchCache: shared fill-once compressed-batch pool.
 
 struct CacheInner {
-    map: HashMap<usize, CacheEntry>,
+    map: HashMap<usize, Arc<Vec<u8>>>,
     bytes: usize,
 }
 
 /// Byte-budgeted pool of encoded spilled batches, keyed by batch index
-/// and shared by every tenant of a store. Eviction is strictly by heat: an
-/// insert evicts the coldest resident entries until it fits, and is
-/// refused outright when the incoming batch is colder than everything it
-/// would displace — the hottest batches survive, and the pool never
-/// exceeds its budget.
+/// and shared by every tenant of a store. Fill-once: an insert that fits
+/// in what the budget has left stays resident for the pool's life, and
+/// one that does not is refused. Nothing is ever evicted, so the pool
+/// never exceeds its budget and a resident batch never changes.
 pub struct BatchCache {
     budget: usize,
     inner: Mutex<CacheInner>,
     insertions: AtomicU64,
-    evictions: AtomicU64,
     rejected: AtomicU64,
 }
 
@@ -80,7 +73,6 @@ impl BatchCache {
                 bytes: 0,
             }),
             insertions: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
         }
     }
@@ -109,72 +101,42 @@ impl BatchCache {
         lock(&self.inner).map.contains_key(&id)
     }
 
-    /// Successful inserts (not counting refreshes of resident entries).
+    /// Successful inserts (not counting re-offers of resident entries).
     pub fn insertions(&self) -> u64 {
         self.insertions.load(Ordering::Relaxed)
     }
 
-    /// Entries displaced to make room for hotter ones.
+    /// Always 0: a fill-once pool never evicts. The method stays because
+    /// `ledger/` (the benchmark, frozen) reports it.
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        0
     }
 
-    /// Inserts refused because the batch was colder than what it would
-    /// displace (or larger than the whole budget).
+    /// Inserts refused because the batch did not fit in what the budget
+    /// had left.
     pub fn rejected(&self) -> u64 {
         self.rejected.load(Ordering::Relaxed)
     }
 
-    /// Look up batch `id`, refreshing its heat on a hit.
-    pub fn get(&self, id: usize, heat: f64) -> Option<Arc<Vec<u8>>> {
-        let mut st = lock(&self.inner);
-        let e = st.map.get_mut(&id)?;
-        e.heat = e.heat.max(heat);
-        Some(Arc::clone(&e.bytes))
+    /// Look up batch `id`.
+    pub fn get(&self, id: usize) -> Option<Arc<Vec<u8>>> {
+        lock(&self.inner).map.get(&id).map(Arc::clone)
     }
 
-    /// Offer encoded bytes for batch `id` at the given heat. Returns
-    /// whether the bytes are resident afterwards. The coldest entries are
-    /// evicted to make room, but never ones hotter than the newcomer.
-    pub fn insert(&self, id: usize, bytes: Vec<u8>, heat: f64) -> bool {
-        let size = bytes.len();
-        if size > self.budget {
+    /// Offer encoded bytes for batch `id`. Returns whether the batch is
+    /// resident afterwards: it already was (racing tenants missed the
+    /// same batch, and its bytes are identical), or it fit.
+    pub fn insert(&self, id: usize, bytes: Vec<u8>) -> bool {
+        let mut st = lock(&self.inner);
+        if st.map.contains_key(&id) {
+            return true;
+        }
+        if st.bytes + bytes.len() > self.budget {
             self.rejected.fetch_add(1, Ordering::Relaxed);
             return false;
         }
-        let mut st = lock(&self.inner);
-        if let Some(e) = st.map.get_mut(&id) {
-            // Racing tenants missed the same batch; keep the resident copy
-            // (the bytes are identical) and just refresh the heat.
-            e.heat = e.heat.max(heat);
-            return true;
-        }
-        while st.bytes + size > self.budget {
-            // O(len) coldest scan per eviction: pool populations are small
-            // (tens to hundreds of batches), and inserts already sit on a
-            // charged disk read.
-            let (&cold_id, cold_heat) = st
-                .map
-                .iter()
-                .map(|(k, e)| (k, e.heat))
-                .min_by(|a, b| a.1.total_cmp(&b.1))
-                .expect("over budget with an empty cache");
-            if cold_heat > heat {
-                self.rejected.fetch_add(1, Ordering::Relaxed);
-                return false;
-            }
-            let evicted = st.map.remove(&cold_id).unwrap();
-            st.bytes -= evicted.bytes.len();
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        st.bytes += size;
-        st.map.insert(
-            id,
-            CacheEntry {
-                bytes: Arc::new(bytes),
-                heat,
-            },
-        );
+        st.bytes += bytes.len();
+        st.map.insert(id, Arc::new(bytes));
         self.insertions.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -251,9 +213,9 @@ impl Admission {
 // TenantProvider: one job's view of the shared store.
 
 /// One tenant's [`BatchProvider`] over a shared store: in-memory batches
-/// are served directly; spilled visits bump the shared heat counters,
-/// consult the shared [`BatchCache`], and on a miss pay one QoS-throttled
-/// direct read whose bytes are offered back to the cache.
+/// are served directly; spilled visits consult the shared [`BatchCache`],
+/// and on a miss pay one QoS-throttled direct read whose bytes are
+/// offered back to the cache.
 pub struct TenantProvider {
     store: Arc<ShardedSpillStore>,
     cache: Arc<BatchCache>,
@@ -318,14 +280,6 @@ impl TenantProvider {
         self.batches_visited.load(Ordering::Relaxed)
     }
 
-    /// Heat of a batch: shared visit count weighted by the measured cost
-    /// (seconds) to re-read it from its current shard. Falls back to a
-    /// nominal 100 MB/s before the profiler has a sample for the shard.
-    fn heat(&self, visits: u64, shard: usize, len: usize) -> f64 {
-        let bps = self.store.shard_ewma_bps(shard).unwrap_or(1e8);
-        visits as f64 * (len as f64 / bps)
-    }
-
     /// Block until this tenant's IO share admits a `len`-byte read on
     /// `shard`. The allowance is `share / mean_active_share` of the
     /// shard's EWMA bandwidth; with no profiler signal yet there is
@@ -374,10 +328,9 @@ impl BatchProvider for TenantProvider {
         self.batches_visited.fetch_add(1, Ordering::Relaxed);
         // In-memory entries never reach the fetch: the store serves them
         // with no IO accounting.
-        let fetch = |loc: DiskLoc, visits: u64| {
-            let heat = self.heat(visits, loc.shard, loc.len);
+        let fetch = |loc: DiskLoc| {
             let stats = self.store.stats();
-            if let Some(bytes) = self.cache.get(idx, heat) {
+            if let Some(bytes) = self.cache.get(idx) {
                 self.cache_hits.fetch_add(1, Ordering::Relaxed);
                 stats.cache_hits.fetch_add(1, Ordering::Relaxed);
                 return self.store.decode_spill(&bytes);
@@ -388,7 +341,7 @@ impl BatchProvider for TenantProvider {
             let mut buf = Vec::with_capacity(loc.len);
             self.store.read_spill_bytes(loc, &mut buf);
             let b = self.store.decode_spill(&buf);
-            self.cache.insert(idx, buf, heat);
+            self.cache.insert(idx, buf);
             b
         };
         self.store.visit_with(idx, fetch, f);

@@ -51,9 +51,7 @@ use crate::prefetch::{Prefetcher, MAX_PREFETCH_WORKERS};
 mod placement;
 
 use placement::PlacementStats;
-pub use placement::{
-    plan_adaptive, PlacementReport, ShardPlacement, PACK_RUN, REBALANCE_HYSTERESIS,
-};
+pub use placement::{plan_adaptive, PlacementReport, ShardPlacement, REBALANCE_HYSTERESIS};
 
 /// Store configuration.
 #[derive(Clone, Debug)]
@@ -87,7 +85,8 @@ pub struct StoreConfig {
     pub prefetch: usize,
     /// Spill-IO engine of the prefetch pipeline (see [`IoEngineKind`]).
     pub io: IoEngineKind,
-    /// Spilled-batch layout across shard files.
+    /// Whether spilled batches migrate between epochs (see
+    /// [`ShardPlacement`]).
     pub placement: ShardPlacement,
     /// IO-thread/decode-worker counts of the prefetch pipeline (see
     /// [`SchedulerConfig`]).
@@ -169,7 +168,7 @@ impl StoreConfig {
         self
     }
 
-    /// Builder-style shard-placement override.
+    /// Builder-style placement-policy override.
     pub fn with_placement(mut self, placement: ShardPlacement) -> Self {
         self.placement = placement;
         self
@@ -316,7 +315,7 @@ pub fn split_label(row: &[f64]) -> (&[f64], f64) {
 /// (and the partial last one) is sealed with `config.scheme`, and a sealed
 /// batch stays resident while it fits in what is left of
 /// `config.memory_budget`; anything beyond is written to its shard file —
-/// the one [`ShardPlacement::shard_of`] names, created when its first
+/// the `k`-th spilled batch to shard `k % n`, created when its first
 /// batch arrives — the moment it seals. Batch order is row order
 /// (shuffle-once semantics). No row outlives its chunk and no spilled
 /// batch outlives its write, so a fill holds one staged chunk plus the
@@ -330,7 +329,7 @@ pub struct StoreBuilder<'a> {
     entries: Vec<Arc<Entry>>,
     memory_bytes: usize,
     n_shards: usize,
-    /// Batches spilled so far: the next one's place in the placement rule.
+    /// Batches spilled so far: the next one lands on shard `spilled % n_shards`.
     spilled: usize,
     shards: ShardFiles,
 }
@@ -376,7 +375,7 @@ impl<'a> StoreBuilder<'a> {
             self.entries.push(Entry::new(Slot::Memory(batch), labels));
             return Ok(());
         }
-        let shard = config.placement.shard_of(self.spilled, self.n_shards);
+        let shard = self.spilled % self.n_shards;
         if shard == self.shards.files.len() {
             self.shards.create_next(config)?;
         }
@@ -483,7 +482,7 @@ pub(crate) struct Entry {
     slot: Slot,
     labels: Vec<f64>,
     /// Visit count of a spilled entry — the hotness signal the adaptive
-    /// planner and the tenant cache rank batches by.
+    /// planner ranks batches by.
     visits: AtomicU64,
 }
 
@@ -989,12 +988,12 @@ impl ShardedSpillStore {
     /// The one visit path: serve entry `idx` to `f`, materializing a
     /// spilled batch through `fetch`, which gets the batch's current
     /// location (it may change across adaptive rebalances; the bytes
-    /// never do) and its visit count including this visit — the adaptive
-    /// planner's and the tenant cache's heat signal.
+    /// never do). A spilled visit counts toward the entry's `visits`, the
+    /// adaptive planner's hotness signal.
     pub(crate) fn visit_with(
         &self,
         idx: usize,
-        fetch: impl FnOnce(DiskLoc, u64) -> AnyBatch,
+        fetch: impl FnOnce(DiskLoc) -> AnyBatch,
         f: &mut dyn FnMut(&AnyBatch, &[f64]),
     ) {
         // Clone the entry out of a brief table lock so the IO and decode
@@ -1003,9 +1002,9 @@ impl ShardedSpillStore {
         match &e.slot {
             Slot::Memory(b) => f(b, &e.labels),
             Slot::Disk(loc) => {
-                let visits = e.visits.fetch_add(1, Ordering::Relaxed) + 1;
+                e.visits.fetch_add(1, Ordering::Relaxed);
                 let loc = *rlock(loc);
-                let b = fetch(loc, visits);
+                let b = fetch(loc);
                 f(&b, &e.labels);
                 // Advance the consumed watermark *after* the visitor is
                 // done with the batch and release any producer blocked on
@@ -1066,7 +1065,7 @@ impl BatchProvider for ShardedSpillStore {
     }
 
     fn visit(&self, idx: usize, f: &mut dyn FnMut(&AnyBatch, &[f64])) {
-        self.visit_with(idx, |loc, _| self.fetch(idx, loc), f)
+        self.visit_with(idx, |loc| self.fetch(idx, loc), f)
     }
 
     /// Epoch-boundary feedback from the trainer: the adaptive planner
@@ -1228,42 +1227,6 @@ mod tests {
     }
 
     #[test]
-    fn pack_placement_keeps_consecutive_batches_file_adjacent() {
-        let (x, y) = dataset();
-        let config = StoreConfig::new(Scheme::Toc, 100, 0)
-            .with_shards(2)
-            .with_placement(ShardPlacement::Pack);
-        let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-        assert_eq!(store.spilled_batches(), 6);
-        // Within a run, consecutive visit-order batches are back to back
-        // in the same shard file — the layout the ring engine coalesces.
-        let locs: Vec<DiskLoc> = (0..6).map(|i| store.inner.disk_loc(i).unwrap()).collect();
-        let mut adjacent_pairs = 0;
-        for w in locs.windows(2) {
-            if w[0].shard == w[1].shard {
-                assert_eq!(
-                    w[1].offset,
-                    w[0].offset + w[0].len as u64,
-                    "same-shard consecutive batches must be adjacent"
-                );
-                adjacent_pairs += 1;
-            }
-        }
-        assert!(adjacent_pairs >= 1, "pack produced no adjacency: {locs:?}");
-        // Still byte-exact.
-        for i in 0..store.num_batches() {
-            store.visit(i, &mut |b, _| {
-                assert_eq!(b.decode(), x.slice_rows(i * 100, (i + 1) * 100));
-            });
-        }
-        // Every spilled byte landed somewhere.
-        assert_eq!(
-            store.shard_bytes().iter().sum::<u64>(),
-            store.spilled_bytes() as u64
-        );
-    }
-
-    #[test]
     fn partial_budget_split_is_independent_of_shard_count() {
         let (x, y) = dataset();
         let probe =
@@ -1335,41 +1298,35 @@ mod tests {
     #[test]
     fn async_engines_serve_byte_exact_batches() {
         let (x, y) = dataset();
-        for (io, placement) in [
-            (IoEngineKind::Ring, ShardPlacement::Stripe),
-            (IoEngineKind::Ring, ShardPlacement::Pack),
-        ] {
-            let config = StoreConfig::new(Scheme::Toc, 100, 0)
-                .with_shards(2)
-                .with_prefetch(3)
-                .with_io(io)
-                .with_placement(placement);
-            let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-            assert!(store.prefetch_enabled());
-            for _epoch in 0..2 {
-                for i in 0..store.num_batches() {
-                    store.visit(i, &mut |b, labels| {
-                        assert_eq!(b.decode(), x.slice_rows(i * 100, (i + 1) * 100));
-                        assert_eq!(labels, &y[i * 100..(i + 1) * 100]);
-                    });
-                }
+        let config = StoreConfig::new(Scheme::Toc, 100, 0)
+            .with_shards(2)
+            .with_prefetch(3)
+            .with_io(IoEngineKind::Ring);
+        let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
+        assert!(store.prefetch_enabled());
+        for _epoch in 0..2 {
+            for i in 0..store.num_batches() {
+                store.visit(i, &mut |b, labels| {
+                    assert_eq!(b.decode(), x.slice_rows(i * 100, (i + 1) * 100));
+                    assert_eq!(labels, &y[i * 100..(i + 1) * 100]);
+                });
             }
-            let s = store.stats().snapshot_stable();
-            s.assert_consistent();
-            assert_eq!(s.spill_requests, 12, "{io:?} {s:?}");
-            assert!(s.submitted >= 1, "async engine never used: {s:?}");
-            // Every visit consumed one engine or sync read; coalesced
-            // riders count toward coverage.
-            assert!(
-                s.disk_reads + s.coalesced_reads >= s.spill_requests,
-                "{io:?} {s:?}"
-            );
-            // Note: no lower bound on `coalesced_reads` — whether adjacent
-            // submissions land in one ring burst is scheduling-dependent
-            // (a ring thread that wakes per submission drains bursts of
-            // one). The merge logic itself is covered deterministically
-            // by `io::tests::plan_runs_merges_adjacent_ranges_deterministically`.
         }
+        let s = store.stats().snapshot_stable();
+        s.assert_consistent();
+        assert_eq!(s.spill_requests, 12, "{s:?}");
+        assert!(s.submitted >= 1, "async engine never used: {s:?}");
+        // Every visit consumed one engine or sync read; coalesced riders
+        // count toward coverage.
+        assert!(
+            s.disk_reads + s.coalesced_reads >= s.spill_requests,
+            "{s:?}"
+        );
+        // Note: no lower bound on `coalesced_reads` — whether adjacent
+        // submissions land in one ring burst is scheduling-dependent (a
+        // ring thread that wakes per submission drains bursts of one). The
+        // merge logic itself is covered deterministically by
+        // `io::tests::plan_runs_merges_adjacent_ranges_deterministically`.
     }
 
     #[test]
@@ -1618,20 +1575,17 @@ mod tests {
     #[test]
     fn non_adaptive_placements_never_rebalance_on_end_epoch() {
         let (x, y) = dataset();
-        for placement in [ShardPlacement::Stripe, ShardPlacement::Pack] {
-            let config = StoreConfig::new(Scheme::Toc, 100, 0)
-                .with_shards(2)
-                .with_placement(placement)
-                .with_shard_mbps(vec![2000.0, 10.0]);
-            let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-            for i in 0..store.num_batches() {
-                store.visit(i, &mut |_, _| {});
-            }
-            store.end_epoch();
-            let rep = store.placement_report();
-            assert_eq!(rep.rebalances, 0, "{placement}");
-            assert_eq!(rep.migrated_batches, 0, "{placement}");
+        let config = StoreConfig::new(Scheme::Toc, 100, 0)
+            .with_shards(2)
+            .with_shard_mbps(vec![2000.0, 10.0]);
+        let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
+        for i in 0..store.num_batches() {
+            store.visit(i, &mut |_, _| {});
         }
+        store.end_epoch();
+        let rep = store.placement_report();
+        assert_eq!(rep.rebalances, 0);
+        assert_eq!(rep.migrated_batches, 0);
     }
 
     /// One decode worker, stuck for ~100 ms reading batch 0 off a slow

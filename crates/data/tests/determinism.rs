@@ -1,8 +1,8 @@
 //! End-to-end determinism: the same seed must produce a **bit-identical**
 //! training run regardless of where the batches physically live or which
-//! IO path serves them. Eight store configurations — in-memory, single
-//! spill file, sharded, sharded+sync-prefetch, async ring over striped
-//! and packed layouts, and adaptive placement over asymmetric shards on
+//! IO path serves them. Seven store configurations — in-memory, single
+//! spill file, sharded, sharded+sync-prefetch, async ring, and adaptive
+//! placement over asymmetric shards on
 //! a ring with more decode workers than IO threads and on one with a
 //! single IO thread — feed the identical batch stream, so the final
 //! weights *and* the per-epoch error trajectory must agree with `==`,
@@ -79,8 +79,8 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
         runs.push(train("single-file", &store, eval));
     }
 
-    // (3)–(8) Sharded variants.
-    let sharded_configs: [(&'static str, StoreConfig); 6] = [
+    // (3)–(7) Sharded variants.
+    let sharded_configs: [(&'static str, StoreConfig); 5] = [
         (
             "sharded",
             StoreConfig::new(scheme, batch_rows, 0).with_shards(3),
@@ -97,14 +97,6 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
                 .with_shards(3)
                 .with_prefetch(3)
                 .with_io(IoEngineKind::Ring),
-        ),
-        (
-            "async-ring",
-            StoreConfig::new(scheme, batch_rows, 0)
-                .with_shards(3)
-                .with_prefetch(3)
-                .with_io(IoEngineKind::Ring)
-                .with_placement(ShardPlacement::Pack),
         ),
         // Adaptive placement over asymmetric shards: the 10× bandwidth
         // skew forces real migrations at every epoch boundary while the

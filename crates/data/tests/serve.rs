@@ -1,4 +1,4 @@
-//! Multi-tenant serve layer: cache eviction properties, the IoStats
+//! Multi-tenant serve layer: fill-once cache properties, the IoStats
 //! accounting the shared cache must keep honest, QoS share semantics,
 //! and admission control.
 
@@ -14,21 +14,20 @@ use toc_ml::LossKind;
 
 /// Body of `prop_cache_never_exceeds_budget` (out-of-line: `proptest!`
 /// expands bodies recursively and long ones blow the recursion limit).
-fn check_budget_invariant(budget: usize, ops: Vec<(usize, usize, u32, bool)>) {
+fn check_budget_invariant(budget: usize, ops: Vec<(usize, usize, bool)>) {
     let cache = BatchCache::new(budget);
     let mut inserted: std::collections::HashMap<usize, Vec<u8>> = std::collections::HashMap::new();
-    for (id, size, heat, is_insert) in ops {
-        let heat = heat as f64;
+    for (id, size, is_insert) in ops {
         if is_insert {
             let bytes: Vec<u8> = (0..size).map(|b| (b ^ id) as u8).collect();
             // Inserting over a resident id keeps the resident copy (spill
             // bytes are immutable per id), so only a fresh insert updates
             // the mirror.
             let was_resident = cache.contains(id);
-            if cache.insert(id, bytes.clone(), heat) && !was_resident {
+            if cache.insert(id, bytes.clone()) && !was_resident {
                 inserted.insert(id, bytes);
             }
-        } else if let Some(got) = cache.get(id, heat) {
+        } else if let Some(got) = cache.get(id) {
             prop_assert_eq!(
                 got.as_slice(),
                 inserted[&id].as_slice(),
@@ -43,41 +42,47 @@ fn check_budget_invariant(budget: usize, ops: Vec<(usize, usize, u32, bool)>) {
     }
 }
 
-/// Body of `prop_hottest_batches_survive`.
-fn check_hottest_survive(k: usize, raw: Vec<u32>, seed: u64) {
-    const SIZE: usize = 64;
-    let cache = BatchCache::new(k * SIZE);
-    // Distinct heats (ties make top-k ambiguous), deterministically
-    // shuffled.
-    let mut heats: Vec<u32> = raw;
-    heats.sort_unstable();
-    heats.dedup();
-    let mut order = heats.clone();
-    let mut state = seed;
-    for i in (1..order.len()).rev() {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        order.swap(i, (state % (i as u64 + 1)) as usize);
+/// Body of `prop_fill_once_pool_keeps_what_fit`: the pool is checked
+/// against a model that keeps every insert fitting in what the budget
+/// has left and refuses every other.
+fn check_fill_once(budget: usize, ops: Vec<(usize, usize, bool)>) {
+    let cache = BatchCache::new(budget);
+    let mut model: std::collections::HashMap<usize, Vec<u8>> = std::collections::HashMap::new();
+    let mut model_bytes = 0usize;
+    for (id, size, is_insert) in ops {
+        if is_insert {
+            let bytes: Vec<u8> = (0..size).map(|b| (b * 7 + id) as u8).collect();
+            // A re-offer of a resident batch keeps the resident copy.
+            let refused = !model.contains_key(&id) && model_bytes + size > budget;
+            let rejected = cache.rejected();
+            let resident = cache.insert(id, bytes.clone());
+            prop_assert_eq!(resident, !refused, "insert({}, {} B)", id, size);
+            prop_assert_eq!(cache.rejected(), rejected + u64::from(refused));
+            if refused {
+                prop_assert!(!cache.contains(id));
+            } else if let std::collections::hash_map::Entry::Vacant(slot) = model.entry(id) {
+                model_bytes += size;
+                slot.insert(bytes);
+            }
+        } else {
+            let got = cache.get(id);
+            prop_assert_eq!(got.as_deref(), model.get(&id), "get({}) disagrees", id);
+        }
+        // Once resident, always resident with the same bytes; nothing
+        // else is.
+        prop_assert_eq!(cache.len(), model.len());
+        prop_assert_eq!(cache.bytes(), model_bytes);
+        for (id, bytes) in &model {
+            prop_assert_eq!(
+                cache.get(*id).as_deref(),
+                Some(bytes),
+                "batch {} changed",
+                id
+            );
+        }
+        prop_assert_eq!(cache.evictions(), 0);
     }
-    for (id, &heat) in order.iter().enumerate() {
-        cache.insert(id, vec![0u8; SIZE], heat as f64);
-    }
-    let survivors: Vec<u32> = order
-        .iter()
-        .enumerate()
-        .filter(|(id, _)| cache.contains(*id))
-        .map(|(_, &h)| h)
-        .collect();
-    let top_k: std::collections::HashSet<u32> = heats.iter().rev().take(k).copied().collect();
-    prop_assert_eq!(survivors.len(), heats.len().min(k));
-    for h in &survivors {
-        prop_assert!(
-            top_k.contains(h),
-            "heat {h} survived but is not among the {k} hottest of {:?}",
-            heats
-        );
-    }
+    prop_assert_eq!(cache.insertions(), model.len() as u64);
 }
 
 proptest! {
@@ -90,23 +95,26 @@ proptest! {
     fn prop_cache_never_exceeds_budget(
         budget in 1usize..4096,
         ops in prop::collection::vec(
-            (0usize..32, 1usize..1024, 0u32..1000, any::<bool>()),
+            (0usize..32, 1usize..1024, any::<bool>()),
             1..80,
         ),
     ) {
         check_budget_invariant(budget, ops);
     }
 
-    /// With equal-size entries and distinct heats, the cache behaves as a
-    /// top-k selection: whatever order the inserts arrive in, exactly the
-    /// k hottest entries survive.
+    /// Under any sequence of inserts and gets the pool is fill-once: an
+    /// entry, once resident, stays resident with the same bytes; an
+    /// insert that does not fit is refused, counts in `rejected()` and
+    /// leaves the pool unchanged; and nothing is ever evicted.
     #[test]
-    fn prop_hottest_batches_survive(
-        k in 1usize..8,
-        heats in prop::collection::vec(0u32..10_000, 1..24),
-        seed in 0u64..1000,
+    fn prop_fill_once_pool_keeps_what_fit(
+        budget in 1usize..4096,
+        ops in prop::collection::vec(
+            (0usize..32, 1usize..1024, any::<bool>()),
+            1..80,
+        ),
     ) {
-        check_hottest_survive(k, heats, seed);
+        check_fill_once(budget, ops);
     }
 }
 

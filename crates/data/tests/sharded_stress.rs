@@ -4,7 +4,7 @@
 //! the `IoStats` totals must add up exactly. Run it in release too — the
 //! CI has a `cargo test --release` job precisely for these.
 
-use toc_data::store::{IoEngineKind, ShardPlacement, ShardedSpillStore, StoreConfig};
+use toc_data::store::{IoEngineKind, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{MatrixBatch, Scheme};
 use toc_ml::mgd::BatchProvider;
@@ -26,17 +26,15 @@ fn eight_concurrent_visitors_get_byte_identical_batches() {
         })
         .collect();
 
-    for (prefetch, io, placement) in [
-        (0usize, IoEngineKind::Sync, ShardPlacement::Stripe),
-        (6, IoEngineKind::Sync, ShardPlacement::Stripe),
-        (6, IoEngineKind::Ring, ShardPlacement::Stripe),
-        (6, IoEngineKind::Ring, ShardPlacement::Pack),
+    for (prefetch, io) in [
+        (0usize, IoEngineKind::Sync),
+        (6, IoEngineKind::Sync),
+        (6, IoEngineKind::Ring),
     ] {
         let config = StoreConfig::new(Scheme::Toc, BATCH_ROWS, 0)
             .with_shards(4)
             .with_prefetch(prefetch)
-            .with_io(io)
-            .with_placement(placement);
+            .with_io(io);
         let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).unwrap();
         assert_eq!(store.spilled_batches(), n_batches);
         assert_eq!(store.num_shards(), 4);
