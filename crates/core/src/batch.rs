@@ -18,8 +18,10 @@
 //! ```
 //!
 //! "int array" is the bit-packed (or varint) format of
-//! [`crate::physical`]. Kernels read `I` and `D` directly from this buffer
-//! through [`TocView`]; nothing is decompressed.
+//! [`crate::physical`]. Nothing is decompressed to run a kernel: the
+//! replay that rebuilds `C'` from this buffer (through [`TocView`]) unpacks
+//! `I` and `D` into the plain integer arrays of a [`DecodeTree`] once, and
+//! the kernels run on those.
 
 use crate::encode::{logical_encode, logical_encode_dense, LogicalEncoded};
 use crate::error::{corrupt, TocError};
@@ -208,20 +210,26 @@ impl TocBatch {
         self.bytes.clone()
     }
 
-    /// Deserialize and fully validate an untrusted buffer.
+    /// Deserialize and fully validate an untrusted buffer: magic, version,
+    /// codec, padding and no trailing bytes; then, in the one walk that
+    /// replays the dictionary, the lengths of `I`, its column and value
+    /// indexes in range, offsets that partition `D`, and every code naming
+    /// a node that already exists.
     ///
-    /// Validation replays the dictionary, which builds `C'`; the batch
-    /// keeps that tree and its kernels run on it, so a batch that is
-    /// parsed, visited and dropped — a spilled read — replays once. The
-    /// tree is several times the encoded size and is not counted by
-    /// [`Self::size_bytes`]: whoever keeps parsed batches around should
-    /// [`Self::shed_tree`] them (kernels then build `C'` in their
-    /// [`KernelScratch`], as for a batch made by `encode`).
+    /// The replay builds `C'`, and the batch keeps what it built — the
+    /// [`DecodeTree`]: `parent` and `key` per node (8 bytes), `I` as plain
+    /// columns and values, `D` (4 bytes per code) and the tuple offsets (4
+    /// bytes per row), unpacked once. Every kernel runs on it without
+    /// parsing the buffer again, so a batch that is parsed, visited and
+    /// dropped — a spilled read — replays and unpacks once. On a 250-row
+    /// census-like batch that is about 24 KB beside 4–5 KB of encoded
+    /// bytes, and it is not counted by [`Self::size_bytes`]: whoever keeps
+    /// parsed batches around should [`Self::shed_tree`] them (kernels then
+    /// build the same structure in their [`KernelScratch`], as for a batch
+    /// made by `encode`).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, TocError> {
-        let (rows, cols, tree) = {
-            let view = parse_view(&bytes)?;
-            (view.rows, view.cols, DecodeTree::build(&view)?)
-        };
+        let tree = DecodeTree::build(&parse_view(&bytes)?)?;
+        let (rows, cols) = (tree.rows, tree.cols);
         Ok(Self {
             bytes,
             rows,
@@ -232,7 +240,7 @@ impl TocBatch {
         })
     }
 
-    /// Drop the tree [`Self::from_bytes`] kept.
+    /// Drop everything [`Self::from_bytes`] kept beside the bytes.
     pub fn shed_tree(&mut self) {
         self.tree = None;
     }
@@ -317,15 +325,24 @@ impl TocBatch {
         }
     }
 
+    /// Run `f` on this batch's `C'`: the carried one, else one built for
+    /// the call.
+    fn with_tree<R>(&self, f: impl FnOnce(&DecodeTree) -> R) -> R {
+        match &self.tree {
+            Some(tree) => f(tree),
+            None => f(&DecodeTree::build_trusted(&self.view())),
+        }
+    }
+
     /// Decode to the sparse-row representation.
     pub fn decode_sparse(&self) -> SparseRows {
-        crate::ops::decode_sparse(&self.view())
+        self.with_tree(crate::ops::decode_sparse)
     }
 
     /// Partial decode of selected rows, in order (duplicates allowed).
     /// Cost: one `C'` build plus work linear in the selected pairs.
     pub fn gather_rows(&self, rows: &[usize]) -> SparseRows {
-        crate::ops::gather_rows(&self.view(), rows)
+        self.with_tree(|tree| crate::ops::gather_rows(tree, rows))
     }
 
     /// Fully decode to dense (needed only by sparse-unsafe ops).
@@ -377,8 +394,9 @@ impl TocBatch {
         ws: &mut KernelScratch,
     ) -> Result<(), TocError> {
         check_dim(self.cols, v.len(), "A·v")?;
-        let view = ws.prepare(self);
-        crate::ops::matvec_into(&view, self.tree_in(&ws.tree), v, &mut ws.h, out);
+        ws.prepare(self);
+        let tree = self.tree_in(&ws.tree);
+        crate::ops::matvec_into(tree, v, &mut ws.p, &mut ws.h, out);
         Ok(())
     }
 
@@ -390,8 +408,8 @@ impl TocBatch {
         ws: &mut KernelScratch,
     ) -> Result<(), TocError> {
         check_dim(self.rows, v.len(), "v·A")?;
-        let view = ws.prepare(self);
-        crate::ops::vecmat_into(&view, self.tree_in(&ws.tree), v, &mut ws.h, out);
+        ws.prepare(self);
+        crate::ops::vecmat_into(self.tree_in(&ws.tree), v, &mut ws.h, out);
         Ok(())
     }
 
@@ -444,9 +462,8 @@ impl TocBatch {
     /// Full decode into a caller-owned dense matrix (see
     /// [`Self::matvec_into`]).
     pub fn decode_into(&self, out: &mut DenseMatrix, ws: &mut KernelScratch) {
-        let view = ws.prepare(self);
-        let tree = self.tree_in(&ws.tree);
-        crate::ops::decode_into(&view, tree, &mut ws.stack, &mut ws.row_codes, out);
+        ws.prepare(self);
+        crate::ops::decode_into(self.tree_in(&ws.tree), &mut ws.stack, out);
     }
 
     /// Encoding statistics, for inspection and ablation reporting.
@@ -487,14 +504,16 @@ fn check_dim(expected: usize, got: usize, what: &'static str) -> Result<(), TocE
 /// (`TocBatch::{matvec,vecmat,matmat,matmat_left,matmat_t,decode}_into`): holds the
 /// decode tree `C'` of the encoded batch it prepared last, the live plan of
 /// the batch whose matrix kernels it ran last, the rebuild scratch, the
-/// kernels' `H`/`G` accumulators, and the decode backtracking buffers. One
-/// instance serves any number of batches of any shape; buffers grow to the
-/// high-water mark and are reused thereafter.
+/// kernels' `P`/`H`/`G` accumulators, and the decode backtracking buffer.
+/// One instance serves any number of batches of any shape; buffers grow to
+/// the high-water mark and are reused thereafter.
 ///
 /// Who builds `C'` when: a batch parsed by [`TocBatch::from_bytes`]
-/// carries the tree its validation built, and the kernels run on that —
-/// this scratch builds nothing for it. A batch made by `encode` carries no
-/// tree, so the scratch builds one — once per batch, not once per call.
+/// carries the tree its validation built, with `I` and `D` unpacked, and
+/// the kernels run on that — this scratch builds nothing for it, and no
+/// kernel parses its buffer. A batch made by `encode` carries no tree, so
+/// the scratch builds the same structure — once per batch, not once per
+/// call.
 /// What the scratch derives it keys by the batch's serial (see
 /// [`TocBatch`]): the number `encode` / `from_bytes` drew, which clones
 /// share and [`TocBatch::scale`] redraws, so a kernel rebuilds only for a
@@ -520,10 +539,10 @@ pub struct KernelScratch {
     /// Serial of the batch `plan` is the live plan of.
     planned: Option<u64>,
     plan: LivePlan,
+    p: Vec<f64>,
     h: Vec<f64>,
     block: BlockScratch,
     stack: Vec<(u32, f64)>,
-    row_codes: Vec<u32>,
     builds: u64,
     plans: u64,
 }
@@ -531,16 +550,14 @@ pub struct KernelScratch {
 impl KernelScratch {
     /// Make sure `batch` has a `C'` — its own, or else `tree`, built unless
     /// it already is this batch's.
-    fn prepare<'a>(&mut self, batch: &'a TocBatch) -> TocView<'a> {
-        let view = batch.view();
+    fn prepare(&mut self, batch: &TocBatch) {
         if batch.tree.is_none() && self.built != Some(batch.serial) {
             // Nothing counts as built while the tree is half rebuilt.
             self.built = None;
-            DecodeTree::build_trusted_into(&view, &mut self.tree, &mut self.tree_scratch);
+            DecodeTree::build_trusted_into(&batch.view(), &mut self.tree, &mut self.tree_scratch);
             self.built = Some(batch.serial);
             self.builds += 1;
         }
-        view
     }
 
     /// Run `kernel` on the live plan of `batch`: the one it holds, filled
@@ -549,16 +566,16 @@ impl KernelScratch {
     fn with_plan(&mut self, batch: &TocBatch, kernel: impl FnOnce(&LivePlan, &mut BlockScratch)) {
         if let Some(slot) = &batch.held {
             let plan = slot.get_or_init(|| {
-                let view = self.prepare(batch);
+                self.prepare(batch);
                 self.plans += 1;
-                LivePlan::build_compact(&view, batch.tree_in(&self.tree))
+                LivePlan::build_compact(batch.tree_in(&self.tree))
             });
             return kernel(plan, &mut self.block);
         }
         if self.planned != Some(batch.serial) {
             self.planned = None;
-            let view = self.prepare(batch);
-            self.plan.rebuild(&view, batch.tree_in(&self.tree));
+            self.prepare(batch);
+            self.plan.rebuild(batch.tree_in(&self.tree));
             self.planned = Some(batch.serial);
             self.plans += 1;
         }

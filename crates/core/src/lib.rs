@@ -17,8 +17,9 @@
 //!    indexing compress the integers and doubles into one byte buffer.
 //!
 //! Matrix operations (`A·v`, `v·A`, `A·M`, `M·A`, `Aᵀ·D`, `A.*c`) execute directly
-//! on the compressed buffer ([`ops`], paper §4) after rebuilding the
-//! parent-pointer decode tree `C'` ([`tree::DecodeTree`]) — once per
+//! on the compressed representation ([`ops`], paper §4) after rebuilding
+//! the parent-pointer decode tree `C'` ([`tree::DecodeTree`], with `I` and
+//! `D` unpacked beside it) — once per
 //! mini-batch when the kernels share a [`KernelScratch`], which is how a
 //! training step calls them, and not at all for a batch that
 //! [`TocBatch::from_bytes`] parsed: validating it built the tree. A batch

@@ -32,54 +32,64 @@
 //! backward scan zeroes what it reads (see [`BlockScratch`]), so no block
 //! clears it.
 //!
-//! The vector kernels stay on `C'` as built: their one pass does not
-//! repay the plan's (on census-like, where 84 % of the nodes are live,
-//! deriving it costs as much as the two kernels together).
+//! The vector kernels and decode run on [`DecodeTree`] as the replay left
+//! it: `C'` as `parent` and `key` per node, `key` an index into the first
+//! layer `I`, next to `I` and `D` unpacked to plain arrays. Their one pass
+//! does not repay the plan's (on census-like, where 84 % of the nodes are
+//! live, deriving it costs as much as the two kernels together).
 //!
 //! Who builds `C'` and the plan when: the functions here take them as
 //! arguments. For a batch that was parsed ([`crate::TocBatch::from_bytes`]:
-//! a spilled read, a container segment) `C'` is the tree the parse's
-//! validation replayed, carried by the batch — one replay per visit. For a
-//! batch made by `encode`, which is every resident batch, the caller's
-//! [`crate::KernelScratch`] builds it, once per batch it meets, keyed by
-//! the batch's serial. The live plan is the batch's own when it holds one
-//! ([`crate::TocBatch::hold_plan`]: a resident batch the store's budget
-//! has room for), derived once by the first matrix kernel and kept for
-//! every later epoch; else the scratch derives it, once per batch it
-//! meets.
+//! a spilled read, a container segment) the tree is the one the parse's
+//! validation replayed, carried by the batch with `I` and `D` unpacked —
+//! one replay and one unpack per visit, and no kernel call parses the
+//! buffer again. For a batch made by `encode`, which is every resident
+//! batch, the caller's [`crate::KernelScratch`] builds the same structure,
+//! once per batch it meets, keyed by the batch's serial. The live plan is
+//! the batch's own when it holds one ([`crate::TocBatch::hold_plan`]: a
+//! resident batch the store's budget has room for), derived once from the
+//! tree by the first matrix kernel and kept for every later epoch; else
+//! the scratch derives it, once per batch it meets.
 
-use crate::batch::TocView;
 use crate::tree::{DecodeTree, LivePlan};
 use toc_linalg::dense::reset_vec;
 use toc_linalg::sparse::{ColVal, SparseRows};
 use toc_linalg::DenseMatrix;
 
-/// Algorithm 4, `A · v`, with a caller-owned `H` accumulator and output
-/// buffer.
+/// Algorithm 4, `A · v`, with caller-owned `P` and `H` accumulators and
+/// output buffer.
 ///
 /// Dynamic programming over the tree: `H[i] = key_i · v + H[parent(i)]`
 /// evaluates `F(i) = seq(i) · v` for every node in one forward scan (node
 /// indexes are topologically ordered because children are created after
-/// their parents). The result row `r` is then the sum of `H` over the row's
-/// codes.
+/// their parents). Every key is a first-layer pair, so `key_i · v` is
+/// formed once per pair of `I` into `P` and read through the node's key:
+/// the same product of the same operands, added to the same `H[parent(i)]`,
+/// so the bits are those of the per-node form. The result row `r` is then
+/// the sum of `H` over the row's codes.
 pub fn matvec_into(
-    view: &TocView<'_>,
     tree: &DecodeTree,
     v: &[f64],
+    p: &mut Vec<f64>,
     h: &mut Vec<f64>,
     out: &mut Vec<f64>,
 ) {
-    debug_assert_eq!(v.len(), view.cols);
+    debug_assert_eq!(v.len(), tree.cols);
+    p.clear();
+    p.push(0.0);
+    let first = tree.first_col[1..].iter().zip(&tree.first_val[1..]);
+    p.extend(first.map(|(&col, &val)| val * v[col as usize]));
     let n = tree.len();
     reset_vec(h, n);
-    for i in 1..n {
-        h[i] = tree.key_val[i] * v[tree.key_col[i] as usize] + h[tree.parent[i] as usize];
+    for (i, (&key, &parent)) in tree.key.iter().zip(&tree.parent).enumerate().skip(1) {
+        h[i] = p[key as usize] + h[parent as usize];
     }
-    reset_vec(out, view.rows);
-    for (r, o) in out.iter_mut().enumerate() {
-        let (s, e) = view.row_range(r);
+    reset_vec(out, tree.rows);
+    for (o, w) in out.iter_mut().zip(tree.offsets.windows(2)) {
         let mut acc = 0.0;
-        view.for_each_code_in(s, e, |c| acc += h[c as usize]);
+        for &c in &tree.codes[w[0] as usize..w[1] as usize] {
+            acc += h[c as usize];
+        }
         *o = acc;
     }
 }
@@ -91,26 +101,23 @@ pub fn matvec_into(
 /// code `i`; then scan `C'` **backwards**, pushing each node's weight onto
 /// its parent so that every node's weight ends up multiplied into exactly
 /// the pairs of its sequence.
-pub fn vecmat_into(
-    view: &TocView<'_>,
-    tree: &DecodeTree,
-    v: &[f64],
-    h: &mut Vec<f64>,
-    out: &mut Vec<f64>,
-) {
-    debug_assert_eq!(v.len(), view.rows);
+pub fn vecmat_into(tree: &DecodeTree, v: &[f64], h: &mut Vec<f64>, out: &mut Vec<f64>) {
+    debug_assert_eq!(v.len(), tree.rows);
     let n = tree.len();
     reset_vec(h, n);
-    for (r, &w) in v.iter().enumerate() {
-        let (s, e) = view.row_range(r);
-        view.for_each_code_in(s, e, |c| h[c as usize] += w);
+    for (&x, w) in v.iter().zip(tree.offsets.windows(2)) {
+        for &c in &tree.codes[w[0] as usize..w[1] as usize] {
+            h[c as usize] += x;
+        }
     }
-    reset_vec(out, view.cols);
-    for i in (1..n).rev() {
+    reset_vec(out, tree.cols);
+    let nodes = tree.key.iter().zip(&tree.parent).enumerate().skip(1);
+    for (i, (&key, &parent)) in nodes.rev() {
         let w = h[i];
         if w != 0.0 {
-            out[tree.key_col[i] as usize] += tree.key_val[i] * w;
-            h[tree.parent[i] as usize] += w;
+            let key = key as usize;
+            out[tree.first_col[key] as usize] += tree.first_val[key] * w;
+            h[parent as usize] += w;
         }
     }
 }
@@ -368,28 +375,24 @@ pub fn matmat_t_into(
     ws.g_dirty = false;
 }
 
+/// Push node `code`'s sequence onto `stack`, last pair first.
+fn backtrack(tree: &DecodeTree, code: u32, stack: &mut Vec<(u32, f64)>) {
+    stack.clear();
+    let mut cur = code;
+    while cur != 0 {
+        stack.push(tree.key_of(cur));
+        cur = tree.parent[cur as usize];
+    }
+}
+
 /// Decode directly into a caller-owned dense matrix: the zero-allocation
-/// counterpart of `decode_sparse().decode()`. `stack` and `row_codes` are
-/// reusable scratch buffers.
-pub fn decode_into(
-    view: &TocView<'_>,
-    tree: &DecodeTree,
-    stack: &mut Vec<(u32, f64)>,
-    row_codes: &mut Vec<u32>,
-    out: &mut DenseMatrix,
-) {
-    out.reset(view.rows, view.cols);
-    for r in 0..view.rows {
-        let (s, e) = view.row_range(r);
-        row_codes.clear();
-        view.codes_into(s, e, row_codes);
-        for &code in row_codes.iter() {
-            stack.clear();
-            let mut cur = code;
-            while cur != 0 {
-                stack.push((tree.key_col[cur as usize], tree.key_val[cur as usize]));
-                cur = tree.parent[cur as usize];
-            }
+/// counterpart of `decode_sparse().decode()`. `stack` is a reusable
+/// scratch buffer.
+pub fn decode_into(tree: &DecodeTree, stack: &mut Vec<(u32, f64)>, out: &mut DenseMatrix) {
+    out.reset(tree.rows, tree.cols);
+    for r in 0..tree.rows {
+        for &code in tree.row_codes(r) {
+            backtrack(tree, code, stack);
             for &(col, val) in stack.iter().rev() {
                 out.set(r, col as usize, val);
             }
@@ -400,69 +403,44 @@ pub fn decode_into(
 /// Full decode to sparse rows (the core of Algorithm 6): backtrack every
 /// code through `C'` with a reusable scratch stack; total work is linear in
 /// the number of decoded pairs.
-pub fn decode_sparse(view: &TocView<'_>) -> SparseRows {
-    let tree = DecodeTree::build_trusted(view);
-    let mut pairs: Vec<ColVal> = Vec::new();
-    let mut offsets: Vec<usize> = Vec::with_capacity(view.rows + 1);
-    offsets.push(0);
-    let mut scratch: Vec<(u32, f64)> = Vec::new();
-    let mut row_codes: Vec<u32> = Vec::new();
-    for r in 0..view.rows {
-        let (s, e) = view.row_range(r);
-        row_codes.clear();
-        view.codes_into(s, e, &mut row_codes);
-        for &code in &row_codes {
-            scratch.clear();
-            let mut cur = code;
-            while cur != 0 {
-                scratch.push((tree.key_col[cur as usize], tree.key_val[cur as usize]));
-                cur = tree.parent[cur as usize];
-            }
-            for &(col, val) in scratch.iter().rev() {
-                pairs.push(ColVal { col, val });
-            }
-        }
-        offsets.push(pairs.len());
-    }
-    SparseRows::from_parts(view.rows, view.cols, pairs, offsets)
+pub fn decode_sparse(tree: &DecodeTree) -> SparseRows {
+    gather(tree, 0..tree.rows)
 }
 
 /// Partial decode: materialize only the selected rows (in the given
 /// order) as sparse rows, without touching the rest of the batch. Useful
 /// for sampling-style access patterns (e.g. shuffle-always MGD, §2.1.3):
-/// cost is one `C'` build plus work linear in the *selected* pairs.
-pub fn gather_rows(view: &TocView<'_>, rows: &[usize]) -> SparseRows {
-    let tree = DecodeTree::build_trusted(view);
+/// cost is work linear in the *selected* pairs.
+pub fn gather_rows(tree: &DecodeTree, rows: &[usize]) -> SparseRows {
+    gather(
+        tree,
+        rows.iter().map(|&r| {
+            assert!(r < tree.rows, "row {r} out of range");
+            r
+        }),
+    )
+}
+
+fn gather(tree: &DecodeTree, rows: impl ExactSizeIterator<Item = usize>) -> SparseRows {
+    let n_rows = rows.len();
     let mut pairs: Vec<ColVal> = Vec::new();
-    let mut offsets: Vec<usize> = Vec::with_capacity(rows.len() + 1);
+    let mut offsets: Vec<usize> = Vec::with_capacity(n_rows + 1);
     offsets.push(0);
-    let mut scratch: Vec<(u32, f64)> = Vec::new();
-    let mut row_codes: Vec<u32> = Vec::new();
-    for &r in rows {
-        assert!(r < view.rows, "row {r} out of range");
-        let (s, e) = view.row_range(r);
-        row_codes.clear();
-        view.codes_into(s, e, &mut row_codes);
-        for &code in &row_codes {
-            scratch.clear();
-            let mut cur = code;
-            while cur != 0 {
-                scratch.push((tree.key_col[cur as usize], tree.key_val[cur as usize]));
-                cur = tree.parent[cur as usize];
-            }
-            for &(col, val) in scratch.iter().rev() {
-                pairs.push(ColVal { col, val });
-            }
+    let mut stack: Vec<(u32, f64)> = Vec::new();
+    for r in rows {
+        for &code in tree.row_codes(r) {
+            backtrack(tree, code, &mut stack);
+            pairs.extend(stack.iter().rev().map(|&(col, val)| ColVal { col, val }));
         }
         offsets.push(pairs.len());
     }
-    SparseRows::from_parts(rows.len(), view.cols, pairs, offsets)
+    SparseRows::from_parts(n_rows, tree.cols, pairs, offsets)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::batch::{KernelScratch, PhysicalCodec, TocBatch};
+    use crate::batch::{KernelScratch, PhysicalCodec, TocBatch, TocView};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
     use toc_linalg::dense::max_abs_diff_vec;
@@ -475,8 +453,8 @@ mod tests {
         let n = tree.len();
         let mut h = vec![0.0; n * p];
         for i in 1..n {
-            let key_val = tree.key_val[i];
-            let mrow = m.row(tree.key_col[i] as usize);
+            let (key_col, key_val) = tree.key_of(i as u32);
+            let mrow = m.row(key_col as usize);
             let parent = tree.parent[i] as usize;
             let (head, tail) = h.split_at_mut(i * p);
             let hp = &head[parent * p..parent * p + p];
@@ -517,8 +495,8 @@ mod tests {
         }
         let mut out = DenseMatrix::zeros(p, view.cols);
         for i in (1..n).rev() {
-            let col = tree.key_col[i] as usize;
-            let key_val = tree.key_val[i];
+            let (col, key_val) = tree.key_of(i as u32);
+            let col = col as usize;
             let parent = tree.parent[i] as usize;
             let (head, tail) = h.split_at_mut(i * p);
             let hi = &tail[..p];
@@ -649,7 +627,7 @@ mod tests {
         let toc = TocBatch::encode(&a);
         let view = toc.view();
         let tree = DecodeTree::build_trusted(&view);
-        let plan = LivePlan::build_compact(&view, &tree);
+        let plan = LivePlan::build_compact(&tree);
         let d = operand(&mut rng, a.rows(), 11, false);
         let want = oracle_matmat_left(&view, &tree, &d.transpose()).transpose();
         let mut ws = BlockScratch::default();
@@ -808,7 +786,7 @@ mod tests {
         let a = random_redundant(&mut rng, 30, 18, 0.35);
         let toc = TocBatch::encode(&a);
         let idx = [7usize, 0, 29, 7, 15];
-        let got = gather_rows(&toc.view(), &idx).decode();
+        let got = toc.gather_rows(&idx).decode();
         let want = a.gather_rows(&idx);
         assert_eq!(got, want);
     }

@@ -289,11 +289,41 @@ impl IntSlice<'_> {
         }
     }
 
-    /// Append elements `start..end` to `out` (bulk decode for row scans).
-    #[inline]
+    /// Unpack elements `start..start + out.len()` into `out`, one width
+    /// dispatch for the whole slice and a loop per width with nothing in
+    /// it but the widening store.
+    pub fn unpack_into(&self, start: usize, out: &mut [u32]) {
+        let end = start + out.len();
+        match self {
+            IntSlice::W1(b) => {
+                for (o, &x) in out.iter_mut().zip(&b[start..end]) {
+                    *o = x as u32;
+                }
+            }
+            IntSlice::W2(b) => {
+                for (o, ch) in out.iter_mut().zip(b[2 * start..2 * end].chunks_exact(2)) {
+                    *o = u16::from_le_bytes([ch[0], ch[1]]) as u32;
+                }
+            }
+            IntSlice::W3(b) => {
+                for (o, ch) in out.iter_mut().zip(b[3 * start..3 * end].chunks_exact(3)) {
+                    *o = u32::from_le_bytes([ch[0], ch[1], ch[2], 0]);
+                }
+            }
+            IntSlice::W4(b) => {
+                for (o, ch) in out.iter_mut().zip(b[4 * start..4 * end].chunks_exact(4)) {
+                    *o = u32::from_le_bytes([ch[0], ch[1], ch[2], ch[3]]);
+                }
+            }
+            IntSlice::Owned(v) => out.copy_from_slice(&v[start..end]),
+        }
+    }
+
+    /// Append elements `start..end` to `out`, unpacked in bulk.
     pub fn extend_into(&self, start: usize, end: usize, out: &mut Vec<u32>) {
-        out.reserve(end - start);
-        self.for_each_range(start, end, |x| out.push(x));
+        let at = out.len();
+        out.resize(at + (end - start), 0);
+        self.unpack_into(start, &mut out[at..]);
     }
 }
 
@@ -351,6 +381,19 @@ mod tests {
             assert_eq!(s.get(i), v, "index {i}");
         }
         assert_eq!(cur.remaining(), 0);
+        assert_unpacks(&s, vals);
+    }
+
+    /// The bulk unpack, from the start and from every offset, is `get`.
+    fn assert_unpacks(s: &IntSlice<'_>, vals: &[u32]) {
+        for start in 0..=vals.len() {
+            let mut out = vec![u32::MAX; vals.len() - start];
+            s.unpack_into(start, &mut out);
+            assert_eq!(out, &vals[start..], "from {start}");
+        }
+        let mut grown = vec![7];
+        s.extend_into(0, vals.len(), &mut grown);
+        assert_eq!((grown[0], &grown[1..]), (7, vals));
     }
 
     #[test]
@@ -379,6 +422,7 @@ mod tests {
         for (i, &v) in vals.iter().enumerate() {
             assert_eq!(s.get(i), v);
         }
+        assert_unpacks(&s, vals);
     }
 
     #[test]

@@ -8,34 +8,60 @@
 //! D[i][j+1])` a node was added whose parent is `D[i][j]` and whose key is
 //! the first pair of the sequence represented by `D[i][j+1]`.
 //!
+//! That first pair is always a first-layer pair: Algorithm 2's `F` names,
+//! for every node, the first-layer node its sequence starts with, and the
+//! new node's key is `F[D[i][j+1]]`'s. So a node's key is the same
+//! information as an index into `I`, and [`DecodeTree`] keeps that index
+//! (`key`) instead of a copy of the pair: 4 bytes per node where the pair
+//! took 12, and the kernels read `I` — 169 entries on a 250-row
+//! census-like batch, beside 1 700 nodes — through it. `A·v` turns that into one product per first-layer pair
+//! instead of one per node (see [`crate::ops::matvec_into`]).
+//!
 //! The replay adds a node for *every* adjacent pair, but `D` only ever
 //! names the ones the encoder matched again later; on image-like data
 //! almost half of `C'` is dictionary growth no code reaches. [`LivePlan`]
-//! is `C'` without those nodes, next to `D` unpacked to plain integers.
+//! is `C'` without those nodes, next to `D` remapped to their slots.
 
 use crate::batch::TocView;
 use crate::error::{corrupt, TocError};
 
-/// Parent-pointer prefix tree used by all compressed kernels.
+/// Parent-pointer prefix tree used by all compressed kernels, with the
+/// batch's first layer `I` and encoded table `D` unpacked beside it: what
+/// every kernel reads, in plain arrays.
 ///
-/// Stored as parallel arrays indexed by node id; id 0 is the root (its key
-/// slot is unused and holds `(0, 0.0)`). For node `i >= 1`:
-/// `seq(i) = seq(parent[i]) ++ (key_col[i], key_val[i])`.
+/// Nodes are indexed by id; id 0 is the root and ids `1..=|I|` are the
+/// first layer, in `I`'s order. For node `i >= 1`:
+/// `seq(i) = seq(parent[i]) ++ (first_col[key[i]], first_val[key[i]])`.
 #[derive(Clone, Debug, Default)]
 pub struct DecodeTree {
-    pub key_col: Vec<u32>,
-    pub key_val: Vec<f64>,
+    /// Matrix rows (tuples in `D`).
+    pub rows: usize,
+    /// Matrix columns.
+    pub cols: usize,
+    /// Parent of each node (the root's slot holds 0).
     pub parent: Vec<u32>,
+    /// The first-layer node whose pair is each node's key (the root's slot
+    /// holds 0).
+    pub key: Vec<u32>,
+    /// Column of each first-layer node, `|I| + 1` entries indexed by node
+    /// id (entry 0, the root's, holds 0).
+    pub first_col: Vec<u32>,
+    /// Value of each first-layer node, indexed like [`Self::first_col`]
+    /// (entry 0 holds `0.0`).
+    pub first_val: Vec<f64>,
+    /// `D`: every tuple's codes, concatenated.
+    pub codes: Vec<u32>,
+    /// Tuple boundaries in `codes`: `rows + 1` entries.
+    pub offsets: Vec<u32>,
 }
 
-/// Reusable scratch for [`DecodeTree::build_trusted_into`]: holds the `F`
-/// array and the unpacked `D` and tuple offsets so that rebuilding `C'` for
-/// a new batch performs no heap allocation in steady state.
+/// Reusable scratch for [`DecodeTree::build_trusted_into`]: Algorithm 2's
+/// `F` array and where in `D` each tuple starts, so that rebuilding `C'`
+/// for a new batch performs no heap allocation in steady state.
 #[derive(Clone, Debug, Default)]
 pub struct TreeScratch {
     first: Vec<u32>,
-    codes: Vec<u32>,
-    offsets: Vec<u32>,
+    starts: Vec<bool>,
 }
 
 impl DecodeTree {
@@ -48,6 +74,19 @@ impl DecodeTree {
     /// True if only the root exists.
     pub fn is_empty(&self) -> bool {
         self.len() <= 1
+    }
+
+    /// The key pair of node `n`.
+    #[inline]
+    pub fn key_of(&self, n: u32) -> (u32, f64) {
+        let k = self.key[n as usize] as usize;
+        (self.first_col[k], self.first_val[k])
+    }
+
+    /// Codes of tuple `r`.
+    #[inline]
+    pub fn row_codes(&self, r: usize) -> &[u32] {
+        &self.codes[self.offsets[r] as usize..self.offsets[r + 1] as usize]
     }
 
     /// Algorithm 2 (`BuildPrefixTree`): rebuild `C'` from the view's
@@ -98,21 +137,40 @@ impl DecodeTree {
                 return Err(corrupt("offset table length mismatch"));
             }
         }
-        let TreeScratch {
-            first,
+        let DecodeTree {
+            rows,
+            cols,
+            parent,
+            key,
+            first_col,
+            first_val,
             codes,
             offsets,
-        } = scratch;
+        } = tree;
+        (*rows, *cols) = (view.rows, view.cols);
         // The tuple offsets and `D`, unpacked once.
         offsets.clear();
         view.offsets.extend_into(0, view.rows + 1, offsets);
         codes.clear();
         view.codes_into(0, view.codes_len(), codes);
-        if VALIDATE {
-            if offsets[0] != 0 {
-                return Err(corrupt("first offset must be 0"));
+        if VALIDATE && offsets[0] != 0 {
+            return Err(corrupt("first offset must be 0"));
+        }
+        // One pass over the offsets: are they non-decreasing, how many
+        // tuples have codes, and where in `D` each such tuple starts.
+        let TreeScratch { first, starts } = scratch;
+        starts.clear();
+        starts.resize(codes.len(), false);
+        let (mut decreasing, mut nonempty) = (false, 0);
+        for w in offsets.windows(2) {
+            decreasing |= w[1] < w[0];
+            nonempty += (w[1] > w[0]) as usize;
+            if let Some(s) = starts.get_mut(w[0] as usize) {
+                *s |= w[1] > w[0];
             }
-            if offsets.windows(2).any(|w| w[1] < w[0]) {
+        }
+        if VALIDATE {
+            if decreasing {
                 return Err(corrupt("offsets must be non-decreasing"));
             }
             if offsets[view.rows] as usize != codes.len() {
@@ -120,92 +178,80 @@ impl DecodeTree {
             }
         }
         // Root + |I| + one node per adjacent code pair. Exact: with the
-        // offsets a partition of `D`, the replay below fills every slot
-        // and cannot step past the last.
-        let nonempty = offsets.windows(2).filter(|w| w[1] > w[0]).count();
+        // offsets a partition of `D`, the replay below adds the rest.
         let n = 1 + n_first + codes.len() - nonempty;
 
-        let DecodeTree {
-            key_col,
-            key_val,
-            parent,
-        } = tree;
-        // Root, then Phase I: the first layer.
-        key_col.clear();
-        key_col.reserve_exact(n);
-        key_col.push(0);
-        view.i_cols.extend_into(0, n_first, key_col);
-        if VALIDATE && key_col[1..].iter().any(|&c| c as usize >= view.cols) {
+        // Phase I: the first layer, entry 0 standing for the root.
+        first_col.clear();
+        first_col.reserve_exact(n_first + 1);
+        first_col.push(0);
+        view.i_cols.extend_into(0, n_first, first_col);
+        if VALIDATE && first_col[1..].iter().any(|&c| c as usize >= view.cols) {
             return Err(corrupt("column index out of range"));
         }
-        key_val.clear();
-        key_val.reserve_exact(n);
-        key_val.push(0.0);
+        first_val.clear();
+        first_val.reserve_exact(n_first + 1);
+        first_val.push(0.0);
         let n_values = view.values.len();
         view.i_validx.for_each_range(0, n_first, |ix| {
             if (ix as usize) < n_values {
-                key_val.push(view.values.get(ix as usize));
+                first_val.push(view.values.get(ix as usize));
             }
         });
-        if key_val.len() != n_first + 1 {
+        if first_val.len() != n_first + 1 {
             return Err(corrupt("value index out of range"));
         }
-        key_col.resize(n, 0);
-        key_val.resize(n, 0.0);
-        parent.clear();
-        parent.resize(n, 0);
-        // F: the *node index* of the first pair of each node's sequence
-        // (a first-layer node; 0 for the root). Keys of new nodes are then
-        // plain array reads instead of physical-layer lookups.
-        first.clear();
-        first.extend(0..=n_first as u32);
-        first.resize(n, 0);
 
-        // Phase II: replay D.
-        let mut next = n_first + 1;
-        let unknown =
-            |r: usize, c: u32| corrupt(format!("row {r}: code {c} references unknown node"));
-        for (r, w) in offsets.windows(2).enumerate() {
-            let Some((&head, tail)) = codes[w[0] as usize..w[1] as usize].split_first() else {
-                continue;
-            };
-            // Each code is validated as it is encountered; the final (or
-            // only) code of the row is checked after the pair loop.
-            let mut a = head;
-            for &b in tail {
-                if VALIDATE {
-                    if a == 0 || a as usize >= next {
-                        return Err(unknown(r, a));
-                    }
-                    // `b` may reference the node being added right now (the
-                    // LZW self-reference pattern); Algorithm 2 sets F before
-                    // reading it, which the write order below reproduces.
-                    if b == 0 || b as usize > next {
-                        return Err(unknown(r, b));
-                    }
-                }
-                parent[next] = a;
-                first[next] = first[a as usize];
-                let key_node = first[b as usize] as usize;
-                key_col[next] = key_col[key_node];
-                key_val[next] = key_val[key_node];
-                next += 1;
-                a = b;
-            }
-            if VALIDATE && (a == 0 || a as usize >= next) {
-                return Err(unknown(r, a));
-            }
+        // Phase II: replay D. Every code `b` but a tuple's first closes a
+        // pair `(a, b)` with the code before it, which adds node `next`:
+        // parent `a`, `F[next] = F[a]`, then key `F[b]` — in that order,
+        // since `b` may be `next` itself (the LZW self-reference pattern;
+        // Algorithm 2 sets F before reading it). `F[a]` is the `F[b]` the
+        // code before read, so each code reads `F` once. One flat pass over
+        // `D`, without a branch on where tuples start: a tuple's first code
+        // writes the three entries into the slot of the next node without
+        // advancing, and the next pair overwrites them (hence one slot of
+        // slack). A code names a node that exists when it is replayed:
+        // `1 <= b <= next` for a pair's second code, `1 <= b < next` for a
+        // tuple's first, checked before it is read.
+        parent.clear();
+        parent.resize(n + 1, 0);
+        key.clear();
+        key.resize(n + 1, 0);
+        first.clear();
+        first.resize(n + 1, 0);
+        for i in 1..=n_first {
+            (key[i], first[i]) = (i as u32, i as u32);
         }
+        let mut next = n_first + 1;
+        let (mut a, mut first_a) = (0, 0);
+        for (k, (&b, &start)) in codes.iter().zip(starts.iter()).enumerate() {
+            if VALIDATE && b.wrapping_sub(1) as usize >= next - start as usize {
+                let r = offsets.partition_point(|&o| o as usize <= k) - 1;
+                return Err(corrupt(format!(
+                    "row {r}: code {b} references unknown node"
+                )));
+            }
+            parent[next] = a;
+            first[next] = first_a;
+            let first_b = first[b as usize];
+            key[next] = first_b;
+            next += !start as usize;
+            (a, first_a) = (b, first_b);
+        }
+        debug_assert_eq!(next, n);
+        parent.truncate(n);
+        key.truncate(n);
         Ok(())
     }
 
     /// Materialize the full sequence of node `n`, root-to-node order.
-    /// Used by the sparse-unsafe decode path (Algorithm 6) and tests.
+    /// Used by tests.
     pub fn sequence(&self, n: u32) -> Vec<(u32, f64)> {
         let mut rev = Vec::new();
         let mut cur = n;
         while cur != 0 {
-            rev.push((self.key_col[cur as usize], self.key_val[cur as usize]));
+            rev.push(self.key_of(cur));
             cur = self.parent[cur as usize];
         }
         rev.reverse();
@@ -224,8 +270,8 @@ impl DecodeTree {
     }
 }
 
-/// The live part of `C'` for one batch, with `D` and the tuple offsets
-/// unpacked into plain `u32`s: what `A·M` and `M·A` (and `Aᵀ·D`, its
+/// The live part of `C'` for one batch, with its keys read out of `I` and
+/// `D` remapped to it: what `A·M` and `M·A` (and `Aᵀ·D`, its
 /// transposed form) sweep.
 ///
 /// A node is *live* if some code in `D` names it or one of its
@@ -261,23 +307,23 @@ pub struct LivePlan {
 const DEAD: u32 = u32::MAX;
 
 impl LivePlan {
-    /// Derive the plan of `view` from its already built `tree`.
-    pub fn build(view: &TocView<'_>, tree: &DecodeTree) -> LivePlan {
+    /// Derive the plan of a batch from its already built `tree`.
+    pub fn build(tree: &DecodeTree) -> LivePlan {
         let mut plan = LivePlan::default();
-        plan.rebuild(view, tree);
+        plan.rebuild(tree);
         plan
     }
 
-    /// [`Self::build`] into `self`, reusing its allocations.
-    pub fn rebuild(&mut self, view: &TocView<'_>, tree: &DecodeTree) {
+    /// [`Self::build`] into `self`, reusing its allocations. `D` and the
+    /// tuple offsets are the tree's, which its replay unpacked.
+    pub fn rebuild(&mut self, tree: &DecodeTree) {
         let n = tree.len();
-        self.rows = view.rows;
-        self.cols = view.cols;
+        self.rows = tree.rows;
+        self.cols = tree.cols;
         self.codes.clear();
-        view.codes_into(0, view.codes_len(), &mut self.codes);
+        self.codes.extend_from_slice(&tree.codes);
         self.offsets.clear();
-        view.offsets
-            .extend_into(0, view.rows + 1, &mut self.offsets);
+        self.offsets.extend_from_slice(&tree.offsets);
 
         // Mark (0 = live until slots are handed out): a code's node is
         // live, and liveness climbs to the root. Parents precede children,
@@ -303,8 +349,9 @@ impl LivePlan {
             if slot_of[i] != DEAD {
                 slot_of[i] = self.parent.len() as u32;
                 self.parent.push(slot_of[tree.parent[i] as usize]);
-                self.key_col.push(tree.key_col[i]);
-                self.key_val.push(tree.key_val[i]);
+                let (col, val) = tree.key_of(i as u32);
+                self.key_col.push(col);
+                self.key_val.push(val);
             }
         }
         for c in &mut self.codes {
@@ -316,8 +363,8 @@ impl LivePlan {
     /// map (no kernel reads it) and with every vector allocated to its
     /// length, so [`Self::heap_bytes`] is at most `16·len(C') + 4·|D| +
     /// 4·(rows + 1)`.
-    pub(crate) fn build_compact(view: &TocView<'_>, tree: &DecodeTree) -> LivePlan {
-        let mut plan = Self::build(view, tree);
+    pub(crate) fn build_compact(tree: &DecodeTree) -> LivePlan {
+        let mut plan = Self::build(tree);
         plan.slot_of = Vec::new();
         plan.key_col.shrink_to_fit();
         plan.key_val.shrink_to_fit();
@@ -386,9 +433,11 @@ mod tests {
 
     #[test]
     fn table4_keys() {
-        // Keys (paper): 1:1.1 2:2 3:3 4:1.4 2:1.1 | 2:2 3:3 4:1.4 3:3 3:3
+        // Keys (paper): 1:1.1 2:2 3:3 4:1.4 2:1.1 | 2:2 3:3 4:1.4 3:3 3:3,
+        // each one the first-layer node that holds the pair.
         let t = fig3_tree();
-        let keys: Vec<(u32, f64)> = (1..11).map(|i| (t.key_col[i], t.key_val[i])).collect();
+        assert_eq!(&t.key[1..], &[1, 2, 3, 4, 5, 2, 3, 4, 3, 3]);
+        let keys: Vec<(u32, f64)> = (1..11).map(|i| t.key_of(i)).collect();
         assert_eq!(
             keys,
             vec![
@@ -424,7 +473,7 @@ mod tests {
         let toc = fig3();
         let view = toc.view();
         let tree = DecodeTree::build(&view).unwrap();
-        let plan = LivePlan::build(&view, &tree);
+        let plan = LivePlan::build(&tree);
         assert_eq!((plan.rows, plan.cols), (4, 4));
         assert_eq!(plan.live(), 8);
         assert_eq!(plan.parent, vec![0, 0, 0, 0, 0, 0, 1, 3]);
@@ -438,7 +487,7 @@ mod tests {
         assert_eq!((plan.key_col[7], plan.key_val[7]), (3, 1.4));
 
         // The kept form: the same slots, no map, nothing over length.
-        let kept = LivePlan::build_compact(&view, &tree);
+        let kept = LivePlan::build_compact(&tree);
         assert_eq!(
             (&kept.key_col, &kept.parent, &kept.codes, &kept.offsets),
             (&plan.key_col, &plan.parent, &plan.codes, &plan.offsets)

@@ -2,8 +2,9 @@
 //! kernel-vs-oracle equality on arbitrary matrices across sparsity regimes.
 
 use proptest::prelude::*;
-use toc_core::{DecodeTree, KernelScratch, LivePlan, PhysicalCodec, TocBatch};
+use toc_core::{DecodeTree, KernelScratch, LivePlan, PhysicalCodec, TocBatch, TocView};
 use toc_linalg::dense::max_abs_diff_vec;
+use toc_linalg::sparse::{ColVal, SparseRows};
 use toc_linalg::DenseMatrix;
 
 /// Strategy: a matrix whose cells are drawn from a small value pool (TOC's
@@ -34,6 +35,72 @@ fn matrix_strategy(max_rows: usize, max_cols: usize) -> impl Strategy<Value = De
                 DenseMatrix::from_vec(rows, cols, data)
             })
     })
+}
+
+/// Sparse tables whose columns are multiples of a stride of 1, 300, 70 000
+/// or 20 000 000: `I`'s column indexes then pack 1, 2, 3 or 4 bytes wide.
+/// Rows take a random subset of eight such columns, values from a small
+/// pool, so the dictionary grows deep motifs as well.
+fn sparse_strategy() -> impl Strategy<Value = SparseRows> {
+    (
+        prop_oneof![Just(1u32), Just(300), Just(70_000), Just(20_000_000)],
+        prop::collection::vec(prop::collection::vec((any::<bool>(), 0usize..3), 8), 0..40),
+    )
+        .prop_map(|(stride, rows)| {
+            const POOL: [f64; 3] = [1.5, -2.0, 0.25];
+            let mut pairs = Vec::new();
+            let mut offsets = vec![0];
+            for row in &rows {
+                for (j, &(on, v)) in row.iter().enumerate() {
+                    if on {
+                        pairs.push(ColVal {
+                            col: stride * j as u32,
+                            val: POOL[v],
+                        });
+                    }
+                }
+                offsets.push(pairs.len());
+            }
+            SparseRows::from_parts(rows.len(), 8 * stride as usize, pairs, offsets)
+        })
+}
+
+/// Algorithm 2 as the paper writes it: every node of `C'` gets a copy of
+/// its key pair, read out of the first layer through `F` (the first-layer
+/// node its sequence starts with). The replay [`DecodeTree`] keeps only
+/// that first-layer node; the two must name the same pairs.
+struct PaperTree {
+    key_col: Vec<u32>,
+    key_val: Vec<f64>,
+    parent: Vec<u32>,
+}
+
+fn paper_replay(view: &TocView<'_>) -> PaperTree {
+    let mut t = PaperTree {
+        key_col: vec![0],
+        key_val: vec![0.0],
+        parent: vec![0],
+    };
+    let mut first = vec![0u32];
+    for i in 0..view.first_layer_len() {
+        let pair = view.first_layer(i);
+        t.key_col.push(pair.col);
+        t.key_val.push(pair.val);
+        t.parent.push(0);
+        first.push(i as u32 + 1);
+    }
+    for r in 0..view.rows {
+        let (s, e) = view.row_range(r);
+        for j in s + 1..e {
+            let (a, b) = (view.code(j - 1) as usize, view.code(j) as usize);
+            t.parent.push(a as u32);
+            first.push(first[a]);
+            let f = first[b] as usize;
+            t.key_col.push(t.key_col[f]);
+            t.key_val.push(t.key_val[f]);
+        }
+    }
+    t
 }
 
 /// Matrices with fully arbitrary (possibly non-finite-free) doubles.
@@ -290,7 +357,7 @@ proptest! {
         let toc = TocBatch::encode_with(&a, codec);
         let view = toc.view();
         let tree = DecodeTree::build(&view).unwrap();
-        let plan = LivePlan::build(&view, &tree);
+        let plan = LivePlan::build(&tree);
         let live = plan.live() as u32;
 
         // Live ∪ dead == C': slots are handed out in creation order
@@ -301,8 +368,9 @@ proptest! {
                 prop_assert_eq!(slot, next);
                 next += 1;
                 let s = slot as usize;
-                prop_assert_eq!(plan.key_col[s], tree.key_col[node as usize]);
-                prop_assert_eq!(plan.key_val[s].to_bits(), tree.key_val[node as usize].to_bits());
+                let (key_col, key_val) = tree.key_of(node);
+                prop_assert_eq!(plan.key_col[s], key_col);
+                prop_assert_eq!(plan.key_val[s].to_bits(), key_val.to_bits());
                 prop_assert_eq!(Some(plan.parent[s]), plan.slot_of(tree.parent[node as usize]));
             }
         }
@@ -349,6 +417,41 @@ proptest! {
             let want: Vec<(u32, u64)> = sparse.row(r).iter().map(|p| (p.col, p.val.to_bits())).collect();
             prop_assert_eq!(pairs, want, "row {}", r);
         }
+    }
+
+    #[test]
+    fn the_replay_is_algorithm_2_keyed_into_the_first_layer(
+        sparse in sparse_strategy(),
+        varint in any::<bool>(),
+    ) {
+        let codec = if varint { PhysicalCodec::Varint } else { PhysicalCodec::BitPack };
+        let toc = TocBatch::from_sparse(&sparse, codec);
+        let view = toc.view();
+        let want = paper_replay(&view);
+        let mut parsed = TocBatch::from_bytes(toc.to_bytes()).unwrap();
+        let carried = parsed.carried_tree().expect("from_bytes keeps its tree");
+        let built = DecodeTree::build_trusted(&view);
+        for tree in [carried, &built] {
+            prop_assert_eq!(&tree.parent, &want.parent);
+            for node in 0..tree.len() {
+                let (col, val) = tree.key_of(node as u32);
+                prop_assert_eq!(col, want.key_col[node]);
+                prop_assert_eq!(val.to_bits(), want.key_val[node].to_bits());
+            }
+            // `D` and the offsets, unpacked, are the view's.
+            prop_assert_eq!((tree.rows, tree.cols), (view.rows, view.cols));
+            prop_assert_eq!(tree.codes.len(), view.codes_len());
+            for (k, &c) in tree.codes.iter().enumerate() {
+                prop_assert_eq!(c, view.code(k));
+            }
+            for r in 0..view.rows {
+                let (s, e) = view.row_range(r);
+                prop_assert_eq!((tree.offsets[r] as usize, tree.offsets[r + 1] as usize), (s, e));
+            }
+        }
+        prop_assert_eq!(parsed.decode_sparse(), sparse);
+        parsed.shed_tree();
+        prop_assert!(parsed.carried_tree().is_none());
     }
 
     #[test]

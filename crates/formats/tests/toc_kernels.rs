@@ -40,8 +40,8 @@ fn parent_matmat(view: &TocView<'_>, tree: &DecodeTree, m: &DenseMatrix) -> Dens
     let n = tree.len();
     let mut h = vec![0.0; n * p];
     for i in 1..n {
-        let key_val = tree.key_val[i];
-        let mrow = m.row(tree.key_col[i] as usize);
+        let (key_col, key_val) = tree.key_of(i as u32);
+        let mrow = m.row(key_col as usize);
         let parent = tree.parent[i] as usize;
         let (head, tail) = h.split_at_mut(i * p);
         let hp = &head[parent * p..parent * p + p];
@@ -81,8 +81,8 @@ fn parent_matmat_left(view: &TocView<'_>, tree: &DecodeTree, m: &DenseMatrix) ->
     }
     let mut out = DenseMatrix::zeros(p, view.cols);
     for i in (1..n).rev() {
-        let col = tree.key_col[i] as usize;
-        let key_val = tree.key_val[i];
+        let (col, key_val) = tree.key_of(i as u32);
+        let col = col as usize;
         let parent = tree.parent[i] as usize;
         let (head, tail) = h.split_at_mut(i * p);
         let hp = &mut head[parent * p..parent * p + p];
@@ -325,10 +325,13 @@ fn a_parsed_batch_runs_on_the_tree_its_parse_built_on_every_preset() {
                 .carried_tree()
                 .expect("from_bytes keeps its tree");
             let built = DecodeTree::build_trusted(&toc_of(&b).view());
-            assert_eq!(carried.key_col, built.key_col, "{what}");
             assert_eq!(carried.parent, built.parent, "{what}");
-            let bits = |t: &DecodeTree| t.key_val.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(carried.key, built.key, "{what}");
+            assert_eq!(carried.first_col, built.first_col, "{what}");
+            let bits = |t: &DecodeTree| t.first_val.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(carried), bits(&built), "{what}");
+            assert_eq!(carried.codes, built.codes, "{what}");
+            assert_eq!(carried.offsets, built.offsets, "{what}");
 
             let (mut ws_b, mut ws_p) = (ExecScratch::default(), ExecScratch::default());
             assert_eq!(run_five(&p, &mut ws_p), run_five(&b, &mut ws_b), "{what}");
@@ -601,7 +604,7 @@ fn dead_share_floor() {
         let toc = TocBatch::encode(&generate_preset(preset, 250, 42).x);
         let view = toc.view();
         let tree = DecodeTree::build_trusted(&view);
-        let plan = LivePlan::build(&view, &tree);
+        let plan = LivePlan::build(&tree);
         let (live, total) = (plan.live(), tree.len());
         let dead = 1.0 - live as f64 / total as f64;
         println!(
