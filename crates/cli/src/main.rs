@@ -382,7 +382,9 @@ fn cmd_ingest(a: &Args) -> Result<(), String> {
     let (outcome, elapsed) = ingest_container(a, chunk_rows, scheme, checkpoint_every, resume)?;
     let stats = &outcome.stats;
     // Machine-parseable counters (the CLI smoke tests parse this line):
-    // key=value pairs only.
+    // key=value pairs only. `peak-workspace-bytes` is the seal pipeline's
+    // high-water mark, O(workers · chunk): it grows with the cores, not
+    // the rows.
     println!(
         "ingest: rows={} cols={} chunks={} chunk-rows={chunk_rows} bytes={} \
          peak-workspace-bytes={} schemes={} resumed-chunks={}",

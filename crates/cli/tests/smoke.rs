@@ -622,11 +622,16 @@ fn ingest_streams_csv_into_seekable_container() {
     let bytes: u64 = kv["bytes"].parse().expect("bytes parses");
     assert_eq!(bytes, std::fs::metadata(&streamed).unwrap().len(), "{line}");
     let peak: u64 = kv["peak-workspace-bytes"].parse().expect("peak parses");
-    // Bounded: the workspace held ~one chunk, nowhere near the dataset.
-    assert!(peak >= 1, "{line}");
+    // Bounded by the seal pipeline, not the dataset: at least the one
+    // 64-row stage, at most workers + 2 stages and workers + 1 sealed
+    // segments. With four or more workers that is all five chunks of
+    // this input, so the bound is the pipeline's, not the row count's.
+    let stage = 64 * cols as u64 * 8;
+    let workers = std::thread::available_parallelism().map_or(1, |n| n.get()) as u64;
+    assert!(peak >= stage, "{line}");
     assert!(
-        peak < 300 * cols as u64 * 8,
-        "workspace held the dataset: {line}"
+        peak <= (workers + 2) * stage + (workers + 1) * 2 * stage,
+        "workspace outgrew the seal pipeline: {line}"
     );
     assert!(!kv["schemes"].is_empty(), "{line}");
 

@@ -26,7 +26,12 @@
 //!   [`ContainerStreamWriter`], so a finished stream is a valid seekable
 //!   v2 `.tocz` — byte-identical to the one-shot
 //!   [`toc_formats::container::Container`] encode of the same rows
-//!   (`toc ingest`, `toc compress`).
+//!   (`toc ingest`, `toc compress`). It seals on every core: each full
+//!   stage goes to a pool of seal workers, at most workers + 1 chunks
+//!   are in flight, and the caller's thread appends the sealed segments
+//!   in sequence order, so its bytes and counters are those of a serial
+//!   seal. Its peak counts every stage buffer and every sealed segment
+//!   waiting to be appended.
 //!
 //! Chunking changes *where* segment boundaries fall, never what a chunk
 //! of given rows encodes to: sealing is deterministic in the staged
@@ -44,15 +49,27 @@
 //! the partial output, truncates any torn tail past the watermark,
 //! re-opens the CSV at the recorded offset, and continues to a result
 //! **byte-identical** to an uninterrupted run — sealing is deterministic
-//! in the staged rows, and a sealed chunk is never re-emitted. The
+//! in the staged rows, and a sealed chunk is never re-emitted.
+//!
+//! The driver counts seals by hand-off ([`ContainerIngest::handed_off`]),
+//! and it drains the seal workers ([`ContainerIngest::flush`]) before
+//! every checkpoint commit, every kill point and `finish`: at each of
+//! them the file holds exactly the chunks handed off, so the source
+//! offset, the [`WriterState`] and the sidecar mean what they would
+//! mean if every chunk were sealed and appended before the next row. The
 //! `ingest_resume` integration suite kills the driver at every
 //! [`KillPoint`] (and at fault-injected torn-write points) to pin this
 //! down. A [`StoreIngest`] writes no sidecar: nothing reopens a streaming
 //! store's shard files once its process has ended.
 
+use std::collections::VecDeque;
 use std::fs;
 use std::io::{Seek, SeekFrom, Write};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 
 use toc_formats::container::{
     fnv1a64, ContainerStreamWriter, SeekableContainer, WriterState, ZoneMap,
@@ -125,18 +142,13 @@ impl EncodeWorkspace {
     /// Seal the staged rows into one encoded segment: compute the zone
     /// map, pick the scheme and encode (`None` = per-chunk auto over
     /// [`Scheme::AUTO_SET`], which keeps the winner's probe encoding
-    /// rather than encoding twice), and reclaim the staging buffer. The
-    /// result depends on the staged rows alone, never on earlier seals.
-    /// Returns `None` when nothing is staged.
+    /// rather than encoding twice), and reclaim the staging buffer. The result depends on the staged
+    /// rows alone, never on earlier seals. Returns `None` when nothing is
+    /// staged.
     pub fn seal(&mut self, scheme: Option<Scheme>, opts: &EncodeOptions) -> Option<SealedChunk> {
-        let zone = |dense: &DenseMatrix| ZoneMap::compute(dense, opts.cla.sample_rows);
-        let (scheme, batch, zone, rows) = self.seal_with(scheme, opts, zone)?;
-        Some(SealedChunk {
-            scheme,
-            batch,
-            zone,
-            rows,
-        })
+        let (sealed, stage) = seal_chunk(self.take_stage(Vec::new())?, scheme, opts);
+        self.reclaim(stage, &sealed.batch);
+        Some(sealed)
     }
 
     /// The encode half of [`EncodeWorkspace::seal`], for sinks that keep
@@ -149,27 +161,34 @@ impl EncodeWorkspace {
         opts: &EncodeOptions,
         summarize: impl FnOnce(&DenseMatrix) -> Z,
     ) -> Option<(Scheme, AnyBatch, Z, usize)> {
+        let dense = self.take_stage(Vec::new())?;
+        let rows = dense.rows();
+        let (picked, batch, summary, stage) = encode_chunk(dense, scheme, opts, summarize);
+        self.reclaim(stage, &batch);
+        Some((picked, batch, summary, rows))
+    }
+
+    /// Stage into the sealed chunk's buffer again, so steady-state
+    /// ingestion never reallocates the stage, and note the high-water
+    /// mark of the seal point: the staging buffer plus the sealed
+    /// segment it produced.
+    fn reclaim(&mut self, stage: Vec<f64>, batch: &AnyBatch) {
+        self.stage = stage;
+        let used = self.stage.capacity() * std::mem::size_of::<f64>() + batch.size_bytes();
+        self.peak_bytes = self.peak_bytes.max(used);
+    }
+
+    /// Hand the staged rows out as one dense chunk and stage the next
+    /// rows into `spare` (cleared). `None`, and `spare` dropped, when
+    /// nothing is staged.
+    fn take_stage(&mut self, mut spare: Vec<f64>) -> Option<DenseMatrix> {
         if self.staged_rows == 0 {
             return None;
         }
-        let rows = self.staged_rows;
-        let dense = DenseMatrix::from_vec(rows, self.cols, std::mem::take(&mut self.stage));
-        let summary = summarize(&dense);
-        let (picked, batch) = match scheme {
-            Some(s) => (s, s.encode_with(&dense, opts)),
-            None => pick_and_encode(&dense, &Scheme::AUTO_SET, opts),
-        };
-        // Reclaim the staging allocation: the dense matrix wrapped our
-        // buffer, so taking it back means steady-state ingestion never
-        // reallocates the stage.
-        self.stage = dense.into_data();
-        self.stage.clear();
-        self.staged_rows = 0;
-        // High-water mark of what this workspace held at the seal point:
-        // the staging buffer plus the sealed segment it produced.
-        let used = self.stage.capacity() * std::mem::size_of::<f64>() + batch.size_bytes();
-        self.peak_bytes = self.peak_bytes.max(used);
-        Some((picked, batch, summary, rows))
+        spare.clear();
+        let data = std::mem::replace(&mut self.stage, spare);
+        let rows = std::mem::take(&mut self.staged_rows);
+        Some(DenseMatrix::from_vec(rows, self.cols, data))
     }
 
     /// High-water mark, in bytes, of the staging buffer plus the largest
@@ -177,6 +196,46 @@ impl EncodeWorkspace {
     pub fn peak_bytes(&self) -> usize {
         self.peak_bytes
     }
+}
+
+/// Seal one chunk: `summarize` it, pick the scheme and encode (`None` =
+/// per-chunk auto over [`Scheme::AUTO_SET`], which keeps the winner's
+/// probe encoding rather than encoding twice), and hand back the chunk's
+/// buffer cleared for the next stage. Depends on the chunk's rows alone,
+/// which is what lets [`ContainerIngest`] seal chunks on any thread.
+fn encode_chunk<Z>(
+    dense: DenseMatrix,
+    scheme: Option<Scheme>,
+    opts: &EncodeOptions,
+    summarize: impl FnOnce(&DenseMatrix) -> Z,
+) -> (Scheme, AnyBatch, Z, Vec<f64>) {
+    let summary = summarize(&dense);
+    let (picked, batch) = match scheme {
+        Some(s) => (s, s.encode_with(&dense, opts)),
+        None => pick_and_encode(&dense, &Scheme::AUTO_SET, opts),
+    };
+    let mut stage = dense.into_data();
+    stage.clear();
+    (picked, batch, summary, stage)
+}
+
+/// [`encode_chunk`] with the chunk's zone map: the one way a chunk
+/// becomes a [`SealedChunk`], in a workspace or on a seal worker.
+fn seal_chunk(
+    dense: DenseMatrix,
+    scheme: Option<Scheme>,
+    opts: &EncodeOptions,
+) -> (SealedChunk, Vec<f64>) {
+    let rows = dense.rows();
+    let zone = |dense: &DenseMatrix| ZoneMap::compute(dense, opts.cla.sample_rows);
+    let (scheme, batch, zone, stage) = encode_chunk(dense, scheme, opts, zone);
+    let sealed = SealedChunk {
+        scheme,
+        batch,
+        zone,
+        rows,
+    };
+    (sealed, stage)
 }
 
 /// Counters reported by both ingest drivers (the CLI prints them as the
@@ -189,7 +248,11 @@ pub struct IngestStats {
     pub chunks: u64,
     /// Encoded bytes across all sealed segments.
     pub encoded_bytes: u64,
-    /// Workspace high-water mark ([`EncodeWorkspace::peak_bytes`]).
+    /// Workspace high-water mark, set by `finish`: for a
+    /// [`StoreIngest`], [`EncodeWorkspace::peak_bytes`]; for a
+    /// [`ContainerIngest`], every stage buffer (staging, in flight, spare)
+    /// plus the sealed segments not yet appended — O(workers · chunk), at
+    /// most workers + 2 stages and workers + 1 segments.
     pub peak_workspace_bytes: usize,
     /// Sealed-segment count per scheme, in first-seen order — with
     /// per-chunk auto-pick over a drifting stream this is where the
@@ -279,6 +342,9 @@ impl From<CsvError> for IngestError {
 /// lifetime, so two `StoreIngest`s can never interleave chunks into one
 /// store — [`StoreIngest::try_new`] reports the conflict, `new` panics
 /// on it.
+///
+/// Unlike [`ContainerIngest`] it seals on the caller's thread: the
+/// trainer that follows a live store owns the other core.
 pub struct StoreIngest<'a> {
     store: &'a ShardedSpillStore,
     _token: AppenderToken<'a>,
@@ -370,11 +436,35 @@ impl<'a> StoreIngest<'a> {
 /// [`ContainerStreamWriter`]: chunk = container segment. Rows carry all
 /// columns (the label column stays in the matrix, exactly like
 /// [`ShardedSpillStore::build_from_container`] expects to read it back).
+///
+/// Each full stage is handed to a pool of seal workers, one per core
+/// ([`std::thread::available_parallelism`]), and the caller's thread
+/// appends the sealed segments strictly in hand-off order, so the sink
+/// never leaves it and the container, its zone maps and the
+/// [`IngestStats`] are exactly those of sealing one chunk after another.
+/// At most workers + 1 chunks are between hand-off and append, and their
+/// staging buffers are recycled, so memory is flat in the rows but grows
+/// with the cores: about workers + 2 stages and workers + 1 sealed
+/// segments at its peak.
+///
+/// [`ContainerIngest::stats`], [`ContainerIngest::bytes_written`] and
+/// [`ContainerIngest::writer_state`] describe the chunks appended so far;
+/// [`ContainerIngest::flush`] appends every chunk handed off first.
+/// After a failed append every call returns that error. Dropping an
+/// unfinished ingest closes the pool and joins its workers; a worker
+/// that panics resurfaces as a panic on the caller's thread.
 pub struct ContainerIngest<W: std::io::Write> {
     writer: ContainerStreamWriter<W>,
     ws: EncodeWorkspace,
-    scheme: Option<Scheme>,
-    encode: EncodeOptions,
+    pool: SealPool,
+    /// One reply per chunk handed off and not yet appended, oldest first.
+    in_flight: VecDeque<mpsc::Receiver<Sealed>>,
+    /// Stage buffers back from the workers, ready to stage into.
+    spare: Vec<Vec<f64>>,
+    /// Every stage buffer allocated plus the sealed segments not yet
+    /// appended; the seal workers add the segments they seal.
+    held: Arc<Held>,
+    failed: Option<FormatError>,
     stats: IngestStats,
 }
 
@@ -386,13 +476,15 @@ impl<W: std::io::Write> ContainerIngest<W> {
         scheme: Option<Scheme>,
         encode: EncodeOptions,
     ) -> Result<Self, FormatError> {
-        Ok(Self {
-            writer: ContainerStreamWriter::new(sink)?,
-            ws: EncodeWorkspace::new(cols, chunk_rows),
+        let writer = ContainerStreamWriter::new(sink)?;
+        Ok(Self::start(
+            writer,
+            cols,
+            chunk_rows,
             scheme,
             encode,
-            stats: IngestStats::default(),
-        })
+            IngestStats::default(),
+        ))
     }
 
     /// Resume over a sink already positioned at the checkpoint's byte
@@ -413,74 +505,274 @@ impl<W: std::io::Write> ContainerIngest<W> {
         let cols = state.cols().ok_or_else(|| {
             FormatError::Corrupt("writer state has no sealed segments to resume from".into())
         })? as usize;
-        Ok(Self {
-            writer: ContainerStreamWriter::resume(sink, state)?,
-            ws: EncodeWorkspace::new(cols, chunk_rows),
-            scheme,
-            encode,
-            stats,
-        })
+        let writer = ContainerStreamWriter::resume(sink, state)?;
+        Ok(Self::start(writer, cols, chunk_rows, scheme, encode, stats))
     }
 
-    /// Stage one full-width row; seals and writes the segment when the
-    /// chunk fills.
+    fn start(
+        writer: ContainerStreamWriter<W>,
+        cols: usize,
+        chunk_rows: usize,
+        scheme: Option<Scheme>,
+        encode: EncodeOptions,
+        stats: IngestStats,
+    ) -> Self {
+        let ws = EncodeWorkspace::new(cols, chunk_rows);
+        let held = Arc::new(Held::default());
+        held.add(ws.stage.capacity() * std::mem::size_of::<f64>());
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let sealed = held.clone();
+        let pool = SealPool::spawn(workers, move |dense| {
+            let out = seal_chunk(dense, scheme, &encode);
+            sealed.add(out.0.batch.size_bytes());
+            out
+        });
+        Self {
+            writer,
+            ws,
+            pool,
+            in_flight: VecDeque::new(),
+            spare: Vec::new(),
+            held,
+            failed: None,
+            stats,
+        }
+    }
+
+    /// Stage one full-width row; hands the chunk to the seal workers
+    /// when it fills, and appends whatever has sealed in order.
     pub fn push_row(&mut self, row: &[f64]) -> Result<(), FormatError> {
+        self.check()?;
+        if self.ws.stage.capacity() == 0 {
+            // The first row after a hand-off: stage into a spare, or into
+            // a new buffer while every one is in flight.
+            self.ws.stage = self.spare.pop().unwrap_or_else(|| {
+                let stage = Vec::with_capacity(self.ws.cols * self.ws.chunk_rows);
+                self.held.add(stage.capacity() * std::mem::size_of::<f64>());
+                stage
+            });
+        }
         self.ws.push_row(row);
         if self.ws.is_full() {
-            self.seal_chunk()?;
+            self.hand_off()?;
         }
         Ok(())
     }
 
-    fn seal_chunk(&mut self) -> Result<(), FormatError> {
-        let Some(sealed) = self.ws.seal(self.scheme, &self.encode) else {
-            return Ok(());
-        };
-        let before = self.writer.bytes_written();
-        self.writer.append(&sealed.batch, sealed.zone)?;
-        let wire = (self.writer.bytes_written() - before) as usize;
-        self.stats.note(sealed.scheme, sealed.rows, wire);
+    /// Hand the staged chunk to the workers, first appending what has
+    /// sealed and, with workers + 1 chunks in flight, waiting for the
+    /// oldest. The next rows stage into a buffer taken when they come.
+    fn hand_off(&mut self) -> Result<(), FormatError> {
+        self.collect(false)?;
+        while self.in_flight.len() > self.pool.workers() {
+            self.collect(true)?;
+        }
+        let dense = self
+            .ws
+            .take_stage(Vec::new())
+            .expect("hand_off needs staged rows");
+        self.in_flight.push_back(self.pool.send(dense));
         Ok(())
     }
 
-    /// Rows currently staged (not yet sealed into a segment). Drops to
-    /// zero exactly when `push_row` seals a chunk — the seam the
-    /// resumable driver uses to spot seal boundaries.
+    /// Append every chunk at the front of the queue that has sealed,
+    /// waiting for the oldest first when `wait`.
+    fn collect(&mut self, mut wait: bool) -> Result<(), FormatError> {
+        while let Some(reply) = self.in_flight.front() {
+            let Some((sealed, stage)) = self.pool.take(reply, wait) else {
+                break;
+            };
+            wait = false;
+            self.spare.push(stage);
+            let before = self.writer.bytes_written();
+            if let Err(e) = self.writer.append(&sealed.batch, sealed.zone) {
+                self.failed = Some(e.clone());
+                return Err(e);
+            }
+            self.in_flight.pop_front();
+            self.held.sub(sealed.batch.size_bytes());
+            let wire = (self.writer.bytes_written() - before) as usize;
+            self.stats.note(sealed.scheme, sealed.rows, wire);
+        }
+        Ok(())
+    }
+
+    /// Append every chunk handed off so far.
+    fn drain(&mut self) -> Result<(), FormatError> {
+        self.check()?;
+        while !self.in_flight.is_empty() {
+            self.collect(true)?;
+        }
+        Ok(())
+    }
+
+    fn check(&self) -> Result<(), FormatError> {
+        self.failed.clone().map_or(Ok(()), Err)
+    }
+
+    /// Rows currently staged (not yet handed to the seal workers). Drops
+    /// to zero exactly when `push_row` hands a chunk off.
     pub fn staged_rows(&self) -> usize {
         self.ws.staged_rows()
     }
 
-    /// Running counters over the segments sealed so far.
+    /// Chunks handed to the seal workers, a resume's restored chunks
+    /// included: the count the resumable driver spots seal boundaries by
+    /// (an appended chunk may lag its hand-off).
+    pub fn handed_off(&self) -> u64 {
+        self.stats.chunks + self.in_flight.len() as u64
+    }
+
+    /// Running counters over the segments appended so far.
     pub fn stats(&self) -> &IngestStats {
         &self.stats
     }
 
     /// Bytes of sealed segments written so far (the checkpoint byte
-    /// watermark — staged rows are not included).
+    /// watermark — staged and in-flight rows are not included).
     pub fn bytes_written(&self) -> u64 {
         self.writer.bytes_written()
     }
 
-    /// Flush the sink. Called before persisting a checkpoint so the
-    /// sealed bytes the sidecar's watermark points at are actually in
-    /// the file, not a userspace buffer.
+    /// Append every chunk handed off, then flush the sink. Called before
+    /// persisting a checkpoint so the sealed bytes the sidecar's
+    /// watermark points at are actually in the file, not in flight or in
+    /// a userspace buffer.
     pub fn flush(&mut self) -> Result<(), FormatError> {
+        self.drain()?;
         self.writer.flush()
     }
 
-    /// The writer's resumable state at the current sealed watermark
-    /// (see [`ContainerStreamWriter::state`]).
+    /// The writer's resumable state at the appended watermark (see
+    /// [`ContainerStreamWriter::state`]).
     pub fn writer_state(&self) -> WriterState {
         self.writer.state()
     }
 
-    /// Seal any partial final chunk, write the layout-tree footer and
-    /// postscript, and report `(total container bytes, counters)`.
+    /// Seal any partial final chunk, append everything in flight, write
+    /// the layout-tree footer and postscript, and report `(total
+    /// container bytes, counters)`.
     pub fn finish(mut self) -> Result<(u64, IngestStats), FormatError> {
-        self.seal_chunk()?;
-        self.stats.peak_workspace_bytes = self.ws.peak_bytes();
+        self.check()?;
+        if self.ws.staged_rows() > 0 {
+            self.hand_off()?;
+        }
+        self.drain()?;
+        self.stats.peak_workspace_bytes = self.held.peak.load(Ordering::Relaxed);
         let total = self.writer.finish()?;
         Ok((total, self.stats))
+    }
+}
+
+/// Bytes a [`ContainerIngest`] holds and their high-water mark, kept by
+/// the caller's thread and the seal workers alike.
+#[derive(Default)]
+struct Held {
+    now: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl Held {
+    fn add(&self, bytes: usize) {
+        let now = self.now.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.peak.fetch_max(now, Ordering::Relaxed);
+    }
+
+    fn sub(&self, bytes: usize) {
+        self.now.fetch_sub(bytes, Ordering::Relaxed);
+    }
+}
+
+/// A sealed chunk with its staging buffer, or the panic of the worker
+/// that sealed it.
+type Sealed = std::thread::Result<(SealedChunk, Vec<f64>)>;
+
+/// The seal workers of a [`ContainerIngest`]: any idle worker takes the
+/// next chunk from one shared queue, so a slow chunk holds up only its
+/// own worker, and answers on the chunk's own reply channel. Dropping the
+/// pool closes the queue and joins the workers.
+struct SealPool {
+    jobs: Option<mpsc::Sender<(DenseMatrix, mpsc::Sender<Sealed>)>>,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl SealPool {
+    fn spawn(
+        workers: usize,
+        seal: impl Fn(DenseMatrix) -> (SealedChunk, Vec<f64>) + Send + Sync + 'static,
+    ) -> Self {
+        let (jobs, queue) = mpsc::channel::<(DenseMatrix, mpsc::Sender<Sealed>)>();
+        let queue = Arc::new(Mutex::new(queue));
+        let seal = Arc::new(seal);
+        let workers = (0..workers)
+            .map(|_| {
+                let (queue, seal) = (queue.clone(), seal.clone());
+                std::thread::spawn(move || loop {
+                    // The guard is a temporary: the lock is held for the
+                    // wait, never for the seal, so no worker panics while
+                    // holding it and the receiver is whole in any case.
+                    let job = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
+                    let Ok((dense, reply)) = job else { return };
+                    // A dropped ingest no longer listens; that is fine.
+                    let _ = reply.send(panic::catch_unwind(AssertUnwindSafe(|| seal(dense))));
+                })
+            })
+            .collect();
+        Self {
+            jobs: Some(jobs),
+            workers,
+        }
+    }
+
+    fn workers(&self) -> usize {
+        self.workers.len()
+    }
+
+    /// Queue `dense` for the next idle worker; its seal arrives on the
+    /// returned channel.
+    fn send(&self, dense: DenseMatrix) -> mpsc::Receiver<Sealed> {
+        let (reply, sealed) = mpsc::channel();
+        let jobs = self.jobs.as_ref().expect("the queue is open until drop");
+        // The workers hold the queue until it closes, and a panic in a
+        // seal is caught, so the send cannot fail.
+        jobs.send((dense, reply)).expect("seal workers are running");
+        sealed
+    }
+
+    /// The chunk sealed on `reply`: waits for it when `wait`, else `None`
+    /// while it is not ready. A worker's panic is re-raised here once
+    /// every worker is joined.
+    fn take(
+        &mut self,
+        reply: &mpsc::Receiver<Sealed>,
+        wait: bool,
+    ) -> Option<(SealedChunk, Vec<f64>)> {
+        let out = if wait {
+            Some(reply.recv().expect("a queued chunk is always answered"))
+        } else {
+            reply.try_recv().ok()
+        };
+        match out? {
+            Ok(sealed) => Some(sealed),
+            Err(payload) => {
+                self.shut_down();
+                panic::resume_unwind(payload)
+            }
+        }
+    }
+
+    fn shut_down(&mut self) {
+        self.jobs = None;
+        for w in self.workers.drain(..) {
+            // A seal's panic is caught and sent, so a join never errs.
+            let _ = w.join();
+        }
+    }
+}
+
+impl Drop for SealPool {
+    fn drop(&mut self) {
+        self.shut_down();
     }
 }
 
@@ -795,6 +1087,8 @@ pub fn ingest_csv_container_killable(
         }
     }
 
+    // Every kill point drains the seal workers first (`flush`), so the
+    // file holds exactly the chunks handed off, as a serial seal would.
     let kill_now = |ing: &mut ContainerIngest<fs::File>,
                     cols: usize,
                     kp: KillPoint|
@@ -809,7 +1103,7 @@ pub fn ingest_csv_container_killable(
         })
     };
 
-    let mut last_chunks = ing.as_ref().map_or(0, |i| i.stats().chunks);
+    let mut last_chunks = ing.as_ref().map_or(0, ContainerIngest::handed_off);
     loop {
         let row_committed = match stream.next_row()? {
             Some((_, row)) => {
@@ -825,17 +1119,19 @@ pub fn ingest_csv_container_killable(
             },
         };
         let ing_ref = ing.as_mut().expect("ingest exists after a pushed row");
-        if ing_ref.stats().chunks != last_chunks {
-            // A chunk just sealed; stream.offset() is exactly the source
-            // watermark for it (the sealing row's line is committed).
-            last_chunks = ing_ref.stats().chunks;
+        if ing_ref.handed_off() != last_chunks {
+            // A chunk just went to the seal workers; stream.offset() is
+            // exactly the source watermark for it (the sealing row's line
+            // is committed).
+            last_chunks = ing_ref.handed_off();
             if let Some(kp @ KillPoint::AfterSealedChunk { chunks }) = kill {
                 if last_chunks == chunks {
                     return kill_now(ing_ref, stream.cols(), kp);
                 }
             }
             if job.checkpoint_every > 0 && last_chunks.is_multiple_of(job.checkpoint_every) {
-                // The sidecar may only name bytes that are already on disk.
+                // The sidecar may only name bytes that are already on
+                // disk: `flush` appends every chunk in flight first.
                 ing_ref.flush()?;
                 sync_output(&job.out)?;
                 let ck = IngestCheckpoint {
@@ -853,7 +1149,7 @@ pub fn ingest_csv_container_killable(
             }
         }
         if let Some(kp @ KillPoint::AfterStagedRows { chunks, staged }) = kill {
-            if staged > 0 && ing_ref.stats().chunks == chunks && ing_ref.staged_rows() == staged {
+            if staged > 0 && ing_ref.handed_off() == chunks && ing_ref.staged_rows() == staged {
                 return kill_now(ing_ref, stream.cols(), kp);
             }
         }
@@ -1129,6 +1425,81 @@ mod tests {
         );
     }
 
+    /// The container ingest's peak counts every stage buffer and every
+    /// sealed segment waiting to be appended, and stays flat in the rows:
+    /// at most workers + 2 stages (one staging, workers + 1 in flight).
+    #[test]
+    fn container_peak_counts_every_stage_and_stays_flat() {
+        let (cols, chunk) = (6, 32);
+        let stage = cols * chunk * std::mem::size_of::<f64>();
+        let peak_for = |rows: usize| {
+            let m = drifting_matrix(rows, cols, 3, 5);
+            let mut ing =
+                ContainerIngest::new(Vec::new(), cols, chunk, None, EncodeOptions::default())
+                    .unwrap();
+            let workers = ing.pool.workers();
+            for r in 0..m.rows() {
+                ing.push_row(m.row(r)).unwrap();
+            }
+            (ing.finish().unwrap().1.peak_workspace_bytes, workers)
+        };
+        for rows in [chunk * 4, chunk * 64] {
+            let (peak, workers) = peak_for(rows);
+            // The chunk handed off and the stage after it, at least.
+            assert!(peak >= 2 * stage, "{rows} rows: peak {peak} < 2 x {stage}");
+            // A sealed segment here is at most a dense chunk plus framing.
+            let bound = (workers + 2) * stage + (workers + 1) * 2 * stage;
+            assert!(peak <= bound, "{rows} rows: peak {peak} past {bound}");
+        }
+    }
+
+    /// A pool whose seal function holds `alive`: once every worker has
+    /// been joined, only the test's own count is left.
+    fn sentinel_pool(alive: &Arc<()>, panic_on_rows: usize) -> SealPool {
+        let alive = alive.clone();
+        SealPool::spawn(2, move |dense| {
+            let _held = &alive;
+            assert_ne!(dense.rows(), panic_on_rows, "seal of a poisoned chunk");
+            seal_chunk(dense, Some(Scheme::Den), &EncodeOptions::default())
+        })
+    }
+
+    #[test]
+    fn dropping_the_pool_joins_its_workers_with_chunks_queued() {
+        let alive = Arc::new(());
+        let mut pool = sentinel_pool(&alive, usize::MAX);
+        let replies: Vec<_> = (0..6)
+            .map(|seed| pool.send(drifting_matrix(40, 5, 3, seed)))
+            .collect();
+        let (sealed, _) = pool.take(&replies[0], true).unwrap();
+        assert_eq!(sealed.scheme, Scheme::Den);
+        drop(pool);
+        assert_eq!(Arc::strong_count(&alive), 1, "a worker outlived its pool");
+    }
+
+    #[test]
+    fn a_panicking_worker_resurfaces_on_the_caller_after_a_join() {
+        let alive = Arc::new(());
+        let mut pool = sentinel_pool(&alive, 3);
+        let replies: Vec<_> = [4, 3, 4]
+            .into_iter()
+            .map(|rows| pool.send(drifting_matrix(rows, 5, 3, 1)))
+            .collect();
+        // The chunk before the poisoned one still comes back.
+        assert!(pool.take(&replies[0], true).is_some());
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| pool.take(&replies[1], true)));
+        let Err(msg) = caught else {
+            panic!("the worker's panic must reach the caller");
+        };
+        let msg = msg
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.contains("seal of a poisoned chunk"), "{msg}");
+        assert_eq!(Arc::strong_count(&alive), 1, "workers not joined");
+        drop(pool);
+    }
+
     /// A real container sidecar: what a [`ContainerIngest`] with
     /// `segments` sealed 8-row chunks (scheme picked per chunk) records.
     fn container_checkpoint(segments: usize) -> IngestCheckpoint {
@@ -1139,6 +1510,7 @@ mod tests {
         for r in 0..m.rows() {
             ing.push_row(m.row(r)).unwrap();
         }
+        ing.flush().unwrap();
         IngestCheckpoint {
             config_hash: ingest_config_hash(4, 8, None, &opts),
             source_offset: 12_345,

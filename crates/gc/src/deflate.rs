@@ -94,9 +94,12 @@ fn lz77_parse(input: &[u8]) -> Vec<Token> {
     );
     let mut tokens = Vec::with_capacity(input.len() / 4 + 16);
     let mut head = vec![NONE; 1 << HASH_BITS];
-    // `prev[p]` is written when `p` enters a chain and read only through
-    // one, so it needs no empty marker.
-    let mut prev = vec![0u32; input.len()];
+    // `prev[p & (MAX_DIST - 1)]` is written when `p` enters a chain and
+    // read only through one, so it needs no empty marker. A window of
+    // `MAX_DIST` slots is exact: a slot is read only for a candidate `c`
+    // with `i - c <= MAX_DIST`, and the next position that shares it,
+    // `c + MAX_DIST`, has not entered a chain yet.
+    let mut prev = vec![0u32; input.len().min(MAX_DIST)];
     let mut i = 0usize;
     while i < input.len() {
         if i + MIN_MATCH <= input.len() {
@@ -123,11 +126,11 @@ fn lz77_parse(input: &[u8]) -> Vec<Token> {
                         }
                     }
                 }
-                cand = prev[c];
+                cand = prev[c & (MAX_DIST - 1)];
                 chain += 1;
             }
             // Insert the current position into the chain.
-            prev[i] = head[h];
+            prev[i & (MAX_DIST - 1)] = head[h];
             head[h] = i as u32;
             if best_len >= MIN_MATCH {
                 tokens.push(Token::Match {
@@ -139,7 +142,7 @@ fn lz77_parse(input: &[u8]) -> Vec<Token> {
                 let end = (i + best_len).min(input.len().saturating_sub(MIN_MATCH - 1));
                 for k in i + 1..end {
                     let hk = hash3(&input[k..]);
-                    prev[k] = head[hk];
+                    prev[k & (MAX_DIST - 1)] = head[hk];
                     head[hk] = k as u32;
                 }
                 i += best_len;
