@@ -26,7 +26,7 @@ use std::path::Path;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 use toc_data::store::{split_label, ShardedSpillStore, StoreBuilder, StoreConfig};
-use toc_data::{CsvError, CsvIngestOutcome, CsvStream};
+use toc_data::{CsvError, CsvIngestOutcome, CsvStream, SinkError};
 use toc_formats::container::SeekableContainer;
 use toc_formats::{AnyBatch, EncodeOptions, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
@@ -219,17 +219,18 @@ fn build_store(input: &str, config: &StoreConfig) -> Result<ShardedSpillStore, S
     let mut builder: Option<StoreBuilder> = None;
     let mut fill = |_: usize, row: &[f64]| {
         if row.len() < 2 {
-            return Err(too_narrow.to_string());
+            return Err(SinkError::NoFeatures { fields: row.len() });
         }
         let (features, label) = split_label(row);
         builder
             .get_or_insert_with(|| StoreBuilder::new(features.len(), config))
-            .push_row(features, label)
-            .map_err(|e| e.to_string())
+            .push_row(features, label)?;
+        Ok(())
     };
     let path = Path::new(input);
     if input.ends_with(".tocz") {
-        open_container(path)?.for_each_row(&mut fill)?;
+        open_container(path)?
+            .for_each_row(&mut |i, row| fill(i, row).map_err(|e| e.to_string()))?;
     } else {
         toc_data::stream_rows(path, &mut fill).map_err(|e| csv_error(path, e))?;
     }
@@ -849,7 +850,7 @@ fn train_follow(
                 };
                 follow_rows(input, &opts, &mut || false, &mut |_, row| {
                     let (features, label) = split_label(row);
-                    ing.push_row(features, label).map_err(|e| e.to_string())
+                    Ok(ing.push_row(features, label)?)
                 })
                 .map_err(|e| e.to_string())?;
                 ing.finish().map_err(|e| e.to_string())

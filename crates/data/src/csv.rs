@@ -57,7 +57,66 @@ use std::time::{Duration, Instant};
 pub type StreamSummary = (usize, usize, Option<Vec<String>>);
 
 /// Per-row callback: `(row_index, fields)`; an `Err` aborts the stream.
-pub type RowSink<'a> = &'a mut dyn FnMut(usize, &[f64]) -> Result<(), String>;
+pub type RowSink<'a> = &'a mut dyn FnMut(usize, &[f64]) -> Result<(), SinkError>;
+
+/// Why a [`RowSink`] aborted the stream.
+#[derive(Debug)]
+pub enum SinkError {
+    /// Storing the row failed: a store's spill or shard write.
+    Io(std::io::Error),
+    /// The row has no feature column beside the label.
+    NoFeatures {
+        /// Fields in the row.
+        fields: usize,
+    },
+}
+
+impl std::fmt::Display for SinkError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SinkError::Io(e) => write!(f, "{e}"),
+            SinkError::NoFeatures { fields } => write!(
+                f,
+                "a row of {fields} field(s): need at least one feature column plus the label column"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for SinkError {}
+
+impl From<std::io::Error> for SinkError {
+    fn from(e: std::io::Error) -> Self {
+        SinkError::Io(e)
+    }
+}
+
+/// A cell that is not a number, by the definition (`str::trim` +
+/// `str::parse::<f64>`). Displays as the cell quoted and the reason.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum CellError {
+    /// The cell's bytes are not UTF-8; `cell` is their lossy text.
+    NotUtf8 {
+        cell: String,
+        source: std::str::Utf8Error,
+    },
+    /// `str::parse::<f64>` refused the trimmed `cell`.
+    NotANumber {
+        cell: String,
+        source: std::num::ParseFloatError,
+    },
+}
+
+impl std::fmt::Display for CellError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            CellError::NotUtf8 { cell, source } => write!(f, "{cell:?}: {source}"),
+            CellError::NotANumber { cell, source } => write!(f, "{cell:?}: {source}"),
+        }
+    }
+}
+
+impl std::error::Error for CellError {}
 
 /// Structured CSV stream error: IO failures are distinct from parse
 /// failures and from sink aborts, so a follower can tell "the file went
@@ -67,18 +126,22 @@ pub type RowSink<'a> = &'a mut dyn FnMut(usize, &[f64]) -> Result<(), String>;
 pub enum CsvError {
     /// The underlying file operation failed.
     Io(std::io::Error),
-    /// A line was structurally bad: ragged width, unparsable number,
-    /// or an empty stream.
+    /// A line was structurally bad: ragged width, a header that is not
+    /// text, or an empty stream.
     Parse(String),
+    /// A cell of data row `row` (1-based) is not a number.
+    BadNumber { row: usize, cell: CellError },
     /// The per-row sink aborted the stream.
-    Sink(String),
+    Sink(SinkError),
 }
 
 impl std::fmt::Display for CsvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CsvError::Io(e) => write!(f, "{e}"),
-            CsvError::Parse(m) | CsvError::Sink(m) => write!(f, "{m}"),
+            CsvError::Parse(m) => write!(f, "{m}"),
+            CsvError::BadNumber { row, cell } => write!(f, "row {row}: bad number {cell}"),
+            CsvError::Sink(e) => write!(f, "{e}"),
         }
     }
 }
@@ -116,15 +179,19 @@ const POW10: [f64; FAST_MAX_DIGITS + 1] = [
 ];
 
 /// The definition of a cell's value: `str::trim` + `str::parse::<f64>`.
-/// The error is the tail of the "bad number" message — the cell quoted
-/// (lossily, if it is not UTF-8) and the reason.
-fn parse_text(field: &[u8]) -> Result<f64, String> {
+fn parse_text(field: &[u8]) -> Result<f64, CellError> {
     match std::str::from_utf8(field) {
         Ok(s) => {
             let t = s.trim();
-            t.parse().map_err(|e| format!("{t:?}: {e}"))
+            t.parse().map_err(|source| CellError::NotANumber {
+                cell: t.to_string(),
+                source,
+            })
         }
-        Err(e) => Err(format!("{:?}: {e}", String::from_utf8_lossy(field))),
+        Err(source) => Err(CellError::NotUtf8 {
+            cell: String::from_utf8_lossy(field).into_owned(),
+            source,
+        }),
     }
 }
 
@@ -366,9 +433,11 @@ impl RowParser {
         }
         self.row_buf.clear();
         for f in fields() {
-            self.row_buf.push(parse_text(f).map_err(|tail| {
-                CsvError::Parse(format!("row {}: bad number {tail}", self.rows + 1))
-            })?);
+            self.row_buf
+                .push(parse_text(f).map_err(|cell| CsvError::BadNumber {
+                    row: self.rows + 1,
+                    cell,
+                })?);
         }
         self.rows += 1;
         Ok(true)
@@ -846,7 +915,10 @@ mod tests {
         ] {
             std::fs::write(&p, text).unwrap();
             match read_all(&p) {
-                Err(CsvError::Parse(msg)) => assert!(msg.starts_with(want), "{msg}"),
+                Err(e @ (CsvError::Parse(_) | CsvError::BadNumber { .. })) => {
+                    let msg = e.to_string();
+                    assert!(msg.starts_with(want), "{msg}")
+                }
                 other => panic!("{text:?}: expected a parse error, got {other:?}"),
             }
         }
@@ -869,15 +941,23 @@ mod tests {
         let fine = tmp("fine.csv");
         std::fs::write(&fine, "1,2\n").unwrap();
         assert!(matches!(
-            stream_rows(&fine, &mut |_, _| Err("stop".into())),
-            Err(CsvError::Sink(_))
+            stream_rows(&fine, &mut |_, row| Err(SinkError::NoFeatures {
+                fields: row.len()
+            })),
+            Err(CsvError::Sink(SinkError::NoFeatures { fields: 2 }))
         ));
         // Bytes that are not UTF-8 are garbage in the file, not a failing
-        // disk: a `Parse` error that names the row, from a cell ...
+        // disk: a parse error that names the row, from a cell ...
         let garbage = tmp("garbage.csv");
         std::fs::write(&garbage, b"1,2\n3,\xff\xfe4\n").unwrap();
         match stream_rows(&garbage, &mut |_, _| Ok(())) {
-            Err(CsvError::Parse(msg)) => {
+            Err(
+                e @ CsvError::BadNumber {
+                    row: 2,
+                    cell: CellError::NotUtf8 { .. },
+                },
+            ) => {
+                let msg = e.to_string();
                 assert!(
                     msg.starts_with("row 2: bad number \"\u{fffd}\u{fffd}4\""),
                     "{msg}"
@@ -902,7 +982,10 @@ mod tests {
             seen += 1;
             Ok(())
         });
-        assert!(matches!(followed, Err(CsvError::Parse(_))), "{followed:?}");
+        assert!(
+            matches!(followed, Err(CsvError::BadNumber { row: 2, .. })),
+            "{followed:?}"
+        );
         assert_eq!(seen, 1);
         std::fs::remove_file(&ragged).ok();
         std::fs::remove_file(&fine).ok();

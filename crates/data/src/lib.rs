@@ -24,7 +24,7 @@ pub mod store;
 pub mod synth;
 pub mod testing;
 
-pub use csv::{follow_rows, stream_rows, CsvError, CsvStream, FollowOptions};
+pub use csv::{follow_rows, stream_rows, CellError, CsvError, CsvStream, FollowOptions, SinkError};
 pub use ingest::{
     commit, ingest_csv_container, sidecar_path, ContainerIngest, CsvContainerJob, CsvIngestOutcome,
     EncodeWorkspace, IngestCheckpoint, IngestError, IngestStats, StoreIngest,

@@ -328,7 +328,7 @@ fn tail_follow_races_adaptive_rebalance_under_faults() {
                 &path,
                 &opts,
                 &mut || !writer_done.load(Ordering::Acquire),
-                &mut |_, row| ing.push_row(&row[..d], row[d]).map_err(|e| e.to_string()),
+                &mut |_, row| Ok(ing.push_row(&row[..d], row[d])?),
             )
             .unwrap();
             ing.finish().unwrap()

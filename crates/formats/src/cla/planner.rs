@@ -32,7 +32,8 @@
 //! `sampled_cla_planner_beats_greedy_on_correlated_wide_matrix` holds it
 //! above the ratio greedy reached on that wide correlated matrix.
 
-use toc_core::hash::{value_key, FxHashMap};
+use crate::values::ColumnValues;
+use toc_core::hash::FxHashMap;
 use toc_linalg::DenseMatrix;
 
 /// Max dictionary entries per *co-coded* (multi-column) group. Planned
@@ -96,8 +97,9 @@ fn group_size(width: usize, entries: usize, rows: usize) -> usize {
 }
 
 /// Scale a sample distinct count `d_s` with `f1` singletons up to the full
-/// batch (Good–Turing: singletons witness the unseen mass).
-fn estimate_distinct(d_s: usize, f1: usize, sample: usize, rows: usize) -> usize {
+/// batch (Good–Turing: singletons witness the unseen mass). Container zone
+/// maps estimate their `distinct` by the same rule.
+pub(crate) fn estimate_distinct(d_s: usize, f1: usize, sample: usize, rows: usize) -> usize {
     if sample >= rows {
         return d_s; // exact
     }
@@ -106,29 +108,6 @@ fn estimate_distinct(d_s: usize, f1: usize, sample: usize, rows: usize) -> usize
     }
     let est = d_s as f64 + f1 as f64 * (rows - sample) as f64 / sample.max(1) as f64;
     (est.ceil() as usize).clamp(d_s, rows)
-}
-
-/// Estimate the number of distinct values in a whole matrix by sampling
-/// up to `sample_rows` evenly spaced rows and scaling the sample's
-/// distinct/singleton counts with `estimate_distinct` (the same
-/// Good–Turing rule the CLA planner uses per column group). This is the
-/// `distinct` statistic recorded in container zone maps.
-pub fn estimate_matrix_distinct(m: &DenseMatrix, sample_rows: usize) -> usize {
-    if m.rows() == 0 || m.cols() == 0 {
-        return 0;
-    }
-    let take = sample_rows.clamp(1, m.rows());
-    let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
-    for i in 0..take {
-        // Evenly spaced sample; take == rows degenerates to every row.
-        let r = i * m.rows() / take;
-        for &v in m.row(r) {
-            *counts.entry(value_key(v.to_bits())).or_insert(0) += 1;
-        }
-    }
-    let d_s = counts.len();
-    let f1 = counts.values().filter(|&&c| c == 1).count();
-    estimate_distinct(d_s, f1, take * m.cols(), m.rows() * m.cols())
 }
 
 /// Bound on the number of groups considered together in one pairwise
@@ -165,9 +144,52 @@ struct JoinScratch {
     id: Vec<u32>,
     counts: Vec<u32>,
     gen: u32,
+    /// Per joint code, its rows: [`JoinScratch::cardinality`]'s table.
+    tally: Vec<u32>,
 }
 
 impl JoinScratch {
+    /// [`JoinScratch::join`]'s distinct / singleton counts without the
+    /// joint ids, which a pair's estimate does not need. When the joint
+    /// code space is no larger than the sample (or 64), it tallies rows
+    /// straight into tables indexed by joint code and reads the counts
+    /// off them: no first-seen numbering, one increment per row.
+    fn cardinality(
+        &mut self,
+        (a, a_ds): (&[u32], usize),
+        (b, b_ds): (&[u32], usize),
+    ) -> (usize, usize) {
+        let space = a_ds * b_ds;
+        if space > a.len().max(64) {
+            return self.join((a, a_ds), (b, b_ds), |_| {});
+        }
+        // Four tables, rows dealt round-robin, so that runs of one joint
+        // code do not serialise on a single counter.
+        self.tally.clear();
+        self.tally.resize(4 * space, 0);
+        let (t0, rest) = self.tally.split_at_mut(space);
+        let (t1, rest) = rest.split_at_mut(space);
+        let (t2, t3) = rest.split_at_mut(space);
+        let key = |x: u32, y: u32| x as usize * b_ds + y as usize;
+        let (mut ca, mut cb) = (a.chunks_exact(4), b.chunks_exact(4));
+        for (x, y) in (&mut ca).zip(&mut cb) {
+            t0[key(x[0], y[0])] += 1;
+            t1[key(x[1], y[1])] += 1;
+            t2[key(x[2], y[2])] += 1;
+            t3[key(x[3], y[3])] += 1;
+        }
+        for (&x, &y) in ca.remainder().iter().zip(cb.remainder()) {
+            t0[key(x, y)] += 1;
+        }
+        let (mut d, mut f1) = (0, 0);
+        for k in 0..space {
+            let c = t0[k] + t1[k] + t2[k] + t3[k];
+            d += (c != 0) as usize;
+            f1 += (c == 1) as usize;
+        }
+        (d, f1)
+    }
+
     /// Distinct/singleton counts of the pairwise join of two code
     /// vectors with `a_ds`/`b_ds` distinct codes. Each row's joint id
     /// (numbered in first-seen order, like the per-column codes) goes to
@@ -232,7 +254,7 @@ fn compute_pair(
     } else if gj.d_s == 1 {
         (gi.d_s, gi.f1)
     } else {
-        js.join((&gi.codes, gi.d_s), (&gj.codes, gj.d_s), |_| {})
+        js.cardinality((&gi.codes, gi.d_s), (&gj.codes, gj.d_s))
     };
     let joint_est = estimate_distinct(joint_ds, joint_f1, sample_len, rows).max(d_lower);
     if joint_est > MAX_DICT_ENTRIES {
@@ -405,6 +427,14 @@ pub fn plan(dense: &DenseMatrix, opts: &ClaOptions) -> ClaPlan {
     plan_within(dense, opts, usize::MAX).expect("no plan exceeds an unbounded budget")
 }
 
+/// The rows the planner samples, in order: `sample_rows` evenly spaced
+/// ones (deterministic: reproducible plans, no RNG plumbing), which is
+/// every row, `0..rows`, once `sample_rows >= rows`.
+pub(crate) fn sample(rows: usize, opts: &ClaOptions) -> impl ExactSizeIterator<Item = usize> {
+    let n = opts.sample_rows.min(rows);
+    (0..n).map(move |i| i * rows / n)
+}
+
 /// [`plan`] for a caller that only wants the plan if its
 /// [`ClaPlan::est_bytes`] can be at most `budget` (scheme selection,
 /// where `budget` is what CLA must undercut to be picked).
@@ -414,7 +444,10 @@ pub fn plan(dense: &DenseMatrix, opts: &ClaOptions) -> ClaPlan {
 /// `None` is returned only when `plan(..).est_bytes > budget` is proven,
 /// so the bound can skip work but never change what a caller decides.
 ///
-/// The proof is a lower bound available from phase 1 alone, before the
+/// Phase 1 is one row-major pass over the sample, keyed by (column,
+/// value), which gives every column its codes, distinct count and singleton
+/// count at once. The proof is a lower bound on `est_bytes` computed from
+/// those counts alone, before any group state is built and before the
 /// `O(cols²)` merge phase. Every merge keeps a group's estimated
 /// cardinality at or above each member column's `d_est`, groups hold at
 /// most [`MAX_GROUP_COLS`] columns, and a column whose
@@ -424,63 +457,44 @@ pub fn plan(dense: &DenseMatrix, opts: &ClaOptions) -> ClaPlan {
 /// columns, `⌈m/16⌉` groups' fixed cost (`8 + rows`: group header plus
 /// one-byte row indexes); and per mergeable column the cheaper of its
 /// dictionary share (`4 + 8·d_est`) and the UC payload beyond that fixed
-/// cost (`7·rows`). The bound only grows as columns are added, so phase 1
-/// itself stops at the first column that pushes it past `budget`.
+/// cost (`7·rows`).
 pub fn plan_within(dense: &DenseMatrix, opts: &ClaOptions, budget: usize) -> Option<ClaPlan> {
-    let rows = dense.rows();
-    let cols = dense.cols();
-    let sample_n = opts.sample_rows.min(rows);
-    let exact = sample_n == rows;
-    // Deterministic evenly-spaced sample: reproducible plans, no RNG
-    // plumbing, and full coverage in the degenerate `sample >= rows` case.
-    let sample: Vec<usize> = if exact {
-        (0..rows).collect()
-    } else {
-        (0..sample_n).map(|i| i * rows / sample_n).collect()
-    };
+    let counted = ColumnValues::count(dense, sample(dense.rows(), opts));
+    plan_counted(dense.rows(), &counted, budget)
+}
 
-    let mut states: Vec<GroupState> = Vec::with_capacity(cols);
-    let mut map: FxHashMap<u64, u32> = FxHashMap::default();
-    let mut counts: Vec<u32> = Vec::new();
-    // Lower bound on `est_bytes` over the columns seen so far.
+/// [`plan_within`] over a chunk of `rows` rows whose planner sample
+/// ([`sample`]) is already counted: selection counts every row once for
+/// its closed forms, which is the sample whenever `sample_rows >= rows`.
+pub(crate) fn plan_counted(rows: usize, counted: &ColumnValues, budget: usize) -> Option<ClaPlan> {
+    let (cols, sample_n) = (counted.cols(), counted.rows());
+    let f1 = counted.singletons();
+    let d_est: Vec<usize> = (0..cols)
+        .map(|c| estimate_distinct(counted.distinct(c), f1[c], sample_n, rows))
+        .collect();
+    // Lower bound on `est_bytes`.
     let (mut floor, mut mergeable) = (16usize, 0usize);
-    for c in 0..cols {
-        map.clear();
-        counts.clear();
-        let mut codes = Vec::with_capacity(sample.len());
-        for &r in &sample {
-            let next = counts.len() as u32;
-            let id = *map
-                .entry(value_key(dense.get(r, c).to_bits()))
-                .or_insert_with(|| {
-                    counts.push(0);
-                    next
-                });
-            counts[id as usize] += 1;
-            codes.push(id);
-        }
-        let d_s = counts.len();
-        let f1 = counts.iter().filter(|&&n| n == 1).count();
-        let d_est = estimate_distinct(d_s, f1, sample.len(), rows);
-        let size = group_size(1, d_est, rows);
-        if d_est > MAX_DICT_ENTRIES {
-            floor += size;
+    for &d in &d_est {
+        if d > MAX_DICT_ENTRIES {
+            floor += group_size(1, d, rows);
         } else {
             mergeable += 1;
-            floor += (4 + 8 * d_est).min(7 * rows);
+            floor += (4 + 8 * d).min(7 * rows);
         }
-        if floor + mergeable.div_ceil(MAX_GROUP_COLS) * (8 + rows) > budget {
-            return None;
-        }
-        states.push(GroupState {
-            cols: vec![c as u32],
-            codes,
-            d_s,
-            f1,
-            d_est,
-            size,
-        });
     }
+    if floor + mergeable.div_ceil(MAX_GROUP_COLS) * (8 + rows) > budget {
+        return None;
+    }
+    let states: Vec<GroupState> = (0..cols)
+        .map(|c| GroupState {
+            cols: vec![c as u32],
+            codes: counted.column_codes(c),
+            d_s: counted.distinct(c),
+            f1: f1[c],
+            d_est: d_est[c],
+            size: group_size(1, d_est[c], rows),
+        })
+        .collect();
 
     // Phase 2a: global identical-signature pre-merge (cheap, cross-window).
     let mut rest = bucket_identical(states, rows);
@@ -492,7 +506,7 @@ pub fn plan_within(dense: &DenseMatrix, opts: &ClaOptions, budget: usize) -> Opt
     while !rest.is_empty() {
         let take_n = rest.len().min(PLAN_WINDOW_GROUPS);
         let window: Vec<GroupState> = rest.drain(..take_n).collect();
-        groups.extend(merge_window(window, rows, sample.len(), &mut js));
+        groups.extend(merge_window(window, rows, sample_n, &mut js));
     }
 
     groups.sort_by_key(|g| g.cols[0]);
@@ -501,7 +515,7 @@ pub fn plan_within(dense: &DenseMatrix, opts: &ClaOptions, budget: usize) -> Opt
         groups: groups.into_iter().map(|g| g.cols).collect(),
         est_bytes,
         sample_rows: sample_n,
-        exact,
+        exact: sample_n == rows,
     })
 }
 
@@ -775,6 +789,155 @@ mod tests {
                 )),
                 merged(reference::merge(reference::states(&m, rows), rows, rows)),
                 "seed {seed}"
+            );
+        }
+    }
+
+    /// `plan_within` as it was when phase 1 hashed the sample one column
+    /// at a time and returned as soon as the floor over the columns seen
+    /// so far exceeded `budget`. Its merge phase is the planner's own.
+    fn plan_within_column_at_a_time(
+        dense: &DenseMatrix,
+        opts: &ClaOptions,
+        budget: usize,
+    ) -> Option<ClaPlan> {
+        use toc_core::hash::value_key;
+        let rows = dense.rows();
+        let cols = dense.cols();
+        let sample_n = opts.sample_rows.min(rows);
+        let exact = sample_n == rows;
+        let sample: Vec<usize> = if exact {
+            (0..rows).collect()
+        } else {
+            (0..sample_n).map(|i| i * rows / sample_n).collect()
+        };
+        let mut states: Vec<GroupState> = Vec::with_capacity(cols);
+        let mut map: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut counts: Vec<u32> = Vec::new();
+        let (mut floor, mut mergeable) = (16usize, 0usize);
+        for c in 0..cols {
+            map.clear();
+            counts.clear();
+            let mut codes = Vec::with_capacity(sample.len());
+            for &r in &sample {
+                let next = counts.len() as u32;
+                let id = *map
+                    .entry(value_key(dense.get(r, c).to_bits()))
+                    .or_insert_with(|| {
+                        counts.push(0);
+                        next
+                    });
+                counts[id as usize] += 1;
+                codes.push(id);
+            }
+            let d_s = counts.len();
+            let f1 = counts.iter().filter(|&&n| n == 1).count();
+            let d_est = estimate_distinct(d_s, f1, sample.len(), rows);
+            let size = group_size(1, d_est, rows);
+            if d_est > MAX_DICT_ENTRIES {
+                floor += size;
+            } else {
+                mergeable += 1;
+                floor += (4 + 8 * d_est).min(7 * rows);
+            }
+            if floor + mergeable.div_ceil(MAX_GROUP_COLS) * (8 + rows) > budget {
+                return None;
+            }
+            states.push(GroupState {
+                cols: vec![c as u32],
+                codes,
+                d_s,
+                f1,
+                d_est,
+                size,
+            });
+        }
+        let mut rest = bucket_identical(states, rows);
+        rest.sort_by_key(|g| g.cols[0]);
+        let mut js = JoinScratch::default();
+        let mut groups: Vec<GroupState> = Vec::new();
+        while !rest.is_empty() {
+            let take_n = rest.len().min(PLAN_WINDOW_GROUPS);
+            let window: Vec<GroupState> = rest.drain(..take_n).collect();
+            groups.extend(merge_window(window, rows, sample.len(), &mut js));
+        }
+        groups.sort_by_key(|g| g.cols[0]);
+        let est_bytes = 16 + groups.iter().map(|g| g.size).sum::<usize>();
+        Some(ClaPlan {
+            groups: groups.into_iter().map(|g| g.cols).collect(),
+            est_bytes,
+            sample_rows: sample_n,
+            exact,
+        })
+    }
+
+    /// Every preset, chunks of 100 / 250 / 500 rows, a sample of half,
+    /// all or 256 of the rows, and budgets at and around the plan's
+    /// estimate: `plan_within` over the one row-major pass decides and
+    /// plans exactly as the column-at-a-time phase 1 did, and so does
+    /// the every-row pass selection shares with its closed forms. The
+    /// debug profile cuts the wide presets to 96 columns.
+    #[test]
+    fn plan_within_matches_the_phase_one_reference() {
+        use toc_data::synth::{generate_preset, DatasetPreset};
+        for preset in DatasetPreset::ALL {
+            let x = generate_preset(preset, 500, 11).x;
+            let width = if cfg!(debug_assertions) {
+                x.cols().min(96)
+            } else {
+                x.cols()
+            };
+            for rows in [100, 250, 500] {
+                let mut m = DenseMatrix::zeros(rows, width);
+                for r in 0..rows {
+                    m.row_mut(r).copy_from_slice(&x.row(r)[..width]);
+                }
+                let every_row = ColumnValues::count(&m, 0..rows);
+                for sample_rows in [rows / 2, rows, 256] {
+                    let opts = ClaOptions { sample_rows };
+                    let full = plan_within_column_at_a_time(&m, &opts, usize::MAX)
+                        .expect("no plan exceeds an unbounded budget");
+                    let est = full.est_bytes;
+                    for budget in [0, est - 1, est, usize::MAX] {
+                        let at = format!(
+                            "{preset:?}, {rows} rows, sample {sample_rows}, budget {budget}"
+                        );
+                        let got = plan_within(&m, &opts, budget);
+                        assert_eq!(got, plan_within_column_at_a_time(&m, &opts, budget), "{at}");
+                        match &got {
+                            Some(p) => assert_eq!(p, &full, "{at}"),
+                            None => assert!(est > budget, "{at}"),
+                        }
+                        if sample_rows >= rows {
+                            assert_eq!(plan_counted(rows, &every_row, budget), got, "{at}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The tallied pair estimate counts what the first-seen join counts,
+    /// on both sides of the joint-space cutoff.
+    #[test]
+    fn pair_cardinality_matches_the_join() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut tallied, mut joined) = (JoinScratch::default(), JoinScratch::default());
+        for _ in 0..400 {
+            let len = next() as usize % 300;
+            let (a_ds, b_ds) = (1 + next() as usize % 40, 1 + next() as usize % 40);
+            let a: Vec<u32> = (0..len).map(|_| (next() % a_ds as u64) as u32).collect();
+            let b: Vec<u32> = (0..len).map(|_| (next() % b_ds as u64) as u32).collect();
+            assert_eq!(
+                tallied.cardinality((&a, a_ds), (&b, b_ds)),
+                joined.join((&a, a_ds), (&b, b_ds), |_| {}),
+                "{len} rows, {a_ds} x {b_ds}"
             );
         }
     }

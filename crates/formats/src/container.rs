@@ -39,20 +39,21 @@
 //! structured [`FormatError`], never a panic or a silently wrong read.
 //! The layout-tree shape follows the Vortex footer design (a recursive
 //! `(encoding, buffer-extent, children)` tree plus a postscript holding
-//! `footer_offset`); zone maps reuse the CLA planner's Good–Turing
-//! distinct-count sampler.
+//! `footer_offset`); zone maps estimate distinct values by the CLA
+//! planner's Good–Turing rule.
 //!
 //! Both versions are read by one reader, [`SeekableContainer`], over any
 //! positional [`Source`]: a file ([`SeekableContainer::open`]) or a byte
 //! slice ([`Container::from_bytes`] / [`Container::read`] parse one).
 
-use crate::cla::planner::estimate_matrix_distinct;
+use crate::cla::planner::estimate_distinct;
 use crate::wire::{put_f64, put_u32, put_u64, Rd};
 use crate::{AnyBatch, EncodeOptions, ExecScratch, FormatError, MatrixBatch, Scheme};
 use std::borrow::Cow;
 use std::fs::File;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
+use toc_core::hash::{value_key, FxHashMap};
 use toc_linalg::DenseMatrix;
 
 /// `"TOCZ"` little-endian, leading and trailing.
@@ -90,8 +91,7 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Per-segment statistics recorded in the footer so readers can prune
 /// segments without touching their bytes: value bounds, non-zero count,
-/// and a distinct-value estimate from the CLA planner's Good–Turing
-/// sampler ([`estimate_matrix_distinct`]).
+/// and a distinct-value estimate by the CLA planner's Good–Turing rule.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ZoneMap {
     /// Smallest value in the segment (0.0 for an empty segment).
@@ -107,24 +107,45 @@ pub struct ZoneMap {
 impl ZoneMap {
     /// Compute from a dense segment, sampling `sample_rows` rows for the
     /// distinct estimate.
+    ///
+    /// One hashing pass counts the values of the sampled rows (evenly
+    /// spaced; every row once `sample_rows >= rows`). When the sample is
+    /// every row those counts hold every value of the segment, so `min`,
+    /// `max` and `nnz` come from them and no cell is read twice;
+    /// otherwise a walk over the cells takes them (`bounds_of_cells`, which
+    /// defines them in both cases).
     pub fn compute(dense: &DenseMatrix, sample_rows: usize) -> Self {
-        let mut min = f64::INFINITY;
-        let mut max = f64::NEG_INFINITY;
-        let mut nnz = 0u64;
-        for &v in dense.data() {
-            min = min.min(v);
-            max = max.max(v);
-            nnz += (v != 0.0) as u64;
+        let (rows, cols) = (dense.rows(), dense.cols());
+        if rows == 0 || cols == 0 {
+            return Self {
+                min: 0.0,
+                max: 0.0,
+                nnz: 0,
+                distinct: 0,
+            };
         }
-        if dense.data().is_empty() {
-            min = 0.0;
-            max = 0.0;
+        let take = sample_rows.clamp(1, rows);
+        // `value_key` of a bit pattern → (the bit pattern, its cells).
+        let mut counts: FxHashMap<u64, (u64, u64)> = FxHashMap::default();
+        for i in 0..take {
+            for &v in dense.row(i * rows / take) {
+                let bits = v.to_bits();
+                counts.entry(value_key(bits)).or_insert((bits, 0)).1 += 1;
+            }
         }
+        let f1 = counts.values().filter(|&&(_, cells)| cells == 1).count();
+        let distinct = estimate_distinct(counts.len(), f1, take * cols, rows * cols) as u64;
+        let bounds = if take == rows {
+            bounds_of_values(counts.values())
+        } else {
+            None
+        };
+        let (min, max, nnz) = bounds.unwrap_or_else(|| bounds_of_cells(dense.data()));
         Self {
             min,
             max,
             nnz,
-            distinct: estimate_matrix_distinct(dense, sample_rows) as u64,
+            distinct,
         }
     }
 
@@ -162,6 +183,46 @@ impl ZoneMap {
             distinct: rd.u64()?,
         })
     }
+}
+
+/// A zone's `(min, max, nnz)` by definition: the `f64::min` / `f64::max`
+/// chains from `+∞` / `-∞` over the cells in row-major order, and the
+/// cells with `v != 0.0` (NaN counts, `-0.0` does not).
+fn bounds_of_cells(cells: &[f64]) -> (f64, f64, u64) {
+    let (mut min, mut max, mut nnz) = (f64::INFINITY, f64::NEG_INFINITY, 0u64);
+    for &v in cells {
+        min = min.min(v);
+        max = max.max(v);
+        nnz += (v != 0.0) as u64;
+    }
+    (min, max, nnz)
+}
+
+/// [`bounds_of_cells`] from each distinct bit pattern and its cell count,
+/// wherever the chains' result does not depend on the cells' order.
+///
+/// The rule, pinned: `f64::min` / `f64::max` return the other operand
+/// when one is NaN, so a NaN never becomes a bound and an all-NaN segment
+/// keeps `+∞` / `-∞`. Two distinct bit patterns that are not NaN compare
+/// equal only if they are `0.0` and `-0.0`, and which of those two the
+/// chains keep is not specified by `f64::min` / `f64::max` — it can
+/// depend on which came first. So the result is order-free unless both
+/// zeros occur and a bound is zero: then this returns `None` and the
+/// caller walks the cells.
+fn bounds_of_values<'a>(values: impl Iterator<Item = &'a (u64, u64)>) -> Option<(f64, f64, u64)> {
+    let (mut min, mut max, mut nnz, mut zeros) = (f64::INFINITY, f64::NEG_INFINITY, 0u64, 0);
+    for &(bits, cells) in values {
+        let v = f64::from_bits(bits);
+        min = min.min(v);
+        max = max.max(v);
+        if v != 0.0 {
+            nnz += cells;
+        } else {
+            zeros += 1;
+        }
+    }
+    let tied = zeros == 2 && (min == 0.0 || max == 0.0);
+    (!tied).then_some((min, max, nnz))
 }
 
 // ---------------------------------------------------------------------------
@@ -1637,5 +1698,135 @@ mod tests {
         let mut flipped = bytes.clone();
         flipped[0] ^= 1;
         assert!(Container::from_bytes(&flipped).is_err());
+    }
+
+    /// `ZoneMap::compute` as it was when it walked the cells for min / max
+    /// / nnz and then hashed the sample rows for the distinct estimate.
+    fn zone_two_pass(dense: &DenseMatrix, sample_rows: usize) -> ZoneMap {
+        let mut min = f64::INFINITY;
+        let mut max = f64::NEG_INFINITY;
+        let mut nnz = 0u64;
+        for &v in dense.data() {
+            min = min.min(v);
+            max = max.max(v);
+            nnz += (v != 0.0) as u64;
+        }
+        if dense.data().is_empty() {
+            min = 0.0;
+            max = 0.0;
+        }
+        let distinct = if dense.rows() == 0 || dense.cols() == 0 {
+            0
+        } else {
+            let take = sample_rows.clamp(1, dense.rows());
+            let mut counts: FxHashMap<u64, u32> = FxHashMap::default();
+            for i in 0..take {
+                for &v in dense.row(i * dense.rows() / take) {
+                    *counts.entry(value_key(v.to_bits())).or_insert(0) += 1;
+                }
+            }
+            let f1 = counts.values().filter(|&&c| c == 1).count();
+            let (sampled, cells) = (take * dense.cols(), dense.data().len());
+            estimate_distinct(counts.len(), f1, sampled, cells)
+        };
+        ZoneMap {
+            min,
+            max,
+            nnz,
+            distinct: distinct as u64,
+        }
+    }
+
+    fn assert_zone_bits_equal(m: &DenseMatrix, sample_rows: usize, name: &str) {
+        let (got, want) = (
+            ZoneMap::compute(m, sample_rows),
+            zone_two_pass(m, sample_rows),
+        );
+        let bits = |z: &ZoneMap| (z.min.to_bits(), z.max.to_bits(), z.nnz, z.distinct);
+        assert_eq!(
+            bits(&got),
+            bits(&want),
+            "{name}, {} x {}, sample {sample_rows}: {got:?} vs {want:?}",
+            m.rows(),
+            m.cols()
+        );
+    }
+
+    #[test]
+    fn zone_map_matches_the_two_pass_reference() {
+        let (z, nz) = (0.0f64, -0.0f64);
+        let nan = |payload: u64| f64::from_bits(0x7FF8_0000_0000_0000 | payload);
+        let (inf, ninf) = (f64::INFINITY, f64::NEG_INFINITY);
+        let cases: Vec<(&str, usize, Vec<f64>)> = vec![
+            ("all -0.0", 3, vec![nz; 12]),
+            ("all 0.0", 3, vec![z; 12]),
+            ("0.0 then -0.0", 2, vec![z, 1.0, 2.0, nz, 3.0, z, nz, 4.0]),
+            ("-0.0 then 0.0", 2, vec![nz, 1.0, 2.0, z, 3.0, nz, z, 4.0]),
+            (
+                "zeros under negatives",
+                2,
+                vec![-1.0, nz, z, -2.0, nz, -3.0],
+            ),
+            ("0.0 then -0.0 under negatives", 2, vec![-1.0, z, -2.0, nz]),
+            ("both zeros, both signs", 2, vec![z, -1.0, nz, 1.0, z, nz]),
+            (
+                "NaN payloads",
+                3,
+                vec![nan(1), 2.0, nan(2), -nan(3), 1.5, nan(1)],
+            ),
+            ("all NaN", 2, vec![nan(0), nan(7), -nan(7), nan(0)]),
+            ("NaN and both zeros", 2, vec![nan(4), z, nz, nan(5), z, nz]),
+            ("infinities", 3, vec![inf, 0.5, ninf, z, inf, -0.5]),
+            ("only infinities", 1, vec![inf, ninf, inf]),
+            (
+                "subnormals",
+                2,
+                vec![f64::from_bits(1), -f64::from_bits(1), nz, z],
+            ),
+            ("one cell", 1, vec![nz]),
+        ];
+        for (name, cols, data) in cases {
+            let rows = data.len() / cols;
+            let m = DenseMatrix::from_vec(rows, cols, data);
+            for sample_rows in [0, 1, rows.saturating_sub(1), rows, rows + 3] {
+                assert_zone_bits_equal(&m, sample_rows, name);
+            }
+        }
+        for (rows, cols) in [(0, 4), (4, 0), (0, 0)] {
+            assert_zone_bits_equal(&DenseMatrix::zeros(rows, cols), 16, "empty");
+        }
+        // Random shapes over a palette where ties, NaNs and infinities are
+        // common, sampled below, at and above the row count.
+        let palette = [
+            z,
+            nz,
+            nan(0),
+            nan(9),
+            -nan(1),
+            inf,
+            ninf,
+            1.0,
+            -1.0,
+            2.5,
+            f64::from_bits(3),
+        ];
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..500 {
+            let (rows, cols) = (1 + next() as usize % 12, 1 + next() as usize % 5);
+            let width = 1 + next() as usize % palette.len();
+            let data = (0..rows * cols)
+                .map(|_| palette[next() as usize % width])
+                .collect();
+            let m = DenseMatrix::from_vec(rows, cols, data);
+            for sample_rows in [1, rows / 2, rows, rows + 1, 256] {
+                assert_zone_bits_equal(&m, sample_rows, "random");
+            }
+        }
     }
 }

@@ -25,11 +25,13 @@ pub mod cvi;
 pub mod den;
 pub mod gcform;
 pub mod tocform;
+mod values;
 
 pub use cla::ClaOptions;
 
 use toc_core::hash::{value_key, FxHashMap};
 use toc_linalg::DenseMatrix;
+use values::ColumnValues;
 
 /// Per-scheme encoding knobs, threaded from the CLI / store down to the
 /// format encoders. `Default` preserves each scheme's standalone behavior.
@@ -403,9 +405,11 @@ impl Scheme {
     /// other scheme — CSR, CVI and DVI included — probes by encoding.
     ///
     /// This always does the full work for its one scheme. Selection
-    /// reaches the same argmin with less (see [`pick_and_encode`]: one
-    /// value-count pass prices DEN, CSR, CVI, DVI and ANS together, and
-    /// only Snappy\*, Gzip\* and TOC are probed); this stays public as the
+    /// reaches the same argmin with less (see [`pick_and_encode`]: DEN is
+    /// priced from the shape; one row-major pass over the chunk, keyed by
+    /// (column, value), prices CSR, CVI, DVI and ANS together and, when
+    /// CLA's sample is every row, is also its planner's phase 1; only
+    /// Snappy\*, Gzip\* and TOC are probed); this stays public as the
     /// oracle its tests compare against.
     pub fn estimate_encoded_size(self, dense: &DenseMatrix, opts: &EncodeOptions) -> usize {
         match self {
@@ -428,13 +432,12 @@ impl Scheme {
     }
 
     /// The estimate of the schemes whose size is a closed form of the
-    /// chunk's shape and value counts; `stats` is taken on first use.
-    fn size_from_stats(self, dense: &DenseMatrix, stats: &mut Option<ChunkStats>) -> Option<usize> {
+    /// chunk's shape and value counts; the counts are taken on first use.
+    fn size_from_stats(self, counted: &mut Counted) -> Option<usize> {
+        let dense = counted.dense;
         let st = match self {
             Scheme::Den => return Some(dense.den_size_bytes()),
-            Scheme::Csr | Scheme::Cvi | Scheme::Dvi | Scheme::GcAns => {
-                stats.get_or_insert_with(|| ChunkStats::of(dense))
-            }
+            Scheme::Csr | Scheme::Cvi | Scheme::Dvi | Scheme::GcAns => counted.stats(),
             _ => return None,
         };
         let (rows, cells) = (dense.rows(), dense.data().len());
@@ -543,9 +546,9 @@ fn ans_size_from_hist(hist: &[u64; 256], cells: usize) -> usize {
     toc_gc::ans::estimate_from_hist(hist, cells * 8) + 9
 }
 
-/// One pass over a chunk's cells: how often each value (by bit pattern)
-/// occurs. The sizes of CSR, CVI, DVI and the ANS estimate are closed
-/// forms of these counts and the shape.
+/// How often each value (by bit pattern) occurs in a chunk. The sizes of
+/// CSR, CVI, DVI and the ANS estimate are closed forms of these counts
+/// and the shape.
 struct ChunkStats {
     /// [`value_key`] of a bit pattern → (the bit pattern, its cells).
     counts: FxHashMap<u64, (u64, u64)>,
@@ -557,13 +560,14 @@ struct ChunkStats {
 }
 
 impl ChunkStats {
-    fn of(dense: &DenseMatrix) -> Self {
+    /// Fold the (column, value) counts of every row of a chunk into
+    /// per-value counts.
+    fn fold(counted: &ColumnValues) -> Self {
         let mut counts: FxHashMap<u64, (u64, u64)> = FxHashMap::default();
-        for v in dense.data() {
-            let bits = v.to_bits();
-            counts.entry(value_key(bits)).or_insert((bits, 0)).1 += 1;
+        for e in counted.entries() {
+            counts.entry(value_key(e.bits)).or_insert((e.bits, 0)).1 += e.count as u64;
         }
-        let (mut nnz, mut distinct_nonzero) = (dense.data().len(), counts.len());
+        let (mut nnz, mut distinct_nonzero) = (counted.rows() * counted.cols(), counts.len());
         for zero in [0.0f64, -0.0] {
             if let Some(&(_, cells)) = counts.get(&value_key(zero.to_bits())) {
                 nnz -= cells as usize;
@@ -590,6 +594,49 @@ impl ChunkStats {
     }
 }
 
+/// What selection has counted of its chunk, each part on first use: the
+/// one (column, value) pass over every row, and its fold.
+struct Counted<'a> {
+    dense: &'a DenseMatrix,
+    every_row: Option<ColumnValues>,
+    stats: Option<ChunkStats>,
+}
+
+impl<'a> Counted<'a> {
+    fn new(dense: &'a DenseMatrix) -> Self {
+        Self {
+            dense,
+            every_row: None,
+            stats: None,
+        }
+    }
+
+    fn every_row(&mut self) -> &ColumnValues {
+        let dense = self.dense;
+        self.every_row
+            .get_or_insert_with(|| ColumnValues::count(dense, 0..dense.rows()))
+    }
+
+    fn stats(&mut self) -> &ChunkStats {
+        if self.stats.is_none() {
+            self.stats = Some(ChunkStats::fold(self.every_row()));
+        }
+        self.stats.as_ref().expect("just folded")
+    }
+
+    /// CLA's [`cla::planner::plan_within`]. When the planner samples every
+    /// row, its sample is the pass the closed forms read, so that one
+    /// pass serves both.
+    fn cla_plan(&mut self, opts: &ClaOptions, budget: usize) -> Option<cla::ClaPlan> {
+        let rows = self.dense.rows();
+        if opts.sample_rows >= rows {
+            cla::planner::plan_counted(rows, self.every_row(), budget)
+        } else {
+            cla::planner::plan_within(self.dense, opts, budget)
+        }
+    }
+}
+
 /// What selection holds for its current leader.
 enum Lead {
     /// Probe-encoded: the estimate was this batch's own size.
@@ -604,20 +651,24 @@ enum Lead {
 /// [`pick_and_encode`]: walk the candidates against a running leader and
 /// keep whatever the leader's estimate already built.
 ///
-/// DEN, CSR, CVI, DVI and ANS are priced from one value-count pass
-/// ([`Scheme::size_from_stats`]), the rest by encoding. Whatever their
+/// DEN is priced from its shape, CSR, CVI, DVI and ANS from one row-major
+/// pass over the chunk keyed by (column, value) ([`Counted`],
+/// [`Scheme::size_from_stats`]), the rest by encoding. Whatever their
 /// position, the two candidates a small enough leader saves work on go
 /// last ([`Scheme::selection_rank`]): Snappy\*, skipped when the leader
 /// is already under the least any Snappy\* batch of this chunk can
 /// weigh, then planned CLA, whose planner is handed the size it must
 /// undercut ([`cla::planner::plan_within`]) and skips its merge phase
-/// when it provably cannot. Ties are settled by candidate position, not
-/// by evaluation order, so the result is the argmin as defined.
+/// when it provably cannot. When CLA samples every row (`sample_rows`
+/// at least the chunk's rows: the ingest default), that same pass is its
+/// planner's phase 1, so the chunk's cells are hashed once for both.
+/// Ties are settled by candidate position, not by evaluation order, so
+/// the result is the argmin as defined.
 fn select(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOptions) -> (Scheme, Lead) {
     assert!(!candidates.is_empty(), "no candidate schemes");
     let mut order: Vec<usize> = (0..candidates.len()).collect();
     order.sort_by_key(|&i| candidates[i].selection_rank());
-    let mut stats = None;
+    let mut counted = Counted::new(dense);
     // The chunk's DEN bytes, serialised once for both LZ probes.
     let mut den_bytes = None;
     let mut best: Option<(usize, usize, Lead)> = None; // size, candidate index, lead
@@ -633,10 +684,10 @@ fn select(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOptions) -> (
             },
         };
         let scheme = candidates[idx];
-        let (size, lead) = if let Some(size) = scheme.size_from_stats(dense, &mut stats) {
+        let (size, lead) = if let Some(size) = scheme.size_from_stats(&mut counted) {
             (size, Lead::Unencoded)
         } else if scheme == Scheme::Cla {
-            match cla::planner::plan_within(dense, &opts.cla, budget) {
+            match counted.cla_plan(&opts.cla, budget) {
                 Some(plan) => (plan.est_bytes, Lead::Plan(plan)),
                 None => continue,
             }
@@ -678,8 +729,9 @@ pub fn pick_scheme(dense: &DenseMatrix, candidates: &[Scheme], opts: &EncodeOpti
 /// [`pick_scheme`] plus the winner's encoding, built once: the pair is
 /// `(s, s.encode_with(dense, opts))` for `s = pick_scheme(..)`, byte for
 /// byte. Sizes are computed where they can be and probed where they must:
-/// DEN, CSR, CVI, DVI and ANS are priced from one value-count pass over
-/// the chunk and encoded only if they win; Snappy\*, Gzip\* (over one
+/// DEN, CSR, CVI, DVI and ANS are priced from the shape and one
+/// (column, value) pass over the chunk (CLA's phase 1 too, when it
+/// samples every row) and encoded only if they win; Snappy\*, Gzip\* (over one
 /// serialisation of the chunk) and TOC are probe-encoded, and a probed
 /// winner hands over the batch its estimate built; CLA is materialized
 /// from the plan that won it the pick. At most the leader's
@@ -926,7 +978,8 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    /// The schemes selection prices from [`ChunkStats`] instead of probing.
+    /// The schemes selection prices from the shape and [`ChunkStats`]
+    /// instead of probing.
     const FROM_STATS: [Scheme; 5] = [
         Scheme::Den,
         Scheme::Csr,
@@ -937,10 +990,10 @@ mod tests {
 
     fn assert_stats_price_like_the_oracle(dense: &DenseMatrix) {
         let opts = EncodeOptions::default();
-        let mut stats = None;
+        let mut counted = Counted::new(dense);
         for scheme in FROM_STATS {
             assert_eq!(
-                scheme.size_from_stats(dense, &mut stats),
+                scheme.size_from_stats(&mut counted),
                 Some(scheme.estimate_encoded_size(dense, &opts)),
                 "{scheme:?} on {} x {}",
                 dense.rows(),
@@ -948,7 +1001,7 @@ mod tests {
             );
         }
         for scheme in Scheme::ALL.iter().filter(|s| !FROM_STATS.contains(s)) {
-            assert_eq!(scheme.size_from_stats(dense, &mut stats), None);
+            assert_eq!(scheme.size_from_stats(&mut counted), None);
         }
     }
 
@@ -994,7 +1047,10 @@ mod tests {
     }
 
     /// Dictionaries of exactly 255 … 257 and 65 535 … 65 537 entries, for
-    /// DVI (zeros are entries) and for CVI (they are not).
+    /// DVI (zeros are entries) and for CVI (they are not), laid out as one
+    /// row, as one column (a column of that many values, counted mostly
+    /// past its inline slots) and as 16 columns (the same value in several
+    /// columns, which the fold must count once).
     #[test]
     fn size_from_stats_straddles_the_index_widths() {
         for edge in [256usize, 65_536] {
@@ -1004,9 +1060,45 @@ mod tests {
                     data.extend_from_slice(zeros);
                     data.extend_from_within(..3); // some values more than once
                     let cells = data.len();
-                    assert_stats_price_like_the_oracle(&DenseMatrix::from_vec(1, cells, data));
+                    assert_stats_price_like_the_oracle(&DenseMatrix::from_vec(
+                        1,
+                        cells,
+                        data.clone(),
+                    ));
+                    assert_stats_price_like_the_oracle(&DenseMatrix::from_vec(
+                        cells,
+                        1,
+                        data.clone(),
+                    ));
+                    let wide = cells.next_multiple_of(16);
+                    data.extend_from_within(..wide - cells);
+                    assert_stats_price_like_the_oracle(&DenseMatrix::from_vec(wide / 16, 16, data));
                 }
             }
+        }
+    }
+
+    /// Few-valued columns (what a column keeps inline) beside many-valued
+    /// ones, with the awkward values shared across columns, in every
+    /// chunk shape the counting has a branch for: a column that fills its
+    /// inline slots exactly, one that spills by one, zero rows, zero
+    /// columns.
+    #[test]
+    fn size_from_stats_across_inline_and_spilled_columns() {
+        for (rows, cols) in [(0, 5), (6, 0), (1, 1), (9, 3), (40, 7), (250, 12)] {
+            let data = (0..rows * cols)
+                .map(|i| {
+                    let (r, c) = (i / cols.max(1), i % cols.max(1));
+                    let spread = [1, 2, 4, 5, 9, 40][c % 6];
+                    f64::from_bits(AWKWARD[(r * 7 + c) % spread % AWKWARD.len()])
+                        + if spread > AWKWARD.len() {
+                            r as f64
+                        } else {
+                            0.0
+                        }
+                })
+                .collect();
+            assert_stats_price_like_the_oracle(&DenseMatrix::from_vec(rows, cols, data));
         }
     }
 }

@@ -212,8 +212,8 @@ fn csv_streamed_store_is_the_built_store_batch_for_batch() {
             let (features, label) = split_label(row);
             builder
                 .get_or_insert_with(|| StoreBuilder::new(features.len(), &config))
-                .push_row(features, label)
-                .map_err(|e| e.to_string())
+                .push_row(features, label)?;
+            Ok(())
         })
         .expect("stream csv");
         let streamed = builder.expect("rows").finish().expect("streamed store");
