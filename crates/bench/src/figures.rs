@@ -17,9 +17,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 use toc_core::{logical_encode, PhysicalCodec, TocBatch};
 use toc_data::serve::{JobServer, JobSpec, ServeConfig};
-use toc_data::store::{
-    IoEngineKind, SchedulerConfig, ShardPlacement, ShardedSpillStore, StoreConfig,
-};
+use toc_data::store::{IoEngineKind, SchedulerConfig, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{drifting_matrix, generate_preset, Dataset, DatasetPreset};
 use toc_data::StoreIngest;
 use toc_formats::cvi::{CviBatch, DviBatch};
@@ -486,19 +484,13 @@ fn fig12() -> Vec<Grid> {
 /// The store figure's prefetch device: census-like 12 000 rows in DEN
 /// batches of 250, every batch spilled over 4 modelled shards of 400 MB/s.
 const OVERLAP: &str = "4 x 400 MB/s";
-/// Its placement device: 6 000 rows in DEN batches of 100, one fast shard
-/// and three slow ones, ring engine at depth 8.
-const ASYMMETRIC: &str = "400 / 25 / 25 / 25 MB/s";
-const ASYMMETRIC_ROWS: &str = "DEN 6000 / 100";
 
-/// The store figure: what prefetch and placement buy when IO is the wall.
+/// The store figure: what prefetch buys when IO is the wall.
 /// `matrix`: no prefetch, then the sync and the ring engine at depth 8
 /// with 1 / 2 / 4 / 8 decode workers (the ring with one IO thread per
 /// shard), each cell the median of five sweeps by 1 and by 4 visitors;
 /// `best_vs_none` is no prefetch over each engine's fastest 1-visitor
-/// row. `adaptive_vs_stripe`: steady-state epoch throughput of adaptive
-/// against static stripe placement, timed over two epochs after the two
-/// warm ones in which the adaptive store profiles and migrates.
+/// row.
 fn store() -> Vec<Grid> {
     let ds = generate_preset(DatasetPreset::CensusLike, 12_000, SEED);
     let base = StoreConfig::new(Scheme::Den, 250, 0)
@@ -541,37 +533,7 @@ fn store() -> Vec<Grid> {
             .fold(f64::INFINITY, f64::min);
         best.push(OVERLAP, engine.name(), "best_vs_none", none / fastest);
     }
-
-    let ds = generate_preset(DatasetPreset::CensusLike, 6000, SEED);
-    let base = StoreConfig::new(Scheme::Den, 100, 0)
-        .with_shards(4)
-        .with_prefetch(8)
-        .with_io(IoEngineKind::Ring)
-        .with_shard_mbps(vec![400.0, 25.0, 25.0, 25.0]);
-    let mut adaptive = Grid::new("adaptive_vs_stripe", "device", "workload", Unit::Plain);
-    let [stripe, adapt] = [ShardPlacement::Stripe, ShardPlacement::Adaptive].map(|placement| {
-        let config = base.clone().with_placement(placement);
-        let store = ShardedSpillStore::build(&ds.x, &ds.labels, &config).expect("store build");
-        let mut timed = Duration::ZERO;
-        for epoch in 0..4 {
-            let sweep = sweep_store(&store, 1);
-            if epoch >= 2 {
-                timed += sweep;
-            }
-            store.end_epoch();
-        }
-        store.stats().snapshot_stable().assert_consistent();
-        mb_per_s(store.spilled_bytes(), timed / 2)
-    });
-    adaptive.push(ASYMMETRIC, ASYMMETRIC_ROWS, "stripe_mb_s", stripe);
-    adaptive.push(ASYMMETRIC, ASYMMETRIC_ROWS, "adaptive_mb_s", adapt);
-    adaptive.push(
-        ASYMMETRIC,
-        ASYMMETRIC_ROWS,
-        "adaptive_vs_stripe",
-        adapt / stripe,
-    );
-    vec![matrix, best, adaptive]
+    vec![matrix, best]
 }
 
 /// The tenant figure's fleet: 8 logistic-regression jobs of 3 epochs
@@ -1047,17 +1009,14 @@ pub fn figures() -> Vec<Figure> {
         },
         Figure {
             id: "store",
-            title: "Store — prefetch overlap and adaptive placement with every batch spilled to modelled devices (census-like, DEN)",
+            title: "Store — prefetch overlap with every batch spilled to modelled devices (census-like, DEN)",
             measure: store,
             headline: &[
                 ("best_vs_none", OVERLAP, "best_vs_none", &["sync", "ring"]),
-                ("adaptive_vs_stripe", ASYMMETRIC, ASYMMETRIC_ROWS, &["adaptive_vs_stripe"]),
             ],
             shapes: vec![
                 on("best_vs_none", "prefetch overlaps reads with decode: the best row of each engine sweeps the spilled store >= 1.3 x faster than no prefetch")
                     .within(&[], &[], &[], 1.3, SOME),
-                on("adaptive_vs_stripe", "adaptive placement finds the fast device: >= 1.15 x the steady-state epoch throughput of static stripe on one 400 MB/s and three 25 MB/s shards")
-                    .within(&[], &[], &["adaptive_vs_stripe"], 1.15, SOME),
             ],
         },
         Figure {

@@ -424,8 +424,6 @@ pub const HEADER: &str = r#"{
     "sweep_4v_ms": {"what": "the same with the batches striped over 4 concurrent visitors", "better": "lower", "tolerance": 1.0},
     "best_vs_none": {"what": "no-prefetch sweep_1v_ms / the engine's fastest row (asserted >= 1.3)", "better": "higher", "tolerance": 0.5},
     "adaptive_vs_pack": {"what": "store: steady-state epoch MB/s (pack_mb_s, adaptive_mb_s) of 6 000 census-like rows in DEN batches of 100 on one 400 MB/s and three 25 MB/s shards, ring at depth 8; adaptive / static pack placement (asserted >= 1.15)", "better": "higher", "tolerance": 0.5},
-    "adaptive_vs_stripe": {"what": "store: steady-state epoch MB/s (stripe_mb_s, adaptive_mb_s) of 6 000 census-like rows in DEN batches of 100 on one 400 MB/s and three 25 MB/s shards, ring at depth 8; adaptive / static stripe placement (asserted >= 1.15)", "better": "higher", "tolerance": 0.5},
-    "stripe_mb_s": {"what": "store: steady-state epoch MB/s of the static striped layout on the asymmetric device, the adaptive_vs_stripe baseline", "better": "higher", "tolerance": 0.5},
     "fleet": "tenant: 8 logistic-regression jobs x 3 epochs over one census-like store of 4 800 rows in DEN batches of 100, all spilled over 4 modelled shards of 50 MB/s, one batch cache of a quarter of the spilled bytes (heat-evicting in the entries with an evictions column, fill-once in the rest); per admission limit (concurrent), a fresh store",
     "wall_ms": {"what": "wall time for the whole fleet", "better": "lower", "tolerance": 0.5},
     "agg_epochs_s": {"what": "jobs * epochs / wall", "better": "higher", "tolerance": 0.5},

@@ -166,7 +166,7 @@ fn train_over_async_engines_prints_parseable_io_stats() {
 }
 
 #[test]
-fn adaptive_and_static_training_print_parseable_placement_stats() {
+fn ring_training_prints_parseable_placement_stats() {
     let csv = gen_csv(400);
     // Legs: the ring engine with automatic and with explicit thread
     // counts.
@@ -199,9 +199,14 @@ fn adaptive_and_static_training_print_parseable_placement_stats() {
             .find(|l| l.starts_with("placement:"))
             .unwrap_or_else(|| panic!("[{leg}] no placement: line in {stdout}"));
         let kv = parse_kv(line);
-        for gone in ["pin", "policy", "rebalances", "migrated", "migrated-kb"] {
-            assert!(!kv.contains_key(gone), "{line}");
-        }
+        // Exactly these keys: the pin, policy and migration keys are gone.
+        let mut keys: Vec<&str> = kv.keys().map(String::as_str).collect();
+        keys.sort_unstable();
+        assert_eq!(
+            keys,
+            ["decode-workers", "ewma-mbps", "io-threads", "shard-kb"],
+            "{line}"
+        );
         let io_threads: u64 = kv["io-threads"].parse().expect("io-threads parses");
         let decode_workers: u64 = kv["decode-workers"].parse().expect("decode-workers parses");
         assert!(io_threads >= 1, "{line}");

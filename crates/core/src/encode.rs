@@ -535,7 +535,7 @@ mod tests {
         // A `HashMap` picks the bucket from the low bits of the hash. A
         // constant column after an id column makes one edge per row,
         // all into the same pair: their low bits must differ, or the
-        // map degrades to one probe chain (20 000 balls into 4 096 bins
+        // map collapses into one probe chain (20 000 balls into 4 096 bins
         // leave ≈ 30 empty; unfolded, all land in one).
         use std::hash::BuildHasher;
         let child: FxHashMap<u64, u32> = FxHashMap::default();

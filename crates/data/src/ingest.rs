@@ -19,9 +19,8 @@
 //!
 //! * [`StoreIngest`] appends sealed segments to a *live*
 //!   [`ShardedSpillStore`] ([`ShardedSpillStore::append_sealed`]) while
-//!   trainers, tenant readers and the adaptive migrator run concurrently
-//!   — the online-training path ([`toc_ml::mgd::Trainer::train_online`],
-//!   `toc train --follow`).
+//!   trainers and tenant readers run concurrently — the online-training
+//!   path ([`toc_ml::mgd::Trainer::train_online`], `toc train --follow`).
 //! * [`ContainerIngest`] streams sealed segments through a
 //!   [`ContainerStreamWriter`], so a finished stream is a valid seekable
 //!   v2 `.tocz` — byte-identical to the one-shot

@@ -110,100 +110,38 @@ impl BandwidthClock {
     }
 }
 
-/// Simulated bandwidth profile for one spill device. The store applies
-/// one per shard ([`crate::store::StoreConfig::with_shard_profiles`], or
-/// [`crate::testing::FaultPlan::device_profiles`] for the test harness),
-/// which is how heterogeneous storage tiers — a fast NVMe shard next to
-/// slow network volumes — enter the device model that the adaptive
-/// placement planner then has to discover at runtime.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct DeviceProfile {
-    /// Simulated read bandwidth for this device, in MB/s.
-    pub mbps: f64,
-    /// Fraction of the current bandwidth lost after each physical read
-    /// (`0.0` = stable device). Models a degrading/oversubscribed device:
-    /// the planner must notice the EWMA falling and migrate away.
-    pub degrade: f64,
-}
-
-impl DeviceProfile {
-    /// A stable device at `mbps`.
-    pub fn stable(mbps: f64) -> Self {
-        assert!(mbps.is_finite() && mbps > 0.0, "mbps must be > 0");
-        Self { mbps, degrade: 0.0 }
-    }
-
-    /// A device that starts at `mbps` and loses `degrade` (in `[0, 1)`)
-    /// of its remaining bandwidth per read, floored at
-    /// [`DEGRADE_FLOOR_MBPS`].
-    pub fn degrading(mbps: f64, degrade: f64) -> Self {
-        assert!(mbps.is_finite() && mbps > 0.0, "mbps must be > 0");
-        assert!((0.0..1.0).contains(&degrade), "degrade must be in [0,1)");
-        Self { mbps, degrade }
-    }
-}
-
-/// Lower bound a degrading device's bandwidth converges to, so a long run
-/// can never degrade into effectively-infinite simulated sleeps.
-pub const DEGRADE_FLOOR_MBPS: f64 = 1.0;
-
 /// One spill device: a positional-read file plus its bandwidth clock and
-/// optional per-device bandwidth profile (overrides the store-wide
-/// `disk_mbps` when set; mutable so degrading profiles can decay).
+/// the bandwidth it simulates, fixed when the store is assembled (the
+/// shard's own [`crate::store::StoreConfig::with_shard_mbps`], else the
+/// store-wide `disk_mbps`; `None` performs raw IO).
 #[derive(Debug)]
 pub(crate) struct SpillDevice {
     pub(crate) file: PositionalFile,
     pub(crate) clock: BandwidthClock,
-    /// Current per-device MB/s as f64 bits; 0 bits = no override.
-    mbps_bits: AtomicU64,
-    degrade: f64,
+    mbps: Option<f64>,
 }
 
 impl SpillDevice {
-    pub(crate) fn with_profile(file: File, profile: Option<DeviceProfile>) -> Self {
+    pub(crate) fn new(file: File, mbps: Option<f64>) -> Self {
         Self {
             file: PositionalFile::new(file),
             clock: BandwidthClock::default(),
-            mbps_bits: AtomicU64::new(profile.map_or(0, |p| p.mbps.to_bits())),
-            degrade: profile.map_or(0.0, |p| p.degrade),
+            mbps,
         }
-    }
-
-    /// The bandwidth this device currently simulates: its own profile if
-    /// one was set, else the store-wide fallback, else none (raw IO).
-    pub(crate) fn current_mbps(&self, fallback: Option<f64>) -> Option<f64> {
-        match self.mbps_bits.load(Ordering::Relaxed) {
-            0 => fallback,
-            bits => Some(f64::from_bits(bits)),
-        }
-    }
-
-    /// Apply the degrading profile after one physical read.
-    pub(crate) fn degrade_after_read(&self) {
-        if self.degrade <= 0.0 {
-            return;
-        }
-        let bits = self.mbps_bits.load(Ordering::Relaxed);
-        if bits == 0 {
-            return;
-        }
-        let next = (f64::from_bits(bits) * (1.0 - self.degrade)).max(DEGRADE_FLOOR_MBPS);
-        // Racing decays may lose one step; the decay is monotone either way.
-        self.mbps_bits.store(next.to_bits(), Ordering::Relaxed);
     }
 }
 
 /// EWMA smoothing factor for [`BandwidthProfile`]: heavy enough that a
 /// device going slow mid-run shows up within a handful of reads, light
-/// enough that one queueing hiccup doesn't flip the placement plan.
+/// enough that one queueing hiccup doesn't swing the QoS throttle.
 const PROFILE_ALPHA: f64 = 0.25;
 
 /// Runtime per-shard bandwidth estimates: every physical read charges its
 /// observed throughput (bytes over wall time, *including* the simulated
 /// bandwidth-clock delay and any queueing behind other readers of the
 /// same device) into a per-shard EWMA. This is the measured signal the
-/// adaptive placement planner packs hot batches by — storage tiers are
-/// profiled, not assumed.
+/// serve layer's QoS throttle apportions each shard by, and what the
+/// `placement:` line reports — storage tiers are profiled, not assumed.
 #[derive(Debug, Default)]
 pub struct BandwidthProfile {
     /// Per-shard `(ewma bytes/sec as f64 bits, sample count)`.
@@ -255,13 +193,6 @@ impl BandwidthProfile {
         Some(f64::from_bits(ewma.load(Ordering::Relaxed)) / 1e6)
     }
 
-    /// Number of observed reads for `shard`.
-    pub fn samples(&self, shard: usize) -> u64 {
-        self.cells
-            .get(shard)
-            .map_or(0, |(_, s)| s.load(Ordering::Relaxed))
-    }
-
     /// Per-shard estimates in MB/s (`0.0` for never-observed shards).
     pub fn snapshot_mbps(&self) -> Vec<f64> {
         (0..self.cells.len())
@@ -278,18 +209,16 @@ impl BandwidthProfile {
 /// apart between them.
 pub(crate) struct IoShards {
     pub(crate) devices: Vec<SpillDevice>,
-    pub(crate) disk_mbps: Option<f64>,
     pub(crate) epoch: Instant,
     pub(crate) stats: IoStats,
     pub(crate) profile: BandwidthProfile,
 }
 
 impl IoShards {
-    pub(crate) fn new(devices: Vec<SpillDevice>, disk_mbps: Option<f64>) -> Self {
+    pub(crate) fn new(devices: Vec<SpillDevice>) -> Self {
         let profile = BandwidthProfile::new(devices.len());
         Self {
             devices,
-            disk_mbps,
             epoch: Instant::now(),
             stats: IoStats::default(),
             profile,
@@ -316,16 +245,15 @@ impl IoShards {
 
     /// Post-read accounting shared by every read path (this module's
     /// [`IoShards::read_range`] and the fault double's chunked partial
-    /// reads): the bandwidth-clock charge plus degradation step, the
-    /// `disk_reads`/`bytes_read` counters, and the profiler observation
-    /// for one physical read of `len` bytes that started at `t0`. Keeping
-    /// this in one place is what makes "the throttle model, the profiler
-    /// and the accounting can never drift apart" true.
+    /// reads): the bandwidth-clock charge, the `disk_reads`/`bytes_read`
+    /// counters, and the profiler observation for one physical read of
+    /// `len` bytes that started at `t0`. Keeping this in one place is what
+    /// makes "the throttle model, the profiler and the accounting can
+    /// never drift apart" true.
     pub(crate) fn account_read(&self, shard: usize, len: usize, t0: Instant) {
         let dev = &self.devices[shard];
-        if let Some(mbps) = dev.current_mbps(self.disk_mbps) {
+        if let Some(mbps) = dev.mbps {
             dev.clock.charge(self.epoch, len, mbps, &self.stats);
-            dev.degrade_after_read();
         }
         self.stats.disk_reads.fetch_add(1, Ordering::Relaxed);
         self.stats
@@ -1138,9 +1066,9 @@ mod tests {
         }
         let devices = files
             .into_iter()
-            .map(|f| SpillDevice::with_profile(f, None))
+            .map(|f| SpillDevice::new(f, None))
             .collect();
-        (Arc::new(IoShards::new(devices, None)), layout, paths)
+        (Arc::new(IoShards::new(devices)), layout, paths)
     }
 
     fn chunk(shard: usize, fill: u8, len: usize) -> (usize, Vec<u8>) {
@@ -1402,7 +1330,6 @@ mod tests {
     fn bandwidth_profile_tracks_observed_throughput() {
         let p = BandwidthProfile::new(2);
         assert_eq!(p.estimate_mbps(0), None);
-        assert_eq!(p.samples(1), 0);
         // 1 MB in 10 ms = 100 MB/s; the first sample seeds the EWMA.
         p.observe(0, 1_000_000, Duration::from_millis(10));
         let e = p.estimate_mbps(0).unwrap();
@@ -1416,45 +1343,8 @@ mod tests {
         assert_eq!(p.snapshot_mbps()[1], 0.0);
         // Out-of-range shards are ignored, not panics.
         p.observe(9, 100, Duration::from_micros(1));
-        assert_eq!(p.samples(0), 2);
-    }
-
-    #[test]
-    fn degrading_device_decays_to_floor() {
-        let dir = std::env::temp_dir().join(format!("toc-io-degrade-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("dev.bin");
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .write(true)
-            .read(true)
-            .truncate(true)
-            .open(&path)
-            .unwrap();
-        f.write_all(&[7u8; 64]).unwrap();
-        let dev = SpillDevice::with_profile(f, Some(DeviceProfile::degrading(100.0, 0.5)));
-        assert_eq!(dev.current_mbps(None), Some(100.0));
-        dev.degrade_after_read();
-        assert_eq!(dev.current_mbps(None), Some(50.0));
-        for _ in 0..32 {
-            dev.degrade_after_read();
-        }
-        assert_eq!(dev.current_mbps(None), Some(DEGRADE_FLOOR_MBPS));
-        // A stable device never decays, and without an override the
-        // store-wide fallback applies.
-        let f2 = std::fs::OpenOptions::new()
-            .create(true)
-            .truncate(false)
-            .write(true)
-            .read(true)
-            .open(&path)
-            .unwrap();
-        let stable = SpillDevice::with_profile(f2, None);
-        assert_eq!(stable.current_mbps(Some(42.0)), Some(42.0));
-        stable.degrade_after_read();
-        assert_eq!(stable.current_mbps(None), None);
-        std::fs::remove_file(&path).ok();
-        std::fs::remove_dir(&dir).ok();
+        assert_eq!(p.estimate_mbps(0), Some(e2));
+        assert_eq!(p.estimate_mbps(9), None);
     }
 
     #[test]

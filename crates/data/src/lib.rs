@@ -31,11 +31,11 @@ pub use ingest::{
 };
 
 pub use io::{
-    BandwidthProfile, DeviceProfile, IoEngineKind, IoSnapshot, IoStats, LatencyHistogram, Pinning,
+    BandwidthProfile, IoEngineKind, IoSnapshot, IoStats, LatencyHistogram, Pinning,
     SchedulerConfig, SpillIo, LATENCY_BUCKETS,
 };
 pub use serve::{BatchCache, JobOutcome, JobServer, JobSpec, ServeConfig, TenantProvider};
-pub use store::{plan_adaptive, PlacementReport, ShardPlacement, ShardedSpillStore, StoreConfig};
+pub use store::{PlacementReport, ShardedSpillStore, StoreConfig};
 pub use synth::{
     drifting_matrix, generate, generate_preset, Dataset, DatasetPreset, SynthConfig, TaskKind,
 };

@@ -346,13 +346,6 @@ impl BatchProvider for TenantProvider {
         };
         self.store.visit_with(idx, fetch, f);
     }
-
-    fn end_epoch(&self) {
-        // Adaptive placement keeps rebalancing under multi-tenant load;
-        // migrations repoint locations but never change bytes, so resident
-        // cache entries stay valid.
-        self.store.end_epoch();
-    }
 }
 
 // ---------------------------------------------------------------------------

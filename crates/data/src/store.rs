@@ -11,10 +11,9 @@
 //! module is its façade: configuration, the one streaming fill every build
 //! goes through ([`StoreBuilder`] — no build path holds the dataset, and a
 //! batch that spills is on its shard when it seals), the entry table and
-//! the one visit path; shard placement sits in the `placement` submodule.
-//! It lays spilled batches out across N shard files
-//! ([`StoreConfig::with_shards`]; one shard models the paper's single
-//! disk) and reads them with lock-free
+//! the one visit path. It stripes spilled batches across N shard files
+//! (the `k`-th on shard `k % n`; [`StoreConfig::with_shards`], one shard
+//! models the paper's single disk) and reads them with lock-free
 //! positional IO ([`toc_formats::container::PositionalFile`]). With
 //! [`StoreConfig::with_prefetch`] the visits of build-time spilled
 //! batches go through the background pipeline in `crate::prefetch`,
@@ -24,10 +23,11 @@
 //! workers, [`IoEngineKind::Ring`] on IO threads of its own that coalesce
 //! adjacent reads.
 //!
-//! Build-time batches, batches the adaptive planner migrated, and
-//! segments appended to a live store by streaming ingest
-//! ([`ShardedSpillStore::open_streaming`]) all sit in one entry table and
-//! share one visit / rebalance / tenant-read path.
+//! A spilled batch's location is fixed when it seals: every shard file is
+//! an append-only log, written only at its end, and the entries on a shard
+//! tile it in entry order. Build-time batches and segments appended to a
+//! live store by streaming ingest ([`ShardedSpillStore::open_streaming`])
+//! sit in one entry table and share one visit / tenant-read path.
 
 use std::fs::{self, OpenOptions};
 use std::io::Write;
@@ -43,15 +43,8 @@ use toc_ml::mgd::BatchProvider;
 
 use crate::ingest::EncodeWorkspace;
 use crate::io::{lock, rlock, wait, wlock, InlineIo, IoShards, RingIo, SpillDevice};
-pub use crate::io::{
-    DeviceProfile, IoEngineKind, IoSnapshot, IoStats, Pinning, SchedulerConfig, SpillIo,
-};
+pub use crate::io::{IoEngineKind, IoSnapshot, IoStats, Pinning, SchedulerConfig, SpillIo};
 use crate::prefetch::{Prefetcher, MAX_PREFETCH_WORKERS};
-
-mod placement;
-
-use placement::PlacementStats;
-pub use placement::{plan_adaptive, PlacementReport, ShardPlacement, REBALANCE_HYSTERESIS};
 
 /// Store configuration.
 #[derive(Clone, Debug)]
@@ -85,21 +78,18 @@ pub struct StoreConfig {
     pub prefetch: usize,
     /// Spill-IO engine of the prefetch pipeline (see [`IoEngineKind`]).
     pub io: IoEngineKind,
-    /// Whether spilled batches migrate between epochs (see
-    /// [`ShardPlacement`]).
-    pub placement: ShardPlacement,
     /// IO-thread/decode-worker counts of the prefetch pipeline (see
     /// [`SchedulerConfig`]).
     pub scheduler: SchedulerConfig,
-    /// Per-shard simulated device profiles (cycled over the shards when
-    /// shorter). Overrides the uniform `disk_mbps` per device — this is
-    /// how heterogeneous storage tiers enter the model. Empty = uniform.
-    pub shard_profiles: Vec<DeviceProfile>,
+    /// Per-shard simulated read bandwidths in MB/s (cycled over the
+    /// shards when shorter), fixed for the store's life. Overrides the
+    /// uniform `disk_mbps` per device — this is how heterogeneous storage
+    /// tiers enter the model. Empty = uniform.
+    pub shard_mbps: Vec<f64>,
     /// Fault-injection plan for the prefetch pipeline: when set, the
     /// pipeline runs on a [`crate::testing::FaultyIo`] engine that
     /// injects latency, chunked short reads, `EINTR`-style retries and
-    /// out-of-order completions (test support; overrides `io`, and its
-    /// `device_profiles` override `shard_profiles`).
+    /// out-of-order completions (test support; overrides `io`).
     pub fault: Option<crate::testing::FaultPlan>,
     /// Bounded sealed-chunk budget for streaming ingestion: when > 0,
     /// [`ShardedSpillStore::append_sealed`] blocks while more than this
@@ -121,9 +111,8 @@ impl StoreConfig {
             shards: 0,
             prefetch: 0,
             io: IoEngineKind::Sync,
-            placement: ShardPlacement::Stripe,
             scheduler: SchedulerConfig::default(),
-            shard_profiles: Vec::new(),
+            shard_mbps: Vec::new(),
             fault: None,
             max_pending: 0,
         }
@@ -168,29 +157,21 @@ impl StoreConfig {
         self
     }
 
-    /// Builder-style placement-policy override.
-    pub fn with_placement(mut self, placement: ShardPlacement) -> Self {
-        self.placement = placement;
-        self
-    }
-
     /// Builder-style scheduler override (IO threads, decode workers).
     pub fn with_scheduler(mut self, scheduler: SchedulerConfig) -> Self {
         self.scheduler = scheduler;
         self
     }
 
-    /// Builder-style per-shard device-profile override (cycled over the
-    /// shards when shorter than the shard count).
-    pub fn with_shard_profiles(mut self, profiles: Vec<DeviceProfile>) -> Self {
-        self.shard_profiles = profiles;
-        self
-    }
-
-    /// Convenience: stable per-shard bandwidths in MB/s (the asymmetric
-    /// storage-tier model without degradation).
+    /// Builder-style per-shard bandwidths in MB/s (cycled over the shards
+    /// when shorter than the shard count): the asymmetric storage-tier
+    /// model. Each must be finite and positive, as for
+    /// [`StoreConfig::with_disk_mbps`].
     pub fn with_shard_mbps(mut self, mbps: Vec<f64>) -> Self {
-        self.shard_profiles = mbps.into_iter().map(DeviceProfile::stable).collect();
+        for &m in &mbps {
+            assert!(m.is_finite() && m > 0.0, "mbps must be > 0, got {m}");
+        }
+        self.shard_mbps = mbps;
         self
     }
 
@@ -287,9 +268,9 @@ impl Drop for ShardFiles {
 }
 
 /// Land `len` bytes at `shard`'s append cursor — the one place a cursor
-/// becomes a [`DiskLoc`], for a build, a streaming append and a migration
-/// alike. `write` gets the offset to write at; the cursor advances only
-/// once the write has completed, so a failed write leaves it where it was.
+/// becomes a [`DiskLoc`], for a build and a streaming append alike.
+/// `write` gets the offset to write at; the cursor advances only once the
+/// write has completed, so a failed write leaves it where it was.
 fn land(
     cursors: &mut [u64],
     shard: usize,
@@ -467,10 +448,8 @@ pub(crate) struct DiskLoc {
 
 enum Slot {
     Memory(AnyBatch),
-    /// Spilled. The location sits behind a lock because adaptive
-    /// placement repoints it between epochs; every reader takes a brief
-    /// read lock (cheap next to the file IO it precedes).
-    Disk(RwLock<DiskLoc>),
+    /// Spilled, at the extent its seal landed on; it never moves.
+    Disk(DiskLoc),
 }
 
 /// One batch of the store — resident or spilled at build time, or
@@ -481,28 +460,21 @@ enum Slot {
 pub(crate) struct Entry {
     slot: Slot,
     labels: Vec<f64>,
-    /// Visit count of a spilled entry — the hotness signal the adaptive
-    /// planner ranks batches by.
-    visits: AtomicU64,
 }
 
 impl Entry {
     fn new(slot: Slot, labels: Vec<f64>) -> Arc<Self> {
-        Arc::new(Self {
-            slot,
-            labels,
-            visits: AtomicU64::new(0),
-        })
+        Arc::new(Self { slot, labels })
     }
 
     fn spilled(loc: DiskLoc, labels: Vec<f64>) -> Arc<Self> {
-        Self::new(Slot::Disk(RwLock::new(loc)), labels)
+        Self::new(Slot::Disk(loc), labels)
     }
 
-    /// Current location, when the entry is disk-resident.
+    /// Location, when the entry is disk-resident.
     pub(crate) fn loc(&self) -> Option<DiskLoc> {
-        match &self.slot {
-            Slot::Disk(loc) => Some(*rlock(loc)),
+        match self.slot {
+            Slot::Disk(loc) => Some(loc),
             Slot::Memory(_) => None,
         }
     }
@@ -538,12 +510,10 @@ pub(crate) struct Inner {
     /// would be O(n)).
     pub(crate) spilled_order: Vec<usize>,
     shard_meta: Vec<ShardMeta>,
-    /// Streaming-append state (cursors, sequence, byte total). Doubles as
-    /// the placement mutation lock: rebalance and streaming-ingest
-    /// appends hold it end to end, so plans and cursor bumps never
-    /// interleave — and because the sequence number lives *inside* the
-    /// mutex, two racing appenders serialize instead of interleaving
-    /// sequence numbers.
+    /// Streaming-append state (cursors, sequence, byte total). An append
+    /// holds it end to end, so cursor bumps never interleave — and because
+    /// the sequence number lives *inside* the mutex, two racing appenders
+    /// serialize instead of interleaving sequence numbers.
     append: Mutex<AppendState>,
     /// Exclusive [`crate::StoreIngest`] registration: one structured
     /// ingest driver at a time (raw `append_sealed` calls stay legal and
@@ -559,7 +529,6 @@ pub(crate) struct Inner {
     consumed_cv: Condvar,
     /// High-water mark of `sealed - consumed` observed at append time.
     peak_pending: AtomicUsize,
-    placement_stats: PlacementStats,
     pub(crate) io: Arc<IoShards>,
 }
 
@@ -603,8 +572,8 @@ impl Inner {
     }
 }
 
-/// Sharded, concurrent out-of-core store: spilled batches are laid out
-/// across N shard files ([`ShardPlacement`]), the read path is lock-free
+/// Sharded, concurrent out-of-core store: spilled batches are striped
+/// across N append-only shard files, the read path is lock-free
 /// positional IO, and an optional prefetch pipeline keeps upcoming
 /// batches decoded in the background over a [`SpillIo`] engine.
 /// Implements [`BatchProvider`].
@@ -616,7 +585,6 @@ pub struct ShardedSpillStore {
     spilled_bytes: usize,
     /// Budget slack reserved for held live plans ([`hold_plans`]).
     plan_reserved: usize,
-    placement: ShardPlacement,
     /// Resolved scheduling (for [`PlacementReport`] / the CLI stats line).
     io_threads: usize,
     decode_workers: usize,
@@ -664,7 +632,7 @@ impl ShardedSpillStore {
 
     /// The one place a store comes together, whatever produced its
     /// entries and shard files (a build, or an empty streaming open):
-    /// device profiles, the shared [`Inner`], scheduler resolution, and
+    /// device bandwidths, the shared [`Inner`], scheduler resolution, and
     /// the prefetch pipeline. Every entry counts as build-time — the
     /// prefetcher covers the spilled ones — and streaming appends continue
     /// at the shard files' cursors.
@@ -679,20 +647,15 @@ impl ShardedSpillStore {
         let cursors = std::mem::take(&mut shards.cursors);
         let owns_dir = shards.owned_dir.take();
         let shards = std::mem::take(&mut shards.files);
-        // Per-shard device profiles: the fault plan's (test harness) win
-        // over the config's; both cycle when shorter than the shard count.
-        let profiles: &[DeviceProfile] = config
-            .fault
-            .as_ref()
-            .map(|f| f.device_profiles.as_slice())
-            .filter(|p| !p.is_empty())
-            .unwrap_or(&config.shard_profiles);
+        // Per-shard bandwidths cycle when shorter than the shard count.
+        let mbps = &config.shard_mbps;
         let (devices, shard_meta): (Vec<_>, Vec<_>) = shards
             .into_iter()
             .enumerate()
             .map(|(s, (file, path))| {
-                let profile = (!profiles.is_empty()).then(|| profiles[s % profiles.len()]);
-                (SpillDevice::with_profile(file, profile), ShardMeta { path })
+                let own = (!mbps.is_empty()).then(|| mbps[s % mbps.len()]);
+                let device = SpillDevice::new(file, own.or(config.disk_mbps));
+                (device, ShardMeta { path })
             })
             .unzip();
         let built = entries.len();
@@ -718,8 +681,7 @@ impl ShardedSpillStore {
             consumed: Mutex::new(built),
             consumed_cv: Condvar::new(),
             peak_pending: AtomicUsize::new(0),
-            placement_stats: PlacementStats::default(),
-            io: Arc::new(IoShards::new(devices, config.disk_mbps)),
+            io: Arc::new(IoShards::new(devices)),
         });
         // Resolve the decode workers even when no pipeline starts, so the
         // report and the CLI stats line always name real numbers. IO
@@ -752,7 +714,6 @@ impl ShardedSpillStore {
             memory_bytes,
             spilled_bytes,
             plan_reserved: 0,
-            placement: config.placement,
             io_threads,
             decode_workers,
             ingest_fault: config.fault.clone(),
@@ -763,12 +724,11 @@ impl ShardedSpillStore {
     /// from zero batches whose shard files exist up front: every segment
     /// subsequently landed via [`ShardedSpillStore::append_sealed`] goes
     /// straight to disk, so ingest memory stays bounded by the encoder
-    /// workspace no matter how many rows arrive. Trainers, tenant readers
-    /// and the adaptive migrator may run concurrently from the first
-    /// append: each segment becomes visible atomically once sealed. The
-    /// prefetch pipeline does not cover appended segments — their reads
-    /// take the charged synchronous path — and a fault plan contributes
-    /// its `device_profiles` to the shard devices and its write faults to
+    /// workspace no matter how many rows arrive. Trainers and tenant
+    /// readers may run concurrently from the first append: each segment
+    /// becomes visible atomically once sealed. The prefetch pipeline does
+    /// not cover appended segments — their reads take the charged
+    /// synchronous path — and a fault plan contributes its write faults to
     /// the append path.
     pub fn open_streaming(features: usize, config: &StoreConfig) -> std::io::Result<Self> {
         let mut shards = ShardFiles::default();
@@ -780,12 +740,10 @@ impl ShardedSpillStore {
 
     /// Append one sealed (already encoded) segment and its labels to the
     /// live store; returns the index the new batch is visible at. Safe to
-    /// call while trainers, tenant readers and the adaptive migrator run:
-    /// the bytes land at the target shard's append cursor under the same
-    /// mutex rebalance holds end to end (cursor bumps never interleave
-    /// with migrations), and the batch only becomes visible —
-    /// `num_batches()` only grows — after the write completed. Appends
-    /// round-robin across the shard files.
+    /// call while trainers and tenant readers run: the bytes land at the
+    /// end of the target shard file under the append mutex, and the batch
+    /// only becomes visible — `num_batches()` only grows — after the write
+    /// completed. Appends round-robin across the shard files.
     pub fn append_sealed(&self, bytes: &[u8], labels: Vec<f64>) -> std::io::Result<usize> {
         let inner = &self.inner;
         let n_shards = inner.shard_meta.len();
@@ -795,10 +753,9 @@ impl ShardedSpillStore {
              ShardedSpillStore::open_streaming"
         );
         // Backpressure *before* taking the append mutex: a blocked
-        // producer must never hold the lock rebalance and stats readers
-        // need. The wait is bounded by consumption, not time — the whole
-        // point is that ingestion stalls until a visitor drains a sealed
-        // segment.
+        // producer must never hold the lock stats readers need. The wait
+        // is bounded by consumption, not time — the whole point is that
+        // ingestion stalls until a visitor drains a sealed segment.
         if inner.max_pending > 0 {
             let t0 = Instant::now();
             let mut consumed = lock(&inner.consumed);
@@ -917,15 +874,26 @@ impl ShardedSpillStore {
         self.inner.shard_meta.len()
     }
 
-    /// Bytes of spilled batches currently assigned to each shard (follows
-    /// adaptive migrations; superseded copies left behind by
-    /// append-and-repoint are not counted).
+    /// Bytes of spilled batches on each shard: each shard file's length,
+    /// since the entries on a shard tile it.
     pub fn shard_bytes(&self) -> Vec<u64> {
         let mut out = vec![0u64; self.inner.shard_meta.len()];
         for loc in rlock(&self.inner.entries).iter().filter_map(|e| e.loc()) {
             out[loc.shard] += loc.len as u64;
         }
         out
+    }
+
+    /// Current scheduling and device state: resolved IO threads and
+    /// decode workers, per-shard EWMA bandwidth estimates and the bytes on
+    /// each shard.
+    pub fn placement_report(&self) -> PlacementReport {
+        PlacementReport {
+            io_threads: self.io_threads,
+            decode_workers: self.decode_workers,
+            shard_ewma_mbps: self.inner.io.profile.snapshot_mbps(),
+            shard_bytes: self.shard_bytes(),
+        }
     }
 
     /// Bytes of encoded batches resident in memory.
@@ -986,10 +954,7 @@ impl ShardedSpillStore {
     // need the charged device read, the parser and the bandwidth profile.
 
     /// The one visit path: serve entry `idx` to `f`, materializing a
-    /// spilled batch through `fetch`, which gets the batch's current
-    /// location (it may change across adaptive rebalances; the bytes
-    /// never do). A spilled visit counts toward the entry's `visits`, the
-    /// adaptive planner's hotness signal.
+    /// spilled batch through `fetch`, which gets the batch's location.
     pub(crate) fn visit_with(
         &self,
         idx: usize,
@@ -1002,9 +967,7 @@ impl ShardedSpillStore {
         match &e.slot {
             Slot::Memory(b) => f(b, &e.labels),
             Slot::Disk(loc) => {
-                e.visits.fetch_add(1, Ordering::Relaxed);
-                let loc = *rlock(loc);
-                let b = fetch(loc);
+                let b = fetch(*loc);
                 f(&b, &e.labels);
                 // Advance the consumed watermark *after* the visitor is
                 // done with the batch and release any producer blocked on
@@ -1052,6 +1015,21 @@ impl ShardedSpillStore {
     }
 }
 
+/// Snapshot of the scheduling / device state
+/// ([`ShardedSpillStore::placement_report`]; the CLI prints it as the
+/// machine-parseable `placement:` line).
+#[derive(Clone, Debug)]
+pub struct PlacementReport {
+    /// IO threads the pipeline's engine runs (0 under the inline engine,
+    /// whose reads happen in the decode workers, or with prefetch off).
+    pub io_threads: usize,
+    pub decode_workers: usize,
+    /// Per-shard EWMA bandwidth estimates in MB/s (0.0 = never observed).
+    pub shard_ewma_mbps: Vec<f64>,
+    /// Bytes of spilled batches on each shard.
+    pub shard_bytes: Vec<u64>,
+}
+
 impl BatchProvider for ShardedSpillStore {
     fn num_batches(&self) -> usize {
         // Grows while streaming ingest appends. `Acquire` pairs with the
@@ -1067,14 +1045,6 @@ impl BatchProvider for ShardedSpillStore {
     fn visit(&self, idx: usize, f: &mut dyn FnMut(&AnyBatch, &[f64])) {
         self.visit_with(idx, |loc| self.fetch(idx, loc), f)
     }
-
-    /// Epoch-boundary feedback from the trainer: the adaptive planner
-    /// re-packs hot batches onto the shards measured fastest.
-    fn end_epoch(&self) {
-        if self.placement == ShardPlacement::Adaptive {
-            self.rebalance();
-        }
-    }
 }
 
 impl Drop for ShardedSpillStore {
@@ -1088,7 +1058,7 @@ impl Drop for ShardedSpillStore {
         // ref count is unexpectedly higher we skip closing (unix unlinks
         // open files fine).
         if let Some(inner) = Arc::get_mut(&mut self.inner) {
-            inner.io = Arc::new(IoShards::new(Vec::new(), None));
+            inner.io = Arc::new(IoShards::new(Vec::new()));
         }
         for shard in &self.inner.shard_meta {
             let _ = fs::remove_file(&shard.path);
@@ -1526,66 +1496,135 @@ mod tests {
         assert_eq!(store.stats().snapshot(), IoSnapshot::default());
     }
 
+    /// Spill shards are append-only: a spilled batch's extent is fixed when
+    /// it seals, so at every epoch boundary the extents on shard `s`, in
+    /// entry order, tile `[0, len)` of its file with no gap or overlap —
+    /// for a built store a trainer reads through ring prefetch, and for a
+    /// live one that grows by 20 appended segments meanwhile while a
+    /// tenant reader visits it.
     #[test]
-    fn adaptive_rebalance_migrates_to_fast_shard_and_stays_byte_identical() {
-        let (x, y) = dataset();
-        let config = StoreConfig::new(Scheme::Den, 100, 0)
-            .with_shards(2)
-            .with_placement(ShardPlacement::Adaptive)
-            .with_shard_mbps(vec![2000.0, 10.0]);
-        let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-        assert_eq!(store.spilled_batches(), 6);
-        let initial = store.shard_bytes();
-        assert!(initial.iter().all(|&b| b > 0), "{initial:?}");
-        // Before any observation a rebalance has no signal and must no-op.
-        assert_eq!(store.rebalance(), 0);
-        assert_eq!(store.placement_report().rebalances, 0);
-        // Epoch 1 observes both shards; the boundary rebalance must pull
-        // (nearly) everything onto the 200×-faster shard 0.
-        for i in 0..store.num_batches() {
-            store.visit(i, &mut |_, _| {});
-        }
-        store.end_epoch();
-        let rep = store.placement_report();
-        assert_eq!(rep.policy, ShardPlacement::Adaptive);
-        assert_eq!(rep.rebalances, 1);
-        assert!(rep.migrated_batches >= 1, "{rep:?}");
-        assert!(rep.migrated_bytes >= 1, "{rep:?}");
-        assert!(rep.shard_ewma_mbps[0] > rep.shard_ewma_mbps[1], "{rep:?}");
-        assert!(rep.shard_bytes[0] > rep.shard_bytes[1], "{rep:?}");
-        assert_eq!(
-            rep.shard_bytes.iter().sum::<u64>(),
-            store.spilled_bytes() as u64
-        );
-        // Migration never changes a byte: every batch still decodes to
-        // exactly its source rows.
-        for i in 0..store.num_batches() {
-            store.visit(i, &mut |b, labels| {
-                assert_eq!(b.decode(), x.slice_rows(i * 100, (i + 1) * 100));
-                assert_eq!(labels, &y[i * 100..(i + 1) * 100]);
-            });
-        }
-        // A second epoch over the settled layout stays settled (the plan
-        // is deterministic and the hysteresis kills noise moves).
-        store.end_epoch();
-        let again = store.placement_report();
-        assert_eq!(again.migrated_batches, rep.migrated_batches);
-    }
+    fn spill_shards_are_append_only() {
+        use crate::serve::{BatchCache, TenantProvider};
+        use std::sync::mpsc::{channel, TryRecvError};
+        use toc_ml::mgd::{MgdConfig, ModelSpec, Trainer};
+        use toc_ml::LossKind;
 
-    #[test]
-    fn non_adaptive_placements_never_rebalance_on_end_epoch() {
-        let (x, y) = dataset();
-        let config = StoreConfig::new(Scheme::Toc, 100, 0)
-            .with_shards(2)
-            .with_shard_mbps(vec![2000.0, 10.0]);
-        let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
-        for i in 0..store.num_batches() {
-            store.visit(i, &mut |_, _| {});
+        fn assert_tiled(store: &ShardedSpillStore, when: &str) {
+            // Holding the append mutex keeps appends out: their bytes reach
+            // the file before their entry reaches the table.
+            let _append = lock(&store.inner.append);
+            let per_shard = store.shard_bytes();
+            let entries = rlock(&store.inner.entries);
+            for (s, meta) in store.inner.shard_meta.iter().enumerate() {
+                let file_len = fs::metadata(&meta.path).unwrap().len();
+                let mut at = 0;
+                for loc in entries.iter().filter_map(|e| e.loc()) {
+                    if loc.shard == s {
+                        assert_eq!(loc.offset, at, "{when}: gap or overlap on shard {s}");
+                        at += loc.len as u64;
+                    }
+                }
+                assert_eq!(at, file_len, "{when}: shard {s} holds bytes no entry owns");
+                assert_eq!(per_shard[s], file_len, "{when}: shard_bytes of shard {s}");
+            }
         }
-        store.end_epoch();
-        let rep = store.placement_report();
-        assert_eq!(rep.rebalances, 0);
-        assert_eq!(rep.migrated_batches, 0);
+
+        /// The trainer's view of the built store: every epoch boundary
+        /// checks both stores.
+        struct Checked<'a> {
+            built: &'a ShardedSpillStore,
+            live: &'a ShardedSpillStore,
+            epochs: AtomicUsize,
+        }
+        impl BatchProvider for Checked<'_> {
+            fn num_batches(&self) -> usize {
+                self.built.num_batches()
+            }
+            fn num_features(&self) -> usize {
+                self.built.num_features()
+            }
+            fn visit(&self, idx: usize, f: &mut dyn FnMut(&AnyBatch, &[f64])) {
+                self.built.visit(idx, f)
+            }
+            fn end_epoch(&self) {
+                self.built.end_epoch();
+                let e = self.epochs.fetch_add(1, Ordering::Relaxed);
+                assert_tiled(self.built, &format!("built store, epoch {e}"));
+                assert_tiled(self.live, &format!("live store, trainer epoch {e}"));
+            }
+        }
+
+        let (x, y) = dataset();
+        let probe =
+            ShardedSpillStore::build(&x, &y, &StoreConfig::new(Scheme::Den, 50, usize::MAX))
+                .unwrap();
+        let config = StoreConfig::new(Scheme::Den, 50, probe.memory_bytes() / 3)
+            .with_shards(3)
+            .with_prefetch(2)
+            .with_io(IoEngineKind::Ring);
+        let built = ShardedSpillStore::build(&x, &y, &config).unwrap();
+        // Some batches stay resident, and the rest spill over all 3 shards.
+        assert!(built.in_memory_batches() >= 1 && built.spilled_batches() >= 6);
+        let live = Arc::new(ShardedSpillStore::open_streaming(x.cols(), &config).unwrap());
+        let tenant = TenantProvider::new(Arc::clone(&live), Arc::new(BatchCache::new(0)), 1.0);
+        let checked = Checked {
+            built: &built,
+            live: &live,
+            epochs: AtomicUsize::new(0),
+        };
+        // The appender parks halfway until the tenant's first pass has
+        // checked the half-appended store; later passes race the appends.
+        // Channels, not a barrier: a side that ends, or panics, drops its
+        // sender, so the other side's `recv` returns instead of waiting
+        // forever; `parked` disconnecting is also how the tenant learns
+        // that the appends are over.
+        let (parked_tx, parked) = channel();
+        let (resume_tx, resume) = channel::<()>();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let (parked_tx, resume) = (parked_tx, resume);
+                for i in 0..20 {
+                    if i == 10 {
+                        parked_tx.send(()).unwrap();
+                        let _ = resume.recv();
+                    }
+                    let rows = (i * 30, (i + 1) * 30);
+                    let bytes = Scheme::Den.encode(&x.slice_rows(rows.0, rows.1)).to_bytes();
+                    live.append_sealed(&bytes, y[rows.0..rows.1].to_vec())
+                        .unwrap();
+                }
+            });
+            s.spawn(|| {
+                let (parked, resume_tx) = (parked, resume_tx);
+                parked.recv().expect("the appender parks halfway");
+                assert_eq!(tenant.num_batches(), 10);
+                let mut pass = 0;
+                let appending = || parked.try_recv() != Err(TryRecvError::Disconnected);
+                while pass < 3 || appending() {
+                    for i in 0..tenant.num_batches() {
+                        tenant.visit(i, &mut |_, _| {});
+                    }
+                    tenant.end_epoch();
+                    live.end_epoch();
+                    assert_tiled(&live, &format!("live store, tenant pass {pass}"));
+                    if pass == 0 {
+                        resume_tx.send(()).unwrap();
+                    }
+                    pass += 1;
+                }
+            });
+            let trainer = Trainer::new(MgdConfig {
+                epochs: 6,
+                lr: 0.3,
+                ..Default::default()
+            });
+            trainer.train(&ModelSpec::Linear(LossKind::Logistic), &checked, None);
+        });
+        assert_eq!(checked.epochs.load(Ordering::Relaxed), 6);
+        assert_eq!(live.appended_batches(), 20);
+        assert_eq!(live.num_shards(), 3);
+        assert_tiled(&built, "built store, at the end");
+        assert_tiled(&live, "live store, at the end");
     }
 
     /// One decode worker, stuck for ~100 ms reading batch 0 off a slow
@@ -1605,6 +1644,18 @@ mod tests {
                 ..SchedulerConfig::default()
             });
         let store = ShardedSpillStore::build(&x, &y, &config).unwrap();
+        // The worker charges a read's modelled delay before it sleeps it
+        // out: wait (bounded) until it is inside batch 0's read, or a
+        // visitor that outruns a not-yet-scheduled worker takes back
+        // batch 0 too.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while store.stats().throttle_ns.load(Ordering::Relaxed) == 0 {
+            assert!(
+                Instant::now() < deadline,
+                "the worker never started batch 0"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
         let t0 = Instant::now();
         store.visit(1, &mut |b, _| {
             assert_eq!(b.decode(), x.slice_rows(100, 200));

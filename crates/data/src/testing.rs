@@ -17,7 +17,7 @@
 //! references it.
 
 use crate::io::{
-    lock, Completion, CompletionQueue, DeviceProfile, IoShards, SpillIo, SpillRequest, Submission,
+    lock, Completion, CompletionQueue, IoShards, SpillIo, SpillRequest, Submission,
     SubmissionQueue, Ticket,
 };
 use rand::rngs::StdRng;
@@ -72,13 +72,6 @@ pub struct FaultPlan {
     pub reorder_window: usize,
     /// IO worker threads (clamped to 1..=4).
     pub workers: usize,
-    /// Per-shard asymmetric bandwidth profiles (cycled when shorter than
-    /// the shard count; empty = the store's uniform model). This is how
-    /// the scheduler harness gives the store fast, slow, and degrading
-    /// devices to discover: the profiles are applied to the shard devices
-    /// at store build, so *every* read path — faulty or not — simulates
-    /// them, and the adaptive planner has a real signal to migrate by.
-    pub device_profiles: Vec<DeviceProfile>,
     /// Observability counters (shared through clones of the plan).
     pub stats: FaultStats,
 }
@@ -93,7 +86,6 @@ impl Default for FaultPlan {
             eintr_per_mille: 250,
             reorder_window: 3,
             workers: 2,
-            device_profiles: Vec::new(),
             stats: FaultStats::default(),
         }
     }
@@ -257,10 +249,9 @@ impl FaultyIo {
             dev.file
                 .read_exact_at(&mut buf[done..done + take], req.offset + done as u64)?;
             // Shared accounting with `IoShards::read_range`: each chunk
-            // charges the (possibly asymmetric/degrading) device model,
-            // the stats counters, and the bandwidth profiler — the
-            // adaptive planner must keep learning under faulty
-            // scheduling too.
+            // charges the (possibly asymmetric) device model, the stats
+            // counters, and the bandwidth profiler — the QoS throttle's
+            // signal stays live under faulty scheduling too.
             io.account_read(req.shard, take, t0);
             done += take;
         }

@@ -1,20 +1,14 @@
 //! End-to-end determinism: the same seed must produce a **bit-identical**
 //! training run regardless of where the batches physically live or which
 //! IO path serves them. Seven store configurations — in-memory, single
-//! spill file, sharded, sharded+sync-prefetch, async ring, and adaptive
-//! placement over asymmetric shards on
-//! a ring with more decode workers than IO threads and on one with a
-//! single IO thread — feed the identical batch stream, so the final
-//! weights *and* the per-epoch error trajectory must agree with `==`,
-//! not a tolerance. The adaptive legs migrate batches between shards
-//! mid-run (the trainer fires `end_epoch` after every pass), which must
-//! never change a byte of what the trainer sees.
+//! spill file, sharded, sharded+sync-prefetch, async ring, and asymmetric
+//! shards on a ring with more decode workers than IO threads and on one
+//! with a single IO thread — feed the identical batch stream, so the
+//! final weights *and* the per-epoch error trajectory must agree with
+//! `==`, not a tolerance.
 
-use toc_data::store::{
-    IoEngineKind, SchedulerConfig, ShardPlacement, ShardedSpillStore, StoreConfig,
-};
+use toc_data::store::{IoEngineKind, SchedulerConfig, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
-use toc_data::DeviceProfile;
 use toc_formats::Scheme;
 use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, Trainer};
 use toc_ml::LossKind;
@@ -98,16 +92,14 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
                 .with_prefetch(3)
                 .with_io(IoEngineKind::Ring),
         ),
-        // Adaptive placement over asymmetric shards: the 10× bandwidth
-        // skew forces real migrations at every epoch boundary while the
-        // trainer is mid-run.
+        // Asymmetric shards: a 10× bandwidth skew, so the ring's
+        // completions arrive far out of visit order.
         (
-            "adaptive-ring-2io-4dec",
+            "asymmetric-ring-2io-4dec",
             StoreConfig::new(scheme, batch_rows, 0)
                 .with_shards(3)
                 .with_prefetch(3)
                 .with_io(IoEngineKind::Ring)
-                .with_placement(ShardPlacement::Adaptive)
                 .with_shard_mbps(vec![900.0, 90.0, 90.0])
                 .with_scheduler(SchedulerConfig {
                     io_threads: 2,
@@ -116,17 +108,12 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
                 }),
         ),
         (
-            "adaptive-ring-1io-3dec",
+            "asymmetric-ring-1io-3dec",
             StoreConfig::new(scheme, batch_rows, 0)
                 .with_shards(3)
                 .with_prefetch(3)
                 .with_io(IoEngineKind::Ring)
-                .with_placement(ShardPlacement::Adaptive)
-                .with_shard_profiles(vec![
-                    DeviceProfile::stable(900.0),
-                    DeviceProfile::degrading(400.0, 0.1),
-                    DeviceProfile::stable(90.0),
-                ])
+                .with_shard_mbps(vec![900.0, 400.0, 90.0])
                 .with_scheduler(SchedulerConfig {
                     io_threads: 1,
                     decode_workers: 3,
@@ -164,10 +151,9 @@ fn loss_trajectory_is_bit_identical_across_store_configs() {
 }
 
 /// Multi-tenant determinism: 8 jobs with distinct seeds train
-/// concurrently over ONE shared adaptive store — ring engine replaced by
-/// the fault-injecting double, asymmetric degrading devices, adaptive
-/// migrations firing at every epoch boundary of every job, and a shared
-/// compressed-batch cache small enough to churn. Every job's final
+/// concurrently over ONE shared store — ring engine replaced by the
+/// fault-injecting double, asymmetric devices, and a shared
+/// compressed-batch cache too small to hold every batch. Every job's final
 /// weights AND loss curve must be `==` to its solo run on a fresh store
 /// of the same configuration: concurrency, cache hits, eviction timing,
 /// QoS throttling and injected faults may change *when* bytes are read,
@@ -187,12 +173,7 @@ fn concurrent_tenants_train_bit_identical_to_solo() {
             .with_shards(3)
             .with_prefetch(3)
             .with_io(IoEngineKind::Ring)
-            .with_placement(ShardPlacement::Adaptive)
-            .with_shard_profiles(vec![
-                DeviceProfile::stable(900.0),
-                DeviceProfile::degrading(400.0, 0.1),
-                DeviceProfile::stable(90.0),
-            ])
+            .with_shard_mbps(vec![900.0, 400.0, 90.0])
             .with_fault_plan(FaultPlan::seeded(0xBEEF))
     };
     let job = |i: usize| {
@@ -217,8 +198,9 @@ fn concurrent_tenants_train_bit_identical_to_solo() {
         Arc::clone(&store),
         ServeConfig {
             max_concurrent: 8,
-            // Half the spilled bytes: tenants keep evicting each other's
-            // entries, so hit/miss interleavings vary run to run.
+            // Half the spilled bytes: which batches the fill-once cache
+            // keeps depends on which tenant reads them first, so hit/miss
+            // interleavings vary run to run.
             cache_bytes: store.spilled_bytes() / 2,
         },
     );
@@ -263,12 +245,11 @@ fn concurrent_tenants_train_bit_identical_to_solo() {
 /// Online training over a *streaming* store must be bit-identical to the
 /// same online pass over a fully materialized store: the live run
 /// ingests chunks through the fault-injecting append path (chunked short
-/// writes + latency) while the online trainer, TWO extra tenant reader
-/// threads, and the adaptive migrator (repointing sealed segments across
-/// asymmetric shards at every window boundary) all run concurrently.
-/// Ingest timing, injected write faults, concurrent readers and
-/// migrations may change *when* a segment is consumed or *where* its
-/// bytes live — never the per-window loss curve or the final weights.
+/// writes + latency) over asymmetric shards while the online trainer and
+/// TWO extra tenant reader threads run concurrently. Ingest timing,
+/// injected write faults and concurrent readers may change *when* a
+/// segment is consumed — never the per-window loss curve or the final
+/// weights.
 #[test]
 fn online_training_over_streaming_store_matches_materialized() {
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -289,12 +270,7 @@ fn online_training_over_streaming_store_matches_materialized() {
     let config = || {
         StoreConfig::new(scheme, batch_rows, 0)
             .with_shards(3)
-            .with_placement(ShardPlacement::Adaptive)
-            .with_shard_profiles(vec![
-                DeviceProfile::stable(900.0),
-                DeviceProfile::degrading(400.0, 0.1),
-                DeviceProfile::stable(90.0),
-            ])
+            .with_shard_mbps(vec![900.0, 400.0, 90.0])
             .with_fault_plan(FaultPlan::seeded(0xF011))
     };
 
@@ -304,7 +280,7 @@ fn online_training_over_streaming_store_matches_materialized() {
     let reference = trainer.train_online(&spec, &materialized, window, &mut || false);
     assert_eq!(reference.consumed, 8);
 
-    // Live run: ingest, online trainer, two tenant readers, migrator.
+    // Live run: ingest, online trainer, two tenant readers.
     let store = ShardedSpillStore::open_streaming(ds.x.cols(), &config()).unwrap();
     let done = AtomicBool::new(false);
     let live = std::thread::scope(|s| {

@@ -233,145 +233,3 @@ fn ingest_under_write_faults_seals_decodable_segments() {
     }
     assert_eq!(seen, 200);
 }
-
-/// The full streaming triangle under faults: a writer process appends a
-/// CSV in torn bursts (rows split across writes), a follower tails the
-/// file on disk and pushes rows through `StoreIngest` with the
-/// fault-injecting chunked-write append path, and a reader keeps calling
-/// `end_epoch` so `Adaptive` rebalance repeatedly races the in-flight
-/// appends. Nothing the race can produce may drop, duplicate, reorder or
-/// corrupt a row.
-#[test]
-fn tail_follow_races_adaptive_rebalance_under_faults() {
-    use std::io::Write as _;
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::time::Duration;
-    use toc_data::synth::drifting_matrix;
-    use toc_data::{follow_rows, FollowOptions, StoreIngest};
-    use toc_formats::EncodeOptions;
-
-    let total = 240;
-    let cols = 5; // 4 features + trailing ±1 label column
-    let m = drifting_matrix(total, cols, 4, 33);
-    let label = |r: usize| if r.is_multiple_of(3) { 1.0 } else { -1.0 };
-    let mut body = String::from("a,b,c,d,y\n");
-    for r in 0..total {
-        for v in m.row(r).iter().take(cols - 1) {
-            body.push_str(&format!("{v},"));
-        }
-        body.push_str(&format!("{}\n", label(r)));
-    }
-
-    let path = std::env::temp_dir().join(format!("toc-follow-race-{}.csv", std::process::id()));
-    std::fs::write(&path, "").unwrap();
-
-    let plan = FaultPlan {
-        seed: 0xACE_0FBA5E,
-        max_latency_us: 150,
-        eintr_per_mille: 400,
-        ..FaultPlan::default() // chunked_writes on: appends land as short writes
-    };
-    let fault_stats = plan.stats.clone();
-    let chunk_rows = 16;
-    let config = StoreConfig::new(Scheme::Toc, chunk_rows, 0)
-        .with_shards(3)
-        .with_placement(toc_data::ShardPlacement::Adaptive)
-        .with_fault_plan(plan);
-    let store = ShardedSpillStore::open_streaming(cols - 1, &config).unwrap();
-
-    let writer_done = AtomicBool::new(false);
-    let mut rebalances = 0usize;
-    std::thread::scope(|s| {
-        // Writer: append the CSV in deterministic uneven bursts that tear
-        // rows across write() calls, so the follower keeps hitting
-        // carried partial lines.
-        let wd = &writer_done;
-        let bytes = body.as_bytes();
-        let wpath = path.clone();
-        s.spawn(move || {
-            let mut f = std::fs::OpenOptions::new()
-                .append(true)
-                .open(&wpath)
-                .unwrap();
-            let mut lcg = 0x2545F491u64;
-            let mut at = 0usize;
-            while at < bytes.len() {
-                lcg = lcg
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let burst = 7 + (lcg >> 33) as usize % 90;
-                let end = (at + burst).min(bytes.len());
-                f.write_all(&bytes[at..end]).unwrap();
-                f.flush().unwrap();
-                at = end;
-                std::thread::sleep(Duration::from_micros(300));
-            }
-            wd.store(true, Ordering::Release);
-        });
-
-        // Follower: tail the growing file and ingest each row. `more`
-        // keeps the follower alive through idle gaps until the writer is
-        // done; after that the idle timeout ends the stream.
-        let follower = s.spawn(|| {
-            let mut ing = StoreIngest::new(
-                &store,
-                chunk_rows,
-                Some(Scheme::Toc),
-                EncodeOptions::default(),
-            );
-            let opts = FollowOptions {
-                poll: Duration::from_millis(1),
-                idle_timeout: Duration::from_millis(60),
-            };
-            let d = cols - 1;
-            follow_rows(
-                &path,
-                &opts,
-                &mut || !writer_done.load(Ordering::Acquire),
-                &mut |_, row| Ok(ing.push_row(&row[..d], row[d])?),
-            )
-            .unwrap();
-            ing.finish().unwrap()
-        });
-
-        // Reader: sweep whatever is sealed so the planner has heat to act
-        // on, then end the epoch — an Adaptive rebalance racing the
-        // writer's next append.
-        while !follower.is_finished() {
-            for i in 0..store.num_batches() {
-                store.visit(i, &mut |_, _| {});
-            }
-            rebalances += store.rebalance();
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        let stats = follower.join().unwrap();
-        assert_eq!(stats.rows, total as u64);
-    });
-    let _ = rebalances; // may legitimately be 0 on a uniform device model
-
-    // Every row survived the race, in order, with its label.
-    assert_eq!(store.num_batches(), total.div_ceil(chunk_rows));
-    let mut seen = 0usize;
-    for i in 0..store.num_batches() {
-        store.visit(i, &mut |b, y| {
-            let d = b.decode();
-            for (r, &yr) in y.iter().enumerate().take(d.rows()) {
-                let row = seen + r;
-                assert_eq!(d.row(r), &m.row(row)[..cols - 1], "row {row}");
-                assert_eq!(yr, label(row), "label {row}");
-            }
-            seen += d.rows();
-        });
-    }
-    assert_eq!(seen, total);
-
-    assert!(
-        fault_stats.chunked_writes.load(Ordering::Relaxed) >= 1,
-        "no chunked short writes fired"
-    );
-
-    let snap = store.stats().snapshot_stable();
-    snap.assert_consistent();
-    drop(store);
-    std::fs::remove_file(&path).ok();
-}

@@ -2,15 +2,11 @@
 //! batch_rows × budget × shards × prefetch × io engine) configurations
 //! round-trip through spill with decode-equality against the source
 //! matrix, for both the single-shard and the sharded layout — plus the
-//! placement laws: a build stripes its `k`-th spilled batch onto shard
-//! `k % n` under either policy, and the runtime adaptive planner must
-//! cover every batch exactly once, stay inside the shard range and be a
-//! deterministic function of its inputs.
+//! placement law: a build stripes its `k`-th spilled batch onto shard
+//! `k % n`.
 
 use proptest::prelude::*;
-use toc_data::store::{
-    plan_adaptive, IoEngineKind, ShardPlacement, ShardedSpillStore, StoreConfig,
-};
+use toc_data::store::{IoEngineKind, ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
@@ -124,12 +120,12 @@ proptest! {
     }
 
     /// Build-time placement is online: the `k`-th spilled batch lands on
-    /// shard `k % n` under either policy, whatever the sizes, so a build
+    /// shard `k % n`, whatever the sizes, so a build
     /// of a prefix lays the prefix out as the whole build does, shards
     /// come into use in order (a build creates shard file `s` when its
     /// first batch lands), and from one batch per shard on no configured
-    /// shard is empty (the stores rely on this so every device gets
-    /// profiler observations in epoch one).
+    /// shard is empty (so every device gets profiler observations in
+    /// epoch one).
     #[test]
     fn build_time_placement_is_online(
         n in 1usize..150,
@@ -149,62 +145,16 @@ proptest! {
             per_shard
         };
         let prefix = prefix.min(n);
-        for placement in [ShardPlacement::Stripe, ShardPlacement::Adaptive] {
-            for k in [prefix, n] {
-                let config = StoreConfig::new(Scheme::Csr, 1, 0)
-                    .with_shards(n_shards)
-                    .with_placement(placement);
-                let store = ShardedSpillStore::build(
-                    &ds.x.slice_rows(0, k),
-                    &ds.labels[..k],
-                    &config,
-                )
-                .unwrap();
-                prop_assert_eq!(store.spilled_batches(), k);
-                prop_assert_eq!(store.shard_bytes(), striped(k), "{:?}, {} batches", placement, k);
-            }
-        }
-    }
-
-    /// The runtime adaptive planner: covers every batch exactly once,
-    /// never leaves the shard range, is deterministic, and sends more
-    /// bytes to a strictly faster shard than to a strictly slower one on
-    /// uniform workloads.
-    #[test]
-    fn adaptive_plans_cover_and_are_deterministic(
-        sizes in prop::collection::vec(1usize..4000, 1..150),
-        shard_mbps in prop::collection::vec(1u64..2000, 1..6),
-    ) {
-        let n_shards = shard_mbps.len();
-        let mbps: Vec<f64> = shard_mbps.iter().map(|&m| m as f64).collect();
-        let hotness: Vec<u64> = sizes.iter().enumerate().map(|(i, _)| (i as u64 * 7) % 13).collect();
-        let plan = plan_adaptive(&sizes, &hotness, &mbps);
-        prop_assert_eq!(plan.len(), sizes.len());
-        prop_assert!(plan.iter().all(|&s| s < n_shards));
-        // Deterministic.
-        prop_assert_eq!(&plan, &plan_adaptive(&sizes, &hotness, &mbps));
-        // Monotone in speed (uniform batches): a shard
-        // measured at >=4x another's bandwidth must carry at least as
-        // many bytes.
-        if sizes.len() >= 8 {
-            let uniform = vec![64usize; sizes.len()];
-            let flat = vec![1u64; sizes.len()];
-            let plan_u = plan_adaptive(&uniform, &flat, &mbps);
-            let mut load_u = vec![0u64; n_shards];
-            for &s in &plan_u {
-                load_u[s] += 64;
-            }
-            for a in 0..n_shards {
-                for b in 0..n_shards {
-                    if mbps[a] >= 4.0 * mbps[b] {
-                        prop_assert!(
-                            load_u[a] >= load_u[b],
-                            "shard {} ({} MB/s) carries {} < shard {} ({} MB/s) with {}",
-                            a, mbps[a], load_u[a], b, mbps[b], load_u[b]
-                        );
-                    }
-                }
-            }
+        for k in [prefix, n] {
+            let config = StoreConfig::new(Scheme::Csr, 1, 0).with_shards(n_shards);
+            let store = ShardedSpillStore::build(
+                &ds.x.slice_rows(0, k),
+                &ds.labels[..k],
+                &config,
+            )
+            .unwrap();
+            prop_assert_eq!(store.spilled_batches(), k);
+            prop_assert_eq!(store.shard_bytes(), striped(k), "{} batches", k);
         }
     }
 }

@@ -1074,8 +1074,8 @@ impl PositionalFile {
         }
     }
 
-    /// Write all of `buf` at `offset` (the adaptive-placement migration
-    /// path appends to shard files through this).
+    /// Write all of `buf` at `offset` (a live store's streaming appends
+    /// land at the end of their shard file through this).
     pub fn write_all_at(&self, buf: &[u8], offset: u64) -> std::io::Result<()> {
         #[cfg(unix)]
         {

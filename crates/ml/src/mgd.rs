@@ -26,11 +26,9 @@ pub trait BatchProvider {
 
     /// Epoch-boundary feedback: the trainer calls this after every full
     /// pass over the batches, once all of that epoch's visits have
-    /// returned. Out-of-core providers use it to act on what the epoch's
-    /// visit stream taught them — the adaptive spill store re-packs hot
-    /// batches onto the shards it measured fastest. Must not change any
-    /// batch's *content*: training results are compared bit-identically
-    /// across providers. Default: no-op.
+    /// returned. A provider may use it for maintenance between epochs;
+    /// it must not change any batch's *content*: training results are
+    /// compared bit-identically across providers. Default: no-op.
     fn end_epoch(&self) {}
 }
 
@@ -300,10 +298,9 @@ impl Trainer {
             let t0 = Instant::now();
             run_epoch(&mut model, data, &order, self.config.lr, &mut ws);
             train_time += t0.elapsed();
-            // Visit-order feedback to the provider (adaptive spill stores
-            // rebalance here). Excluded from `train_time` like the curve
-            // evaluation: it is maintenance between epochs, not the
-            // gradient path the paper times.
+            // Epoch-boundary hook of the provider. Excluded from
+            // `train_time` like the curve evaluation: it is maintenance
+            // between epochs, not the gradient path the paper times.
             data.end_epoch();
             if self.config.record_curve {
                 if let Some((eb, ey)) = eval {
@@ -332,7 +329,7 @@ impl Trainer {
     /// batches drain and training ends (a final partial window is
     /// recorded). Every window boundary fires
     /// [`BatchProvider::end_epoch`] — a window is the online analog of
-    /// an epoch — so an adaptive streaming store rebalances mid-stream.
+    /// an epoch.
     ///
     /// Deterministic in the consumed batch sequence: arrival *timing*
     /// (how consumption interleaves with ingest, how often the loop
