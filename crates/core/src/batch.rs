@@ -560,16 +560,22 @@ impl KernelScratch {
         }
     }
 
+    /// The live plan `batch` holds, filled here if it is still empty;
+    /// `None` if it holds none.
+    fn held_plan<'b>(&mut self, batch: &'b TocBatch) -> Option<&'b LivePlan> {
+        let slot = batch.held.as_deref()?;
+        Some(slot.get_or_init(|| {
+            self.prepare(batch);
+            self.plans += 1;
+            LivePlan::build_compact(batch.tree_in(&self.tree))
+        }))
+    }
+
     /// Run `kernel` on the live plan of `batch`: the one it holds, filled
     /// here if it is still empty, else `plan`, derived unless it already
     /// is this batch's.
     fn with_plan(&mut self, batch: &TocBatch, kernel: impl FnOnce(&LivePlan, &mut BlockScratch)) {
-        if let Some(slot) = &batch.held {
-            let plan = slot.get_or_init(|| {
-                self.prepare(batch);
-                self.plans += 1;
-                LivePlan::build_compact(batch.tree_in(&self.tree))
-            });
+        if let Some(plan) = self.held_plan(batch) {
             return kernel(plan, &mut self.block);
         }
         if self.planned != Some(batch.serial) {
@@ -580,6 +586,25 @@ impl KernelScratch {
             self.plans += 1;
         }
         kernel(&self.plan, &mut self.block)
+    }
+
+    /// Grow, on the calling thread, every buffer a matrix kernel on
+    /// `batch` through this scratch would grow, so that the kernel, run on
+    /// another thread afterwards, allocates nothing there. A plan the
+    /// batch holds but has not filled yet is filled here; otherwise only
+    /// capacities grow, sized from [`TocBatch::stats`]: nothing is written
+    /// and nothing counts as built.
+    pub fn reserve(&mut self, batch: &TocBatch) {
+        let s = batch.stats();
+        if let Some(plan) = self.held_plan(batch) {
+            return self.block.reserve(plan.live(), s.rows, s.cols);
+        }
+        if batch.tree.is_none() {
+            self.tree.reserve(&s);
+            self.tree_scratch.reserve(&s);
+        }
+        self.plan.reserve(&s);
+        self.block.reserve(s.n_nodes, s.rows, s.cols);
     }
 
     /// How many times this scratch built a `C'` — for tests that pin how

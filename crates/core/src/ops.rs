@@ -28,9 +28,10 @@
 //! `cols × p`). The neural net's first-layer gradient is the second form
 //! — its delta and its gradient are both row-major that way — so it reads
 //! `D` and writes the result in place, where `M · A` stages its block of
-//! `M` and of the result transposed. `G` is zero between calls: the
-//! backward scan zeroes what it reads (see [`BlockScratch`]), so no block
-//! clears it.
+//! `M` and of the result transposed. `G` shares its buffer with `A·M`'s
+//! `H`: a left kernel zeroes only the prefix `A·M` wrote last, and the
+//! backward scan zeroes what it reads, so `G` is zero again when a block
+//! ends and no block clears it (see [`BlockScratch`]).
 //!
 //! The vector kernels and decode run on [`DecodeTree`] as the replay left
 //! it: `C'` as `parent` and `key` per node, `key` an index into the first
@@ -144,27 +145,26 @@ const ZERO_LANES: Lanes = Lanes([0.0; BLOCK]);
 /// Reusable buffers of [`matmat_into`], [`matmat_left_into`] and
 /// [`matmat_t_into`]; they grow to the high-water mark of the shapes seen.
 ///
-/// `H` and `G` are separate buffers because they are kept differently.
-/// `A·M` assigns every slot of `h` before reading it, so `h` carries
-/// garbage between calls and needs no clearing. The two left kernels
-/// accumulate into `g`, which must start each block all zero: instead of
-/// clearing it per block, the backward scan zeroes each slot as it reads
-/// it, and the root after the scan, so `g` is all zero again when a block
-/// — and so a call — ends. Only growth writes zeros up front. `g` keeps
-/// its high-water length (it is never shortened to a smaller batch's live
-/// slots): the tail beyond a smaller batch's slots was zero when the
-/// larger batch's call ended and no call touches it since. A call that
-/// does not end (a panic caught by an unwind) leaves `g_dirty` set, and
-/// the next call clears all of `g` before it starts.
+/// One accumulator, `acc`, serves as `A·M`'s `H` and as the left kernels'
+/// `G`, so a scratch holds one row of lanes per live slot, not two. They
+/// keep it differently. `A·M` assigns every slot it reads before reading
+/// it, so it needs no zeros, and it leaves garbage behind: it marks the
+/// prefix it wrote as `dirty`. The left kernels accumulate, so their `G`
+/// must start each block all zero: a left kernel first zeroes the dirty
+/// prefix (nothing beyond it was written since it was last zero), and then
+/// the backward scan zeroes each slot as it reads it, and the root after
+/// the scan, so `acc` is all zero again when a block — and so a call —
+/// ends. A left kernel marks its whole live prefix dirty while it runs, so
+/// one that does not end (a panic caught by an unwind) leaves the next
+/// call to zero what it may have written. Only growth writes zeros
+/// beyond that: `acc` keeps its high-water length.
 #[derive(Clone, Debug, Default)]
 pub struct BlockScratch {
-    /// `A·M`'s `H`: one row of lanes per live slot.
-    h: Vec<Lanes>,
-    /// `M·A` / `Aᵀ·D`'s `G`: one row of lanes per live slot, all zero
-    /// between calls.
-    g: Vec<Lanes>,
-    /// A left kernel started on `g` and has not finished.
-    g_dirty: bool,
+    /// `A·M`'s `H`, or `M·A` / `Aᵀ·D`'s `G`: one row of lanes per live
+    /// slot.
+    acc: Vec<Lanes>,
+    /// How long a prefix of `acc` may be non-zero.
+    dirty: usize,
     /// `A·M`: the current block of `M`, one row of lanes per row of `M`.
     m_block: Vec<Lanes>,
     /// `M·A`: the current block of `Mᵀ`, one row of lanes per tuple.
@@ -175,20 +175,45 @@ pub struct BlockScratch {
 }
 
 impl BlockScratch {
-    /// Make `g` at least `live` slots, all of them zero, and mark it in use.
-    fn take_g(&mut self, live: usize) {
-        if self.g_dirty {
-            self.g.fill(ZERO_LANES);
+    /// Make `acc` at least `live` slots for `A·M`'s `H`, which leaves
+    /// them non-zero.
+    fn take_h(&mut self, live: usize) {
+        if self.acc.len() < live {
+            self.acc.resize(live, ZERO_LANES);
         }
-        debug_assert!(
-            self.g.iter().all(|l| l.0.iter().all(|x| x.to_bits() == 0)),
-            "G is not zero between left kernels"
-        );
-        if self.g.len() < live {
-            self.g.resize(live, ZERO_LANES);
-        }
-        self.g_dirty = true;
+        self.dirty = self.dirty.max(live);
     }
+
+    /// Make `acc` at least `live` slots, all of them zero, and mark them in
+    /// use until the left kernel ends.
+    fn take_g(&mut self, live: usize) {
+        self.acc[..self.dirty].fill(ZERO_LANES);
+        debug_assert!(
+            self.acc
+                .iter()
+                .all(|l| l.0.iter().all(|x| x.to_bits() == 0)),
+            "G is not zero beyond the dirty prefix"
+        );
+        if self.acc.len() < live {
+            self.acc.resize(live, ZERO_LANES);
+        }
+        self.dirty = live;
+    }
+
+    /// Grow the capacities a kernel on a batch of up to `slots` live slots,
+    /// `rows` tuples and `cols` columns fills, without writing them: a
+    /// kernel run afterwards (on another thread, say) allocates nothing.
+    pub(crate) fn reserve(&mut self, slots: usize, rows: usize, cols: usize) {
+        reserve_len(&mut self.acc, slots);
+        reserve_len(&mut self.m_block, cols);
+        reserve_len(&mut self.m_t, rows);
+        reserve_len(&mut self.out_t, cols);
+    }
+}
+
+/// Make `v`'s capacity at least `len`.
+pub(crate) fn reserve_len<T>(v: &mut Vec<T>, len: usize) {
+    v.reserve(len.saturating_sub(v.len()));
 }
 
 /// Algorithm 7 (Appendix B.1), `A · M` with uncompressed `M` (`cols × p`),
@@ -203,8 +228,8 @@ pub fn matmat_into(plan: &LivePlan, m: &DenseMatrix, ws: &mut BlockScratch, out:
     let p = m.cols();
     out.reset(plan.rows, p);
     // `h` is written before it is read, so it needs no zeros.
-    let h = &mut ws.h;
-    h.resize(plan.live(), ZERO_LANES);
+    ws.take_h(plan.live());
+    let h = &mut ws.acc[..plan.live()];
     h[0] = ZERO_LANES;
     for j0 in (0..p).step_by(BLOCK) {
         let w = BLOCK.min(p - j0);
@@ -323,14 +348,14 @@ pub fn matmat_left_into(
             }
         }
         let m_t = &ws.m_t;
-        left_block(plan, &mut ws.g, &mut ws.out_t, |r| m_t[r]);
+        left_block(plan, &mut ws.acc, &mut ws.out_t, |r| m_t[r]);
         for l in 0..w {
             for (o, lanes) in out.row_mut(q0 + l).iter_mut().zip(&ws.out_t) {
                 *o = lanes.0[l];
             }
         }
     }
-    ws.g_dirty = false;
+    ws.dirty = 0;
 }
 
 /// `Aᵀ · D` with uncompressed `D` (`rows × p`), into a caller-owned matrix
@@ -358,11 +383,11 @@ pub fn matmat_t_into(
         // Columns `q0..q0 + w` of `D`, lanes past `w` zero. Both arms copy
         // the same doubles; a full block's count is known when compiling.
         if w == BLOCK {
-            left_block(plan, &mut ws.g, &mut ws.out_t, |r| {
+            left_block(plan, &mut ws.acc, &mut ws.out_t, |r| {
                 Lanes(d.row(r)[q0..q0 + BLOCK].try_into().expect("a full block"))
             });
         } else {
-            left_block(plan, &mut ws.g, &mut ws.out_t, |r| {
+            left_block(plan, &mut ws.acc, &mut ws.out_t, |r| {
                 let mut lanes = ZERO_LANES;
                 lanes.0[..w].copy_from_slice(&d.row(r)[q0..q0 + w]);
                 lanes
@@ -372,7 +397,7 @@ pub fn matmat_t_into(
             out.row_mut(c)[q0..q0 + w].copy_from_slice(&lanes.0[..w]);
         }
     }
-    ws.g_dirty = false;
+    ws.dirty = 0;
 }
 
 /// Push node `code`'s sequence onto `stack`, last pair first.
@@ -620,8 +645,9 @@ mod tests {
 
     #[test]
     fn a_left_kernel_that_did_not_finish_leaves_no_weight_behind() {
-        // A call that unwinds mid-scan leaves `G` dirty and says so; the
-        // next call must clear it, not add to it.
+        // A call that unwinds half way through its scatter leaves weight
+        // in `G`, its live prefix marked dirty; the next call must clear
+        // it, not add to it.
         let mut rng = StdRng::seed_from_u64(19);
         let a = random_redundant(&mut rng, 30, 12, 0.5);
         let toc = TocBatch::encode(&a);
@@ -634,13 +660,60 @@ mod tests {
         let mut out = DenseMatrix::default();
         matmat_t_into(&plan, &d, &mut ws, &mut out);
         assert_same_bits(&out, &want, "first call");
-        assert!(!ws.g_dirty && ws.g.iter().all(|l| l.0 == [0.0; BLOCK]));
-        ws.g.fill(Lanes([1.5; BLOCK]));
-        ws.g_dirty = true;
+        assert!(ws.dirty == 0 && ws.acc.iter().all(|l| l.0 == [0.0; BLOCK]));
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            ws.take_g(plan.live());
+            left_block(&plan, &mut ws.acc, &mut ws.out_t, |r| {
+                assert!(r < plan.rows / 2, "a panic half way down D");
+                Lanes([1.5; BLOCK])
+            });
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(ws.dirty, plan.live());
+        assert!(ws.acc.iter().any(|l| l.0 != [0.0; BLOCK]));
         matmat_t_into(&plan, &d, &mut ws, &mut out);
-        assert_same_bits(&out, &want, "after a dirty G");
+        assert_same_bits(&out, &want, "after an unwound call");
         matmat_left_into(&plan, &d.transpose(), &mut ws, &mut out);
         assert_same_bits(&out, &want.transpose(), "M·A after it");
+    }
+
+    #[test]
+    fn a_left_kernel_after_a_m_zeroes_only_what_a_m_wrote() {
+        // `A·M` leaves its `H` in the shared accumulator; the left kernels
+        // after it, on a batch with more live slots and then fewer, must
+        // match a fresh scratch bit for bit.
+        let mut rng = StdRng::seed_from_u64(20);
+        let small = random_redundant(&mut rng, 12, 9, 0.5);
+        let large = random_redundant(&mut rng, 60, 21, 0.6);
+        let plans: Vec<LivePlan> = [&small, &large, &small, &large]
+            .iter()
+            .map(|a| {
+                LivePlan::build_compact(&DecodeTree::build_trusted(&TocBatch::encode(a).view()))
+            })
+            .collect();
+        assert!(plans[0].live() < plans[1].live());
+        let mut ws = BlockScratch::default();
+        let (mut got, mut want) = (DenseMatrix::default(), DenseMatrix::default());
+        for plan in &plans {
+            let m = operand(&mut rng, plan.cols, 13, true);
+            matmat_into(plan, &m, &mut ws, &mut got);
+            matmat_into(plan, &m, &mut BlockScratch::default(), &mut want);
+            assert_same_bits(&got, &want, "A·M");
+            assert!(ws.dirty >= plan.live());
+            let d = operand(&mut rng, plan.rows, 13, true);
+            matmat_t_into(plan, &d, &mut ws, &mut got);
+            matmat_t_into(plan, &d, &mut BlockScratch::default(), &mut want);
+            assert_same_bits(&got, &want, "Aᵀ·D after A·M");
+            assert_eq!(ws.dirty, 0);
+            matmat_left_into(plan, &d.transpose(), &mut ws, &mut got);
+            matmat_left_into(
+                plan,
+                &d.transpose(),
+                &mut BlockScratch::default(),
+                &mut want,
+            );
+            assert_same_bits(&got, &want, "M·A");
+        }
     }
 
     fn random_redundant(rng: &mut StdRng, rows: usize, cols: usize, density: f64) -> DenseMatrix {

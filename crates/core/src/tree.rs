@@ -22,8 +22,9 @@
 //! almost half of `C'` is dictionary growth no code reaches. [`LivePlan`]
 //! is `C'` without those nodes, next to `D` remapped to their slots.
 
-use crate::batch::TocView;
+use crate::batch::{TocStats, TocView};
 use crate::error::{corrupt, TocError};
+use crate::ops::reserve_len;
 
 /// Parent-pointer prefix tree used by all compressed kernels, with the
 /// batch's first layer `I` and encoded table `D` unpacked beside it: what
@@ -62,6 +63,14 @@ pub struct DecodeTree {
 pub struct TreeScratch {
     first: Vec<u32>,
     starts: Vec<bool>,
+}
+
+impl TreeScratch {
+    /// [`DecodeTree::reserve`] for the scratch of the build.
+    pub(crate) fn reserve(&mut self, s: &TocStats) {
+        reserve_len(&mut self.first, s.n_nodes + 1);
+        reserve_len(&mut self.starts, s.codes_len);
+    }
 }
 
 impl DecodeTree {
@@ -245,6 +254,17 @@ impl DecodeTree {
         Ok(())
     }
 
+    /// Grow the capacity of every array a build of a batch with these
+    /// statistics fills, writing nothing.
+    pub(crate) fn reserve(&mut self, s: &TocStats) {
+        reserve_len(&mut self.parent, s.n_nodes + 1);
+        reserve_len(&mut self.key, s.n_nodes + 1);
+        reserve_len(&mut self.first_col, s.first_layer_len + 1);
+        reserve_len(&mut self.first_val, s.first_layer_len + 1);
+        reserve_len(&mut self.codes, s.codes_len);
+        reserve_len(&mut self.offsets, s.rows + 1);
+    }
+
     /// Materialize the full sequence of node `n`, root-to-node order.
     /// Used by tests.
     pub fn sequence(&self, n: u32) -> Vec<(u32, f64)> {
@@ -357,6 +377,17 @@ impl LivePlan {
         for c in &mut self.codes {
             *c = slot_of[*c as usize];
         }
+    }
+
+    /// Grow the capacity of every vector a rebuild for a batch with these
+    /// statistics fills, writing nothing.
+    pub(crate) fn reserve(&mut self, s: &TocStats) {
+        for v in [&mut self.key_col, &mut self.parent, &mut self.slot_of] {
+            reserve_len(v, s.n_nodes);
+        }
+        reserve_len(&mut self.key_val, s.n_nodes);
+        reserve_len(&mut self.codes, s.codes_len);
+        reserve_len(&mut self.offsets, s.rows + 1);
     }
 
     /// [`Self::build`] for a plan that is kept: without the node → slot

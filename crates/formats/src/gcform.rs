@@ -147,6 +147,13 @@ impl MatrixBatch for GcBatch {
         self.decode_staged(&mut ws.gc_bytes, &mut ws.gc_dense);
         ws.gc_dense.matmat_left_into(m, out);
     }
+    fn reserve_scratch(&self, p: usize, ws: &mut ExecScratch) {
+        let bytes = self.rows * self.cols * 8;
+        ws.gc_bytes.reserve(bytes.saturating_sub(ws.gc_bytes.len()));
+        ws.gc_dense.reserve(self.rows, self.cols);
+        ws.t_in.reserve(p, self.rows);
+        ws.t_out.reserve(p, self.cols);
+    }
     fn decode_into_ws(&self, out: &mut DenseMatrix, ws: &mut ExecScratch) {
         self.decode_staged(&mut ws.gc_bytes, out)
     }

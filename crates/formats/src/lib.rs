@@ -196,7 +196,12 @@ pub struct ExecScratch {
 /// scratch. The TOC-family forms (TOC, TOC_VARINT, TOC_SPARSE_AND_LOGICAL)
 /// override it with Algorithm 8 run on `D` and the result as they lie,
 /// bit for bit the default's result; [`AnyBatch`] dispatches it.
-pub trait MatrixBatch {
+///
+/// A batch is `Sync`: the neural net's step runs its first layer's
+/// kernels on one batch from several threads at once, each thread with
+/// its own [`ExecScratch`], which [`Self::reserve_scratch`] grows on the
+/// thread that owns it before the others start.
+pub trait MatrixBatch: Sync {
     /// Matrix rows.
     fn rows(&self) -> usize;
     /// Matrix columns.
@@ -221,6 +226,15 @@ pub trait MatrixBatch {
         self.matmat_left_into_ws(&d_t, &mut out_t, ws);
         out_t.transpose_into(out);
         (ws.t_in, ws.t_out) = (d_t, out_t);
+    }
+    /// Grow, without writing them, the buffers of `ws` that
+    /// [`Self::matmat_into_ws`] and [`Self::matmat_t_into_ws`] with a
+    /// `p`-column operand fill, so that those kernels, run through `ws` on
+    /// another thread afterwards, allocate nothing there. Provided for the
+    /// staging of the provided `Aᵀ·D`; formats that stage more override it.
+    fn reserve_scratch(&self, p: usize, ws: &mut ExecScratch) {
+        ws.t_in.reserve(p, self.rows());
+        ws.t_out.reserve(p, self.cols());
     }
     /// Full decode into a caller-owned matrix (sparse-unsafe operations
     /// route through this).
@@ -828,6 +842,9 @@ impl MatrixBatch for AnyBatch {
     }
     fn matmat_t_into_ws(&self, d: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
         dispatch!(self, b => b.matmat_t_into_ws(d, out, ws))
+    }
+    fn reserve_scratch(&self, p: usize, ws: &mut ExecScratch) {
+        dispatch!(self, b => b.reserve_scratch(p, ws))
     }
     fn decode_into_ws(&self, out: &mut DenseMatrix, ws: &mut ExecScratch) {
         dispatch!(self, b => b.decode_into_ws(out, ws))

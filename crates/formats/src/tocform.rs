@@ -88,6 +88,9 @@ impl MatrixBatch for TocFormat {
             .matmat_t_into(d, out, &mut ws.toc)
             .expect("dimension-checked by caller")
     }
+    fn reserve_scratch(&self, _: usize, ws: &mut ExecScratch) {
+        ws.toc.reserve(&self.inner)
+    }
     fn decode_into_ws(&self, out: &mut DenseMatrix, ws: &mut ExecScratch) {
         self.inner.decode_into(out, &mut ws.toc)
     }
@@ -260,6 +263,9 @@ impl MatrixBatch for TocSparseLogical {
         self.inner
             .matmat_t_into(d, out, &mut ws.toc)
             .expect("dimension-checked by caller")
+    }
+    fn reserve_scratch(&self, _: usize, ws: &mut ExecScratch) {
+        ws.toc.reserve(&self.inner)
     }
     fn decode_into_ws(&self, out: &mut DenseMatrix, ws: &mut ExecScratch) {
         self.inner.decode_into(out, &mut ws.toc)

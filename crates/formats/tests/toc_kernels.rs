@@ -20,8 +20,11 @@
 //!   scratch (or thread) gets there first, runs every later matrix kernel
 //!   on it bit-equal to a batch that does not hold, and refills it after a
 //!   `scale`. `M·A` and `Aᵀ·D` keep their accumulator `G` zero between
-//!   calls instead of clearing it: a large and a small held batch
-//!   alternating through one scratch must not see each other's weight.
+//!   calls instead of clearing it, and `A·M` borrows it as its `H`: a
+//!   large and a small batch alternating through one scratch must not see
+//!   each other's weight, nor `A·M`'s sums. A scratch grown by
+//!   `reserve_scratch` on one thread serves the kernels on another as a
+//!   fresh one would.
 //! * The last test is the CI gate on the mechanism: per preset, how much
 //!   of `C'` the live plan drops. Counts, not timings.
 
@@ -533,7 +536,8 @@ fn held_plans_of_a_large_and_a_small_batch_share_one_zero_kept_g() {
     // `G` is sized by the large batch (mnist-like, ~16 k live slots) and
     // used by the small one (census-like, ~1.5 k) in between: a slot either
     // call left non-zero would add into the next result. `A·M` between the
-    // calls writes its own accumulator, which must not be `G`.
+    // calls writes the same accumulator as its `H`, which the next left
+    // kernel must zero first.
     let batches: Vec<(AnyBatch, DenseMatrix)> =
         [DatasetPreset::MnistLike, DatasetPreset::CensusLike]
             .into_iter()
@@ -562,6 +566,73 @@ fn held_plans_of_a_large_and_a_small_batch_share_one_zero_kept_g() {
     }
     // Each batch filled its held plan once; the scratch derived nothing.
     assert_eq!((ws.toc.builds(), ws.toc.plans()), (2, 2));
+}
+
+#[test]
+fn one_accumulator_serves_a_m_and_both_left_kernels_as_the_live_count_moves() {
+    // `A·M` leaves its `H` in the accumulator that `M·A` and `Aᵀ·D` take as
+    // their `G`, and a left kernel zeroes only the prefix `A·M` wrote
+    // last. Through one scratch, over batches whose live counts shrink and
+    // grow (mnist-like ~16 k slots, census-like ~1.5 k, kdd99-like fewer),
+    // encoded, parsed and holding their plans, `A·M` → `M·A` → `Aᵀ·D` must
+    // each give a fresh scratch's result, bit for bit.
+    use DatasetPreset::{CensusLike, ImagenetLike, Kdd99Like, MnistLike};
+    let mut ws = ExecScratch::default();
+    let mut out = DenseMatrix::default();
+    let mut want = DenseMatrix::default();
+    let presets = [MnistLike, CensusLike, ImagenetLike, Kdd99Like, MnistLike];
+    for (round, preset) in (0u64..).zip(presets) {
+        let x = generate_preset(preset, 250, 42 + round).x;
+        let encoded = Scheme::Toc.encode(&x);
+        for (k, batch) in (0u64..).zip([parsed(&encoded), holding(&encoded), encoded]) {
+            let what = format!("round {round} {} form {k}", preset.name());
+            let seed = 10 * round + k;
+            let m = operand(x.cols(), 20, seed, round % 2 == 0);
+            batch.matmat_into_ws(&m, &mut out, &mut ws);
+            batch.matmat_into_ws(&m, &mut want, &mut ExecScratch::default());
+            assert_same_bits(&out, &want, &format!("{what} A·M"));
+            let m = operand(20, x.rows(), 100 + seed, round % 2 == 1);
+            batch.matmat_left_into_ws(&m, &mut out, &mut ws);
+            batch.matmat_left_into_ws(&m, &mut want, &mut ExecScratch::default());
+            assert_same_bits(&out, &want, &format!("{what} M·A"));
+            let d = operand(x.rows(), 13, 200 + seed, true);
+            batch.matmat_t_into_ws(&d, &mut out, &mut ws);
+            batch.matmat_t_into_ws(&d, &mut want, &mut ExecScratch::default());
+            assert_same_bits(&out, &want, &format!("{what} Aᵀ·D"));
+        }
+    }
+}
+
+#[test]
+fn a_reserved_scratch_runs_on_another_thread_as_a_fresh_one() {
+    // `reserve_scratch` grows a scratch on one thread for the kernels
+    // another runs: it derives nothing but a held plan the batch has not
+    // filled yet, and the kernels run through it as through a fresh one.
+    for preset in DatasetPreset::ALL {
+        let x = generate_preset(preset, 250, 42).x;
+        let encoded = Scheme::Toc.encode(&x);
+        for (k, batch) in [encoded.clone(), parsed(&encoded), holding(&encoded)]
+            .iter()
+            .enumerate()
+        {
+            let what = format!("{} form {k}", preset.name());
+            let mut ws = ExecScratch::default();
+            batch.reserve_scratch(16, &mut ws);
+            let held = batch.toc().unwrap().held_plan_bytes();
+            assert_eq!(held > 0, k == 2, "{what}: only a held plan is filled");
+            assert_eq!(ws.toc.builds(), u64::from(k == 2), "{what}");
+            let run = |ws: &mut ExecScratch| {
+                let mut out = DenseMatrix::default();
+                batch.matmat_into_ws(&operand(x.cols(), 16, 1, false), &mut out, ws);
+                let mut bits: Vec<u64> = out.data().iter().map(|v| v.to_bits()).collect();
+                batch.matmat_t_into_ws(&operand(x.rows(), 16, 2, true), &mut out, ws);
+                bits.extend(out.data().iter().map(|v| v.to_bits()));
+                bits
+            };
+            let got = std::thread::scope(|s| s.spawn(|| run(&mut ws)).join().unwrap());
+            assert!(got == run(&mut ExecScratch::default()), "{what}");
+        }
+    }
 }
 
 #[test]

@@ -176,6 +176,33 @@ impl DenseMatrix {
         self.data.resize(rows * cols, 0.0);
     }
 
+    /// Grow the capacity to a `rows × cols` matrix's, leaving the shape
+    /// and the values as they are: a later [`Self::reset`] to that shape
+    /// allocates nothing.
+    pub fn reserve(&mut self, rows: usize, cols: usize) {
+        self.data
+            .reserve((rows * cols).saturating_sub(self.data.len()));
+    }
+
+    /// Columns `range` of `self` into `out`, reshaped to `rows ×
+    /// range.len()` (no allocation once `out` has held that many values).
+    pub fn columns_into(&self, range: std::ops::Range<usize>, out: &mut DenseMatrix) {
+        assert!(range.end <= self.cols, "column range out of bounds");
+        (out.rows, out.cols) = (self.rows, range.len());
+        out.data.clear();
+        for r in 0..self.rows {
+            out.data.extend_from_slice(&self.row(r)[range.clone()]);
+        }
+    }
+
+    /// Overwrite `self`'s columns `col0..col0 + src.cols()` with `src`.
+    pub fn set_columns(&mut self, col0: usize, src: &DenseMatrix) {
+        assert_eq!(self.rows, src.rows, "set_columns row mismatch");
+        for r in 0..self.rows {
+            self.row_mut(r)[col0..col0 + src.cols].copy_from_slice(src.row(r));
+        }
+    }
+
     /// Transpose.
     pub fn transpose(&self) -> DenseMatrix {
         let mut out = DenseMatrix::zeros(self.cols, self.rows);

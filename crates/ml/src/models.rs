@@ -10,9 +10,16 @@
 //! | Neural network | `A·M`, `M·A` |
 
 use crate::losses::{sigmoid, softmax_inplace, LossKind};
-use crate::workspace::ExecWorkspace;
+use crate::workspace::{ColumnGroup, ExecWorkspace, GroupBufs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::any::Any;
+use std::ops::Range;
+use std::panic::{self, AssertUnwindSafe};
+use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
+use std::sync::OnceLock;
+use std::thread;
+use std::time::{Duration, Instant};
 use toc_formats::MatrixBatch;
 use toc_linalg::dense::reset_vec;
 use toc_linalg::DenseMatrix;
@@ -221,6 +228,119 @@ pub struct NeuralNet {
     pub trace: OpTrace,
 }
 
+/// The least `size_bytes × p` — a batch's encoded bytes times the width
+/// of the first hidden layer — at which a step splits its first layer
+/// across cores (see [`NeuralNet::update_batch_ws`]). Below it the split's
+/// fixed cost, a thread spawned every step and the hand-offs, outweighs
+/// half the first layer's work. A constant, not a knob. Measured on a
+/// 2-vCPU Xeon with 250-row batches and `[32, 16]` hidden units, serial
+/// against split µs per step over two alternated passes: census-like TOC
+/// (`size_bytes × p` = 140 k) 645–657 vs 871–1 563 and kdd99-like TOC
+/// (56 k) 487–512 vs 487–496 stay serial, as do rcv1-like TOC (689 k,
+/// 1 211–1 241 vs 1 096–1 332) and CSR (608 k, 859–1 185 vs 960–1 244),
+/// a wash; kdd99-like CSR (1.53 M) 699–756 vs 625, mnist-like TOC
+/// (1.97 M) 2 368–2 790 vs 1 992–2 006 and imagenet-like TOC (2.43 M)
+/// 3 197–3 330 vs 2 785–3 069 split.
+pub const SPLIT_WORK: usize = 1 << 20;
+
+/// Column groups are whole multiples of this many hidden units: the TOC
+/// matrix kernels sweep their dense operand in blocks of 8 columns
+/// (`toc_core::ops::BLOCK`) and pad a tail block to full width, so a group
+/// boundary inside a block would pay for one block twice.
+const GROUP_COLS: usize = 8;
+
+/// How many column groups a step splits a `p`-unit first layer into over
+/// a batch of `size_bytes` encoded bytes: one per core, at most one per
+/// [`GROUP_COLS`] units, and `1` (serial) below [`SPLIT_WORK`].
+fn split_groups(size_bytes: usize, p: usize) -> usize {
+    static CORES: OnceLock<usize> = OnceLock::new();
+    if size_bytes.saturating_mul(p) < SPLIT_WORK {
+        return 1;
+    }
+    let cores = *CORES.get_or_init(|| thread::available_parallelism().map_or(1, |n| n.get()));
+    cores.min(p.div_ceil(GROUP_COLS))
+}
+
+/// The hidden units of column group `g` of `groups`: whole blocks of
+/// [`GROUP_COLS`], the earlier groups — the caller's first — taking the
+/// extra block when they do not divide evenly.
+fn group_cols(p: usize, groups: usize, g: usize) -> Range<usize> {
+    let blocks = p.div_ceil(GROUP_COLS);
+    let start = |g: usize| ((g * blocks).div_ceil(groups) * GROUP_COLS).min(p);
+    start(g)..start(g + 1)
+}
+
+/// How long a hand-off between the threads of a split step spins before
+/// it blocks. Blocking costs a wake-up, which on a virtualised host takes
+/// from a few µs to a few hundred, and it falls on the step's critical
+/// path; the longest wait, a helper's for `δ2` while the caller runs the
+/// dense layers, was 0.15–0.6 ms on the presets measured at `[32, 16]`
+/// hidden units. A constant, not a knob.
+const SPIN: Duration = Duration::from_millis(1);
+
+/// What a helper's kernel panicked with.
+type Panic = Box<dyn Any + Send>;
+
+/// The caller's end of one helper of a split first layer.
+struct Link<'scope> {
+    /// The helper's activations, `σ(A·W_g + b_g)`.
+    act_rx: Receiver<Result<&'scope DenseMatrix, Panic>>,
+    /// `δ2` and `W2ᵀ`, lent to the helper for its backward half.
+    go_tx: SyncSender<(&'scope DenseMatrix, &'scope DenseMatrix)>,
+    /// The helper's gradients, `Aᵀ·δ_g` and its bias's.
+    grad_rx: Receiver<Result<(&'scope DenseMatrix, &'scope [f64]), Panic>>,
+}
+
+/// The next message on `rx`, spinning for up to [`SPIN`] before it blocks;
+/// `None` once the sender has hung up.
+fn receive<T>(rx: &Receiver<T>) -> Option<T> {
+    let start = Instant::now();
+    loop {
+        match rx.try_recv() {
+            Ok(message) => return Some(message),
+            Err(TryRecvError::Disconnected) => return None,
+            Err(TryRecvError::Empty) if start.elapsed() < SPIN => std::hint::spin_loop(),
+            Err(TryRecvError::Empty) => return rx.recv().ok(),
+        }
+    }
+}
+
+/// A helper's answer; its panic, raised again on this thread.
+fn answer<T>(rx: &Receiver<Result<T, Panic>>) -> T {
+    match receive(rx).expect("a helper answers before it ends") {
+        Ok(answer) => answer,
+        Err(panic) => panic::resume_unwind(panic),
+    }
+}
+
+/// `z = σ(z + b)`, `b` added to every row.
+pub(crate) fn add_bias_sigmoid(z: &mut DenseMatrix, b: &[f64]) {
+    for r in 0..z.rows() {
+        for (v, &bb) in z.row_mut(r).iter_mut().zip(b) {
+            *v = sigmoid(*v + bb);
+        }
+    }
+}
+
+/// `σ'` of the first layer's activations `act` into `delta` in place
+/// (`delta ∘= act ∘ (1 − act)`), and `delta`'s column sums — the first
+/// layer's bias gradient — into `sums`.
+pub(crate) fn sigmoid_grad_and_sums(
+    delta: &mut DenseMatrix,
+    act: &DenseMatrix,
+    sums: &mut Vec<f64>,
+) {
+    for (d, &a) in delta.data_mut().iter_mut().zip(act.data()) {
+        *d *= a * (1.0 - a);
+    }
+    reset_vec(sums, delta.cols());
+    for r in 0..delta.rows() {
+        for (s, &d) in sums.iter_mut().zip(delta.row(r)) {
+            *s += d;
+        }
+    }
+}
+
 /// Activations captured during a forward pass.
 pub struct Forward {
     /// Post-activation values per hidden layer.
@@ -258,14 +378,6 @@ impl NeuralNet {
         }
     }
 
-    fn add_bias_sigmoid(z: &mut DenseMatrix, b: &[f64]) {
-        for r in 0..z.rows() {
-            for (v, &bb) in z.row_mut(r).iter_mut().zip(b) {
-                *v = sigmoid(*v + bb);
-            }
-        }
-    }
-
     /// Forward pass over a (compressed) batch.
     ///
     /// Thin wrapper over [`Self::forward_ws`] with a throwaway workspace;
@@ -283,16 +395,22 @@ impl NeuralNet {
     /// the post-activation values of layer `l` and `ws.acts[n_layers - 1]`
     /// the output probabilities. No allocation in steady state.
     pub fn forward_ws(&mut self, batch: &dyn MatrixBatch, ws: &mut ExecWorkspace) {
-        let n_layers = self.weights.len();
-        ws.ensure_layers(n_layers);
+        ws.ensure_layers(self.weights.len());
         // Input layer: A · W1 runs on the compressed representation.
         batch.matmat_into_ws(&self.weights[0], &mut ws.acts[0], &mut ws.exec);
         self.trace.matmat += 1;
-        Self::add_bias_sigmoid(&mut ws.acts[0], &self.biases[0]);
+        add_bias_sigmoid(&mut ws.acts[0], &self.biases[0]);
+        self.forward_dense(ws);
+    }
+
+    /// The forward pass after the first layer, whose activations
+    /// `ws.acts[0]` holds on entry.
+    fn forward_dense(&self, ws: &mut ExecWorkspace) {
+        let n_layers = self.weights.len();
         for l in 1..n_layers - 1 {
             let (prev, rest) = ws.acts.split_at_mut(l);
             prev[l - 1].matmat_into(&self.weights[l], &mut rest[0]);
-            Self::add_bias_sigmoid(&mut rest[0], &self.biases[l]);
+            add_bias_sigmoid(&mut rest[0], &self.biases[l]);
         }
         // Output layer.
         let (prev, rest) = ws.acts.split_at_mut(n_layers - 1);
@@ -324,8 +442,19 @@ impl NeuralNet {
     }
 
     /// [`Self::update_batch`] with caller-owned scratch: activations,
-    /// deltas, gradients and transposition staging all live in `ws`, so a
-    /// steady-state epoch performs zero per-batch heap allocation.
+    /// deltas, gradients and transposition staging all live in `ws`, so in
+    /// a steady-state epoch no buffer grows.
+    ///
+    /// When the first layer is worth it ([`SPLIT_WORK`]) and the host has
+    /// more than one core, the step splits it by hidden units: one column
+    /// group of `W1` per core, the caller's thread running the first group
+    /// and a scoped helper thread each of the others. A group computes its
+    /// columns of the first layer's activations (`σ(A·W_g + b_g)`), of its
+    /// delta and of its two gradients (`Aᵀ·δ_g` and the bias's); the
+    /// caller runs the dense layers in between. Every output column of
+    /// `A·W1`, of `Aᵀ·δ1` and of the element-wise and dense steps around
+    /// them is computed in the same order whatever the other columns are,
+    /// so the weights are the serial step's, bit for bit.
     pub fn update_batch_ws(
         &mut self,
         batch: &dyn MatrixBatch,
@@ -333,10 +462,57 @@ impl NeuralNet {
         lr: f64,
         ws: &mut ExecWorkspace,
     ) {
-        let n = batch.rows();
-        debug_assert_eq!(targets.rows(), n);
+        let groups = split_groups(batch.size_bytes(), self.weights[0].cols());
+        self.step(batch, targets, lr, ws, groups);
+    }
+
+    /// [`Self::update_batch_ws`] with the first layer split into `groups`
+    /// column groups (`1`: serial).
+    fn step(
+        &mut self,
+        batch: &dyn MatrixBatch,
+        targets: &DenseMatrix,
+        lr: f64,
+        ws: &mut ExecWorkspace,
+        groups: usize,
+    ) {
+        debug_assert_eq!(targets.rows(), batch.rows());
         debug_assert_eq!(targets.cols(), self.outputs);
-        self.forward_ws(batch, ws);
+        ws.ensure_layers(self.weights.len());
+        if groups > 1 {
+            self.split_first_layer(batch, targets, ws, groups);
+        } else {
+            batch.matmat_into_ws(&self.weights[0], &mut ws.acts[0], &mut ws.exec);
+            add_bias_sigmoid(&mut ws.acts[0], &self.biases[0]);
+            self.forward_dense(ws);
+            self.backward_dense(targets, ws);
+            // δ1 = (δ2 · W2ᵀ) ∘ σ'(hidden_1), and its bias gradient.
+            ws.delta.matmat_into(&ws.trans, &mut ws.delta2);
+            std::mem::swap(&mut ws.delta, &mut ws.delta2);
+            sigmoid_grad_and_sums(&mut ws.delta, &ws.acts[0], &mut ws.grads_b[0]);
+            // Aᵀ · δ1 on the compressed batch (Algorithm 8).
+            batch.matmat_t_into_ws(&ws.delta, &mut ws.grads_w[0], &mut ws.exec);
+        }
+        self.trace.matmat += 1;
+        self.trace.matmat_left += 1;
+        for l in 0..self.weights.len() {
+            let w = self.weights[l].data_mut();
+            for (wv, gv) in w.iter_mut().zip(ws.grads_w[l].data()) {
+                *wv -= lr * gv;
+            }
+            for (bv, gv) in self.biases[l].iter_mut().zip(&ws.grads_b[l]) {
+                *bv -= lr * gv;
+            }
+        }
+    }
+
+    /// The backward pass down to the second layer: every gradient of the
+    /// layers after the first, taken at the pre-step weights (they are
+    /// applied after the step). Leaves the second layer's delta `δ2` in
+    /// `ws.delta` and `W2ᵀ` in `ws.trans`: what the first layer's delta is
+    /// made of.
+    fn backward_dense(&self, targets: &DenseMatrix, ws: &mut ExecWorkspace) {
+        let n = targets.rows();
         let n_layers = self.weights.len();
         let inv = 1.0 / n as f64;
 
@@ -352,18 +528,7 @@ impl NeuralNet {
             }
         }
 
-        // Walk layers backwards, accumulating weight/bias gradients into
-        // the workspace; apply them only after the walk (gradients must be
-        // taken at the pre-step weights).
-        for l in (0..n_layers).rev() {
-            // Gradient for W_l = activationsᵀ · delta.
-            if l == 0 {
-                // Aᵀ · δ1 on the compressed batch (Algorithm 8).
-                batch.matmat_t_into_ws(&ws.delta, &mut ws.grads_w[l], &mut ws.exec);
-                self.trace.matmat_left += 1;
-            } else {
-                ws.acts[l - 1].matmat_t_into(&ws.delta, &mut ws.grads_w[l]);
-            }
+        for l in (1..n_layers).rev() {
             let grad_b = &mut ws.grads_b[l];
             reset_vec(grad_b, ws.delta.cols());
             for r in 0..ws.delta.rows() {
@@ -371,9 +536,11 @@ impl NeuralNet {
                     *gb += d;
                 }
             }
-            if l > 0 {
+            // Gradient for W_l = activationsᵀ · delta.
+            ws.acts[l - 1].matmat_t_into(&ws.delta, &mut ws.grads_w[l]);
+            self.weights[l].transpose_into(&mut ws.trans);
+            if l > 1 {
                 // delta_{l} = (delta_{l+1} · W_lᵀ) ∘ σ'(hidden_{l-1}).
-                self.weights[l].transpose_into(&mut ws.trans);
                 ws.delta.matmat_into(&ws.trans, &mut ws.delta2);
                 let act = &ws.acts[l - 1];
                 for (d, &a) in ws.delta2.data_mut().iter_mut().zip(act.data()) {
@@ -382,15 +549,157 @@ impl NeuralNet {
                 std::mem::swap(&mut ws.delta, &mut ws.delta2);
             }
         }
-        for l in 0..n_layers {
-            let w = self.weights[l].data_mut();
-            for (wv, gv) in w.iter_mut().zip(ws.grads_w[l].data()) {
-                *wv -= lr * gv;
-            }
-            for (bv, gv) in self.biases[l].iter_mut().zip(&ws.grads_b[l]) {
-                *bv -= lr * gv;
+    }
+
+    /// The first layer split into `groups` column groups of `W1` (see
+    /// [`Self::update_batch_ws`]): afterwards `ws` holds the activations
+    /// and gradients the serial step leaves.
+    ///
+    /// Each helper runs its group's forward half ([`GroupBufs::forward`])
+    /// and lends the result to the caller, which runs its own group's, the
+    /// dense layers once it has every group's activations, and then lends
+    /// every helper `δ2` and `W2ᵀ`; each group runs its backward half
+    /// ([`GroupBufs::backward`]) and the caller gathers the gradients.
+    /// Every hand-off spins a while before it blocks ([`receive`]).
+    ///
+    /// Every buffer a helper writes is grown here, before it starts
+    /// ([`MatrixBatch::reserve_scratch`] for its kernels' scratch): what a
+    /// thread allocates comes from an allocator arena of its own, and a
+    /// helper's would stay resident. A helper's panic is caught on its
+    /// thread and raised again, payload and all, on the caller's.
+    fn split_first_layer(
+        &self,
+        batch: &dyn MatrixBatch,
+        targets: &DenseMatrix,
+        ws: &mut ExecWorkspace,
+        groups: usize,
+    ) {
+        let (rows, cols) = (batch.rows(), batch.cols());
+        let (w1, b1) = (&self.weights[0], &self.biases[0][..]);
+        let (p, next) = (w1.cols(), self.weights[1].cols());
+        // Out of `ws` while the helpers hold them, so that the dense
+        // layers can have the rest of it meanwhile.
+        let mut split = std::mem::take(&mut ws.groups);
+        if split.len() < groups {
+            split.resize_with(groups, ColumnGroup::default);
+        }
+        for (g, group) in split[..groups].iter_mut().enumerate() {
+            let width = group_cols(p, groups, g).len();
+            group.bufs.reserve(rows, cols, next, width);
+            if g > 0 {
+                batch.reserve_scratch(width, &mut group.exec);
             }
         }
+        let (own, helpers) = split[..groups]
+            .split_first_mut()
+            .expect("two groups or more");
+        std::thread::scope(|scope| {
+            let links: Vec<Link> = (1..)
+                .zip(helpers.iter_mut())
+                .map(|(g, group)| {
+                    let (act_tx, act_rx) = mpsc::sync_channel(1);
+                    let (go_tx, go_rx) = mpsc::sync_channel::<(&DenseMatrix, &DenseMatrix)>(1);
+                    let (grad_tx, grad_rx) = mpsc::sync_channel(1);
+                    scope.spawn(move || {
+                        let range = group_cols(p, groups, g);
+                        let GroupBufs {
+                            w,
+                            act,
+                            trans,
+                            delta,
+                            grad,
+                            grad_b,
+                        } = &mut group.bufs;
+                        let exec = &mut group.exec;
+                        let forward = panic::catch_unwind(AssertUnwindSafe(|| {
+                            GroupBufs::forward(
+                                batch,
+                                w1,
+                                &b1[range.clone()],
+                                range.clone(),
+                                w,
+                                act,
+                                exec,
+                            )
+                        }));
+                        let act: &DenseMatrix = act;
+                        if act_tx.send(forward.map(|()| act)).is_err() {
+                            return;
+                        }
+                        let Some((delta2, trans2)) = receive(&go_rx) else {
+                            return;
+                        };
+                        let backward = panic::catch_unwind(AssertUnwindSafe(|| {
+                            GroupBufs::backward(
+                                batch, act, delta2, trans2, range, trans, delta, grad, grad_b, exec,
+                            )
+                        }));
+                        let (grad, grad_b): (&DenseMatrix, &[f64]) = (grad, grad_b);
+                        let _ = grad_tx.send(backward.map(|()| (grad, grad_b)));
+                    });
+                    Link {
+                        act_rx,
+                        go_tx,
+                        grad_rx,
+                    }
+                })
+                .collect();
+
+            let range = group_cols(p, groups, 0);
+            let GroupBufs {
+                w,
+                act,
+                trans,
+                delta,
+                grad,
+                grad_b,
+            } = &mut own.bufs;
+            GroupBufs::forward(
+                batch,
+                w1,
+                &b1[range.clone()],
+                range.clone(),
+                w,
+                act,
+                &mut ws.exec,
+            );
+            ws.acts[0].reset(rows, p);
+            ws.acts[0].set_columns(0, act);
+            for (g, link) in (1..).zip(&links) {
+                let act = answer(&link.act_rx);
+                ws.acts[0].set_columns(group_cols(p, groups, g).start, act);
+            }
+            self.forward_dense(ws);
+            self.backward_dense(targets, ws);
+            let (delta2, trans2) = (&ws.delta, &ws.trans);
+            for link in &links {
+                // A helper that hung up has sent its panic already.
+                let _ = link.go_tx.send((delta2, trans2));
+            }
+            GroupBufs::backward(
+                batch,
+                act,
+                delta2,
+                trans2,
+                range,
+                trans,
+                delta,
+                grad,
+                grad_b,
+                &mut ws.exec,
+            );
+            ws.grads_w[0].reset(cols, p);
+            ws.grads_w[0].set_columns(0, grad);
+            let grads_b = &mut ws.grads_b[0];
+            grads_b.clear();
+            grads_b.extend_from_slice(grad_b);
+            for (g, link) in (1..).zip(&links) {
+                let (grad, grad_b) = answer(&link.grad_rx);
+                ws.grads_w[0].set_columns(group_cols(p, groups, g).start, grad);
+                ws.grads_b[0].extend_from_slice(grad_b);
+            }
+        });
+        ws.groups = split;
     }
 
     /// Mean cross-entropy loss.
@@ -466,7 +775,10 @@ impl NeuralNet {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use toc_formats::Scheme;
+    use std::panic::AssertUnwindSafe;
+    use std::sync::atomic::{AtomicU8, Ordering};
+    use toc_data::synth::{generate_preset, Dataset, DatasetPreset};
+    use toc_formats::{AnyBatch, ExecScratch, Scheme};
 
     fn separable_data(n: usize, d: usize, seed: u64) -> (DenseMatrix, Vec<f64>) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -759,5 +1071,224 @@ mod tests {
             nn.update_batch(&batch, &targets, 0.8);
         }
         assert!(nn.accuracy(&batch, &targets) > 0.95);
+    }
+
+    /// `ds`'s labels as the trainer hands them to the net: `outputs` units.
+    fn nn_targets(ds: &Dataset) -> (usize, DenseMatrix) {
+        let outputs = if ds.classes == 2 { 1 } else { ds.classes };
+        let mut targets = DenseMatrix::default();
+        crate::mgd::targets_for_nn_into(&ds.labels, outputs, &mut targets);
+        (outputs, targets)
+    }
+
+    /// Every weight and bias of `nn`, as bits.
+    fn bits(nn: &NeuralNet) -> Vec<u64> {
+        let weights = nn.weights.iter().flat_map(|w| w.data());
+        let biases = nn.biases.iter().flatten();
+        weights.chain(biases).map(|x| x.to_bits()).collect()
+    }
+
+    /// `nn` after `steps` steps on `batch` through one workspace, its first
+    /// layer split into `groups` column groups.
+    fn stepped(
+        nn: &NeuralNet,
+        batch: &dyn MatrixBatch,
+        targets: &DenseMatrix,
+        groups: usize,
+    ) -> NeuralNet {
+        let mut nn = nn.clone();
+        let mut ws = ExecWorkspace::new();
+        for _ in 0..2 {
+            nn.step(batch, targets, 0.3, &mut ws, groups);
+        }
+        nn
+    }
+
+    #[test]
+    fn a_split_step_is_the_serial_step_bit_for_bit() {
+        // Every scheme, resident, parsed (carrying its own tree, holding no
+        // plan) and, for the TOC family, holding its plan; first layers
+        // narrower than, as wide as and wider than one, two and four
+        // column groups, split in two and in three (an empty group
+        // included).
+        for (preset, rows) in [
+            (DatasetPreset::CensusLike, 40),
+            (DatasetPreset::MnistLike, 24),
+        ] {
+            let ds = generate_preset(preset, rows, 5);
+            let (outputs, targets) = nn_targets(&ds);
+            for scheme in Scheme::ALL {
+                let resident = scheme.encode(&ds.x);
+                let parsed = Scheme::from_bytes(&resident.to_bytes()).unwrap();
+                let mut forms = vec![("resident", resident.clone()), ("parsed", parsed)];
+                let mut held = resident;
+                if let Some(toc) = held.toc_mut() {
+                    toc.hold_plan();
+                    forms.push(("held", held));
+                }
+                for (form, batch) in &forms {
+                    for p in [8, 9, 16, 17, 20, 32, 33] {
+                        let nn = NeuralNet::new(ds.x.cols(), &[p, 5], outputs, 3);
+                        let serial = bits(&stepped(&nn, batch, &targets, 1));
+                        for groups in [2, 3] {
+                            let split = stepped(&nn, batch, &targets, groups);
+                            assert!(
+                                split.trace.matmat == 2 && split.trace.matmat_left == 2,
+                                "one A·M and one Aᵀ·δ per step, however split"
+                            );
+                            assert!(
+                                bits(&split) == serial,
+                                "{} {} {form} p={p} groups={groups}",
+                                preset.name(),
+                                scheme.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn column_groups_are_whole_blocks_the_callers_first_and_widest() {
+        for p in [8, 9, 16, 17, 20, 32, 33] {
+            for groups in [2, 3, 4] {
+                let ranges: Vec<_> = (0..groups).map(|g| group_cols(p, groups, g)).collect();
+                assert_eq!(ranges[0].start, 0);
+                assert_eq!(ranges[groups - 1].end, p);
+                // More groups than blocks leaves some empty; otherwise no
+                // group is wider than one before it.
+                let even = groups <= p.div_ceil(GROUP_COLS);
+                for (a, b) in ranges.iter().zip(&ranges[1..]) {
+                    assert_eq!(a.end, b.start);
+                    assert!(a.start % GROUP_COLS == 0 || a.is_empty(), "{p}/{groups}");
+                    assert!(!even || a.len() >= b.len(), "{p}/{groups}");
+                }
+            }
+        }
+        assert_eq!(group_cols(20, 2, 0), 0..16);
+        assert_eq!(group_cols(20, 2, 1), 16..20);
+        assert_eq!(split_groups(usize::MAX, 8), 1, "one block is never split");
+    }
+
+    #[test]
+    fn census_and_kdd99_like_toc_stay_below_the_work_constant() {
+        // 250-row batches with the harness's 32-unit first layer: the two
+        // presets with the smallest TOC batches step serially, mnist-like
+        // splits.
+        let work = |preset| {
+            let x = generate_preset(preset, 250, 42).x;
+            Scheme::Toc.encode(&x).size_bytes() * 32
+        };
+        for preset in [DatasetPreset::CensusLike, DatasetPreset::Kdd99Like] {
+            assert!(work(preset) < SPLIT_WORK / 4, "{}", preset.name());
+            assert_eq!(split_groups(work(preset) / 32, 32), 1);
+        }
+        assert!(work(DatasetPreset::MnistLike) > SPLIT_WORK * 3 / 2);
+    }
+
+    /// A batch that panics in the kernel a helper thread runs, forward or
+    /// backward, and runs `inner` on every other call.
+    struct PanicsOffThread {
+        inner: AnyBatch,
+        owner: thread::ThreadId,
+        /// Which helper kernel panics: [`NO_PANIC`], [`FORWARD`] or
+        /// [`BACKWARD`].
+        panics: AtomicU8,
+    }
+
+    const NO_PANIC: u8 = 0;
+    const FORWARD: u8 = 1;
+    const BACKWARD: u8 = 2;
+
+    impl PanicsOffThread {
+        fn check(&self, kernel: u8) {
+            let off_thread = thread::current().id() != self.owner;
+            if off_thread && self.panics.load(Ordering::Relaxed) == kernel {
+                panic!("a helper's kernel failed");
+            }
+        }
+    }
+
+    impl MatrixBatch for PanicsOffThread {
+        fn rows(&self) -> usize {
+            self.inner.rows()
+        }
+        fn cols(&self) -> usize {
+            self.inner.cols()
+        }
+        fn size_bytes(&self) -> usize {
+            self.inner.size_bytes()
+        }
+        fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch) {
+            self.inner.matvec_into_ws(v, out, ws)
+        }
+        fn vecmat_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch) {
+            self.inner.vecmat_into_ws(v, out, ws)
+        }
+        fn matmat_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
+            self.check(FORWARD);
+            self.inner.matmat_into_ws(m, out, ws)
+        }
+        fn matmat_left_into_ws(
+            &self,
+            m: &DenseMatrix,
+            out: &mut DenseMatrix,
+            ws: &mut ExecScratch,
+        ) {
+            self.inner.matmat_left_into_ws(m, out, ws)
+        }
+        fn matmat_t_into_ws(&self, d: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
+            self.check(BACKWARD);
+            self.inner.matmat_t_into_ws(d, out, ws)
+        }
+        fn reserve_scratch(&self, p: usize, ws: &mut ExecScratch) {
+            self.inner.reserve_scratch(p, ws)
+        }
+        fn decode_into_ws(&self, out: &mut DenseMatrix, ws: &mut ExecScratch) {
+            self.inner.decode_into_ws(out, ws)
+        }
+        fn scale(&mut self, c: f64) {
+            self.inner.scale(c)
+        }
+        fn to_bytes(&self) -> Vec<u8> {
+            self.inner.to_bytes()
+        }
+    }
+
+    #[test]
+    fn a_helper_panic_is_raised_on_the_caller_and_the_next_step_is_sound() {
+        let ds = generate_preset(DatasetPreset::MnistLike, 24, 6);
+        let (outputs, targets) = nn_targets(&ds);
+        let batch = PanicsOffThread {
+            inner: Scheme::Toc.encode(&ds.x),
+            owner: thread::current().id(),
+            panics: AtomicU8::new(NO_PANIC),
+        };
+        let start = NeuralNet::new(ds.x.cols(), &[20, 5], outputs, 4);
+        let want = bits(&stepped(&start, &batch, &targets, 1));
+        for kernel in [FORWARD, BACKWARD] {
+            let mut nn = start.clone();
+            let mut ws = ExecWorkspace::new();
+            nn.step(&batch, &targets, 0.3, &mut ws, 2);
+            let before = bits(&nn);
+            batch.panics.store(kernel, Ordering::Relaxed);
+            let panic = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                nn.step(&batch, &targets, 0.3, &mut ws, 2)
+            }))
+            .expect_err("the helper's panic reaches the caller");
+            assert_eq!(
+                panic.downcast_ref::<&str>(),
+                Some(&"a helper's kernel failed"),
+                "the helper's own payload"
+            );
+            assert_eq!(bits(&nn), before, "a step that panicked applied nothing");
+            batch.panics.store(NO_PANIC, Ordering::Relaxed);
+            nn.step(&batch, &targets, 0.3, &mut ws, 2);
+            assert!(
+                bits(&nn) == want,
+                "kernel {kernel}: the step after the panic"
+            );
+        }
     }
 }

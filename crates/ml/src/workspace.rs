@@ -9,17 +9,24 @@
 //! decompression staging, the TOC decode tree — built once per visited
 //! batch, because every kernel of a step goes through this one scratch).
 //! Buffers grow to the high-water mark of the shapes seen and are reused
-//! thereafter.
+//! thereafter. (A neural-net step that splits its first layer across
+//! cores spawns its helper threads each step: the spawns and their
+//! channels allocate a few small objects on the calling thread, but no
+//! buffer grows.)
 
-use toc_formats::ExecScratch;
+use std::ops::Range;
+use toc_formats::{ExecScratch, MatrixBatch};
 use toc_linalg::DenseMatrix;
 
 /// Reusable scratch buffers for one training thread.
 ///
-/// Create once (e.g. per [`crate::mgd::Trainer`] run or per data-parallel
-/// worker) and pass to the `*_ws` update methods. All fields are plain
-/// buffers: dropping or recreating the workspace only costs allocations
-/// (and one more TOC tree build), never correctness.
+/// Create once (e.g. per [`crate::mgd::Trainer`] run) and pass to the
+/// `*_ws` update methods. A neural-net step that splits its first layer
+/// across cores (see [`crate::NeuralNet::update_batch_ws`]) keeps its
+/// helper threads' buffers and kernel scratch here too, one column group
+/// each, grown on the calling thread before the helpers start. All fields
+/// are plain buffers: dropping or recreating the workspace only costs
+/// allocations (and one more TOC tree build), never correctness.
 #[derive(Debug, Default)]
 pub struct ExecWorkspace {
     /// Format-level scratch (GC decompression staging, the TOC decode
@@ -50,6 +57,91 @@ pub struct ExecWorkspace {
     pub grads_w: Vec<DenseMatrix>,
     /// NN per-layer bias-gradient buffers.
     pub grads_b: Vec<Vec<f64>>,
+    /// The column groups of a first layer the step splits across cores
+    /// (see [`crate::NeuralNet::update_batch_ws`]): the caller's first,
+    /// whose kernels run in [`Self::exec`], then one per helper thread.
+    pub(crate) groups: Vec<ColumnGroup>,
+}
+
+/// One column group's share of a split first layer. A helper thread
+/// writes only these buffers, and the caller grows each of them before
+/// the helper starts.
+#[derive(Debug, Default)]
+pub(crate) struct ColumnGroup {
+    /// The helper's kernel scratch (unused in the caller's group, whose
+    /// kernels run in [`ExecWorkspace::exec`]).
+    pub(crate) exec: ExecScratch,
+    pub(crate) bufs: GroupBufs,
+}
+
+/// A column group's buffers, for `g` the group's hidden units.
+#[derive(Debug, Default)]
+pub(crate) struct GroupBufs {
+    /// `W1`'s columns `g`.
+    pub(crate) w: DenseMatrix,
+    /// The group's activations, `σ(A·W_g + b_g)`.
+    pub(crate) act: DenseMatrix,
+    /// `W2ᵀ`'s columns `g`.
+    pub(crate) trans: DenseMatrix,
+    /// The group's columns of `δ1`.
+    pub(crate) delta: DenseMatrix,
+    /// `Aᵀ·δ_g`: `∇W1`'s columns `g`.
+    pub(crate) grad: DenseMatrix,
+    /// The group's entries of the first layer's bias gradient.
+    pub(crate) grad_b: Vec<f64>,
+}
+
+impl GroupBufs {
+    /// Grow every buffer for a `rows × cols` batch, `next` units in the
+    /// second layer and `width` in the group, writing nothing.
+    pub(crate) fn reserve(&mut self, rows: usize, cols: usize, next: usize, width: usize) {
+        self.w.reserve(cols, width);
+        self.act.reserve(rows, width);
+        self.trans.reserve(next, width);
+        self.delta.reserve(rows, width);
+        self.grad.reserve(cols, width);
+        self.grad_b.reserve(width.saturating_sub(self.grad_b.len()));
+    }
+
+    /// The forward half of group `range` of `W1` (biases `b`): `act =
+    /// σ(A·W_g + b)`, the serial step's columns `range` of the first
+    /// layer's activations.
+    pub(crate) fn forward(
+        batch: &dyn MatrixBatch,
+        w1: &DenseMatrix,
+        b: &[f64],
+        range: Range<usize>,
+        w: &mut DenseMatrix,
+        act: &mut DenseMatrix,
+        exec: &mut ExecScratch,
+    ) {
+        w1.columns_into(range, w);
+        batch.matmat_into_ws(w, act, exec);
+        crate::models::add_bias_sigmoid(act, b);
+    }
+
+    /// The backward half of group `range`, from its activations `act`,
+    /// the second layer's delta `delta2` and `W2ᵀ` (`trans2`): the serial
+    /// step's columns `range` of `δ1 = (δ2 · W2ᵀ) ∘ σ'(act)`, of the first
+    /// layer's bias gradient (`grad_b`) and of `Aᵀ·δ1` (`grad`).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn backward(
+        batch: &dyn MatrixBatch,
+        act: &DenseMatrix,
+        delta2: &DenseMatrix,
+        trans2: &DenseMatrix,
+        range: Range<usize>,
+        trans: &mut DenseMatrix,
+        delta: &mut DenseMatrix,
+        grad: &mut DenseMatrix,
+        grad_b: &mut Vec<f64>,
+        exec: &mut ExecScratch,
+    ) {
+        trans2.columns_into(range, trans);
+        delta2.matmat_into(trans, delta);
+        crate::models::sigmoid_grad_and_sums(delta, act, grad_b);
+        batch.matmat_t_into_ws(delta, grad, exec);
+    }
 }
 
 impl ExecWorkspace {
