@@ -10,17 +10,17 @@
 //! | Neural network | `A·M`, `M·A` |
 
 use crate::losses::{sigmoid, softmax_inplace, LossKind};
-use crate::workspace::{ColumnGroup, ExecWorkspace, GroupBufs};
+use crate::workspace::{ExecWorkspace, GroupBufs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::any::Any;
 use std::ops::Range;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
-use std::sync::OnceLock;
+use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 use std::thread;
 use std::time::{Duration, Instant};
-use toc_formats::MatrixBatch;
+use toc_formats::{ExecScratch, MatrixBatch};
 use toc_linalg::dense::reset_vec;
 use toc_linalg::DenseMatrix;
 
@@ -270,28 +270,66 @@ fn group_cols(p: usize, groups: usize, g: usize) -> Range<usize> {
     start(g)..start(g + 1)
 }
 
-/// How long a hand-off between the threads of a split step spins before
+/// How long a hand-off between the threads of a split step polls before
 /// it blocks. Blocking costs a wake-up, which on a virtualised host takes
 /// from a few µs to a few hundred, and it falls on the step's critical
 /// path; the longest wait, a helper's for `δ2` while the caller runs the
 /// dense layers, was 0.15–0.6 ms on the presets measured at `[32, 16]`
-/// hidden units. A constant, not a knob.
+/// hidden units. The poll yields the core between tries, so a store's IO
+/// and decode threads still get it. A constant, not a knob.
 const SPIN: Duration = Duration::from_millis(1);
 
 /// What a helper's kernel panicked with.
 type Panic = Box<dyn Any + Send>;
 
-/// The caller's end of one helper of a split first layer.
-struct Link<'scope> {
-    /// The helper's activations, `σ(A·W_g + b_g)`.
-    act_rx: Receiver<Result<&'scope DenseMatrix, Panic>>,
-    /// `δ2` and `W2ᵀ`, lent to the helper for its backward half.
-    go_tx: SyncSender<(&'scope DenseMatrix, &'scope DenseMatrix)>,
-    /// The helper's gradients, `Aᵀ·δ_g` and its bias's.
-    grad_rx: Receiver<Result<(&'scope DenseMatrix, &'scope [f64]), Panic>>,
+/// Which end of a split step's groups a thread starts from.
+#[derive(Clone, Copy)]
+enum Order {
+    FromFirst,
+    FromLast,
 }
 
-/// The next message on `rx`, spinning for up to [`SPIN`] before it blocks;
+/// Bring every group to `done >= phase`, running `work` on each that is
+/// not there yet, from the `order` end. A group another thread holds is
+/// being worked on, and is waited for ([`lock`]). `false` if a group's
+/// lock is poisoned: a helper panicked on it.
+fn work_through(
+    groups: &[Mutex<GroupBufs>],
+    order: Order,
+    phase: u8,
+    mut work: impl FnMut(usize, &mut GroupBufs),
+) -> bool {
+    let n = groups.len();
+    for k in 0..n {
+        let g = match order {
+            Order::FromFirst => k,
+            Order::FromLast => n - 1 - k,
+        };
+        let Some(mut bufs) = lock(&groups[g]) else {
+            return false;
+        };
+        if bufs.done < phase {
+            work(g, &mut bufs);
+            bufs.done = phase;
+        }
+    }
+    true
+}
+
+/// `group`'s lock, polled: the thread that holds it is working on the
+/// group and lets go when it is done, and blocking on it would cost a
+/// wake-up. `None` if the lock is poisoned.
+fn lock(group: &Mutex<GroupBufs>) -> Option<MutexGuard<'_, GroupBufs>> {
+    loop {
+        match group.try_lock() {
+            Ok(bufs) => return Some(bufs),
+            Err(TryLockError::Poisoned(_)) => return None,
+            Err(TryLockError::WouldBlock) => thread::yield_now(),
+        }
+    }
+}
+
+/// The next message on `rx`, polling for up to [`SPIN`] before it blocks;
 /// `None` once the sender has hung up.
 fn receive<T>(rx: &Receiver<T>) -> Option<T> {
     let start = Instant::now();
@@ -299,22 +337,49 @@ fn receive<T>(rx: &Receiver<T>) -> Option<T> {
         match rx.try_recv() {
             Ok(message) => return Some(message),
             Err(TryRecvError::Disconnected) => return None,
-            Err(TryRecvError::Empty) if start.elapsed() < SPIN => std::hint::spin_loop(),
+            Err(TryRecvError::Empty) if start.elapsed() < SPIN => thread::yield_now(),
             Err(TryRecvError::Empty) => return rx.recv().ok(),
         }
     }
 }
 
-/// A helper's answer; its panic, raised again on this thread.
-fn answer<T>(rx: &Receiver<Result<T, Panic>>) -> T {
-    match receive(rx).expect("a helper answers before it ends") {
-        Ok(answer) => answer,
-        Err(panic) => panic::resume_unwind(panic),
+impl GroupBufs {
+    /// The forward half of column group `range`: `act = σ(A·W_g + b_g)`,
+    /// the serial step's columns `range` of the first layer's activations.
+    fn forward(
+        &mut self,
+        batch: &dyn MatrixBatch,
+        w1: &DenseMatrix,
+        b1: &[f64],
+        range: Range<usize>,
+        exec: &mut ExecScratch,
+    ) {
+        w1.columns_into(range.clone(), &mut self.w);
+        batch.matmat_into_ws(&self.w, &mut self.act, exec);
+        add_bias_sigmoid(&mut self.act, &b1[range]);
+    }
+
+    /// The backward half, from the second layer's delta `delta2` and
+    /// `W2ᵀ` (`trans2`): the serial step's columns `range` of `δ1 = (δ2 ·
+    /// W2ᵀ) ∘ σ'(act)`, of the first layer's bias gradient (`grad_b`) and
+    /// of `Aᵀ·δ1` (`grad`).
+    fn backward(
+        &mut self,
+        batch: &dyn MatrixBatch,
+        delta2: &DenseMatrix,
+        trans2: &DenseMatrix,
+        range: Range<usize>,
+        exec: &mut ExecScratch,
+    ) {
+        trans2.columns_into(range, &mut self.trans);
+        delta2.matmat_into(&self.trans, &mut self.delta);
+        sigmoid_grad_and_sums(&mut self.delta, &self.act, &mut self.grad_b);
+        batch.matmat_t_into_ws(&self.delta, &mut self.grad, exec);
     }
 }
 
 /// `z = σ(z + b)`, `b` added to every row.
-pub(crate) fn add_bias_sigmoid(z: &mut DenseMatrix, b: &[f64]) {
+fn add_bias_sigmoid(z: &mut DenseMatrix, b: &[f64]) {
     for r in 0..z.rows() {
         for (v, &bb) in z.row_mut(r).iter_mut().zip(b) {
             *v = sigmoid(*v + bb);
@@ -325,11 +390,7 @@ pub(crate) fn add_bias_sigmoid(z: &mut DenseMatrix, b: &[f64]) {
 /// `σ'` of the first layer's activations `act` into `delta` in place
 /// (`delta ∘= act ∘ (1 − act)`), and `delta`'s column sums — the first
 /// layer's bias gradient — into `sums`.
-pub(crate) fn sigmoid_grad_and_sums(
-    delta: &mut DenseMatrix,
-    act: &DenseMatrix,
-    sums: &mut Vec<f64>,
-) {
+fn sigmoid_grad_and_sums(delta: &mut DenseMatrix, act: &DenseMatrix, sums: &mut Vec<f64>) {
     for (d, &a) in delta.data_mut().iter_mut().zip(act.data()) {
         *d *= a * (1.0 - a);
     }
@@ -555,12 +616,14 @@ impl NeuralNet {
     /// [`Self::update_batch_ws`]): afterwards `ws` holds the activations
     /// and gradients the serial step leaves.
     ///
-    /// Each helper runs its group's forward half ([`GroupBufs::forward`])
-    /// and lends the result to the caller, which runs its own group's, the
-    /// dense layers once it has every group's activations, and then lends
-    /// every helper `δ2` and `W2ᵀ`; each group runs its backward half
-    /// ([`GroupBufs::backward`]) and the caller gathers the gradients.
-    /// Every hand-off spins a while before it blocks ([`receive`]).
+    /// Each group has a forward half ([`GroupBufs::forward`]) and a
+    /// backward half ([`GroupBufs::backward`]), and a lock that whichever
+    /// thread works on it holds. The caller takes the groups in order and
+    /// the helpers from the last, each skipping what is done
+    /// ([`work_through`]): a helper that starts late, or not at all before
+    /// the caller gets there, leaves its groups to the caller instead of
+    /// stalling it. Between the halves the caller gathers the activations,
+    /// runs the dense layers and lends the helpers `δ2` and `W2ᵀ`.
     ///
     /// Every buffer a helper writes is grown here, before it starts
     /// ([`MatrixBatch::reserve_scratch`] for its kernels' scratch): what a
@@ -580,126 +643,88 @@ impl NeuralNet {
         // Out of `ws` while the helpers hold them, so that the dense
         // layers can have the rest of it meanwhile.
         let mut split = std::mem::take(&mut ws.groups);
-        if split.len() < groups {
-            split.resize_with(groups, ColumnGroup::default);
-        }
+        let mut helper_exec = std::mem::take(&mut ws.helper_exec);
+        split.resize_with(split.len().max(groups), Mutex::default);
+        helper_exec.resize_with(helper_exec.len().max(groups - 1), ExecScratch::default);
         for (g, group) in split[..groups].iter_mut().enumerate() {
-            let width = group_cols(p, groups, g).len();
-            group.bufs.reserve(rows, cols, next, width);
-            if g > 0 {
-                batch.reserve_scratch(width, &mut group.exec);
-            }
+            let bufs = group.get_mut().expect("a lock no thread holds yet");
+            bufs.reserve(rows, cols, next, group_cols(p, groups, g).len());
+            bufs.done = 0;
         }
-        let (own, helpers) = split[..groups]
-            .split_first_mut()
-            .expect("two groups or more");
+        let widest = group_cols(p, groups, 0).len();
+        for exec in &mut helper_exec[..groups - 1] {
+            batch.reserve_scratch(widest, exec);
+        }
+        let split_groups = &split[..groups];
+        let forward = |g: usize, bufs: &mut GroupBufs, exec: &mut ExecScratch| {
+            bufs.forward(batch, w1, b1, group_cols(p, groups, g), exec)
+        };
         std::thread::scope(|scope| {
-            let links: Vec<Link> = (1..)
-                .zip(helpers.iter_mut())
-                .map(|(g, group)| {
-                    let (act_tx, act_rx) = mpsc::sync_channel(1);
-                    let (go_tx, go_rx) = mpsc::sync_channel::<(&DenseMatrix, &DenseMatrix)>(1);
-                    let (grad_tx, grad_rx) = mpsc::sync_channel(1);
+            let (panic_tx, panic_rx) = mpsc::sync_channel::<Panic>(groups);
+            let go: Vec<SyncSender<(&DenseMatrix, &DenseMatrix)>> = helper_exec[..groups - 1]
+                .iter_mut()
+                .map(|exec| {
+                    let (go_tx, go_rx) = mpsc::sync_channel(1);
+                    let panic_tx = panic_tx.clone();
                     scope.spawn(move || {
-                        let range = group_cols(p, groups, g);
-                        let GroupBufs {
-                            w,
-                            act,
-                            trans,
-                            delta,
-                            grad,
-                            grad_b,
-                        } = &mut group.bufs;
-                        let exec = &mut group.exec;
-                        let forward = panic::catch_unwind(AssertUnwindSafe(|| {
-                            GroupBufs::forward(
-                                batch,
-                                w1,
-                                &b1[range.clone()],
-                                range.clone(),
-                                w,
-                                act,
-                                exec,
-                            )
+                        let run = panic::catch_unwind(AssertUnwindSafe(|| {
+                            let ok = work_through(split_groups, Order::FromLast, 1, |g, bufs| {
+                                forward(g, bufs, exec)
+                            });
+                            let Some((delta2, trans2)) = ok.then(|| receive(&go_rx)).flatten()
+                            else {
+                                return;
+                            };
+                            work_through(split_groups, Order::FromLast, 2, |g, bufs| {
+                                bufs.backward(batch, delta2, trans2, group_cols(p, groups, g), exec)
+                            });
                         }));
-                        let act: &DenseMatrix = act;
-                        if act_tx.send(forward.map(|()| act)).is_err() {
-                            return;
+                        if let Err(panic) = run {
+                            let _ = panic_tx.send(panic);
                         }
-                        let Some((delta2, trans2)) = receive(&go_rx) else {
-                            return;
-                        };
-                        let backward = panic::catch_unwind(AssertUnwindSafe(|| {
-                            GroupBufs::backward(
-                                batch, act, delta2, trans2, range, trans, delta, grad, grad_b, exec,
-                            )
-                        }));
-                        let (grad, grad_b): (&DenseMatrix, &[f64]) = (grad, grad_b);
-                        let _ = grad_tx.send(backward.map(|()| (grad, grad_b)));
                     });
-                    Link {
-                        act_rx,
-                        go_tx,
-                        grad_rx,
-                    }
+                    go_tx
                 })
                 .collect();
+            // A poisoned group is one a helper panicked on, and the helper
+            // has sent its panic.
+            let rethrow =
+                || -> ! { panic::resume_unwind(panic_rx.recv().expect("a helper's panic")) };
 
-            let range = group_cols(p, groups, 0);
-            let GroupBufs {
-                w,
-                act,
-                trans,
-                delta,
-                grad,
-                grad_b,
-            } = &mut own.bufs;
-            GroupBufs::forward(
-                batch,
-                w1,
-                &b1[range.clone()],
-                range.clone(),
-                w,
-                act,
-                &mut ws.exec,
-            );
+            let exec = &mut ws.exec;
+            if !work_through(split_groups, Order::FromFirst, 1, |g, bufs| {
+                forward(g, bufs, exec)
+            }) {
+                rethrow();
+            }
             ws.acts[0].reset(rows, p);
-            ws.acts[0].set_columns(0, act);
-            for (g, link) in (1..).zip(&links) {
-                let act = answer(&link.act_rx);
-                ws.acts[0].set_columns(group_cols(p, groups, g).start, act);
+            for (g, group) in split_groups.iter().enumerate() {
+                let bufs = lock(group).unwrap_or_else(|| rethrow());
+                ws.acts[0].set_columns(group_cols(p, groups, g).start, &bufs.act);
             }
             self.forward_dense(ws);
             self.backward_dense(targets, ws);
             let (delta2, trans2) = (&ws.delta, &ws.trans);
-            for link in &links {
-                // A helper that hung up has sent its panic already.
-                let _ = link.go_tx.send((delta2, trans2));
+            for go_tx in &go {
+                // A helper that hung up has sent its panic.
+                let _ = go_tx.send((delta2, trans2));
             }
-            GroupBufs::backward(
-                batch,
-                act,
-                delta2,
-                trans2,
-                range,
-                trans,
-                delta,
-                grad,
-                grad_b,
-                &mut ws.exec,
-            );
+            let exec = &mut ws.exec;
+            if !work_through(split_groups, Order::FromFirst, 2, |g, bufs| {
+                bufs.backward(batch, delta2, trans2, group_cols(p, groups, g), exec)
+            }) {
+                rethrow();
+            }
             ws.grads_w[0].reset(cols, p);
-            ws.grads_w[0].set_columns(0, grad);
-            let grads_b = &mut ws.grads_b[0];
-            grads_b.clear();
-            grads_b.extend_from_slice(grad_b);
-            for (g, link) in (1..).zip(&links) {
-                let (grad, grad_b) = answer(&link.grad_rx);
-                ws.grads_w[0].set_columns(group_cols(p, groups, g).start, grad);
-                ws.grads_b[0].extend_from_slice(grad_b);
+            ws.grads_b[0].clear();
+            for (g, group) in split_groups.iter().enumerate() {
+                let bufs = lock(group).unwrap_or_else(|| rethrow());
+                ws.grads_w[0].set_columns(group_cols(p, groups, g).start, &bufs.grad);
+                ws.grads_b[0].extend_from_slice(&bufs.grad_b);
             }
         });
         ws.groups = split;
+        ws.helper_exec = helper_exec;
     }
 
     /// Mean cross-entropy loss.
@@ -776,7 +801,7 @@ impl NeuralNet {
 mod tests {
     use super::*;
     use std::panic::AssertUnwindSafe;
-    use std::sync::atomic::{AtomicU8, Ordering};
+    use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
     use toc_data::synth::{generate_preset, Dataset, DatasetPreset};
     use toc_formats::{AnyBatch, ExecScratch, Scheme};
 
@@ -1195,6 +1220,8 @@ mod tests {
         /// Which helper kernel panics: [`NO_PANIC`], [`FORWARD`] or
         /// [`BACKWARD`].
         panics: AtomicU8,
+        /// A helper has entered the kernel that panics.
+        entered: AtomicBool,
     }
 
     const NO_PANIC: u8 = 0;
@@ -1203,9 +1230,18 @@ mod tests {
 
     impl PanicsOffThread {
         fn check(&self, kernel: u8) {
-            let off_thread = thread::current().id() != self.owner;
-            if off_thread && self.panics.load(Ordering::Relaxed) == kernel {
+            if self.panics.load(Ordering::Relaxed) != kernel {
+                return;
+            }
+            if thread::current().id() != self.owner {
+                self.entered.store(true, Ordering::Release);
                 panic!("a helper's kernel failed");
+            }
+            // Keep the caller inside its own group until a helper is
+            // inside another, so that the caller does not take them all.
+            let start = Instant::now();
+            while !self.entered.load(Ordering::Acquire) && start.elapsed().as_secs() < 10 {
+                thread::yield_now();
             }
         }
     }
@@ -1264,6 +1300,7 @@ mod tests {
             inner: Scheme::Toc.encode(&ds.x),
             owner: thread::current().id(),
             panics: AtomicU8::new(NO_PANIC),
+            entered: AtomicBool::new(false),
         };
         let start = NeuralNet::new(ds.x.cols(), &[20, 5], outputs, 4);
         let want = bits(&stepped(&start, &batch, &targets, 1));
@@ -1272,6 +1309,7 @@ mod tests {
             let mut ws = ExecWorkspace::new();
             nn.step(&batch, &targets, 0.3, &mut ws, 2);
             let before = bits(&nn);
+            batch.entered.store(false, Ordering::Relaxed);
             batch.panics.store(kernel, Ordering::Relaxed);
             let panic = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 nn.step(&batch, &targets, 0.3, &mut ws, 2)

@@ -14,8 +14,8 @@
 //! channels allocate a few small objects on the calling thread, but no
 //! buffer grows.)
 
-use std::ops::Range;
-use toc_formats::{ExecScratch, MatrixBatch};
+use std::sync::Mutex;
+use toc_formats::ExecScratch;
 use toc_linalg::DenseMatrix;
 
 /// Reusable scratch buffers for one training thread.
@@ -58,25 +58,21 @@ pub struct ExecWorkspace {
     /// NN per-layer bias-gradient buffers.
     pub grads_b: Vec<Vec<f64>>,
     /// The column groups of a first layer the step splits across cores
-    /// (see [`crate::NeuralNet::update_batch_ws`]): the caller's first,
-    /// whose kernels run in [`Self::exec`], then one per helper thread.
-    pub(crate) groups: Vec<ColumnGroup>,
+    /// (see [`crate::NeuralNet::update_batch_ws`]), each behind a lock
+    /// that whichever thread works on it holds.
+    pub(crate) groups: Vec<Mutex<GroupBufs>>,
+    /// The helper threads' kernel scratch, one per helper.
+    pub(crate) helper_exec: Vec<ExecScratch>,
 }
 
-/// One column group's share of a split first layer. A helper thread
-/// writes only these buffers, and the caller grows each of them before
-/// the helper starts.
-#[derive(Debug, Default)]
-pub(crate) struct ColumnGroup {
-    /// The helper's kernel scratch (unused in the caller's group, whose
-    /// kernels run in [`ExecWorkspace::exec`]).
-    pub(crate) exec: ExecScratch,
-    pub(crate) bufs: GroupBufs,
-}
-
-/// A column group's buffers, for `g` the group's hidden units.
+/// One column group's buffers in a split first layer, for `g` the group's
+/// hidden units. Whichever thread works on the group writes them, so the
+/// caller grows every one of them before the helpers start.
 #[derive(Debug, Default)]
 pub(crate) struct GroupBufs {
+    /// How far this step got on the group: 0 nothing, 1 its forward half,
+    /// 2 its backward half too.
+    pub(crate) done: u8,
     /// `W1`'s columns `g`.
     pub(crate) w: DenseMatrix,
     /// The group's activations, `σ(A·W_g + b_g)`.
@@ -101,46 +97,6 @@ impl GroupBufs {
         self.delta.reserve(rows, width);
         self.grad.reserve(cols, width);
         self.grad_b.reserve(width.saturating_sub(self.grad_b.len()));
-    }
-
-    /// The forward half of group `range` of `W1` (biases `b`): `act =
-    /// σ(A·W_g + b)`, the serial step's columns `range` of the first
-    /// layer's activations.
-    pub(crate) fn forward(
-        batch: &dyn MatrixBatch,
-        w1: &DenseMatrix,
-        b: &[f64],
-        range: Range<usize>,
-        w: &mut DenseMatrix,
-        act: &mut DenseMatrix,
-        exec: &mut ExecScratch,
-    ) {
-        w1.columns_into(range, w);
-        batch.matmat_into_ws(w, act, exec);
-        crate::models::add_bias_sigmoid(act, b);
-    }
-
-    /// The backward half of group `range`, from its activations `act`,
-    /// the second layer's delta `delta2` and `W2ᵀ` (`trans2`): the serial
-    /// step's columns `range` of `δ1 = (δ2 · W2ᵀ) ∘ σ'(act)`, of the first
-    /// layer's bias gradient (`grad_b`) and of `Aᵀ·δ1` (`grad`).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn backward(
-        batch: &dyn MatrixBatch,
-        act: &DenseMatrix,
-        delta2: &DenseMatrix,
-        trans2: &DenseMatrix,
-        range: Range<usize>,
-        trans: &mut DenseMatrix,
-        delta: &mut DenseMatrix,
-        grad: &mut DenseMatrix,
-        grad_b: &mut Vec<f64>,
-        exec: &mut ExecScratch,
-    ) {
-        trans2.columns_into(range, trans);
-        delta2.matmat_into(trans, delta);
-        crate::models::sigmoid_grad_and_sums(delta, act, grad_b);
-        batch.matmat_t_into_ws(delta, grad, exec);
     }
 }
 
