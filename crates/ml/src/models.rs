@@ -289,14 +289,20 @@ enum Order {
     FromLast,
 }
 
-/// Bring every group to `done >= phase`, running `work` on each that is
-/// not there yet, from the `order` end. A group another thread holds is
-/// being worked on, and is waited for ([`lock`]). `false` if a group's
-/// lock is poisoned: a helper panicked on it.
+/// Thread `me` (0 the caller, `h + 1` helper `h`) brings the groups to
+/// `done >= phase`, running `work` on each that is not there yet, from the
+/// `order` end. A group another thread holds is being worked on: the
+/// caller, which needs every group done, waits for it ([`lock`]); a helper
+/// passes it by. A helper takes a group's backward half only if it ran
+/// its forward half: its kernel scratch has prepared the batch then, where
+/// a first touch could cost a TOC batch its `C'` and live plan on the
+/// step's critical path; the caller takes whatever is left. `false` if a
+/// group's lock is poisoned: a helper panicked on it.
 fn work_through(
     groups: &[Mutex<GroupBufs>],
     order: Order,
     phase: u8,
+    me: usize,
     mut work: impl FnMut(usize, &mut GroupBufs),
 ) -> bool {
     let n = groups.len();
@@ -305,12 +311,19 @@ fn work_through(
             Order::FromFirst => k,
             Order::FromLast => n - 1 - k,
         };
-        let Some(mut bufs) = lock(&groups[g]) else {
-            return false;
+        let mut bufs = match groups[g].try_lock() {
+            Ok(bufs) => bufs,
+            Err(TryLockError::WouldBlock) if me > 0 => continue,
+            Err(TryLockError::WouldBlock) => match lock(&groups[g]) {
+                Some(bufs) => bufs,
+                None => return false,
+            },
+            Err(TryLockError::Poisoned(_)) => return false,
         };
-        if bufs.done < phase {
+        let mine = me == 0 || phase == 1 || bufs.by == me;
+        if bufs.done < phase && mine {
             work(g, &mut bufs);
-            bufs.done = phase;
+            (bufs.done, bufs.by) = (phase, me);
         }
     }
     true
@@ -661,21 +674,22 @@ impl NeuralNet {
         };
         std::thread::scope(|scope| {
             let (panic_tx, panic_rx) = mpsc::sync_channel::<Panic>(groups);
-            let go: Vec<SyncSender<(&DenseMatrix, &DenseMatrix)>> = helper_exec[..groups - 1]
-                .iter_mut()
-                .map(|exec| {
+            let go: Vec<SyncSender<(&DenseMatrix, &DenseMatrix)>> = (1..)
+                .zip(&mut helper_exec[..groups - 1])
+                .map(|(me, exec)| {
                     let (go_tx, go_rx) = mpsc::sync_channel(1);
                     let panic_tx = panic_tx.clone();
                     scope.spawn(move || {
                         let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                            let ok = work_through(split_groups, Order::FromLast, 1, |g, bufs| {
-                                forward(g, bufs, exec)
-                            });
+                            let ok =
+                                work_through(split_groups, Order::FromLast, 1, me, |g, bufs| {
+                                    forward(g, bufs, exec)
+                                });
                             let Some((delta2, trans2)) = ok.then(|| receive(&go_rx)).flatten()
                             else {
                                 return;
                             };
-                            work_through(split_groups, Order::FromLast, 2, |g, bufs| {
+                            work_through(split_groups, Order::FromLast, 2, me, |g, bufs| {
                                 bufs.backward(batch, delta2, trans2, group_cols(p, groups, g), exec)
                             });
                         }));
@@ -692,7 +706,7 @@ impl NeuralNet {
                 || -> ! { panic::resume_unwind(panic_rx.recv().expect("a helper's panic")) };
 
             let exec = &mut ws.exec;
-            if !work_through(split_groups, Order::FromFirst, 1, |g, bufs| {
+            if !work_through(split_groups, Order::FromFirst, 1, 0, |g, bufs| {
                 forward(g, bufs, exec)
             }) {
                 rethrow();
@@ -710,7 +724,7 @@ impl NeuralNet {
                 let _ = go_tx.send((delta2, trans2));
             }
             let exec = &mut ws.exec;
-            if !work_through(split_groups, Order::FromFirst, 2, |g, bufs| {
+            if !work_through(split_groups, Order::FromFirst, 2, 0, |g, bufs| {
                 bufs.backward(batch, delta2, trans2, group_cols(p, groups, g), exec)
             }) {
                 rethrow();
@@ -801,7 +815,7 @@ impl NeuralNet {
 mod tests {
     use super::*;
     use std::panic::AssertUnwindSafe;
-    use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+    use std::sync::atomic::{AtomicU8, Ordering};
     use toc_data::synth::{generate_preset, Dataset, DatasetPreset};
     use toc_formats::{AnyBatch, ExecScratch, Scheme};
 
@@ -1220,8 +1234,8 @@ mod tests {
         /// Which helper kernel panics: [`NO_PANIC`], [`FORWARD`] or
         /// [`BACKWARD`].
         panics: AtomicU8,
-        /// A helper has entered the kernel that panics.
-        entered: AtomicBool,
+        /// The last kernel a helper has entered.
+        reached: AtomicU8,
     }
 
     const NO_PANIC: u8 = 0;
@@ -1230,17 +1244,19 @@ mod tests {
 
     impl PanicsOffThread {
         fn check(&self, kernel: u8) {
-            if self.panics.load(Ordering::Relaxed) != kernel {
+            let panics = self.panics.load(Ordering::Relaxed);
+            if kernel > panics {
                 return;
             }
             if thread::current().id() != self.owner {
-                self.entered.store(true, Ordering::Release);
-                panic!("a helper's kernel failed");
+                self.reached.fetch_max(kernel, Ordering::Release);
+                assert!(kernel != panics, "a helper's kernel failed");
+                return;
             }
             // Keep the caller inside its own group until a helper is
             // inside another, so that the caller does not take them all.
             let start = Instant::now();
-            while !self.entered.load(Ordering::Acquire) && start.elapsed().as_secs() < 10 {
+            while self.reached.load(Ordering::Acquire) < kernel && start.elapsed().as_secs() < 10 {
                 thread::yield_now();
             }
         }
@@ -1300,7 +1316,7 @@ mod tests {
             inner: Scheme::Toc.encode(&ds.x),
             owner: thread::current().id(),
             panics: AtomicU8::new(NO_PANIC),
-            entered: AtomicBool::new(false),
+            reached: AtomicU8::new(NO_PANIC),
         };
         let start = NeuralNet::new(ds.x.cols(), &[20, 5], outputs, 4);
         let want = bits(&stepped(&start, &batch, &targets, 1));
@@ -1309,7 +1325,7 @@ mod tests {
             let mut ws = ExecWorkspace::new();
             nn.step(&batch, &targets, 0.3, &mut ws, 2);
             let before = bits(&nn);
-            batch.entered.store(false, Ordering::Relaxed);
+            batch.reached.store(NO_PANIC, Ordering::Relaxed);
             batch.panics.store(kernel, Ordering::Relaxed);
             let panic = std::panic::catch_unwind(AssertUnwindSafe(|| {
                 nn.step(&batch, &targets, 0.3, &mut ws, 2)

@@ -73,6 +73,9 @@ pub(crate) struct GroupBufs {
     /// How far this step got on the group: 0 nothing, 1 its forward half,
     /// 2 its backward half too.
     pub(crate) done: u8,
+    /// The thread that ran its forward half: 0 the caller, `h + 1`
+    /// helper `h`.
+    pub(crate) by: usize,
     /// `W1`'s columns `g`.
     pub(crate) w: DenseMatrix,
     /// The group's activations, `σ(A·W_g + b_g)`.
