@@ -25,12 +25,17 @@
 //!   [`ContainerStreamWriter`], so a finished stream is a valid seekable
 //!   v2 `.tocz` — byte-identical to the one-shot
 //!   [`toc_formats::container::Container`] encode of the same rows
-//!   (`toc ingest`, `toc compress`). It seals on every core: each full
-//!   stage goes to a pool of seal workers, at most workers + 1 chunks
-//!   are in flight, and the caller's thread appends the sealed segments
-//!   in sequence order, so its bytes and counters are those of a serial
-//!   seal. Its peak counts every stage buffer and every sealed segment
-//!   waiting to be appended.
+//!   (`toc ingest`, `toc compress`).
+//!
+//! Both seal on every core: each full stage goes to a [`SealPool`] of
+//! one worker per core, and at most workers + 1 chunks are between
+//! hand-off and append. The segments are appended strictly in hand-off
+//! order — by the caller's thread for a container (the sink never leaves
+//! it), by the seal workers themselves for a store, so a sealed chunk is
+//! visible without waiting for the next row — and the bytes and counters
+//! of both are those of a serial seal. Their reported peak is what the
+//! pipeline can hold at once: workers + 2 stage buffers, allocated up
+//! front, and workers + 1 of the largest segment sealed.
 //!
 //! Chunking changes *where* segment boundaries fall, never what a chunk
 //! of given rows encodes to: sealing is deterministic in the staged
@@ -66,8 +71,8 @@ use std::fs;
 use std::io::{Seek, SeekFrom, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 use toc_formats::container::{
@@ -79,6 +84,7 @@ use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
 
 use crate::csv::{CsvError, CsvStream};
+use crate::io::{lock, wait};
 use crate::store::{AppenderToken, ShardedSpillStore};
 
 /// A reusable staging-and-encode workspace: holds up to `chunk_rows`
@@ -247,11 +253,11 @@ pub struct IngestStats {
     pub chunks: u64,
     /// Encoded bytes across all sealed segments.
     pub encoded_bytes: u64,
-    /// Workspace high-water mark, set by `finish`: for a
-    /// [`StoreIngest`], [`EncodeWorkspace::peak_bytes`]; for a
-    /// [`ContainerIngest`], every stage buffer (staging, in flight, spare)
-    /// plus the sealed segments not yet appended — O(workers · chunk), at
-    /// most workers + 2 stages and workers + 1 segments.
+    /// What the seal pipeline can hold at once, set by `finish`, for both
+    /// sinks: every stage buffer (workers + 2: staging, in flight, spare)
+    /// plus workers + 1 of the largest sealed segment — O(workers · chunk).
+    /// The bytes held at once stay within it; how close they come depends
+    /// on how the seals overlapped.
     pub peak_workspace_bytes: usize,
     /// Sealed-segment count per scheme, in first-seen order — with
     /// per-chunk auto-pick over a drifting stream this is where the
@@ -342,17 +348,37 @@ impl From<CsvError> for IngestError {
 /// store — [`StoreIngest::try_new`] reports the conflict, `new` panics
 /// on it.
 ///
-/// Unlike [`ContainerIngest`] it seals on the caller's thread: the
-/// trainer that follows a live store owns the other core.
+/// It seals on every core, like [`ContainerIngest`]: each full stage goes
+/// to the same kind of seal pool, and at most workers + 1 chunks are
+/// between hand-off and append. The seal workers append too, strictly in
+/// hand-off order ([`Sequencer`]): the worker that seals the next chunk
+/// in sequence appends it and every chunk already sealed behind it, and
+/// a worker whose chunk is not next leaves it for that one. So a sealed
+/// chunk becomes visible without waiting for another row — what a
+/// trainer following a paused stream (`toc train --follow`) needs — and
+/// the store's bytes and the [`IngestStats`] are those of a serial seal.
+///
+/// After a failed append every call returns that error and no later
+/// chunk is appended; a seal that panics resurfaces as a panic on the
+/// caller's thread. Dropping an unfinished ingest appends the chunks
+/// already handed off (the staged rows are dropped), joins the workers
+/// and only then releases the appender slot; under a full pending budget
+/// ([`crate::StoreConfig::with_max_pending`]) it waits for a consumer,
+/// as `finish` would.
 pub struct StoreIngest<'a> {
-    store: &'a ShardedSpillStore,
-    _token: AppenderToken<'a>,
     ws: EncodeWorkspace,
     labels: Vec<f64>,
-    scheme: Option<Scheme>,
-    encode: EncodeOptions,
-    stats: IngestStats,
+    pool: SealPool<StoreChunk, ()>,
+    line: Arc<Sequencer>,
+    /// Chunks handed to the seal workers so far.
+    handed_off: u64,
+    /// Released with the fields, after `drop` has joined the workers.
+    _token: AppenderToken<'a>,
 }
+
+/// One full stage on its way to a seal worker: its place in hand-off
+/// order, its rows and their labels.
+type StoreChunk = (u64, DenseMatrix, Vec<f64>);
 
 impl<'a> StoreIngest<'a> {
     /// Claim the store's appender slot and set up staging. Panics if
@@ -377,58 +403,303 @@ impl<'a> StoreIngest<'a> {
         encode: EncodeOptions,
     ) -> Option<Self> {
         let token = store.try_acquire_appender()?;
-        Some(Self {
-            ws: EncodeWorkspace::new(store.num_features(), chunk_rows),
-            store,
-            _token: token,
-            labels: Vec::with_capacity(chunk_rows),
-            scheme,
-            encode,
-            stats: IngestStats::default(),
-        })
+        let appender = store.appender();
+        Some(Self::start(
+            store.num_features(),
+            chunk_rows,
+            token,
+            move |dense| {
+                // A store segment has no footer to put a zone map in.
+                let (picked, batch, (), stage) = encode_chunk(dense, scheme, &encode, |_| ());
+                (picked, batch.to_bytes(), stage)
+            },
+            move |bytes, labels| appender.append(bytes, labels),
+        ))
     }
 
-    /// Stage one row (features + its ±1 label); seals and appends the
-    /// chunk when it fills.
+    /// The pipeline over a chunk encoder and a sink for the encoded
+    /// segments (the store's append path, or a test double).
+    fn start(
+        cols: usize,
+        chunk_rows: usize,
+        token: AppenderToken<'a>,
+        encode: impl Fn(DenseMatrix) -> (Scheme, Vec<u8>, Vec<f64>) + Send + Sync + 'static,
+        sink: impl Fn(&[u8], Vec<f64>) -> std::io::Result<usize> + Send + Sync + 'static,
+    ) -> Self {
+        let ws = EncodeWorkspace::new(cols, chunk_rows);
+        let line = Arc::new(Sequencer::default());
+        lock(&line.queue).spare = stages(&ws, &line.held);
+        let shared = line.clone();
+        let pool = SealPool::spawn(workers(), move |(seq, dense, labels): StoreChunk| {
+            // Caught here, not by the pool: the caller waits on appends,
+            // not on replies, so the panic must reach the sequencer.
+            let sealed = panic::catch_unwind(AssertUnwindSafe(|| {
+                let rows = dense.rows();
+                let (scheme, bytes, stage) = encode(dense);
+                let chunk = ReadyChunk {
+                    scheme,
+                    bytes,
+                    labels,
+                    rows,
+                };
+                shared.deposit(seq, chunk, stage, &sink);
+            }));
+            if let Err(payload) = sealed {
+                shared.broke(payload);
+            }
+        });
+        Self {
+            labels: Vec::with_capacity(chunk_rows),
+            ws,
+            pool,
+            line,
+            handed_off: 0,
+            _token: token,
+        }
+    }
+
+    /// Stage one row (features + its ±1 label); hands the chunk to the
+    /// seal workers when it fills.
     pub fn push_row(&mut self, features: &[f64], label: f64) -> std::io::Result<()> {
-        self.ws.push_row(features);
+        self.check()?;
+        let line = &self.line;
+        stage_row(
+            &mut self.ws,
+            &line.held,
+            || lock(&line.queue).spare.pop(),
+            features,
+        );
         self.labels.push(label);
         if self.ws.is_full() {
-            self.seal_chunk()?;
+            self.hand_off()?;
         }
         Ok(())
     }
 
-    fn seal_chunk(&mut self) -> std::io::Result<()> {
-        // A store segment has no footer to put a zone map in.
-        let Some((scheme, batch, (), rows)) = self.ws.seal_with(self.scheme, &self.encode, |_| ())
-        else {
-            return Ok(());
-        };
-        let bytes = batch.to_bytes();
-        let labels = std::mem::take(&mut self.labels);
-        self.labels.reserve(self.ws.chunk_rows);
-        self.store.append_sealed(&bytes, labels)?;
-        self.stats.note(scheme, rows, bytes.len());
+    /// Hand the staged chunk to the workers once at most `workers` chunks
+    /// are between hand-off and append.
+    fn hand_off(&mut self) -> std::io::Result<()> {
+        self.wait_appended(self.pool.workers() as u64)?;
+        let dense = self
+            .ws
+            .take_stage(Vec::new())
+            .expect("hand_off needs staged rows");
+        let labels = std::mem::replace(&mut self.labels, Vec::with_capacity(self.ws.chunk_rows));
+        // The caller waits on appends, so the reply goes unread.
+        drop(self.pool.send((self.handed_off, dense, labels)));
+        self.handed_off += 1;
         Ok(())
     }
 
-    /// Rows currently staged (not yet sealed into a chunk).
+    /// Wait until at most `behind` chunks handed off are not appended.
+    fn wait_appended(&mut self, behind: u64) -> std::io::Result<()> {
+        let mut q = lock(&self.line.queue);
+        while self.handed_off - q.appended > behind && !q.broken() {
+            q = wait(&self.line.appended, q);
+        }
+        drop(q);
+        self.check()
+    }
+
+    /// The failure that stopped the appends, or a seal's panic re-raised
+    /// once every worker is joined.
+    fn check(&mut self) -> std::io::Result<()> {
+        if !self.line.broken.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        let mut q = lock(&self.line.queue);
+        if let Some(payload) = q.panic.take() {
+            q.failed = Some(std::io::Error::other("a seal worker panicked"));
+            drop(q);
+            self.pool.shut_down();
+            panic::resume_unwind(payload);
+        }
+        match &q.failed {
+            Some(e) => Err(std::io::Error::new(e.kind(), e.to_string())),
+            None => Ok(()),
+        }
+    }
+
+    /// Rows currently staged (not yet handed to the seal workers).
     pub fn staged_rows(&self) -> usize {
         self.ws.staged_rows()
     }
 
-    /// Running counters over the chunks sealed so far.
-    pub fn stats(&self) -> &IngestStats {
-        &self.stats
+    /// Running counters over the chunks appended so far.
+    pub fn stats(&self) -> IngestStats {
+        lock(&self.line.queue).stats.clone()
     }
 
-    /// Seal any partial final chunk and report the ingest counters.
+    /// Hand off any partial final chunk, wait until every chunk is
+    /// appended, and report the ingest counters.
     pub fn finish(mut self) -> std::io::Result<IngestStats> {
-        self.seal_chunk()?;
-        self.stats.peak_workspace_bytes = self.ws.peak_bytes();
-        Ok(self.stats)
+        self.check()?;
+        if self.ws.staged_rows() > 0 {
+            self.hand_off()?;
+        }
+        self.wait_appended(0)?;
+        let mut stats = self.stats();
+        stats.peak_workspace_bytes = self.line.held.reserve();
+        Ok(stats)
     }
+}
+
+impl Drop for StoreIngest<'_> {
+    fn drop(&mut self) {
+        // The workers seal and append every chunk still queued before they
+        // return; the appender slot goes after this, with the fields.
+        self.pool.shut_down();
+    }
+}
+
+/// A sealed store segment waiting for its turn to be appended.
+struct ReadyChunk {
+    scheme: Scheme,
+    bytes: Vec<u8>,
+    labels: Vec<f64>,
+    rows: usize,
+}
+
+/// Puts a [`StoreIngest`]'s sealed chunks back in hand-off order. A seal
+/// worker deposits its chunk at its sequence number; if no worker is
+/// appending and the next chunk in sequence is there, it becomes the
+/// appender and appends that chunk and every one sealed behind it, with
+/// the lock released for each append. A worker whose chunk is not next
+/// goes back to the queue: the appender picks the chunk up when its turn
+/// comes.
+#[derive(Default)]
+struct Sequencer {
+    queue: Mutex<SeqQueue>,
+    /// Signalled on every append, failure and panic.
+    appended: Condvar,
+    /// The caller's per-row check: stored (`Release`) under the lock once
+    /// `failed` or `panic` is set; a caller that loads it set (`Acquire`)
+    /// takes the lock to read which.
+    broken: AtomicBool,
+    /// The stage buffers and the largest segment, for the reported peak.
+    held: Held,
+}
+
+/// What a [`Sequencer`]'s lock guards.
+#[derive(Default)]
+struct SeqQueue {
+    /// Sealed chunks from the next one to append on; `None` while that
+    /// chunk is still sealing.
+    ready: VecDeque<Option<ReadyChunk>>,
+    /// Sequence number of `ready`'s front.
+    next: u64,
+    /// A worker is appending (with the lock released).
+    appending: bool,
+    /// Chunks appended, and their counters.
+    appended: u64,
+    stats: IngestStats,
+    /// Stage buffers back from the workers, ready to stage into.
+    spare: Vec<Vec<f64>>,
+    failed: Option<std::io::Error>,
+    panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+impl SeqQueue {
+    /// Nothing more will be appended.
+    fn broken(&self) -> bool {
+        self.failed.is_some() || self.panic.is_some()
+    }
+}
+
+impl Sequencer {
+    /// Deposit chunk `seq` and its stage buffer, then append whatever is
+    /// next in sequence unless another worker is already doing so.
+    fn deposit(
+        &self,
+        seq: u64,
+        chunk: ReadyChunk,
+        stage: Vec<f64>,
+        sink: &impl Fn(&[u8], Vec<f64>) -> std::io::Result<usize>,
+    ) {
+        self.held.add_segment(chunk.bytes.len());
+        let mut q = lock(&self.queue);
+        q.spare.push(stage);
+        let slot = (seq - q.next) as usize;
+        if q.ready.len() <= slot {
+            q.ready.resize_with(slot + 1, || None);
+        }
+        q.ready[slot] = Some(chunk);
+        if q.appending || q.broken() {
+            return;
+        }
+        q.appending = true;
+        while let Some(Some(_)) = q.ready.front() {
+            let chunk = q.ready.pop_front().flatten().expect("the front is sealed");
+            q.next += 1;
+            drop(q);
+            let len = chunk.bytes.len();
+            let landed = sink(&chunk.bytes, chunk.labels);
+            q = lock(&self.queue);
+            match landed {
+                Ok(_) => {
+                    q.appended += 1;
+                    q.stats.note(chunk.scheme, chunk.rows, len);
+                }
+                Err(e) => {
+                    q.failed = Some(e);
+                    self.broken.store(true, Ordering::Release);
+                }
+            }
+            self.appended.notify_all();
+            if q.broken() {
+                break;
+            }
+        }
+        q.appending = false;
+    }
+
+    /// A worker panicked: keep the first payload for the caller. The
+    /// sequence gap it leaves stops the appends.
+    fn broke(&self, payload: Box<dyn std::any::Any + Send>) {
+        let mut q = lock(&self.queue);
+        if !q.broken() {
+            q.panic = Some(payload);
+            self.broken.store(true, Ordering::Release);
+        }
+        self.appended.notify_all();
+    }
+}
+
+/// Seal workers per pool: one per core.
+fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// The spare stage buffers of a pipeline staging into `ws`, one per
+/// chunk that may be in flight (workers + 1), counted in `held` with the
+/// staging one. Allocated up front, so the stages the peak counts do not
+/// depend on how the seals happened to overlap.
+fn stages(ws: &EncodeWorkspace, held: &Held) -> Vec<Vec<f64>> {
+    let spares: Vec<Vec<f64>> = (0..=workers())
+        .map(|_| Vec::with_capacity(ws.cols * ws.chunk_rows))
+        .collect();
+    let bytes = |v: &Vec<f64>| v.capacity() * std::mem::size_of::<f64>();
+    held.add_stage(bytes(&ws.stage) + spares.iter().map(bytes).sum::<usize>());
+    spares
+}
+
+/// Stage `row`, first taking a buffer when the last was handed off: a
+/// spare, or a new one counted in `held` should a seal that panicked have
+/// taken its buffer with it.
+fn stage_row(
+    ws: &mut EncodeWorkspace,
+    held: &Held,
+    spare: impl FnOnce() -> Option<Vec<f64>>,
+    row: &[f64],
+) {
+    if ws.stage.capacity() == 0 {
+        ws.stage = spare().unwrap_or_else(|| {
+            let stage = Vec::with_capacity(ws.cols * ws.chunk_rows);
+            held.add_stage(stage.capacity() * std::mem::size_of::<f64>());
+            stage
+        });
+    }
+    ws.push_row(row);
 }
 
 /// Streams rows into a seekable v2 `.tocz` through
@@ -443,8 +714,8 @@ impl<'a> StoreIngest<'a> {
 /// [`IngestStats`] are exactly those of sealing one chunk after another.
 /// At most workers + 1 chunks are between hand-off and append, and their
 /// staging buffers are recycled, so memory is flat in the rows but grows
-/// with the cores: about workers + 2 stages and workers + 1 sealed
-/// segments at its peak.
+/// with the cores: workers + 2 stages and up to workers + 1 sealed
+/// segments.
 ///
 /// [`ContainerIngest::stats`], [`ContainerIngest::bytes_written`] and
 /// [`ContainerIngest::writer_state`] describe the chunks appended so far;
@@ -455,13 +726,13 @@ impl<'a> StoreIngest<'a> {
 pub struct ContainerIngest<W: std::io::Write> {
     writer: ContainerStreamWriter<W>,
     ws: EncodeWorkspace,
-    pool: SealPool,
+    pool: SealPool<DenseMatrix, (SealedChunk, Vec<f64>)>,
     /// One reply per chunk handed off and not yet appended, oldest first.
-    in_flight: VecDeque<mpsc::Receiver<Sealed>>,
+    in_flight: VecDeque<Reply<(SealedChunk, Vec<f64>)>>,
     /// Stage buffers back from the workers, ready to stage into.
     spare: Vec<Vec<f64>>,
-    /// Every stage buffer allocated plus the sealed segments not yet
-    /// appended; the seal workers add the segments they seal.
+    /// The stage buffers and the largest segment, for the reported peak;
+    /// the seal workers add the segments they seal.
     held: Arc<Held>,
     failed: Option<FormatError>,
     stats: IngestStats,
@@ -518,12 +789,11 @@ impl<W: std::io::Write> ContainerIngest<W> {
     ) -> Self {
         let ws = EncodeWorkspace::new(cols, chunk_rows);
         let held = Arc::new(Held::default());
-        held.add(ws.stage.capacity() * std::mem::size_of::<f64>());
-        let workers = std::thread::available_parallelism().map_or(1, |n| n.get());
+        let spare = stages(&ws, &held);
         let sealed = held.clone();
-        let pool = SealPool::spawn(workers, move |dense| {
+        let pool = SealPool::spawn(workers(), move |dense| {
             let out = seal_chunk(dense, scheme, &encode);
-            sealed.add(out.0.batch.size_bytes());
+            sealed.add_segment(out.0.batch.size_bytes());
             out
         });
         Self {
@@ -531,7 +801,7 @@ impl<W: std::io::Write> ContainerIngest<W> {
             ws,
             pool,
             in_flight: VecDeque::new(),
-            spare: Vec::new(),
+            spare,
             held,
             failed: None,
             stats,
@@ -542,16 +812,8 @@ impl<W: std::io::Write> ContainerIngest<W> {
     /// when it fills, and appends whatever has sealed in order.
     pub fn push_row(&mut self, row: &[f64]) -> Result<(), FormatError> {
         self.check()?;
-        if self.ws.stage.capacity() == 0 {
-            // The first row after a hand-off: stage into a spare, or into
-            // a new buffer while every one is in flight.
-            self.ws.stage = self.spare.pop().unwrap_or_else(|| {
-                let stage = Vec::with_capacity(self.ws.cols * self.ws.chunk_rows);
-                self.held.add(stage.capacity() * std::mem::size_of::<f64>());
-                stage
-            });
-        }
-        self.ws.push_row(row);
+        let spare = &mut self.spare;
+        stage_row(&mut self.ws, &self.held, || spare.pop(), row);
         if self.ws.is_full() {
             self.hand_off()?;
         }
@@ -589,7 +851,6 @@ impl<W: std::io::Write> ContainerIngest<W> {
                 return Err(e);
             }
             self.in_flight.pop_front();
-            self.held.sub(sealed.batch.size_bytes());
             let wire = (self.writer.bytes_written() - before) as usize;
             self.stats.note(sealed.scheme, sealed.rows, wire);
         }
@@ -657,63 +918,74 @@ impl<W: std::io::Write> ContainerIngest<W> {
             self.hand_off()?;
         }
         self.drain()?;
-        self.stats.peak_workspace_bytes = self.held.peak.load(Ordering::Relaxed);
+        self.stats.peak_workspace_bytes = self.held.reserve();
         let total = self.writer.finish()?;
         Ok((total, self.stats))
     }
 }
 
-/// Bytes a [`ContainerIngest`] holds and their high-water mark, kept by
-/// the caller's thread and the seal workers alike.
+/// What an ingest's seal pipeline holds, kept by the caller's thread and
+/// the seal workers alike: its stage buffers and the size of the largest
+/// segment sealed. How many segments wait for their append at once
+/// depends on how the seals happened to overlap, so an ingest reports
+/// what the pipeline can hold ([`Held::reserve`]), not a live high-water
+/// mark.
 #[derive(Default)]
 struct Held {
-    now: AtomicUsize,
-    peak: AtomicUsize,
+    stages: AtomicUsize,
+    largest: AtomicUsize,
 }
 
 impl Held {
-    fn add(&self, bytes: usize) {
-        let now = self.now.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(now, Ordering::Relaxed);
+    fn add_stage(&self, bytes: usize) {
+        self.stages.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    fn sub(&self, bytes: usize) {
-        self.now.fetch_sub(bytes, Ordering::Relaxed);
+    fn add_segment(&self, bytes: usize) {
+        self.largest.fetch_max(bytes, Ordering::Relaxed);
+    }
+
+    /// The most the pipeline can hold at once for the chunks it sealed:
+    /// every stage buffer plus workers + 1 of the largest segment (at
+    /// most workers + 1 chunks are between hand-off and append). A serial
+    /// seal's counterpart is one stage plus the largest segment.
+    fn reserve(&self) -> usize {
+        let largest = self.largest.load(Ordering::Relaxed);
+        self.stages.load(Ordering::Relaxed) + (workers() + 1) * largest
     }
 }
 
-/// A sealed chunk with its staging buffer, or the panic of the worker
-/// that sealed it.
-type Sealed = std::thread::Result<(SealedChunk, Vec<f64>)>;
+/// A job's result, or the panic of the worker that ran it.
+type Reply<R> = mpsc::Receiver<std::thread::Result<R>>;
 
-/// The seal workers of a [`ContainerIngest`]: any idle worker takes the
-/// next chunk from one shared queue, so a slow chunk holds up only its
-/// own worker, and answers on the chunk's own reply channel. Dropping the
-/// pool closes the queue and joins the workers.
-struct SealPool {
-    jobs: Option<mpsc::Sender<(DenseMatrix, mpsc::Sender<Sealed>)>>,
+/// The seal workers of both ingest drivers: any idle worker takes the
+/// next job from one shared queue, so a slow chunk holds up only its own
+/// worker, and answers on the job's own reply channel. A
+/// [`ContainerIngest`] job is a stage and its reply the sealed chunk; a
+/// [`StoreIngest`] job also appends, so nothing waits on its reply.
+/// Dropping the pool closes the queue, lets the workers finish every job
+/// queued, and joins them.
+struct SealPool<J, R> {
+    jobs: Option<mpsc::Sender<(J, mpsc::Sender<std::thread::Result<R>>)>>,
     workers: Vec<JoinHandle<()>>,
 }
 
-impl SealPool {
-    fn spawn(
-        workers: usize,
-        seal: impl Fn(DenseMatrix) -> (SealedChunk, Vec<f64>) + Send + Sync + 'static,
-    ) -> Self {
-        let (jobs, queue) = mpsc::channel::<(DenseMatrix, mpsc::Sender<Sealed>)>();
+impl<J: Send + 'static, R: Send + 'static> SealPool<J, R> {
+    fn spawn(workers: usize, work: impl Fn(J) -> R + Send + Sync + 'static) -> Self {
+        let (jobs, queue) = mpsc::channel::<(J, mpsc::Sender<std::thread::Result<R>>)>();
         let queue = Arc::new(Mutex::new(queue));
-        let seal = Arc::new(seal);
+        let work = Arc::new(work);
         let workers = (0..workers)
             .map(|_| {
-                let (queue, seal) = (queue.clone(), seal.clone());
+                let (queue, work) = (queue.clone(), work.clone());
                 std::thread::spawn(move || loop {
                     // The guard is a temporary: the lock is held for the
-                    // wait, never for the seal, so no worker panics while
+                    // wait, never for the work, so no worker panics while
                     // holding it and the receiver is whole in any case.
                     let job = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                    let Ok((dense, reply)) = job else { return };
+                    let Ok((job, reply)) = job else { return };
                     // A dropped ingest no longer listens; that is fine.
-                    let _ = reply.send(panic::catch_unwind(AssertUnwindSafe(|| seal(dense))));
+                    let _ = reply.send(panic::catch_unwind(AssertUnwindSafe(|| work(job))));
                 })
             })
             .collect();
@@ -727,49 +999,48 @@ impl SealPool {
         self.workers.len()
     }
 
-    /// Queue `dense` for the next idle worker; its seal arrives on the
+    /// Queue `job` for the next idle worker; its result arrives on the
     /// returned channel.
-    fn send(&self, dense: DenseMatrix) -> mpsc::Receiver<Sealed> {
-        let (reply, sealed) = mpsc::channel();
+    fn send(&self, job: J) -> Reply<R> {
+        let (reply, result) = mpsc::channel();
         let jobs = self.jobs.as_ref().expect("the queue is open until drop");
         // The workers hold the queue until it closes, and a panic in a
-        // seal is caught, so the send cannot fail.
-        jobs.send((dense, reply)).expect("seal workers are running");
-        sealed
+        // job is caught, so the send cannot fail.
+        jobs.send((job, reply)).expect("seal workers are running");
+        result
     }
 
-    /// The chunk sealed on `reply`: waits for it when `wait`, else `None`
+    /// The result on `reply`: waits for it when `wait`, else `None`
     /// while it is not ready. A worker's panic is re-raised here once
     /// every worker is joined.
-    fn take(
-        &mut self,
-        reply: &mpsc::Receiver<Sealed>,
-        wait: bool,
-    ) -> Option<(SealedChunk, Vec<f64>)> {
+    fn take(&mut self, reply: &Reply<R>, wait: bool) -> Option<R> {
         let out = if wait {
-            Some(reply.recv().expect("a queued chunk is always answered"))
+            Some(reply.recv().expect("a queued job is always answered"))
         } else {
             reply.try_recv().ok()
         };
         match out? {
-            Ok(sealed) => Some(sealed),
+            Ok(result) => Some(result),
             Err(payload) => {
                 self.shut_down();
                 panic::resume_unwind(payload)
             }
         }
     }
+}
 
+impl<J, R> SealPool<J, R> {
+    /// Close the queue and join the workers once every queued job ran.
     fn shut_down(&mut self) {
         self.jobs = None;
         for w in self.workers.drain(..) {
-            // A seal's panic is caught and sent, so a join never errs.
+            // A job's panic is caught and sent, so a join never errs.
             let _ = w.join();
         }
     }
 }
 
-impl Drop for SealPool {
+impl<J, R> Drop for SealPool<J, R> {
     fn drop(&mut self) {
         self.shut_down();
     }
@@ -1360,7 +1631,9 @@ mod tests {
             ing.push_row(m.row(r), if r % 2 == 0 { 1.0 } else { -1.0 })
                 .unwrap();
         }
-        assert_eq!(store.num_batches(), 2); // two full chunks sealed so far
+        // The two full chunks are appended by the seal workers, without
+        // another row or `finish`.
+        assert!(visible_within(&store, 2), "two full chunks never appeared");
         let stats = ing.finish().unwrap();
         assert_eq!(stats.rows, 120);
         assert_eq!(stats.chunks, 3);
@@ -1382,6 +1655,295 @@ mod tests {
             });
         }
         assert_eq!(rows_seen, 120);
+    }
+
+    /// Poll `store` until it shows `n` batches; false after ten seconds.
+    fn visible_within(store: &ShardedSpillStore, n: usize) -> bool {
+        let t0 = std::time::Instant::now();
+        while store.num_batches() < n {
+            if t0.elapsed() > std::time::Duration::from_secs(10) {
+                return false;
+            }
+            std::thread::sleep(std::time::Duration::from_micros(200));
+        }
+        store.num_batches() == n
+    }
+
+    /// A fresh, empty spill directory for one store.
+    fn spill_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("toc-ingest-{tag}-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// The contents of a store's shard files, in shard order.
+    fn shard_contents(dir: &Path) -> Vec<Vec<u8>> {
+        let names = names_in(dir);
+        names
+            .iter()
+            .map(|n| fs::read(dir.join(n)).unwrap())
+            .collect()
+    }
+
+    /// `StoreIngest` with a partial last chunk at 1, W, W + 1 and W + 2
+    /// chunks, fixed and auto scheme: the shard files, the appended bytes
+    /// and the counters (first-seen scheme order included) are those of
+    /// sealing with one `EncodeWorkspace` and appending one chunk after
+    /// another.
+    #[test]
+    fn store_ingest_is_a_serial_seal_at_every_chunk_count() {
+        let (cols, chunk) = (5, 24);
+        let opts = EncodeOptions::default();
+        let w = workers();
+        for scheme in [Some(Scheme::Toc), None] {
+            for chunks in [1, w, w + 1, w + 2] {
+                let rows = (chunks - 1) * chunk + chunk / 2;
+                let m = drifting_matrix(rows, cols, 3, chunks as u64);
+                let label = |r: usize| if r % 3 == 0 { 1.0 } else { -1.0 };
+                let tag = format!("serial-{}-{chunks}", scheme.is_some());
+                let config = |dir: &Path| {
+                    StoreConfig::new(Scheme::Toc, chunk, 0)
+                        .with_shards(2)
+                        .with_spill_dir(dir.to_path_buf())
+                };
+
+                let (ref_dir, dir) = (spill_dir(&format!("{tag}-ref")), spill_dir(&tag));
+                let reference = ShardedSpillStore::open_streaming(cols, &config(&ref_dir)).unwrap();
+                let mut ws = EncodeWorkspace::new(cols, chunk);
+                let mut want = IngestStats::default();
+                let mut labels = Vec::new();
+                for r in 0..rows {
+                    ws.push_row(m.row(r));
+                    labels.push(label(r));
+                    if ws.is_full() || r + 1 == rows {
+                        let sealed = ws.seal(scheme, &opts).unwrap();
+                        let bytes = sealed.batch.to_bytes();
+                        reference
+                            .append_sealed(&bytes, std::mem::take(&mut labels))
+                            .unwrap();
+                        want.note(sealed.scheme, sealed.rows, bytes.len());
+                    }
+                }
+
+                let store = ShardedSpillStore::open_streaming(cols, &config(&dir)).unwrap();
+                let mut ing = StoreIngest::new(&store, chunk, scheme, opts);
+                for r in 0..rows {
+                    ing.push_row(m.row(r), label(r)).unwrap();
+                }
+                let mut got = ing.finish().unwrap();
+                assert!(got.peak_workspace_bytes > 0, "{tag}");
+                got.peak_workspace_bytes = 0;
+                assert_eq!(got, want, "{tag}");
+                assert_eq!(store.num_batches(), chunks, "{tag}");
+                assert_eq!(store.appended_bytes(), reference.appended_bytes(), "{tag}");
+                assert_eq!(shard_contents(&dir), shard_contents(&ref_dir), "{tag}");
+                for i in 0..chunks {
+                    let mut want_labels = Vec::new();
+                    reference.visit(i, &mut |_, y| want_labels = y.to_vec());
+                    store.visit(i, &mut |_, y| assert_eq!(y, want_labels, "{tag} chunk {i}"));
+                }
+                drop((store, reference));
+                for d in [dir, ref_dir] {
+                    fs::remove_dir_all(d).unwrap();
+                }
+            }
+        }
+    }
+
+    /// One full chunk, no further row and no `finish`: the seal workers
+    /// append it on their own, so a trainer following a paused stream
+    /// sees it.
+    #[test]
+    fn a_full_chunk_is_visible_without_another_row() {
+        let config = StoreConfig::new(Scheme::Toc, 16, 0).with_shards(2);
+        let store = ShardedSpillStore::open_streaming(4, &config).unwrap();
+        let m = drifting_matrix(16, 4, 3, 2);
+        let mut ing = StoreIngest::new(&store, 16, None, EncodeOptions::default());
+        for r in 0..16 {
+            ing.push_row(m.row(r), 1.0).unwrap();
+        }
+        assert!(visible_within(&store, 1), "the sealed chunk never appeared");
+        assert_eq!(ing.stats().chunks, 1);
+        drop(ing);
+    }
+
+    /// A `StoreIngest` over `store` whose seal of the chunk starting at row
+    /// `poison` panics and whose `fail_at`-th append fails; `appends`
+    /// counts the append calls and `alive` is held by the workers.
+    fn rigged_ingest<'a>(
+        store: &'a ShardedSpillStore,
+        chunk: usize,
+        poison: f64,
+        fail_at: usize,
+        appends: &Arc<AtomicUsize>,
+        alive: &Arc<()>,
+    ) -> StoreIngest<'a> {
+        let token = store.try_acquire_appender().unwrap();
+        let (appender, calls, alive) = (store.appender(), appends.clone(), alive.clone());
+        StoreIngest::start(
+            store.num_features(),
+            chunk,
+            token,
+            move |dense| {
+                let _held = &alive;
+                assert_ne!(dense.get(0, 0), poison, "seal of a poisoned chunk");
+                let (s, batch, (), stage) =
+                    encode_chunk(dense, Some(Scheme::Den), &EncodeOptions::default(), |_| ());
+                (s, batch.to_bytes(), stage)
+            },
+            move |bytes, labels| {
+                if calls.fetch_add(1, Ordering::SeqCst) == fail_at {
+                    return Err(std::io::Error::other("injected append failure"));
+                }
+                appender.append(bytes, labels)
+            },
+        )
+    }
+
+    /// Rows whose first column is the row number, so a chunk is known by
+    /// its first value.
+    fn numbered_rows(rows: usize, cols: usize) -> DenseMatrix {
+        let mut m = drifting_matrix(rows, cols, 3, 4);
+        for r in 0..rows {
+            m.set(r, 0, r as f64);
+        }
+        m
+    }
+
+    /// A failed append comes out of the next `push_row` or `finish` and
+    /// of every call after it; no chunk after it is appended, and the
+    /// counters hold exactly the chunks before it.
+    #[test]
+    fn a_failed_append_is_returned_by_every_later_call() {
+        let (cols, chunk) = (4, 8);
+        let chunks = workers() + 6;
+        let m = numbered_rows(chunks * chunk, cols);
+        for fail_at in [0, 2, chunks - 1] {
+            let config = StoreConfig::new(Scheme::Den, chunk, 0).with_shards(2);
+            let store = ShardedSpillStore::open_streaming(cols, &config).unwrap();
+            let appends = Arc::new(AtomicUsize::new(0));
+            let alive = Arc::new(());
+            let mut ing = rigged_ingest(&store, chunk, -1.0, fail_at, &appends, &alive);
+            let mut pushed_err = false;
+            for r in 0..m.rows() {
+                if ing.push_row(m.row(r), 1.0).is_err() {
+                    pushed_err = true;
+                    break;
+                }
+            }
+            if pushed_err {
+                assert_eq!(ing.stats().chunks, fail_at as u64, "fail_at {fail_at}");
+                assert!(ing.push_row(m.row(0), 1.0).is_err(), "fail_at {fail_at}");
+                assert!(ing.push_row(m.row(0), 1.0).is_err(), "fail_at {fail_at}");
+            }
+            // Chunk j is appended before chunk j + W + 1 is handed off.
+            if fail_at + workers() + 1 < chunks {
+                assert!(
+                    pushed_err,
+                    "fail_at {fail_at}: push_row never saw the failure"
+                );
+            }
+            let err = ing.finish().unwrap_err();
+            assert!(err.to_string().contains("injected"), "{err}");
+            assert_eq!(store.num_batches(), fail_at, "fail_at {fail_at}");
+            assert_eq!(
+                appends.load(Ordering::SeqCst),
+                fail_at + 1,
+                "fail_at {fail_at}"
+            );
+            assert_eq!(Arc::strong_count(&alive), 1, "workers not joined");
+        }
+    }
+
+    /// A seal that panics comes out of the caller's next call once every
+    /// worker is joined, even while the caller waits on the chunks stuck
+    /// behind the gap it leaves; nothing past the gap is appended.
+    #[test]
+    fn a_panicking_seal_resurfaces_on_the_caller_without_a_hang() {
+        let (cols, chunk) = (4, 8);
+        let chunks = workers() + 6;
+        let m = numbered_rows(chunks * chunk, cols);
+        let config = StoreConfig::new(Scheme::Den, chunk, 0).with_shards(2);
+        let store = ShardedSpillStore::open_streaming(cols, &config).unwrap();
+        let appends = Arc::new(AtomicUsize::new(0));
+        let alive = Arc::new(());
+        let poisoned = 1;
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            let mut ing = rigged_ingest(
+                &store,
+                chunk,
+                (poisoned * chunk) as f64,
+                usize::MAX,
+                &appends,
+                &alive,
+            );
+            for r in 0..m.rows() {
+                ing.push_row(m.row(r), 1.0).unwrap();
+            }
+            ing.finish()
+        }));
+        let Err(msg) = caught else {
+            panic!("the seal's panic must reach the caller");
+        };
+        let msg = msg
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.contains("seal of a poisoned chunk"), "{msg}");
+        assert_eq!(Arc::strong_count(&alive), 1, "workers not joined");
+        assert!(
+            store.num_batches() <= poisoned,
+            "a chunk past the gap was appended"
+        );
+        assert!(
+            store.try_acquire_appender().is_some(),
+            "the slot is still held"
+        );
+    }
+
+    /// Dropping an unfinished ingest appends every chunk handed off (the
+    /// staged half chunk is dropped) before it returns, and then frees the
+    /// appender slot.
+    #[test]
+    fn dropping_a_store_ingest_appends_what_was_handed_off() {
+        let (cols, chunk) = (4, 8);
+        let handed = workers() + 2;
+        let m = numbered_rows(handed * chunk + chunk / 2, cols);
+        let config = StoreConfig::new(Scheme::Den, chunk, 0).with_shards(2);
+        let store = ShardedSpillStore::open_streaming(cols, &config).unwrap();
+        let appends = Arc::new(AtomicUsize::new(0));
+        let alive = Arc::new(());
+        let mut ing = rigged_ingest(&store, chunk, -1.0, usize::MAX, &appends, &alive);
+        for r in 0..m.rows() {
+            ing.push_row(m.row(r), 1.0).unwrap();
+        }
+        assert_eq!(ing.staged_rows(), chunk / 2);
+        drop(ing);
+        assert_eq!(store.num_batches(), handed);
+        assert_eq!(Arc::strong_count(&alive), 1, "workers not joined");
+        assert!(
+            store.try_acquire_appender().is_some(),
+            "the slot is still held"
+        );
+    }
+
+    /// The store ingest's peak is the same reserve as the container
+    /// ingest's.
+    #[test]
+    fn store_peak_counts_every_stage_and_stays_flat() {
+        let (cols, chunk) = (6, 32);
+        let stage = cols * chunk * std::mem::size_of::<f64>();
+        for rows in [chunk * 4, chunk * 64] {
+            let config = StoreConfig::new(Scheme::Toc, chunk, 0).with_shards(2);
+            let store = ShardedSpillStore::open_streaming(cols, &config).unwrap();
+            let m = drifting_matrix(rows, cols, 3, 5);
+            let mut ing = StoreIngest::new(&store, chunk, None, EncodeOptions::default());
+            for r in 0..rows {
+                ing.push_row(m.row(r), 1.0).unwrap();
+            }
+            let peak = ing.finish().unwrap().peak_workspace_bytes;
+            assert_peak_is_a_reserve(peak, workers(), stage);
+        }
     }
 
     #[test]
@@ -1424,9 +1986,9 @@ mod tests {
         );
     }
 
-    /// The container ingest's peak counts every stage buffer and every
-    /// sealed segment waiting to be appended, and stays flat in the rows:
-    /// at most workers + 2 stages (one staging, workers + 1 in flight).
+    /// The container ingest's peak is its reserve: every stage buffer
+    /// (workers + 2: one staging, workers + 1 in flight) and workers + 1
+    /// of its largest segment, at any row count.
     #[test]
     fn container_peak_counts_every_stage_and_stays_flat() {
         let (cols, chunk) = (6, 32);
@@ -1444,19 +2006,27 @@ mod tests {
         };
         for rows in [chunk * 4, chunk * 64] {
             let (peak, workers) = peak_for(rows);
-            // The chunk handed off and the stage after it, at least.
-            assert!(peak >= 2 * stage, "{rows} rows: peak {peak} < 2 x {stage}");
-            // A sealed segment here is at most a dense chunk plus framing.
-            let bound = (workers + 2) * stage + (workers + 1) * 2 * stage;
-            assert!(peak <= bound, "{rows} rows: peak {peak} past {bound}");
+            assert_peak_is_a_reserve(peak, workers, stage);
         }
+    }
+
+    /// `peak` is the reserve of `workers` seal workers staging `stage`
+    /// bytes: every stage buffer and workers + 1 sealed segments.
+    fn assert_peak_is_a_reserve(peak: usize, workers: usize, stage: usize) {
+        assert!(peak > (workers + 2) * stage, "peak {peak}: not every stage");
+        // A sealed segment here is at most a dense chunk plus framing.
+        let bound = (workers + 2) * stage + (workers + 1) * 2 * stage;
+        assert!(peak <= bound, "peak {peak} past {bound}");
     }
 
     /// A pool whose seal function holds `alive`: once every worker has
     /// been joined, only the test's own count is left.
-    fn sentinel_pool(alive: &Arc<()>, panic_on_rows: usize) -> SealPool {
+    fn sentinel_pool(
+        alive: &Arc<()>,
+        panic_on_rows: usize,
+    ) -> SealPool<DenseMatrix, (SealedChunk, Vec<f64>)> {
         let alive = alive.clone();
-        SealPool::spawn(2, move |dense| {
+        SealPool::spawn(2, move |dense: DenseMatrix| {
             let _held = &alive;
             assert_ne!(dense.rows(), panic_on_rows, "seal of a poisoned chunk");
             seal_chunk(dense, Some(Scheme::Den), &EncodeOptions::default())

@@ -572,6 +572,82 @@ impl Inner {
     }
 }
 
+/// The append path of a live store: the shared state plus the fault plan
+/// its writes go through. [`ShardedSpillStore::append_sealed`] is this
+/// handle's [`Appender::append`]; a [`crate::StoreIngest`]'s seal workers
+/// hold clones of it, so they append without borrowing the store.
+#[derive(Clone)]
+pub(crate) struct Appender {
+    inner: Arc<Inner>,
+    /// Write faults for the appends (the read-side engine keeps its own
+    /// clone of the plan).
+    fault: Option<crate::testing::FaultPlan>,
+}
+
+impl Appender {
+    /// [`ShardedSpillStore::append_sealed`].
+    pub(crate) fn append(&self, bytes: &[u8], labels: Vec<f64>) -> std::io::Result<usize> {
+        let inner = &self.inner;
+        let n_shards = inner.shard_meta.len();
+        assert!(
+            n_shards > 0,
+            "append_sealed needs shard files; open the store with \
+             ShardedSpillStore::open_streaming"
+        );
+        // Backpressure *before* taking the append mutex: a blocked
+        // producer must never hold the lock stats readers need. The wait
+        // is bounded by consumption, not time — the whole point is that
+        // ingestion stalls until a visitor drains a sealed segment.
+        if inner.max_pending > 0 {
+            let t0 = Instant::now();
+            let mut consumed = lock(&inner.consumed);
+            let mut stalled = false;
+            while inner
+                .sealed
+                .load(Ordering::Acquire)
+                .saturating_sub(*consumed)
+                >= inner.max_pending
+            {
+                stalled = true;
+                consumed = wait(&inner.consumed_cv, consumed);
+            }
+            drop(consumed);
+            if stalled {
+                inner
+                    .io
+                    .stats
+                    .ingest_stall_ns
+                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
+            }
+        }
+        let mut append = lock(&inner.append);
+        // The sequence number lives inside the mutex: concurrent callers
+        // serialize here and each append gets a unique, gap-free seq.
+        let seq = append.seq;
+        let shard = seq % n_shards;
+        let loc = land(&mut append.cursors, shard, bytes.len(), |at| {
+            match &self.fault {
+                Some(plan) => plan.faulty_append(&inner.io, shard, at, bytes, seq as u64),
+                None => inner.io.devices[shard].file.write_all_at(bytes, at),
+            }
+        })?;
+        let visible = {
+            let mut entries = wlock(&inner.entries);
+            entries.push(Entry::spilled(loc, labels));
+            entries.len()
+        };
+        append.bytes += bytes.len() as u64;
+        append.seq += 1;
+        // Publish visibility last: an index below the watermark always
+        // resolves to fully-written bytes and a registered entry.
+        inner.sealed.store(visible, Ordering::Release);
+        let pending = visible.saturating_sub(*lock(&inner.consumed));
+        inner.peak_pending.fetch_max(pending, Ordering::Relaxed);
+        drop(append);
+        Ok(visible - 1)
+    }
+}
+
 /// Sharded, concurrent out-of-core store: spilled batches are striped
 /// across N append-only shard files, the read path is lock-free
 /// positional IO, and an optional prefetch pipeline keeps upcoming
@@ -588,9 +664,8 @@ pub struct ShardedSpillStore {
     /// Resolved scheduling (for [`PlacementReport`] / the CLI stats line).
     io_threads: usize,
     decode_workers: usize,
-    /// Fault plan applied to the streaming-ingest *append* path (write
-    /// faults); the read-side engine keeps its own clone.
-    ingest_fault: Option<crate::testing::FaultPlan>,
+    /// The streaming-ingest append path.
+    appender: Appender,
 }
 
 impl ShardedSpillStore {
@@ -707,6 +782,10 @@ impl ShardedSpillStore {
             };
             Prefetcher::start(&inner, config.prefetch, engine, decode_workers)
         });
+        let appender = Appender {
+            inner: Arc::clone(&inner),
+            fault: config.fault.clone(),
+        };
         Self {
             inner,
             prefetcher,
@@ -716,7 +795,7 @@ impl ShardedSpillStore {
             plan_reserved: 0,
             io_threads,
             decode_workers,
-            ingest_fault: config.fault.clone(),
+            appender,
         }
     }
 
@@ -745,64 +824,13 @@ impl ShardedSpillStore {
     /// only becomes visible — `num_batches()` only grows — after the write
     /// completed. Appends round-robin across the shard files.
     pub fn append_sealed(&self, bytes: &[u8], labels: Vec<f64>) -> std::io::Result<usize> {
-        let inner = &self.inner;
-        let n_shards = inner.shard_meta.len();
-        assert!(
-            n_shards > 0,
-            "append_sealed needs shard files; open the store with \
-             ShardedSpillStore::open_streaming"
-        );
-        // Backpressure *before* taking the append mutex: a blocked
-        // producer must never hold the lock stats readers need. The wait
-        // is bounded by consumption, not time — the whole point is that
-        // ingestion stalls until a visitor drains a sealed segment.
-        if inner.max_pending > 0 {
-            let t0 = Instant::now();
-            let mut consumed = lock(&inner.consumed);
-            let mut stalled = false;
-            while inner
-                .sealed
-                .load(Ordering::Acquire)
-                .saturating_sub(*consumed)
-                >= inner.max_pending
-            {
-                stalled = true;
-                consumed = wait(&inner.consumed_cv, consumed);
-            }
-            drop(consumed);
-            if stalled {
-                inner
-                    .io
-                    .stats
-                    .ingest_stall_ns
-                    .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
-            }
-        }
-        let mut append = lock(&inner.append);
-        // The sequence number lives inside the mutex: concurrent callers
-        // serialize here and each append gets a unique, gap-free seq.
-        let seq = append.seq;
-        let shard = seq % n_shards;
-        let loc = land(&mut append.cursors, shard, bytes.len(), |at| {
-            match &self.ingest_fault {
-                Some(plan) => plan.faulty_append(&inner.io, shard, at, bytes, seq as u64),
-                None => inner.io.devices[shard].file.write_all_at(bytes, at),
-            }
-        })?;
-        let visible = {
-            let mut entries = wlock(&inner.entries);
-            entries.push(Entry::spilled(loc, labels));
-            entries.len()
-        };
-        append.bytes += bytes.len() as u64;
-        append.seq += 1;
-        // Publish visibility last: an index below the watermark always
-        // resolves to fully-written bytes and a registered entry.
-        inner.sealed.store(visible, Ordering::Release);
-        let pending = visible.saturating_sub(*lock(&inner.consumed));
-        inner.peak_pending.fetch_max(pending, Ordering::Relaxed);
-        drop(append);
-        Ok(visible - 1)
+        self.appender.append(bytes, labels)
+    }
+
+    /// An owned handle on the append path, for threads that outlive a
+    /// borrow of the store (the seal workers of a [`crate::StoreIngest`]).
+    pub(crate) fn appender(&self) -> Appender {
+        self.appender.clone()
     }
 
     /// Segments landed through [`ShardedSpillStore::append_sealed`] so

@@ -266,6 +266,14 @@ impl ClaBatch {
     }
 }
 
+/// `buf` as `n` zeros: the one table or accumulator a kernel builds per
+/// DDC group, reused across groups and calls.
+fn zeroed(buf: &mut Vec<f64>, n: usize) -> &mut [f64] {
+    buf.clear();
+    buf.resize(n, 0.0);
+    buf
+}
+
 impl MatrixBatch for ClaBatch {
     fn rows(&self) -> usize {
         self.rows
@@ -287,7 +295,7 @@ impl MatrixBatch for ClaBatch {
         }
         total
     }
-    fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
+    fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch) {
         toc_linalg::dense::reset_vec(out, self.rows);
         for g in &self.groups {
             match g {
@@ -295,7 +303,7 @@ impl MatrixBatch for ClaBatch {
                     let width = cols.len();
                     let n = dict.len() / width;
                     // Precompute per-dictionary-entry dot products.
-                    let mut table = vec![0.0f64; n];
+                    let table = zeroed(&mut ws.cla, n);
                     for (i, t) in table.iter_mut().enumerate() {
                         let tuple = &dict[i * width..(i + 1) * width];
                         let mut acc = 0.0;
@@ -319,14 +327,14 @@ impl MatrixBatch for ClaBatch {
             }
         }
     }
-    fn vecmat_into_ws(&self, v: &[f64], out: &mut Vec<f64>, _: &mut ExecScratch) {
+    fn vecmat_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch) {
         toc_linalg::dense::reset_vec(out, self.cols);
         for g in &self.groups {
             match g {
                 Group::Ddc { cols, dict, rowidx } => {
                     let width = cols.len();
                     let n = dict.len() / width;
-                    let mut acc = vec![0.0f64; n];
+                    let acc = zeroed(&mut ws.cla, n);
                     for (&i, &w) in rowidx.iter().zip(v) {
                         acc[i as usize] += w;
                     }
@@ -349,7 +357,7 @@ impl MatrixBatch for ClaBatch {
             }
         }
     }
-    fn matmat_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
+    fn matmat_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
         let p = m.cols();
         out.reset(self.rows, p);
         for g in &self.groups {
@@ -357,7 +365,7 @@ impl MatrixBatch for ClaBatch {
                 Group::Ddc { cols, dict, rowidx } => {
                     let width = cols.len();
                     let n = dict.len() / width;
-                    let mut table = vec![0.0f64; n * p];
+                    let table = zeroed(&mut ws.cla, n * p);
                     for i in 0..n {
                         let tuple = &dict[i * width..(i + 1) * width];
                         let trow = &mut table[i * p..(i + 1) * p];
@@ -380,13 +388,13 @@ impl MatrixBatch for ClaBatch {
                     }
                 }
                 Group::Uc { col, values } => {
-                    let mrow = m.row(*col as usize).to_vec();
+                    let mrow = m.row(*col as usize);
                     for (r, &val) in values.iter().enumerate() {
                         if val == 0.0 {
                             continue;
                         }
                         let orow = out.row_mut(r);
-                        for (o, &b) in orow.iter_mut().zip(&mrow) {
+                        for (o, &b) in orow.iter_mut().zip(mrow) {
                             *o += val * b;
                         }
                     }
@@ -394,7 +402,7 @@ impl MatrixBatch for ClaBatch {
             }
         }
     }
-    fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, _: &mut ExecScratch) {
+    fn matmat_left_into_ws(&self, m: &DenseMatrix, out: &mut DenseMatrix, ws: &mut ExecScratch) {
         let p = m.rows();
         out.reset(p, self.cols);
         for g in &self.groups {
@@ -403,7 +411,7 @@ impl MatrixBatch for ClaBatch {
                     let width = cols.len();
                     let n = dict.len() / width;
                     // acc[i][q] = sum over rows with entry i of M[q][r].
-                    let mut acc = vec![0.0f64; n * p];
+                    let acc = zeroed(&mut ws.cla, n * p);
                     for (r, &i) in rowidx.iter().enumerate() {
                         let arow = &mut acc[i as usize * p..(i as usize + 1) * p];
                         for (q, a) in arow.iter_mut().enumerate() {
@@ -436,6 +444,17 @@ impl MatrixBatch for ClaBatch {
                 }
             }
         }
+    }
+    fn reserve_scratch(&self, p: usize, ws: &mut ExecScratch) {
+        ws.t_in.reserve(p, self.rows);
+        ws.t_out.reserve(p, self.cols);
+        // The largest per-group table or accumulator any kernel builds.
+        let entries = self.groups.iter().map(|g| match g {
+            Group::Ddc { cols, dict, .. } => dict.len() / cols.len(),
+            Group::Uc { .. } => 0,
+        });
+        let need = entries.max().unwrap_or(0) * p.max(1);
+        ws.cla.reserve(need.saturating_sub(ws.cla.len()));
     }
     fn scale(&mut self, c: f64) {
         for g in &mut self.groups {

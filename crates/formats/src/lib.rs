@@ -156,6 +156,8 @@ impl From<toc_gc::GcError> for FormatError {
 ///   leaves the scratch's plan alone.
 /// * `t_in` / `t_out` — the transposed operand and result of the provided
 ///   [`MatrixBatch::matmat_t_into_ws`] (`Aᵀ·D` as `(Dᵀ·A)ᵀ`).
+/// * `cla` — the CLA kernels' per-DDC-group table (`A·v`, `A·M`) or
+///   accumulator (`v·A`, `M·A`), one group at a time.
 ///
 /// One instance serves any number of batches of any scheme and shape;
 /// buffers grow to the high-water mark and are reused thereafter.
@@ -173,6 +175,8 @@ pub struct ExecScratch {
     pub t_in: DenseMatrix,
     /// `Dᵀ·A`, staged by the provided `Aᵀ·D`.
     pub t_out: DenseMatrix,
+    /// The per-group dictionary table or accumulator of the CLA kernels.
+    pub cla: Vec<f64>,
 }
 
 /// A mini-batch in some (possibly compressed) encoding, supporting the core
