@@ -33,9 +33,11 @@
 //! order — by the caller's thread for a container (the sink never leaves
 //! it), by the seal workers themselves for a store, so a sealed chunk is
 //! visible without waiting for the next row — and the bytes and counters
-//! of both are those of a serial seal. Their reported peak is what the
-//! pipeline can hold at once: workers + 2 stage buffers, allocated up
-//! front, and workers + 1 of the largest segment sealed.
+//! of both are those of a serial seal. Their reported peak is the live
+//! high-water mark of the stage buffers and the sealed segments not yet
+//! appended: O(workers · chunk), at most workers + 2 stages and
+//! workers + 1 segments, and how close it comes to that depends on how
+//! the seals overlapped.
 //!
 //! Chunking changes *where* segment boundaries fall, never what a chunk
 //! of given rows encodes to: sealing is deterministic in the staged
@@ -253,11 +255,12 @@ pub struct IngestStats {
     pub chunks: u64,
     /// Encoded bytes across all sealed segments.
     pub encoded_bytes: u64,
-    /// What the seal pipeline can hold at once, set by `finish`, for both
-    /// sinks: every stage buffer (workers + 2: staging, in flight, spare)
-    /// plus workers + 1 of the largest sealed segment — O(workers · chunk).
-    /// The bytes held at once stay within it; how close they come depends
-    /// on how the seals overlapped.
+    /// High-water mark of the seal pipeline, set by `finish`, for both
+    /// sinks: the stage buffers allocated plus the sealed segments not
+    /// yet appended, counted live. O(workers · chunk): at most
+    /// workers + 2 stages and workers + 1 segments, and how close it
+    /// comes to that depends on how the seals overlapped, so a short
+    /// stream may read lower than a long one.
     pub peak_workspace_bytes: usize,
     /// Sealed-segment count per scheme, in first-seen order — with
     /// per-chunk auto-pick over a drifting stream this is where the
@@ -428,7 +431,7 @@ impl<'a> StoreIngest<'a> {
     ) -> Self {
         let ws = EncodeWorkspace::new(cols, chunk_rows);
         let line = Arc::new(Sequencer::default());
-        lock(&line.queue).spare = stages(&ws, &line.held);
+        line.held.add(stage_bytes(&ws.stage));
         let shared = line.clone();
         let pool = SealPool::spawn(workers(), move |(seq, dense, labels): StoreChunk| {
             // Caught here, not by the pool: the caller waits on appends,
@@ -539,7 +542,7 @@ impl<'a> StoreIngest<'a> {
         }
         self.wait_appended(0)?;
         let mut stats = self.stats();
-        stats.peak_workspace_bytes = self.line.held.reserve();
+        stats.peak_workspace_bytes = self.line.held.peak.load(Ordering::Relaxed);
         Ok(stats)
     }
 }
@@ -576,7 +579,8 @@ struct Sequencer {
     /// `failed` or `panic` is set; a caller that loads it set (`Acquire`)
     /// takes the lock to read which.
     broken: AtomicBool,
-    /// The stage buffers and the largest segment, for the reported peak.
+    /// Every stage buffer allocated plus the sealed segments not yet
+    /// appended.
     held: Held,
 }
 
@@ -616,7 +620,7 @@ impl Sequencer {
         stage: Vec<f64>,
         sink: &impl Fn(&[u8], Vec<f64>) -> std::io::Result<usize>,
     ) {
-        self.held.add_segment(chunk.bytes.len());
+        self.held.add(chunk.bytes.len());
         let mut q = lock(&self.queue);
         q.spare.push(stage);
         let slot = (seq - q.next) as usize;
@@ -634,6 +638,7 @@ impl Sequencer {
             drop(q);
             let len = chunk.bytes.len();
             let landed = sink(&chunk.bytes, chunk.labels);
+            self.held.sub(len);
             q = lock(&self.queue);
             match landed {
                 Ok(_) => {
@@ -670,22 +675,13 @@ fn workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// The spare stage buffers of a pipeline staging into `ws`, one per
-/// chunk that may be in flight (workers + 1), counted in `held` with the
-/// staging one. Allocated up front, so the stages the peak counts do not
-/// depend on how the seals happened to overlap.
-fn stages(ws: &EncodeWorkspace, held: &Held) -> Vec<Vec<f64>> {
-    let spares: Vec<Vec<f64>> = (0..=workers())
-        .map(|_| Vec::with_capacity(ws.cols * ws.chunk_rows))
-        .collect();
-    let bytes = |v: &Vec<f64>| v.capacity() * std::mem::size_of::<f64>();
-    held.add_stage(bytes(&ws.stage) + spares.iter().map(bytes).sum::<usize>());
-    spares
+/// Bytes a stage buffer holds.
+fn stage_bytes(stage: &Vec<f64>) -> usize {
+    stage.capacity() * std::mem::size_of::<f64>()
 }
 
 /// Stage `row`, first taking a buffer when the last was handed off: a
-/// spare, or a new one counted in `held` should a seal that panicked have
-/// taken its buffer with it.
+/// spare, or a new one counted in `held` while every one is in flight.
 fn stage_row(
     ws: &mut EncodeWorkspace,
     held: &Held,
@@ -695,7 +691,7 @@ fn stage_row(
     if ws.stage.capacity() == 0 {
         ws.stage = spare().unwrap_or_else(|| {
             let stage = Vec::with_capacity(ws.cols * ws.chunk_rows);
-            held.add_stage(stage.capacity() * std::mem::size_of::<f64>());
+            held.add(stage_bytes(&stage));
             stage
         });
     }
@@ -714,8 +710,8 @@ fn stage_row(
 /// [`IngestStats`] are exactly those of sealing one chunk after another.
 /// At most workers + 1 chunks are between hand-off and append, and their
 /// staging buffers are recycled, so memory is flat in the rows but grows
-/// with the cores: workers + 2 stages and up to workers + 1 sealed
-/// segments.
+/// with the cores: about workers + 2 stages and workers + 1 sealed
+/// segments at its peak.
 ///
 /// [`ContainerIngest::stats`], [`ContainerIngest::bytes_written`] and
 /// [`ContainerIngest::writer_state`] describe the chunks appended so far;
@@ -731,8 +727,8 @@ pub struct ContainerIngest<W: std::io::Write> {
     in_flight: VecDeque<Reply<(SealedChunk, Vec<f64>)>>,
     /// Stage buffers back from the workers, ready to stage into.
     spare: Vec<Vec<f64>>,
-    /// The stage buffers and the largest segment, for the reported peak;
-    /// the seal workers add the segments they seal.
+    /// Every stage buffer allocated plus the sealed segments not yet
+    /// appended; the seal workers add the segments they seal.
     held: Arc<Held>,
     failed: Option<FormatError>,
     stats: IngestStats,
@@ -789,11 +785,11 @@ impl<W: std::io::Write> ContainerIngest<W> {
     ) -> Self {
         let ws = EncodeWorkspace::new(cols, chunk_rows);
         let held = Arc::new(Held::default());
-        let spare = stages(&ws, &held);
+        held.add(stage_bytes(&ws.stage));
         let sealed = held.clone();
         let pool = SealPool::spawn(workers(), move |dense| {
             let out = seal_chunk(dense, scheme, &encode);
-            sealed.add_segment(out.0.batch.size_bytes());
+            sealed.add(out.0.batch.size_bytes());
             out
         });
         Self {
@@ -801,7 +797,7 @@ impl<W: std::io::Write> ContainerIngest<W> {
             ws,
             pool,
             in_flight: VecDeque::new(),
-            spare,
+            spare: Vec::new(),
             held,
             failed: None,
             stats,
@@ -851,6 +847,7 @@ impl<W: std::io::Write> ContainerIngest<W> {
                 return Err(e);
             }
             self.in_flight.pop_front();
+            self.held.sub(sealed.batch.size_bytes());
             let wire = (self.writer.bytes_written() - before) as usize;
             self.stats.note(sealed.scheme, sealed.rows, wire);
         }
@@ -918,40 +915,28 @@ impl<W: std::io::Write> ContainerIngest<W> {
             self.hand_off()?;
         }
         self.drain()?;
-        self.stats.peak_workspace_bytes = self.held.reserve();
+        self.stats.peak_workspace_bytes = self.held.peak.load(Ordering::Relaxed);
         let total = self.writer.finish()?;
         Ok((total, self.stats))
     }
 }
 
-/// What an ingest's seal pipeline holds, kept by the caller's thread and
-/// the seal workers alike: its stage buffers and the size of the largest
-/// segment sealed. How many segments wait for their append at once
-/// depends on how the seals happened to overlap, so an ingest reports
-/// what the pipeline can hold ([`Held::reserve`]), not a live high-water
-/// mark.
+/// Bytes an ingest's seal pipeline holds and their high-water mark, kept
+/// by the caller's thread and the seal workers alike.
 #[derive(Default)]
 struct Held {
-    stages: AtomicUsize,
-    largest: AtomicUsize,
+    now: AtomicUsize,
+    peak: AtomicUsize,
 }
 
 impl Held {
-    fn add_stage(&self, bytes: usize) {
-        self.stages.fetch_add(bytes, Ordering::Relaxed);
+    fn add(&self, bytes: usize) {
+        let now = self.now.fetch_add(bytes, Ordering::Relaxed) + bytes;
+        self.peak.fetch_max(now, Ordering::Relaxed);
     }
 
-    fn add_segment(&self, bytes: usize) {
-        self.largest.fetch_max(bytes, Ordering::Relaxed);
-    }
-
-    /// The most the pipeline can hold at once for the chunks it sealed:
-    /// every stage buffer plus workers + 1 of the largest segment (at
-    /// most workers + 1 chunks are between hand-off and append). A serial
-    /// seal's counterpart is one stage plus the largest segment.
-    fn reserve(&self) -> usize {
-        let largest = self.largest.load(Ordering::Relaxed);
-        self.stages.load(Ordering::Relaxed) + (workers() + 1) * largest
+    fn sub(&self, bytes: usize) {
+        self.now.fetch_sub(bytes, Ordering::Relaxed);
     }
 }
 
@@ -961,10 +946,13 @@ type Reply<R> = mpsc::Receiver<std::thread::Result<R>>;
 /// The seal workers of both ingest drivers: any idle worker takes the
 /// next job from one shared queue, so a slow chunk holds up only its own
 /// worker, and answers on the job's own reply channel. A
-/// [`ContainerIngest`] job is a stage and its reply the sealed chunk; a
-/// [`StoreIngest`] job also appends, so nothing waits on its reply.
-/// Dropping the pool closes the queue, lets the workers finish every job
-/// queued, and joins them.
+/// [`ContainerIngest`] job is a stage and its reply the sealed chunk. A
+/// [`StoreIngest`] job also appends, so nothing reads its reply: each of
+/// its chunks makes and drops a reply channel, and its panic is caught
+/// twice, by the job (which hands it to the ingest's [`Sequencer`]) and
+/// by the pool (whose copy nobody reads). That is the price of one pool
+/// type for both sinks. Dropping the pool closes the queue, lets the
+/// workers finish every job queued, and joins them.
 struct SealPool<J, R> {
     jobs: Option<mpsc::Sender<(J, mpsc::Sender<std::thread::Result<R>>)>>,
     workers: Vec<JoinHandle<()>>,
@@ -1927,8 +1915,9 @@ mod tests {
         );
     }
 
-    /// The store ingest's peak is the same reserve as the container
-    /// ingest's.
+    /// The store ingest counts its peak as the container ingest does:
+    /// at least the staging buffer and a segment, and within what
+    /// workers + 1 chunks in flight can hold, at any row count.
     #[test]
     fn store_peak_counts_every_stage_and_stays_flat() {
         let (cols, chunk) = (6, 32);
@@ -1938,11 +1927,13 @@ mod tests {
             let store = ShardedSpillStore::open_streaming(cols, &config).unwrap();
             let m = drifting_matrix(rows, cols, 3, 5);
             let mut ing = StoreIngest::new(&store, chunk, None, EncodeOptions::default());
+            let workers = ing.pool.workers();
             for r in 0..rows {
                 ing.push_row(m.row(r), 1.0).unwrap();
             }
             let peak = ing.finish().unwrap().peak_workspace_bytes;
-            assert_peak_is_a_reserve(peak, workers(), stage);
+            assert!(peak > stage, "{rows} rows: peak {peak} <= {stage}");
+            assert_peak_within_the_pipeline(peak, workers, stage);
         }
     }
 
@@ -1986,9 +1977,9 @@ mod tests {
         );
     }
 
-    /// The container ingest's peak is its reserve: every stage buffer
-    /// (workers + 2: one staging, workers + 1 in flight) and workers + 1
-    /// of its largest segment, at any row count.
+    /// The container ingest's peak counts every stage buffer and every
+    /// sealed segment waiting to be appended, and stays flat in the rows:
+    /// at most workers + 2 stages (one staging, workers + 1 in flight).
     #[test]
     fn container_peak_counts_every_stage_and_stays_flat() {
         let (cols, chunk) = (6, 32);
@@ -2006,14 +1997,15 @@ mod tests {
         };
         for rows in [chunk * 4, chunk * 64] {
             let (peak, workers) = peak_for(rows);
-            assert_peak_is_a_reserve(peak, workers, stage);
+            // The chunk handed off and the stage after it, at least.
+            assert!(peak >= 2 * stage, "{rows} rows: peak {peak} < 2 x {stage}");
+            assert_peak_within_the_pipeline(peak, workers, stage);
         }
     }
 
-    /// `peak` is the reserve of `workers` seal workers staging `stage`
-    /// bytes: every stage buffer and workers + 1 sealed segments.
-    fn assert_peak_is_a_reserve(peak: usize, workers: usize, stage: usize) {
-        assert!(peak > (workers + 2) * stage, "peak {peak}: not every stage");
+    /// `peak` is at most what `workers` seal workers staging `stage`
+    /// bytes can hold: workers + 2 stages and workers + 1 segments.
+    fn assert_peak_within_the_pipeline(peak: usize, workers: usize, stage: usize) {
         // A sealed segment here is at most a dense chunk plus framing.
         let bound = (workers + 2) * stage + (workers + 1) * 2 * stage;
         assert!(peak <= bound, "peak {peak} past {bound}");
