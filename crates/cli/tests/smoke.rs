@@ -466,6 +466,7 @@ fn serve_emits_parseable_job_stats() {
     assert_eq!(hits + misses, 3 * 16, "aggregate = sum of per-job visits");
     // A fill-once cache never evicts, so the line does not report it.
     assert!(!s.contains_key("evictions"), "{serve}");
+    std::fs::remove_file(csv).ok();
 }
 
 /// One way in: the CSV, the v2 container made of it and, for its own
@@ -590,6 +591,9 @@ fn serve_script_mode() {
     assert!(stderr.contains("unknown model \"nn\""), "{stderr}");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(!stdout.contains("store:"), "store built first: {stdout}");
+    for p in [csv, script] {
+        std::fs::remove_file(p).ok();
+    }
 }
 
 /// `toc ingest`: stream a CSV through the bounded-memory chunked encoder

@@ -27,17 +27,18 @@
 //!   [`toc_formats::container::Container`] encode of the same rows
 //!   (`toc ingest`, `toc compress`).
 //!
-//! Both seal on every core: each full stage goes to a [`SealPool`] of
-//! one worker per core, and at most workers + 1 chunks are between
-//! hand-off and append. The segments are appended strictly in hand-off
-//! order — by the caller's thread for a container (the sink never leaves
-//! it), by the seal workers themselves for a store, so a sealed chunk is
-//! visible without waiting for the next row — and the bytes and counters
-//! of both are those of a serial seal. Their reported peak is the live
-//! high-water mark of the stage buffers and the sealed segments not yet
-//! appended: O(workers · chunk), at most workers + 2 stages and
-//! workers + 1 segments, and how close it comes to that depends on how
-//! the seals overlapped.
+//! Both seal on one seal line: each full stage goes to one queue served
+//! by a seal worker per core, and at most workers + 1 chunks are between
+//! hand-off and append. One routine appends the sealed segments strictly
+//! in hand-off order, and which thread runs it is the only difference
+//! between the sinks: the caller's for a container (the sink never leaves
+//! it), the depositing worker's for a store, so a sealed chunk is visible
+//! without waiting for the next row. The bytes and counters of both are
+//! those of a serial seal. Their reported peak is the live high-water
+//! mark of the stage buffers and the sealed segments not yet appended:
+//! O(workers · chunk), at most workers + 2 stages and workers + 1
+//! segments, and how close it comes to that depends on how the seals
+//! overlapped.
 //!
 //! Chunking changes *where* segment boundaries fall, never what a chunk
 //! of given rows encodes to: sealing is deterministic in the staged
@@ -74,7 +75,7 @@ use std::io::{Seek, SeekFrom, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 use toc_formats::container::{
@@ -153,26 +154,26 @@ impl EncodeWorkspace {
     /// rows alone, never on earlier seals. Returns `None` when nothing is
     /// staged.
     pub fn seal(&mut self, scheme: Option<Scheme>, opts: &EncodeOptions) -> Option<SealedChunk> {
-        let (sealed, stage) = seal_chunk(self.take_stage(Vec::new())?, scheme, opts);
+        let dense = self.take_stage()?;
+        let encode = |dense| encode_chunk(dense, scheme, opts);
+        let (sealed, stage) = seal_chunk(dense, opts.cla.sample_rows, encode);
         self.reclaim(stage, &sealed.batch);
         Some(sealed)
     }
 
     /// The encode half of [`EncodeWorkspace::seal`], for sinks that keep
-    /// no zone maps (the store): `summarize` sees the staged rows before
-    /// they are encoded and its result rides along with the picked
-    /// scheme, the segment and the row count.
-    pub(crate) fn seal_with<Z>(
+    /// no zone maps (the store): the picked scheme, the segment and the
+    /// row count.
+    pub(crate) fn seal_with(
         &mut self,
         scheme: Option<Scheme>,
         opts: &EncodeOptions,
-        summarize: impl FnOnce(&DenseMatrix) -> Z,
-    ) -> Option<(Scheme, AnyBatch, Z, usize)> {
-        let dense = self.take_stage(Vec::new())?;
+    ) -> Option<(Scheme, AnyBatch, usize)> {
+        let dense = self.take_stage()?;
         let rows = dense.rows();
-        let (picked, batch, summary, stage) = encode_chunk(dense, scheme, opts, summarize);
+        let (picked, batch, stage) = encode_chunk(dense, scheme, opts);
         self.reclaim(stage, &batch);
-        Some((picked, batch, summary, rows))
+        Some((picked, batch, rows))
     }
 
     /// Stage into the sealed chunk's buffer again, so steady-state
@@ -185,15 +186,13 @@ impl EncodeWorkspace {
         self.peak_bytes = self.peak_bytes.max(used);
     }
 
-    /// Hand the staged rows out as one dense chunk and stage the next
-    /// rows into `spare` (cleared). `None`, and `spare` dropped, when
-    /// nothing is staged.
-    fn take_stage(&mut self, mut spare: Vec<f64>) -> Option<DenseMatrix> {
+    /// Hand the staged rows out as one dense chunk, leaving no buffer to
+    /// stage into. `None` when nothing is staged.
+    fn take_stage(&mut self) -> Option<DenseMatrix> {
         if self.staged_rows == 0 {
             return None;
         }
-        spare.clear();
-        let data = std::mem::replace(&mut self.stage, spare);
+        let data = std::mem::take(&mut self.stage);
         let rows = std::mem::take(&mut self.staged_rows);
         Some(DenseMatrix::from_vec(rows, self.cols, data))
     }
@@ -205,37 +204,35 @@ impl EncodeWorkspace {
     }
 }
 
-/// Seal one chunk: `summarize` it, pick the scheme and encode (`None` =
-/// per-chunk auto over [`Scheme::AUTO_SET`], which keeps the winner's
-/// probe encoding rather than encoding twice), and hand back the chunk's
-/// buffer cleared for the next stage. Depends on the chunk's rows alone,
-/// which is what lets [`ContainerIngest`] seal chunks on any thread.
-fn encode_chunk<Z>(
-    dense: DenseMatrix,
-    scheme: Option<Scheme>,
-    opts: &EncodeOptions,
-    summarize: impl FnOnce(&DenseMatrix) -> Z,
-) -> (Scheme, AnyBatch, Z, Vec<f64>) {
-    let summary = summarize(&dense);
+/// A chunk encoded: the picked scheme, the segment, and the chunk's
+/// buffer cleared for the next stage.
+type Encoded = (Scheme, AnyBatch, Vec<f64>);
+
+/// Encode one chunk (`None` = per-chunk auto over [`Scheme::AUTO_SET`],
+/// which keeps the winner's probe encoding rather than encoding twice).
+/// Depends on the chunk's rows alone, which is what lets the ingest sinks
+/// seal chunks on any thread.
+fn encode_chunk(dense: DenseMatrix, scheme: Option<Scheme>, opts: &EncodeOptions) -> Encoded {
     let (picked, batch) = match scheme {
         Some(s) => (s, s.encode_with(&dense, opts)),
         None => pick_and_encode(&dense, &Scheme::AUTO_SET, opts),
     };
     let mut stage = dense.into_data();
     stage.clear();
-    (picked, batch, summary, stage)
+    (picked, batch, stage)
 }
 
-/// [`encode_chunk`] with the chunk's zone map: the one way a chunk
-/// becomes a [`SealedChunk`], in a workspace or on a seal worker.
+/// The chunk's zone map, from the rows before they are encoded, then its
+/// `encode`: the one way a chunk becomes a [`SealedChunk`], in a
+/// workspace or on a seal worker.
 fn seal_chunk(
     dense: DenseMatrix,
-    scheme: Option<Scheme>,
-    opts: &EncodeOptions,
+    sample_rows: usize,
+    encode: impl FnOnce(DenseMatrix) -> Encoded,
 ) -> (SealedChunk, Vec<f64>) {
     let rows = dense.rows();
-    let zone = |dense: &DenseMatrix| ZoneMap::compute(dense, opts.cla.sample_rows);
-    let (scheme, batch, zone, stage) = encode_chunk(dense, scheme, opts, zone);
+    let zone = ZoneMap::compute(&dense, sample_rows);
+    let (scheme, batch, stage) = encode(dense);
     let sealed = SealedChunk {
         scheme,
         batch,
@@ -351,15 +348,13 @@ impl From<CsvError> for IngestError {
 /// store — [`StoreIngest::try_new`] reports the conflict, `new` panics
 /// on it.
 ///
-/// It seals on every core, like [`ContainerIngest`]: each full stage goes
-/// to the same kind of seal pool, and at most workers + 1 chunks are
-/// between hand-off and append. The seal workers append too, strictly in
-/// hand-off order ([`Sequencer`]): the worker that seals the next chunk
-/// in sequence appends it and every chunk already sealed behind it, and
-/// a worker whose chunk is not next leaves it for that one. So a sealed
-/// chunk becomes visible without waiting for another row — what a
-/// trainer following a paused stream (`toc train --follow`) needs — and
-/// the store's bytes and the [`IngestStats`] are those of a serial seal.
+/// It seals on every core through the seal line a [`ContainerIngest`]
+/// uses, and here the seal workers also append, strictly in hand-off
+/// order: the worker that deposits the next chunk in sequence appends it
+/// and every chunk already sealed behind it. So a sealed chunk becomes
+/// visible without waiting for another row — what a trainer following a
+/// paused stream (`toc train --follow`) needs — and the store's bytes
+/// and the [`IngestStats`] are those of a serial seal.
 ///
 /// After a failed append every call returns that error and no later
 /// chunk is appended; a seal that panics resurfaces as a panic on the
@@ -369,19 +364,20 @@ impl From<CsvError> for IngestError {
 /// ([`crate::StoreConfig::with_max_pending`]) it waits for a consumer,
 /// as `finish` would.
 pub struct StoreIngest<'a> {
-    ws: EncodeWorkspace,
-    labels: Vec<f64>,
-    pool: SealPool<StoreChunk, ()>,
-    line: Arc<Sequencer>,
-    /// Chunks handed to the seal workers so far.
-    handed_off: u64,
-    /// Released with the fields, after `drop` has joined the workers.
+    /// Dropped, so its workers joined, before `_token` frees the slot.
+    pool: SealLine<StoreChunk, std::io::Error>,
+    /// Counters over the chunks appended, kept by the appending worker.
+    stats: Arc<Mutex<IngestStats>>,
     _token: AppenderToken<'a>,
 }
 
-/// One full stage on its way to a seal worker: its place in hand-off
-/// order, its rows and their labels.
-type StoreChunk = (u64, DenseMatrix, Vec<f64>);
+/// A sealed store segment waiting for its turn to be appended.
+struct StoreChunk {
+    scheme: Scheme,
+    bytes: Vec<u8>,
+    labels: Vec<f64>,
+    rows: usize,
+}
 
 impl<'a> StoreIngest<'a> {
     /// Claim the store's appender slot and set up staging. Panics if
@@ -411,11 +407,7 @@ impl<'a> StoreIngest<'a> {
             store.num_features(),
             chunk_rows,
             token,
-            move |dense| {
-                // A store segment has no footer to put a zone map in.
-                let (picked, batch, (), stage) = encode_chunk(dense, scheme, &encode, |_| ());
-                (picked, batch.to_bytes(), stage)
-            },
+            move |dense| encode_chunk(dense, scheme, &encode),
             move |bytes, labels| appender.append(bytes, labels),
         ))
     }
@@ -426,37 +418,33 @@ impl<'a> StoreIngest<'a> {
         cols: usize,
         chunk_rows: usize,
         token: AppenderToken<'a>,
-        encode: impl Fn(DenseMatrix) -> (Scheme, Vec<u8>, Vec<f64>) + Send + Sync + 'static,
+        encode: impl Fn(DenseMatrix) -> Encoded + Send + Sync + 'static,
         sink: impl Fn(&[u8], Vec<f64>) -> std::io::Result<usize> + Send + Sync + 'static,
     ) -> Self {
-        let ws = EncodeWorkspace::new(cols, chunk_rows);
-        let line = Arc::new(Sequencer::default());
-        line.held.add(stage_bytes(&ws.stage));
-        let shared = line.clone();
-        let pool = SealPool::spawn(workers(), move |(seq, dense, labels): StoreChunk| {
-            // Caught here, not by the pool: the caller waits on appends,
-            // not on replies, so the panic must reach the sequencer.
-            let sealed = panic::catch_unwind(AssertUnwindSafe(|| {
-                let rows = dense.rows();
-                let (scheme, bytes, stage) = encode(dense);
-                let chunk = ReadyChunk {
-                    scheme,
-                    bytes,
-                    labels,
-                    rows,
-                };
-                shared.deposit(seq, chunk, stage, &sink);
-            }));
-            if let Err(payload) = sealed {
-                shared.broke(payload);
-            }
-        });
+        let stats = Arc::new(Mutex::new(IngestStats::default()));
+        let counted = stats.clone();
+        let seal = move |dense: DenseMatrix, labels| {
+            let rows = dense.rows();
+            let (scheme, batch, stage) = encode(dense);
+            // A store segment has no footer to put a zone map in.
+            let bytes = batch.to_bytes();
+            let held = bytes.len();
+            let chunk = StoreChunk {
+                scheme,
+                bytes,
+                labels,
+                rows,
+            };
+            (chunk, held, stage)
+        };
+        let append = move |chunk: StoreChunk| {
+            sink(&chunk.bytes, chunk.labels)?;
+            lock(&counted).note(chunk.scheme, chunk.rows, chunk.bytes.len());
+            Ok(())
+        };
         Self {
-            labels: Vec::with_capacity(chunk_rows),
-            ws,
-            pool,
-            line,
-            handed_off: 0,
+            pool: SealLine::spawn(cols, chunk_rows, seal, Some(Arc::new(append))),
+            stats,
             _token: token,
         }
     }
@@ -464,238 +452,27 @@ impl<'a> StoreIngest<'a> {
     /// Stage one row (features + its ±1 label); hands the chunk to the
     /// seal workers when it fills.
     pub fn push_row(&mut self, features: &[f64], label: f64) -> std::io::Result<()> {
-        self.check()?;
-        let line = &self.line;
-        stage_row(
-            &mut self.ws,
-            &line.held,
-            || lock(&line.queue).spare.pop(),
-            features,
-        );
-        self.labels.push(label);
-        if self.ws.is_full() {
-            self.hand_off()?;
-        }
-        Ok(())
-    }
-
-    /// Hand the staged chunk to the workers once at most `workers` chunks
-    /// are between hand-off and append.
-    fn hand_off(&mut self) -> std::io::Result<()> {
-        self.wait_appended(self.pool.workers() as u64)?;
-        let dense = self
-            .ws
-            .take_stage(Vec::new())
-            .expect("hand_off needs staged rows");
-        let labels = std::mem::replace(&mut self.labels, Vec::with_capacity(self.ws.chunk_rows));
-        // The caller waits on appends, so the reply goes unread.
-        drop(self.pool.send((self.handed_off, dense, labels)));
-        self.handed_off += 1;
-        Ok(())
-    }
-
-    /// Wait until at most `behind` chunks handed off are not appended.
-    fn wait_appended(&mut self, behind: u64) -> std::io::Result<()> {
-        let mut q = lock(&self.line.queue);
-        while self.handed_off - q.appended > behind && !q.broken() {
-            q = wait(&self.line.appended, q);
-        }
-        drop(q);
-        self.check()
-    }
-
-    /// The failure that stopped the appends, or a seal's panic re-raised
-    /// once every worker is joined.
-    fn check(&mut self) -> std::io::Result<()> {
-        if !self.line.broken.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let mut q = lock(&self.line.queue);
-        if let Some(payload) = q.panic.take() {
-            q.failed = Some(std::io::Error::other("a seal worker panicked"));
-            drop(q);
-            self.pool.shut_down();
-            panic::resume_unwind(payload);
-        }
-        match &q.failed {
-            Some(e) => Err(std::io::Error::new(e.kind(), e.to_string())),
-            None => Ok(()),
-        }
+        self.pool.push_row(features, Some(label), None)
     }
 
     /// Rows currently staged (not yet handed to the seal workers).
     pub fn staged_rows(&self) -> usize {
-        self.ws.staged_rows()
+        self.pool.ws.staged_rows()
     }
 
     /// Running counters over the chunks appended so far.
     pub fn stats(&self) -> IngestStats {
-        lock(&self.line.queue).stats.clone()
+        lock(&self.stats).clone()
     }
 
     /// Hand off any partial final chunk, wait until every chunk is
     /// appended, and report the ingest counters.
     pub fn finish(mut self) -> std::io::Result<IngestStats> {
-        self.check()?;
-        if self.ws.staged_rows() > 0 {
-            self.hand_off()?;
-        }
-        self.wait_appended(0)?;
+        let peak = self.pool.finish(None)?;
         let mut stats = self.stats();
-        stats.peak_workspace_bytes = self.line.held.peak.load(Ordering::Relaxed);
+        stats.peak_workspace_bytes = peak;
         Ok(stats)
     }
-}
-
-impl Drop for StoreIngest<'_> {
-    fn drop(&mut self) {
-        // The workers seal and append every chunk still queued before they
-        // return; the appender slot goes after this, with the fields.
-        self.pool.shut_down();
-    }
-}
-
-/// A sealed store segment waiting for its turn to be appended.
-struct ReadyChunk {
-    scheme: Scheme,
-    bytes: Vec<u8>,
-    labels: Vec<f64>,
-    rows: usize,
-}
-
-/// Puts a [`StoreIngest`]'s sealed chunks back in hand-off order. A seal
-/// worker deposits its chunk at its sequence number; if no worker is
-/// appending and the next chunk in sequence is there, it becomes the
-/// appender and appends that chunk and every one sealed behind it, with
-/// the lock released for each append. A worker whose chunk is not next
-/// goes back to the queue: the appender picks the chunk up when its turn
-/// comes.
-#[derive(Default)]
-struct Sequencer {
-    queue: Mutex<SeqQueue>,
-    /// Signalled on every append, failure and panic.
-    appended: Condvar,
-    /// The caller's per-row check: stored (`Release`) under the lock once
-    /// `failed` or `panic` is set; a caller that loads it set (`Acquire`)
-    /// takes the lock to read which.
-    broken: AtomicBool,
-    /// Every stage buffer allocated plus the sealed segments not yet
-    /// appended.
-    held: Held,
-}
-
-/// What a [`Sequencer`]'s lock guards.
-#[derive(Default)]
-struct SeqQueue {
-    /// Sealed chunks from the next one to append on; `None` while that
-    /// chunk is still sealing.
-    ready: VecDeque<Option<ReadyChunk>>,
-    /// Sequence number of `ready`'s front.
-    next: u64,
-    /// A worker is appending (with the lock released).
-    appending: bool,
-    /// Chunks appended, and their counters.
-    appended: u64,
-    stats: IngestStats,
-    /// Stage buffers back from the workers, ready to stage into.
-    spare: Vec<Vec<f64>>,
-    failed: Option<std::io::Error>,
-    panic: Option<Box<dyn std::any::Any + Send>>,
-}
-
-impl SeqQueue {
-    /// Nothing more will be appended.
-    fn broken(&self) -> bool {
-        self.failed.is_some() || self.panic.is_some()
-    }
-}
-
-impl Sequencer {
-    /// Deposit chunk `seq` and its stage buffer, then append whatever is
-    /// next in sequence unless another worker is already doing so.
-    fn deposit(
-        &self,
-        seq: u64,
-        chunk: ReadyChunk,
-        stage: Vec<f64>,
-        sink: &impl Fn(&[u8], Vec<f64>) -> std::io::Result<usize>,
-    ) {
-        self.held.add(chunk.bytes.len());
-        let mut q = lock(&self.queue);
-        q.spare.push(stage);
-        let slot = (seq - q.next) as usize;
-        if q.ready.len() <= slot {
-            q.ready.resize_with(slot + 1, || None);
-        }
-        q.ready[slot] = Some(chunk);
-        if q.appending || q.broken() {
-            return;
-        }
-        q.appending = true;
-        while let Some(Some(_)) = q.ready.front() {
-            let chunk = q.ready.pop_front().flatten().expect("the front is sealed");
-            q.next += 1;
-            drop(q);
-            let len = chunk.bytes.len();
-            let landed = sink(&chunk.bytes, chunk.labels);
-            self.held.sub(len);
-            q = lock(&self.queue);
-            match landed {
-                Ok(_) => {
-                    q.appended += 1;
-                    q.stats.note(chunk.scheme, chunk.rows, len);
-                }
-                Err(e) => {
-                    q.failed = Some(e);
-                    self.broken.store(true, Ordering::Release);
-                }
-            }
-            self.appended.notify_all();
-            if q.broken() {
-                break;
-            }
-        }
-        q.appending = false;
-    }
-
-    /// A worker panicked: keep the first payload for the caller. The
-    /// sequence gap it leaves stops the appends.
-    fn broke(&self, payload: Box<dyn std::any::Any + Send>) {
-        let mut q = lock(&self.queue);
-        if !q.broken() {
-            q.panic = Some(payload);
-            self.broken.store(true, Ordering::Release);
-        }
-        self.appended.notify_all();
-    }
-}
-
-/// Seal workers per pool: one per core.
-fn workers() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Bytes a stage buffer holds.
-fn stage_bytes(stage: &Vec<f64>) -> usize {
-    stage.capacity() * std::mem::size_of::<f64>()
-}
-
-/// Stage `row`, first taking a buffer when the last was handed off: a
-/// spare, or a new one counted in `held` while every one is in flight.
-fn stage_row(
-    ws: &mut EncodeWorkspace,
-    held: &Held,
-    spare: impl FnOnce() -> Option<Vec<f64>>,
-    row: &[f64],
-) {
-    if ws.stage.capacity() == 0 {
-        ws.stage = spare().unwrap_or_else(|| {
-            let stage = Vec::with_capacity(ws.cols * ws.chunk_rows);
-            held.add(stage_bytes(&stage));
-            stage
-        });
-    }
-    ws.push_row(row);
 }
 
 /// Streams rows into a seekable v2 `.tocz` through
@@ -703,34 +480,27 @@ fn stage_row(
 /// columns (the label column stays in the matrix, exactly like
 /// [`ShardedSpillStore::build_from_container`] expects to read it back).
 ///
-/// Each full stage is handed to a pool of seal workers, one per core
-/// ([`std::thread::available_parallelism`]), and the caller's thread
-/// appends the sealed segments strictly in hand-off order, so the sink
-/// never leaves it and the container, its zone maps and the
-/// [`IngestStats`] are exactly those of sealing one chunk after another.
-/// At most workers + 1 chunks are between hand-off and append, and their
-/// staging buffers are recycled, so memory is flat in the rows but grows
-/// with the cores: about workers + 2 stages and workers + 1 sealed
-/// segments at its peak.
+/// It seals on every core through the seal line a [`StoreIngest`] uses,
+/// and here the caller's thread appends the sealed segments, strictly in
+/// hand-off order, so the sink never leaves it and the container, its
+/// zone maps and the [`IngestStats`] are exactly those of sealing one
+/// chunk after another. At most workers + 1 chunks are between hand-off
+/// and append, and their staging buffers are recycled, so memory is flat
+/// in the rows but grows with the cores: about workers + 2 stages and
+/// workers + 1 sealed segments at its peak.
 ///
 /// [`ContainerIngest::stats`], [`ContainerIngest::bytes_written`] and
 /// [`ContainerIngest::writer_state`] describe the chunks appended so far;
 /// [`ContainerIngest::flush`] appends every chunk handed off first.
 /// After a failed append every call returns that error. Dropping an
-/// unfinished ingest closes the pool and joins its workers; a worker
-/// that panics resurfaces as a panic on the caller's thread.
+/// unfinished ingest lets the workers seal what was handed off, appends
+/// none of it, and joins them; a seal that panics resurfaces as a panic
+/// on the caller's thread.
 pub struct ContainerIngest<W: std::io::Write> {
     writer: ContainerStreamWriter<W>,
-    ws: EncodeWorkspace,
-    pool: SealPool<DenseMatrix, (SealedChunk, Vec<f64>)>,
-    /// One reply per chunk handed off and not yet appended, oldest first.
-    in_flight: VecDeque<Reply<(SealedChunk, Vec<f64>)>>,
-    /// Stage buffers back from the workers, ready to stage into.
-    spare: Vec<Vec<f64>>,
-    /// Every stage buffer allocated plus the sealed segments not yet
-    /// appended; the seal workers add the segments they seal.
-    held: Arc<Held>,
-    failed: Option<FormatError>,
+    pool: SealLine<SealedChunk, FormatError>,
+    /// Chunks a resume restored; the line counts from zero.
+    resumed: u64,
     stats: IngestStats,
 }
 
@@ -743,13 +513,16 @@ impl<W: std::io::Write> ContainerIngest<W> {
         encode: EncodeOptions,
     ) -> Result<Self, FormatError> {
         let writer = ContainerStreamWriter::new(sink)?;
+        let sample_rows = encode.cla.sample_rows;
+        let encode = move |dense| encode_chunk(dense, scheme, &encode);
+        let stats = IngestStats::default();
         Ok(Self::start(
             writer,
             cols,
             chunk_rows,
-            scheme,
+            sample_rows,
             encode,
-            IngestStats::default(),
+            stats,
         ))
     }
 
@@ -772,112 +545,76 @@ impl<W: std::io::Write> ContainerIngest<W> {
             FormatError::Corrupt("writer state has no sealed segments to resume from".into())
         })? as usize;
         let writer = ContainerStreamWriter::resume(sink, state)?;
-        Ok(Self::start(writer, cols, chunk_rows, scheme, encode, stats))
+        let sample_rows = encode.cla.sample_rows;
+        let encode = move |dense| encode_chunk(dense, scheme, &encode);
+        Ok(Self::start(
+            writer,
+            cols,
+            chunk_rows,
+            sample_rows,
+            encode,
+            stats,
+        ))
     }
 
+    /// The pipeline over a chunk encoder; each chunk's zone map is taken
+    /// over `sample_rows` rows before `encode` sees it.
     fn start(
         writer: ContainerStreamWriter<W>,
         cols: usize,
         chunk_rows: usize,
-        scheme: Option<Scheme>,
-        encode: EncodeOptions,
+        sample_rows: usize,
+        encode: impl Fn(DenseMatrix) -> Encoded + Send + Sync + 'static,
         stats: IngestStats,
     ) -> Self {
-        let ws = EncodeWorkspace::new(cols, chunk_rows);
-        let held = Arc::new(Held::default());
-        held.add(stage_bytes(&ws.stage));
-        let sealed = held.clone();
-        let pool = SealPool::spawn(workers(), move |dense| {
-            let out = seal_chunk(dense, scheme, &encode);
-            sealed.add(out.0.batch.size_bytes());
-            out
-        });
+        let seal = move |dense, _labels| {
+            let (sealed, stage) = seal_chunk(dense, sample_rows, &encode);
+            let held = sealed.batch.size_bytes();
+            (sealed, held, stage)
+        };
         Self {
             writer,
-            ws,
-            pool,
-            in_flight: VecDeque::new(),
-            spare: Vec::new(),
-            held,
-            failed: None,
+            pool: SealLine::spawn(cols, chunk_rows, seal, None),
+            resumed: stats.chunks,
             stats,
         }
+    }
+
+    /// `f` on the line, with the caller-side append it pops sealed
+    /// chunks into: through the writer, counted by their bytes on the
+    /// wire.
+    fn on_line<R>(
+        &mut self,
+        f: impl FnOnce(&mut SealLine<SealedChunk, FormatError>, ContainerAppend<'_, '_>) -> R,
+    ) -> R {
+        let (writer, stats) = (&mut self.writer, &mut self.stats);
+        let mut append = |sealed: SealedChunk| {
+            let before = writer.bytes_written();
+            writer.append(&sealed.batch, sealed.zone)?;
+            let wire = (writer.bytes_written() - before) as usize;
+            stats.note(sealed.scheme, sealed.rows, wire);
+            Ok(())
+        };
+        f(&mut self.pool, &mut append)
     }
 
     /// Stage one full-width row; hands the chunk to the seal workers
     /// when it fills, and appends whatever has sealed in order.
     pub fn push_row(&mut self, row: &[f64]) -> Result<(), FormatError> {
-        self.check()?;
-        let spare = &mut self.spare;
-        stage_row(&mut self.ws, &self.held, || spare.pop(), row);
-        if self.ws.is_full() {
-            self.hand_off()?;
-        }
-        Ok(())
-    }
-
-    /// Hand the staged chunk to the workers, first appending what has
-    /// sealed and, with workers + 1 chunks in flight, waiting for the
-    /// oldest. The next rows stage into a buffer taken when they come.
-    fn hand_off(&mut self) -> Result<(), FormatError> {
-        self.collect(false)?;
-        while self.in_flight.len() > self.pool.workers() {
-            self.collect(true)?;
-        }
-        let dense = self
-            .ws
-            .take_stage(Vec::new())
-            .expect("hand_off needs staged rows");
-        self.in_flight.push_back(self.pool.send(dense));
-        Ok(())
-    }
-
-    /// Append every chunk at the front of the queue that has sealed,
-    /// waiting for the oldest first when `wait`.
-    fn collect(&mut self, mut wait: bool) -> Result<(), FormatError> {
-        while let Some(reply) = self.in_flight.front() {
-            let Some((sealed, stage)) = self.pool.take(reply, wait) else {
-                break;
-            };
-            wait = false;
-            self.spare.push(stage);
-            let before = self.writer.bytes_written();
-            if let Err(e) = self.writer.append(&sealed.batch, sealed.zone) {
-                self.failed = Some(e.clone());
-                return Err(e);
-            }
-            self.in_flight.pop_front();
-            self.held.sub(sealed.batch.size_bytes());
-            let wire = (self.writer.bytes_written() - before) as usize;
-            self.stats.note(sealed.scheme, sealed.rows, wire);
-        }
-        Ok(())
-    }
-
-    /// Append every chunk handed off so far.
-    fn drain(&mut self) -> Result<(), FormatError> {
-        self.check()?;
-        while !self.in_flight.is_empty() {
-            self.collect(true)?;
-        }
-        Ok(())
-    }
-
-    fn check(&self) -> Result<(), FormatError> {
-        self.failed.clone().map_or(Ok(()), Err)
+        self.on_line(|pool, append| pool.push_row(row, None, Some(append)))
     }
 
     /// Rows currently staged (not yet handed to the seal workers). Drops
     /// to zero exactly when `push_row` hands a chunk off.
     pub fn staged_rows(&self) -> usize {
-        self.ws.staged_rows()
+        self.pool.ws.staged_rows()
     }
 
     /// Chunks handed to the seal workers, a resume's restored chunks
     /// included: the count the resumable driver spots seal boundaries by
     /// (an appended chunk may lag its hand-off).
     pub fn handed_off(&self) -> u64 {
-        self.stats.chunks + self.in_flight.len() as u64
+        self.resumed + self.pool.handed_off
     }
 
     /// Running counters over the segments appended so far.
@@ -896,7 +633,7 @@ impl<W: std::io::Write> ContainerIngest<W> {
     /// watermark points at are actually in the file, not in flight or in
     /// a userspace buffer.
     pub fn flush(&mut self) -> Result<(), FormatError> {
-        self.drain()?;
+        self.on_line(|pool, append| pool.settle(0, Some(append)))?;
         self.writer.flush()
     }
 
@@ -910,19 +647,24 @@ impl<W: std::io::Write> ContainerIngest<W> {
     /// the layout-tree footer and postscript, and report `(total
     /// container bytes, counters)`.
     pub fn finish(mut self) -> Result<(u64, IngestStats), FormatError> {
-        self.check()?;
-        if self.ws.staged_rows() > 0 {
-            self.hand_off()?;
-        }
-        self.drain()?;
-        self.stats.peak_workspace_bytes = self.held.peak.load(Ordering::Relaxed);
+        self.stats.peak_workspace_bytes = self.on_line(|pool, append| pool.finish(Some(append)))?;
         let total = self.writer.finish()?;
         Ok((total, self.stats))
     }
 }
 
-/// Bytes an ingest's seal pipeline holds and their high-water mark, kept
-/// by the caller's thread and the seal workers alike.
+/// Seal workers per line: one per core.
+fn workers() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Bytes a stage buffer holds.
+fn stage_bytes(stage: &Vec<f64>) -> usize {
+    stage.capacity() * std::mem::size_of::<f64>()
+}
+
+/// Bytes an ingest's seal line holds and their high-water mark, kept by
+/// the caller's thread and the seal workers alike.
 #[derive(Default)]
 struct Held {
     now: AtomicUsize,
@@ -940,46 +682,149 @@ impl Held {
     }
 }
 
-/// A job's result, or the panic of the worker that ran it.
-type Reply<R> = mpsc::Receiver<std::thread::Result<R>>;
-
-/// The seal workers of both ingest drivers: any idle worker takes the
-/// next job from one shared queue, so a slow chunk holds up only its own
-/// worker, and answers on the job's own reply channel. A
-/// [`ContainerIngest`] job is a stage and its reply the sealed chunk. A
-/// [`StoreIngest`] job also appends, so nothing reads its reply: each of
-/// its chunks makes and drops a reply channel, and its panic is caught
-/// twice, by the job (which hands it to the ingest's [`Sequencer`]) and
-/// by the pool (whose copy nobody reads). That is the price of one pool
-/// type for both sinks. Dropping the pool closes the queue, lets the
-/// workers finish every job queued, and joins them.
-struct SealPool<J, R> {
-    jobs: Option<mpsc::Sender<(J, mpsc::Sender<std::thread::Result<R>>)>>,
-    workers: Vec<JoinHandle<()>>,
+/// An append failure a seal line keeps and hands to every later call.
+trait Fault {
+    fn again(&self) -> Self;
 }
 
-impl<J: Send + 'static, R: Send + 'static> SealPool<J, R> {
-    fn spawn(workers: usize, work: impl Fn(J) -> R + Send + Sync + 'static) -> Self {
-        let (jobs, queue) = mpsc::channel::<(J, mpsc::Sender<std::thread::Result<R>>)>();
-        let queue = Arc::new(Mutex::new(queue));
-        let work = Arc::new(work);
-        let workers = (0..workers)
+impl Fault for FormatError {
+    fn again(&self) -> Self {
+        self.clone()
+    }
+}
+
+impl Fault for std::io::Error {
+    fn again(&self) -> Self {
+        Self::new(self.kind(), self.to_string())
+    }
+}
+
+/// One full stage on its way to a seal worker: its place in hand-off
+/// order, its rows and a store's labels for them.
+type Job = (u64, DenseMatrix, Vec<f64>);
+
+/// A seal line's append, run by the thread that pops the line.
+type Append<'a, 'f, T, E> = &'a mut (dyn FnMut(T) -> Result<(), E> + 'f);
+
+/// A container's append, run by its caller.
+type ContainerAppend<'a, 'f> = Append<'a, 'f, SealedChunk, FormatError>;
+
+/// The append a line's seal workers run themselves.
+type WorkerAppend<T, E> = Arc<dyn Fn(T) -> Result<(), E> + Send + Sync>;
+
+/// The seal line of both ingest sinks. The caller stages rows in its
+/// [`EncodeWorkspace`] and hands each full stage, numbered in hand-off
+/// order, to one queue; W = [`std::thread::available_parallelism`] seal
+/// workers take the next job, so a slow chunk holds up only its own
+/// worker, run the sink's seal under one `catch_unwind`, and deposit the
+/// sealed chunk and its stage buffer at its number. One routine
+/// ([`Shared::pop`]) appends the in-order prefix of what is deposited, and
+/// which thread calls it is the only difference between the sinks: a
+/// [`StoreIngest`]'s depositing worker, so a sealed chunk is visible
+/// without another row, or a [`ContainerIngest`]'s caller, so its writer
+/// never leaves that thread. At most W + 1 chunks are between hand-off and
+/// append. A failed append stops the line and is returned by every later
+/// call; a seal's panic is recorded and re-raised on the caller once the
+/// workers are joined. Dropping the line lets the workers seal every job
+/// queued (and append it, if they are the appenders) and joins them.
+struct SealLine<T, E> {
+    ws: EncodeWorkspace,
+    /// A store's labels for the staged rows; empty for a container.
+    labels: Vec<f64>,
+    shared: Arc<Shared<T, E>>,
+    workers: Vec<JoinHandle<()>>,
+    /// Chunks handed to the workers so far.
+    handed_off: u64,
+}
+
+/// What a seal line's caller and workers share.
+struct Shared<T, E> {
+    state: Mutex<LineState<T, E>>,
+    /// Signalled when a job is queued and when the line closes.
+    queued: Condvar,
+    /// Signalled on every deposit, append, failure and panic.
+    moved: Condvar,
+    /// The caller's per-row check: stored (`Release`) under the lock once
+    /// `failed` or `panic` is set; a caller that loads it set (`Acquire`)
+    /// takes the lock to read which.
+    broken: AtomicBool,
+    /// Every stage buffer allocated plus the sealed chunks not yet
+    /// appended.
+    held: Held,
+}
+
+/// What a [`Shared`]'s lock guards.
+struct LineState<T, E> {
+    /// Stages handed off that no worker has taken yet.
+    jobs: VecDeque<Job>,
+    /// No job comes any more: a worker that finds `jobs` empty returns.
+    closed: bool,
+    /// Sealed chunks, with the bytes each holds, from the next one to
+    /// append on; `None` while that chunk is still sealing.
+    ready: VecDeque<Option<(T, usize)>>,
+    /// Sequence number of `ready`'s front.
+    next: u64,
+    /// A thread is appending (with the lock released).
+    popping: bool,
+    /// Chunks appended.
+    appended: u64,
+    /// Stage buffers back from the workers, ready to stage into.
+    spare: Vec<Vec<f64>>,
+    failed: Option<E>,
+    panic: Option<Box<dyn std::any::Any + Send>>,
+}
+
+impl<T, E> LineState<T, E> {
+    /// Nothing more will be appended.
+    fn broken(&self) -> bool {
+        self.failed.is_some() || self.panic.is_some()
+    }
+}
+
+impl<T: Send + 'static, E: Fault + Send + 'static> SealLine<T, E> {
+    /// Start the workers. `seal` turns a stage (and a store's labels)
+    /// into the sealed chunk, the bytes it holds until it is appended and
+    /// the stage buffer; `append`, when given, is the workers' own, and
+    /// each worker pops the line after it deposits.
+    fn spawn(
+        cols: usize,
+        chunk_rows: usize,
+        seal: impl Fn(DenseMatrix, Vec<f64>) -> (T, usize, Vec<f64>) + Send + Sync + 'static,
+        append: Option<WorkerAppend<T, E>>,
+    ) -> Self {
+        let ws = EncodeWorkspace::new(cols, chunk_rows);
+        let state = LineState {
+            jobs: VecDeque::new(),
+            closed: false,
+            ready: VecDeque::new(),
+            next: 0,
+            popping: false,
+            appended: 0,
+            spare: Vec::new(),
+            failed: None,
+            panic: None,
+        };
+        let shared = Arc::new(Shared {
+            state: Mutex::new(state),
+            queued: Condvar::new(),
+            moved: Condvar::new(),
+            broken: AtomicBool::new(false),
+            held: Held::default(),
+        });
+        shared.held.add(stage_bytes(&ws.stage));
+        let seal = Arc::new(seal);
+        let workers = (0..workers())
             .map(|_| {
-                let (queue, work) = (queue.clone(), work.clone());
-                std::thread::spawn(move || loop {
-                    // The guard is a temporary: the lock is held for the
-                    // wait, never for the work, so no worker panics while
-                    // holding it and the receiver is whole in any case.
-                    let job = queue.lock().unwrap_or_else(PoisonError::into_inner).recv();
-                    let Ok((job, reply)) = job else { return };
-                    // A dropped ingest no longer listens; that is fine.
-                    let _ = reply.send(panic::catch_unwind(AssertUnwindSafe(|| work(job))));
-                })
+                let (shared, seal, append) = (shared.clone(), seal.clone(), append.clone());
+                std::thread::spawn(move || shared.work(&*seal, append.as_deref()))
             })
             .collect();
         Self {
-            jobs: Some(jobs),
+            ws,
+            labels: Vec::new(),
+            shared,
             workers,
+            handed_off: 0,
         }
     }
 
@@ -987,50 +832,191 @@ impl<J: Send + 'static, R: Send + 'static> SealPool<J, R> {
         self.workers.len()
     }
 
-    /// Queue `job` for the next idle worker; its result arrives on the
-    /// returned channel.
-    fn send(&self, job: J) -> Reply<R> {
-        let (reply, result) = mpsc::channel();
-        let jobs = self.jobs.as_ref().expect("the queue is open until drop");
-        // The workers hold the queue until it closes, and a panic in a
-        // job is caught, so the send cannot fail.
-        jobs.send((job, reply)).expect("seal workers are running");
-        result
+    /// Stage one row (and a store's label), first taking a buffer when the
+    /// last was handed off: a spare, or a new one counted in `held` while
+    /// every one is in flight. Hands the chunk off when it fills.
+    fn push_row(
+        &mut self,
+        row: &[f64],
+        label: Option<f64>,
+        append: Option<Append<'_, '_, T, E>>,
+    ) -> Result<(), E> {
+        self.check()?;
+        if self.ws.stage.capacity() == 0 {
+            let spare = lock(&self.shared.state).spare.pop();
+            self.ws.stage = spare.unwrap_or_else(|| {
+                let stage = Vec::with_capacity(self.ws.cols * self.ws.chunk_rows);
+                self.shared.held.add(stage_bytes(&stage));
+                stage
+            });
+        }
+        self.ws.push_row(row);
+        self.labels.extend(label);
+        if self.ws.is_full() {
+            self.hand_off(append)?;
+        }
+        Ok(())
     }
 
-    /// The result on `reply`: waits for it when `wait`, else `None`
-    /// while it is not ready. A worker's panic is re-raised here once
-    /// every worker is joined.
-    fn take(&mut self, reply: &Reply<R>, wait: bool) -> Option<R> {
-        let out = if wait {
-            Some(reply.recv().expect("a queued job is always answered"))
-        } else {
-            reply.try_recv().ok()
+    /// Hand the staged chunk, if any, to the workers once at most W
+    /// chunks are between hand-off and append.
+    fn hand_off(&mut self, append: Option<Append<'_, '_, T, E>>) -> Result<(), E> {
+        self.settle(self.workers() as u64, append)?;
+        let Some(dense) = self.ws.take_stage() else {
+            return Ok(());
         };
-        match out? {
-            Ok(result) => Some(result),
-            Err(payload) => {
-                self.shut_down();
-                panic::resume_unwind(payload)
+        let rows = self.labels.len();
+        let labels = std::mem::replace(&mut self.labels, Vec::with_capacity(rows));
+        let job = (self.handed_off, dense, labels);
+        lock(&self.shared.state).jobs.push_back(job);
+        self.shared.queued.notify_one();
+        self.handed_off += 1;
+        Ok(())
+    }
+
+    /// Wait until at most `behind` chunks handed off are not appended,
+    /// popping the line with `append` first and after every deposit when
+    /// the caller is its appender.
+    fn settle(&mut self, behind: u64, mut append: Option<Append<'_, '_, T, E>>) -> Result<(), E> {
+        let shared = &*self.shared;
+        let mut q = lock(&shared.state);
+        loop {
+            if let Some(append) = append.as_deref_mut() {
+                q = shared.pop(q, append);
             }
+            if self.handed_off - q.appended <= behind || q.broken() {
+                break;
+            }
+            q = wait(&shared.moved, q);
         }
+        drop(q);
+        self.check()
+    }
+
+    /// Hand off a partial last chunk, wait until every chunk is appended,
+    /// and report the line's peak bytes.
+    fn finish(&mut self, mut append: Option<Append<'_, '_, T, E>>) -> Result<usize, E> {
+        self.hand_off(append.as_deref_mut())?;
+        self.settle(0, append)?;
+        Ok(self.shared.held.peak.load(Ordering::Relaxed))
+    }
+
+    /// The failure that stopped the line, or a seal's panic re-raised
+    /// once every worker is joined.
+    fn check(&mut self) -> Result<(), E> {
+        if !self.shared.broken.load(Ordering::Acquire) {
+            return Ok(());
+        }
+        let mut q = lock(&self.shared.state);
+        if let Some(e) = &q.failed {
+            return Err(e.again());
+        }
+        // What a later call re-raises; the line stays broken.
+        let again = Box::new("a seal worker panicked, and an earlier call re-raised it");
+        let payload = q.panic.replace(again);
+        drop(q);
+        self.shut_down();
+        panic::resume_unwind(payload.expect("a broken line holds its failure or its panic"))
     }
 }
 
-impl<J, R> SealPool<J, R> {
-    /// Close the queue and join the workers once every queued job ran.
+impl<T, E> SealLine<T, E> {
+    /// Close the queue and join the workers once every job queued ran.
     fn shut_down(&mut self) {
-        self.jobs = None;
+        lock(&self.shared.state).closed = true;
+        self.shared.queued.notify_all();
         for w in self.workers.drain(..) {
-            // A job's panic is caught and sent, so a join never errs.
+            // A seal's panic is caught in the worker, so a join never errs.
             let _ = w.join();
         }
     }
 }
 
-impl<J, R> Drop for SealPool<J, R> {
+impl<T, E> Drop for SealLine<T, E> {
     fn drop(&mut self) {
         self.shut_down();
+    }
+}
+
+impl<T, E> Shared<T, E> {
+    /// One seal worker: seal the next job, deposit it and, with `append`,
+    /// pop the line, until the line closes with no job left.
+    fn work(
+        &self,
+        seal: &dyn Fn(DenseMatrix, Vec<f64>) -> (T, usize, Vec<f64>),
+        append: Option<&(dyn Fn(T) -> Result<(), E> + Send + Sync)>,
+    ) {
+        let mut q = lock(&self.state);
+        loop {
+            let Some((seq, dense, labels)) = q.jobs.pop_front() else {
+                if q.closed {
+                    return;
+                }
+                q = wait(&self.queued, q);
+                continue;
+            };
+            drop(q);
+            let sealed = panic::catch_unwind(AssertUnwindSafe(|| {
+                let (chunk, held, stage) = seal(dense, labels);
+                self.held.add(held);
+                let mut q = lock(&self.state);
+                q.spare.push(stage);
+                let slot = (seq - q.next) as usize;
+                if q.ready.len() <= slot {
+                    q.ready.resize_with(slot + 1, || None);
+                }
+                q.ready[slot] = Some((chunk, held));
+                self.moved.notify_all();
+                if let Some(append) = append {
+                    drop(self.pop(q, &mut |chunk| append(chunk)));
+                }
+            }));
+            q = lock(&self.state);
+            if let Err(payload) = sealed {
+                if !q.broken() {
+                    q.panic = Some(payload);
+                }
+                self.broken.store(true, Ordering::Release);
+                self.moved.notify_all();
+            }
+        }
+    }
+
+    /// Append the sealed chunks at the front of the line in sequence, the
+    /// lock released for each, unless another thread is appending or the
+    /// line is broken. Hands the lock back.
+    fn pop<'a>(
+        &'a self,
+        mut q: MutexGuard<'a, LineState<T, E>>,
+        append: Append<'_, '_, T, E>,
+    ) -> MutexGuard<'a, LineState<T, E>> {
+        if q.popping {
+            return q;
+        }
+        q.popping = true;
+        while !q.broken() {
+            let Some((chunk, held)) = q.ready.front_mut().and_then(Option::take) else {
+                break;
+            };
+            q.ready.pop_front();
+            q.next += 1;
+            drop(q);
+            let landed = append(chunk);
+            self.held.sub(held);
+            q = lock(&self.state);
+            match landed {
+                Ok(()) => q.appended += 1,
+                Err(e) => {
+                    if !q.broken() {
+                        q.failed = Some(e);
+                    }
+                    self.broken.store(true, Ordering::Release);
+                }
+            }
+            self.moved.notify_all();
+        }
+        q.popping = false;
+        q
     }
 }
 
@@ -1687,7 +1673,7 @@ mod tests {
             for chunks in [1, w, w + 1, w + 2] {
                 let rows = (chunks - 1) * chunk + chunk / 2;
                 let m = drifting_matrix(rows, cols, 3, chunks as u64);
-                let label = |r: usize| if r % 3 == 0 { 1.0 } else { -1.0 };
+                let label = |r: usize| if r.is_multiple_of(3) { 1.0 } else { -1.0 };
                 let tag = format!("serial-{}-{chunks}", scheme.is_some());
                 let config = |dir: &Path| {
                     StoreConfig::new(Scheme::Toc, chunk, 0)
@@ -1755,6 +1741,20 @@ mod tests {
         drop(ing);
     }
 
+    /// A DEN encoder whose encode of the chunk starting with the value
+    /// `poison` panics, holding `alive` for as long as a worker holds it.
+    fn rigged_encode(
+        poison: f64,
+        alive: &Arc<()>,
+    ) -> impl Fn(DenseMatrix) -> Encoded + Send + Sync + 'static {
+        let alive = alive.clone();
+        move |dense| {
+            let _held = &alive;
+            assert_ne!(dense.get(0, 0), poison, "seal of a poisoned chunk");
+            encode_chunk(dense, Some(Scheme::Den), &EncodeOptions::default())
+        }
+    }
+
     /// A `StoreIngest` over `store` whose seal of the chunk starting at row
     /// `poison` panics and whose `fail_at`-th append fails; `appends`
     /// counts the append calls and `alive` is held by the workers.
@@ -1767,24 +1767,40 @@ mod tests {
         alive: &Arc<()>,
     ) -> StoreIngest<'a> {
         let token = store.try_acquire_appender().unwrap();
-        let (appender, calls, alive) = (store.appender(), appends.clone(), alive.clone());
+        let (appender, calls) = (store.appender(), appends.clone());
         StoreIngest::start(
             store.num_features(),
             chunk,
             token,
-            move |dense| {
-                let _held = &alive;
-                assert_ne!(dense.get(0, 0), poison, "seal of a poisoned chunk");
-                let (s, batch, (), stage) =
-                    encode_chunk(dense, Some(Scheme::Den), &EncodeOptions::default(), |_| ());
-                (s, batch.to_bytes(), stage)
-            },
+            rigged_encode(poison, alive),
             move |bytes, labels| {
                 if calls.fetch_add(1, Ordering::SeqCst) == fail_at {
                     return Err(std::io::Error::other("injected append failure"));
                 }
                 appender.append(bytes, labels)
             },
+        )
+    }
+
+    /// A `ContainerIngest` into `sink` whose seal of the chunk starting at
+    /// row `poison` panics; `alive` is held by the workers.
+    fn rigged_container<W: Write>(
+        sink: W,
+        cols: usize,
+        chunk: usize,
+        poison: f64,
+        alive: &Arc<()>,
+    ) -> ContainerIngest<W> {
+        let writer = ContainerStreamWriter::new(sink).unwrap();
+        let encode = rigged_encode(poison, alive);
+        let sample_rows = EncodeOptions::default().cla.sample_rows;
+        ContainerIngest::start(
+            writer,
+            cols,
+            chunk,
+            sample_rows,
+            encode,
+            IngestStats::default(),
         )
     }
 
@@ -2011,46 +2027,99 @@ mod tests {
         assert!(peak <= bound, "peak {peak} past {bound}");
     }
 
-    /// A pool whose seal function holds `alive`: once every worker has
-    /// been joined, only the test's own count is left.
-    fn sentinel_pool(
-        alive: &Arc<()>,
-        panic_on_rows: usize,
-    ) -> SealPool<DenseMatrix, (SealedChunk, Vec<f64>)> {
-        let alive = alive.clone();
-        SealPool::spawn(2, move |dense: DenseMatrix| {
-            let _held = &alive;
-            assert_ne!(dense.rows(), panic_on_rows, "seal of a poisoned chunk");
-            seal_chunk(dense, Some(Scheme::Den), &EncodeOptions::default())
-        })
+    /// A bare line sealing `chunk`-row DEN chunks whose seal holds
+    /// `alive` and panics on the chunk starting at row `poison`.
+    fn sentinel_line(alive: &Arc<()>, chunk: usize, poison: f64) -> SealLine<usize, FormatError> {
+        let encode = rigged_encode(poison, alive);
+        SealLine::spawn(
+            4,
+            chunk,
+            move |dense, _| (dense.rows(), 0, encode(dense).2),
+            None,
+        )
     }
 
     #[test]
-    fn dropping_the_pool_joins_its_workers_with_chunks_queued() {
+    fn dropping_the_line_joins_its_workers_with_chunks_queued() {
         let alive = Arc::new(());
-        let mut pool = sentinel_pool(&alive, usize::MAX);
-        let replies: Vec<_> = (0..6)
-            .map(|seed| pool.send(drifting_matrix(40, 5, 3, seed)))
-            .collect();
-        let (sealed, _) = pool.take(&replies[0], true).unwrap();
-        assert_eq!(sealed.scheme, Scheme::Den);
-        drop(pool);
-        assert_eq!(Arc::strong_count(&alive), 1, "a worker outlived its pool");
+        let chunk = 8;
+        let mut line = sentinel_line(&alive, chunk, -1.0);
+        let m = numbered_rows(6 * chunk, 4);
+        let mut appended = Vec::new();
+        for r in 0..m.rows() {
+            let mut append = |rows| {
+                appended.push(rows);
+                Ok(())
+            };
+            line.push_row(m.row(r), None, Some(&mut append)).unwrap();
+        }
+        // The caller appends only while it waits for the W + 1 bound, so
+        // chunks are still queued or sealed but not appended here.
+        assert!(line.handed_off == 6 && appended.len() < 6, "{appended:?}");
+        assert!(appended.iter().all(|&rows| rows == chunk));
+        drop(line);
+        assert_eq!(Arc::strong_count(&alive), 1, "a worker outlived its line");
     }
 
     #[test]
-    fn a_panicking_worker_resurfaces_on_the_caller_after_a_join() {
+    fn a_panicking_seal_resurfaces_on_the_line_caller_after_a_join() {
         let alive = Arc::new(());
-        let mut pool = sentinel_pool(&alive, 3);
-        let replies: Vec<_> = [4, 3, 4]
-            .into_iter()
-            .map(|rows| pool.send(drifting_matrix(rows, 5, 3, 1)))
-            .collect();
+        let chunk = 8;
+        let mut line = sentinel_line(&alive, chunk, chunk as f64);
+        let m = numbered_rows(3 * chunk, 4);
+        let mut appended = 0;
+        let mut append = |_| {
+            appended += 1;
+            Ok(())
+        };
         // The chunk before the poisoned one still comes back.
-        assert!(pool.take(&replies[0], true).is_some());
-        let caught = panic::catch_unwind(AssertUnwindSafe(|| pool.take(&replies[1], true)));
+        for r in 0..chunk {
+            line.push_row(m.row(r), None, Some(&mut append)).unwrap();
+        }
+        line.settle(0, Some(&mut append)).unwrap();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            for r in chunk..m.rows() {
+                line.push_row(m.row(r), None, Some(&mut append)).unwrap();
+            }
+            line.finish(Some(&mut append))
+        }));
         let Err(msg) = caught else {
-            panic!("the worker's panic must reach the caller");
+            panic!("the seal's panic must reach the caller");
+        };
+        let msg = msg
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .unwrap_or_default();
+        assert!(msg.contains("seal of a poisoned chunk"), "{msg}");
+        // A later call panics again rather than wait on joined workers.
+        let again = panic::catch_unwind(AssertUnwindSafe(|| line.finish(Some(&mut append))));
+        assert!(again.is_err(), "a call after the panic went on");
+        assert_eq!(appended, 1, "nothing past the gap is appended");
+        assert_eq!(Arc::strong_count(&alive), 1, "workers not joined");
+        drop(line);
+    }
+
+    /// A seal that panics inside a real `ContainerIngest` reaches its
+    /// caller, even while the caller waits on the gap it leaves, once
+    /// every worker is joined, and no segment past the gap is written.
+    #[test]
+    fn a_panicking_seal_resurfaces_on_a_container_caller_without_a_hang() {
+        let (cols, chunk) = (4, 8);
+        let chunks = workers() + 6;
+        let m = numbered_rows(chunks * chunk, cols);
+        let poisoned = 1;
+        let alive = Arc::new(());
+        let mut sink = Vec::new();
+        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+            let poison = (poisoned * chunk) as f64;
+            let mut ing = rigged_container(&mut sink, cols, chunk, poison, &alive);
+            for r in 0..m.rows() {
+                ing.push_row(m.row(r)).unwrap();
+            }
+            ing.finish()
+        }));
+        let Err(msg) = caught else {
+            panic!("the seal's panic must reach the caller");
         };
         let msg = msg
             .downcast_ref::<String>()
@@ -2058,7 +2127,26 @@ mod tests {
             .unwrap_or_default();
         assert!(msg.contains("seal of a poisoned chunk"), "{msg}");
         assert_eq!(Arc::strong_count(&alive), 1, "workers not joined");
-        drop(pool);
+
+        // What a serial writer holds after the chunks before the gap.
+        let mut before_gap = Vec::new();
+        let mut writer = ContainerStreamWriter::new(&mut before_gap).unwrap();
+        let mut ws = EncodeWorkspace::new(cols, chunk);
+        for r in 0..poisoned * chunk {
+            ws.push_row(m.row(r));
+            if ws.is_full() {
+                let sealed = ws.seal(Some(Scheme::Den), &EncodeOptions::default());
+                let sealed = sealed.unwrap();
+                writer.append(&sealed.batch, sealed.zone).unwrap();
+            }
+        }
+        drop(writer);
+        assert!(
+            before_gap.starts_with(&sink),
+            "a segment past the gap was written: {} bytes, {} before the gap",
+            sink.len(),
+            before_gap.len()
+        );
     }
 
     /// A real container sidecar: what a [`ContainerIngest`] with

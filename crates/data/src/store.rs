@@ -345,8 +345,8 @@ impl<'a> StoreBuilder<'a> {
         let config = self.config;
         let sealed = self
             .ws
-            .seal_with(Some(config.scheme), &EncodeOptions::default(), |_| ());
-        let Some((_, batch, (), rows)) = sealed else {
+            .seal_with(Some(config.scheme), &EncodeOptions::default());
+        let Some((_, batch, rows)) = sealed else {
             return Ok(());
         };
         let labels = std::mem::replace(&mut self.labels, Vec::with_capacity(rows));
