@@ -88,7 +88,7 @@ flags! {
         "write a resumable <out>.ckpt sidecar every N sealed chunks (default 0; resuming: 8)";
     RESUME = "--resume" "" "continue a checkpointed ingest to a byte-identical container";
     SCHEME = "--scheme" "<s>"
-        "den|csr|cvi|dvi|cla|snappy|gzip|ans|toc|toc-varint (default toc); ingest/compress: + auto";
+        "den|csr|cvi|dvi|cla|snappy|gzip|ans|toc (default toc); ingest/compress: + auto";
     BATCH_ROWS = "--batch-rows" "<n>" "rows per mini-batch (default 250)";
     MODEL = "--model" "<lr|svm|linreg>" "linear model (default lr)";
     EPOCHS = "--epochs" "<n>" "training epochs (default 10; serve: 3)";
@@ -174,7 +174,6 @@ fn parse_scheme(s: &str) -> Result<Scheme, String> {
         "snappy" => Scheme::Snappy,
         "gzip" => Scheme::Gzip,
         "toc" => Scheme::Toc,
-        "toc-varint" => Scheme::TocVarint,
         "ans" => Scheme::GcAns,
         other => return Err(format!("unknown scheme {other:?}")),
     })

@@ -292,14 +292,6 @@ impl TocBatch {
         parse_view(&self.bytes).expect("internally produced TocBatch must parse")
     }
 
-    /// Parse with validation (for buffers created via [`Self::from_bytes`]
-    /// this repeats the checks; exposed for tests).
-    pub fn try_view(&self) -> Result<TocView<'_>, TocError> {
-        let v = parse_view(&self.bytes)?;
-        DecodeTree::build(&v)?;
-        Ok(v)
-    }
-
     /// Sparse-safe element-wise multiply by a scalar (Algorithm 3):
     /// rewrites only the unique-value array in place.
     pub fn scale(&mut self, c: f64) {
@@ -817,6 +809,10 @@ mod tests {
             for codec in [PhysicalCodec::BitPack, PhysicalCodec::Varint] {
                 let toc = TocBatch::encode_with(&a, codec);
                 assert_eq!(toc.decode(), a, "density {density} codec {codec:?}");
+                let restored = TocBatch::from_bytes(toc.to_bytes()).unwrap();
+                assert_eq!(restored, toc, "density {density} codec {codec:?}");
+                assert_eq!(restored.to_bytes(), toc.to_bytes());
+                assert_eq!(restored.decode(), a, "density {density} codec {codec:?}");
             }
         }
     }

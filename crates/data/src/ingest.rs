@@ -2191,6 +2191,19 @@ mod tests {
             IngestCheckpoint::from_bytes(&bytes[..bytes.len() - 3]),
             Err(IngestError::Checkpoint(_))
         ));
+        // A scheme count under the retired tag 10 (once varint-coded TOC)
+        // names no scheme: resealed, it passes the checksum and is refused
+        // by the parser. The first tag follows magic, version, kind, six
+        // u64 fields and the count byte.
+        let tag_at = 4 + 1 + 1 + 6 * 8 + 1;
+        assert_eq!(bytes[tag_at], ck.stats.scheme_counts[0].0.tag());
+        let mut retired = bytes.clone();
+        retired[tag_at] = 10;
+        reseal(&mut retired);
+        assert!(matches!(
+            IngestCheckpoint::from_bytes(&retired),
+            Err(IngestError::Checkpoint(m)) if m.contains("unknown scheme tag 10")
+        ));
     }
 
     /// Overwrite `bytes`' FNV-1a trailer so a mutated body still passes

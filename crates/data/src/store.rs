@@ -396,7 +396,7 @@ impl<'a> StoreBuilder<'a> {
     }
 }
 
-/// Charge the live plans of resident TOC-family batches (TOC, TOC_VARINT,
+/// Charge the live plans of resident TOC-family batches (TOC,
 /// TOC_SPARSE_AND_LOGICAL) to `slack`, the part of the memory budget the
 /// encoded batches left: in entry order, a batch holds its plan
 /// (`TocBatch::hold_plan`) while its bound (`TocBatch::plan_bound_bytes`,

@@ -197,7 +197,7 @@ pub struct ExecScratch {
 /// One workspace kernel is provided: `Aᵀ·D`
 /// ([`Self::matmat_t_into_ws`], the neural net's first-layer weight
 /// gradient), by default `M·A` between two transposes staged in the
-/// scratch. The TOC-family forms (TOC, TOC_VARINT, TOC_SPARSE_AND_LOGICAL)
+/// scratch. The TOC-family forms (TOC, TOC_SPARSE_AND_LOGICAL)
 /// override it with Algorithm 8 run on `D` and the result as they lie,
 /// bit for bit the default's result; [`AnyBatch`] dispatches it.
 ///
@@ -311,8 +311,6 @@ pub enum Scheme {
     /// Ablation: sparse + logical encoding (Fig. 6/10
     /// `TOC_SPARSE_AND_LOGICAL`).
     TocSparseLogical,
-    /// Extension: TOC with the varint physical codec.
-    TocVarint,
     /// Extension: DEN bytes under the tabled rANS entropy coder
     /// ([`toc_gc::ans`]) — the modern-entropy-coding contrast to the
     /// paper's Snappy*/Gzip* GC baselines.
@@ -323,7 +321,7 @@ impl Scheme {
     /// Every scheme tag — the paper set plus ablations and extensions.
     /// Test suites (conformance, fuzz, golden fixtures) iterate this, so
     /// a new variant added here is automatically covered everywhere.
-    pub const ALL: [Scheme; 12] = [
+    pub const ALL: [Scheme; 11] = [
         Scheme::Den,
         Scheme::Csr,
         Scheme::Cvi,
@@ -334,7 +332,6 @@ impl Scheme {
         Scheme::Toc,
         Scheme::TocSparse,
         Scheme::TocSparseLogical,
-        Scheme::TocVarint,
         Scheme::GcAns,
     ];
 
@@ -383,7 +380,6 @@ impl Scheme {
             Scheme::Toc => "TOC",
             Scheme::TocSparse => "TOC_SPARSE",
             Scheme::TocSparseLogical => "TOC_SPARSE_AND_LOGICAL",
-            Scheme::TocVarint => "TOC_VARINT",
             Scheme::GcAns => "ANS",
         }
     }
@@ -409,7 +405,6 @@ impl Scheme {
             Scheme::TocSparseLogical => {
                 AnyBatch::TocSparseLogical(tocform::TocSparseLogical::encode(dense))
             }
-            Scheme::TocVarint => AnyBatch::Toc(tocform::TocFormat::encode_varint(dense)),
             Scheme::GcAns => AnyBatch::Gc(gcform::GcBatch::encode(dense, toc_gc::Codec::Ans)),
         }
     }
@@ -501,24 +496,7 @@ impl Scheme {
             4 => AnyBatch::Cla(cla::ClaBatch::from_body(body)?),
             5 => AnyBatch::Gc(gcform::GcBatch::from_body(body, toc_gc::Codec::FastLz)?),
             6 => AnyBatch::Gc(gcform::GcBatch::from_body(body, toc_gc::Codec::Deflate)?),
-            // Tags 7 (TOC) and 10 (TOC_VARINT) share the body layout but
-            // must agree with the physical codec recorded inside it, so the
-            // scheme identity survives a serialization round-trip
-            // byte-identically.
-            7 | 10 => {
-                let t = tocform::TocFormat::from_body(body)?;
-                let want = if tag == 7 {
-                    toc_core::PhysicalCodec::BitPack
-                } else {
-                    toc_core::PhysicalCodec::Varint
-                };
-                if t.toc().codec() != want {
-                    return Err(FormatError::Corrupt(format!(
-                        "scheme tag {tag} does not match the batch's physical codec"
-                    )));
-                }
-                AnyBatch::Toc(t)
-            }
+            7 => AnyBatch::Toc(tocform::TocFormat::from_body(body)?),
             8 => AnyBatch::TocSparse(tocform::TocSparse::from_body(body)?),
             9 => AnyBatch::TocSparseLogical(tocform::TocSparseLogical::from_body(body)?),
             11 => AnyBatch::Gc(gcform::GcBatch::from_body(body, toc_gc::Codec::Ans)?),
@@ -539,6 +517,8 @@ impl Scheme {
     }
 
     /// Serialization tag byte (first byte of [`MatrixBatch::to_bytes`]).
+    /// Tag 10, once TOC under the varint physical codec, is retired and
+    /// never reused: [`Self::from_bytes`] rejects it as an unknown scheme.
     pub fn tag(self) -> u8 {
         match self {
             Scheme::Den => 0,
@@ -551,7 +531,6 @@ impl Scheme {
             Scheme::Toc => 7,
             Scheme::TocSparse => 8,
             Scheme::TocSparseLogical => 9,
-            Scheme::TocVarint => 10,
             Scheme::GcAns => 11,
         }
     }
@@ -800,7 +779,7 @@ macro_rules! dispatch {
 
 impl AnyBatch {
     /// The [`toc_core::TocBatch`] under a TOC-family batch (TOC,
-    /// TOC_VARINT, TOC_SPARSE_AND_LOGICAL); `None` for every other scheme.
+    /// TOC_SPARSE_AND_LOGICAL); `None` for every other scheme.
     pub fn toc(&self) -> Option<&toc_core::TocBatch> {
         match self {
             AnyBatch::Toc(b) => Some(b.toc()),

@@ -1,8 +1,7 @@
 //! TOC as a [`MatrixBatch`] format, plus the ablation variants of
 //! Figures 6 and 10:
 //!
-//! * [`TocFormat`] — the full pipeline (sparse + logical + physical),
-//!   optionally with the varint physical codec.
+//! * [`TocFormat`] — the full pipeline (sparse + logical + physical).
 //! * [`TocSparse`] — sparse encoding only (`TOC_SPARSE`); layout and size
 //!   equal CSR, kernels are the sparse-row kernels.
 //! * [`TocSparseLogical`] — sparse + logical encoding without physical
@@ -30,16 +29,9 @@ impl TocFormat {
         }
     }
 
-    /// Extension: varint physical codec instead of bit packing.
-    pub fn encode_varint(dense: &DenseMatrix) -> Self {
-        Self {
-            inner: TocBatch::encode_with(dense, PhysicalCodec::Varint),
-        }
-    }
-
     pub fn from_body(body: &[u8]) -> Result<Self, FormatError> {
         Ok(Self {
-            inner: TocBatch::from_bytes(body.to_vec())?,
+            inner: parse_bitpacked(body)?,
         })
     }
 
@@ -98,17 +90,21 @@ impl MatrixBatch for TocFormat {
         self.inner.scale(c);
     }
     fn to_bytes(&self) -> Vec<u8> {
-        // The scheme tag follows the physical codec so that the TOC_VARINT
-        // extension keeps its identity across serialization round-trips
-        // (`to_bytes -> Scheme::from_bytes -> to_bytes` is byte-identical).
-        let tag = match self.inner.codec() {
-            PhysicalCodec::BitPack => Scheme::Toc.tag(),
-            PhysicalCodec::Varint => Scheme::TocVarint.tag(),
-        };
-        let mut out = vec![tag];
+        let mut out = vec![Scheme::Toc.tag()];
         out.extend_from_slice(self.inner.as_bytes());
         out
     }
+}
+
+/// Parse a TOC body. Every TOC-family scheme writes it bit-packed, so a
+/// body in another physical codec is corrupt: one tag never names two
+/// physical forms.
+fn parse_bitpacked(body: &[u8]) -> Result<TocBatch, FormatError> {
+    let toc = TocBatch::from_bytes(body.to_vec())?;
+    if toc.codec() != PhysicalCodec::BitPack {
+        return Err(FormatError::Corrupt("a TOC body must be bit-packed".into()));
+    }
+    Ok(toc)
 }
 
 /// Ablation: sparse encoding only (`TOC_SPARSE`).
@@ -212,7 +208,7 @@ impl TocSparseLogical {
     pub fn from_body(body: &[u8]) -> Result<Self, FormatError> {
         let mut rd = Rd::new(body);
         let logical_size = rd.u32()? as usize;
-        let inner = TocBatch::from_bytes(rd.rest().to_vec())?;
+        let inner = parse_bitpacked(rd.rest())?;
         Ok(Self {
             inner,
             logical_size,
@@ -333,13 +329,6 @@ mod tests {
         assert_eq!(l.decode(), a);
         let l2 = TocSparseLogical::from_body(&l.to_bytes()[1..]).unwrap();
         assert_eq!(l2.decode(), a);
-    }
-
-    #[test]
-    fn varint_roundtrip() {
-        let a = sample();
-        let b = TocFormat::encode_varint(&a);
-        assert_eq!(b.decode(), a);
     }
 
     #[test]

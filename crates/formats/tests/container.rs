@@ -10,8 +10,11 @@
 
 use proptest::prelude::*;
 use std::path::PathBuf;
-use toc_formats::container::{Container, SeekableContainer, HEADER_LEN, MAGIC, POSTSCRIPT_LEN};
-use toc_formats::{EncodeOptions, MatrixBatch, Scheme};
+use toc_formats::container::{
+    fnv1a64, Container, LayoutNode, Postscript, SeekableContainer, HEADER_LEN, MAGIC,
+    POSTSCRIPT_LEN,
+};
+use toc_formats::{EncodeOptions, FormatError, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 
 mod common;
@@ -38,15 +41,55 @@ fn exercise_accepted_mutant(c: &Container) {
 /// docs), kept test-side to bless the golden fixture and to feed the v1
 /// reader's hardening sweeps.
 fn frame_v1(c: &Container) -> Vec<u8> {
+    frame_v1_records(&c.batches.iter().map(|b| b.to_bytes()).collect::<Vec<_>>())
+}
+
+/// [`frame_v1`] over serialized batches, whatever their tags.
+fn frame_v1_records(records: &[Vec<u8>]) -> Vec<u8> {
     let mut out = MAGIC.to_le_bytes().to_vec();
     out.push(1);
-    out.extend_from_slice(&(c.batches.len() as u32).to_le_bytes());
-    for b in &c.batches {
-        let bytes = b.to_bytes();
+    out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+    for bytes in records {
         out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-        out.extend_from_slice(&bytes);
+        out.extend_from_slice(bytes);
     }
     out
+}
+
+/// What a writer of the retired tag 10 (TOC under the varint physical
+/// codec) left behind: a v1 file whose one record is the golden varint
+/// batch, and a v2 file whose segments and footer leaves name tag 10 —
+/// bit-packed bodies and the footer checksum resealed, so the tag is all
+/// that is wrong with it.
+fn retired_tag_images() -> [(&'static str, Vec<u8>); 2] {
+    let record = std::fs::read(golden_dir().join("toc_varint.bin")).unwrap();
+    let v1 = frame_v1_records(&[record]);
+
+    let m = pool_matrix(24, 4, 0.5, 17);
+    let c = Container::encode_with(&m, Scheme::Toc, 8, &EncodeOptions::default());
+    let mut v2 = c.to_bytes().unwrap();
+    let (ps, mut footer) = {
+        let sc = SeekableContainer::from_slice(&v2).unwrap();
+        (*sc.postscript().unwrap(), sc.footer().clone())
+    };
+    fn retag(node: &mut LayoutNode, file: &mut [u8]) {
+        if node.is_leaf() {
+            node.scheme = Some(10);
+            file[node.begin as usize] = 10;
+        }
+        for child in &mut node.children {
+            retag(child, file);
+        }
+    }
+    retag(&mut footer.root, &mut v2);
+    let fbytes = footer.to_bytes();
+    assert_eq!(fbytes.len() as u64, ps.footer_len);
+    let at = ps.footer_offset as usize;
+    v2[at..at + fbytes.len()].copy_from_slice(&fbytes);
+    // The postscript's third field, after the footer's offset and length.
+    let sum = v2.len() - POSTSCRIPT_LEN + 16;
+    v2[sum..sum + 8].copy_from_slice(&fnv1a64(&fbytes).to_le_bytes());
+    [("v1 tag-10 record", v1), ("v2 tag-10 leaves", v2)]
 }
 
 fn golden_dir() -> PathBuf {
@@ -251,12 +294,16 @@ fn file_source_matches_from_bytes_on_every_truncation_and_framing_flip() {
         let c = Container::encode_with(&m, scheme, 8, &EncodeOptions::default());
         images.push((scheme.name(), c.to_bytes().unwrap()));
     }
+    images.extend(retired_tag_images());
     for (name, good) in &images {
-        let framing: Vec<usize> = match SeekableContainer::from_slice(good).unwrap().postscript() {
-            Some(ps) => (0..HEADER_LEN)
+        // The version byte, not an open: the retired-tag images do not open.
+        let framing: Vec<usize> = if good[HEADER_LEN - 1] == 2 {
+            let ps = Postscript::parse(&good[good.len() - POSTSCRIPT_LEN..]).unwrap();
+            (0..HEADER_LEN)
                 .chain(ps.footer_offset as usize..good.len())
-                .collect(),
-            None => (0..good.len()).collect(),
+                .collect()
+        } else {
+            (0..good.len()).collect()
         };
         for len in 0..good.len() {
             check(&good[..len], &|| format!("{name} truncated to {len}"));
@@ -269,6 +316,35 @@ fn file_source_matches_from_bytes_on_every_truncation_and_framing_flip() {
             }
         }
     }
+}
+
+/// Files naming the retired tag 10 are refused whole, as typed errors:
+/// the v1 file by its record's parse, the v2 file at open — from a slice
+/// or a file — by the footer's scheme-tag check, before any segment is
+/// read.
+#[test]
+fn files_naming_the_retired_tag_are_refused() {
+    let [(_, v1), (_, v2)] = retired_tag_images();
+    assert_eq!(
+        Container::from_bytes(&v1).err().unwrap(),
+        FormatError::WrongScheme {
+            expected: "any",
+            got: 10
+        }
+    );
+    let tmp = TempFile(
+        std::env::temp_dir().join(format!("toc-container-retired-{}.tocz", std::process::id())),
+    );
+    std::fs::write(&tmp.0, &v2).unwrap();
+    let unknown_tag = |e: FormatError| {
+        assert!(
+            matches!(&e, FormatError::Corrupt(m) if m.contains("unknown scheme tag 10")),
+            "v2: {e}"
+        )
+    };
+    unknown_tag(SeekableContainer::open(&tmp.0).err().unwrap());
+    unknown_tag(SeekableContainer::from_slice(&v2).err().unwrap());
+    unknown_tag(Container::from_bytes(&v2).err().unwrap());
 }
 
 /// The v1 reader decodes every scheme's batches and reports no zone maps
@@ -450,7 +526,7 @@ fn mixed_width_batches_refuse_to_serialize() {
 fn a_parsed_container_holds_no_decode_trees() {
     use toc_formats::AnyBatch;
     let a = pool_matrix(57, 6, 0.4, 1234);
-    for scheme in [Scheme::Toc, Scheme::TocVarint, Scheme::TocSparseLogical] {
+    for scheme in [Scheme::Toc, Scheme::TocSparseLogical] {
         let c = Container::encode_with(&a, scheme, 10, &EncodeOptions::default());
         let segment = c.batches[0].to_bytes();
         let toc_of = |b: &AnyBatch| match b {

@@ -15,10 +15,10 @@
 //! reader of existing containers).
 
 use std::path::PathBuf;
-use toc_formats::{MatrixBatch, Scheme};
+use toc_formats::{FormatError, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
 
-const ALL_SCHEMES: [(Scheme, &str); 12] = [
+const ALL_SCHEMES: [(Scheme, &str); 11] = [
     (Scheme::Den, "den"),
     (Scheme::Csr, "csr"),
     (Scheme::Cvi, "cvi"),
@@ -29,7 +29,6 @@ const ALL_SCHEMES: [(Scheme, &str); 12] = [
     (Scheme::Toc, "toc"),
     (Scheme::TocSparse, "toc_sparse"),
     (Scheme::TocSparseLogical, "toc_sparse_logical"),
-    (Scheme::TocVarint, "toc_varint"),
     (Scheme::GcAns, "ans"),
 ];
 
@@ -107,6 +106,31 @@ fn golden_fixtures_parse_and_roundtrip_byte_identically() {
         )
         .unwrap();
     }
+}
+
+/// `toc_varint.bin` is the fixture matrix as TOC under the varint
+/// physical codec, written under tag 10 before that tag was retired. It is
+/// kept, byte for byte, as the old file a reader must now refuse: tag 10
+/// is an unknown scheme, and the same varint body under TOC's tag 7 is
+/// corrupt, so no tag names two physical forms.
+#[test]
+fn the_retired_varint_fixture_is_refused() {
+    let bytes = std::fs::read(golden_dir().join("toc_varint.bin")).unwrap();
+    assert_eq!(bytes[0], 10);
+    assert_eq!(
+        Scheme::from_bytes(&bytes).unwrap_err(),
+        FormatError::WrongScheme {
+            expected: "any",
+            got: 10
+        }
+    );
+    assert!(Scheme::ALL.iter().all(|s| s.tag() != 10));
+    let mut under_toc = bytes;
+    under_toc[0] = Scheme::Toc.tag();
+    assert!(matches!(
+        Scheme::from_bytes(&under_toc),
+        Err(FormatError::Corrupt(_))
+    ));
 }
 
 fn matrix_checksum(a: &DenseMatrix) -> u64 {

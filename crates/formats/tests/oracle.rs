@@ -214,7 +214,7 @@ fn truncated_containers_always_error() {
 
 /// Single-byte flips of the *detectable* header fields must be rejected:
 /// those fields are cross-checked against the payload during parsing
-/// (tag/codec consistency, section-length arithmetic, offset-table
+/// (a bit-packed codec, section-length arithmetic, offset-table
 /// shapes). Fields a format genuinely cannot cross-check are excluded
 /// with a reason:
 ///
@@ -246,13 +246,12 @@ fn header_field_flips_always_error() {
             }
             // tag, rows only (cols is self-describing).
             Scheme::Csr | Scheme::Cvi | Scheme::TocSparse => vec![0..5],
-            // tag, TOC magic, version, codec (cross-checked against the
-            // scheme tag), padding (must be zero), rows.
-            Scheme::Toc | Scheme::TocVarint => vec![0..13],
-            // tag; then skip logical_size (1..5); magic, version (5..10);
-            // skip the codec byte (no tag to cross-check against); pad +
-            // rows (11..17).
-            Scheme::TocSparseLogical => vec![0..1, 5..10, 11..17],
+            // tag, TOC magic, version, codec (must be bit packing),
+            // padding (must be zero), rows.
+            Scheme::Toc => vec![0..13],
+            // tag; then skip logical_size (1..5); magic, version, codec,
+            // pad + rows (5..17).
+            Scheme::TocSparseLogical => vec![0..1, 5..17],
         };
         for range in ranges {
             for pos in range {

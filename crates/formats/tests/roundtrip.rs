@@ -1,25 +1,12 @@
 //! Serialization round-trip tests over every scheme (paper set, ablations
-//! and the varint extension), and equivalence tests asserting the
+//! and the ANS extension), and equivalence tests asserting the
 //! allocating and `*_into`/`*_into_ws` kernel API families produce
 //! bit-identical results.
 
 use proptest::prelude::*;
-use toc_formats::{AnyBatch, ExecScratch, MatrixBatch, Scheme};
+use toc_core::{PhysicalCodec, TocBatch};
+use toc_formats::{AnyBatch, ExecScratch, FormatError, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
-
-const ALL_SCHEMES: [Scheme; 11] = [
-    Scheme::Den,
-    Scheme::Csr,
-    Scheme::Cvi,
-    Scheme::Dvi,
-    Scheme::Cla,
-    Scheme::Snappy,
-    Scheme::Gzip,
-    Scheme::Toc,
-    Scheme::TocSparse,
-    Scheme::TocSparseLogical,
-    Scheme::TocVarint,
-];
 
 fn pool_matrix(rows: usize, cols: usize, density: f64, seed: u64) -> DenseMatrix {
     let pool = [0.5, 1.5, -2.0, 3.25, 0.25];
@@ -42,13 +29,12 @@ fn pool_matrix(rows: usize, cols: usize, density: f64, seed: u64) -> DenseMatrix
 }
 
 /// `to_bytes -> Scheme::from_bytes -> to_bytes` must be byte-identical for
-/// every scheme — in particular TOC_VARINT (tag 10) must keep its scheme
-/// identity instead of collapsing into plain TOC (tag 7).
+/// every scheme.
 #[test]
 fn serialization_roundtrip_is_byte_identical_for_every_scheme() {
     for (rows, cols, density) in [(40, 25, 0.35), (10, 8, 1.0), (20, 30, 0.0)] {
         let a = pool_matrix(rows, cols, density, 99);
-        for scheme in ALL_SCHEMES {
+        for scheme in Scheme::ALL {
             let b = scheme.encode(&a);
             let bytes = b.to_bytes();
             assert_eq!(bytes[0], scheme.tag(), "{} first byte", scheme.name());
@@ -65,20 +51,35 @@ fn serialization_roundtrip_is_byte_identical_for_every_scheme() {
     }
 }
 
+/// Every TOC-family tag carries a bit-packed body: a varint body under
+/// TOC's tag 7 or the logical ablation's tag 9 is corrupt, not silently
+/// reinterpreted, and a bit-packed body under the retired tag 10 (once
+/// varint-coded TOC) is an unknown scheme.
 #[test]
-fn varint_tag_mismatch_is_rejected() {
+fn toc_tags_accept_only_bit_packed_bodies() {
     let a = pool_matrix(12, 9, 0.5, 3);
-    // A varint body under the bit-pack tag (and vice versa) must error, not
-    // silently reinterpret.
-    let mut varint_bytes = Scheme::TocVarint.encode(&a).to_bytes();
-    assert_eq!(varint_bytes[0], Scheme::TocVarint.tag());
-    varint_bytes[0] = Scheme::Toc.tag();
-    assert!(Scheme::from_bytes(&varint_bytes).is_err());
+    let varint = TocBatch::encode_with(&a, PhysicalCodec::Varint);
+    let logical = Scheme::TocSparseLogical.encode(&a).to_bytes();
+    // Tag 7, or tag 9 and its `logical_size`, then the varint body.
+    for head in [&[Scheme::Toc.tag()][..], &logical[..5]] {
+        let mut bytes = head.to_vec();
+        bytes.extend_from_slice(varint.as_bytes());
+        assert!(
+            matches!(Scheme::from_bytes(&bytes), Err(FormatError::Corrupt(_))),
+            "tag {}",
+            head[0]
+        );
+    }
 
-    let mut toc_bytes = Scheme::Toc.encode(&a).to_bytes();
-    assert_eq!(toc_bytes[0], Scheme::Toc.tag());
-    toc_bytes[0] = Scheme::TocVarint.tag();
-    assert!(Scheme::from_bytes(&toc_bytes).is_err());
+    let mut retired = Scheme::Toc.encode(&a).to_bytes();
+    retired[0] = 10;
+    assert_eq!(
+        Scheme::from_bytes(&retired).unwrap_err(),
+        FormatError::WrongScheme {
+            expected: "any",
+            got: 10
+        }
+    );
 }
 
 /// Exercise the whole `*_into_ws` family against the allocating family on one
@@ -124,7 +125,7 @@ proptest! {
         seed in 0u64..1000,
     ) {
         let a = pool_matrix(rows, cols, density, seed);
-        for scheme in ALL_SCHEMES {
+        for scheme in Scheme::ALL {
             let b = scheme.encode(&a);
             assert_into_family_matches(&b, &a, scheme.name());
         }
@@ -141,7 +142,7 @@ proptest! {
         for (i, &(rows, cols)) in [(5usize, 17usize), (30, 4), (12, 12), (1, 9)].iter().enumerate() {
             let a = pool_matrix(rows, cols, 0.6, seed ^ (i as u64) << 7);
             let v: Vec<f64> = (0..cols).map(|c| (c % 3) as f64 - 1.0).collect();
-            for scheme in [Scheme::Toc, Scheme::Gzip, Scheme::Cla, Scheme::TocVarint] {
+            for scheme in [Scheme::Toc, Scheme::Gzip, Scheme::Cla] {
                 let b = scheme.encode(&a);
                 b.matvec_into_ws(&v, &mut out, &mut ws);
                 prop_assert_eq!(&out, &b.matvec(&v), "{} {}x{}", scheme.name(), rows, cols);

@@ -6,7 +6,10 @@
 //!   over the public view and tree, and the results must agree **bit for
 //!   bit** on every dataset preset, both physical codecs, every
 //!   block-tail shape of `M`, and operands holding exact zeros, `-0.0`,
-//!   infinities and NaNs.
+//!   infinities and NaNs. No scheme tag carries the varint codec (tag 10
+//!   is retired), so a case that covers both codecs runs its varint batch
+//!   on `toc_core` directly, through the `KernelScratch` a TOC-family
+//!   batch forwards its kernels to.
 //! * One `ExecScratch` keeps the tree of the encoded batch it prepared
 //!   last, keyed by the batch's serial number: whatever is done to a batch
 //!   between two kernels, the second must never run on the first's tree.
@@ -31,7 +34,7 @@
 mod common;
 
 use common::pool_matrix;
-use toc_core::{DecodeTree, LivePlan, TocBatch, TocView};
+use toc_core::{DecodeTree, KernelScratch, LivePlan, PhysicalCodec, TocBatch, TocView};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{AnyBatch, ExecScratch, MatrixBatch, Scheme};
 use toc_linalg::DenseMatrix;
@@ -157,25 +160,29 @@ const WIDTHS: [usize; 9] = [0, 1, 3, 7, 8, 9, 20, 32, 33];
 
 #[test]
 fn matrix_kernels_match_the_kernels_they_replaced_on_every_preset() {
-    // One scratch and one output across the whole grid.
-    let mut ws = ExecScratch::default();
+    // One scratch and one output across the whole grid, both codecs, on
+    // `toc_core` (what a TOC batch forwards to): `A·M`, `M·A`, `Aᵀ·D`.
+    let mut ws = KernelScratch::default();
     let mut out = DenseMatrix::default();
     for preset in DatasetPreset::ALL {
         let x = generate_preset(preset, 250, 42).x;
-        for scheme in [Scheme::Toc, Scheme::TocVarint] {
-            let batch = scheme.encode(&x);
-            let view = toc_of(&batch).view();
+        for codec in [PhysicalCodec::BitPack, PhysicalCodec::Varint] {
+            let toc = TocBatch::encode_with(&x, codec);
+            let view = toc.view();
             let tree = DecodeTree::build_trusted(&view);
             for (k, p) in WIDTHS.into_iter().enumerate() {
                 // Plain and special operands alternate down the list.
                 let special = k % 2 == 1;
-                let what = format!("{} {} p={p}", preset.name(), scheme.name());
+                let what = format!("{} {codec:?} p={p}", preset.name());
                 let m = operand(x.cols(), p, 7 + k as u64, special);
-                batch.matmat_into_ws(&m, &mut out, &mut ws);
+                toc.matmat_into(&m, &mut out, &mut ws).unwrap();
                 assert_same_bits(&out, &parent_matmat(&view, &tree, &m), &what);
                 let m = operand(p, x.rows(), 70 + k as u64, special);
-                batch.matmat_left_into_ws(&m, &mut out, &mut ws);
+                toc.matmat_left_into(&m, &mut out, &mut ws).unwrap();
                 assert_same_bits(&out, &parent_matmat_left(&view, &tree, &m), &what);
+                let d = operand(x.rows(), p, 700 + k as u64, !special);
+                toc.matmat_t_into(&d, &mut out, &mut ws).unwrap();
+                assert_same_bits(&out, &parent_matmat_t(&view, &tree, &d), &what);
             }
         }
     }
@@ -188,7 +195,7 @@ fn matmat_t_matches_the_transposed_kernel_it_replaced_on_every_preset() {
     let mut out = DenseMatrix::default();
     for preset in DatasetPreset::ALL {
         let x = generate_preset(preset, 250, 42).x;
-        for scheme in [Scheme::Toc, Scheme::TocVarint, Scheme::TocSparseLogical] {
+        for scheme in [Scheme::Toc, Scheme::TocSparseLogical] {
             let batch = scheme.encode(&x);
             let view = batch.toc().expect("a TOC-family batch").view();
             let tree = DecodeTree::build_trusted(&view);
@@ -225,6 +232,25 @@ fn run_all(batch: &AnyBatch, ws: &mut ExecScratch) -> Vec<f64> {
 
 fn fresh(batch: &AnyBatch) -> Vec<f64> {
     run_all(batch, &mut ExecScratch::default())
+}
+
+/// [`run_all`] on a `toc_core` batch through its scratch.
+fn run_all_toc(toc: &TocBatch, ws: &mut KernelScratch) -> Vec<f64> {
+    let v = operand(toc.cols(), 1, 1, false);
+    let w = operand(1, toc.rows(), 2, false);
+    let mr = operand(toc.cols(), 11, 3, false);
+    let ml = operand(11, toc.rows(), 4, false);
+    let (mut out_v, mut out_m) = (Vec::new(), DenseMatrix::default());
+    let mut all = Vec::new();
+    toc.matvec_into(v.data(), &mut out_v, ws).unwrap();
+    all.extend_from_slice(&out_v);
+    toc.vecmat_into(w.data(), &mut out_v, ws).unwrap();
+    all.extend_from_slice(&out_v);
+    toc.matmat_into(&mr, &mut out_m, ws).unwrap();
+    all.extend_from_slice(out_m.data());
+    toc.matmat_left_into(&ml, &mut out_m, ws).unwrap();
+    all.extend_from_slice(out_m.data());
+    all
 }
 
 #[test]
@@ -285,10 +311,11 @@ fn a_batch_differing_in_one_value_is_not_taken_for_the_prepared_one() {
 #[test]
 fn bitpack_and_varint_encodings_of_one_matrix_each_get_their_own_tree() {
     let x = pool_matrix(40, 17, 0.4, 5);
-    let (a, b) = (Scheme::Toc.encode(&x), Scheme::TocVarint.encode(&x));
+    let a = Scheme::Toc.encode(&x);
+    let b = TocBatch::encode_with(&x, PhysicalCodec::Varint);
     let mut ws = ExecScratch::default();
     let from_bitpack = run_all(&a, &mut ws);
-    let from_varint = run_all(&b, &mut ws);
+    let from_varint = run_all_toc(&b, &mut ws.toc);
     // The same C', rebuilt: the bytes under it differ.
     assert_eq!(from_bitpack, from_varint);
     assert_eq!(ws.toc.builds(), 2);
@@ -306,11 +333,11 @@ fn parsed(batch: &AnyBatch) -> AnyBatch {
     Scheme::from_bytes(&batch.to_bytes()).expect("a batch's own bytes parse")
 }
 
-/// [`run_all`] plus the fifth kernel.
-fn run_five(batch: &AnyBatch, ws: &mut ExecScratch) -> Vec<u64> {
-    let mut all = run_all(batch, ws);
+/// [`run_all_toc`] plus the fifth kernel.
+fn run_five(toc: &TocBatch, ws: &mut KernelScratch) -> Vec<u64> {
+    let mut all = run_all_toc(toc, ws);
     let mut dense = DenseMatrix::default();
-    batch.decode_into_ws(&mut dense, ws);
+    toc.decode_into(&mut dense, ws);
     all.extend_from_slice(dense.data());
     all.iter().map(|x| x.to_bits()).collect()
 }
@@ -319,15 +346,20 @@ fn run_five(batch: &AnyBatch, ws: &mut ExecScratch) -> Vec<u64> {
 fn a_parsed_batch_runs_on_the_tree_its_parse_built_on_every_preset() {
     for preset in DatasetPreset::ALL {
         let x = generate_preset(preset, 250, 42).x;
-        for scheme in [Scheme::Toc, Scheme::TocVarint] {
-            let what = format!("{} {}", preset.name(), scheme.name());
-            let b = scheme.encode(&x);
-            let p = parsed(&b);
-            assert!(toc_of(&b).carried_tree().is_none(), "{what}");
-            let carried = toc_of(&p)
-                .carried_tree()
-                .expect("from_bytes keeps its tree");
-            let built = DecodeTree::build_trusted(&toc_of(&b).view());
+        // Bit-packed through the scheme's parse and kernels; varint on
+        // `toc_core`.
+        let toc = Scheme::Toc.encode(&x);
+        let toc_parsed = parsed(&toc);
+        let varint = TocBatch::encode_with(&x, PhysicalCodec::Varint);
+        let varint_parsed = TocBatch::from_bytes(varint.to_bytes()).unwrap();
+        for (b, p) in [
+            (toc_of(&toc), toc_of(&toc_parsed)),
+            (&varint, &varint_parsed),
+        ] {
+            let what = format!("{} {:?}", preset.name(), b.codec());
+            assert!(b.carried_tree().is_none(), "{what}");
+            let carried = p.carried_tree().expect("from_bytes keeps its tree");
+            let built = DecodeTree::build_trusted(&b.view());
             assert_eq!(carried.parent, built.parent, "{what}");
             assert_eq!(carried.key, built.key, "{what}");
             assert_eq!(carried.first_col, built.first_col, "{what}");
@@ -336,10 +368,10 @@ fn a_parsed_batch_runs_on_the_tree_its_parse_built_on_every_preset() {
             assert_eq!(carried.codes, built.codes, "{what}");
             assert_eq!(carried.offsets, built.offsets, "{what}");
 
-            let (mut ws_b, mut ws_p) = (ExecScratch::default(), ExecScratch::default());
-            assert_eq!(run_five(&p, &mut ws_p), run_five(&b, &mut ws_b), "{what}");
-            assert_eq!((ws_b.toc.builds(), ws_b.toc.plans()), (1, 1), "{what}");
-            assert_eq!((ws_p.toc.builds(), ws_p.toc.plans()), (0, 1), "{what}");
+            let (mut ws_b, mut ws_p) = (KernelScratch::default(), KernelScratch::default());
+            assert_eq!(run_five(p, &mut ws_p), run_five(b, &mut ws_b), "{what}");
+            assert_eq!((ws_b.builds(), ws_b.plans()), (1, 1), "{what}");
+            assert_eq!((ws_p.builds(), ws_p.plans()), (0, 1), "{what}");
         }
     }
 }
@@ -453,26 +485,35 @@ fn a_held_plan_matches_the_kernels_it_replaced_on_every_preset() {
     let mut out = DenseMatrix::default();
     for preset in DatasetPreset::ALL {
         let x = generate_preset(preset, 250, 42).x;
-        for scheme in [Scheme::Toc, Scheme::TocVarint, Scheme::TocSparseLogical] {
-            let batch = holding(&scheme.encode(&x));
-            let toc = batch.toc().expect("a TOC-family batch");
+        // Each TOC-family scheme's batch held through the scheme, and TOC
+        // under the varint codec held on `toc_core`; the kernels run on
+        // the `toc_core` batch, which is what a scheme forwards them to.
+        let schemes = [Scheme::Toc, Scheme::TocSparseLogical].map(|s| holding(&s.encode(&x)));
+        let mut varint = TocBatch::encode_with(&x, PhysicalCodec::Varint);
+        varint.hold_plan();
+        for (name, toc) in [
+            ("TOC", schemes[0].toc().unwrap()),
+            ("TOC_SPARSE_AND_LOGICAL", schemes[1].toc().unwrap()),
+            ("TOC varint", &varint),
+        ] {
             let (view, tree) = (toc.view(), DecodeTree::build_trusted(&toc.view()));
             for (k, p) in [1, 8, 33].into_iter().enumerate() {
                 // A scratch per call: only the first can have filled the slot.
-                let what = format!("{} {} p={p}", preset.name(), scheme.name());
+                let what = format!("{} {name} p={p}", preset.name());
                 let m = operand(x.cols(), p, 7 + k as u64, true);
-                batch.matmat_into_ws(&m, &mut out, &mut ExecScratch::default());
+                toc.matmat_into(&m, &mut out, &mut KernelScratch::default())
+                    .unwrap();
                 assert_same_bits(&out, &parent_matmat(&view, &tree, &m), &what);
                 let m = operand(p, x.rows(), 70 + k as u64, true);
-                batch.matmat_left_into_ws(&m, &mut out, &mut ExecScratch::default());
+                toc.matmat_left_into(&m, &mut out, &mut KernelScratch::default())
+                    .unwrap();
                 assert_same_bits(&out, &parent_matmat_left(&view, &tree, &m), &what);
             }
             let (held, bound) = (toc.held_plan_bytes(), toc.plan_bound_bytes());
             assert!(
                 0 < held && held <= bound,
-                "{} {}: {held} of {bound}",
+                "{} {name}: {held} of {bound}",
                 preset.name(),
-                scheme.name()
             );
         }
     }
@@ -481,7 +522,7 @@ fn a_held_plan_matches_the_kernels_it_replaced_on_every_preset() {
 #[test]
 fn a_held_plan_is_filled_once_and_serves_every_scratch() {
     let x = pool_matrix(40, 17, 0.4, 5);
-    for scheme in [Scheme::Toc, Scheme::TocVarint, Scheme::TocSparseLogical] {
+    for scheme in [Scheme::Toc, Scheme::TocSparseLogical] {
         let what = scheme.name();
         let plain = scheme.encode(&x);
         let held = holding(&plain);
@@ -506,6 +547,31 @@ fn a_held_plan_is_filled_once_and_serves_every_scratch() {
         assert_eq!(run_all(&parsed, &mut ws), fresh(&plain), "{what}");
         assert_eq!((ws.toc.builds(), ws.toc.plans()), (0, 1), "{what}");
     }
+    // The same counts for TOC under the varint codec, on `toc_core`.
+    let plain = TocBatch::encode_with(&x, PhysicalCodec::Varint);
+    let want = run_all_toc(&plain, &mut KernelScratch::default());
+    let hold = |toc: &TocBatch| {
+        let mut held = toc.clone();
+        held.hold_plan();
+        held
+    };
+    let held = hold(&plain);
+    let mut first = KernelScratch::default();
+    assert_eq!(run_all_toc(&held, &mut first), want);
+    assert_eq!((first.builds(), first.plans()), (1, 1));
+    assert!(held.held_plan_bytes() > 0);
+    let (mut later, mut out) = (KernelScratch::default(), DenseMatrix::default());
+    held.matmat_into(&operand(17, 11, 3, true), &mut out, &mut later)
+        .unwrap();
+    held.matmat_left_into(&operand(11, 40, 4, true), &mut out, &mut later)
+        .unwrap();
+    assert_eq!((later.builds(), later.plans()), (0, 0));
+    assert_eq!(run_all_toc(&held, &mut later), want);
+    assert_eq!((later.builds(), later.plans()), (1, 0));
+    let parsed = hold(&TocBatch::from_bytes(plain.to_bytes()).unwrap());
+    let mut ws = KernelScratch::default();
+    assert_eq!(run_all_toc(&parsed, &mut ws), want);
+    assert_eq!((ws.builds(), ws.plans()), (0, 1));
 }
 
 #[test]

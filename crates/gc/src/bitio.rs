@@ -148,13 +148,6 @@ impl<'a> BitReader<'a> {
         self.nbits -= n;
         Ok(())
     }
-
-    /// Bits currently buffered (after a refill attempt). Only used by
-    /// diagnostics and tests; the hot paths never call it.
-    pub fn buffered_bits(&mut self) -> u32 {
-        self.refill();
-        self.nbits
-    }
 }
 
 #[cfg(test)]

@@ -4,15 +4,14 @@
 //! The machine-learning side of the reproduction: loss functions
 //! ([`losses`]), the three model families of the paper's evaluation
 //! ([`models`]: linear models with logistic/hinge/squared loss, one-vs-rest
-//! multiclass, and a feed-forward neural network), the mini-batch SGD
-//! engine ([`mgd`]) and the §6 image-to-column extension ([`im2col`]).
+//! multiclass, and a feed-forward neural network) and the mini-batch SGD
+//! engine ([`mgd`]).
 //!
 //! All training consumes mini-batches through
 //! [`toc_formats::MatrixBatch`], so any encoding — DEN, CSR, CVI, DVI,
 //! CLA, Snappy*, Gzip*, or TOC — plugs into the same engine, which is how
 //! the end-to-end experiments (Tables 6–7, Figures 9–11) are run.
 
-pub mod im2col;
 pub mod losses;
 pub mod mgd;
 pub mod models;

@@ -22,7 +22,6 @@ fn training_parity_across_all_schemes_through_the_store() {
         Scheme::Snappy,
         Scheme::Gzip,
         Scheme::Toc,
-        Scheme::TocVarint,
     ] {
         let got = train_weights(&ds, scheme, usize::MAX);
         let max_diff = reference
