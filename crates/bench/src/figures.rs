@@ -12,7 +12,6 @@ use crate::paper::{on, Figure, Grid, Unit};
 use crate::{
     compression_ratio, end_to_end, end_to_end_store, mb_per_s, sweep_store, time_avg, Workload,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use toc_core::{logical_encode, PhysicalCodec, TocBatch};
@@ -674,23 +673,18 @@ fn ingest() -> Vec<Grid> {
     // The producer sleeps 0.4 ms per chunk, so the trainer has a stream
     // to follow rather than a store that is complete before it starts.
     let store = live_store(None);
-    let done = AtomicBool::new(false);
     let trainer = Trainer::new(MgdConfig {
         epochs: 1,
         lr: 0.2,
         ..Default::default()
     });
-    let (report, stats) = std::thread::scope(|s| {
-        let producer = s.spawn(|| {
-            let pause = || std::thread::sleep(Duration::from_micros(400));
-            let (stats, _) = ingest_into(&store, BASE * 16, &pause);
-            done.store(true, Ordering::Release);
-            stats
-        });
-        let spec = ModelSpec::Linear(LossKind::Logistic);
-        let report = trainer.train_online(&spec, &store, 4, &mut || !done.load(Ordering::Acquire));
-        (report, producer.join().expect("ingest thread"))
-    });
+    let spec = ModelSpec::Linear(LossKind::Logistic);
+    let pause = || std::thread::sleep(Duration::from_micros(400));
+    let (report, stats) = toc_data::beside(
+        || ingest_into(&store, BASE * 16, &pause).0,
+        |more| trainer.train_online(&spec, &store, 4, &mut || more()),
+    );
+    let stats = stats.unwrap_or_else(|payload| std::panic::resume_unwind(payload));
     assert_eq!(
         report.consumed as u64, stats.chunks,
         "sealed chunks the trainer missed"
@@ -708,17 +702,12 @@ fn ingest() -> Vec<Grid> {
 
     // A consumer that visits every sealed chunk in order as it appears.
     let drained_mb_s = |budget| {
-        let (store, done) = (live_store(budget), AtomicBool::new(false));
-        std::thread::scope(|s| {
-            let producer = s.spawn(|| {
-                let (_, mb_s) = ingest_into(&store, BASE, &|| {});
-                done.store(true, Ordering::Release);
-                mb_s
-            });
+        let store = live_store(budget);
+        let visit_all = |more: &dyn Fn() -> bool| {
             let mut next = 0;
             loop {
-                // `done` first: once it is set, every chunk is appended.
-                let finished = done.load(Ordering::Acquire);
+                // `more` first: once it is false, every chunk is appended.
+                let finished = !more();
                 if next < store.num_batches() {
                     store.visit(next, &mut |_, _| {});
                     next += 1;
@@ -728,8 +717,9 @@ fn ingest() -> Vec<Grid> {
                     std::thread::yield_now();
                 }
             }
-            producer.join().expect("producer thread")
-        })
+        };
+        let (_, mb_s) = toc_data::beside(|| ingest_into(&store, BASE, &|| {}).1, visit_all);
+        mb_s.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
     };
     let mut ratio: f64 = 0.0;
     for _ in 0..3 {

@@ -796,7 +796,6 @@ fn train_follow(
     config: &StoreConfig,
     model: &str,
 ) -> Result<(), String> {
-    use std::sync::atomic::{AtomicBool, Ordering};
     use toc_data::{follow_rows, CsvStream, FollowOptions, StoreIngest};
 
     let input = Path::new(a.pos(0));
@@ -834,38 +833,27 @@ fn train_follow(
     let d = cols - 1;
 
     let store = ShardedSpillStore::open_streaming(d, config).map_err(|e| format!("{e}"))?;
-    let done = AtomicBool::new(false);
     let t0 = Instant::now();
-    let (mut report, ingested) = std::thread::scope(|s| {
-        let store_ref = &store;
-        let done_ref = &done;
-        let ingest = s.spawn(move || {
-            let run = || -> Result<toc_data::IngestStats, String> {
-                let encode = EncodeOptions::default();
-                let mut ing = StoreIngest::new(store_ref, batch_rows, Some(scheme), encode);
-                let opts = FollowOptions {
-                    poll,
-                    idle_timeout: idle,
-                };
-                follow_rows(input, &opts, &mut || false, &mut |_, row| {
-                    let (features, label) = split_label(row);
-                    Ok(ing.push_row(features, label)?)
-                })
-                .map_err(|e| e.to_string())?;
-                ing.finish().map_err(|e| e.to_string())
+    // The trainer polls `more` to learn the stream has ended.
+    let (mut report, ingested) = toc_data::beside(
+        || {
+            let encode = EncodeOptions::default();
+            let mut ing = StoreIngest::new(&store, batch_rows, Some(scheme), encode);
+            let opts = FollowOptions {
+                poll,
+                idle_timeout: idle,
             };
-            let out = run();
-            // Always release the trainer, success or failure — it polls
-            // this flag to learn the stream has ended.
-            done_ref.store(true, Ordering::Release);
-            out
-        });
-        let report =
-            trainer.train_online(spec, &store, window, &mut || !done.load(Ordering::Acquire));
-        (report, ingest.join())
-    });
+            follow_rows(input, &opts, &mut || false, &mut |_, row| {
+                let (features, label) = split_label(row);
+                Ok(ing.push_row(features, label)?)
+            })
+            .map_err(|e| e.to_string())?;
+            ing.finish().map_err(|e| e.to_string())
+        },
+        |more| trainer.train_online(spec, &store, window, &mut || more()),
+    );
     let stats = ingested
-        .map_err(|_| "ingest thread panicked".to_string())?
+        .map_err(|p| format!("ingest thread {}", panicked(&*p)))?
         .map_err(|e| format!("ingest: {e}"))?;
     let wall = t0.elapsed();
     // Machine-parseable counters (the CLI smoke tests parse these
@@ -1037,7 +1025,7 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         .collect();
 
     let t0 = Instant::now();
-    let mut outcomes = server.run(jobs);
+    let results = server.run_each(jobs);
     let wall = t0.elapsed();
     // Before the evaluation sweeps below: they are not the jobs' IO.
     let s = store.stats().snapshot_stable();
@@ -1045,7 +1033,15 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
 
     // Machine-parseable per-job stats (the CLI smoke tests parse these
     // lines): key=value pairs only, one per field.
-    for ((_, model, config, _), o) in protos.iter().zip(&mut outcomes) {
+    // A job that panicked prints no `job:` line; the first one's panic
+    // is the command's error, after the lines of every job that finished.
+    let mut results: Vec<_> = protos
+        .iter()
+        .zip(results)
+        .map(|((name, ..), r)| r.map_err(|p| format!("job {name} {}", panicked(&*p))))
+        .collect();
+    for ((_, model, config, _), o) in protos.iter().zip(&mut results) {
+        let Ok(o) = o else { continue };
         let (_, err) = training_error(&store, &mut o.model);
         println!(
             "job: name={} model={model} seed={} share={} epochs={} train-ms={} queue-ms={} \
@@ -1067,7 +1063,7 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
     println!(
         "serve: jobs={} max-concurrent={} peak-concurrent={} cache-budget-kb={} cache-kb={} \
          cache-hits={} cache-misses={} insertions={} qos-throttle-ms={} wall-ms={}",
-        outcomes.len(),
+        protos.len(),
         max_concurrent,
         server.peak_concurrency(),
         cache_bytes / 1024,
@@ -1078,7 +1074,15 @@ fn cmd_serve(a: &Args) -> Result<(), String> {
         s.qos_throttle_ns / 1_000_000,
         wall.as_millis(),
     );
-    Ok(())
+    results.into_iter().try_for_each(|r| r.map(drop))
+}
+
+/// `panicked: <message>` for what a thread panicked with, when it is text
+/// (as `panic!` makes it).
+fn panicked(payload: &(dyn std::any::Any + Send)) -> String {
+    let text = payload.downcast_ref::<String>().map(String::as_str);
+    let text = text.or_else(|| payload.downcast_ref::<&str>().copied());
+    format!("panicked: {}", text.unwrap_or("a non-text payload"))
 }
 
 #[cfg(test)]

@@ -76,7 +76,6 @@ use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
-use std::thread::JoinHandle;
 
 use toc_formats::container::{
     fnv1a64, ContainerStreamWriter, SeekableContainer, WriterState, ZoneMap,
@@ -87,7 +86,7 @@ use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
 
 use crate::csv::{CsvError, CsvStream};
-use crate::io::{lock, wait};
+use crate::io::{lock, wait, Workers};
 use crate::store::{AppenderToken, ShardedSpillStore};
 
 /// A reusable staging-and-encode workspace: holds up to `chunk_rows`
@@ -475,6 +474,37 @@ impl<'a> StoreIngest<'a> {
     }
 }
 
+/// Run `produce` (a [`StoreIngest`] into a live store, say) on a thread
+/// of its own while `consume` runs on the caller's, and return what
+/// `consume` returned and what the producer's join gave. `consume` gets a
+/// poll that reads `true` until `produce` has ended, on return or on
+/// unwind: a consumer that follows the store until it stops growing
+/// stops as well when its producer panics, and the panic comes back
+/// through the join.
+pub fn beside<P: Send, C>(
+    produce: impl FnOnce() -> P + Send,
+    consume: impl FnOnce(&dyn Fn() -> bool) -> C,
+) -> (C, std::thread::Result<P>) {
+    /// Marks the producer ended when it drops: on return and on unwind.
+    struct Ended<'a>(&'a AtomicBool);
+    impl Drop for Ended<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+    let ended = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let producer = s.spawn(|| {
+            let _ended = Ended(&ended);
+            produce()
+        });
+        // Acquire pairs with the guard's Release: once the poll reads
+        // false, all the producer did (its last append) is visible here.
+        let more = || !ended.load(Ordering::Acquire);
+        (consume(&more), producer.join())
+    })
+}
+
 /// Streams rows into a seekable v2 `.tocz` through
 /// [`ContainerStreamWriter`]: chunk = container segment. Rows carry all
 /// columns (the label column stays in the matrix, exactly like
@@ -732,7 +762,7 @@ struct SealLine<T, E> {
     /// A store's labels for the staged rows; empty for a container.
     labels: Vec<f64>,
     shared: Arc<Shared<T, E>>,
-    workers: Vec<JoinHandle<()>>,
+    workers: Workers,
     /// Chunks handed to the workers so far.
     handed_off: u64,
 }
@@ -812,13 +842,8 @@ impl<T: Send + 'static, E: Fault + Send + 'static> SealLine<T, E> {
             held: Held::default(),
         });
         shared.held.add(stage_bytes(&ws.stage));
-        let seal = Arc::new(seal);
-        let workers = (0..workers())
-            .map(|_| {
-                let (shared, seal, append) = (shared.clone(), seal.clone(), append.clone());
-                std::thread::spawn(move || shared.work(&*seal, append.as_deref()))
-            })
-            .collect();
+        let line = Arc::clone(&shared);
+        let workers = Workers::spawn(workers(), move |_| line.work(&seal, append.as_deref()));
         Self {
             ws,
             labels: Vec::new(),
@@ -925,10 +950,7 @@ impl<T, E> SealLine<T, E> {
     fn shut_down(&mut self) {
         lock(&self.shared.state).closed = true;
         self.shared.queued.notify_all();
-        for w in self.workers.drain(..) {
-            // A seal's panic is caught in the worker, so a join never errs.
-            let _ = w.join();
-        }
+        self.workers.join();
     }
 }
 

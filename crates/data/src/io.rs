@@ -70,6 +70,33 @@ pub(crate) fn wait<'a, T>(cv: &Condvar, g: MutexGuard<'a, T>) -> MutexGuard<'a, 
     cv.wait(g).unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A pool's threads: `n` of them over one body, each given its index.
+/// The body catches what a unit of its work panics with, where it can
+/// say what the panic means for that unit, so [`Self::join`] drops what
+/// a thread ends with.
+pub(crate) struct Workers(Vec<JoinHandle<()>>);
+
+impl Workers {
+    pub(crate) fn spawn(n: usize, body: impl Fn(usize) + Send + Sync + 'static) -> Self {
+        let body = Arc::new(body);
+        let threads = (0..n).map(|i| (i, Arc::clone(&body)));
+        let threads = threads.map(|(i, f)| std::thread::spawn(move || f(i)));
+        Self(threads.collect())
+    }
+
+    /// Threads not joined yet.
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Join every thread; the owner has told them to stop first.
+    pub(crate) fn join(&mut self) {
+        for thread in self.0.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The simulated-bandwidth device model.
 
@@ -847,7 +874,7 @@ struct RingShared {
 /// larger reads than K small ones.
 pub struct RingIo {
     shared: Arc<RingShared>,
-    threads: Vec<JoinHandle<()>>,
+    threads: Workers,
 }
 
 impl RingIo {
@@ -861,12 +888,8 @@ impl RingIo {
             comp: CompletionQueue::new(),
             next_ticket: AtomicU64::new(0),
         });
-        let threads = (0..shared.inboxes.len())
-            .map(|t| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Self::ring_thread(&shared, t))
-            })
-            .collect();
+        let ring = Arc::clone(&shared);
+        let threads = Workers::spawn(shared.inboxes.len(), move |t| Self::ring_thread(&ring, t));
         Self { shared, threads }
     }
 
@@ -1009,9 +1032,7 @@ impl SpillIo for RingIo {
 impl Drop for RingIo {
     fn drop(&mut self) {
         self.shutdown();
-        for h in self.threads.drain(..) {
-            let _ = h.join();
-        }
+        self.threads.join();
     }
 }
 

@@ -26,8 +26,8 @@ pub mod testing;
 
 pub use csv::{follow_rows, stream_rows, CellError, CsvError, CsvStream, FollowOptions, SinkError};
 pub use ingest::{
-    commit, ingest_csv_container, sidecar_path, ContainerIngest, CsvContainerJob, CsvIngestOutcome,
-    EncodeWorkspace, IngestCheckpoint, IngestError, IngestStats, StoreIngest,
+    beside, commit, ingest_csv_container, sidecar_path, ContainerIngest, CsvContainerJob,
+    CsvIngestOutcome, EncodeWorkspace, IngestCheckpoint, IngestError, IngestStats, StoreIngest,
 };
 
 pub use io::{

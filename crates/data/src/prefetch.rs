@@ -19,11 +19,10 @@
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 
 use toc_formats::{AnyBatch, Scheme};
 
-use crate::io::{lock, rlock, wait, SpillIo, SpillRequest, Ticket, MAX_IO_THREADS};
+use crate::io::{lock, rlock, wait, SpillIo, SpillRequest, Ticket, Workers, MAX_IO_THREADS};
 use crate::store::{DiskLoc, Inner};
 
 pub(crate) const MAX_PREFETCH_WORKERS: usize = 8;
@@ -81,7 +80,7 @@ pub(crate) struct Prefetcher {
     shared: Arc<PrefetchShared>,
     engine: Arc<dyn SpillIo>,
     depth: usize,
-    workers: Vec<JoinHandle<()>>,
+    workers: Workers,
 }
 
 /// Submit the next spilled indices after `after` (cyclically, so the
@@ -164,13 +163,9 @@ impl Prefetcher {
             None,
             depth,
         );
-        let workers = (0..decode_workers.clamp(1, MAX_PREFETCH_WORKERS))
-            .map(|_| {
-                let shared = Arc::clone(&shared);
-                let engine = Arc::clone(&engine);
-                std::thread::spawn(move || Self::worker_loop(&shared, engine.as_ref(), depth))
-            })
-            .collect();
+        let (decoders, io) = (Arc::clone(&shared), Arc::clone(&engine));
+        let workers = decode_workers.clamp(1, MAX_PREFETCH_WORKERS);
+        let workers = Workers::spawn(workers, move |_| Self::worker_loop(&decoders, &*io, depth));
         Self {
             shared,
             engine,
@@ -251,9 +246,7 @@ impl Drop for Prefetcher {
         // Wakes the workers blocked in complete(); queued submissions
         // are dropped.
         self.engine.shutdown();
-        for h in self.workers.drain(..) {
-            let _ = h.join();
-        }
+        self.workers.join();
         // The engine itself (and any IO threads of its own) drops with
         // `self.engine`, after every worker has exited.
     }

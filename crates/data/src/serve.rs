@@ -4,10 +4,13 @@
 //! The paper's premise is that one compressed representation should
 //! serve many consumers without re-materializing data. This module is
 //! that layer: a [`JobServer`] admits up to `max_concurrent` training
-//! jobs at a time, every admitted job trains through its own
-//! [`TenantProvider`] view of the shared store, and all tenants share
-//! one [`BatchCache`] — a byte-budgeted, fill-once pool of *encoded*
-//! batch bytes: what fits first stays, and nothing is evicted.
+//! jobs at a time, in submission order, every admitted job trains on a
+//! thread of its own through its own [`TenantProvider`] view of the
+//! shared store, and all tenants share one [`BatchCache`] — a
+//! byte-budgeted, fill-once pool of *encoded* batch bytes: what fits
+//! first stays, and nothing is evicted. A job that panics fails its own
+//! outcome and no other: its slot goes back as it unwinds, and its panic
+//! comes back through its thread's join ([`JobServer::run_each`]).
 //!
 //! MGD visits every mini-batch once per epoch in shuffled order, so no
 //! batch is hotter than another and a pool that keeps the first batches
@@ -152,13 +155,27 @@ struct AdmissionState {
 }
 
 /// Caps how many jobs train at once and tracks the active QoS shares the
-/// per-tenant throttle normalizes against. Admission is FIFO-ish (condvar
-/// wakeup order); blocked jobs report the wait as `queue_wait`.
+/// per-tenant throttle normalizes against. [`JobServer`] admits on the
+/// caller, in submission order, so admission order is strict.
 pub(crate) struct Admission {
     max: usize,
     st: Mutex<AdmissionState>,
     cv: Condvar,
 }
+
+/// An admission slot, given back on drop: a job that panics while
+/// training must not leave the jobs queued behind it waiting on a slot
+/// nobody will release.
+struct Slot<'a>(&'a Admission, f64);
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        self.0.release(self.1);
+    }
+}
+
+/// The slot a job holds, the job and how long it queued for the slot.
+type Admitted<'a> = (Option<Slot<'a>>, JobSpec, Duration);
 
 impl Admission {
     fn new(max: usize) -> Self {
@@ -177,18 +194,25 @@ impl Admission {
     /// what a directly-constructed [`TenantProvider`] normalizes against.
     fn solo(share: f64) -> Self {
         let a = Self::new(0);
-        a.admit(share);
+        // The slot is never given back.
+        std::mem::forget(a.admit(share, false));
         a
     }
 
-    fn admit(&self, share: f64) {
+    /// Admit a job of `share` into a free slot, waiting for one to free
+    /// if `block`; without `block`, `None` when none is free.
+    fn admit(&self, share: f64, block: bool) -> Option<Slot<'_>> {
         let mut g = lock(&self.st);
         while self.max > 0 && g.running >= self.max {
+            if !block {
+                return None;
+            }
             g = wait(&self.cv, g);
         }
         g.running += 1;
         g.total_share += share;
         g.peak = g.peak.max(g.running);
+        Some(Slot(self, share))
     }
 
     fn release(&self, share: f64) {
@@ -411,7 +435,7 @@ pub struct JobOutcome {
     /// Per-epoch eval error rates (empty without an eval set).
     pub curve: Vec<f64>,
     pub train_time: Duration,
-    /// Time spent waiting for admission.
+    /// Time from the start of the run until the job was admitted.
     pub queue_wait: Duration,
     /// Time spent blocked on QoS throttling.
     pub qos_wait: Duration,
@@ -420,8 +444,9 @@ pub struct JobOutcome {
     pub batches_visited: u64,
 }
 
-/// Runs many training jobs over one shared store + cache. `run` blocks
-/// until every job finishes and preserves submission order in its result.
+/// Runs many training jobs over one shared store + cache. `run` and
+/// `run_each` block until every job finishes and preserve submission
+/// order in their result.
 pub struct JobServer {
     store: Arc<ShardedSpillStore>,
     cache: Arc<BatchCache>,
@@ -452,63 +477,65 @@ impl JobServer {
         self.admission.peak()
     }
 
-    /// Run all jobs to completion (one thread each; admission gates how
-    /// many train at a time). Outcomes line up with the input order.
+    /// Run all jobs to completion and return their outcomes in input
+    /// order: [`Self::run_each`], then the first job's panic, if any job
+    /// panicked, raised again once every job has finished.
     pub fn run(&self, jobs: Vec<JobSpec>) -> Vec<JobOutcome> {
+        self.run_each(jobs)
+            .into_iter()
+            .map(|r| r.unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
+            .collect()
+    }
+
+    /// Run all jobs to completion, one thread each, and return each one's
+    /// outcome, or what it panicked with, in input order: a job's panic
+    /// fails its own entry and no other. Jobs are admitted here, in
+    /// submission order: every job that fits before any starts, then one
+    /// per freed slot, and a job's thread starts once it is admitted.
+    pub fn run_each(&self, jobs: Vec<JobSpec>) -> Vec<std::thread::Result<JobOutcome>> {
+        let start = Instant::now();
+        let mut jobs = jobs.into_iter().peekable();
+        let mut first = Vec::new();
+        let fits = |job: &JobSpec| self.admission.admit(job.share, false);
+        while let Some(slot) = jobs.peek().and_then(fits) {
+            first.extend(jobs.next().map(|job| (Some(slot), job, start.elapsed())));
+        }
+        // Each admitted once the jobs before it have started.
+        let rest = jobs.map(|job| (self.admission.admit(job.share, true), job, start.elapsed()));
         std::thread::scope(|s| {
-            let handles: Vec<_> = jobs
-                .into_iter()
-                .map(|job| s.spawn(move || self.run_one(job)))
+            let running: Vec<_> = (first.into_iter().chain(rest))
+                .map(|admitted| s.spawn(move || self.run_one(admitted)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("job thread panicked"))
-                .collect()
+            running.into_iter().map(|job| job.join()).collect()
         })
     }
 
-    fn run_one(&self, job: JobSpec) -> JobOutcome {
-        /// An admission slot, given back on drop: a job that panics while
-        /// training must not leave the jobs queued behind it waiting on a
-        /// slot nobody will release.
-        struct Admitted<'a>(&'a Admission, f64);
-        impl Drop for Admitted<'_> {
-            fn drop(&mut self) {
-                self.0.release(self.1);
-            }
-        }
-        let queued = Instant::now();
-        self.admission.admit(job.share);
-        let _slot = Admitted(&self.admission, job.share);
-        let queue_wait = queued.elapsed();
+    /// Train one admitted job over its tenant view through [`Trainer`]
+    /// and collect its outcome. Its slot goes back when this returns or
+    /// unwinds.
+    fn run_one(&self, (_slot, job, queue_wait): Admitted<'_>) -> JobOutcome {
         let tenant = TenantProvider::with_admission(
             Arc::clone(&self.store),
             Arc::clone(&self.cache),
             Arc::clone(&self.admission),
             job.share,
         );
-        run_job(&job, &tenant, queue_wait)
-    }
-}
-
-/// Train one job over its tenant view through [`Trainer`] and collect its
-/// outcome.
-fn run_job(job: &JobSpec, tenant: &TenantProvider, queue_wait: Duration) -> JobOutcome {
-    let eval = job.eval.as_ref().map(|(b, y)| (b, y.as_slice()));
-    let report = Trainer::new(job.config.clone()).train(&job.model, tenant, eval);
-    JobOutcome {
-        name: job.name.clone(),
-        share: job.share,
-        seed: job.config.seed,
-        weights: report.model.weights(),
-        model: report.model,
-        curve: report.curve.iter().map(|p| p.error_rate).collect(),
-        train_time: report.train_time,
-        queue_wait,
-        qos_wait: tenant.qos_wait(),
-        cache_hits: tenant.cache_hits(),
-        cache_misses: tenant.cache_misses(),
-        batches_visited: tenant.batches_visited(),
+        let eval = job.eval.as_ref().map(|(b, y)| (b, y.as_slice()));
+        let report = Trainer::new(job.config.clone()).train(&job.model, &tenant, eval);
+        JobOutcome {
+            name: job.name.clone(),
+            share: job.share,
+            seed: job.config.seed,
+            weights: report.model.weights(),
+            model: report.model,
+            curve: report.curve.iter().map(|p| p.error_rate).collect(),
+            train_time: report.train_time,
+            queue_wait,
+            qos_wait: tenant.qos_wait(),
+            cache_hits: tenant.cache_hits(),
+            cache_misses: tenant.cache_misses(),
+            batches_visited: tenant.batches_visited(),
+        }
     }
 }
 

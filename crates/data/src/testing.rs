@@ -18,13 +18,12 @@
 
 use crate::io::{
     lock, Completion, CompletionQueue, IoShards, SpillIo, SpillRequest, Submission,
-    SubmissionQueue, Ticket,
+    SubmissionQueue, Ticket, Workers,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Shared observability counters for a [`FaultPlan`]: tests keep a clone
@@ -169,7 +168,7 @@ struct FaultShared {
 /// The fault-injecting [`SpillIo`] double. See the module docs.
 pub struct FaultyIo {
     shared: Arc<FaultShared>,
-    threads: Vec<JoinHandle<()>>,
+    threads: Workers,
 }
 
 impl FaultyIo {
@@ -182,12 +181,8 @@ impl FaultyIo {
             pen: Mutex::new(Vec::new()),
             comp: CompletionQueue::new(),
         });
-        let threads = (0..workers)
-            .map(|w| {
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || Self::worker(&shared, w as u64))
-            })
-            .collect();
+        let faulty = Arc::clone(&shared);
+        let threads = Workers::spawn(workers, move |w| Self::worker(&faulty, w as u64));
         Self { shared, threads }
     }
 
@@ -317,8 +312,6 @@ impl SpillIo for FaultyIo {
 impl Drop for FaultyIo {
     fn drop(&mut self) {
         self.shutdown();
-        for h in self.threads.drain(..) {
-            let _ = h.join();
-        }
+        self.threads.join();
     }
 }

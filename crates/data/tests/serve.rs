@@ -9,7 +9,7 @@ use toc_data::serve::{BatchCache, JobServer, JobSpec, ServeConfig, TenantProvide
 use toc_data::store::{ShardedSpillStore, StoreConfig};
 use toc_data::synth::{generate_preset, DatasetPreset};
 use toc_formats::{MatrixBatch, Scheme};
-use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec};
+use toc_ml::mgd::{BatchProvider, MgdConfig, ModelSpec, Trainer};
 use toc_ml::LossKind;
 
 /// Body of `prop_cache_never_exceeds_budget` (out-of-line: `proptest!`
@@ -349,4 +349,95 @@ fn nn_job_is_stable_under_contention() {
         outcomes[0].weights, solo[0].weights,
         "NN job's weights changed under multi-tenant contention"
     );
+}
+
+/// What a job's thread panicked with, when it is text.
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    let text = payload.downcast_ref::<String>().cloned();
+    text.or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+/// One of eight tenants panics: tenant 3's eval set is one column too
+/// narrow, so its first curve point panics at the end of its first
+/// epoch. `run_each` hands that panic back as tenant 3's own `Err` and
+/// every other tenant trains exactly its solo run; all eight were
+/// admitted at once. `run` over the same jobs raises the panic once
+/// every job is done, and the server runs later jobs as if nothing
+/// happened.
+#[test]
+fn one_panicking_tenant_fails_only_its_own_job() {
+    let ds = generate_preset(DatasetPreset::CensusLike, 480, 13);
+    let config = || StoreConfig::new(Scheme::Toc, 60, 0).with_shards(3);
+    let eval = Scheme::Den.encode(&ds.x);
+    let narrow = Scheme::Den.encode(&toc_linalg::DenseMatrix::zeros(4, ds.x.cols() - 1));
+    let job = |i: usize| {
+        let spec = JobSpec::new(
+            format!("tenant{i}"),
+            ModelSpec::Linear(LossKind::Logistic),
+            MgdConfig {
+                epochs: 3,
+                lr: 0.25,
+                seed: 42 + 7 * i as u64,
+                record_curve: true,
+                shuffle_batches: true,
+            },
+        );
+        match i {
+            3 => spec.with_eval(narrow.clone(), vec![1.0; 4]),
+            _ => spec.with_eval(eval.clone(), ds.labels.clone()),
+        }
+    };
+    let jobs = || (0..8).map(job).collect::<Vec<_>>();
+
+    let store = Arc::new(ShardedSpillStore::build(&ds.x, &ds.labels, &config()).unwrap());
+    assert_eq!(store.spilled_batches(), 8);
+    let server = JobServer::new(
+        Arc::clone(&store),
+        ServeConfig {
+            max_concurrent: 8,
+            cache_bytes: store.spilled_bytes() / 2,
+        },
+    );
+    let results = server.run_each(jobs());
+    assert_eq!(results.len(), 8);
+    assert_eq!(server.peak_concurrency(), 8);
+    store.stats().snapshot_stable().assert_consistent();
+
+    let mut message = String::new();
+    for (i, result) in results.into_iter().enumerate() {
+        let spec = job(i);
+        let outcome = match result {
+            Ok(outcome) => outcome,
+            Err(payload) => {
+                assert_eq!(i, 3, "tenant{i} panicked");
+                message = panic_text(&*payload);
+                continue;
+            }
+        };
+        assert_ne!(i, 3, "tenant3 trained on an eval set of the wrong width");
+        assert_eq!(outcome.name, spec.name);
+        let solo_store = ShardedSpillStore::build(&ds.x, &ds.labels, &config()).unwrap();
+        let eval = spec.eval.as_ref().map(|(b, y)| (b, y.as_slice()));
+        let report = Trainer::new(spec.config.clone()).train(&spec.model, &solo_store, eval);
+        assert_eq!(outcome.weights, report.model.weights(), "{}", spec.name);
+        let solo_curve: Vec<f64> = report.curve.iter().map(|p| p.error_rate).collect();
+        assert_eq!(outcome.curve, solo_curve, "{}", spec.name);
+    }
+    // The model's width against the eval set's.
+    let (model, narrow) = (ds.x.cols(), ds.x.cols() - 1);
+    assert!(
+        message.contains("dimension mismatch")
+            && message.contains(&format!("left: {model}"))
+            && message.contains(&format!("right: {narrow}")),
+        "tenant3's payload names the width mismatch: {message:?}"
+    );
+
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| server.run(jobs())));
+    let payload = run.expect_err("run raises tenant3's panic");
+    assert_eq!(panic_text(&*payload), message);
+
+    let later = server.run(vec![job(0), job(1)]);
+    assert_eq!(later.len(), 2);
+    assert!(later.iter().all(|o| o.curve.len() == 3));
 }

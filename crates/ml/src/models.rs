@@ -13,10 +13,9 @@ use crate::losses::{sigmoid, softmax_inplace, LossKind};
 use crate::workspace::{ExecWorkspace, GroupBufs};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::any::Any;
 use std::ops::Range;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::mpsc::{self, Receiver, SyncSender, TryRecvError};
+use std::panic;
+use std::sync::mpsc::{self, Receiver, TryRecvError};
 use std::sync::{Mutex, MutexGuard, OnceLock, TryLockError};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -279,9 +278,6 @@ fn group_cols(p: usize, groups: usize, g: usize) -> Range<usize> {
 /// and decode threads still get it. A constant, not a knob.
 const SPIN: Duration = Duration::from_millis(1);
 
-/// What a helper's kernel panicked with.
-type Panic = Box<dyn Any + Send>;
-
 /// Which end of a split step's groups a thread starts from.
 #[derive(Clone, Copy)]
 enum Order {
@@ -296,7 +292,7 @@ enum Order {
 /// passes it by. A helper takes a group's backward half only if it ran
 /// its forward half: its kernel scratch has prepared the batch then, where
 /// a first touch could cost a TOC batch its `C'` and live plan on the
-/// step's critical path; the caller takes whatever is left. `false` if a
+/// step's critical path; the caller takes whatever is left. `None` if a
 /// group's lock is poisoned: a helper panicked on it.
 fn work_through(
     groups: &[Mutex<GroupBufs>],
@@ -304,7 +300,7 @@ fn work_through(
     phase: u8,
     me: usize,
     mut work: impl FnMut(usize, &mut GroupBufs),
-) -> bool {
+) -> Option<()> {
     let n = groups.len();
     for k in 0..n {
         let g = match order {
@@ -314,11 +310,8 @@ fn work_through(
         let mut bufs = match groups[g].try_lock() {
             Ok(bufs) => bufs,
             Err(TryLockError::WouldBlock) if me > 0 => continue,
-            Err(TryLockError::WouldBlock) => match lock(&groups[g]) {
-                Some(bufs) => bufs,
-                None => return false,
-            },
-            Err(TryLockError::Poisoned(_)) => return false,
+            Err(TryLockError::WouldBlock) => lock(&groups[g])?,
+            Err(TryLockError::Poisoned(_)) => return None,
         };
         let mine = me == 0 || phase == 1 || bufs.by == me;
         if bufs.done < phase && mine {
@@ -326,7 +319,7 @@ fn work_through(
             (bufs.done, bufs.by) = (phase, me);
         }
     }
-    true
+    Some(())
 }
 
 /// `group`'s lock, polled: the thread that holds it is working on the
@@ -641,8 +634,8 @@ impl NeuralNet {
     /// Every buffer a helper writes is grown here, before it starts
     /// ([`MatrixBatch::reserve_scratch`] for its kernels' scratch): what a
     /// thread allocates comes from an allocator arena of its own, and a
-    /// helper's would stay resident. A helper's panic is caught on its
-    /// thread and raised again, payload and all, on the caller's.
+    /// helper's would stay resident. A helper's panic comes back through
+    /// its join, and the caller raises it again, payload and all.
     fn split_first_layer(
         &self,
         batch: &dyn MatrixBatch,
@@ -673,68 +666,64 @@ impl NeuralNet {
             bufs.forward(batch, w1, b1, group_cols(p, groups, g), exec)
         };
         std::thread::scope(|scope| {
-            let (panic_tx, panic_rx) = mpsc::sync_channel::<Panic>(groups);
-            let go: Vec<SyncSender<(&DenseMatrix, &DenseMatrix)>> = (1..)
+            let (go, helpers): (Vec<_>, Vec<_>) = (1..)
                 .zip(&mut helper_exec[..groups - 1])
                 .map(|(me, exec)| {
                     let (go_tx, go_rx) = mpsc::sync_channel(1);
-                    let panic_tx = panic_tx.clone();
-                    scope.spawn(move || {
-                        let run = panic::catch_unwind(AssertUnwindSafe(|| {
-                            let ok =
-                                work_through(split_groups, Order::FromLast, 1, me, |g, bufs| {
-                                    forward(g, bufs, exec)
-                                });
-                            let Some((delta2, trans2)) = ok.then(|| receive(&go_rx)).flatten()
-                            else {
-                                return;
-                            };
-                            work_through(split_groups, Order::FromLast, 2, me, |g, bufs| {
-                                bufs.backward(batch, delta2, trans2, group_cols(p, groups, g), exec)
-                            });
-                        }));
-                        if let Err(panic) = run {
-                            let _ = panic_tx.send(panic);
-                        }
+                    let helper = scope.spawn(move || {
+                        work_through(split_groups, Order::FromLast, 1, me, |g, bufs| {
+                            forward(g, bufs, exec)
+                        })?;
+                        let (delta2, trans2) = receive(&go_rx)?;
+                        work_through(split_groups, Order::FromLast, 2, me, |g, bufs| {
+                            bufs.backward(batch, delta2, trans2, group_cols(p, groups, g), exec)
+                        })
                     });
-                    go_tx
+                    (go_tx, helper)
                 })
-                .collect();
-            // A poisoned group is one a helper panicked on, and the helper
-            // has sent its panic.
-            let rethrow =
-                || -> ! { panic::resume_unwind(panic_rx.recv().expect("a helper's panic")) };
-
-            let exec = &mut ws.exec;
-            if !work_through(split_groups, Order::FromFirst, 1, 0, |g, bufs| {
-                forward(g, bufs, exec)
-            }) {
-                rethrow();
+                .unzip();
+            // Each half is `None` once a group is poisoned: a helper
+            // panicked on it.
+            let forward_half = (|| {
+                let exec = &mut ws.exec;
+                work_through(split_groups, Order::FromFirst, 1, 0, |g, bufs| {
+                    forward(g, bufs, exec)
+                })?;
+                ws.acts[0].reset(rows, p);
+                for (g, group) in split_groups.iter().enumerate() {
+                    ws.acts[0].set_columns(group_cols(p, groups, g).start, &lock(group)?.act);
+                }
+                Some(())
+            })();
+            if forward_half.is_some() {
+                self.forward_dense(ws);
+                self.backward_dense(targets, ws);
+                let (delta2, trans2) = (&ws.delta, &ws.trans);
+                for go_tx in &go {
+                    // A helper that hung up has panicked.
+                    let _ = go_tx.send((delta2, trans2));
+                }
+                let _ = (|| {
+                    let exec = &mut ws.exec;
+                    work_through(split_groups, Order::FromFirst, 2, 0, |g, bufs| {
+                        bufs.backward(batch, delta2, trans2, group_cols(p, groups, g), exec)
+                    })?;
+                    ws.grads_w[0].reset(cols, p);
+                    ws.grads_b[0].clear();
+                    for (g, group) in split_groups.iter().enumerate() {
+                        let bufs = lock(group)?;
+                        ws.grads_w[0].set_columns(group_cols(p, groups, g).start, &bufs.grad);
+                        ws.grads_b[0].extend_from_slice(&bufs.grad_b);
+                    }
+                    Some(())
+                })();
             }
-            ws.acts[0].reset(rows, p);
-            for (g, group) in split_groups.iter().enumerate() {
-                let bufs = lock(group).unwrap_or_else(|| rethrow());
-                ws.acts[0].set_columns(group_cols(p, groups, g).start, &bufs.act);
-            }
-            self.forward_dense(ws);
-            self.backward_dense(targets, ws);
-            let (delta2, trans2) = (&ws.delta, &ws.trans);
-            for go_tx in &go {
-                // A helper that hung up has sent its panic.
-                let _ = go_tx.send((delta2, trans2));
-            }
-            let exec = &mut ws.exec;
-            if !work_through(split_groups, Order::FromFirst, 2, 0, |g, bufs| {
-                bufs.backward(batch, delta2, trans2, group_cols(p, groups, g), exec)
-            }) {
-                rethrow();
-            }
-            ws.grads_w[0].reset(cols, p);
-            ws.grads_b[0].clear();
-            for (g, group) in split_groups.iter().enumerate() {
-                let bufs = lock(group).unwrap_or_else(|| rethrow());
-                ws.grads_w[0].set_columns(group_cols(p, groups, g).start, &bufs.grad);
-                ws.grads_b[0].extend_from_slice(&bufs.grad_b);
+            // A helper still waiting for `δ2` returns once `go` hangs up.
+            drop(go);
+            for helper in helpers {
+                if let Err(payload) = helper.join() {
+                    panic::resume_unwind(payload);
+                }
             }
         });
         ws.groups = split;

@@ -10,9 +10,9 @@
 //! batch, because every kernel of a step goes through this one scratch).
 //! Buffers grow to the high-water mark of the shapes seen and are reused
 //! thereafter. (A neural-net step that splits its first layer across
-//! cores spawns its helper threads each step: the spawns and their
-//! channels allocate a few small objects on the calling thread, but no
-//! buffer grows.)
+//! cores spawns its helper threads each step: what it still allocates
+//! is those spawns and the channels that hand each helper `δ2`, a few
+//! small objects on the calling thread, and no buffer grows.)
 
 use std::sync::Mutex;
 use toc_formats::ExecScratch;
