@@ -1,11 +1,13 @@
 //! Streaming numeric CSV: offset-tracked row iteration, resumable from
-//! a byte offset, and a tail-follow mode over a growing file.
+//! a byte offset, a tail-follow mode over a growing file, and framing:
+//! whole lines cut into blocks to be parsed elsewhere.
 //!
 //! Deliberately small: comma-separated `f64` cells, optional header line
-//! (auto-detected: a first line with any non-numeric field is treated as
-//! a header), one matrix row per line. The reader exists in this crate —
-//! not the CLI — because the ingestion pipeline needs two properties a
-//! plain line loop cannot give it:
+//! (auto-detected: a first non-blank line with any non-numeric field is
+//! treated as a header), one matrix row per line; blank lines (`\r*\n`)
+//! are skipped and not counted. The reader exists in this crate — not the
+//! CLI — because the ingestion pipeline needs what a plain line loop
+//! cannot give it:
 //!
 //! * **Byte offsets per row.** A checkpoint sidecar records the source
 //!   offset of the last *sealed* chunk so `toc ingest --resume` can seek
@@ -17,15 +19,29 @@
 //!   from the top when the file is truncated under us, and keep
 //!   EOF-versus-error structurally distinct ([`follow_rows`],
 //!   [`CsvError`]).
+//! * **Framing.** The CSV → container ingest
+//!   ([`crate::ingest::ingest_csv_container`]) parses on its seal
+//!   workers. Its caller only *frames*: `CsvStream::frame_rows` appends
+//!   the whole lines of up to `n` data rows to a text block as they lie in
+//!   the file, finding each line's end eight bytes at a time and looking
+//!   at no cell (only a fresh stream's first non-blank line, for the
+//!   header, which it leaves out of the block). It advances
+//!   [`CsvStream::offset`] and [`CsvStream::rows_read`] exactly as
+//!   [`CsvStream::next_row`] would over the same rows, so a block's end is
+//!   the offset a checkpoint records, and an unterminated last line is
+//!   framed at true end of stream with a newline lent to the block, as
+//!   [`CsvStream::finish_partial`] commits it. A worker parses the block
+//!   with the scan `next_row` runs, numbering rows from the stream's count
+//!   before the block, so its error is the one `next_row` would give.
 //!
 //! # What a cell is, and how it is converted
 //!
-//! A cell's value is, by definition, `str::trim` followed by
-//! `str::parse::<f64>` on the bytes between two delimiters; a cell that
-//! is not UTF-8 or does not parse is a [`CsvError::Parse`]. The reader
-//! scans bytes where the read buffer holds them (no `String`, no
-//! per-row or per-field allocation) and converts most cells without
-//! calling `parse` at all:
+//! One grammar, wherever a line is parsed. A cell's value is, by
+//! definition, `str::trim` followed by `str::parse::<f64>` on the bytes
+//! between two delimiters; a cell that is not UTF-8 or does not parse is
+//! a [`CsvError::BadNumber`]. The reader scans bytes where the read buffer
+//! (or a framed block) holds them (no `String`, no per-row or per-field
+//! allocation) and converts most cells without calling `parse` at all:
 //!
 //! * **Fast path grammar** — after trimming spaces and tabs:
 //!   `[+-]? digit* ('.' digit*)?` with 1 to 15 digits in total and at
@@ -45,9 +61,10 @@
 //!   ever *declines*; it has no error of its own.
 //!
 //! Errors keep their order: a line with the wrong number of fields is
-//! "row N has X fields, expected Y" even if it also holds a bad number.
-//! Any line the scan finds irregular is re-read by the whole-line
-//! routine, which checks the width first and the numbers second.
+//! [`CsvError::Ragged`] ("row N has X fields, expected Y") even if it also
+//! holds a bad number. Any line the scan finds irregular is re-read by the
+//! whole-line routine, which checks the width first and the numbers
+//! second.
 
 use std::io::{BufRead, BufReader, Seek, SeekFrom};
 use std::path::{Path, PathBuf};
@@ -126,9 +143,24 @@ impl std::error::Error for CellError {}
 pub enum CsvError {
     /// The underlying file operation failed.
     Io(std::io::Error),
-    /// A line was structurally bad: ragged width, a header that is not
-    /// text, or an empty stream.
-    Parse(String),
+    /// Data row `row` (1-based) has `fields` cells where the first line
+    /// fixed `expected`.
+    Ragged {
+        row: usize,
+        fields: usize,
+        expected: usize,
+    },
+    /// The first non-blank line holds a non-numeric cell, so it is a
+    /// header, but it is not UTF-8 text.
+    HeaderNotText(std::str::Utf8Error),
+    /// A resume offset lies past the end of the file.
+    OffsetPastEnd {
+        offset: u64,
+        path: PathBuf,
+        len: u64,
+    },
+    /// The stream holds no data row.
+    Empty,
     /// A cell of data row `row` (1-based) is not a number.
     BadNumber { row: usize, cell: CellError },
     /// The per-row sink aborted the stream.
@@ -139,7 +171,18 @@ impl std::fmt::Display for CsvError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CsvError::Io(e) => write!(f, "{e}"),
-            CsvError::Parse(m) => write!(f, "{m}"),
+            CsvError::Ragged {
+                row,
+                fields,
+                expected,
+            } => write!(f, "row {row} has {fields} fields, expected {expected}"),
+            CsvError::HeaderNotText(e) => write!(f, "row 1: header is not text: {e}"),
+            CsvError::OffsetPastEnd { offset, path, len } => write!(
+                f,
+                "resume offset {offset} past end of {} ({len} bytes)",
+                path.display()
+            ),
+            CsvError::Empty => write!(f, "empty CSV"),
             CsvError::BadNumber { row, cell } => write!(f, "row {row}: bad number {cell}"),
             CsvError::Sink(e) => write!(f, "{e}"),
         }
@@ -245,31 +288,50 @@ fn slow_field(field: &[u8], declined: &mut u64) -> Option<f64> {
     parse_text(field).ok()
 }
 
-/// Index of the first `,` or `\n` at or after `from`, or `buf.len()`.
-/// Eight bytes at a time: a cell of 17-digit text is three words, not
-/// twenty compares, and a short cell's end falls out of one word
-/// without a data-dependent loop exit.
+const LO: u64 = 0x0101_0101_0101_0101;
+const HI: u64 = 0x8080_8080_8080_8080;
+
+/// The high bit of each byte of `w` that is `byte`. A borrow only
+/// travels upward from a true match, so bytes above one may be flagged
+/// too, but the lowest flagged byte is exact.
 #[inline]
-fn field_end(buf: &[u8], from: usize) -> usize {
-    const LO: u64 = 0x0101_0101_0101_0101;
-    const HI: u64 = 0x8080_8080_8080_8080;
+fn bytes_equal(w: u64, byte: u8) -> u64 {
+    let x = w ^ (LO * byte as u64);
+    x.wrapping_sub(LO) & !x & HI
+}
+
+/// Index of the first byte at or after `from` that `flags` marks, or
+/// `buf.len()`. Eight bytes at a time: a cell of 17-digit text is three
+/// words, not twenty compares, and a short cell's end falls out of one
+/// word without a data-dependent loop exit.
+#[inline]
+fn find_first(buf: &[u8], from: usize, flags: impl Fn(u64) -> u64) -> usize {
     let mut p = from;
     while let Some(word) = buf.get(p..p + 8) {
-        let w = u64::from_le_bytes(word.try_into().expect("8-byte slice"));
-        // Zero-byte test on `w ^ pattern`. A borrow only travels upward
-        // from a true match, so the lowest flagged byte is exact.
-        let comma = w ^ (LO * b',' as u64);
-        let newline = w ^ (LO * b'\n' as u64);
-        let hit = ((comma.wrapping_sub(LO) & !comma) | (newline.wrapping_sub(LO) & !newline)) & HI;
+        let hit = flags(u64::from_le_bytes(word.try_into().expect("8-byte slice")));
         if hit != 0 {
             return p + (hit.trailing_zeros() / 8) as usize;
         }
         p += 8;
     }
-    while p < buf.len() && buf[p] != b',' && buf[p] != b'\n' {
+    // The last bytes one at a time, each as the low byte of a word: that
+    // byte's flag is exact.
+    while p < buf.len() && flags(u64::from(buf[p])) & 0x80 == 0 {
         p += 1;
     }
     p
+}
+
+/// Index of the first `,` or `\n` at or after `from`, or `buf.len()`.
+#[inline]
+fn field_end(buf: &[u8], from: usize) -> usize {
+    find_first(buf, from, |w| bytes_equal(w, b',') | bytes_equal(w, b'\n'))
+}
+
+/// Index of the first `\n` at or after `from`, or `buf.len()`.
+#[inline]
+fn line_end(buf: &[u8], from: usize) -> usize {
+    find_first(buf, from, |w| bytes_equal(w, b'\n'))
 }
 
 /// `line` without the `\r`s at its end.
@@ -292,6 +354,16 @@ enum Scan {
     },
 }
 
+/// What framing makes of one whole line.
+enum LineKind {
+    /// Nothing but `\r`s before the newline.
+    Blank,
+    /// A fresh stream's first non-blank line, found to be a header.
+    Header,
+    /// A data row, counted but not converted.
+    Row,
+}
+
 /// The half of [`CsvStream`] that does not touch the file, so a line
 /// can be scanned while the reader's buffer is borrowed.
 struct RowParser {
@@ -306,6 +378,34 @@ struct RowParser {
 }
 
 impl RowParser {
+    /// A parser for a stream at data row `rows`, `cols` wide (0: fixed by
+    /// the first line), that detects a header first when `at_start`.
+    fn new(cols: usize, rows: usize, at_start: bool) -> Self {
+        Self {
+            cols,
+            header: None,
+            rows,
+            at_start,
+            row_buf: Vec::new(),
+            slow_fields: 0,
+        }
+    }
+
+    /// Classify one whole line, its newline left out, converting no cell
+    /// of a data row: only a fresh stream's first non-blank line is
+    /// looked into ([`RowParser::detect_header`]).
+    fn frame(&mut self, line: &[u8]) -> Result<LineKind, CsvError> {
+        let line = strip_cr(line);
+        if line.is_empty() {
+            return Ok(LineKind::Blank);
+        }
+        if self.at_start && self.detect_header(line)? {
+            return Ok(LineKind::Header);
+        }
+        self.rows += 1;
+        Ok(LineKind::Row)
+    }
+
     /// Scan the line that starts at `buf[0]`: one pass that finds each
     /// cell's end, trims it and converts it straight into `row_buf`.
     fn scan(&mut self, buf: &[u8]) -> Scan {
@@ -392,8 +492,7 @@ impl RowParser {
         let is_header = fields().any(|f| parse_text(f).is_err());
         if is_header {
             // A header must be text.
-            let text = std::str::from_utf8(line)
-                .map_err(|e| CsvError::Parse(format!("row 1: header is not text: {e}")))?;
+            let text = std::str::from_utf8(line).map_err(CsvError::HeaderNotText)?;
             self.header = Some(text.split(',').map(|f| f.trim().to_string()).collect());
         }
         if self.cols == 0 {
@@ -425,11 +524,11 @@ impl RowParser {
         let fields = || line.split(|&b| b == b',');
         let width = fields().count();
         if width != self.cols {
-            return Err(CsvError::Parse(format!(
-                "row {} has {width} fields, expected {}",
-                self.rows + 1,
-                self.cols
-            )));
+            return Err(CsvError::Ragged {
+                row: self.rows + 1,
+                fields: width,
+                expected: self.cols,
+            });
         }
         self.row_buf.clear();
         for f in fields() {
@@ -477,10 +576,11 @@ impl CsvStream {
         let mut file = std::fs::File::open(path)?;
         let len = file.metadata()?.len();
         if offset > len {
-            return Err(CsvError::Parse(format!(
-                "resume offset {offset} past end of {} ({len} bytes)",
-                path.display()
-            )));
+            return Err(CsvError::OffsetPastEnd {
+                offset,
+                path: path.to_path_buf(),
+                len,
+            });
         }
         if offset > 0 {
             file.seek(SeekFrom::Start(offset))?;
@@ -489,14 +589,7 @@ impl CsvStream {
             reader: BufReader::with_capacity(READ_BUF_BYTES, file),
             offset,
             carry: Vec::new(),
-            parser: RowParser {
-                cols,
-                header: None,
-                rows: 0,
-                at_start: offset == 0,
-                row_buf: Vec::new(),
-                slow_fields: 0,
-            },
+            parser: RowParser::new(cols, 0, offset == 0),
         })
     }
 
@@ -603,12 +696,126 @@ impl CsvStream {
     pub fn carried_bytes(&self) -> usize {
         self.carry.len()
     }
+
+    /// Frame up to `rows` data rows without converting a cell: append
+    /// their lines, and the blank lines among them, to `text` as they lie
+    /// in the file, and advance [`CsvStream::offset`] and
+    /// [`CsvStream::rows_read`] exactly as `next_row` would over them. A
+    /// header is detected as `next_row` detects it and left out of
+    /// `text`. Returns the rows framed: fewer than `rows` means end of
+    /// file, with an unterminated tail carried as `next_row` leaves it
+    /// (see [`CsvStream::frame_partial`]). [`parse_block`] turns `text`
+    /// into the rows `next_row` would have returned.
+    pub(crate) fn frame_rows(
+        &mut self,
+        text: &mut Vec<u8>,
+        rows: usize,
+    ) -> Result<usize, CsvError> {
+        let mut framed = 0;
+        while framed < rows {
+            let buf = self.reader.fill_buf()?;
+            if buf.is_empty() {
+                break;
+            }
+            if !self.carry.is_empty() {
+                // The line began in an earlier fill.
+                let newline = line_end(buf, 0);
+                let take = buf.len().min(newline + 1);
+                self.carry.extend_from_slice(&buf[..take]);
+                self.reader.consume(take);
+                if newline < take {
+                    framed += usize::from(self.frame_carry(text)?);
+                }
+                continue;
+            }
+            // Whole lines where the fill holds them; `kept..end` goes to
+            // `text` (a header moves `kept` past itself).
+            let (mut kept, mut end) = (0, 0);
+            while framed < rows {
+                let newline = line_end(buf, end);
+                if newline == buf.len() {
+                    break;
+                }
+                match self.parser.frame(&buf[end..newline])? {
+                    LineKind::Row => framed += 1,
+                    LineKind::Blank => {}
+                    LineKind::Header => {
+                        text.extend_from_slice(&buf[kept..end]);
+                        kept = newline + 1;
+                    }
+                }
+                end = newline + 1;
+            }
+            text.extend_from_slice(&buf[kept..end]);
+            self.offset += end as u64;
+            let take = if framed < rows {
+                // The rest of the fill is the start of a line.
+                self.carry.extend_from_slice(&buf[end..]);
+                buf.len()
+            } else {
+                end
+            };
+            self.reader.consume(take);
+        }
+        Ok(framed)
+    }
+
+    /// Frame `carry`, which holds exactly one terminated line, into
+    /// `text`: true if it is a data row.
+    fn frame_carry(&mut self, text: &mut Vec<u8>) -> Result<bool, CsvError> {
+        let kind = self.parser.frame(&self.carry[..self.carry.len() - 1]);
+        if let Ok(LineKind::Blank | LineKind::Row) = kind {
+            text.extend_from_slice(&self.carry);
+        }
+        self.offset += self.carry.len() as u64;
+        self.carry.clear();
+        Ok(matches!(kind?, LineKind::Row))
+    }
+
+    /// [`CsvStream::finish_partial`] for framing: at true end of stream,
+    /// frame a trailing unterminated line, lending it in `text` the
+    /// newline it lacks. True if it is a data row.
+    pub(crate) fn frame_partial(&mut self, text: &mut Vec<u8>) -> Result<bool, CsvError> {
+        if self.carry.is_empty() {
+            return Ok(false);
+        }
+        self.carry.push(b'\n');
+        let row = self.frame_carry(text);
+        self.offset -= 1;
+        row
+    }
+}
+
+/// Parse a block of whole lines that [`CsvStream::frame_rows`] framed,
+/// appending each data row's `cols` values to `stage`: the scan
+/// `next_row` runs, so there is one cell grammar wherever a line is
+/// parsed. `first_row` is [`CsvStream::rows_read`] before the block was
+/// framed, so an error names the row the serial reader names. Returns the
+/// rows parsed.
+pub(crate) fn parse_block(
+    text: &[u8],
+    cols: usize,
+    first_row: usize,
+    stage: &mut Vec<f64>,
+) -> Result<usize, CsvError> {
+    let mut parser = RowParser::new(cols, first_row, false);
+    let mut rest = text;
+    while !rest.is_empty() {
+        let Scan::Line { len, row } = parser.scan(rest) else {
+            unreachable!("a framed block ends in a newline");
+        };
+        if row? {
+            stage.extend_from_slice(&parser.row_buf);
+        }
+        rest = &rest[len..];
+    }
+    Ok(parser.rows - first_row)
 }
 
 /// Stream a numeric CSV row by row without materializing the matrix:
 /// `f(row_index, values)` is called once per data row with a reused
 /// buffer, so peak memory is one row. Returns `(rows, cols, header)`;
-/// an empty stream is a [`CsvError::Parse`] ("empty CSV").
+/// an empty stream is [`CsvError::Empty`].
 pub fn stream_rows(path: &Path, f: RowSink<'_>) -> Result<StreamSummary, CsvError> {
     let mut s = CsvStream::open(path)?;
     loop {
@@ -628,7 +835,7 @@ pub fn stream_rows(path: &Path, f: RowSink<'_>) -> Result<StreamSummary, CsvErro
         f(i, row).map_err(CsvError::Sink)?;
     }
     if s.rows_read() == 0 {
-        return Err(CsvError::Parse("empty CSV".into()));
+        return Err(CsvError::Empty);
     }
     Ok((s.rows_read(), s.cols(), s.header().map(|h| h.to_vec())))
 }
@@ -800,6 +1007,53 @@ mod tests {
         std::fs::remove_file(&p).ok();
     }
 
+    /// Framing advances `offset` and `rows_read` exactly as `next_row`
+    /// does over the same rows, whatever the block size: a header, blank
+    /// and CRLF lines, a line that straddles a refill and an unterminated
+    /// tail included. Each block parses to the rows `next_row` returns.
+    #[test]
+    fn framing_advances_as_next_row_does() {
+        let p = tmp("frame.csv");
+        let mut text = String::from("\r\r\nx,y\n1,2\r\n\n3,4\n");
+        while text.len() < READ_BUF_BYTES - 3 {
+            text.push_str("5,6\n");
+        }
+        text.push_str("7,8888888888\n\r\n9,10");
+        std::fs::write(&p, &text).unwrap();
+        for n in [1, 2, 5, 1000] {
+            let mut serial = CsvStream::open(&p).unwrap();
+            let mut framed = CsvStream::open(&p).unwrap();
+            let mut block = Vec::new();
+            loop {
+                let first = framed.rows_read();
+                block.clear();
+                let mut got = framed.frame_rows(&mut block, n).unwrap();
+                let end = got < n;
+                if end {
+                    got += usize::from(framed.frame_partial(&mut block).unwrap());
+                }
+                let mut want = Vec::new();
+                for _ in 0..got {
+                    let row = match serial.next_row().unwrap() {
+                        Some((_, row)) => row.to_vec(),
+                        None => serial.finish_partial().unwrap().unwrap().1.to_vec(),
+                    };
+                    want.extend(row);
+                }
+                let at = |s: &CsvStream| (s.offset(), s.rows_read(), s.header().map(<[_]>::to_vec));
+                assert_eq!(at(&framed), at(&serial), "{n} rows a block");
+                let mut rows = Vec::new();
+                let parsed = parse_block(&block, framed.cols(), first, &mut rows).unwrap();
+                assert_eq!((parsed, rows), (got, want), "{n} rows a block");
+                if end {
+                    break;
+                }
+            }
+            assert_eq!(framed.offset(), text.len() as u64);
+        }
+        std::fs::remove_file(&p).ok();
+    }
+
     #[test]
     fn follow_streams_rows_appended_by_a_writer_thread() {
         let p = tmp("follow.csv");
@@ -915,7 +1169,9 @@ mod tests {
         ] {
             std::fs::write(&p, text).unwrap();
             match read_all(&p) {
-                Err(e @ (CsvError::Parse(_) | CsvError::BadNumber { .. })) => {
+                Err(
+                    e @ (CsvError::Ragged { .. } | CsvError::BadNumber { .. } | CsvError::Empty),
+                ) => {
                     let msg = e.to_string();
                     assert!(msg.starts_with(want), "{msg}")
                 }
@@ -936,7 +1192,11 @@ mod tests {
         std::fs::write(&ragged, "1,2,3\n4,5\n").unwrap();
         assert!(matches!(
             stream_rows(&ragged, &mut |_, _| Ok(())),
-            Err(CsvError::Parse(_))
+            Err(CsvError::Ragged {
+                row: 2,
+                fields: 2,
+                expected: 3
+            })
         ));
         let fine = tmp("fine.csv");
         std::fs::write(&fine, "1,2\n").unwrap();
@@ -968,7 +1228,10 @@ mod tests {
         // ... from the first line (a header must be text) ...
         std::fs::write(&garbage, b"a,\xc3\x28\n1,2\n").unwrap();
         match stream_rows(&garbage, &mut |_, _| Ok(())) {
-            Err(CsvError::Parse(msg)) => assert!(msg.starts_with("row 1: header"), "{msg}"),
+            Err(e @ CsvError::HeaderNotText(_)) => {
+                let msg = e.to_string();
+                assert!(msg.starts_with("row 1: header is not text: "), "{msg}")
+            }
             other => panic!("expected a parse error, got {other:?}"),
         }
         // ... and to a follower, which must not mistake it for IO trouble.

@@ -40,6 +40,18 @@
 //! segments, and how close it comes to that depends on how the seals
 //! overlapped.
 //!
+//! A chunk goes to the line as staged rows or as text. The CSV driver
+//! ([`ingest_csv_container`]) does not parse: its caller frames each
+//! chunk's lines ([`CsvStream`] finds line ends and converts no cell) and
+//! hands the raw block over, and a worker parses it with the reader's own
+//! scan into the stage buffer that came with it and seals it, so one
+//! chunk goes from text to segment on one core. A bad line's error waits
+//! in its chunk's place and stops the line when that place comes up to be
+//! appended, as a failed append would: the ingest fails with the first bad
+//! line in file order, under the row number the serial reader gives, and
+//! no later segment is appended. The framed blocks in flight, at most
+//! workers + 2, count in the peak beside the stages and segments.
+//!
 //! Chunking changes *where* segment boundaries fall, never what a chunk
 //! of given rows encodes to: sealing is deterministic in the staged
 //! values, which is what the ingest proptests pin down.
@@ -85,7 +97,7 @@ use toc_formats::{pick_and_encode, AnyBatch, EncodeOptions, FormatError, MatrixB
 use toc_linalg::DenseMatrix;
 use toc_ml::mgd::BatchProvider;
 
-use crate::csv::{CsvError, CsvStream};
+use crate::csv::{self, CsvError, CsvStream, SinkError};
 use crate::io::{lock, wait, Workers};
 use crate::store::{AppenderToken, ShardedSpillStore};
 
@@ -253,10 +265,12 @@ pub struct IngestStats {
     pub encoded_bytes: u64,
     /// High-water mark of the seal pipeline, set by `finish`, for both
     /// sinks: the stage buffers allocated plus the sealed segments not
-    /// yet appended, counted live. O(workers · chunk): at most
-    /// workers + 2 stages and workers + 1 segments, and how close it
-    /// comes to that depends on how the seals overlapped, so a short
-    /// stream may read lower than a long one.
+    /// yet appended, counted live, and for the CSV driver
+    /// ([`ingest_csv_container`]) the framed text blocks too.
+    /// O(workers · chunk): at most workers + 2 stages, workers + 2 text
+    /// blocks and workers + 1 segments, and how close it comes to that
+    /// depends on how the seals overlapped, so a short stream may read
+    /// lower than a long one.
     pub peak_workspace_bytes: usize,
     /// Sealed-segment count per scheme, in first-seen order — with
     /// per-chunk auto-pick over a drifting stream this is where the
@@ -519,16 +533,22 @@ pub fn beside<P: Send, C>(
 /// in the rows but grows with the cores: about workers + 2 stages and
 /// workers + 1 sealed segments at its peak.
 ///
+/// Rows come from [`ContainerIngest::push_row`], staged on the caller.
+/// [`ingest_csv_container`] hands the line each chunk's CSV text instead,
+/// framed on the caller and parsed on a seal worker; it adds at most
+/// workers + 2 text blocks to the peak, and a bad line surfaces as
+/// [`IngestError::Csv`] from the call that meets it in hand-off order.
+///
 /// [`ContainerIngest::stats`], [`ContainerIngest::bytes_written`] and
 /// [`ContainerIngest::writer_state`] describe the chunks appended so far;
 /// [`ContainerIngest::flush`] appends every chunk handed off first.
-/// After a failed append every call returns that error. Dropping an
-/// unfinished ingest lets the workers seal what was handed off, appends
-/// none of it, and joins them; a seal that panics resurfaces as a panic
-/// on the caller's thread.
+/// After a failed append every call returns that error
+/// ([`IngestError::Format`]). Dropping an unfinished ingest lets the
+/// workers seal what was handed off, appends none of it, and joins them;
+/// a seal that panics resurfaces as a panic on the caller's thread.
 pub struct ContainerIngest<W: std::io::Write> {
     writer: ContainerStreamWriter<W>,
-    pool: SealLine<SealedChunk, FormatError>,
+    pool: SealLine<SealedChunk, IngestError>,
     /// Chunks a resume restored; the line counts from zero.
     resumed: u64,
     stats: IngestStats,
@@ -615,7 +635,7 @@ impl<W: std::io::Write> ContainerIngest<W> {
     /// wire.
     fn on_line<R>(
         &mut self,
-        f: impl FnOnce(&mut SealLine<SealedChunk, FormatError>, ContainerAppend<'_, '_>) -> R,
+        f: impl FnOnce(&mut SealLine<SealedChunk, IngestError>, ContainerAppend<'_, '_>) -> R,
     ) -> R {
         let (writer, stats) = (&mut self.writer, &mut self.stats);
         let mut append = |sealed: SealedChunk| {
@@ -630,8 +650,17 @@ impl<W: std::io::Write> ContainerIngest<W> {
 
     /// Stage one full-width row; hands the chunk to the seal workers
     /// when it fills, and appends whatever has sealed in order.
-    pub fn push_row(&mut self, row: &[f64]) -> Result<(), FormatError> {
+    pub fn push_row(&mut self, row: &[f64]) -> Result<(), IngestError> {
         self.on_line(|pool, append| pool.push_row(row, None, Some(append)))
+    }
+
+    /// Hand `text`, the lines [`CsvStream`] framed for one chunk from data
+    /// row `first_row` on, to the seal workers, which parse it; appends
+    /// whatever has sealed in order. A bad line stops the ingest when its
+    /// chunk's turn to be appended comes. `text` is left holding a spare
+    /// buffer to frame the next chunk into.
+    fn push_text(&mut self, text: &mut Vec<u8>, first_row: usize) -> Result<(), IngestError> {
+        self.on_line(|pool, append| pool.hand_off_text(text, first_row, Some(append)))
     }
 
     /// Rows currently staged (not yet handed to the seal workers). Drops
@@ -662,9 +691,9 @@ impl<W: std::io::Write> ContainerIngest<W> {
     /// persisting a checkpoint so the sealed bytes the sidecar's
     /// watermark points at are actually in the file, not in flight or in
     /// a userspace buffer.
-    pub fn flush(&mut self) -> Result<(), FormatError> {
+    pub fn flush(&mut self) -> Result<(), IngestError> {
         self.on_line(|pool, append| pool.settle(0, Some(append)))?;
-        self.writer.flush()
+        Ok(self.writer.flush()?)
     }
 
     /// The writer's resumable state at the appended watermark (see
@@ -676,7 +705,7 @@ impl<W: std::io::Write> ContainerIngest<W> {
     /// Seal any partial final chunk, append everything in flight, write
     /// the layout-tree footer and postscript, and report `(total
     /// container bytes, counters)`.
-    pub fn finish(mut self) -> Result<(u64, IngestStats), FormatError> {
+    pub fn finish(mut self) -> Result<(u64, IngestStats), IngestError> {
         self.stats.peak_workspace_bytes = self.on_line(|pool, append| pool.finish(Some(append)))?;
         let total = self.writer.finish()?;
         Ok((total, self.stats))
@@ -712,49 +741,127 @@ impl Held {
     }
 }
 
-/// An append failure a seal line keeps and hands to every later call.
+/// A failure a seal line keeps and hands to every later call: an
+/// append's, or the parse of a framed text block's.
 trait Fault {
     fn again(&self) -> Self;
-}
-
-impl Fault for FormatError {
-    fn again(&self) -> Self {
-        self.clone()
-    }
+    /// A framed block's parse failure.
+    fn text(e: CsvError) -> Self;
 }
 
 impl Fault for std::io::Error {
     fn again(&self) -> Self {
         Self::new(self.kind(), self.to_string())
     }
+
+    fn text(e: CsvError) -> Self {
+        Self::new(std::io::ErrorKind::InvalidData, e)
+    }
 }
 
-/// One full stage on its way to a seal worker: its place in hand-off
-/// order, its rows and a store's labels for them.
-type Job = (u64, DenseMatrix, Vec<f64>);
+/// A CSV error again, for [`Fault::again`].
+fn csv_again(e: &CsvError) -> CsvError {
+    match e {
+        CsvError::Io(e) => CsvError::Io(e.again()),
+        &CsvError::Ragged {
+            row,
+            fields,
+            expected,
+        } => CsvError::Ragged {
+            row,
+            fields,
+            expected,
+        },
+        &CsvError::HeaderNotText(e) => CsvError::HeaderNotText(e),
+        CsvError::OffsetPastEnd { offset, path, len } => CsvError::OffsetPastEnd {
+            offset: *offset,
+            path: path.clone(),
+            len: *len,
+        },
+        CsvError::Empty => CsvError::Empty,
+        CsvError::BadNumber { row, cell } => CsvError::BadNumber {
+            row: *row,
+            cell: cell.clone(),
+        },
+        CsvError::Sink(SinkError::Io(e)) => CsvError::Sink(SinkError::Io(e.again())),
+        &CsvError::Sink(SinkError::NoFeatures { fields }) => {
+            CsvError::Sink(SinkError::NoFeatures { fields })
+        }
+    }
+}
+
+impl Fault for IngestError {
+    fn again(&self) -> Self {
+        match self {
+            IngestError::Io(e) => IngestError::Io(e.again()),
+            IngestError::Format(e) => IngestError::Format(e.clone()),
+            IngestError::Csv(e) => IngestError::Csv(csv_again(e)),
+            IngestError::Checkpoint(m) => IngestError::Checkpoint(m.clone()),
+        }
+    }
+
+    fn text(e: CsvError) -> Self {
+        IngestError::Csv(e)
+    }
+}
+
+/// A chunk on its way to a seal worker, as its caller handed it off.
+enum Stage {
+    /// Rows staged in the caller's workspace.
+    Rows(DenseMatrix),
+    /// Whole CSV lines the caller framed, parsed on the worker.
+    Text(TextBlock),
+}
+
+/// One chunk's CSV lines, as [`CsvStream`] framed them, and the empty
+/// stage buffer they are parsed into.
+struct TextBlock {
+    text: Vec<u8>,
+    cols: usize,
+    /// Data rows of the stream before this block.
+    first_row: usize,
+    stage: Vec<f64>,
+}
+
+impl TextBlock {
+    /// The chunk's rows, parsed into the stage buffer, or the first bad
+    /// line's error; and the text buffer, emptied.
+    fn parse(mut self) -> (Result<DenseMatrix, CsvError>, Vec<u8>) {
+        let parsed = csv::parse_block(&self.text, self.cols, self.first_row, &mut self.stage);
+        self.text.clear();
+        let rows = parsed.map(|rows| DenseMatrix::from_vec(rows, self.cols, self.stage));
+        (rows, self.text)
+    }
+}
+
+/// One chunk on its way to a seal worker: its place in hand-off order,
+/// the chunk and a store's labels for its rows.
+type Job = (u64, Stage, Vec<f64>);
 
 /// A seal line's append, run by the thread that pops the line.
 type Append<'a, 'f, T, E> = &'a mut (dyn FnMut(T) -> Result<(), E> + 'f);
 
 /// A container's append, run by its caller.
-type ContainerAppend<'a, 'f> = Append<'a, 'f, SealedChunk, FormatError>;
+type ContainerAppend<'a, 'f> = Append<'a, 'f, SealedChunk, IngestError>;
 
 /// The append a line's seal workers run themselves.
 type WorkerAppend<T, E> = Arc<dyn Fn(T) -> Result<(), E> + Send + Sync>;
 
 /// The seal line of both ingest sinks. The caller stages rows in its
-/// [`EncodeWorkspace`] and hands each full stage, numbered in hand-off
-/// order, to one queue; W = [`std::thread::available_parallelism`] seal
-/// workers take the next job, so a slow chunk holds up only its own
-/// worker, run the sink's seal under one `catch_unwind`, and deposit the
-/// sealed chunk and its stage buffer at its number. One routine
-/// ([`Shared::pop`]) appends the in-order prefix of what is deposited, and
-/// which thread calls it is the only difference between the sinks: a
-/// [`StoreIngest`]'s depositing worker, so a sealed chunk is visible
-/// without another row, or a [`ContainerIngest`]'s caller, so its writer
-/// never leaves that thread. At most W + 1 chunks are between hand-off and
-/// append. A failed append stops the line and is returned by every later
-/// call; a seal's panic is recorded and re-raised on the caller once the
+/// [`EncodeWorkspace`], or frames a chunk's CSV lines, and hands each
+/// full stage or text block, numbered in hand-off order, to one queue;
+/// W = [`std::thread::available_parallelism`] seal workers take the next
+/// job, so a slow chunk holds up only its own worker, parse it if it is
+/// text and run the sink's seal under one `catch_unwind`, and deposit the
+/// sealed chunk (or the parse failure) and its buffers at its number. One
+/// routine ([`Shared::pop`]) appends the in-order prefix of what is
+/// deposited, and which thread calls it is the only difference between
+/// the sinks: a [`StoreIngest`]'s depositing worker, so a sealed chunk is
+/// visible without another row, or a [`ContainerIngest`]'s caller, so its
+/// writer never leaves that thread. At most W + 1 chunks are between
+/// hand-off and append. A failed append, or a parse failure whose turn to
+/// be appended comes, stops the line and is returned by every later call;
+/// a seal's panic is recorded and re-raised on the caller once the
 /// workers are joined. Dropping the line lets the workers seal every job
 /// queued (and append it, if they are the appenders) and joins them.
 struct SealLine<T, E> {
@@ -765,6 +872,8 @@ struct SealLine<T, E> {
     workers: Workers,
     /// Chunks handed to the workers so far.
     handed_off: u64,
+    /// Bytes of the caller's text buffer counted in `held` so far.
+    text_counted: usize,
 }
 
 /// What a seal line's caller and workers share.
@@ -778,8 +887,8 @@ struct Shared<T, E> {
     /// `failed` or `panic` is set; a caller that loads it set (`Acquire`)
     /// takes the lock to read which.
     broken: AtomicBool,
-    /// Every stage buffer allocated plus the sealed chunks not yet
-    /// appended.
+    /// Every stage and text buffer allocated plus the sealed chunks not
+    /// yet appended.
     held: Held,
 }
 
@@ -789,9 +898,10 @@ struct LineState<T, E> {
     jobs: VecDeque<Job>,
     /// No job comes any more: a worker that finds `jobs` empty returns.
     closed: bool,
-    /// Sealed chunks, with the bytes each holds, from the next one to
-    /// append on; `None` while that chunk is still sealing.
-    ready: VecDeque<Option<(T, usize)>>,
+    /// Sealed chunks, with the bytes each holds, or a framed block's
+    /// parse failure, from the next one to append on; `None` while that
+    /// chunk is still sealing.
+    ready: VecDeque<Option<Result<(T, usize), E>>>,
     /// Sequence number of `ready`'s front.
     next: u64,
     /// A thread is appending (with the lock released).
@@ -800,6 +910,8 @@ struct LineState<T, E> {
     appended: u64,
     /// Stage buffers back from the workers, ready to stage into.
     spare: Vec<Vec<f64>>,
+    /// Text buffers back from the workers, ready to frame into.
+    spare_text: Vec<Vec<u8>>,
     failed: Option<E>,
     panic: Option<Box<dyn std::any::Any + Send>>,
 }
@@ -831,6 +943,7 @@ impl<T: Send + 'static, E: Fault + Send + 'static> SealLine<T, E> {
             popping: false,
             appended: 0,
             spare: Vec::new(),
+            spare_text: Vec::new(),
             failed: None,
             panic: None,
         };
@@ -850,6 +963,7 @@ impl<T: Send + 'static, E: Fault + Send + 'static> SealLine<T, E> {
             shared,
             workers,
             handed_off: 0,
+            text_counted: 0,
         }
     }
 
@@ -857,9 +971,8 @@ impl<T: Send + 'static, E: Fault + Send + 'static> SealLine<T, E> {
         self.workers.len()
     }
 
-    /// Stage one row (and a store's label), first taking a buffer when the
-    /// last was handed off: a spare, or a new one counted in `held` while
-    /// every one is in flight. Hands the chunk off when it fills.
+    /// Stage one row (and a store's label). Hands the chunk off when it
+    /// fills.
     fn push_row(
         &mut self,
         row: &[f64],
@@ -867,6 +980,18 @@ impl<T: Send + 'static, E: Fault + Send + 'static> SealLine<T, E> {
         append: Option<Append<'_, '_, T, E>>,
     ) -> Result<(), E> {
         self.check()?;
+        self.restage();
+        self.ws.push_row(row);
+        self.labels.extend(label);
+        if self.ws.is_full() {
+            self.hand_off(append)?;
+        }
+        Ok(())
+    }
+
+    /// Give the workspace a buffer again when its last was handed off: a
+    /// spare, or a new one counted in `held` while every one is in flight.
+    fn restage(&mut self) {
         if self.ws.stage.capacity() == 0 {
             let spare = lock(&self.shared.state).spare.pop();
             self.ws.stage = spare.unwrap_or_else(|| {
@@ -875,12 +1000,6 @@ impl<T: Send + 'static, E: Fault + Send + 'static> SealLine<T, E> {
                 stage
             });
         }
-        self.ws.push_row(row);
-        self.labels.extend(label);
-        if self.ws.is_full() {
-            self.hand_off(append)?;
-        }
-        Ok(())
     }
 
     /// Hand the staged chunk, if any, to the workers once at most W
@@ -892,11 +1011,45 @@ impl<T: Send + 'static, E: Fault + Send + 'static> SealLine<T, E> {
         };
         let rows = self.labels.len();
         let labels = std::mem::replace(&mut self.labels, Vec::with_capacity(rows));
-        let job = (self.handed_off, dense, labels);
+        self.queue(Stage::Rows(dense), labels);
+        Ok(())
+    }
+
+    /// Hand `text`, whole CSV lines holding one chunk's data rows from
+    /// data row `first_row` on, to the workers once at most W chunks are
+    /// between hand-off and append, with an empty stage buffer to parse
+    /// into. `text` is left holding a spare buffer to frame into, and its
+    /// growth since it was last handed off is counted in `held`.
+    fn hand_off_text(
+        &mut self,
+        text: &mut Vec<u8>,
+        first_row: usize,
+        append: Option<Append<'_, '_, T, E>>,
+    ) -> Result<(), E> {
+        self.settle(self.workers() as u64, append)?;
+        self.shared.held.add(text.capacity() - self.text_counted);
+        let next = lock(&self.shared.state)
+            .spare_text
+            .pop()
+            .unwrap_or_default();
+        self.text_counted = next.capacity();
+        self.restage();
+        let block = TextBlock {
+            text: std::mem::replace(text, next),
+            cols: self.ws.cols,
+            first_row,
+            stage: std::mem::take(&mut self.ws.stage),
+        };
+        self.queue(Stage::Text(block), Vec::new());
+        Ok(())
+    }
+
+    /// Queue `stage` as the next chunk in hand-off order.
+    fn queue(&mut self, stage: Stage, labels: Vec<f64>) {
+        let job = (self.handed_off, stage, labels);
         lock(&self.shared.state).jobs.push_back(job);
         self.shared.queued.notify_one();
         self.handed_off += 1;
-        Ok(())
     }
 
     /// Wait until at most `behind` chunks handed off are not appended,
@@ -960,9 +1113,10 @@ impl<T, E> Drop for SealLine<T, E> {
     }
 }
 
-impl<T, E> Shared<T, E> {
-    /// One seal worker: seal the next job, deposit it and, with `append`,
-    /// pop the line, until the line closes with no job left.
+impl<T, E: Fault> Shared<T, E> {
+    /// One seal worker: take the next job, parse it if it is text, seal
+    /// it, deposit it (or the parse failure) and, with `append`, pop the
+    /// line, until the line closes with no job left.
     fn work(
         &self,
         seal: &dyn Fn(DenseMatrix, Vec<f64>) -> (T, usize, Vec<f64>),
@@ -970,7 +1124,7 @@ impl<T, E> Shared<T, E> {
     ) {
         let mut q = lock(&self.state);
         loop {
-            let Some((seq, dense, labels)) = q.jobs.pop_front() else {
+            let Some((seq, stage, labels)) = q.jobs.pop_front() else {
                 if q.closed {
                     return;
                 }
@@ -979,15 +1133,30 @@ impl<T, E> Shared<T, E> {
             };
             drop(q);
             let sealed = panic::catch_unwind(AssertUnwindSafe(|| {
-                let (chunk, held, stage) = seal(dense, labels);
-                self.held.add(held);
+                let (rows, text) = match stage {
+                    Stage::Rows(dense) => (Ok(dense), None),
+                    Stage::Text(block) => {
+                        let (rows, text) = block.parse();
+                        (rows, Some(text))
+                    }
+                };
+                let (done, stage) = match rows {
+                    Ok(dense) => {
+                        let (chunk, held, stage) = seal(dense, labels);
+                        self.held.add(held);
+                        (Ok((chunk, held)), Some(stage))
+                    }
+                    // The line stops at this chunk: nothing stages again.
+                    Err(e) => (Err(E::text(e)), None),
+                };
                 let mut q = lock(&self.state);
-                q.spare.push(stage);
+                q.spare.extend(stage);
+                q.spare_text.extend(text);
                 let slot = (seq - q.next) as usize;
                 if q.ready.len() <= slot {
                     q.ready.resize_with(slot + 1, || None);
                 }
-                q.ready[slot] = Some((chunk, held));
+                q.ready[slot] = Some(done);
                 self.moved.notify_all();
                 if let Some(append) = append {
                     drop(self.pop(q, &mut |chunk| append(chunk)));
@@ -1006,7 +1175,8 @@ impl<T, E> Shared<T, E> {
 
     /// Append the sealed chunks at the front of the line in sequence, the
     /// lock released for each, unless another thread is appending or the
-    /// line is broken. Hands the lock back.
+    /// line is broken; a parse failure met in sequence stops the line as a
+    /// failed append does. Hands the lock back.
     fn pop<'a>(
         &'a self,
         mut q: MutexGuard<'a, LineState<T, E>>,
@@ -1017,14 +1187,17 @@ impl<T, E> Shared<T, E> {
         }
         q.popping = true;
         while !q.broken() {
-            let Some((chunk, held)) = q.ready.front_mut().and_then(Option::take) else {
+            let Some(done) = q.ready.front_mut().and_then(Option::take) else {
                 break;
             };
             q.ready.pop_front();
             q.next += 1;
             drop(q);
-            let landed = append(chunk);
-            self.held.sub(held);
+            let landed = done.and_then(|(chunk, held)| {
+                let landed = append(chunk);
+                self.held.sub(held);
+                landed
+            });
             q = lock(&self.state);
             match landed {
                 Ok(()) => q.appended += 1,
@@ -1369,26 +1542,45 @@ pub fn ingest_csv_container_killable(
         })
     };
 
+    // The caller frames each chunk's lines, converting no cell, and the
+    // seal workers parse them: `text` holds the `staged` data rows framed
+    // since the last hand-off, the first of them data row `first_row`.
+    let mut text = Vec::new();
+    let mut staged = 0usize;
+    let mut first_row = stream.rows_read();
     let mut last_chunks = ing.as_ref().map_or(0, ContainerIngest::handed_off);
     loop {
-        let row_committed = match stream.next_row()? {
-            Some((_, row)) => {
-                push_lazy(&mut ing, &mut cfg_hash, job, row)?;
-                true
+        let mut want = job.chunk_rows - staged;
+        if let Some(KillPoint::AfterStagedRows { chunks, staged: at }) = kill {
+            if chunks == last_chunks && at > staged {
+                want = want.min(at - staged);
             }
-            None => match stream.finish_partial()? {
-                Some((_, row)) => {
-                    push_lazy(&mut ing, &mut cfg_hash, job, row)?;
-                    false // true end of stream after this row
-                }
-                None => break,
-            },
-        };
-        let ing_ref = ing.as_mut().expect("ingest exists after a pushed row");
-        if ing_ref.handed_off() != last_chunks {
+        }
+        let mut framed = stream.frame_rows(&mut text, want)?;
+        let more = framed == want;
+        if !more {
+            // True end of stream: an unterminated last line is a row too.
+            framed += usize::from(stream.frame_partial(&mut text)?);
+        }
+        staged += framed;
+        if staged == 0 {
+            break;
+        }
+        if ing.is_none() {
+            // The first data row pins the column count.
+            let cols = stream.cols();
+            cfg_hash = ingest_config_hash(cols, job.chunk_rows, job.scheme, &job.encode);
+            let file = fs::File::create(&job.out)?;
+            let new = ContainerIngest::new(file, cols, job.chunk_rows, job.scheme, job.encode);
+            ing = Some(new?);
+        }
+        let ing_ref = ing.as_mut().expect("ingest exists after a framed row");
+        if staged == job.chunk_rows {
+            ing_ref.push_text(&mut text, first_row)?;
+            (staged, first_row) = (0, stream.rows_read());
             // A chunk just went to the seal workers; stream.offset() is
-            // exactly the source watermark for it (the sealing row's line
-            // is committed).
+            // exactly the source watermark for it (its last line is
+            // framed, the blank lines after it are not).
             last_chunks = ing_ref.handed_off();
             if let Some(kp @ KillPoint::AfterSealedChunk { chunks }) = kill {
                 if last_chunks == chunks {
@@ -1397,7 +1589,8 @@ pub fn ingest_csv_container_killable(
             }
             if job.checkpoint_every > 0 && last_chunks.is_multiple_of(job.checkpoint_every) {
                 // The sidecar may only name bytes that are already on
-                // disk: `flush` appends every chunk in flight first.
+                // disk: `flush` appends every chunk in flight first, and
+                // fails on a bad line in any of them.
                 ing_ref.flush()?;
                 sync_output(&job.out)?;
                 let ck = IngestCheckpoint {
@@ -1413,20 +1606,26 @@ pub fn ingest_csv_container_killable(
                     }
                 }
             }
-        }
-        if let Some(kp @ KillPoint::AfterStagedRows { chunks, staged }) = kill {
-            if staged > 0 && ing_ref.handed_off() == chunks && ing_ref.staged_rows() == staged {
+        } else if let Some(kp @ KillPoint::AfterStagedRows { chunks, staged: at }) = kill {
+            if last_chunks == chunks && staged == at {
+                // The serial reader would have parsed the staged rows by
+                // now: a bad one fails the ingest before the kill.
+                ing_ref.flush()?;
+                csv::parse_block(&text, stream.cols(), first_row, &mut Vec::new())?;
                 return kill_now(ing_ref, stream.cols(), kp);
             }
         }
-        if !row_committed {
+        if !more {
             break;
         }
     }
 
-    let Some(ing) = ing else {
-        return Err(IngestError::Csv(CsvError::Parse("empty CSV".into())));
+    let Some(mut ing) = ing else {
+        return Err(IngestError::Csv(CsvError::Empty));
     };
+    if staged > 0 {
+        ing.push_text(&mut text, first_row)?;
+    }
     let cols = stream.cols();
     let (total_bytes, stats) = ing.finish()?;
     if let Some(kp @ KillPoint::AfterFooter) = kill {
@@ -1468,29 +1667,6 @@ fn retire_sidecar(out: &Path, sidecar: &Path) -> Result<(), IngestError> {
         Err(e) if e.kind() != std::io::ErrorKind::NotFound => Err(IngestError::Io(e)),
         _ => Ok(()),
     }
-}
-
-/// Lazily create the container ingest on the first committed row (which
-/// pins the column count) and push `row` into it.
-fn push_lazy(
-    ing: &mut Option<ContainerIngest<fs::File>>,
-    cfg_hash: &mut u64,
-    job: &CsvContainerJob,
-    row: &[f64],
-) -> Result<(), IngestError> {
-    if ing.is_none() {
-        let file = fs::File::create(&job.out)?;
-        *cfg_hash = ingest_config_hash(row.len(), job.chunk_rows, job.scheme, &job.encode);
-        *ing = Some(ContainerIngest::new(
-            file,
-            row.len(),
-            job.chunk_rows,
-            job.scheme,
-            job.encode,
-        )?);
-    }
-    ing.as_mut().unwrap().push_row(row)?;
-    Ok(())
 }
 
 enum Restored {
@@ -2041,12 +2217,79 @@ mod tests {
         }
     }
 
+    /// The CSV driver counts its framed text blocks beside the stages and
+    /// the sealed segments, and its peak stays flat in the chunks: at most
+    /// workers + 2 stages and text buffers (a buffer holds at most twice
+    /// the longest block framed into it) and workers + 1 segments. Cells
+    /// are padded with spaces (trimmed away by the parse) so that one
+    /// block outweighs every stage and segment the line can hold: the
+    /// lower bound holds only if the blocks are counted.
+    #[test]
+    fn csv_peak_counts_framed_blocks_and_stays_flat() {
+        use std::fmt::Write as _;
+        let (cols, chunk) = (6, 32);
+        let stage = cols * chunk * std::mem::size_of::<f64>();
+        let width = 8 * (3 * workers() + 6);
+        let csv = spill_dir("csv-peak").with_extension("csv");
+        for chunks in [4, 64] {
+            let m = drifting_matrix(chunks * chunk, cols, 3, 5);
+            let (mut text, mut first, mut longest) = (String::new(), 0, 0);
+            for c in 0..chunks {
+                let start = text.len();
+                for r in c * chunk..(c + 1) * chunk {
+                    let cells: Vec<String> =
+                        m.row(r).iter().map(|v| format!("{v:>width$}")).collect();
+                    writeln!(text, "{}", cells.join(",")).unwrap();
+                }
+                longest = longest.max(text.len() - start);
+                if c == 0 {
+                    first = text.len();
+                }
+            }
+            std::fs::write(&csv, text).unwrap();
+            let job = CsvContainerJob {
+                csv: csv.clone(),
+                out: csv.with_extension("tocz"),
+                chunk_rows: chunk,
+                scheme: None,
+                encode: EncodeOptions::default(),
+                checkpoint_every: 0,
+            };
+            let peak = ingest_csv_container(&job, false)
+                .unwrap()
+                .stats
+                .peak_workspace_bytes;
+            fs::remove_file(&job.out).ok();
+            let without_text = (workers() + 2) * stage + (workers() + 1) * 2 * stage;
+            assert!(first > without_text, "{first} <= {without_text}");
+            assert!(
+                peak >= stage + first,
+                "{chunks} chunks: peak {peak} < a stage {stage} + a block {first}"
+            );
+            let bound = without_text + (workers() + 2) * 2 * longest;
+            assert!(peak <= bound, "{chunks} chunks: peak {peak} past {bound}");
+        }
+        fs::remove_file(&csv).ok();
+    }
+
     /// `peak` is at most what `workers` seal workers staging `stage`
     /// bytes can hold: workers + 2 stages and workers + 1 segments.
     fn assert_peak_within_the_pipeline(peak: usize, workers: usize, stage: usize) {
         // A sealed segment here is at most a dense chunk plus framing.
         let bound = (workers + 2) * stage + (workers + 1) * 2 * stage;
         assert!(peak <= bound, "peak {peak} past {bound}");
+    }
+
+    /// A bare line fails as a container writer does; it is never handed
+    /// text.
+    impl Fault for FormatError {
+        fn again(&self) -> Self {
+            self.clone()
+        }
+
+        fn text(e: CsvError) -> Self {
+            unreachable!("a line of rows was handed a text block: {e}")
+        }
     }
 
     /// A bare line sealing `chunk`-row DEN chunks whose seal holds

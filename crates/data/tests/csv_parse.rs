@@ -98,7 +98,10 @@ fn assert_reads_as_defined(name: &str, bytes: &[u8]) {
                 );
             }
         }
-        (Err(got @ (CsvError::Parse(_) | CsvError::BadNumber { .. })), Err(want)) => {
+        (
+            Err(got @ (CsvError::Ragged { .. } | CsvError::BadNumber { .. } | CsvError::Empty)),
+            Err(want),
+        ) => {
             assert_eq!(got.to_string(), want, "{name}: {shown:?}")
         }
         (got, want) => panic!(
