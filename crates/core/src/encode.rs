@@ -554,7 +554,8 @@ mod tests {
     fn id_then_constant_column_at_20_000_rows() {
         // The table behind the case above, through both front ends.
         // The ids are not round (round doubles are a known pile-up in
-        // phase I's map, at the parent too — ROADMAP suspect (i)).
+        // phase I's map, at the parent too — ROADMAP item 11, round
+        // doubles under raw Fx).
         let rows = 20_000usize;
         let data = (0..rows)
             .flat_map(|r| [((r + 1) as f64).sqrt(), 7.0])

@@ -38,7 +38,11 @@
 //! mark of the stage buffers and the sealed segments not yet appended:
 //! O(workers · chunk), at most workers + 2 stages and workers + 1
 //! segments, and how close it comes to that depends on how the seals
-//! overlapped.
+//! overlapped. The line's protocol — that bound, the hand-off order, the
+//! first failure stopping the line — is one state type's transitions
+//! (`LineState`), which the threads only call under a lock; this
+//! module's tests check it over every interleaving of a caller and 1 to
+//! 4 workers, so the bound is checked, not only stated.
 //!
 //! A chunk goes to the line as staged rows or as text. The CSV driver
 //! ([`ingest_csv_container`]) does not parse: its caller frames each
@@ -86,7 +90,7 @@ use std::fs;
 use std::io::{Seek, SeekFrom, Write};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 use toc_formats::container::{
@@ -268,9 +272,10 @@ pub struct IngestStats {
     /// yet appended, counted live, and for the CSV driver
     /// ([`ingest_csv_container`]) the framed text blocks too.
     /// O(workers · chunk): at most workers + 2 stages, workers + 2 text
-    /// blocks and workers + 1 segments, and how close it comes to that
-    /// depends on how the seals overlapped, so a short stream may read
-    /// lower than a long one.
+    /// blocks and workers + 1 segments (a bound the seal line's tests
+    /// check over every interleaving at 1 to 4 workers), and how close it
+    /// comes to that depends on how the seals overlapped, so a short
+    /// stream may read lower than a long one.
     pub peak_workspace_bytes: usize,
     /// Sealed-segment count per scheme, in first-seen order — with
     /// per-chunk auto-pick over a drifting stream this is where the
@@ -456,7 +461,7 @@ impl<'a> StoreIngest<'a> {
             Ok(())
         };
         Self {
-            pool: SealLine::spawn(cols, chunk_rows, seal, Some(Arc::new(append))),
+            pool: SealLine::spawn(workers(), cols, chunk_rows, seal, Some(Arc::new(append))),
             stats,
             _token: token,
         }
@@ -624,7 +629,7 @@ impl<W: std::io::Write> ContainerIngest<W> {
         };
         Self {
             writer,
-            pool: SealLine::spawn(cols, chunk_rows, seal, None),
+            pool: SealLine::spawn(workers(), cols, chunk_rows, seal, None),
             resumed: stats.chunks,
             stats,
         }
@@ -673,7 +678,7 @@ impl<W: std::io::Write> ContainerIngest<W> {
     /// included: the count the resumable driver spots seal boundaries by
     /// (an appended chunk may lag its hand-off).
     pub fn handed_off(&self) -> u64 {
-        self.resumed + self.pool.handed_off
+        self.resumed + lock(&self.pool.shared.state).handed_off
     }
 
     /// Running counters over the segments appended so far.
@@ -692,7 +697,7 @@ impl<W: std::io::Write> ContainerIngest<W> {
     /// watermark points at are actually in the file, not in flight or in
     /// a userspace buffer.
     pub fn flush(&mut self) -> Result<(), IngestError> {
-        self.on_line(|pool, append| pool.settle(0, Some(append)))?;
+        self.on_line(|pool, append| pool.settle(LineState::drained, Some(append)))?;
         Ok(self.writer.flush()?)
     }
 
@@ -717,45 +722,21 @@ fn workers() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-/// Bytes a stage buffer holds.
-fn stage_bytes(stage: &Vec<f64>) -> usize {
-    stage.capacity() * std::mem::size_of::<f64>()
-}
-
-/// Bytes an ingest's seal line holds and their high-water mark, kept by
-/// the caller's thread and the seal workers alike.
-#[derive(Default)]
-struct Held {
-    now: AtomicUsize,
-    peak: AtomicUsize,
-}
-
-impl Held {
-    fn add(&self, bytes: usize) {
-        let now = self.now.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.peak.fetch_max(now, Ordering::Relaxed);
-    }
-
-    fn sub(&self, bytes: usize) {
-        self.now.fetch_sub(bytes, Ordering::Relaxed);
-    }
-}
-
 /// A failure a seal line keeps and hands to every later call: an
 /// append's, or the parse of a framed text block's.
-trait Fault {
+trait Fault: Sized {
     fn again(&self) -> Self;
-    /// A framed block's parse failure.
-    fn text(e: CsvError) -> Self;
+
+    /// A framed block's parse failure. Only a container's line is handed
+    /// text; a store's stages rows alone.
+    fn text(e: CsvError) -> Self {
+        unreachable!("a line of rows was handed a text block: {e}")
+    }
 }
 
 impl Fault for std::io::Error {
     fn again(&self) -> Self {
         Self::new(self.kind(), self.to_string())
-    }
-
-    fn text(e: CsvError) -> Self {
-        Self::new(std::io::ErrorKind::InvalidData, e)
     }
 }
 
@@ -826,17 +807,17 @@ struct TextBlock {
 impl TextBlock {
     /// The chunk's rows, parsed into the stage buffer, or the first bad
     /// line's error; and the text buffer, emptied.
-    fn parse(mut self) -> (Result<DenseMatrix, CsvError>, Vec<u8>) {
+    fn parse(mut self) -> (Result<DenseMatrix, CsvError>, Option<Vec<u8>>) {
         let parsed = csv::parse_block(&self.text, self.cols, self.first_row, &mut self.stage);
         self.text.clear();
         let rows = parsed.map(|rows| DenseMatrix::from_vec(rows, self.cols, self.stage));
-        (rows, self.text)
+        (rows, Some(self.text))
     }
 }
 
-/// One chunk on its way to a seal worker: its place in hand-off order,
-/// the chunk and a store's labels for its rows.
-type Job = (u64, Stage, Vec<f64>);
+/// One chunk on its way to a seal worker: the chunk and a store's labels
+/// for its rows.
+type Job = (Stage, Vec<f64>);
 
 /// A seal line's append, run by the thread that pops the line.
 type Append<'a, 'f, T, E> = &'a mut (dyn FnMut(T) -> Result<(), E> + 'f);
@@ -849,62 +830,79 @@ type WorkerAppend<T, E> = Arc<dyn Fn(T) -> Result<(), E> + Send + Sync>;
 
 /// The seal line of both ingest sinks. The caller stages rows in its
 /// [`EncodeWorkspace`], or frames a chunk's CSV lines, and hands each
-/// full stage or text block, numbered in hand-off order, to one queue;
-/// W = [`std::thread::available_parallelism`] seal workers take the next
+/// full stage or text block to one queue; W seal workers take the next
 /// job, so a slow chunk holds up only its own worker, parse it if it is
-/// text and run the sink's seal under one `catch_unwind`, and deposit the
-/// sealed chunk (or the parse failure) and its buffers at its number. One
-/// routine ([`Shared::pop`]) appends the in-order prefix of what is
+/// text, run the sink's seal under one `catch_unwind` and deposit the
+/// sealed chunk (or the parse failure) at its place in hand-off order.
+/// One routine ([`Shared::pop`]) appends the in-order prefix of what is
 /// deposited, and which thread calls it is the only difference between
 /// the sinks: a [`StoreIngest`]'s depositing worker, so a sealed chunk is
 /// visible without another row, or a [`ContainerIngest`]'s caller, so its
-/// writer never leaves that thread. At most W + 1 chunks are between
-/// hand-off and append. A failed append, or a parse failure whose turn to
-/// be appended comes, stops the line and is returned by every later call;
-/// a seal's panic is recorded and re-raised on the caller once the
-/// workers are joined. Dropping the line lets the workers seal every job
-/// queued (and append it, if they are the appenders) and joins them.
+/// writer never leaves that thread.
+///
+/// The protocol lives in [`LineState`]: at most W + 1 chunks between
+/// hand-off and append, appends in hand-off order, the first stop (a
+/// failure met in hand-off order, or a seal's panic) kept and returned by
+/// every later call, and the held bytes within W + 2 stages, W + 2 text
+/// blocks and W + 1 segments.
+/// This module's tests check each of these over every interleaving of a
+/// caller and W = 1 to 4 workers; the methods here and [`Shared`]'s only
+/// lock, make one transition, notify, and seal or append outside the
+/// lock. A seal's panic is re-raised on the caller once the workers are
+/// joined. Dropping the line lets the workers seal every job queued (and
+/// append it, if they are the appenders) and joins them.
 struct SealLine<T, E> {
     ws: EncodeWorkspace,
     /// A store's labels for the staged rows; empty for a container.
     labels: Vec<f64>,
     shared: Arc<Shared<T, E>>,
     workers: Workers,
-    /// Chunks handed to the workers so far.
-    handed_off: u64,
     /// Bytes of the caller's text buffer counted in `held` so far.
     text_counted: usize,
 }
 
 /// What a seal line's caller and workers share.
 struct Shared<T, E> {
-    state: Mutex<LineState<T, E>>,
+    state: Mutex<LineState<Job, T, E>>,
     /// Signalled when a job is queued and when the line closes.
     queued: Condvar,
-    /// Signalled on every deposit, append, failure and panic.
+    /// Signalled on every deposit, landing and stop.
     moved: Condvar,
-    /// The caller's per-row check: stored (`Release`) under the lock once
-    /// `failed` or `panic` is set; a caller that loads it set (`Acquire`)
-    /// takes the lock to read which.
+    /// Whether the line stopped, for the caller's per-row check: stored
+    /// (`Release`) under the lock after every stop; a caller that loads
+    /// it set (`Acquire`) takes the lock to read why.
     broken: AtomicBool,
-    /// Every stage and text buffer allocated plus the sealed chunks not
-    /// yet appended.
-    held: Held,
 }
 
-/// What a [`Shared`]'s lock guards.
-struct LineState<T, E> {
-    /// Stages handed off that no worker has taken yet.
-    jobs: VecDeque<Job>,
+/// A sealed chunk and the bytes it holds, or why it cannot be appended.
+type Done<T, E> = Result<(T, usize), E>;
+
+/// Why a seal line stopped.
+enum Stop<E> {
+    /// An append failed, or a chunk whose turn came did not parse.
+    Failed(E),
+    /// A seal panicked, with this payload.
+    Panicked(Box<dyn std::any::Any + Send>),
+}
+
+/// A seal line's protocol, over jobs `J` that seal into chunks `T` and
+/// failures `E`. Every change is one method that touches no lock,
+/// condvar or thread; the seals and appends happen between them.
+struct LineState<J, T, E> {
+    /// Seal workers: a chunk is handed off while at most this many are
+    /// not appended.
+    workers: u64,
+    /// Jobs no worker has taken yet, with their places in hand-off order.
+    jobs: VecDeque<(u64, J)>,
+    /// Chunks handed off.
+    handed_off: u64,
     /// No job comes any more: a worker that finds `jobs` empty returns.
     closed: bool,
-    /// Sealed chunks, with the bytes each holds, or a framed block's
-    /// parse failure, from the next one to append on; `None` while that
-    /// chunk is still sealing.
-    ready: VecDeque<Option<Result<(T, usize), E>>>,
-    /// Sequence number of `ready`'s front.
-    next: u64,
-    /// A thread is appending (with the lock released).
+    /// A place per chunk handed off, from the next one to append on to
+    /// the last handed off: the sealed chunk, with the bytes it holds, or
+    /// a framed block's parse failure; `None` while it is still sealing.
+    ready: VecDeque<Option<Done<T, E>>>,
+    /// A thread took the front and is appending it, the lock released.
     popping: bool,
     /// Chunks appended.
     appended: u64,
@@ -912,63 +910,171 @@ struct LineState<T, E> {
     spare: Vec<Vec<f64>>,
     /// Text buffers back from the workers, ready to frame into.
     spare_text: Vec<Vec<u8>>,
-    failed: Option<E>,
-    panic: Option<Box<dyn std::any::Any + Send>>,
+    /// Every stage and text buffer allocated plus the sealed chunks not
+    /// yet appended, in bytes, and its high-water mark.
+    held: usize,
+    peak: usize,
+    stop: Option<Stop<E>>,
 }
 
-impl<T, E> LineState<T, E> {
-    /// Nothing more will be appended.
-    fn broken(&self) -> bool {
-        self.failed.is_some() || self.panic.is_some()
+impl<J, T, E> LineState<J, T, E> {
+    /// A line of `workers` seal workers whose caller stages into a buffer
+    /// of `stage` bytes.
+    fn new(workers: usize, stage: usize) -> Self {
+        Self {
+            workers: workers as u64,
+            jobs: VecDeque::new(),
+            handed_off: 0,
+            closed: false,
+            ready: VecDeque::new(),
+            popping: false,
+            appended: 0,
+            spare: Vec::new(),
+            spare_text: Vec::new(),
+            held: stage,
+            peak: stage,
+            stop: None,
+        }
+    }
+
+    fn count(&mut self, bytes: usize) {
+        self.held += bytes;
+        self.peak = self.peak.max(self.held);
+    }
+
+    /// A spare stage buffer for the caller, or `None` once `bytes` are
+    /// counted for the new one it allocates.
+    fn stage(&mut self, bytes: usize) -> Option<Vec<f64>> {
+        self.spare.pop().or_else(|| {
+            self.count(bytes);
+            None
+        })
+    }
+
+    /// At most W chunks are not appended, or the line stopped: the caller
+    /// may hand off one more.
+    fn room(&self) -> bool {
+        self.handed_off - self.appended <= self.workers || self.stop.is_some()
+    }
+
+    /// Every chunk handed off is appended, or the line stopped.
+    fn drained(&self) -> bool {
+        self.handed_off == self.appended || self.stop.is_some()
+    }
+
+    /// Queue `job` as the next chunk in hand-off order, count the `grown`
+    /// bytes the caller's text buffer grew by since it was last counted,
+    /// and give the caller a spare text buffer to frame into, if any.
+    fn hand_off(&mut self, job: J, grown: usize) -> Option<Vec<u8>> {
+        self.jobs.push_back((self.handed_off, job));
+        self.ready.push_back(None);
+        self.handed_off += 1;
+        self.count(grown);
+        self.spare_text.pop()
+    }
+
+    /// No job is queued and the line is open: a worker waits.
+    fn idle(&self) -> bool {
+        self.jobs.is_empty() && !self.closed
+    }
+
+    /// The next job for a worker, with its place; `None` once the line
+    /// is closed and every job taken.
+    fn take(&mut self) -> Option<(u64, J)> {
+        self.jobs.pop_front()
+    }
+
+    /// Put chunk `seq`'s seal, with the bytes it holds, or its parse
+    /// failure at its place, and the buffers it spent back as spares.
+    fn deposit(&mut self, seq: u64, done: Done<T, E>, spent: (Option<Vec<f64>>, Option<Vec<u8>>)) {
+        self.count(done.as_ref().map_or(0, |(_, bytes)| *bytes));
+        self.spare.extend(spent.0);
+        self.spare_text.extend(spent.1);
+        let slot = self.ready.len() - (self.handed_off - seq) as usize;
+        self.ready[slot] = Some(done);
+    }
+
+    /// Take the next chunk in hand-off order off the line for its
+    /// append, if it is deposited, no other thread is appending and the
+    /// line has not stopped. The taker appends it, the lock released,
+    /// and no one else appends until it has `landed`.
+    fn front(&mut self) -> Option<Done<T, E>> {
+        if self.popping || self.stop.is_some() {
+            return None;
+        }
+        let done = self.ready.front_mut()?.take()?;
+        self.ready.pop_front();
+        self.popping = true;
+        Some(done)
+    }
+
+    /// The chunk `front` gave, holding `bytes`, was appended or failed:
+    /// a parse failure lands as a failed append.
+    fn landed(&mut self, bytes: usize, landed: Result<(), E>) {
+        self.popping = false;
+        self.held -= bytes;
+        match landed {
+            Ok(()) => self.appended += 1,
+            Err(e) => self.stop(Stop::Failed(e)),
+        }
+    }
+
+    /// The one way a line stops, and the first stop wins: a failure met
+    /// in hand-off order (an append's, a parse's), or a seal's panic as
+    /// soon as it happens, so the caller does not wait on its gap.
+    fn stop(&mut self, why: Stop<E>) {
+        self.stop.get_or_insert(why);
+    }
+
+    fn close(&mut self) {
+        self.closed = true;
+    }
+}
+
+impl<J, T, E: Fault> LineState<J, T, E> {
+    /// What a call meets: why the line stopped, a failure again or a
+    /// panic's payload, which a later call finds replaced by a note.
+    fn check(&mut self) -> Result<(), Stop<E>> {
+        match &mut self.stop {
+            None => Ok(()),
+            Some(Stop::Failed(e)) => Err(Stop::Failed(e.again())),
+            Some(Stop::Panicked(payload)) => {
+                let again = Box::new("a seal worker panicked, and an earlier call re-raised it");
+                Err(Stop::Panicked(std::mem::replace(payload, again)))
+            }
+        }
     }
 }
 
 impl<T: Send + 'static, E: Fault + Send + 'static> SealLine<T, E> {
-    /// Start the workers. `seal` turns a stage (and a store's labels)
-    /// into the sealed chunk, the bytes it holds until it is appended and
-    /// the stage buffer; `append`, when given, is the workers' own, and
-    /// each worker pops the line after it deposits.
+    /// Start `workers` seal workers. `seal` turns a stage (and a store's
+    /// labels) into the sealed chunk, the bytes it holds until it is
+    /// appended and the stage buffer; `append`, when given, is the
+    /// workers' own, and each worker pops the line after it deposits.
     fn spawn(
+        workers: usize,
         cols: usize,
         chunk_rows: usize,
         seal: impl Fn(DenseMatrix, Vec<f64>) -> (T, usize, Vec<f64>) + Send + Sync + 'static,
         append: Option<WorkerAppend<T, E>>,
     ) -> Self {
         let ws = EncodeWorkspace::new(cols, chunk_rows);
-        let state = LineState {
-            jobs: VecDeque::new(),
-            closed: false,
-            ready: VecDeque::new(),
-            next: 0,
-            popping: false,
-            appended: 0,
-            spare: Vec::new(),
-            spare_text: Vec::new(),
-            failed: None,
-            panic: None,
-        };
+        let stage = ws.stage.capacity() * size_of::<f64>();
         let shared = Arc::new(Shared {
-            state: Mutex::new(state),
+            state: Mutex::new(LineState::new(workers, stage)),
             queued: Condvar::new(),
             moved: Condvar::new(),
             broken: AtomicBool::new(false),
-            held: Held::default(),
         });
-        shared.held.add(stage_bytes(&ws.stage));
         let line = Arc::clone(&shared);
-        let workers = Workers::spawn(workers(), move |_| line.work(&seal, append.as_deref()));
+        let workers = Workers::spawn(workers, move |_| line.work(&seal, append.as_deref()));
         Self {
             ws,
             labels: Vec::new(),
             shared,
             workers,
-            handed_off: 0,
             text_counted: 0,
         }
-    }
-
-    fn workers(&self) -> usize {
-        self.workers.len()
     }
 
     /// Stage one row (and a store's label). Hands the chunk off when it
@@ -990,79 +1096,68 @@ impl<T: Send + 'static, E: Fault + Send + 'static> SealLine<T, E> {
     }
 
     /// Give the workspace a buffer again when its last was handed off: a
-    /// spare, or a new one counted in `held` while every one is in flight.
+    /// spare, or a new one while every one is in flight.
     fn restage(&mut self) {
         if self.ws.stage.capacity() == 0 {
-            let spare = lock(&self.shared.state).spare.pop();
-            self.ws.stage = spare.unwrap_or_else(|| {
-                let stage = Vec::with_capacity(self.ws.cols * self.ws.chunk_rows);
-                self.shared.held.add(stage_bytes(&stage));
-                stage
-            });
+            let len = self.ws.cols * self.ws.chunk_rows;
+            let spare = lock(&self.shared.state).stage(len * std::mem::size_of::<f64>());
+            self.ws.stage = spare.unwrap_or_else(|| Vec::with_capacity(len));
         }
     }
 
-    /// Hand the staged chunk, if any, to the workers once at most W
-    /// chunks are between hand-off and append.
+    /// Hand the staged chunk, if any, to the workers once there is room.
     fn hand_off(&mut self, append: Option<Append<'_, '_, T, E>>) -> Result<(), E> {
-        self.settle(self.workers() as u64, append)?;
+        self.settle(LineState::room, append)?;
         let Some(dense) = self.ws.take_stage() else {
             return Ok(());
         };
         let rows = self.labels.len();
         let labels = std::mem::replace(&mut self.labels, Vec::with_capacity(rows));
-        self.queue(Stage::Rows(dense), labels);
+        lock(&self.shared.state).hand_off((Stage::Rows(dense), labels), 0);
+        self.shared.queued.notify_one();
         Ok(())
     }
 
     /// Hand `text`, whole CSV lines holding one chunk's data rows from
-    /// data row `first_row` on, to the workers once at most W chunks are
-    /// between hand-off and append, with an empty stage buffer to parse
-    /// into. `text` is left holding a spare buffer to frame into, and its
-    /// growth since it was last handed off is counted in `held`.
+    /// data row `first_row` on, to the workers once there is room, with
+    /// an empty stage buffer to parse into. `text` is left holding a
+    /// spare buffer to frame into.
     fn hand_off_text(
         &mut self,
         text: &mut Vec<u8>,
         first_row: usize,
         append: Option<Append<'_, '_, T, E>>,
     ) -> Result<(), E> {
-        self.settle(self.workers() as u64, append)?;
-        self.shared.held.add(text.capacity() - self.text_counted);
-        let next = lock(&self.shared.state)
-            .spare_text
-            .pop()
-            .unwrap_or_default();
-        self.text_counted = next.capacity();
+        self.settle(LineState::room, append)?;
         self.restage();
+        let grown = text.capacity() - self.text_counted;
         let block = TextBlock {
-            text: std::mem::replace(text, next),
+            text: std::mem::take(text),
             cols: self.ws.cols,
             first_row,
             stage: std::mem::take(&mut self.ws.stage),
         };
-        self.queue(Stage::Text(block), Vec::new());
+        let spare = lock(&self.shared.state).hand_off((Stage::Text(block), Vec::new()), grown);
+        self.shared.queued.notify_one();
+        *text = spare.unwrap_or_default();
+        self.text_counted = text.capacity();
         Ok(())
     }
 
-    /// Queue `stage` as the next chunk in hand-off order.
-    fn queue(&mut self, stage: Stage, labels: Vec<f64>) {
-        let job = (self.handed_off, stage, labels);
-        lock(&self.shared.state).jobs.push_back(job);
-        self.shared.queued.notify_one();
-        self.handed_off += 1;
-    }
-
-    /// Wait until at most `behind` chunks handed off are not appended,
-    /// popping the line with `append` first and after every deposit when
-    /// the caller is its appender.
-    fn settle(&mut self, behind: u64, mut append: Option<Append<'_, '_, T, E>>) -> Result<(), E> {
+    /// Wait until `settled` holds, popping the line with `append` first
+    /// and after every wake-up when the caller is its appender.
+    fn settle(
+        &mut self,
+        settled: fn(&LineState<Job, T, E>) -> bool,
+        mut append: Option<Append<'_, '_, T, E>>,
+    ) -> Result<(), E> {
         let shared = &*self.shared;
         let mut q = lock(&shared.state);
         loop {
             if let Some(append) = append.as_deref_mut() {
                 q = shared.pop(q, append);
             }
-            if self.handed_off - q.appended <= behind || q.broken() {
+            if settled(&q) {
                 break;
             }
             q = wait(&shared.moved, q);
@@ -1075,8 +1170,8 @@ impl<T: Send + 'static, E: Fault + Send + 'static> SealLine<T, E> {
     /// and report the line's peak bytes.
     fn finish(&mut self, mut append: Option<Append<'_, '_, T, E>>) -> Result<usize, E> {
         self.hand_off(append.as_deref_mut())?;
-        self.settle(0, append)?;
-        Ok(self.shared.held.peak.load(Ordering::Relaxed))
+        self.settle(LineState::drained, append)?;
+        Ok(lock(&self.shared.state).peak)
     }
 
     /// The failure that stopped the line, or a seal's panic re-raised
@@ -1085,23 +1180,22 @@ impl<T: Send + 'static, E: Fault + Send + 'static> SealLine<T, E> {
         if !self.shared.broken.load(Ordering::Acquire) {
             return Ok(());
         }
-        let mut q = lock(&self.shared.state);
-        if let Some(e) = &q.failed {
-            return Err(e.again());
+        let stop = lock(&self.shared.state).check();
+        match stop {
+            Ok(()) => Ok(()),
+            Err(Stop::Failed(e)) => Err(e),
+            Err(Stop::Panicked(payload)) => {
+                self.shut_down();
+                panic::resume_unwind(payload)
+            }
         }
-        // What a later call re-raises; the line stays broken.
-        let again = Box::new("a seal worker panicked, and an earlier call re-raised it");
-        let payload = q.panic.replace(again);
-        drop(q);
-        self.shut_down();
-        panic::resume_unwind(payload.expect("a broken line holds its failure or its panic"))
     }
 }
 
 impl<T, E> SealLine<T, E> {
     /// Close the queue and join the workers once every job queued ran.
     fn shut_down(&mut self) {
-        lock(&self.shared.state).closed = true;
+        lock(&self.shared.state).close();
         self.shared.queued.notify_all();
         self.workers.join();
     }
@@ -1124,94 +1218,64 @@ impl<T, E: Fault> Shared<T, E> {
     ) {
         let mut q = lock(&self.state);
         loop {
-            let Some((seq, stage, labels)) = q.jobs.pop_front() else {
-                if q.closed {
-                    return;
-                }
+            while q.idle() {
                 q = wait(&self.queued, q);
-                continue;
+            }
+            let Some((seq, (stage, labels))) = q.take() else {
+                return;
             };
             drop(q);
             let sealed = panic::catch_unwind(AssertUnwindSafe(|| {
                 let (rows, text) = match stage {
                     Stage::Rows(dense) => (Ok(dense), None),
-                    Stage::Text(block) => {
-                        let (rows, text) = block.parse();
-                        (rows, Some(text))
-                    }
+                    Stage::Text(block) => block.parse(),
                 };
-                let (done, stage) = match rows {
-                    Ok(dense) => {
-                        let (chunk, held, stage) = seal(dense, labels);
-                        self.held.add(held);
-                        (Ok((chunk, held)), Some(stage))
-                    }
+                let (done, stage) = match rows.map(|dense| seal(dense, labels)) {
+                    Ok((chunk, held, stage)) => (Ok((chunk, held)), Some(stage)),
                     // The line stops at this chunk: nothing stages again.
                     Err(e) => (Err(E::text(e)), None),
                 };
                 let mut q = lock(&self.state);
-                q.spare.extend(stage);
-                q.spare_text.extend(text);
-                let slot = (seq - q.next) as usize;
-                if q.ready.len() <= slot {
-                    q.ready.resize_with(slot + 1, || None);
-                }
-                q.ready[slot] = Some(done);
-                self.moved.notify_all();
+                q.deposit(seq, done, (stage, text));
+                self.wake(&q);
                 if let Some(append) = append {
                     drop(self.pop(q, &mut |chunk| append(chunk)));
                 }
             }));
             q = lock(&self.state);
             if let Err(payload) = sealed {
-                if !q.broken() {
-                    q.panic = Some(payload);
-                }
-                self.broken.store(true, Ordering::Release);
-                self.moved.notify_all();
+                q.stop(Stop::Panicked(payload));
+                self.wake(&q);
             }
         }
     }
 
-    /// Append the sealed chunks at the front of the line in sequence, the
-    /// lock released for each, unless another thread is appending or the
-    /// line is broken; a parse failure met in sequence stops the line as a
-    /// failed append does. Hands the lock back.
+    /// Append the chunks at the front of the line in hand-off order, the
+    /// lock released for each, unless another thread is appending. Hands
+    /// the lock back.
     fn pop<'a>(
         &'a self,
-        mut q: MutexGuard<'a, LineState<T, E>>,
+        mut q: MutexGuard<'a, LineState<Job, T, E>>,
         append: Append<'_, '_, T, E>,
-    ) -> MutexGuard<'a, LineState<T, E>> {
-        if q.popping {
-            return q;
-        }
-        q.popping = true;
-        while !q.broken() {
-            let Some(done) = q.ready.front_mut().and_then(Option::take) else {
-                break;
-            };
-            q.ready.pop_front();
-            q.next += 1;
+    ) -> MutexGuard<'a, LineState<Job, T, E>> {
+        while let Some(done) = q.front() {
             drop(q);
-            let landed = done.and_then(|(chunk, held)| {
-                let landed = append(chunk);
-                self.held.sub(held);
-                landed
-            });
+            let (bytes, landed) = match done {
+                Ok((chunk, bytes)) => (bytes, append(chunk)),
+                Err(e) => (0, Err(e)),
+            };
             q = lock(&self.state);
-            match landed {
-                Ok(()) => q.appended += 1,
-                Err(e) => {
-                    if !q.broken() {
-                        q.failed = Some(e);
-                    }
-                    self.broken.store(true, Ordering::Release);
-                }
-            }
-            self.moved.notify_all();
+            q.landed(bytes, landed);
+            self.wake(&q);
         }
-        q.popping = false;
         q
+    }
+
+    /// Wake the threads waiting on the line's progress, and publish
+    /// whether it stopped.
+    fn wake(&self, q: &LineState<Job, T, E>) {
+        self.broken.store(q.stop.is_some(), Ordering::Release);
+        self.moved.notify_all();
     }
 }
 
@@ -1769,6 +1833,7 @@ mod tests {
     use super::*;
     use crate::store::StoreConfig;
     use crate::synth::drifting_matrix;
+    use std::sync::atomic::AtomicUsize;
     use toc_formats::container::Container;
     use toc_ml::mgd::BatchProvider;
 
@@ -2272,6 +2337,12 @@ mod tests {
         fs::remove_file(&csv).ok();
     }
 
+    impl<T, E> SealLine<T, E> {
+        fn workers(&self) -> usize {
+            lock(&self.shared.state).workers as usize
+        }
+    }
+
     /// `peak` is at most what `workers` seal workers staging `stage`
     /// bytes can hold: workers + 2 stages and workers + 1 segments.
     fn assert_peak_within_the_pipeline(peak: usize, workers: usize, stage: usize) {
@@ -2292,11 +2363,18 @@ mod tests {
         }
     }
 
-    /// A bare line sealing `chunk`-row DEN chunks whose seal holds
-    /// `alive` and panics on the chunk starting at row `poison`.
-    fn sentinel_line(alive: &Arc<()>, chunk: usize, poison: f64) -> SealLine<usize, FormatError> {
+    /// A bare line of `workers` workers sealing `chunk`-row DEN chunks
+    /// whose seal holds `alive` and panics on the chunk starting at row
+    /// `poison`.
+    fn sentinel_line(
+        workers: usize,
+        alive: &Arc<()>,
+        chunk: usize,
+        poison: f64,
+    ) -> SealLine<usize, FormatError> {
         let encode = rigged_encode(poison, alive);
         SealLine::spawn(
+            workers,
             4,
             chunk,
             move |dense, _| (dense.rows(), 0, encode(dense).2),
@@ -2306,62 +2384,87 @@ mod tests {
 
     #[test]
     fn dropping_the_line_joins_its_workers_with_chunks_queued() {
-        let alive = Arc::new(());
-        let chunk = 8;
-        let mut line = sentinel_line(&alive, chunk, -1.0);
-        let m = numbered_rows(6 * chunk, 4);
-        let mut appended = Vec::new();
-        for r in 0..m.rows() {
-            let mut append = |rows| {
-                appended.push(rows);
-                Ok(())
-            };
-            line.push_row(m.row(r), None, Some(&mut append)).unwrap();
+        for workers in [1, 2, 5] {
+            let alive = Arc::new(());
+            let chunk = 8;
+            let mut line = sentinel_line(workers, &alive, chunk, -1.0);
+            let m = numbered_rows(6 * chunk, 4);
+            let mut appended = Vec::new();
+            for r in 0..m.rows() {
+                let mut append = |rows| {
+                    appended.push(rows);
+                    Ok(())
+                };
+                line.push_row(m.row(r), None, Some(&mut append)).unwrap();
+            }
+            // The caller appends only while it waits for the W + 1 bound,
+            // so chunks are still queued or sealed but not appended here.
+            let handed_off = lock(&line.shared.state).handed_off;
+            assert!(
+                handed_off == 6 && appended.len() < 6,
+                "W = {workers}: {appended:?}"
+            );
+            assert!(appended.iter().all(|&rows| rows == chunk));
+            drop(line);
+            assert_eq!(
+                Arc::strong_count(&alive),
+                1,
+                "W = {workers}: a worker outlived its line"
+            );
         }
-        // The caller appends only while it waits for the W + 1 bound, so
-        // chunks are still queued or sealed but not appended here.
-        assert!(line.handed_off == 6 && appended.len() < 6, "{appended:?}");
-        assert!(appended.iter().all(|&rows| rows == chunk));
-        drop(line);
-        assert_eq!(Arc::strong_count(&alive), 1, "a worker outlived its line");
     }
 
     #[test]
     fn a_panicking_seal_resurfaces_on_the_line_caller_after_a_join() {
-        let alive = Arc::new(());
-        let chunk = 8;
-        let mut line = sentinel_line(&alive, chunk, chunk as f64);
-        let m = numbered_rows(3 * chunk, 4);
-        let mut appended = 0;
-        let mut append = |_| {
-            appended += 1;
-            Ok(())
-        };
-        // The chunk before the poisoned one still comes back.
-        for r in 0..chunk {
-            line.push_row(m.row(r), None, Some(&mut append)).unwrap();
-        }
-        line.settle(0, Some(&mut append)).unwrap();
-        let caught = panic::catch_unwind(AssertUnwindSafe(|| {
-            for r in chunk..m.rows() {
+        for workers in [1, 2, 5] {
+            let alive = Arc::new(());
+            let chunk = 8;
+            let mut line = sentinel_line(workers, &alive, chunk, chunk as f64);
+            let m = numbered_rows(3 * chunk, 4);
+            let mut appended = 0;
+            let mut append = |_| {
+                appended += 1;
+                Ok(())
+            };
+            // The chunk before the poisoned one still comes back.
+            for r in 0..chunk {
                 line.push_row(m.row(r), None, Some(&mut append)).unwrap();
             }
-            line.finish(Some(&mut append))
-        }));
-        let Err(msg) = caught else {
-            panic!("the seal's panic must reach the caller");
-        };
-        let msg = msg
-            .downcast_ref::<String>()
-            .map(String::as_str)
-            .unwrap_or_default();
-        assert!(msg.contains("seal of a poisoned chunk"), "{msg}");
-        // A later call panics again rather than wait on joined workers.
-        let again = panic::catch_unwind(AssertUnwindSafe(|| line.finish(Some(&mut append))));
-        assert!(again.is_err(), "a call after the panic went on");
-        assert_eq!(appended, 1, "nothing past the gap is appended");
-        assert_eq!(Arc::strong_count(&alive), 1, "workers not joined");
-        drop(line);
+            line.settle(LineState::drained, Some(&mut append)).unwrap();
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| {
+                for r in chunk..m.rows() {
+                    line.push_row(m.row(r), None, Some(&mut append)).unwrap();
+                }
+                line.finish(Some(&mut append))
+            }));
+            let Err(msg) = caught else {
+                panic!("W = {workers}: the seal's panic must reach the caller");
+            };
+            let msg = msg
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(
+                msg.contains("seal of a poisoned chunk"),
+                "W = {workers}: {msg}"
+            );
+            // A later call panics again rather than wait on joined workers.
+            let again = panic::catch_unwind(AssertUnwindSafe(|| line.finish(Some(&mut append))));
+            assert!(
+                again.is_err(),
+                "W = {workers}: a call after the panic went on"
+            );
+            assert_eq!(
+                appended, 1,
+                "W = {workers}: nothing past the gap is appended"
+            );
+            assert_eq!(
+                Arc::strong_count(&alive),
+                1,
+                "W = {workers}: workers not joined"
+            );
+            drop(line);
+        }
     }
 
     /// A seal that panics inside a real `ContainerIngest` reaches its
@@ -2598,5 +2701,672 @@ mod tests {
     fn config_hash_of_the_ingest_defaults_is_pinned() {
         let hash = ingest_config_hash(69, 250, None, &EncodeOptions::default());
         assert_eq!(hash, 0x922c_9807_a474_4755);
+    }
+
+    /// Every failure a line can keep, built again: the same variant (and
+    /// fields), the same text and, for an IO error, the same kind.
+    #[test]
+    fn a_kept_failure_comes_back_the_same_from_again() {
+        /// `e`'s variants down to an IO error, with that error's kind, or
+        /// its whole `Debug` where it holds none. Exhaustive, so a new
+        /// variant must be added here.
+        fn anatomy(e: &IngestError) -> (String, Option<std::io::ErrorKind>) {
+            match e {
+                IngestError::Io(e) => ("Io".into(), Some(e.kind())),
+                IngestError::Csv(CsvError::Io(e)) => ("Csv(Io)".into(), Some(e.kind())),
+                IngestError::Csv(CsvError::Sink(SinkError::Io(e))) => {
+                    ("Csv(Sink(Io))".into(), Some(e.kind()))
+                }
+                IngestError::Csv(
+                    CsvError::Ragged { .. }
+                    | CsvError::HeaderNotText(_)
+                    | CsvError::OffsetPastEnd { .. }
+                    | CsvError::Empty
+                    | CsvError::BadNumber { .. }
+                    | CsvError::Sink(SinkError::NoFeatures { .. }),
+                )
+                | IngestError::Format(_)
+                | IngestError::Checkpoint(_) => (format!("{e:?}"), None),
+            }
+        }
+        let os = fs::File::open("/nonexistent/toc-again").unwrap_err();
+        assert!(os.raw_os_error().is_some(), "{os:?}");
+        let io = || std::io::Error::new(std::io::ErrorKind::WriteZero, "short write");
+        let not_text = String::from_utf8(vec![0xff]).unwrap_err().utf8_error();
+        let not_a_number = "x".parse::<f64>().unwrap_err();
+        let csv = vec![
+            CsvError::Io(os.again()),
+            CsvError::Io(io()),
+            CsvError::Ragged {
+                row: 7,
+                fields: 3,
+                expected: 4,
+            },
+            CsvError::HeaderNotText(not_text),
+            CsvError::OffsetPastEnd {
+                offset: 99,
+                path: PathBuf::from("in.csv"),
+                len: 12,
+            },
+            CsvError::Empty,
+            CsvError::BadNumber {
+                row: 2,
+                cell: csv::CellError::NotUtf8 {
+                    cell: "\u{fffd}".into(),
+                    source: not_text,
+                },
+            },
+            CsvError::BadNumber {
+                row: 3,
+                cell: csv::CellError::NotANumber {
+                    cell: "x".into(),
+                    source: not_a_number,
+                },
+            },
+            CsvError::Sink(SinkError::Io(io())),
+            CsvError::Sink(SinkError::NoFeatures { fields: 1 }),
+        ];
+        let mut all: Vec<IngestError> = csv.into_iter().map(IngestError::Csv).collect();
+        all.extend([
+            IngestError::Io(os),
+            IngestError::Io(io()),
+            IngestError::Format(FormatError::Corrupt("bad tag".into())),
+            IngestError::Format(FormatError::io("write segment", io())),
+            IngestError::Format(FormatError::MixedCols {
+                batch: 2,
+                got: 3,
+                expected: 4,
+            }),
+            IngestError::Checkpoint("sidecar too short".into()),
+        ]);
+        for e in &all {
+            let again = e.again();
+            assert_eq!(again.to_string(), e.to_string());
+            assert_eq!(anatomy(&again), anatomy(e));
+            assert_eq!(anatomy(&again.again()), anatomy(e), "{e}");
+        }
+        let io = io();
+        let again = Fault::again(&io);
+        assert_eq!(
+            (again.kind(), again.to_string()),
+            (io.kind(), io.to_string())
+        );
+    }
+
+    /// The seal line's protocol over every interleaving of its actors:
+    /// the caller and W workers, each stepping as `SealLine`'s and
+    /// `Shared`'s methods do, one lock hold or one unlocked seal or append
+    /// per step, through the same `LineState` transitions. A waiting
+    /// actor moves once its wait's condition holds, so the shell's
+    /// notifies are taken as given; a chunk's rows are one push, since a
+    /// check between them only reads.
+    mod explorer {
+        use super::*;
+        use std::collections::hash_map::{DefaultHasher, Entry};
+        use std::collections::HashMap;
+        use std::hash::{Hash, Hasher};
+        use std::time::Instant;
+
+        /// What a chunk does wrong.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        enum Inject {
+            /// Its seal panics.
+            Panic,
+            /// Its text does not parse.
+            Parse,
+            /// Its append fails.
+            Append,
+        }
+
+        /// A failure the line keeps, naming its chunk.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        enum Failure {
+            Parse(u64),
+            Append(u64),
+        }
+
+        impl Fault for Failure {
+            fn again(&self) -> Self {
+                *self
+            }
+        }
+
+        /// The line under exploration: a job is its place alone, a sealed
+        /// chunk its place in hand-off order.
+        type Line = LineState<(), u64, Failure>;
+
+        /// Byte weights, one base-256 digit each, so that `held` reads as
+        /// three counts: stage buffers, text buffers and segments.
+        const STAGE: usize = 1;
+        const TEXT: usize = 1 << 8;
+        const SEGMENT: usize = 1 << 16;
+
+        /// Why a line stopped, comparably: a failure, or a panic and the
+        /// chunk whose seal raised it (`None` once re-raised).
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Why {
+            Failed(Failure),
+            Panicked(Option<u64>),
+        }
+
+        fn why(stop: &Stop<Failure>) -> Why {
+            match stop {
+                Stop::Failed(e) => Why::Failed(*e),
+                Stop::Panicked(p) => Why::Panicked(p.downcast_ref::<u64>().copied()),
+            }
+        }
+
+        /// One explored configuration.
+        struct Config {
+            workers: usize,
+            chunks: u64,
+            /// The workers append (a store), or the caller (a container).
+            store: bool,
+            /// The caller hands off framed text (the CSV driver).
+            text: bool,
+            faults: Vec<(u64, Inject)>,
+        }
+
+        impl Config {
+            fn fault(&self, seq: u64, kind: Inject) -> bool {
+                self.faults.contains(&(seq, kind))
+            }
+        }
+
+        /// A pop under way.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        enum Pop {
+            /// Appending chunk `.0`, which holds `.1` bytes, unlocked.
+            Appending(u64, usize),
+            /// Back for the lock to land `.0` bytes, failed with `.1`.
+            Landing(usize, Option<Failure>),
+        }
+
+        /// Where the caller is: `k` is the call, chunk `k`'s push or, at
+        /// `chunks`, `finish`; or a container's `flush` before call `k`.
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+        enum Caller {
+            /// Between calls; a drop may come instead. After `finish`
+            /// only a drop comes.
+            Call(u64),
+            /// In call `k`, giving the workspace a stage buffer.
+            Restage(u64),
+            /// In call `k`'s settle, at the top of its loop.
+            Settle(u64),
+            Popping(u64, Pop),
+            /// In call `k`'s settle, asleep on `moved`.
+            Waiting(u64),
+            /// Call `k` settled and checks the line.
+            Settled(u64),
+            /// Call `k` queues chunk `k`.
+            HandOff(u64),
+            /// A call returned a failure: one more call, then a drop.
+            Failed,
+            /// The line is closed, by a drop or a re-raised panic: joining.
+            Joining,
+            Done,
+        }
+
+        #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+        enum Worker {
+            /// Waiting for a job, or about to take one.
+            Idle,
+            /// Sealing chunk `.0`, unlocked.
+            Sealing(u64),
+            Popping(Pop),
+            Exited,
+        }
+
+        /// One state of the line, its caller and its workers, and what the
+        /// sink has seen.
+        struct World {
+            q: Line,
+            caller: Caller,
+            /// The caller's workspace holds a stage buffer.
+            staged: bool,
+            /// The caller's text buffer is counted in `held`.
+            text_counted: bool,
+            /// What the caller's first failed call returned.
+            seen: Option<Why>,
+            /// The call under way is a container's `flush`.
+            flushing: bool,
+            /// Sorted: workers are interchangeable.
+            workers: Vec<Worker>,
+            /// Appends the sink was called for, in order.
+            appends: u64,
+            /// `appends` when the caller closed the line.
+            dropped: Option<u64>,
+            /// `finish` returned `Ok`.
+            finished: bool,
+        }
+
+        impl World {
+            fn new(cfg: &Config) -> Self {
+                Self {
+                    q: LineState::new(cfg.workers, STAGE),
+                    caller: Caller::Call(0),
+                    staged: true,
+                    text_counted: false,
+                    seen: None,
+                    flushing: false,
+                    workers: vec![Worker::Idle; cfg.workers],
+                    appends: 0,
+                    dropped: None,
+                    finished: false,
+                }
+            }
+
+            fn fork(&self) -> Self {
+                let q = &self.q;
+                let stop = q.stop.as_ref().map(|stop| match why(stop) {
+                    Why::Failed(e) => Stop::Failed(e),
+                    Why::Panicked(Some(seq)) => Stop::Panicked(Box::new(seq)),
+                    Why::Panicked(None) => Stop::Panicked(Box::new("re-raised")),
+                });
+                let q = LineState {
+                    workers: q.workers,
+                    jobs: q.jobs.clone(),
+                    handed_off: q.handed_off,
+                    closed: q.closed,
+                    ready: q.ready.clone(),
+                    popping: q.popping,
+                    appended: q.appended,
+                    spare: q.spare.clone(),
+                    spare_text: q.spare_text.clone(),
+                    held: q.held,
+                    peak: q.peak,
+                    stop,
+                };
+                Self {
+                    q,
+                    workers: self.workers.clone(),
+                    ..*self
+                }
+            }
+
+            /// Everything but `peak`, which only ever reads `held`'s past.
+            fn key(&self) -> u64 {
+                let q = &self.q;
+                let mut h = DefaultHasher::new();
+                (&q.jobs, q.handed_off, q.closed, &q.ready, q.popping).hash(&mut h);
+                (q.appended, q.spare.len(), q.spare_text.len(), q.held).hash(&mut h);
+                q.stop.as_ref().map(why).hash(&mut h);
+                (
+                    self.caller,
+                    self.staged,
+                    self.text_counted,
+                    self.seen,
+                    self.flushing,
+                )
+                    .hash(&mut h);
+                (&self.workers, self.appends, self.dropped, self.finished).hash(&mut h);
+                h.finish()
+            }
+
+            /// Whether the settle of call `k` may return: there is room
+            /// for chunk `k`, or everything is appended for a `flush` or
+            /// `finish`.
+            fn settled(&self, cfg: &Config, k: u64) -> bool {
+                if k < cfg.chunks && !self.flushing {
+                    self.q.room()
+                } else {
+                    self.q.drained()
+                }
+            }
+
+            /// Whether `actor` can move: 0 is the caller going on, 1 the
+            /// caller dropping the line, 2 a container's caller flushing,
+            /// `3 + i` worker `i`.
+            fn enabled(&self, cfg: &Config, actor: usize) -> bool {
+                let q = &self.q;
+                match (actor, self.caller) {
+                    (0, Caller::Call(k)) => k <= cfg.chunks,
+                    (0, Caller::Waiting(k)) => {
+                        let front = matches!(q.ready.front(), Some(Some(_)));
+                        self.settled(cfg, k) || (!cfg.store && front)
+                    }
+                    (0, Caller::Joining) => self.workers.iter().all(|&w| w == Worker::Exited),
+                    (0, Caller::Done) => false,
+                    (0, _) => true,
+                    (1, caller) => matches!(caller, Caller::Call(_)),
+                    (2, Caller::Call(k)) => !cfg.store && k < cfg.chunks,
+                    (2, _) => false,
+                    (i, _) => match self.workers[i - 3] {
+                        Worker::Idle => !q.idle(),
+                        Worker::Exited => false,
+                        _ => i == 3 || self.workers[i - 4] != self.workers[i - 3],
+                    },
+                }
+            }
+
+            /// `pop`'s loop test, under the lock: `None` once it ends.
+            fn front(&mut self) -> Option<Pop> {
+                match self.q.front()? {
+                    Ok((seq, bytes)) => Some(Pop::Appending(seq, bytes)),
+                    Err(e) => Some(Pop::Landing(0, Some(e))),
+                }
+            }
+
+            /// One step of a pop: the sink's append, or a landing and the
+            /// next front.
+            fn pop(&mut self, cfg: &Config, pop: Pop) -> Option<Pop> {
+                match pop {
+                    Pop::Appending(seq, bytes) => {
+                        assert_eq!(seq, self.appends, "chunk {seq} appended out of order");
+                        assert!(cfg.store || self.dropped.is_none(), "appended after a drop");
+                        for &(at, kind) in &cfg.faults {
+                            let past = if kind == Inject::Append { at } else { at - 1 };
+                            assert!(seq <= past, "chunk {seq} appended past {kind:?} at {at}");
+                        }
+                        self.appends += 1;
+                        let failed = cfg.fault(seq, Inject::Append);
+                        Some(Pop::Landing(bytes, failed.then_some(Failure::Append(seq))))
+                    }
+                    Pop::Landing(bytes, failed) => {
+                        self.q.landed(bytes, failed.map_or(Ok(()), Err));
+                        self.front()
+                    }
+                }
+            }
+
+            /// A call's check of the line: `false` once it returned why
+            /// the line stopped, and the caller moved on.
+            fn check(&mut self) -> bool {
+                let Err(stop) = self.q.check() else {
+                    return true;
+                };
+                let got = why(&stop);
+                if let Some(seen) = self.seen {
+                    assert_eq!(got, seen, "a later call returned another failure");
+                }
+                self.seen = Some(got);
+                match stop {
+                    Stop::Failed(_) => self.caller = Caller::Failed,
+                    // `check` closes the line and joins before it unwinds.
+                    Stop::Panicked(_) => self.close(),
+                }
+                false
+            }
+
+            fn close(&mut self) {
+                self.q.close();
+                self.dropped.get_or_insert(self.appends);
+                self.caller = Caller::Joining;
+            }
+
+            /// The caller's next step, as `SealLine`'s methods take it.
+            fn call(&mut self, cfg: &Config) {
+                match self.caller {
+                    Caller::Call(k) if k == cfg.chunks => self.caller = Caller::Settle(k),
+                    Caller::Call(k) if cfg.text => self.caller = Caller::Settle(k),
+                    Caller::Call(k) => {
+                        if self.check() {
+                            self.caller = Caller::Restage(k);
+                        }
+                    }
+                    Caller::Restage(k) => {
+                        if !self.staged {
+                            self.q.stage(STAGE);
+                            self.staged = true;
+                        }
+                        let next = if cfg.text {
+                            Caller::HandOff
+                        } else {
+                            Caller::Settle
+                        };
+                        self.caller = next(k);
+                    }
+                    Caller::Settle(k) | Caller::Waiting(k) => {
+                        let pop = if cfg.store { None } else { self.front() };
+                        self.settling(cfg, k, pop);
+                    }
+                    Caller::Popping(k, pop) => {
+                        let pop = self.pop(cfg, pop);
+                        self.settling(cfg, k, pop);
+                    }
+                    Caller::Settled(k) => {
+                        if !self.check() {
+                        } else if std::mem::take(&mut self.flushing) {
+                            assert_eq!(self.q.appended, k, "a flush left chunks in flight");
+                            self.caller = Caller::Call(k);
+                        } else if k == cfg.chunks {
+                            assert_eq!((self.q.appended, self.appends), (k, k));
+                            self.finished = true;
+                            self.caller = Caller::Call(k + 1);
+                        } else {
+                            let next = if cfg.text {
+                                Caller::Restage
+                            } else {
+                                Caller::HandOff
+                            };
+                            self.caller = next(k);
+                        }
+                    }
+                    Caller::HandOff(k) => {
+                        let grown = if cfg.text && !self.text_counted {
+                            TEXT
+                        } else {
+                            0
+                        };
+                        let spare = self.q.hand_off((), grown);
+                        self.text_counted = cfg.text && spare.is_some();
+                        self.staged = false;
+                        self.caller = Caller::Call(k + 1);
+                    }
+                    Caller::Failed => {
+                        assert!(!self.check(), "a call after a failure went on");
+                        self.close();
+                    }
+                    Caller::Joining => self.caller = Caller::Done,
+                    Caller::Done => unreachable!("not enabled"),
+                }
+            }
+
+            /// Call `k`'s settle after a pop step: popping still, or the
+            /// loop's test under the same lock.
+            fn settling(&mut self, cfg: &Config, k: u64, pop: Option<Pop>) {
+                self.caller = match pop {
+                    Some(pop) => Caller::Popping(k, pop),
+                    None if self.settled(cfg, k) => Caller::Settled(k),
+                    None => Caller::Waiting(k),
+                };
+            }
+
+            /// Worker `i`'s next step, as `Shared::work` takes it.
+            fn work(&mut self, cfg: &Config, i: usize) {
+                self.workers[i] = match self.workers[i] {
+                    Worker::Idle => match self.q.take() {
+                        Some((seq, ())) => Worker::Sealing(seq),
+                        None => Worker::Exited,
+                    },
+                    Worker::Sealing(seq) if cfg.fault(seq, Inject::Panic) => {
+                        self.q.stop(Stop::Panicked(Box::new(seq)));
+                        Worker::Idle
+                    }
+                    Worker::Sealing(seq) => {
+                        let (done, stage) = if cfg.fault(seq, Inject::Parse) {
+                            (Err(Failure::Parse(seq)), None)
+                        } else {
+                            (Ok((seq, SEGMENT)), Some(Vec::new()))
+                        };
+                        self.q.deposit(seq, done, (stage, cfg.text.then(Vec::new)));
+                        let pop = if cfg.store { self.front() } else { None };
+                        pop.map_or(Worker::Idle, Worker::Popping)
+                    }
+                    Worker::Popping(pop) => {
+                        let pop = self.pop(cfg, pop);
+                        pop.map_or(Worker::Idle, Worker::Popping)
+                    }
+                    Worker::Exited => unreachable!("not enabled"),
+                };
+            }
+
+            /// The state after `actor` moves.
+            fn step(&self, cfg: &Config, actor: usize) -> World {
+                let mut next = self.fork();
+                match actor {
+                    0 => next.call(cfg),
+                    1 => next.close(),
+                    2 => {
+                        let Caller::Call(k) = next.caller else {
+                            unreachable!("not enabled")
+                        };
+                        next.flushing = true;
+                        next.caller = Caller::Settle(k);
+                    }
+                    i => next.work(cfg, i - 3),
+                }
+                next.workers.sort_unstable();
+                let (before, after) = (self.q.stop.as_ref(), next.q.stop.as_ref());
+                if let Some(before) = before.map(why) {
+                    let after = after.map(why);
+                    let reraised =
+                        matches!(before, Why::Panicked(_)) && after == Some(Why::Panicked(None));
+                    assert!(
+                        after == Some(before) || reraised,
+                        "{before:?} became {after:?}"
+                    );
+                }
+                next
+            }
+
+            /// What holds in every state.
+            fn check_invariants(&self, cfg: &Config) {
+                let (q, w) = (&self.q, cfg.workers);
+                let in_flight = q.handed_off - q.appended;
+                assert!(in_flight <= w as u64 + 1, "{in_flight} chunks in flight");
+                let stages = q.held % TEXT / STAGE;
+                let texts = q.held % SEGMENT / TEXT;
+                let segments = q.held / SEGMENT;
+                assert!(stages <= w + 2, "{stages} stage buffers held");
+                assert!(texts <= w + 2, "{texts} text buffers held");
+                assert!(segments <= w + 1, "{segments} segments held");
+                assert!(q.peak >= q.held);
+                if self.caller != Caller::Done {
+                    return;
+                }
+                assert!(
+                    !self.finished || cfg.faults.is_empty(),
+                    "finish hid a failure"
+                );
+                if cfg.store && q.stop.is_none() {
+                    assert_eq!(q.appended, q.handed_off, "a dropped store line lost chunks");
+                }
+                if !cfg.store {
+                    assert_eq!(Some(self.appends), self.dropped, "appended after a drop");
+                }
+            }
+        }
+
+        /// Every state `cfg` reaches, each checked; their number.
+        fn explore(cfg: &Config) -> usize {
+            let actors = 3 + cfg.workers;
+            let start = World::new(cfg);
+            // Each state's parent and the actor that moved, to replay a
+            // violation from the start.
+            let mut seen = HashMap::from([(start.key(), (0, usize::MAX))]);
+            let mut stack = vec![start];
+            let mut finished = false;
+            while let Some(world) = stack.pop() {
+                let from = world.key();
+                let checked = panic::catch_unwind(AssertUnwindSafe(|| {
+                    world.check_invariants(cfg);
+                    let moves: Vec<_> = (0..actors).filter(|&a| world.enabled(cfg, a)).collect();
+                    assert!(
+                        !moves.is_empty() || world.caller == Caller::Done,
+                        "every actor waits"
+                    );
+                    let next: Vec<_> = moves.iter().map(|&a| (a, world.step(cfg, a))).collect();
+                    next
+                }));
+                let next = match checked {
+                    Ok(next) => next,
+                    Err(payload) => {
+                        replay(cfg, &seen, from);
+                        panic::resume_unwind(payload)
+                    }
+                };
+                finished |= world.finished;
+                for (actor, next) in next {
+                    if let Entry::Vacant(slot) = seen.entry(next.key()) {
+                        slot.insert((from, actor));
+                        stack.push(next);
+                    }
+                }
+            }
+            assert!(finished || !cfg.faults.is_empty(), "no run finished");
+            seen.len()
+        }
+
+        /// Print the moves that reach state `to`.
+        fn replay(cfg: &Config, seen: &HashMap<u64, (u64, usize)>, mut to: u64) {
+            let mut path = Vec::new();
+            while let Some(&(from, actor)) = seen.get(&to).filter(|e| e.1 != usize::MAX) {
+                path.push(actor);
+                to = from;
+            }
+            let mut world = World::new(cfg);
+            eprintln!("W = {}, faults {:?}:", cfg.workers, cfg.faults);
+            for actor in path.into_iter().rev() {
+                world = world.step(cfg, actor);
+                let q = &world.q;
+                eprintln!(
+                    "  actor {actor}: caller {:?}, workers {:?}, handed off {}, appended {}, held {:#x}",
+                    world.caller, world.workers, q.handed_off, q.appended, q.held
+                );
+            }
+        }
+
+        /// The caller's and the workers' steps interleaved every way, at
+        /// W = 1 to 4 and six chunks: with the workers appending (a store)
+        /// and the caller appending rows or framed text (a container);
+        /// with no fault, a seal panic, parse failure or append failure at
+        /// each chunk, a failure and a later panic at each pair; with a
+        /// drop, or a container's flush, between any two calls. Prints the
+        /// states explored.
+        #[test]
+        fn seal_line_protocol_holds_in_every_interleaving() {
+            const CHUNKS: u64 = 6;
+            let modes = [
+                ("store", true, false),
+                ("container", false, false),
+                ("csv", false, true),
+            ];
+            for workers in 1..=4 {
+                for (mode, store, text) in modes {
+                    let kinds: &[Inject] = if text {
+                        &[Inject::Panic, Inject::Parse, Inject::Append]
+                    } else {
+                        &[Inject::Panic, Inject::Append]
+                    };
+                    let mut faults = vec![vec![]];
+                    for at in 0..CHUNKS {
+                        for &kind in kinds {
+                            faults.push(vec![(at, kind)]);
+                            for later in at + 1..CHUNKS {
+                                faults.push(vec![(at, kind), (later, Inject::Panic)]);
+                            }
+                        }
+                    }
+                    let clock = Instant::now();
+                    let mut states = 0;
+                    for faults in &faults {
+                        let cfg = Config {
+                            workers,
+                            chunks: CHUNKS,
+                            store,
+                            text,
+                            faults: faults.clone(),
+                        };
+                        states += explore(&cfg);
+                    }
+                    println!(
+                        "seal line W = {workers}, {mode}: {} configurations, {states} states, {:.2} s",
+                        faults.len(),
+                        clock.elapsed().as_secs_f64()
+                    );
+                }
+            }
+        }
     }
 }

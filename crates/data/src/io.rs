@@ -84,11 +84,6 @@ impl Workers {
         Self(threads.collect())
     }
 
-    /// Threads not joined yet.
-    pub(crate) fn len(&self) -> usize {
-        self.0.len()
-    }
-
     /// Join every thread; the owner has told them to stop first.
     pub(crate) fn join(&mut self) {
         for thread in self.0.drain(..) {

@@ -129,8 +129,9 @@ impl MatrixBatch for GcBatch {
     }
     // Every GC op must fully decompress first (the defining property the
     // paper measures); the decompression staging and the decoded matrix
-    // live in the caller's scratch, so even GC's per-op decode allocates
-    // nothing in steady state.
+    // live in the caller's scratch, but Gzip* and GC-ANS still build
+    // their decode tables on every call, so GC's per-op decode allocates
+    // in steady state (ROADMAP item 17).
     fn matvec_into_ws(&self, v: &[f64], out: &mut Vec<f64>, ws: &mut ExecScratch) {
         self.decode_staged(&mut ws.gc_bytes, &mut ws.gc_dense);
         ws.gc_dense.matvec_into(v, out);
