@@ -77,8 +77,9 @@ pub struct TocBatch {
     /// not the bytes, whose copy and compare a key is there to save.
     serial: u64,
     /// `C'` of `bytes`, if [`Self::from_bytes`] made this batch: the tree
-    /// validation replayed, kept for the kernels. Derived state.
-    tree: Option<DecodeTree>,
+    /// validation replayed, kept for the kernels. Derived state, boxed so
+    /// that a batch without one stays small.
+    tree: Option<Box<DecodeTree>>,
     /// The live plan slot of [`Self::hold_plan`]: `None` while holding is
     /// off (the default), else filled once by the first matrix kernel.
     /// Derived state; a clone gets a copy.
@@ -218,15 +219,16 @@ impl TocBatch {
     ///
     /// The replay builds `C'`, and the batch keeps what it built — the
     /// [`DecodeTree`]: `parent` and `key` per node (8 bytes), `I` as plain
-    /// columns and values, `D` (4 bytes per code) and the tuple offsets (4
-    /// bytes per row), unpacked once. Every kernel runs on it without
-    /// parsing the buffer again, so a batch that is parsed, visited and
-    /// dropped — a spilled read — replays and unpacks once. On a 250-row
-    /// census-like batch that is about 24 KB beside 4–5 KB of encoded
-    /// bytes, and it is not counted by [`Self::size_bytes`]: whoever keeps
-    /// parsed batches around should [`Self::shed_tree`] them (kernels then
-    /// build the same structure in their [`KernelScratch`], as for a batch
-    /// made by `encode`).
+    /// columns and values, `D` and the tuple of each code (8 bytes per
+    /// code) and the tuple offsets (4 bytes per row), unpacked once. Every
+    /// kernel runs on it without parsing the buffer again, so a batch that
+    /// is parsed, visited and dropped — a spilled read — replays and
+    /// unpacks once. On a 250-row census-like batch (1 776 nodes, 1 854
+    /// codes) that is about 32 KB beside 4–5 KB of encoded bytes, 7.4 KB
+    /// of it the tuple of each code, and it is not counted by
+    /// [`Self::size_bytes`]: whoever keeps parsed batches around should
+    /// [`Self::shed_tree`] them (kernels then build the same structure in
+    /// their [`KernelScratch`], as for a batch made by `encode`).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, TocError> {
         let tree = DecodeTree::build(&parse_view(&bytes)?)?;
         let (rows, cols) = (tree.rows, tree.cols);
@@ -235,7 +237,7 @@ impl TocBatch {
             rows,
             cols,
             serial: next_serial(),
-            tree: Some(tree),
+            tree: Some(Box::new(tree)),
             held: None,
         })
     }
@@ -249,7 +251,7 @@ impl TocBatch {
     /// one.
     #[doc(hidden)]
     pub fn carried_tree(&self) -> Option<&DecodeTree> {
-        self.tree.as_ref()
+        self.tree.as_deref()
     }
 
     /// `C'` of this batch: its own, or else `built`, the tree a scratch

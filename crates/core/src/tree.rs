@@ -54,22 +54,24 @@ pub struct DecodeTree {
     pub codes: Vec<u32>,
     /// Tuple boundaries in `codes`: `rows + 1` entries.
     pub offsets: Vec<u32>,
+    /// The tuple of each code: `code_row[k]` is the `r` with `offsets[r]
+    /// <= k < offsets[r + 1]`, one entry per element of [`Self::codes`],
+    /// so the vector kernels scan `D` in one flat pass.
+    pub code_row: Vec<u32>,
 }
 
 /// Reusable scratch for [`DecodeTree::build_trusted_into`]: Algorithm 2's
-/// `F` array and where in `D` each tuple starts, so that rebuilding `C'`
-/// for a new batch performs no heap allocation in steady state.
+/// `F` array, so that rebuilding `C'` for a new batch performs no heap
+/// allocation in steady state.
 #[derive(Clone, Debug, Default)]
 pub struct TreeScratch {
     first: Vec<u32>,
-    starts: Vec<bool>,
 }
 
 impl TreeScratch {
     /// [`DecodeTree::reserve`] for the scratch of the build.
     pub(crate) fn reserve(&mut self, s: &TocStats) {
         reserve_len(&mut self.first, s.n_nodes + 1);
-        reserve_len(&mut self.starts, s.codes_len);
     }
 }
 
@@ -155,6 +157,7 @@ impl DecodeTree {
             first_val,
             codes,
             offsets,
+            code_row,
         } = tree;
         (*rows, *cols) = (view.rows, view.cols);
         // The tuple offsets and `D`, unpacked once.
@@ -166,16 +169,17 @@ impl DecodeTree {
             return Err(corrupt("first offset must be 0"));
         }
         // One pass over the offsets: are they non-decreasing, how many
-        // tuples have codes, and where in `D` each such tuple starts.
-        let TreeScratch { first, starts } = scratch;
-        starts.clear();
-        starts.resize(codes.len(), false);
+        // tuples have codes, and how many tuples after the first start at
+        // each position of `D` — the replay's prefix sum of those counts
+        // is `code_row`.
+        code_row.clear();
+        code_row.resize(codes.len(), 0);
         let (mut decreasing, mut nonempty) = (false, 0);
         for w in offsets.windows(2) {
             decreasing |= w[1] < w[0];
             nonempty += (w[1] > w[0]) as usize;
-            if let Some(s) = starts.get_mut(w[0] as usize) {
-                *s |= w[1] > w[0];
+            if let Some(c) = code_row.get_mut(w[1] as usize) {
+                *c += 1;
             }
         }
         if VALIDATE {
@@ -220,9 +224,12 @@ impl DecodeTree {
         // `D`, without a branch on where tuples start: a tuple's first code
         // writes the three entries into the slot of the next node without
         // advancing, and the next pair overwrites them (hence one slot of
-        // slack). A code names a node that exists when it is replayed:
-        // `1 <= b <= next` for a pair's second code, `1 <= b < next` for a
-        // tuple's first, checked before it is read.
+        // slack). A code starts a tuple when it is `D`'s first or some
+        // tuple's offset names it, and the same pass sums those counts
+        // into `code_row`. A code names a node that exists when it is
+        // replayed: `1 <= b <= next` for a pair's second code, `1 <= b <
+        // next` for a tuple's first, checked before it is read.
+        let first = &mut scratch.first;
         parent.clear();
         parent.resize(n + 1, 0);
         key.clear();
@@ -233,12 +240,14 @@ impl DecodeTree {
             (key[i], first[i]) = (i as u32, i as u32);
         }
         let mut next = n_first + 1;
-        let (mut a, mut first_a) = (0, 0);
-        for (k, (&b, &start)) in codes.iter().zip(starts.iter()).enumerate() {
+        let (mut a, mut first_a, mut row) = (0, 0, 0);
+        for (k, (&b, r)) in codes.iter().zip(code_row.iter_mut()).enumerate() {
+            let start = (*r != 0) | (k == 0);
+            row += *r;
+            *r = row;
             if VALIDATE && b.wrapping_sub(1) as usize >= next - start as usize {
-                let r = offsets.partition_point(|&o| o as usize <= k) - 1;
                 return Err(corrupt(format!(
-                    "row {r}: code {b} references unknown node"
+                    "row {row}: code {b} references unknown node"
                 )));
             }
             parent[next] = a;
@@ -263,6 +272,7 @@ impl DecodeTree {
         reserve_len(&mut self.first_val, s.first_layer_len + 1);
         reserve_len(&mut self.codes, s.codes_len);
         reserve_len(&mut self.offsets, s.rows + 1);
+        reserve_len(&mut self.code_row, s.codes_len);
     }
 
     /// Materialize the full sequence of node `n`, root-to-node order.
@@ -525,6 +535,49 @@ mod tests {
         );
         assert_eq!(kept.key_val, plan.key_val);
         assert_eq!(kept.heap_bytes(), 16 * 8 + 4 * 9 + 4 * 5);
+    }
+
+    #[test]
+    fn code_row_names_the_tuple_of_every_code() {
+        // Six tuples of codes with empty tuples in every position: one
+        // alone at each place, runs at either end and in the middle, all
+        // but one, and all. Each is replayed validated and, through one
+        // scratch whose sizes shrink and grow, trusted.
+        let full = [
+            vec![1.0, 2.0, 0.0, 3.0],
+            vec![1.0, 2.0, 0.0, 0.0],
+            vec![0.0, 2.0, 5.0, 3.0],
+            vec![1.0, 2.0, 5.0, 3.0],
+            vec![4.0, 0.0, 0.0, 3.0],
+            vec![1.0, 2.0, 0.0, 3.0],
+        ];
+        let mut empties: Vec<Vec<usize>> = (0..6).map(|r| vec![r]).collect();
+        empties.extend([
+            vec![0, 1],
+            vec![4, 5],
+            vec![2, 3],
+            vec![0, 5],
+            vec![0, 1, 2, 3, 5],
+        ]);
+        empties.extend([(0..6).collect(), vec![]]);
+        let (mut trusted, mut scratch) = (DecodeTree::default(), TreeScratch::default());
+        for empty in &empties {
+            let mut rows = full.to_vec();
+            for &r in empty {
+                rows[r].fill(0.0);
+            }
+            let toc = TocBatch::encode(&DenseMatrix::from_rows(rows));
+            let view = toc.view();
+            DecodeTree::build_trusted_into(&view, &mut trusted, &mut scratch);
+            for tree in [&DecodeTree::build(&view).unwrap(), &trusted] {
+                assert_eq!(tree.code_row.len(), tree.codes.len(), "empty {empty:?}");
+                for (k, &r) in tree.code_row.iter().enumerate() {
+                    let r = r as usize;
+                    let (s, e) = (tree.offsets[r] as usize, tree.offsets[r + 1] as usize);
+                    assert!(s <= k && k < e, "empty {empty:?}: code {k} in row {r}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -367,6 +367,7 @@ fn a_parsed_batch_runs_on_the_tree_its_parse_built_on_every_preset() {
             assert_eq!(bits(carried), bits(&built), "{what}");
             assert_eq!(carried.codes, built.codes, "{what}");
             assert_eq!(carried.offsets, built.offsets, "{what}");
+            assert_eq!(carried.code_row, built.code_row, "{what}");
 
             let (mut ws_b, mut ws_p) = (KernelScratch::default(), KernelScratch::default());
             assert_eq!(run_five(p, &mut ws_p), run_five(b, &mut ws_b), "{what}");
